@@ -2,6 +2,7 @@
 
 from .errors import (
     BadParameters,
+    ExponentOverflow,
     IntersectionMismatch,
     LatticeLabError,
     NoBounds,

@@ -58,6 +58,10 @@ class ZeroDivisor(LatticeLabError):
     """Colon or saturation by zero."""
 
 
+class ExponentOverflow(LatticeLabError):
+    """An exponent outgrew the engine's packed 15-bit field."""
+
+
 class NotPureDifference(LatticeLabError):
     """A generator is not a difference of two monomials (or a variable)."""
 

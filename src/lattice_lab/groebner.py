@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .errors import RingMismatch, ZeroDivisor
+from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
 from .poly import (
     BlockOrder,
     Poly,
@@ -33,10 +33,20 @@ _FIELD = _FIELD_BITS
 _GUARD = 1 << (_FIELD - 1)  # high bit per field
 
 
-class _Ctx:
-    """Packing and order-key helper bound to (ring, order)."""
+def _overflow():
+    raise ExponentOverflow(f"an exponent exceeds {_GUARD - 1} in the Groebner engine")
 
-    __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask", "_keys")
+
+class _Ctx:
+    """Packing and order-key helper bound to (ring, order).
+
+    Exponents sit in 16-bit fields whose high (guard) bit stays clear: every
+    packed add in the engine tests ``pk & hmask`` and raises
+    ExponentOverflow, so field arithmetic below never carries or borrows.
+    """
+
+    __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask",
+                 "_pairs", "_ones", "_top", "_keys")
 
     def __init__(self, ring, order):
         self.ring = ring
@@ -45,6 +55,12 @@ class _Ctx:
         self.weights = order.weights(ring)
         self.shifts = tuple(_FIELD * i for i in range(self.n))
         self.hmask = sum(_GUARD << s for s in self.shifts)
+        # degree: fold odd fields onto even ones (32-bit slots), then one
+        # multiply by a ones-per-slot vector leaves the total in the top slot
+        slots = max(1, (self.n + 1) // 2)
+        self._pairs = sum(((1 << _FIELD) - 1) << (2 * _FIELD * i) for i in range(slots))
+        self._ones = sum(1 << (2 * _FIELD * i) for i in range(slots))
+        self._top = 2 * _FIELD * (slots - 1)
         self._keys = {}
 
     def pack(self, exps):
@@ -64,10 +80,23 @@ class _Ctx:
                 k += e * w
         return k
 
+    def key_pack(self, exps):
+        """(order key, packed) of an exponent tuple in one pass."""
+        k = p = 0
+        for e, s, w in zip(exps, self.shifts, self.weights):
+            if e:
+                k += e * w
+                p |= e << s
+        return k, p
+
     def key_packed(self, packed):
         k = self._keys.get(packed)
         if k is None:
-            k = self.key_exps(self.unpack(packed))
+            k = 0
+            for s, w in zip(self.shifts, self.weights):
+                e = (packed >> s) & (_GUARD - 1)
+                if e:
+                    k += e * w
             self._keys[packed] = k
         return k
 
@@ -76,17 +105,15 @@ class _Ctx:
         return ((b | self.hmask) - a) & self.hmask == self.hmask
 
     def lcm(self, a, b):
-        m = _GUARD - 1
-        p = 0
-        deg = 0
-        for s in self.shifts:
-            e = (a >> s) & m
-            f = (b >> s) & m
-            if f > e:
-                e = f
-            deg += e
-            p |= e << s
-        return p, deg
+        """Packed lcm and its degree: per field, the guard bit of
+        (a | guard) - b survives exactly when a >= b and selects a's field."""
+        hm = self.hmask
+        g = ((a | hm) - b) & hm
+        sel = g - (g >> (_FIELD - 1))
+        p = (a & sel) | (b & ~sel)
+        pairs = self._pairs
+        folded = (p & pairs) + ((p >> _FIELD) & pairs)
+        return p, ((folded * self._ones) >> self._top) & 0xFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +134,8 @@ def _bin_reduce_monomial(key, pk, basis, hm):
                 if tp < 0:
                     return None
                 pk += tp - lp
+                if pk & hm:
+                    _overflow()
                 key += tk - lk
                 changed = True
                 break
@@ -120,7 +149,6 @@ def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
     tail_pk == -1 for monomials; orientation (lead > tail) is normalized here.
     """
     hm = ctx.hmask
-    divides = ctx.divides
     key_packed = ctx.key_packed
 
     basis = []
@@ -149,6 +177,13 @@ def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
             return lead[0], lead[1], -1, -1
         return normalize(lead[0], lead[1], tail[0], tail[1])
 
+    def shifted(lcm, f):
+        """(key, packed) of (lcm / lead(f)) * tail(f)."""
+        pk = lcm - f[1] + f[3]
+        if pk & hm:
+            _overflow()
+        return key_packed(lcm) - f[0] + f[2], pk
+
     pairs = []
     pending = set()
 
@@ -159,7 +194,7 @@ def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
             lcm, deg = ctx.lcm(li, lj)
             if lcm == li + lj:  # coprime leading monomials
                 continue
-            heapq.heappush(pairs, (deg, key_packed(lcm), i, j))
+            heapq.heappush(pairs, (deg, key_packed(lcm), i, j, lcm))
             pending.add((i, j))
 
     for el in elements:
@@ -173,16 +208,14 @@ def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
         push_pairs(len(basis) - 1)
 
     while pairs:
-        deg, lcmk, i, j = heapq.heappop(pairs)
+        _, _, i, j, lcm = heapq.heappop(pairs)
         pending.discard((i, j))
         fi, fj = basis[i], basis[j]
-        lcm, _ = ctx.lcm(fi[1], fj[1])
         if chain_criterion:
             skip = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if divides(basis[k][1], lcm):
+            lh = lcm | hm
+            for k, fk in enumerate(basis):
+                if (lh - fk[1]) & hm == hm and k != i and k != j:  # lead(fk) | lcm
                     a = (i, k) if i < k else (k, i)
                     b = (j, k) if j < k else (k, j)
                     if a not in pending and b not in pending:
@@ -194,15 +227,12 @@ def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
         if fi[3] < 0 and fj[3] < 0:
             continue
         if fi[3] < 0:
-            mk = key_packed(lcm) - fj[0] + fj[2]
-            s = (mk, lcm - fj[1] + fj[3], -1, -1)
+            s = (*shifted(lcm, fj), -1, -1)
         elif fj[3] < 0:
-            mk = key_packed(lcm) - fi[0] + fi[2]
-            s = (mk, lcm - fi[1] + fi[3], -1, -1)
+            s = (*shifted(lcm, fi), -1, -1)
         else:
-            lk = key_packed(lcm)
-            m1k, m1p = lk - fi[0] + fi[2], lcm - fi[1] + fi[3]
-            m2k, m2p = lk - fj[0] + fj[2], lcm - fj[1] + fj[3]
+            m1k, m1p = shifted(lcm, fi)
+            m2k, m2p = shifted(lcm, fj)
             if m1p == m2p:
                 continue
             s = (m2k, m2p, m1k, m1p) if m2k > m1k else (m1k, m1p, m2k, m2p)
@@ -211,31 +241,51 @@ def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
             basis.append(s)
             push_pairs(len(basis) - 1)
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0])
+    return _minimal_reduced(ctx, basis, interreduce)
+
+
+def _minimal_reduced(ctx, basis, interreduce=True):
+    """Minimal (and, if asked, reduced) basis from a binomial Groebner basis.
+
+    Drops elements whose lead another lead divides, then reduces each tail
+    by the others; the result is sorted by decreasing lead, or by increasing
+    lead when not interreduced.
+    """
+    hm = ctx.hmask
     kept = []
-    for i in order_idx:
-        lp = basis[i][1]
-        if any(divides(k[1], lp) for k in kept):
-            continue
-        kept.append(basis[i])
+    for e in sorted(basis, key=lambda e: e[0]):
+        lh = e[1] | hm
+        for k in kept:
+            if (lh - k[1]) & hm == hm:  # lead(k) | lead(e)
+                break
+        else:
+            kept.append(e)
     if not interreduce:
         return kept
     final = []
     for lk, lp, tk, tp in kept:
-        others = [e for e in kept if e[1] != lp]
-        if tp < 0:
-            final.append((lk, lp, -1, -1))
-            continue
-        tail = _bin_reduce_monomial(tk, tp, others, hm)
-        if tail is None:
-            final.append((lk, lp, -1, -1))
-        elif tail[1] == lp:
-            raise AssertionError("tail reduced onto lead")
-        else:
-            final.append((lk, lp, tail[0], tail[1]))
+        if tp >= 0:
+            others = [e for e in kept if e[1] != lp]
+            tail = _bin_reduce_monomial(tk, tp, others, hm)
+            if tail is not None:
+                if tail[1] == lp:
+                    raise AssertionError("tail reduced onto lead")
+                final.append((lk, lp, tail[0], tail[1]))
+                continue
+        final.append((lk, lp, -1, -1))
     final.sort(key=lambda e: -e[0])
     return final
+
+
+def _binomial_polys(ctx, elements):
+    """Packed binomial elements -> Polys (lead - tail, or a monomial)."""
+    ring = ctx.ring
+    one, minus = ring.coeff(1), ring.coeff(-1)
+    return [
+        Poly(ring, {ctx.unpack(lp): one} if tp < 0
+             else {ctx.unpack(lp): one, ctx.unpack(tp): minus})
+        for _, lp, _, tp in elements
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +338,7 @@ def _nf_generic(ctx, fterms, basis, track_scale=False):
     char = ctx.ring.char
     key_packed = ctx.key_packed
     divides = ctx.divides
+    hm = ctx.hmask
     p = {m: c for m, c in fterms.items() if c}
     rem = {}
     scale = 1
@@ -316,6 +367,8 @@ def _nf_generic(ctx, fterms, basis, track_scale=False):
                 c *= glc
             for t, gc in gterms.items():
                 tt = t + shift
+                if tt & hm:
+                    _overflow()
                 nv = p.get(tt, 0) - (c // glc) * gc
                 if nv:
                     p[tt] = nv
@@ -324,6 +377,8 @@ def _nf_generic(ctx, fterms, basis, track_scale=False):
         else:
             for t, gc in gterms.items():
                 tt = t + shift
+                if tt & hm:
+                    _overflow()
                 nv = (p.get(tt, 0) - c * gc) % char
                 if nv:
                     p[tt] = nv
@@ -395,6 +450,8 @@ def _generic_buchberger(ctx, entries, chain_criterion=False):
             s[t + si] = s.get(t + si, 0) + ci * c
         for t, c in fj[0].items():
             s[t + sj] = s.get(t + sj, 0) - cj * c
+        if any(t & ctx.hmask for t in s):
+            _overflow()
         if char != 0:
             s = {m: c % char for m, c in s.items()}
         rem, _ = _nf_generic(ctx, s, basis)
@@ -455,24 +512,27 @@ def _binomial_elements(ctx, polys):
         if not items:
             continue
         if len(items) == 1:
-            m, _ = items[0]
-            pk = ctx.pack(m)
-            out.append((ctx.key_packed(pk), pk, -1, -1))
+            out.append((*ctx.key_pack(items[0][0]), -1, -1))
         elif len(items) == 2:
             (m1, c1), (m2, c2) = items
             if ctx.ring.coeff(c1 + c2) != 0:
                 return None
-            p1, p2 = ctx.pack(m1), ctx.pack(m2)
-            out.append((ctx.key_packed(p1), p1, ctx.key_packed(p2), p2))
+            out.append((*ctx.key_pack(m1), *ctx.key_pack(m2)))
         else:
             return None
     return out
 
 
 class ReducedGB:
-    """Reduced Groebner basis: monic, inter-reduced, sorted by leading term."""
+    """Reduced Groebner basis: monic, inter-reduced, sorted by leading term.
 
-    __slots__ = ("ring", "order", "basis", "_ctx", "_prepared")
+    A basis from the binomial engine also keeps its packed elements in
+    ``_binomial``; ``reduce`` then works term by term, because the normal
+    form is linear and under a +-1 binomial basis a monomial reduces to a
+    monomial or to 0.
+    """
+
+    __slots__ = ("ring", "order", "basis", "_ctx", "_prepared", "_binomial")
 
     def __init__(self, ring, order, basis, ctx=None, prepared=None):
         self.ring = ring
@@ -480,6 +540,7 @@ class ReducedGB:
         self.basis = tuple(basis)
         self._ctx = ctx
         self._prepared = prepared
+        self._binomial = None
 
     def _engine(self):
         if self._ctx is None:
@@ -496,6 +557,8 @@ class ReducedGB:
         """Unique normal form of f modulo this basis."""
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
+        if self._binomial is not None:
+            return self._reduce_binomial(f)
         ctx, entries = self._engine()
         fterms, denom = _poly_to_terms(ctx, f)
         rem, scale = _nf_generic(ctx, fterms, entries, track_scale=True)
@@ -506,6 +569,19 @@ class ReducedGB:
             return Poly(self.ring, {ctx.unpack(m): Fraction(c, total) for m, c in rem.items()})
         inv = pow(denom * scale % self.ring.char, -1, self.ring.char) if rem else 1
         return Poly(self.ring, {ctx.unpack(m): c * inv for m, c in rem.items()})
+
+    def _reduce_binomial(self, f):
+        ctx = self._ctx
+        basis, hm = self._binomial, ctx.hmask
+        rem = {}
+        keys = {}
+        for m, c in f.terms.items():
+            nf = _bin_reduce_monomial(*ctx.key_pack(m), basis, hm)
+            if nf is not None:
+                keys[nf[1]] = nf[0]
+                rem[nf[1]] = rem.get(nf[1], 0) + c
+        order = sorted(rem, key=keys.get, reverse=True)
+        return Poly(self.ring, {ctx.unpack(pk): rem[pk] for pk in order})
 
     def leading_monomials(self):
         return tuple(g.leading_monomial(self.order) for g in self.basis)
@@ -642,17 +718,9 @@ def buchberger(gens, order=None, *, ring=None, chain_criterion=False):
     binelems = _binomial_elements(ctx, gens)
     if binelems is not None:
         reduced = _binomial_buchberger(ctx, binelems, chain_criterion=True)
-        basis = []
-        one = ring.coeff(1)
-        minus = ring.coeff(-1)
-        for lk, lp, tk, tp in reduced:
-            if tp < 0:
-                basis.append(Poly(ring, {ctx.unpack(lp): one}))
-            else:
-                basis.append(Poly(ring, {ctx.unpack(lp): one, ctx.unpack(tp): minus}))
-        # structural guarantee for pure-difference inputs
-        assert all(len(g.terms) <= 2 for g in basis)
-        return ReducedGB(ring, order, basis, ctx=ctx)
+        gb = ReducedGB(ring, order, _binomial_polys(ctx, reduced), ctx=ctx)
+        gb._binomial = reduced
+        return gb
     entries = []
     for g in gens:
         terms, _ = _poly_to_terms(ctx, g)
@@ -810,47 +878,28 @@ def colon(ideal, f):
 
 
 def _saturate_binomial_by_variable(ring, gens, var):
-    """I : var^∞ for a homogeneous pure-difference ideal, by iterated
-    degrevlex-with-var-last bases and common-factor division."""
+    """I : var^∞ for a homogeneous pure-difference ideal, in one pass.
+
+    Bayer–Stillman: under degrevlex with var last, dividing each element of
+    a Groebner basis of a homogeneous I by the largest power of var that
+    divides it gives a Groebner basis of I : var^∞ (Sturmfels, *Groebner
+    Bases and Convex Polytopes*, Lemma 12.1); only minimalisation and
+    interreduction remain.
+    """
     prio = tuple(v for v in ring.variables if v != var) + (var,)
-    order = degrevlex(prio)
-    ctx = _Ctx(ring, order)
+    ctx = _Ctx(ring, degrevlex(prio))
     shift = _FIELD * ring.index[var]
     wvar = ctx.weights[ring.index[var]]
-    elements = _binomial_elements(ctx, gens)
-    while True:
-        reduced = _binomial_buchberger(ctx, elements, chain_criterion=True)
-        changed = False
-        out = []
-        for lk, lp, tk, tp in reduced:
-            e_l = (lp >> shift) & (_GUARD - 1)
-            if tp < 0:
-                if e_l:
-                    lp -= e_l << shift
-                    lk -= e_l * wvar
-                    changed = True
-                out.append((lk, lp, -1, -1))
-            else:
-                e_t = (tp >> shift) & (_GUARD - 1)
-                m = min(e_l, e_t)
-                if m:
-                    lp -= m << shift
-                    lk -= m * wvar
-                    tp -= m << shift
-                    tk -= m * wvar
-                    changed = True
-                out.append((lk, lp, tk, tp))
-        if not changed:
-            polys = []
-            one = ring.coeff(1)
-            minus = ring.coeff(-1)
-            for lk, lp, tk, tp in out:
-                if tp < 0:
-                    polys.append(Poly(ring, {ctx.unpack(lp): one}))
-                else:
-                    polys.append(Poly(ring, {ctx.unpack(lp): one, ctx.unpack(tp): minus}))
-            return polys
-        elements = out
+    basis = _binomial_buchberger(ctx, _binomial_elements(ctx, gens), interreduce=False)
+    divided = []
+    for lk, lp, tk, tp in basis:
+        m = (lp >> shift) & (_GUARD - 1)
+        if tp >= 0:
+            m = min(m, (tp >> shift) & (_GUARD - 1))
+            tp -= m << shift
+            tk -= m * wvar
+        divided.append((lk - m * wvar, lp - (m << shift), tk, tp))
+    return _binomial_polys(ctx, _minimal_reduced(ctx, divided))
 
 
 def saturate(ideal, f):

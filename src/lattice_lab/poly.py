@@ -16,9 +16,10 @@ from functools import reduce
 
 from .errors import RingMismatch, ZeroPolynomial
 
-# Exponents are capped so packed integer keys cannot collide.
-MAX_EXPONENT = 1 << 12
+# Engine monomials pack each exponent into a 16-bit field whose high (guard)
+# bit must stay clear, so exponents are capped at the field's 15 bits.
 _FIELD_BITS = 16
+MAX_EXPONENT = 1 << (_FIELD_BITS - 1)
 
 
 class Ordering(enum.IntEnum):

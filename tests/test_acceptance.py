@@ -243,6 +243,7 @@ def test_criterion_8_property_suites():
     _report(8, True, elapsed, "; ".join(notes))
 
 
+@pytest.mark.slow
 def test_criterion_7_exhaustive_order_scans():
     started = time.perf_counter()
     small = squarefree_order_scan(lk(2, 1), exhaustive=True)

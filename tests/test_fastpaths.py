@@ -1,0 +1,191 @@
+"""Packed-monomial fast paths against independent references.
+
+* ``_Ctx.lcm`` (guard-bit max-select) against a per-field loop;
+* ``ReducedGB.reduce`` on a binomial basis (term by term) against the
+  generic fraction-free normal form of the same basis;
+* ``ExponentOverflow`` where a packed exponent outgrows its field;
+* byte-identical CLI ``--json`` output against captured golden files.
+"""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lattice_lab import (
+    ExponentOverflow,
+    PolyRing,
+    ReducedGB,
+    buchberger,
+    degrevlex,
+    lex,
+)
+from lattice_lab.cli import main
+from lattice_lab.fixtures import lattice_r
+from lattice_lab.groebner import _Ctx
+from lattice_lab.lattice import enumerate_admissible_sets
+from lattice_lab.workflows import _component_gens, join_meet_ideal
+
+P = 32003
+FIELD_MAX = (1 << 15) - 1
+
+# -- guard-bit lcm ------------------------------------------------------------
+
+
+def _reference_lcm(ctx, a, b):
+    ea, eb = ctx.unpack(a), ctx.unpack(b)
+    m = tuple(max(x, y) for x, y in zip(ea, eb))
+    return ctx.pack(m), sum(m)
+
+
+_field = st.one_of(st.integers(0, 3), st.integers(FIELD_MAX - 3, FIELD_MAX),
+                   st.integers(0, FIELD_MAX))
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_field, min_size=n, max_size=n),
+                        st.lists(_field, min_size=n, max_size=n))))
+@settings(max_examples=200)
+def test_lcm_matches_per_field_reference(case):
+    n, ea, eb = case
+    R = PolyRing(tuple(f"v{i}" for i in range(n)))
+    ctx = _Ctx(R, degrevlex(R.variables))
+    a, b = ctx.pack(ea), ctx.pack(eb)
+    assert ctx.lcm(a, b) == _reference_lcm(ctx, a, b)
+    assert ctx.lcm(b, a) == _reference_lcm(ctx, a, b)
+
+
+def test_lcm_degree_past_sixteen_bits():
+    for n in (1, 2, 3, 4, 7, 40):
+        R = PolyRing(tuple(f"v{i}" for i in range(n)))
+        ctx = _Ctx(R, degrevlex(R.variables))
+        top = ctx.pack((FIELD_MAX,) * n)
+        alt = ctx.pack(tuple(FIELD_MAX if i % 2 else 0 for i in range(n)))
+        assert ctx.lcm(top, alt) == (top, n * FIELD_MAX)
+        assert ctx.lcm(0, alt) == (alt, (n // 2) * FIELD_MAX)
+    assert 40 * FIELD_MAX >= 1 << 16
+
+
+# -- binomial normal form -----------------------------------------------------
+
+VARS = ("x", "y", "z", "w")
+_mono = st.tuples(*(st.integers(0, 3) for _ in VARS))
+
+
+def _binomials(ring, pairs, monos):
+    gens = [ring.monomial(a) - ring.monomial(b) for a, b in pairs]
+    return gens + [ring.monomial(m) for m in monos]
+
+
+def _poly(ring, terms):
+    """Sum of terms c/d * m (c over GF(p)): any term count, any coefficients."""
+    return sum((ring.monomial(m, Fraction(c, d) if ring.char == 0 else c)
+                for m, c, d in terms), ring.zero())
+
+
+@given(
+    char=st.sampled_from((0, P)),
+    kind=st.sampled_from(("lex", "degrevlex")),
+    perm=st.permutations(VARS),
+    pairs=st.lists(st.tuples(_mono, _mono), min_size=1, max_size=4),
+    monos=st.lists(_mono, max_size=1),
+    terms=st.lists(st.tuples(_mono, st.integers(-40, 40), st.integers(1, 6)),
+                   max_size=8),
+)
+@settings(max_examples=120, deadline=None)
+def test_binomial_reduce_matches_generic_normal_form(char, kind, perm, pairs,
+                                                      monos, terms):
+    R = PolyRing(VARS, char)
+    order = (lex if kind == "lex" else degrevlex)(tuple(perm))
+    gb = buchberger(_binomials(R, pairs, monos), order, ring=R)
+    assert gb._binomial is not None  # pure differences take the fast path
+    generic = ReducedGB(R, order, gb.basis)  # same basis, generic engine
+    f = _poly(R, terms)
+    assert gb.reduce(f) == generic.reduce(f)
+    for g in gb.basis:
+        assert not gb.reduce(g * f)
+
+
+def test_binomial_reduce_on_component_bases():
+    # the dominance filter reduces component generators modulo component bases
+    L = lattice_r()
+    for char in (0, P):
+        ring = join_meet_ideal(L, char).ring
+        comps = [_component_gens(L, a, ring) for a in enumerate_admissible_sets(L)]
+        rng = random.Random(5)
+        for gens in rng.sample(comps, 6):
+            if not gens:
+                continue
+            gb = buchberger(gens, ring.default_order, ring=ring)
+            generic = ReducedGB(ring, ring.default_order, gb.basis)
+            for other in rng.sample(comps, 6):
+                for g in other:
+                    assert gb.reduce(g) == generic.reduce(g)
+
+
+# -- exponent overflow --------------------------------------------------------
+
+
+def test_reduce_past_field_width_raises():
+    # x^9 -> y^36000 does not fit a 15-bit field (it used to wrap to y^3232)
+    R = PolyRing(("x", "y"))
+    gb = buchberger([R.from_string("x - y^4000")], lex(("x", "y")))
+    assert gb.reduce(R.from_string("x^8")) == R.monomial((0, 32000))
+    with pytest.raises(ExponentOverflow):
+        gb.reduce(R.from_string("x^9"))
+    generic = buchberger([R.from_string("x - 2*y^4000")], lex(("x", "y")))
+    with pytest.raises(ExponentOverflow):
+        generic.reduce(R.from_string("x^9"))
+
+
+def test_buchberger_past_field_width_raises():
+    # (1, 1) is a common zero, so the old answer (x, y) was wrong
+    R = PolyRing(("x", "y"))
+    for gens in (("x^3000 - y", "y^3000 - x"), ("x^3000 - 2*y", "y^3000 - x")):
+        with pytest.raises(ExponentOverflow):
+            buchberger([R.from_string(g) for g in gens], lex(("x", "y")))
+
+
+def test_cli_exponent_overflow_exits_1(capsys, monkeypatch):
+    def overflowing(lattice, char=0):
+        R = PolyRing(("x", "y"), char)
+        return buchberger([R.from_string("x^3000 - y"), R.from_string("y^3000 - x")],
+                          lex(("x", "y")))
+
+    monkeypatch.setattr("lattice_lab.cli.minimal_primes", overflowing)
+    assert main(["primes", "--fixture", "Q"]) == 1
+    captured = capsys.readouterr()
+    assert "exceeds 32767" in captured.err
+    assert captured.out == ""
+
+
+# -- golden CLI capture -------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    f"primes_{fx.replace(':', '_')}_char{c}": ["primes", "--fixture", fx, "--char", str(c)]
+    for fx in ("Q", "R", "Lk:5:2", "Lk:6:3") for c in (0, P)
+}
+GOLDEN_RUNS.update({
+    "radical_N": ["radical", "--fixture", "N"],
+    "radical_R": ["radical", "--fixture", "R"],
+    "gb_Q": ["gb", "--fixture", "Q"],
+    "ini_Lk_3_1": ["ini", "--fixture", "Lk:3:1"],
+})
+
+
+def test_golden_files_match_runs():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_json_matches_golden(name, capsys):
+    code = main(GOLDEN_RUNS[name] + ["--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == expected
+    json.loads(out)

@@ -26,7 +26,7 @@ from lattice_lab import (
     saturate,
     verify_groebner,
 )
-from lattice_lab.fixtures import ladder, lattice_n, lattice_q, lk
+from lattice_lab.fixtures import diamond_m3, ladder, lattice_n, lattice_q, lk
 from lattice_lab.groebner import exact_div, spolynomial
 from lattice_lab.workflows import join_meet_ideal
 
@@ -277,17 +277,38 @@ def test_saturate_regular_variables_fixed_point():
     assert ideal_equal(saturate(I, prod), I)
 
 
-def test_saturate_fast_path_matches_elimination():
-    R = PolyRing(("x", "y", "z"))
-    I = Ideal(R, ["x*y - z^2", "y^2 - x*z"])
-    f = R.from_string("x*y")
-    fast = saturate(I, f)  # homogeneous pure differences: variable route
+def _saturate_by_elimination(I, f):
+    R = I.ring
     ext = R.extend(["t"])
     t = ext.var("t")
     gens = [g.map_ring(ext) for g in I.generators]
     gens.append(ext.one() - t * f.map_ring(ext))
     ref = eliminate(Ideal(ext, gens), {"t"})
-    assert ideal_equal(fast, Ideal(R, [g.map_ring(R) for g in ref.generators]))
+    return Ideal(R, [g.map_ring(R) for g in ref.generators])
+
+
+def test_saturate_fast_path_matches_elimination():
+    R = PolyRing(("x", "y", "z"))
+    I = Ideal(R, ["x*y - z^2", "y^2 - x*z"])
+    f = R.from_string("x*y")
+    fast = saturate(I, f)  # homogeneous pure differences: variable route
+    assert ideal_equal(fast, _saturate_by_elimination(I, f))
+
+
+@pytest.mark.parametrize("lattice", [diamond_m3(), lk(3, 1)], ids=["M3", "Lk31"])
+def test_saturate_by_all_variables_matches_elimination(lattice):
+    # the ideals are not saturated, so some pass divides out its variable
+    I = join_meet_ideal(lattice).ideal
+    R = I.ring
+    f = R.one()
+    for v in R.variables:
+        f = f * R.var(v)
+    fast = saturate(I, f)
+    assert not ideal_equal(fast, I)
+    # the last pass saturates by the last variable under degrevlex with it
+    # last, the default order, so it returns the reduced basis itself
+    ref = _saturate_by_elimination(I, f)
+    assert fast.generators == ref.groebner().basis
 
 
 def test_colon_of_zero_divisor_raises(Q_ideal):

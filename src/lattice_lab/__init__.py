@@ -34,13 +34,12 @@ from .fixtures import build_fixture, lattice_from_json, lattice_to_json
 from .poly import (
     BlockOrder,
     MonomialOrder,
-    Ordering,
     Poly,
     PolyRing,
     compare,
     degrevlex,
     lex,
-    poly_arith,
+    sort_key,
 )
 from .groebner import (
     Ideal,

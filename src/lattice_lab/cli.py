@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from .errors import LatticeLabError
+from .errors import LatticeLabError, RingMismatch
 from .fixtures import (
     FIXTURE_NAMES,
     build_fixture,
@@ -55,11 +55,14 @@ def _parse_order(ring, text):
         return ring.default_order
     kind, _, rest = text.partition(":")
     priority = tuple(rest.split(",")) if rest else ring.variables
-    if kind == "lex":
-        return lex(priority)
-    if kind == "degrevlex":
-        return degrevlex(priority)
-    raise SystemExit2(f"unknown order kind {kind!r} (use lex:... or degrevlex:...)")
+    if kind not in ("lex", "degrevlex"):
+        raise SystemExit2(f"unknown order kind {kind!r} (use lex:... or degrevlex:...)")
+    order = (lex if kind == "lex" else degrevlex)(priority)
+    try:
+        order.resolve(ring)
+    except RingMismatch as exc:
+        raise SystemExit2(str(exc)) from None
+    return order
 
 
 def _emit(args, report, text_lines):

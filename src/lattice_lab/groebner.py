@@ -1,11 +1,13 @@
 """Buchberger engine and derived ideal operations.
 
-Two computation paths produce the same reduced Groebner bases:
+One Buchberger loop computes every reduced Groebner basis.  It owns the pair
+heap, the coprime and Gebauer–Möller chain criteria and minimalisation, and
+takes its S-element and reduce steps from one of two element kinds:
 
-* a binomial fast path for ideals generated by monomials and pure differences
+* binomial elements, for ideals generated by monomials and pure differences
   of monomials (closed under S-polynomials and reduction, so every element of
   every intermediate basis has at most two terms), and
-* a generic path with fraction-free integer pseudo-reduction.
+* generic elements, with fraction-free integer pseudo-reduction.
 
 Monomials live in hot loops as packed integers (16-bit fields per variable)
 so that divisibility is two big-int operations, and each monomial order is a
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
+from math import gcd as _gcd
 
 from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
 from .poly import (
@@ -26,6 +30,7 @@ from .poly import (
     mono_degree,
     mono_divides,
     mono_is_squarefree,
+    sort_key,
     _FIELD_BITS,
 )
 
@@ -117,11 +122,86 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# binomial fast path
+# the Buchberger loop
 # ---------------------------------------------------------------------------
-# Element representation: (lead_key, lead_packed, tail_key, tail_packed);
-# tail_packed == -1 encodes a plain monomial.  Coefficients are implicitly
-# (+1, -1), which is preserved by S-polynomials and reduction.
+# Both element kinds start with (lead_key, lead_packed): the loop reads only
+# those two fields and leaves the rest to the kind's own steps.
+
+
+def _buchberger_core(ctx, elements, s_element, reduce):
+    """Minimal Groebner basis of ``elements``, sorted by increasing lead.
+
+    ``reduce(ctx, raw, basis)`` turns a raw element (an input or an
+    S-element) into a basis element reduced by ``basis``, or None for zero;
+    ``s_element(ctx, lcm, fi, fj)`` is the raw S-element of a pair, or None
+    when it is zero.  Pairs leave the heap by lcm degree, then lcm key; the
+    coprime criterion and the Gebauer–Möller chain criterion drop pairs.
+    """
+    hm = ctx.hmask
+    lcm_of = ctx.lcm
+    key_packed = ctx.key_packed
+    basis = []
+    pairs = []
+    pending = set()
+
+    def add(el):
+        if el is None:
+            return
+        j, lj = len(basis), el[1]
+        for i, fi in enumerate(basis):
+            lcm, deg = lcm_of(fi[1], lj)
+            if lcm != fi[1] + lj:  # leading monomials not coprime
+                heapq.heappush(pairs, (deg, key_packed(lcm), i, j, lcm))
+                pending.add((i, j))
+        basis.append(el)
+
+    for el in elements:
+        add(reduce(ctx, el, basis))
+    while pairs:
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        pending.discard((i, j))
+        lh = lcm | hm
+        # chain criterion: (i, j) is redundant when some lead(fk) divides the
+        # lcm and the pairs (i, k) and (j, k) have already been treated
+        for k, fk in enumerate(basis):
+            if (lh - fk[1]) & hm == hm and k != i and k != j:
+                if (((i, k) if i < k else (k, i)) not in pending
+                        and ((j, k) if j < k else (k, j)) not in pending):
+                    break
+        else:
+            s = s_element(ctx, lcm, basis[i], basis[j])
+            if s is not None:
+                add(reduce(ctx, s, basis))
+    return _minimal(basis, hm)
+
+
+def _minimal(basis, hm):
+    """Elements whose lead no other lead divides, by increasing lead."""
+    kept = []
+    for e in sorted(basis, key=lambda e: e[0]):
+        lh = e[1] | hm
+        for k in kept:
+            if (lh - k[1]) & hm == hm:  # lead(k) | lead(e)
+                break
+        else:
+            kept.append(e)
+    return kept
+
+
+def _interreduced(ctx, kept, reduce, raw):
+    """Each element of a minimal basis reduced by the others, by decreasing
+    lead; ``raw`` gives the input ``reduce`` takes for a basis element."""
+    final = [reduce(ctx, raw(e), [k for k in kept if k is not e]) for e in kept]
+    final.sort(key=lambda e: -e[0])
+    return final
+
+
+# ---------------------------------------------------------------------------
+# binomial elements
+# ---------------------------------------------------------------------------
+# (lead_key, lead_packed, tail_key, tail_packed); tail_packed == -1 encodes a
+# plain monomial.  Coefficients are implicitly (+1, -1), which is preserved
+# by S-polynomials and reduction.
 
 
 def _bin_reduce_monomial(key, pk, basis, hm):
@@ -142,139 +222,55 @@ def _bin_reduce_monomial(key, pk, basis, hm):
     return key, pk
 
 
-def _binomial_buchberger(ctx, elements, chain_criterion=True, interreduce=True):
+def _bin_reduce(ctx, el, basis):
+    """Reduce both terms of a binomial, then orient it lead > tail.
+
+    The terms reduce independently, so the input may come in either
+    orientation.
+    """
+    hm = ctx.hmask
+    lk, lp, tk, tp = el
+    lead = _bin_reduce_monomial(lk, lp, basis, hm)
+    tail = None if tp < 0 else _bin_reduce_monomial(tk, tp, basis, hm)
+    if lead is None or tail is None:
+        mono = lead or tail
+        return None if mono is None else (*mono, -1, -1)
+    if lead[1] == tail[1]:
+        return None
+    return (*lead, *tail) if lead[0] > tail[0] else (*tail, *lead)
+
+
+def _bin_shifted(ctx, lcm, f):
+    """(key, packed) of (lcm / lead(f)) * tail(f)."""
+    pk = lcm - f[1] + f[3]
+    if pk & ctx.hmask:
+        _overflow()
+    return ctx.key_packed(lcm) - f[0] + f[2], pk
+
+
+def _bin_s_element(ctx, lcm, fi, fj):
+    """S-element of u1 - v1, u2 - v2: (lcm/u2) v2 - (lcm/u1) v1, unoriented."""
+    if fi[3] < 0:
+        return None if fj[3] < 0 else (*_bin_shifted(ctx, lcm, fj), -1, -1)
+    if fj[3] < 0:
+        return (*_bin_shifted(ctx, lcm, fi), -1, -1)
+    m1 = _bin_shifted(ctx, lcm, fi)
+    m2 = _bin_shifted(ctx, lcm, fj)
+    return None if m1[1] == m2[1] else (*m1, *m2)
+
+
+def _bin_interreduced(ctx, kept):
+    return _interreduced(ctx, kept, _bin_reduce, lambda e: e)
+
+
+def _binomial_buchberger(ctx, elements, interreduce=True):
     """Reduced basis of a pure-difference/monomial ideal.
 
-    ``elements`` is a list of (lead_key, lead_pk, tail_key, tail_pk) with
-    tail_pk == -1 for monomials; orientation (lead > tail) is normalized here.
+    ``elements`` are binomial elements in either orientation; without
+    ``interreduce`` the minimal basis comes back by increasing lead.
     """
-    hm = ctx.hmask
-    key_packed = ctx.key_packed
-
-    basis = []
-
-    def normalize(lk, lp, tk, tp):
-        if tp < 0:
-            return lk, lp, tk, tp
-        if lp == tp:
-            return None
-        if lk < tk:
-            lk, lp, tk, tp = tk, tp, lk, lp
-        return lk, lp, tk, tp
-
-    def reduce_element(lk, lp, tk, tp):
-        lead = _bin_reduce_monomial(lk, lp, basis, hm)
-        if tp < 0:
-            if lead is None:
-                return None
-            return lead[0], lead[1], -1, -1
-        tail = _bin_reduce_monomial(tk, tp, basis, hm)
-        if lead is None and tail is None:
-            return None
-        if lead is None:
-            return tail[0], tail[1], -1, -1
-        if tail is None:
-            return lead[0], lead[1], -1, -1
-        return normalize(lead[0], lead[1], tail[0], tail[1])
-
-    def shifted(lcm, f):
-        """(key, packed) of (lcm / lead(f)) * tail(f)."""
-        pk = lcm - f[1] + f[3]
-        if pk & hm:
-            _overflow()
-        return key_packed(lcm) - f[0] + f[2], pk
-
-    pairs = []
-    pending = set()
-
-    def push_pairs(j):
-        lj = basis[j][1]
-        for i in range(j):
-            li = basis[i][1]
-            lcm, deg = ctx.lcm(li, lj)
-            if lcm == li + lj:  # coprime leading monomials
-                continue
-            heapq.heappush(pairs, (deg, key_packed(lcm), i, j, lcm))
-            pending.add((i, j))
-
-    for el in elements:
-        el = normalize(*el)
-        if el is None:
-            continue
-        el = reduce_element(*el)
-        if el is None:
-            continue
-        basis.append(el)
-        push_pairs(len(basis) - 1)
-
-    while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        pending.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        if chain_criterion:
-            skip = False
-            lh = lcm | hm
-            for k, fk in enumerate(basis):
-                if (lh - fk[1]) & hm == hm and k != i and k != j:  # lead(fk) | lcm
-                    a = (i, k) if i < k else (k, i)
-                    b = (j, k) if j < k else (k, j)
-                    if a not in pending and b not in pending:
-                        skip = True
-                        break
-            if skip:
-                continue
-        # S-element of u1 - v1, u2 - v2 is (lcm/u2) v2 - (lcm/u1) v1
-        if fi[3] < 0 and fj[3] < 0:
-            continue
-        if fi[3] < 0:
-            s = (*shifted(lcm, fj), -1, -1)
-        elif fj[3] < 0:
-            s = (*shifted(lcm, fi), -1, -1)
-        else:
-            m1k, m1p = shifted(lcm, fi)
-            m2k, m2p = shifted(lcm, fj)
-            if m1p == m2p:
-                continue
-            s = (m2k, m2p, m1k, m1p) if m2k > m1k else (m1k, m1p, m2k, m2p)
-        s = reduce_element(*s)
-        if s is not None:
-            basis.append(s)
-            push_pairs(len(basis) - 1)
-
-    return _minimal_reduced(ctx, basis, interreduce)
-
-
-def _minimal_reduced(ctx, basis, interreduce=True):
-    """Minimal (and, if asked, reduced) basis from a binomial Groebner basis.
-
-    Drops elements whose lead another lead divides, then reduces each tail
-    by the others; the result is sorted by decreasing lead, or by increasing
-    lead when not interreduced.
-    """
-    hm = ctx.hmask
-    kept = []
-    for e in sorted(basis, key=lambda e: e[0]):
-        lh = e[1] | hm
-        for k in kept:
-            if (lh - k[1]) & hm == hm:  # lead(k) | lead(e)
-                break
-        else:
-            kept.append(e)
-    if not interreduce:
-        return kept
-    final = []
-    for lk, lp, tk, tp in kept:
-        if tp >= 0:
-            others = [e for e in kept if e[1] != lp]
-            tail = _bin_reduce_monomial(tk, tp, others, hm)
-            if tail is not None:
-                if tail[1] == lp:
-                    raise AssertionError("tail reduced onto lead")
-                final.append((lk, lp, tail[0], tail[1]))
-                continue
-        final.append((lk, lp, -1, -1))
-    final.sort(key=lambda e: -e[0])
-    return final
+    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce)
+    return _bin_interreduced(ctx, kept) if interreduce else kept
 
 
 def _binomial_polys(ctx, elements):
@@ -289,14 +285,11 @@ def _binomial_polys(ctx, elements):
 
 
 # ---------------------------------------------------------------------------
-# generic path: fraction-free integer pseudo-reduction
+# generic elements: fraction-free integer pseudo-reduction
 # ---------------------------------------------------------------------------
-# Internal polynomial: (terms: dict packed->int coeff, lead_pk, lead_key,
-# lead_coeff).  Over Q the coefficients are primitive integers with positive
-# leading coefficient; over GF(p) they are residues with monic lead.
-
-
-from math import gcd as _gcd
+# (lead_key, lead_packed, terms: dict packed->int coeff, lead_coeff).  Over Q
+# the coefficients are primitive integers with positive leading coefficient;
+# over GF(p) they are residues with monic lead.  Raw elements are term dicts.
 
 
 def _content(terms):
@@ -309,28 +302,27 @@ def _content(terms):
 
 
 def _make_entry(ctx, terms):
-    """Normalize a term dict into an internal basis entry (or None if zero)."""
+    """Normalize a term dict into a generic element (or None if zero)."""
     terms = {m: c for m, c in terms.items() if c}
     if not terms:
         return None
+    lead = max(terms, key=ctx.key_packed)
     if ctx.ring.char == 0:
         g = _content(terms)
         if g > 1:
             terms = {m: c // g for m, c in terms.items()}
-        lead = max(terms, key=ctx.key_packed)
         if terms[lead] < 0:
             terms = {m: -c for m, c in terms.items()}
     else:
         p = ctx.ring.char
-        lead = max(terms, key=ctx.key_packed)
         inv = pow(terms[lead], -1, p)
         terms = {m: (c * inv) % p for m, c in terms.items()}
         terms = {m: c for m, c in terms.items() if c}
-    return (terms, lead, ctx.key_packed(lead), terms[lead])
+    return (ctx.key_packed(lead), lead, terms, terms[lead])
 
 
 def _nf_generic(ctx, fterms, basis, track_scale=False):
-    """Normal form of a term dict modulo basis entries.
+    """Normal form of a term dict modulo generic elements.
 
     Returns (remainder dict, scale): over Q the true remainder equals
     remainder / scale; over GF(p) the scale is always 1.
@@ -348,14 +340,14 @@ def _nf_generic(ctx, fterms, basis, track_scale=False):
         c = p[m]
         reducer = None
         for entry in basis:
-            if entry[2] <= mk and divides(entry[1], m):
+            if entry[0] <= mk and divides(entry[1], m):
                 reducer = entry
                 break
         if reducer is None:
             rem[m] = c
             del p[m]
             continue
-        gterms, glead, _, glc = reducer
+        _, glead, gterms, glc = reducer
         shift = m - glead
         if char == 0:
             if glc != 1:
@@ -392,91 +384,29 @@ def _nf_generic(ctx, fterms, basis, track_scale=False):
     return rem, scale
 
 
-def _generic_buchberger(ctx, entries, chain_criterion=False):
-    """Reduced basis (internal entries) of arbitrary generators."""
-    key_packed = ctx.key_packed
-    divides = ctx.divides
+def _gen_reduce(ctx, terms, basis):
+    return _make_entry(ctx, _nf_generic(ctx, terms, basis)[0])
+
+
+def _gen_s_element(ctx, lcm, fi, fj):
+    """lc(fj) (lcm/lead fi) fi - lc(fi) (lcm/lead fj) fj as a term dict."""
     char = ctx.ring.char
-    basis = []
-    pairs = []
-    pending = set()
+    ci, cj = (fj[3], fi[3]) if char == 0 else (1, 1)
+    si, sj = lcm - fi[1], lcm - fj[1]
+    s = {}
+    for t, c in fi[2].items():
+        s[t + si] = s.get(t + si, 0) + ci * c
+    for t, c in fj[2].items():
+        s[t + sj] = s.get(t + sj, 0) - cj * c
+    if any(t & ctx.hmask for t in s):
+        _overflow()
+    return {m: c % char for m, c in s.items()} if char else s
 
-    def push_pairs(j):
-        lj = basis[j][1]
-        for i in range(j):
-            li = basis[i][1]
-            lcm, deg = ctx.lcm(li, lj)
-            if lcm == li + lj:
-                continue
-            heapq.heappush(pairs, (deg, key_packed(lcm), i, j))
-            pending.add((i, j))
 
-    for e in entries:
-        if e is None:
-            continue
-        rem, _ = _nf_generic(ctx, e[0], basis)
-        e = _make_entry(ctx, rem)
-        if e is None:
-            continue
-        basis.append(e)
-        push_pairs(len(basis) - 1)
-
-    while pairs:
-        deg, lcmk, i, j = heapq.heappop(pairs)
-        pending.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        lcm, _ = ctx.lcm(fi[1], fj[1])
-        if chain_criterion:
-            skip = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if divides(basis[k][1], lcm):
-                    a = (i, k) if i < k else (k, i)
-                    b = (j, k) if j < k else (k, j)
-                    if a not in pending and b not in pending:
-                        skip = True
-                        break
-            if skip:
-                continue
-        si = lcm - fi[1]
-        sj = lcm - fj[1]
-        s = {}
-        if char == 0:
-            ci, cj = fj[3], fi[3]
-        else:
-            ci, cj = 1, 1
-        for t, c in fi[0].items():
-            s[t + si] = s.get(t + si, 0) + ci * c
-        for t, c in fj[0].items():
-            s[t + sj] = s.get(t + sj, 0) - cj * c
-        if any(t & ctx.hmask for t in s):
-            _overflow()
-        if char != 0:
-            s = {m: c % char for m, c in s.items()}
-        rem, _ = _nf_generic(ctx, s, basis)
-        e = _make_entry(ctx, rem)
-        if e is not None:
-            basis.append(e)
-            push_pairs(len(basis) - 1)
-
-    # minimalize + interreduce
-    order_idx = sorted(range(len(basis)), key=lambda i: basis[i][2])
-    kept = []
-    for i in order_idx:
-        lp = basis[i][1]
-        if any(divides(k[1], lp) for k in kept):
-            continue
-        kept.append(basis[i])
-    final = []
-    for e in kept:
-        others = [k for k in kept if k[1] != e[1]]
-        rem, _ = _nf_generic(ctx, e[0], others)
-        e2 = _make_entry(ctx, rem)
-        if e2 is not None:
-            final.append(e2)
-    final.sort(key=lambda e: -e[2])
-    return final
+def _generic_buchberger(ctx, elements):
+    """Reduced basis (generic elements) of a list of term dicts."""
+    kept = _buchberger_core(ctx, elements, _gen_s_element, _gen_reduce)
+    return _interreduced(ctx, kept, _gen_reduce, lambda e: e[2])
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +425,9 @@ def _poly_to_terms(ctx, poly):
 
 
 def _entry_to_poly(ctx, entry):
-    terms, lead, _, lc = entry
+    _, _, terms, lc = entry
     ring = ctx.ring
     if ring.char == 0:
-        from fractions import Fraction
-
         return Poly(ring, {ctx.unpack(m): Fraction(c, lc) for m, c in terms.items()})
     return Poly(ring, {ctx.unpack(m): c for m, c in terms.items()})
 
@@ -563,8 +491,6 @@ class ReducedGB:
         fterms, denom = _poly_to_terms(ctx, f)
         rem, scale = _nf_generic(ctx, fterms, entries, track_scale=True)
         if self.ring.char == 0:
-            from fractions import Fraction
-
             total = denom * scale
             return Poly(self.ring, {ctx.unpack(m): Fraction(c, total) for m, c in rem.items()})
         inv = pow(denom * scale % self.ring.char, -1, self.ring.char) if rem else 1
@@ -631,7 +557,7 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, set(self.gens) | set(map(tuple, monomials)))
 
     def sorted_gens(self):
-        key = self.ring.default_order.key(self.ring)
+        key = sort_key(self.ring.default_order, self.ring)
         return sorted(self.gens, key=key, reverse=True)
 
     def __eq__(self, other):
@@ -674,12 +600,11 @@ class Ideal:
         self.generators = tuple(gens)
         self._cache = {}
 
-    def groebner(self, order=None, chain_criterion=False):
+    def groebner(self, order=None):
         order = order or self.ring.default_order
         gb = self._cache.get(order)
         if gb is None:
-            gb = buchberger(self.generators, order, ring=self.ring,
-                            chain_criterion=chain_criterion)
+            gb = buchberger(self.generators, order, ring=self.ring)
             self._cache[order] = gb
         return gb
 
@@ -699,7 +624,7 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
-def buchberger(gens, order=None, *, ring=None, chain_criterion=False):
+def buchberger(gens, order=None, *, ring=None):
     """Reduced Groebner basis of the given generators."""
     if isinstance(gens, Ideal):
         ring = gens.ring
@@ -717,17 +642,12 @@ def buchberger(gens, order=None, *, ring=None, chain_criterion=False):
     gens = [g for g in gens if g]
     binelems = _binomial_elements(ctx, gens)
     if binelems is not None:
-        reduced = _binomial_buchberger(ctx, binelems, chain_criterion=True)
+        reduced = _binomial_buchberger(ctx, binelems)
         gb = ReducedGB(ring, order, _binomial_polys(ctx, reduced), ctx=ctx)
         gb._binomial = reduced
         return gb
-    entries = []
-    for g in gens:
-        terms, _ = _poly_to_terms(ctx, g)
-        entries.append(_make_entry(ctx, terms))
-    reduced = _generic_buchberger(ctx, entries, chain_criterion=chain_criterion)
-    basis = [_entry_to_poly(ctx, e) for e in reduced]
-    return ReducedGB(ring, order, basis, ctx=ctx)
+    reduced = _generic_buchberger(ctx, [_poly_to_terms(ctx, g)[0] for g in gens])
+    return ReducedGB(ring, order, [_entry_to_poly(ctx, e) for e in reduced], ctx=ctx)
 
 
 def normal_form(f, basis):
@@ -774,7 +694,7 @@ def radical_member(f, ideal):
     ext = ring.extend([t])
     gens = [g.map_ring(ext) for g in ideal.generators]
     gens.append(ext.one() - ext.var(t) * f.map_ring(ext))
-    gb = buchberger(gens, degrevlex(ext.variables), ring=ext, chain_criterion=True)
+    gb = buchberger(gens, degrevlex(ext.variables), ring=ext)
     return gb.contains_one()
 
 
@@ -790,7 +710,7 @@ def eliminate(ideal, drop):
     keep = tuple(v for v in ring.variables if v not in drop)
     drop_sorted = tuple(v for v in ring.variables if v in drop)
     order = BlockOrder(drop_sorted, degrevlex(ring.variables))
-    gb = buchberger(ideal.generators, order, ring=ring, chain_criterion=True)
+    gb = buchberger(ideal.generators, order, ring=ring)
     small = ring.restrict(keep)
     drop_idx = [ring.index[v] for v in drop_sorted]
     kept = []
@@ -877,20 +797,24 @@ def colon(ideal, f):
     return Ideal(ideal.ring, [exact_div(g, f) for g in meet.generators])
 
 
-def _saturate_binomial_by_variable(ring, gens, var):
-    """I : var^∞ for a homogeneous pure-difference ideal, in one pass.
+def _saturate_binomial_by_variable(ring, elements, var):
+    """(ctx, reduced elements) of I : var^∞ for a homogeneous pure-difference
+    ideal given by binomial elements, in one pass.
 
     Bayer–Stillman: under degrevlex with var last, dividing each element of
     a Groebner basis of a homogeneous I by the largest power of var that
     divides it gives a Groebner basis of I : var^∞ (Sturmfels, *Groebner
     Bases and Convex Polytopes*, Lemma 12.1); only minimalisation and
-    interreduction remain.
+    interreduction remain.  Packing does not depend on the order, so the
+    elements only need new keys.
     """
     prio = tuple(v for v in ring.variables if v != var) + (var,)
     ctx = _Ctx(ring, degrevlex(prio))
+    kp = ctx.key_packed
+    elements = [(kp(lp), lp, -1 if tp < 0 else kp(tp), tp) for _, lp, _, tp in elements]
     shift = _FIELD * ring.index[var]
     wvar = ctx.weights[ring.index[var]]
-    basis = _binomial_buchberger(ctx, _binomial_elements(ctx, gens), interreduce=False)
+    basis = _binomial_buchberger(ctx, elements, interreduce=False)
     divided = []
     for lk, lp, tk, tp in basis:
         m = (lp >> shift) & (_GUARD - 1)
@@ -899,7 +823,7 @@ def _saturate_binomial_by_variable(ring, gens, var):
             tp -= m << shift
             tk -= m * wvar
         divided.append((lk - m * wvar, lp - (m << shift), tk, tp))
-    return _binomial_polys(ctx, _minimal_reduced(ctx, divided))
+    return ctx, _bin_interreduced(ctx, _minimal(divided, ctx.hmask))
 
 
 def saturate(ideal, f):
@@ -916,11 +840,13 @@ def saturate(ideal, f):
         and all(g.is_homogeneous() for g in ideal.generators)
     ):
         (mono,) = f.terms
-        gens = list(ideal.generators)
+        ctx = _Ctx(ring, ring.default_order)
+        elements = _binomial_elements(ctx, ideal.generators)
         for i, e in enumerate(mono):
             if e:
-                gens = _saturate_binomial_by_variable(ring, gens, ring.variables[i])
-        return Ideal(ring, gens)
+                ctx, elements = _saturate_binomial_by_variable(
+                    ring, elements, ring.variables[i])
+        return Ideal(ring, _binomial_polys(ctx, elements))
     t = _fresh_name(ring)
     ext = ring.extend([t])
     gens = [g.map_ring(ext) for g in ideal.generators]

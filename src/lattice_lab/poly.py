@@ -1,31 +1,27 @@
 """Exact multivariate polynomials over Q or GF(p) with pluggable monomial orders.
 
 Monomials are exponent tuples indexed by the ring's variable list.  Orders are
-value objects usable as cache keys; every order also exposes an integer weight
-vector so that engine code can compare monomials with a single integer key
-(``key(m) = sum(e*w)``, strictly monotone and additive under multiplication).
+value objects usable as cache keys, and an order is its integer weight vector:
+``sort_key(order, ring)(m) = dot(m, order.weights(ring))`` is strictly
+monotone and additive under multiplication, so every comparison, here and in
+the engine, is one integer comparison.  The weights separate exponents below
+``MAX_EXPONENT``, which ``Poly`` enforces.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
-from .errors import RingMismatch, ZeroPolynomial
+from .errors import ExponentOverflow, RingMismatch, ZeroPolynomial
 
 # Engine monomials pack each exponent into a 16-bit field whose high (guard)
 # bit must stay clear, so exponents are capped at the field's 15 bits.
 _FIELD_BITS = 16
 MAX_EXPONENT = 1 << (_FIELD_BITS - 1)
-
-
-class Ordering(enum.IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 def mono_mul(m1, m2):
@@ -82,14 +78,6 @@ class MonomialOrder:
             )
         return self.priority
 
-    def key(self, ring):
-        """Sort-key function on exponent tuples (ascending = order)."""
-        perm = tuple(ring.index[v] for v in self.resolve(ring))
-        if self.kind == "lex":
-            return lambda m: tuple(m[i] for i in perm)
-        rev = perm[::-1]
-        return lambda m: (sum(m), tuple(-m[i] for i in rev))
-
     def weights(self, ring):
         """Integer weight per variable; key(m) = dot(m, weights)."""
         perm = tuple(ring.index[v] for v in self.resolve(ring))
@@ -103,17 +91,6 @@ class MonomialOrder:
             for r, i in enumerate(perm):
                 w[i] = top - (1 << (_FIELD_BITS * r))
         return tuple(w)
-
-    def compare(self, ring, m1, m2):
-        if len(m1) != ring.nvars or len(m2) != ring.nvars:
-            raise RingMismatch("monomial length does not match ring")
-        k = self.key(ring)
-        a, b = k(m1), k(m2)
-        if a < b:
-            return Ordering.LESS
-        if a > b:
-            return Ordering.GREATER
-        return Ordering.EQUAL
 
     def describe(self, ring):
         return f"{self.kind}:{','.join(self.resolve(ring))}"
@@ -134,11 +111,6 @@ class BlockOrder:
             v for v in self.inner.resolve(ring) if v not in self.drop
         )
 
-    def key(self, ring):
-        drop_idx = tuple(ring.index[v] for v in self.drop)
-        inner_key = self.inner.key(ring)
-        return lambda m: (tuple(m[i] for i in drop_idx), inner_key(m))
-
     def weights(self, ring):
         n = ring.nvars
         w = list(self.inner.weights(ring))
@@ -147,11 +119,6 @@ class BlockOrder:
         for r, v in enumerate(self.drop):
             w[ring.index[v]] += (1 << (_FIELD_BITS * (d - 1 - r))) * shift
         return tuple(w)
-
-    def compare(self, ring, m1, m2):
-        k = self.key(ring)
-        a, b = k(m1), k(m2)
-        return Ordering.LESS if a < b else Ordering.GREATER if a > b else Ordering.EQUAL
 
     def describe(self, ring):
         return f"block[{','.join(self.drop)}]+{self.inner.describe(ring)}"
@@ -165,9 +132,28 @@ def degrevlex(priority=None):
     return MonomialOrder("degrevlex", tuple(priority) if priority is not None else None)
 
 
+def sort_key(order, ring):
+    """Ascending sort key of ``order`` on exponent tuples of ``ring``."""
+    w = order.weights(ring)
+    return lambda m: sum(map(mul, m, w))
+
+
 def compare(order, ring, m1, m2):
-    """Three-way comparison of two exponent tuples under ``order``."""
-    return order.compare(ring, m1, m2)
+    """-1, 0 or 1 as m1 is below, equal to or above m2 under ``order``."""
+    if len(m1) != ring.nvars or len(m2) != ring.nvars:
+        raise RingMismatch("monomial length does not match ring")
+    for m in (m1, m2):
+        if any(e < 0 or e >= MAX_EXPONENT for e in m):
+            _bad_exponent(m)
+    key = sort_key(order, ring)
+    a, b = key(m1), key(m2)
+    return (a > b) - (a < b)
+
+
+def _bad_exponent(m):
+    if any(e < 0 for e in m):
+        raise ValueError(f"negative exponent in {m}")
+    raise ExponentOverflow(f"an exponent in {m} exceeds {MAX_EXPONENT - 1}")
 
 
 class PolyRing:
@@ -272,7 +258,7 @@ class Poly:
             c = ring.coeff(c)
             if c != 0:
                 if any(e < 0 or e >= MAX_EXPONENT for e in m):
-                    raise ValueError(f"exponent out of range in {m}")
+                    _bad_exponent(m)
                 clean[m] = c
         self.terms = clean
 
@@ -379,8 +365,7 @@ class Poly:
         """(coefficient, exponent tuple) of the maximal term."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        key = (order or self.ring.default_order).key(self.ring)
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=sort_key(order or self.ring.default_order, self.ring))
         return self.terms[m], m
 
     def leading_monomial(self, order=None):
@@ -396,7 +381,7 @@ class Poly:
         return Poly(self.ring, {m: c * inv for m, c in self.terms.items()})
 
     def sorted_terms(self, order=None):
-        key = (order or self.ring.default_order).key(self.ring)
+        key = sort_key(order or self.ring.default_order, self.ring)
         return [(self.terms[m], m) for m in sorted(self.terms, key=key, reverse=True)]
 
     def zero_out(self, names):
@@ -542,19 +527,6 @@ def _parse_poly(ring, text):
     result = parse_sum()
     take("end")
     return result
-
-
-def poly_arith(op, f, g):
-    """Dispatch arithmetic by name: add, sub, mul, scale."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def product(polys, ring=None):

@@ -40,7 +40,7 @@ from .lattice import (
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from .poly import PolyRing, degrevlex, lex, product
+from .poly import PolyRing, degrevlex, lex, product, sort_key
 from .snf import smith_normal_form
 
 
@@ -141,7 +141,7 @@ def _certify_saturated_part(ring, binomials):
     """Primality of an already-saturated pure-difference part via SNF."""
     if not binomials:
         return True, IntegerLattice((), ())
-    gb = buchberger(binomials, ring.default_order, ring=ring, chain_criterion=True)
+    gb = buchberger(binomials, ring.default_order, ring=ring)
     for g in gb.basis:
         if len(g.terms) == 1:
             # a saturated proper pure-difference ideal has no monomials
@@ -235,8 +235,7 @@ def minimal_primes(lattice, char=0, _verify=True):
     seen = {}
     for adm in admissibles:
         gens = _component_gens(lattice, adm, ring)
-        gb = buchberger(gens, ring.default_order, ring=ring, chain_criterion=True) \
-            if gens else None
+        gb = buchberger(gens, ring.default_order, ring=ring) if gens else None
         key = tuple(str(g) for g in gb.basis) if gb else ()
         if key in seen:
             continue  # admissible sets enumerated smallest-first; keep first
@@ -379,7 +378,7 @@ def _witness_search(jm, degree_bound, power_cap=4):
     ring = jm.ring
     lattice = jm.lattice
     gb = jm.ideal.groebner()
-    key = ring.default_order.key(ring)
+    key = sort_key(ring.default_order, ring)
     pairs = [
         (ring.index[a], ring.index[b]) for a, b in lattice.incomparable_pairs()
     ]
@@ -512,8 +511,7 @@ def _scan_orders(lattice, kinds, perms, char, stop_on_first=False):
             for p1, m1, p2, m2 in pairs:
                 k1, k2 = ctx.key_exps(m1), ctx.key_exps(m2)
                 elements.append((k1, p1, k2, p2))
-            reduced = _binomial_buchberger(ctx, elements, chain_criterion=True,
-                                           interreduce=False)
+            reduced = _binomial_buchberger(ctx, elements, interreduce=False)
             sq = all((lp & high) == 0 for _, lp, _, _ in reduced)
             counts[kind]["orders"] += 1
             if sq:

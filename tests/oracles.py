@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from lattice_lab import BlockOrder
+
 
 def monomials_of_degree(nvars, degree):
     if nvars == 1:
@@ -69,3 +71,21 @@ def random_homogeneous_difference(ring, rng, degree):
     return ring.monomial(tuple(rng.choice(monos))) - ring.monomial(
         tuple(rng.choice(monos))
     )
+
+
+def tuple_order_key(order, ring):
+    """Textbook sort key (ascending = order) of a lex, degrevlex or block order.
+
+    Lex compares exponents in priority order; degrevlex compares total degree,
+    then prefers the smaller exponent of the lowest-priority variable; a block
+    order compares the dropped block lexicographically, then the inner order.
+    """
+    if isinstance(order, BlockOrder):
+        drop = [ring.index[v] for v in order.drop]
+        inner = tuple_order_key(order.inner, ring)
+        return lambda m: (tuple(m[i] for i in drop), inner(m))
+    perm = [ring.index[v] for v in order.resolve(ring)]
+    if order.kind == "lex":
+        return lambda m: tuple(m[i] for i in perm)
+    rev = perm[::-1]
+    return lambda m: (sum(m), tuple(-m[i] for i in rev))

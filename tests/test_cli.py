@@ -137,6 +137,16 @@ def test_bad_order_kind(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb", ["gb", "ini"])
+@pytest.mark.parametrize("order", ["lex:a,b", "degrevlex:a,b,c,d,e,f,z",
+                                   "lex:a,a,b,c,d,e,f"])
+def test_bad_order_priority_is_exit_2(capsys, verb, order):
+    code, out, err = run(capsys, verb, "--fixture", "Q", "--order", order)
+    assert code == 2
+    assert "not a permutation" in err
+    assert out == ""
+
+
 def test_seed_env_var(monkeypatch, capsys):
     monkeypatch.setenv("LATTICE_LAB_SEED", "123")
     code, out, _ = run(capsys, "scan", "--fixture", "N", "--sample", "25", "--json")

@@ -3,7 +3,8 @@
 * ``_Ctx.lcm`` (guard-bit max-select) against a per-field loop;
 * ``ReducedGB.reduce`` on a binomial basis (term by term) against the
   generic fraction-free normal form of the same basis;
-* ``ExponentOverflow`` where a packed exponent outgrows its field;
+* ``ExponentOverflow`` where a packed exponent outgrows its field or a
+  ``Poly`` exponent reaches ``MAX_EXPONENT``;
 * byte-identical CLI ``--json`` output against captured golden files.
 """
 
@@ -27,6 +28,7 @@ from lattice_lab.cli import main
 from lattice_lab.fixtures import lattice_r
 from lattice_lab.groebner import _Ctx
 from lattice_lab.lattice import enumerate_admissible_sets
+from lattice_lab.poly import MAX_EXPONENT
 from lattice_lab.workflows import _component_gens, join_meet_ideal
 
 P = 32003
@@ -162,6 +164,31 @@ def test_cli_exponent_overflow_exits_1(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_poly_past_max_exponent_raises_typed():
+    R = PolyRing(("x", "y"))
+    x = R.var("x")
+    assert x ** 16000 * x ** (MAX_EXPONENT - 16001) == R.monomial((MAX_EXPONENT - 1, 0))
+    with pytest.raises(ExponentOverflow):
+        x ** 20000 * x ** 20000
+    with pytest.raises(ExponentOverflow):
+        R.monomial((0, MAX_EXPONENT))
+    with pytest.raises(ValueError) as info:  # negative exponents are not overflow
+        R.monomial((-1, 0))
+    assert not isinstance(info.value, ExponentOverflow)
+
+
+def test_cli_poly_overflow_exits_1(capsys, monkeypatch):
+    def overflowing(lattice, char=0):
+        x = PolyRing(("x",), char).var("x")
+        return x ** 20000 * x ** 20000
+
+    monkeypatch.setattr("lattice_lab.cli.minimal_primes", overflowing)
+    assert main(["primes", "--fixture", "Q"]) == 1
+    captured = capsys.readouterr()
+    assert f"exceeds {MAX_EXPONENT - 1}" in captured.err
+    assert captured.out == ""
+
+
 # -- golden CLI capture -------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,6 +201,16 @@ GOLDEN_RUNS.update({
     "radical_R": ["radical", "--fixture", "R"],
     "gb_Q": ["gb", "--fixture", "Q"],
     "ini_Lk_3_1": ["ini", "--fixture", "Lk:3:1"],
+    "scan_N_sample_seed11": ["scan", "--fixture", "N", "--sample", "300", "--seed", "11"],
+    "scan_N5_exhaustive": ["scan", "--fixture", "N5", "--exhaustive", "--jobs", "1"],
+    "lk_4_2_char0": ["lk", "--n", "4", "--k", "2"],
+    "lk_4_2_char32003": ["lk", "--n", "4", "--k", "2", "--char", str(P)],
+    "gb_Q_lex": ["gb", "--fixture", "Q", "--order", "lex:d,a,g,c,f,b,e"],
+    "gb_Q_degrevlex_perm": ["gb", "--fixture", "Q", "--order", "degrevlex:g,b,e,a,f,c,d"],
+    "ini_N_lex": ["ini", "--fixture", "N", "--order", "lex:h,c,a,l,e,g,b,f,d"],
+    "ini_N_degrevlex_perm": ["ini", "--fixture", "N", "--order",
+                             "degrevlex:e,l,b,h,a,d,g,c,f"],
+    "radical_N_char32003": ["radical", "--fixture", "N", "--char", str(P)],
 })
 
 

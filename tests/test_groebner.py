@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lattice_lab import (
     Ideal,
@@ -29,6 +30,8 @@ from lattice_lab import (
 from lattice_lab.fixtures import diamond_m3, ladder, lattice_n, lattice_q, lk
 from lattice_lab.groebner import exact_div, spolynomial
 from lattice_lab.workflows import join_meet_ideal
+
+from oracles import membership_by_linear_algebra, monomials_of_degree, random_homogeneous_difference
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +124,53 @@ def test_binomial_and_generic_paths_agree():
     assert verify_groebner(fast)
 
 
-def test_chain_criterion_gives_same_basis(N_ideal):
-    order = degrevlex(N_ideal.ring.variables)
-    a = buchberger(list(N_ideal.ideal.generators), order, chain_criterion=False)
-    b = buchberger(list(N_ideal.ideal.generators), order, chain_criterion=True)
-    assert a == b
+_VARS4 = ("x", "y", "z", "w")
+
+
+@st.composite
+def _difference_sets(draw):
+    """1-3 pure differences in four variables, homogeneous or not."""
+    if draw(st.booleans()):
+        monos = st.sampled_from(monomials_of_degree(4, draw(st.integers(1, 3))))
+        pair = st.tuples(monos, monos)
+    else:
+        mono = st.tuples(*[st.integers(0, 2)] * 4)
+        pair = st.tuples(mono, mono)
+    return draw(st.lists(pair, min_size=1, max_size=3))
+
+
+@given(pairs=_difference_sets(), char=st.sampled_from((0, 32003)),
+       kind=st.sampled_from((lex, degrevlex)), perm=st.permutations(_VARS4))
+@settings(max_examples=80, deadline=None)
+def test_generic_and_binomial_instantiations_agree(pairs, char, kind, perm):
+    R = PolyRing(_VARS4, char)
+    gens = [g for g in (R.monomial(a) - R.monomial(b) for a, b in pairs) if g]
+    assume(gens)
+    order = kind(tuple(perm))
+    fast = buchberger(gens, order, ring=R)
+    # a four-term multiple of a generator forces the generic elements
+    slow = buchberger(gens + [gens[0] * (2 * R.var("x") + 3)], order, ring=R)
+    assert fast._binomial is not None and slow._binomial is None
+    assert fast == slow
+    assert verify_groebner(fast)
+
+
+_VARS3 = ("x", "y", "z")
+_terms3 = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3)),
+                   min_size=1, max_size=3)
+
+
+@given(polys=st.lists(_terms3, min_size=1, max_size=3), char=st.sampled_from((0, 32003)),
+       kind=st.sampled_from((lex, degrevlex)), perm=st.permutations(_VARS3))
+@settings(max_examples=60, deadline=None)
+def test_generic_elements_with_any_leading_coefficient(polys, char, kind, perm):
+    R = PolyRing(_VARS3, char)
+    gens = [g for g in (sum((R.monomial(m, c) for m, c in terms), R.zero())
+                        for terms in polys) if g]
+    assume(gens)
+    gb = buchberger(gens, kind(tuple(perm)), ring=R)
+    assert verify_groebner(gb)
+    assert all(not gb.reduce(g) for g in gens)
 
 
 # -- normal form --------------------------------------------------------------
@@ -405,9 +450,6 @@ def test_join_meet_bases_stay_binomial():
 
 
 # -- membership oracle -----------------------------------------------------------------
-
-from oracles import membership_by_linear_algebra, monomials_of_degree, random_homogeneous_difference
-
 
 def test_membership_matches_bruteforce_oracle():
     rng = random.Random(20240201)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_lab import (
     BlockOrder,
-    Ordering,
+    ExponentOverflow,
     Poly,
     PolyRing,
     RingMismatch,
@@ -13,8 +13,10 @@ from lattice_lab import (
     compare,
     degrevlex,
     lex,
-    poly_arith,
+    sort_key,
 )
+
+from oracles import tuple_order_key
 
 
 @pytest.fixture(scope="module")
@@ -25,22 +27,30 @@ def R3():
 # -- compare -------------------------------------------------------------------
 
 def test_compare_reflexive(R3):
-    assert compare(degrevlex(), R3, (1, 2, 0), (1, 2, 0)) == Ordering.EQUAL
+    assert compare(degrevlex(), R3, (1, 2, 0), (1, 2, 0)) == 0
 
 
 def test_lex_ignores_degree(R3):
     # x vs y^2 under lex x>y>z
-    assert compare(lex(("x", "y", "z")), R3, (1, 0, 0), (0, 2, 0)) == Ordering.GREATER
+    assert compare(lex(("x", "y", "z")), R3, (1, 0, 0), (0, 2, 0)) == 1
 
 
 def test_degrevlex_tie_break(R3):
     # xz vs y^2: equal degree, reverse-lex tie-break makes xz smaller
-    assert compare(degrevlex(("x", "y", "z")), R3, (1, 0, 1), (0, 2, 0)) == Ordering.LESS
+    assert compare(degrevlex(("x", "y", "z")), R3, (1, 0, 1), (0, 2, 0)) == -1
 
 
 def test_compare_rejects_wrong_length(R3):
     with pytest.raises(RingMismatch):
         compare(lex(), R3, (1, 0), (0, 1, 0))
+
+
+def test_compare_rejects_exponents_outside_the_weights(R3):
+    # past MAX_EXPONENT the weight key would no longer separate monomials
+    with pytest.raises(ExponentOverflow):
+        compare(lex(), R3, (1 << 15, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
+        compare(lex(), R3, (-1, 0, 0), (0, 1, 0))
 
 
 def test_order_priority_must_be_permutation(R3):
@@ -72,19 +82,38 @@ def test_order_multiplicative(order, a, b, t):
 def test_one_is_minimal(order, a):
     R = PolyRing(("x", "y", "z"))
     if any(a):
-        assert compare(order, R, (0, 0, 0), a) == Ordering.LESS
+        assert compare(order, R, (0, 0, 0), a) == -1
 
 
-@given(an_order(), exps, exps)
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+big_exps = st.tuples(*[st.one_of(st.integers(0, 6),
+                                 st.integers((1 << 15) - 4, (1 << 15) - 1))] * 3)
+
+
+@given(an_order(), big_exps, big_exps)
 def test_weight_key_agrees_with_tuple_key(order, a, b):
-    """Integer weight functionals implement the same comparisons."""
+    """The weight key orders monomials as the textbook tuple key does, up to
+    the largest exponent a Poly holds."""
     R = PolyRing(("x", "y", "z"))
-    w = order.weights(R)
-    ka = sum(e * wi for e, wi in zip(a, w))
-    kb = sum(e * wi for e, wi in zip(b, w))
-    c = compare(order, R, a, b)
-    assert (ka < kb) == (c == Ordering.LESS)
-    assert (ka == kb) == (c == Ordering.EQUAL)
+    oracle = tuple_order_key(order, R)
+    key = sort_key(order, R)
+    assert _sign(key(a), key(b)) == _sign(oracle(a), oracle(b))
+    assert compare(order, R, a, b) == _sign(oracle(a), oracle(b))
+
+
+exps4 = st.tuples(*[st.integers(min_value=0, max_value=6)] * 4)
+
+
+@given(st.permutations(("x", "y", "z", "w")), st.integers(1, 2),
+       st.sampled_from((lex, degrevlex)), exps4, exps4)
+def test_block_weight_key_agrees_with_tuple_key(perm, d, inner, a, b):
+    R = PolyRing(("x", "y", "z", "w"))
+    order = BlockOrder(tuple(perm[:d]), inner(tuple(perm)))
+    oracle = tuple_order_key(order, R)
+    assert compare(order, R, a, b) == _sign(oracle(a), oracle(b))
 
 
 @given(st.permutations(("x", "y", "z", "w")), exps, exps)
@@ -105,17 +134,14 @@ def test_block_order_eliminates(drop_then_rest, a, b):
 
 def test_add_zero(R3):
     f = R3.from_string("x*y - z^2")
-    assert poly_arith("add", f, R3.zero()) == f
+    assert f + R3.zero() == f
 
 
 def test_published_identity():
     R = PolyRing(("a", "b", "c", "d", "e"))
-    f = poly_arith(
-        "sub",
-        poly_arith("mul", R.from_string("b - d"), R.from_string("b*d - a*e")),
-        poly_arith("mul", R.var("b"), R.from_string("c*d - a*e")),
-    )
-    f = poly_arith("add", f, poly_arith("mul", R.var("d"), R.from_string("b*c - a*e")))
+    f = (R.from_string("b - d") * R.from_string("b*d - a*e")
+         - R.var("b") * R.from_string("c*d - a*e"))
+    f = f + R.var("d") * R.from_string("b*c - a*e")
     assert f == R.from_string("b^2*d - b*d^2")
 
 

@@ -204,6 +204,9 @@ def _cmd_radical(args):
 
 def _cmd_scan(args):
     started = time.perf_counter()
+    for flag, value in (("--sample", args.sample), ("--jobs", args.jobs)):
+        if value is not None and value < 1:
+            raise SystemExit2(f"{flag} must be at least 1, got {value}")
     lattice = _load_lattice(args)
     kinds = ("lex", "degrevlex") if args.family == "both" else (args.family,)
     rep = squarefree_order_scan(

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 from fractions import Fraction
 from math import gcd as _gcd
+from operator import mul
 
 from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
 from .poly import (
@@ -51,7 +53,7 @@ class _Ctx:
     """
 
     __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask",
-                 "_pairs", "_ones", "_top", "_keys")
+                 "_pairs", "_ones", "_top", "_keys", "_bytes", "_fields")
 
     def __init__(self, ring, order):
         self.ring = ring
@@ -67,6 +69,8 @@ class _Ctx:
         self._ones = sum(1 << (2 * _FIELD * i) for i in range(slots))
         self._top = 2 * _FIELD * (slots - 1)
         self._keys = {}
+        self._bytes = _FIELD // 8 * self.n
+        self._fields = struct.Struct(f"<{self.n}H").unpack
 
     def pack(self, exps):
         p = 0
@@ -75,8 +79,8 @@ class _Ctx:
         return p
 
     def unpack(self, packed):
-        m = _GUARD - 1
-        return tuple((packed >> s) & m for s in self.shifts)
+        # guard bits are clear, so each 16-bit field is one exponent
+        return self._fields(packed.to_bytes(self._bytes, "little"))
 
     def key_exps(self, exps):
         k = 0
@@ -97,12 +101,7 @@ class _Ctx:
     def key_packed(self, packed):
         k = self._keys.get(packed)
         if k is None:
-            k = 0
-            for s, w in zip(self.shifts, self.weights):
-                e = (packed >> s) & (_GUARD - 1)
-                if e:
-                    k += e * w
-            self._keys[packed] = k
+            k = self._keys[packed] = sum(map(mul, self.unpack(packed), self.weights))
         return k
 
     def divides(self, a, b):
@@ -188,14 +187,6 @@ def _minimal(basis, hm):
     return kept
 
 
-def _interreduced(ctx, kept, reduce, raw):
-    """Each element of a minimal basis reduced by the others, by decreasing
-    lead; ``raw`` gives the input ``reduce`` takes for a basis element."""
-    final = [reduce(ctx, raw(e), [k for k in kept if k is not e]) for e in kept]
-    final.sort(key=lambda e: -e[0])
-    return final
-
-
 # ---------------------------------------------------------------------------
 # binomial elements
 # ---------------------------------------------------------------------------
@@ -260,7 +251,21 @@ def _bin_s_element(ctx, lcm, fi, fj):
 
 
 def _bin_interreduced(ctx, kept):
-    return _interreduced(ctx, kept, _bin_reduce, lambda e: e)
+    """The reduced basis of a minimal one, by decreasing lead.
+
+    No lead of a minimal basis divides another, and no lead divides its own
+    (smaller) tail, so only tails reduce, each by the whole basis.
+    """
+    hm = ctx.hmask
+    final = []
+    for e in kept:
+        if e[3] < 0:
+            final.append(e)
+        else:
+            tail = _bin_reduce_monomial(e[2], e[3], kept, hm)
+            final.append(e[:2] + (tail or (-1, -1)))
+    final.sort(key=lambda e: -e[0])
+    return final
 
 
 def _binomial_buchberger(ctx, elements, interreduce=True):
@@ -406,7 +411,9 @@ def _gen_s_element(ctx, lcm, fi, fj):
 def _generic_buchberger(ctx, elements):
     """Reduced basis (generic elements) of a list of term dicts."""
     kept = _buchberger_core(ctx, elements, _gen_s_element, _gen_reduce)
-    return _interreduced(ctx, kept, _gen_reduce, lambda e: e[2])
+    final = [_gen_reduce(ctx, e[2], [k for k in kept if k is not e]) for e in kept]
+    final.sort(key=lambda e: -e[0])
+    return final
 
 
 # ---------------------------------------------------------------------------

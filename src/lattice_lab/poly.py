@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import ExponentOverflow, RingMismatch, ZeroPolynomial
@@ -78,8 +78,11 @@ class MonomialOrder:
             )
         return self.priority
 
+    @lru_cache(maxsize=128)
     def weights(self, ring):
-        """Integer weight per variable; key(m) = dot(m, weights)."""
+        """Integer weight per variable; key(m) = dot(m, weights).  Memoised
+        per (order, ring), in a bounded cache so that an order scan's
+        thousands of orders cannot grow it."""
         perm = tuple(ring.index[v] for v in self.resolve(ring))
         n = len(perm)
         w = [0] * n
@@ -111,6 +114,7 @@ class BlockOrder:
             v for v in self.inner.resolve(ring) if v not in self.drop
         )
 
+    @lru_cache(maxsize=128)
     def weights(self, ring):
         n = ring.nvars
         w = list(self.inner.weights(ring))

@@ -14,12 +14,14 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     BadParameters,
     IntersectionMismatch,
     NotPureDifference,
     NotSaturatedInput,
+    PreconditionViolated,
 )
 from .fixtures import lk as build_lk
 from .groebner import (
@@ -40,7 +42,7 @@ from .lattice import (
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from .poly import PolyRing, degrevlex, lex, product, sort_key
+from .poly import _FIELD_BITS, PolyRing, degrevlex, lex, product, sort_key
 from .snf import smith_normal_form
 
 
@@ -474,6 +476,7 @@ class ScanReport:
     exhaustive: bool
     sample_size: int | None
     seed: int | None
+    distinct_initial_ideals: int
 
 
 def _resolve_seed(seed):
@@ -483,44 +486,127 @@ def _resolve_seed(seed):
     return int(env) if env else 0
 
 
+def _weight_split(lead, tail):
+    """Getters of the weights of lead/gcd and of tail/gcd out of w + (0,):
+    the order with weights w puts lead above tail exactly when the first
+    getter's weights sum to more.  Each side is padded with two copies of
+    the zero weight at index n, so that each getter returns a tuple."""
+    n = len(lead)
+    up, down = [], []
+    for i, (a, b) in enumerate(zip(lead, tail)):
+        (up if a > b else down).extend([i] * abs(a - b))
+    return itemgetter(*up, n, n), itemgetter(*down, n, n)
+
+
+class _Cone:
+    """Groebner cone of one reduced basis G of a join-meet ideal I.
+
+    An order lies in the cone when it picks the same leading term in every
+    element of G; G is then its reduced basis too (Mora–Robbiano), so the
+    squarefree verdict carries over.  Under such an order the leading term
+    of each generator lies in in(I) = <lead(G)>; ``off_first`` and
+    ``off_second`` mark the generators whose first or second monomial does
+    not, so one bitmask per order rejects most cones before any inequality
+    is tested.  ``splits`` holds one inequality per binomial of G, the last
+    one to fail at the front.
+    """
+
+    __slots__ = ("leads", "squarefree", "off_first", "off_second", "splits")
+
+    def __init__(self, reduced, sides, high, split):
+        """``reduced``: binomial elements of G; ``sides``: the packed
+        (first, second) monomials of each generator of I; ``high``: the
+        packed mask of exponents above one; ``split(lead, tail)``: the
+        inequality of a packed binomial."""
+        leads = frozenset(e[1] for e in reduced)
+        self.leads = leads
+        self.squarefree = all(lp & high == 0 for lp in leads)
+        # I is generated in degree two, so every lead has degree >= 2 and a
+        # degree-two monomial lies in <lead(G)> exactly when it is a lead
+        self.off_first = self.off_second = 0
+        for i, (p1, p2) in enumerate(sides):
+            if p1 not in leads:
+                self.off_first |= 1 << i
+            if p2 not in leads:
+                self.off_second |= 1 << i
+        self.splits = [split(lp, tp) for _, lp, _, tp in reduced if tp >= 0]
+
+    def contains(self, w0):
+        """True when the weights w, given as w0 = w + (0,), lie in the cone."""
+        splits = self.splits
+        for j, (up, down) in enumerate(splits):
+            if sum(up(w0)) <= sum(down(w0)):
+                if j:
+                    splits.insert(0, splits.pop(j))
+                return False
+        return True
+
+
 def _scan_orders(lattice, kinds, perms, char, stop_on_first=False):
-    """Scan (kind, permutation) pairs; returns counts and first witness."""
+    """Scan (kind, permutation) pairs.
+
+    Returns the per-kind counts, the first squarefree (kind, priority) and
+    the leading-term set of each distinct initial ideal met.  Each order is
+    tested against the Groebner cones found so far, most recently used
+    first; the engine runs only for an order outside all of them.
+    """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
-    n = ring.nvars
-    base = degrevlex(ring.variables)
-    ctx0 = _Ctx(ring, base)
-    pairs = []
-    for g in jm.ideal.generators:
-        (m1, m2) = g.terms
-        pairs.append((ctx0.pack(m1), m1, ctx0.pack(m2), m2))
-    from .poly import _FIELD_BITS
-
+    ctx0 = _Ctx(ring, degrevlex(ring.variables))
+    gens = [tuple(g.terms) for g in jm.ideal.generators]
+    sides = [(ctx0.pack(m1), ctx0.pack(m2)) for m1, m2 in gens]
+    gen_splits = [(1 << i, *_weight_split(m1, m2))
+                  for i, (m1, m2) in enumerate(gens)]
+    everything = (1 << len(gens)) - 1
     high = 0
-    for i in range(n):
+    for i in range(ring.nvars):
         high |= ((1 << _FIELD_BITS) - 2) << (_FIELD_BITS * i)
+    known_splits = {}  # nearby cones share most of their binomials
+
+    def split(lead, tail):
+        s = known_splits.get((lead, tail))
+        if s is None:
+            s = known_splits[lead, tail] = _weight_split(
+                ctx0.unpack(lead), ctx0.unpack(tail))
+        return s
 
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
-    for pi, perm in enumerate(perms):
+    cones = []
+    leading = []
+    for perm in perms:
         prio = tuple(ring.variables[i] for i in perm)
         for kind in kinds:
             order = lex(prio) if kind == "lex" else degrevlex(prio)
-            ctx = _Ctx(ring, order)
-            elements = []
-            for p1, m1, p2, m2 in pairs:
-                k1, k2 = ctx.key_exps(m1), ctx.key_exps(m2)
-                elements.append((k1, p1, k2, p2))
-            reduced = _binomial_buchberger(ctx, elements, interreduce=False)
-            sq = all((lp & high) == 0 for _, lp, _, _ in reduced)
+            w0 = order.weights(ring) + (0,)
+            first = 0
+            for bit, up, down in gen_splits:
+                if sum(up(w0)) > sum(down(w0)):
+                    first |= bit
+            second = everything ^ first
+            for c, cone in enumerate(cones):
+                if (first & cone.off_first or second & cone.off_second
+                        or not cone.contains(w0)):
+                    continue
+                if c:
+                    cones.insert(0, cones.pop(c))
+                break
+            else:
+                ctx = _Ctx(ring, order)
+                elements = [(ctx.key_exps(m1), p1, ctx.key_exps(m2), p2)
+                            for (m1, m2), (p1, p2) in zip(gens, sides)]
+                cone = _Cone(_binomial_buchberger(ctx, elements), sides, high,
+                             split)
+                cones.insert(0, cone)
+                leading.append(cone.leads)
             counts[kind]["orders"] += 1
-            if sq:
+            if cone.squarefree:
                 counts[kind]["squarefree"] += 1
                 if witness is None:
                     witness = (kind, prio)
                 if stop_on_first:
-                    return counts, witness
-    return counts, witness
+                    return counts, witness, leading
+    return counts, witness, leading
 
 
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
@@ -530,8 +616,13 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
 
     Exhausts all permutations for rings with at most eight variables by
     default and takes a seeded sample above that; ``exhaustive=True`` forces
-    the full enumeration.
+    the full enumeration.  ``jobs`` worker processes (default: the CPU count)
+    each scan one contiguous block of an exhaustive enumeration.
     """
+    if sample < 1:
+        raise PreconditionViolated(f"sample must be at least 1, got {sample}")
+    if jobs is not None and jobs < 1:
+        raise PreconditionViolated(f"jobs must be at least 1, got {jobs}")
     n = len(lattice.elements)
     if exhaustive is None:
         exhaustive = n <= 8
@@ -545,9 +636,10 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         sample_size = sample
     jobs = jobs or os.cpu_count() or 1
     if jobs > 1 and exhaustive and not stop_on_first:
-        counts, witness = _scan_parallel(lattice, kinds, n, char, jobs)
+        counts, witness, leading = _scan_parallel(lattice, kinds, n, char, jobs)
     else:
-        counts, witness = _scan_orders(lattice, kinds, perms, char, stop_on_first)
+        counts, witness, leading = _scan_orders(lattice, kinds, perms, char,
+                                                stop_on_first)
     total = sum(c["orders"] for c in counts.values())
     return ScanReport(
         total_orders=total,
@@ -558,6 +650,7 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         exhaustive=exhaustive,
         sample_size=sample_size,
         seed=seed,
+        distinct_initial_ideals=len(leading),
     )
 
 
@@ -571,24 +664,28 @@ def _scan_chunk(args):
 
 
 def _scan_parallel(lattice, kinds, n, char, jobs):
+    """Exhaustive scan split into one contiguous block per worker, so that
+    each worker's cone cache warms once."""
     import math
     from multiprocessing import Pool
 
     total = math.factorial(n)
-    chunk = max(1, total // (jobs * 8))
+    chunk = -(-total // jobs)
     ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
     data = (lattice.elements, lattice.covers)
     args = [(data, kinds, n, char, a, b) for a, b in ranges]
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
-    with Pool(jobs) as pool:
-        for i, (c, w) in enumerate(pool.imap(_scan_chunk, args)):
+    leading = set()
+    with Pool(len(ranges)) as pool:
+        for c, w, lead_sets in pool.imap(_scan_chunk, args):
             for k in kinds:
                 counts[k]["orders"] += c[k]["orders"]
                 counts[k]["squarefree"] += c[k]["squarefree"]
             if w is not None and witness is None:
                 witness = w  # chunks arrive in order, first hit is earliest
-    return counts, witness
+            leading.update(lead_sets)
+    return counts, witness, leading
 
 
 # ---------------------------------------------------------------------------

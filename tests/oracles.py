@@ -89,3 +89,42 @@ def tuple_order_key(order, ring):
         return lambda m: tuple(m[i] for i in perm)
     rev = perm[::-1]
     return lambda m: (sum(m), tuple(-m[i] for i in rev))
+
+
+def scan_orders_uncached(lattice, kinds, perms, char=0, stop_on_first=False):
+    """Reference order scan: one minimal Groebner basis per order, no reuse.
+
+    Returns (counts, witness, distinct initial ideals), where the witness is
+    the first squarefree (kind, priority) in enumeration order and the last
+    figure counts distinct leading-term sets among the orders scanned.
+    """
+    from lattice_lab.groebner import _binomial_buchberger, _Ctx
+    from lattice_lab.poly import _FIELD_BITS, degrevlex, lex
+    from lattice_lab.workflows import join_meet_ideal
+
+    jm = join_meet_ideal(lattice, char)
+    ring = jm.ring
+    gens = [tuple(g.terms) for g in jm.ideal.generators]
+    high = 0
+    for i in range(ring.nvars):
+        high |= ((1 << _FIELD_BITS) - 2) << (_FIELD_BITS * i)
+    counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
+    witness = None
+    leading = set()
+    for perm in perms:
+        prio = tuple(ring.variables[i] for i in perm)
+        for kind in kinds:
+            order = lex(prio) if kind == "lex" else degrevlex(prio)
+            ctx = _Ctx(ring, order)
+            elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
+            minimal = _binomial_buchberger(ctx, elements, interreduce=False)
+            leads = frozenset(lp for _, lp, _, _ in minimal)
+            leading.add(leads)
+            counts[kind]["orders"] += 1
+            if all(lp & high == 0 for lp in leads):
+                counts[kind]["squarefree"] += 1
+                if witness is None:
+                    witness = (kind, prio)
+                if stop_on_first:
+                    return counts, witness, len(leading)
+    return counts, witness, len(leading)

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criterion 7 enumerates all 9! variable permutations for
-two order families and dominates the runtime (expect 15-25 minutes on one
-core).
+two order families and dominates the runtime (about 15 s on two cores: the
+scan reuses the reduced basis of each of the 386 Groebner cones it meets).
 
 Criterion 5's component-dimension multiset is asserted exactly as published
 and is expected to fail: the two ladder-quotient components have dimension
@@ -250,8 +250,11 @@ def test_criterion_7_exhaustive_order_scans():
     ok = small.total_orders == 240 and not small.any_squarefree
     big = squarefree_order_scan(lattice_n(), exhaustive=True)
     ok = ok and big.total_orders == 2 * 362880 and not big.any_squarefree
+    # every order of N meets one of 386 initial ideals
+    ok = ok and big.distinct_initial_ideals == 386
     elapsed = time.perf_counter() - started
     _report(7, ok and elapsed < 1800.0, elapsed,
             f"no squarefree initial ideal among {big.total_orders} orders "
-            f"for the nine-element example and {small.total_orders} for the "
+            f"({big.distinct_initial_ideals} distinct initial ideals) for the "
+            f"nine-element example and {small.total_orders} for the "
             f"five-element one")

@@ -72,6 +72,15 @@ def test_scan_small(capsys):
     assert data["any_squarefree"] is False
 
 
+@pytest.mark.parametrize("flag, value", [("--sample", "0"), ("--sample", "-3"),
+                                         ("--jobs", "0"), ("--jobs", "-2")])
+def test_scan_empty_is_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "scan", "--fixture", "N", flag, value, "--json")
+    assert code == 2
+    assert f"{flag} must be at least 1" in err
+    assert out == ""
+
+
 def test_lk_suite_exit_zero(capsys):
     code, out, _ = run(capsys, "lk", "--n", "3", "--k", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from lattice_lab import (
     saturate,
     squarefree_order_scan,
 )
-from lattice_lab.errors import BadParameters
+from lattice_lab.errors import BadParameters, PreconditionViolated
 from lattice_lab.fixtures import (
     chain,
     diamond_m3,
@@ -39,9 +40,15 @@ from lattice_lab.fixtures import (
 from lattice_lab.groebner import ideal_contains
 from lattice_lab.lattice import restrict_to_complement, enumerate_admissible_sets
 from lattice_lab.poly import product
-from lattice_lab.workflows import IntegerLattice
+from lattice_lab.workflows import IntegerLattice, _scan_orders
 
-from conftest import distributive_corpus, radical_fixture_corpus, small_corpus
+from conftest import (
+    distributive_corpus,
+    product_lattice,
+    radical_fixture_corpus,
+    small_corpus,
+)
+from oracles import scan_orders_uncached
 
 
 # -- join-meet ideal -----------------------------------------------------------
@@ -331,6 +338,73 @@ def test_scan_sampled_is_seeded_and_deterministic(lattice_N):
     assert not a.any_squarefree
 
 
+def _boolean_cube():
+    """B3 = B2 x chain(2): lex squarefree under most but not all orders."""
+    return product_lattice(ladder(2), chain(2))
+
+
+_BOTH = ("lex", "degrevlex")
+
+
+# each case: lattice, kinds, ("full",) | ("sample", count, seed) |
+# ("prefix", count), stop_on_first
+_ORACLE_CASES = [
+    pytest.param(lambda: lk(2, 1), _BOTH, ("full",), False, id="Lk21-full"),
+    pytest.param(lattice_q, _BOTH, ("full",), False, id="Q-full"),
+    pytest.param(lattice_q, ("lex",), ("full",), False, id="Q-full-lex"),
+    pytest.param(lattice_n, _BOTH, ("sample", 100, 3), False, id="N-sample"),
+    pytest.param(lattice_r, _BOTH, ("sample", 100, 5), False, id="R-sample"),
+    pytest.param(_boolean_cube, ("lex",), ("sample", 100, 1), False,
+                 id="B3-sample-lex"),
+    # the first lex order is not squarefree, the first degrevlex one is
+    pytest.param(_boolean_cube, _BOTH, ("sample", 100, 38), True,
+                 id="B3-stop-on-first"),
+    pytest.param(lattice_n, _BOTH, ("prefix", 20000), False, id="N-prefix-20k",
+                 marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("make, kinds, perms, stop", _ORACLE_CASES)
+def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms, stop):
+    lattice = make()
+    n = len(lattice.elements)
+    if perms[0] == "prefix":
+        ps = list(itertools.islice(itertools.permutations(range(n)), perms[1]))
+        counts, witness, leading = _scan_orders(lattice, kinds, ps, 0, stop)
+        distinct = len(leading)
+    else:
+        if perms[0] == "full":
+            ps = itertools.permutations(range(n))
+            options = dict(exhaustive=True)
+        else:
+            _, count, seed = perms
+            rng = random.Random(seed)  # the recipe squarefree_order_scan uses
+            ps = [tuple(rng.sample(range(n), n)) for _ in range(count)]
+            options = dict(exhaustive=False, sample=count, seed=seed)
+        rep = squarefree_order_scan(lattice, kinds=kinds, jobs=1,
+                                    stop_on_first=stop, **options)
+        counts = rep.counts
+        witness = (rep.witness_kind, rep.witness_priority) if rep.any_squarefree \
+            else None
+        distinct = rep.distinct_initial_ideals
+    assert (counts, witness, distinct) == scan_orders_uncached(
+        lattice, kinds, ps, 0, stop)
+
+
+def test_scan_q_witness_is_the_first_order(lattice_Q):
+    rep = squarefree_order_scan(lattice_Q, jobs=1)
+    assert rep.counts["lex"] == {"orders": 5040, "squarefree": 5040}
+    assert (rep.witness_kind, rep.witness_priority) == ("lex", tuple("abcdefg"))
+    assert rep.distinct_initial_ideals == 12
+
+
+@pytest.mark.parametrize("bad", [dict(sample=0), dict(sample=-3), dict(jobs=0),
+                                 dict(jobs=-1)])
+def test_scan_rejects_empty_scans(lattice_N, bad):
+    with pytest.raises(PreconditionViolated):
+        squarefree_order_scan(lattice_N, exhaustive=False, **bad)
+
+
 # -- the two-rail family suite ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -360,8 +434,8 @@ def test_workflows_over_gf5(lattice_Q):
 
 
 def test_scan_parallel_path_matches_serial():
-    L = lk(2, 1)
-    serial = squarefree_order_scan(L, exhaustive=True, jobs=1)
-    parallel = squarefree_order_scan(L, exhaustive=True, jobs=2)
-    assert serial.counts == parallel.counts
-    assert serial.any_squarefree == parallel.any_squarefree
+    # Q: every order is squarefree, so the pooled witness must be the first
+    for L in (lk(2, 1), lattice_q()):
+        serial = squarefree_order_scan(L, exhaustive=True, jobs=1)
+        parallel = squarefree_order_scan(L, exhaustive=True, jobs=2)
+        assert serial == parallel

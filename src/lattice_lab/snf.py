@@ -127,6 +127,63 @@ def smith_normal_form(matrix):
     )
 
 
+@dataclass(frozen=True)
+class EchelonBasis:
+    """Row-echelon basis of an integer row lattice.
+
+    ``pivots[i]`` is the column of the first nonzero entry of ``rows[i]``;
+    that entry is positive and the pivot columns strictly increase.
+    """
+
+    rows: tuple
+    pivots: tuple
+
+    def contains(self, vector):
+        """True when ``vector`` is an integer combination of the rows."""
+        v = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                q, r = divmod(c, row[p])
+                if r:
+                    return False
+                for k in range(p, len(v)):
+                    v[k] -= q * row[k]
+        return not any(v)
+
+
+def echelon_basis(matrix):
+    """Integer row-echelon (Hermite) reduction of the rows of ``matrix``.
+
+    Only unimodular row operations are used (Euclid on each column, then a
+    sign flip), so the returned rows span the same lattice in Z^cols; zero
+    rows are dropped.
+    """
+    rows = [list(map(int, r)) for r in matrix if any(r)]
+    cols = len(rows[0]) if rows else 0
+    basis, pivots = [], []
+    for col in range(cols):
+        # every row left in ``rows`` is zero in the columns before ``col``
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    for k in range(col, cols):
+                        r[k] -= q * p[k]
+            live = [p] + [r for r in live if r is not p and r[col]]
+        (p,) = live
+        if p[col] < 0:
+            p[:] = [-x for x in p]
+        basis.append(tuple(p))
+        pivots.append(col)
+        rows = [r for r in rows if r is not p and any(r)]
+    return EchelonBasis(tuple(basis), tuple(pivots))
+
+
 def is_saturated(matrix):
     """True when the row lattice is saturated in Z^cols.
 

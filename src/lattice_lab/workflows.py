@@ -6,6 +6,12 @@ a lattice L, the candidate prime is the join-meet ideal of L \\ A saturated by
 the product of the surviving variables, plus the variables of A.  Primality
 of the saturated pure-difference part is certified through the Smith normal
 form of its exponent-difference lattice (prime iff saturated).
+
+The saturated part is the lattice ideal of Λ_A, the integer span of the
+exponent differences of the basic binomials that avoid A, so domination
+between candidates is decided by integer-lattice membership before anything
+is saturated (see ``minimal_primes``); only the candidates that test leaves
+standing are saturated, and Groebner reduction confirms them.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .lattice import (
     restrict_to_complement,
 )
 from .poly import _FIELD_BITS, PolyRing, degrevlex, lex, product, sort_key
-from .snf import smith_normal_form
+from .snf import echelon_basis, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -201,8 +207,12 @@ def component_prime(lattice, admissible, char=0):
         admissible = AdmissibleSet(tuple(admissible))
     ring = PolyRing(lattice.elements, char)
     gens = _component_gens(lattice, admissible, ring)
-    ideal = Ideal(ring, gens)
-    variables, binomials = _split_component_shape(ideal)
+    return _prime_component(ring, admissible, Ideal(ring, gens))
+
+
+def _prime_component(ring, admissible, ideal):
+    """PrimeComponent of the ideal P_A: SNF certificate and Krull dimension."""
+    _, binomials = _split_component_shape(ideal)
     certified, _ = _certify_saturated_part(ring, binomials)
     if ideal.generators:
         dim = krull_dim(initial_ideal(ideal), ring.nvars)
@@ -222,53 +232,93 @@ def _intersect_all(ring, ideals):
     return acc
 
 
+def _support_mask(exps):
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _binomial_sides(binomials):
+    """(support mask of u, support mask of v, u - v) of each x^u - x^v."""
+    out = []
+    for g in binomials:
+        u, v = g.terms
+        out.append((_support_mask(u), _support_mask(v),
+                    tuple(a - b for a, b in zip(u, v))))
+    return out
+
+
+def _lattice_dominated(below, mask, basic):
+    """True when some P_M in ``below`` (binomial sides of each) lies in P_A,
+    for the admissible set A given by ``mask``.
+
+    For M inside A, P_M lies in P_A exactly when each binomial x^u - x^v of
+    P_M has a variable of A in both monomials, or in neither and u - v lies
+    in Λ_A.  Λ_A is spanned by the rows u - v of the basic binomials
+    (``basic``) that avoid A; A being admissible, each avoids A on both sides
+    or on neither.  The reason: P_A meets the ring of the variables outside
+    A in the lattice ideal of Λ_A, which holds no monomial and contains
+    x^u - x^v exactly when u - v is in Λ_A.  Λ_A is reduced only when some
+    binomial needs it.
+    """
+    span = None
+    for sides in below:
+        avoiding = []
+        for mu, mv, diff in sides:
+            hit_u, hit_v = mu & mask, mv & mask
+            if not (hit_u or hit_v):
+                avoiding.append(diff)
+            elif not (hit_u and hit_v):
+                break
+        else:
+            if avoiding and span is None:
+                span = echelon_basis([d for mu, mv, d in basic
+                                      if not (mu | mv) & mask])
+            if all(span.contains(d) for d in avoiding):
+                return True
+    return False
+
+
 def minimal_primes(lattice, char=0, _verify=True):
     """Inclusion-minimal component primes plus the verified intersection.
+
+    Admissible sets are walked smallest first.  P_M lies in P_A only when
+    M lies in A (the variables in P_A are exactly those of A), and
+    containment is transitive, so each set A is compared only with the
+    minimal components found so far whose admissible set is strictly inside
+    A's.  An integer-lattice test (``_lattice_dominated``) drops dominated
+    sets before any saturation; a set that passes it is saturated and kept
+    unless Groebner reduction shows one of those components inside it.
 
     The caller asserts the join-meet ideal is radical (or accepts the
     IntersectionMismatch error as a non-radicality signal).
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
-    admissibles = enumerate_admissible_sets(lattice)
     index = lattice.index
+    basic = _binomial_sides(jm.ideal.generators)
 
-    raw = []
-    seen = {}
-    for adm in admissibles:
-        gens = _component_gens(lattice, adm, ring)
-        gb = buchberger(gens, ring.default_order, ring=ring) if gens else None
-        key = tuple(str(g) for g in gb.basis) if gb else ()
-        if key in seen:
-            continue  # admissible sets enumerated smallest-first; keep first
+    found = []  # (mask, binomial sides, component) of each minimal component
+    for adm in enumerate_admissible_sets(lattice):
         mask = 0
         for e in adm:
             mask |= 1 << index[e]
-        seen[key] = True
-        raw.append((adm, mask, Ideal(ring, gens), gb))
-
-    # strict containment of components forces strict inclusion of their
-    # admissible sets, so masks prefilter the membership tests
-    minimal = []
-    for adm, mask, ideal, gb in raw:
-        dominated = False
-        if gb is not None:  # the zero ideal is never dominated
-            for adm2, mask2, ideal2, gb2 in raw:
-                if mask2 == mask or (mask2 & mask) != mask2:
-                    continue
-                if all(not gb.reduce(g) for g in ideal2.generators):
-                    dominated = True
-                    break
-        if not dominated:
-            minimal.append((adm, mask, ideal, gb))
-
-    components = []
-    for adm, mask, ideal, gb in minimal:
-        variables, binomials = _split_component_shape(ideal)
-        certified, _ = _certify_saturated_part(ring, binomials)
-        dim = krull_dim(initial_ideal(ideal), ring.nvars) if ideal.generators \
-            else ring.nvars
-        components.append(PrimeComponent(adm, ideal, certified, dim))
+        below = [f for f in found if f[0] != mask and f[0] & mask == f[0]]
+        if _lattice_dominated([sides for _, sides, _ in below], mask, basic):
+            continue
+        gens = _component_gens(lattice, adm, ring)
+        # ``below`` is empty only for the empty set, the one set that may
+        # have no generators
+        gb = buchberger(gens, ring.default_order, ring=ring) if gens else None
+        if any(all(not gb.reduce(g) for g in c.ideal.generators)
+               for _, _, c in below):
+            continue
+        sides = _binomial_sides(g for g in gens if len(g.terms) == 2)
+        component = _prime_component(ring, adm, Ideal(ring, gens))
+        found.append((mask, sides, component))
+    components = [c for _, _, c in found]
 
     if _verify:
         if any(not c.ideal.generators for c in components):

@@ -128,3 +128,43 @@ def scan_orders_uncached(lattice, kinds, perms, char=0, stop_on_first=False):
                 if stop_on_first:
                     return counts, witness, len(leading)
     return counts, witness, len(leading)
+
+
+def minimal_primes_all_pairs(lattice, char=0):
+    """Reference decomposition: saturate and take a reduced Groebner basis
+    for every admissible set, then keep each component that no other
+    component with a strictly smaller admissible set reduces to zero into.
+
+    Returns the components in enumeration order, without the intersection
+    check.
+    """
+    from lattice_lab.groebner import Ideal, buchberger
+    from lattice_lab.lattice import enumerate_admissible_sets
+    from lattice_lab.workflows import (
+        _component_gens,
+        _prime_component,
+        join_meet_ideal,
+    )
+
+    ring = join_meet_ideal(lattice, char).ring
+    index = lattice.index
+    raw = []
+    seen = set()
+    for adm in enumerate_admissible_sets(lattice):
+        gens = _component_gens(lattice, adm, ring)
+        gb = buchberger(gens, ring.default_order, ring=ring) if gens else None
+        key = tuple(str(g) for g in gb.basis) if gb else ()
+        if key in seen:
+            continue  # admissible sets come smallest first; keep the first
+        seen.add(key)
+        mask = sum(1 << index[e] for e in adm)
+        raw.append((adm, mask, Ideal(ring, gens), gb))
+    minimal = []
+    for adm, mask, ideal, gb in raw:
+        dominated = gb is not None and any(
+            mask2 != mask and mask2 & mask == mask2
+            and all(not gb.reduce(g) for g in ideal2.generators)
+            for _, mask2, ideal2, _ in raw)
+        if not dominated:
+            minimal.append(_prime_component(ring, adm, ideal))
+    return minimal

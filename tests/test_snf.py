@@ -1,6 +1,10 @@
+import math
 import random
 
-from lattice_lab.snf import det, is_saturated, smith_normal_form
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lattice_lab.snf import det, echelon_basis, is_saturated, smith_normal_form
 
 
 def _matmul(A, B):
@@ -105,3 +109,60 @@ def test_200_random_matrices():
             assert b % a == 0
         assert abs(det([list(x) for x in form.U])) == 1
         assert abs(det([list(x) for x in form.V])) == 1
+
+
+def _snf_contains(rows, v):
+    """v lies in the row lattice of ``rows`` exactly when appending it keeps
+    the rank and the product of the nonzero invariant factors."""
+    def rank_and_volume(m):
+        factors = smith_normal_form(m).nonzero_factors if m else ()
+        return len(factors), math.prod(factors)
+    return rank_and_volume(rows) == rank_and_volume(rows + [list(v)])
+
+
+@st.composite
+def _rows_and_vector(draw):
+    cols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         max_size=5))
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    coeffs = [draw(st.integers(-3, 3)) for _ in rows]
+    comb = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)]
+    content = math.gcd(*comb) or 1
+    v = draw(st.sampled_from([
+        comb,  # in the lattice
+        [x // content for x in comb],  # in the rational span, maybe not in
+        draw(st.lists(entry, min_size=cols, max_size=cols)),  # anywhere
+    ]))
+    return draw(st.permutations(rows)), v
+
+
+@given(_rows_and_vector())
+@settings(max_examples=300, deadline=None)
+def test_echelon_membership_matches_snf(case):
+    rows, v = case
+    basis = echelon_basis(rows)
+    assert basis.contains(v) == _snf_contains(rows, v)
+    assert all(basis.contains(r) for r in rows)
+    assert list(basis.pivots) == sorted(set(basis.pivots))
+    for row, p in zip(basis.rows, basis.pivots):
+        assert row[p] > 0 and not any(row[:p])
+        assert _snf_contains(rows, row)
+    rank = len(smith_normal_form(rows).nonzero_factors) if rows else 0
+    assert len(basis.rows) == rank
+
+
+@pytest.mark.parametrize("rows,v,inside", [
+    ([[0, 0], [0, 0]], [0, 0], True),  # zero rows only
+    ([[0, 0], [0, 0]], [1, 0], False),
+    ([[-3, 1]], [3, -1], True),  # negative pivot
+    ([[-3, 1]], [-6, 2], True),
+    ([[-3, 1], [0, 0]], [1, 0], False),
+    ([[2, -2]], [1, -1], False),  # in the rational span only
+    ([[2, 0], [1, 1]], [1, -1], True),
+    ([[1, 0, 0]], [0, 1, 0], False),  # outside the rational span
+])
+def test_echelon_membership_cases(rows, v, inside):
+    assert echelon_basis(rows).contains(v) is inside
+    assert _snf_contains(rows, v) is inside

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lattice_lab import (
     AdmissibleSet,
@@ -31,16 +32,22 @@ from lattice_lab.errors import BadParameters, PreconditionViolated
 from lattice_lab.fixtures import (
     chain,
     diamond_m3,
+    divisor_ladder,
     ladder,
     lattice_n,
     lattice_q,
     lattice_r,
     lk,
+    pentagon_n5,
 )
-from lattice_lab.groebner import ideal_contains
-from lattice_lab.lattice import restrict_to_complement, enumerate_admissible_sets
+from lattice_lab.groebner import buchberger, ideal_contains
+from lattice_lab.lattice import (
+    build_lattice,
+    enumerate_admissible_sets,
+    restrict_to_complement,
+)
 from lattice_lab.poly import product
-from lattice_lab.workflows import IntegerLattice, _scan_orders
+from lattice_lab.workflows import IntegerLattice, _component_gens, _scan_orders
 
 from conftest import (
     distributive_corpus,
@@ -48,7 +55,7 @@ from conftest import (
     radical_fixture_corpus,
     small_corpus,
 )
-from oracles import scan_orders_uncached
+from oracles import minimal_primes_all_pairs, scan_orders_uncached
 
 
 # -- join-meet ideal -----------------------------------------------------------
@@ -229,6 +236,76 @@ def test_dual_minimal_primes_agree(lattice_Q):
     assert len(ours) == len(theirs)
     for c in ours:
         assert any(ideal_equal(c.ideal, d.ideal) for d in theirs)
+
+
+def _component_facts(components):
+    return [(c.admissible, c.generators_text(), c.certified_prime, c.dim)
+            for c in components]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("make", [
+    pytest.param(lattice_q, id="Q"), pytest.param(lattice_r, id="R"),
+    pytest.param(lattice_n, id="N"), pytest.param(diamond_m3, id="M3"),
+    pytest.param(pentagon_n5, id="N5"),
+    pytest.param(lambda: chain(4), id="Chain4"),
+    pytest.param(lambda: divisor_ladder(3), id="DivisorLadder3"),
+    pytest.param(lambda: product_lattice(ladder(2), chain(2)), id="B3"),
+    pytest.param(lambda: dual(lattice_q()), id="dual(Q)"),
+] + [pytest.param(lambda n=n, k=k: lk(n, k), id=f"Lk({n},{k})")
+     for n in range(2, 7) for k in range(1, n)])
+def test_minimal_primes_match_all_pairs_oracle(make, char):
+    L = make()
+    assert (_component_facts(minimal_primes(L, char, _verify=False))
+            == _component_facts(minimal_primes_all_pairs(L, char)))
+
+
+@st.composite
+def closure_lattices(draw):
+    """Lattice of a random closure system: subsets of a small ground set
+    closed under intersection, with the ground set as top, by inclusion."""
+    ground = draw(st.integers(4, 5))
+    full = (1 << ground) - 1
+    drawn = draw(st.lists(st.integers(0, full), min_size=3, max_size=8))
+    sets = {full, *drawn}
+    while True:
+        more = {a & b for a in sets for b in sets} - sets
+        if not more:
+            break
+        sets |= more
+    assume(4 <= len(sets) <= 12)
+    names = {m: f"s{m}" for m in sets}
+    covers = [(names[a], names[b]) for a in sets for b in sets
+              if a != b and a & b == a
+              and not any(c not in (a, b) and a & c == a and c & b == c
+                          for c in sets)]
+    return build_lattice(sorted(names.values()), covers)
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=150, deadline=None)
+def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
+    assert (_component_facts(minimal_primes(L, char, _verify=False))
+            == _component_facts(minimal_primes_all_pairs(L, char)))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lattice_q, id="Q"), pytest.param(lattice_r, id="R"),
+    pytest.param(lambda: lk(5, 2), id="Lk(5,2)"),
+])
+def test_admissible_sets_give_distinct_component_bases(make):
+    """The variables in P_A are exactly those of A, so distinct admissible
+    sets never share a reduced basis and need no deduplication."""
+    L = make()
+    ring = join_meet_ideal(L).ring
+    bases = [buchberger(_component_gens(L, adm, ring), ring=ring).basis
+             for adm in enumerate_admissible_sets(L)]
+    assert len(set(bases)) == len(bases)
+
+
+def test_lk_10_5_has_seven_components():
+    comps = minimal_primes(lk(10, 5))
+    assert sorted(c.dim for c in comps) == [6, 6, 6, 6, 10, 10, 10]
 
 
 # -- admissible restriction matches the variable-killing image ----------------------------

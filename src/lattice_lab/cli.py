@@ -182,6 +182,8 @@ def _cmd_primes(args):
 
 def _cmd_radical(args):
     started = time.perf_counter()
+    if args.degree_bound is not None and args.degree_bound < 1:
+        raise SystemExit2(f"--degree-bound must be at least 1, got {args.degree_bound}")
     lattice = _load_lattice(args)
     cert = radical_certificate(lattice, args.char, degree_bound=args.degree_bound)
     report = {"verdict": cert.verdict, "route": cert.route, "detail": cert.detail}
@@ -304,7 +306,7 @@ def make_parser():
     p = sub.add_parser("radical", help="radicality certificate")
     common(p)
     p.add_argument("--degree-bound", type=int, default=None,
-                   help="witness search degree bound (default: height + 2)")
+                   help="witness search degree bound, at least 1 (default: height + 2)")
     p.set_defaults(func=_cmd_radical)
 
     p = sub.add_parser("scan", help="squarefree scan over monomial orders")

@@ -33,8 +33,10 @@ from .fixtures import lk as build_lk
 from .groebner import (
     Ideal,
     MonomialIdeal,
+    _bin_reduce_monomial,
     _binomial_buchberger,
     _Ctx,
+    _overflow,
     buchberger,
     ideal_equal,
     initial_ideal,
@@ -389,18 +391,6 @@ def _standard_monomials(ring, ini, degree):
     return out
 
 
-def _is_power_witness(gb, f, power_cap):
-    """True when some 2^i-th power of f (up to the cap) lies in the ideal."""
-    power = f
-    exponent = 1
-    while exponent * 2 <= power_cap:
-        power = power * power
-        exponent *= 2
-        if not gb.reduce(power):
-            return True
-    return False
-
-
 def _all_monomials(ring, degree):
     n = ring.nvars
     out = []
@@ -416,6 +406,25 @@ def _all_monomials(ring, degree):
     return out
 
 
+def _monomial_normal_forms(gb):
+    """Memoised normal form of a monomial modulo a binomial reduced basis.
+
+    Returns ``nf(key, packed)``, which gives the (key, packed) standard
+    monomial that the monomial reduces to, or None when it reduces to 0.
+    The memo lives as long as the returned function.
+    """
+    basis, hm = gb._binomial, gb._ctx.hmask
+    memo = {}
+
+    def nf(key, pk):
+        out = memo.get(pk, memo)
+        if out is memo:
+            out = memo[pk] = _bin_reduce_monomial(key, pk, basis, hm)
+        return out
+
+    return nf
+
+
 def _witness_search(jm, degree_bound, power_cap=4):
     """First pure difference in √I \\ I among bounded-degree candidates.
 
@@ -426,10 +435,53 @@ def _witness_search(jm, degree_bound, power_cap=4):
     insertions.  Round two falls back to arbitrary equal-degree differences
     of standard monomials.  Membership in the radical is established by a
     power landing in the ideal, so the certificate is self-contained.
+
+    Every test runs on packed monomials of the ideal's binomial reduced
+    basis (``_monomial_normal_forms``): x^u - x^v lies outside I exactly when
+    the normal forms of x^u and x^v differ, and the 2^i-th power is squared
+    in reduced form, since NF(ab) = NF(NF(a)·NF(b)) when a ≡ NF(a) modulo I.
+    The power lies in I exactly when it reduces to the empty sum.  Only the
+    returned witness becomes a Poly.  A pure-difference ideal contains no
+    monomial (its elements vanish at the all-ones point), so no normal form
+    here is 0.
     """
     ring = jm.ring
     lattice = jm.lattice
     gb = jm.ideal.groebner()
+    ctx = gb._ctx
+    hm = ctx.hmask
+    char = ring.char
+    nf = _monomial_normal_forms(gb)
+
+    def is_witness(u, v):
+        """u - v ((key, packed) pairs) is outside I and some 2^i-th power
+        up to the cap is inside."""
+        a, b = nf(*u), nf(*v)
+        if a == b:
+            return False
+        power = {a: 1, b: -1}
+        exponent = 1
+        while exponent * 2 <= power_cap:
+            terms = list(power.items())
+            power = {}
+            for i, ((ki, pi), ci) in enumerate(terms):
+                for j in range(i, len(terms)):
+                    (kj, pj), cj = terms[j]
+                    pk = pi + pj
+                    if pk & hm:
+                        _overflow()
+                    t = nf(ki + kj, pk)
+                    c = ci * cj if i == j else 2 * ci * cj
+                    power[t] = power.get(t, 0) + c
+            if char:
+                power = {t: c % char for t, c in power.items() if c % char}
+            else:
+                power = {t: c for t, c in power.items() if c}
+            exponent *= 2
+            if not power:
+                return True
+        return False
+
     key = sort_key(ring.default_order, ring)
     pairs = [
         (ring.index[a], ring.index[b]) for a, b in lattice.incomparable_pairs()
@@ -446,20 +498,18 @@ def _witness_search(jm, degree_bound, power_cap=4):
                         m2 = tuple(m2)
                         if key(m2) < key(m1):
                             partners.add(m2)
-            lead = ring.monomial(m1)
+            u = ctx.key_pack(m1)
             for m2 in sorted(partners, key=key):
-                f = lead - ring.monomial(m2)
-                if gb.reduce(f) and _is_power_witness(gb, f, power_cap):
-                    return f
+                if is_witness(u, ctx.key_pack(m2)):
+                    return ring.monomial(m1) - ring.monomial(m2)
     ini = MonomialIdeal(ring, gb.leading_monomials())
     for d in range(2, degree_bound + 1):
         std = sorted(_standard_monomials(ring, ini, d), key=key)
+        packed = [ctx.key_pack(m) for m in std]
         for j in range(len(std)):
-            mj = ring.monomial(std[j])
             for i in range(j):
-                f = mj - ring.monomial(std[i])
-                if gb.reduce(f) and _is_power_witness(gb, f, power_cap):
-                    return f
+                if is_witness(packed[j], packed[i]):
+                    return ring.monomial(std[j]) - ring.monomial(std[i])
     return None
 
 
@@ -471,7 +521,12 @@ def radical_certificate(lattice, char=0, degree_bound=None, power_cap=4):
        ideal -> radical with the decomposition;
     3. bounded search for a pure-difference element of √I \\ I -> not
        radical with the witness; otherwise inconclusive.
+
+    ``degree_bound`` (default: the longest chain plus 2) must be at least 1.
     """
+    if degree_bound is not None and degree_bound < 1:
+        raise PreconditionViolated(
+            f"degree_bound must be at least 1, got {degree_bound}")
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     if not jm.ideal.generators:
@@ -497,7 +552,8 @@ def radical_certificate(lattice, char=0, degree_bound=None, power_cap=4):
             )
     except IntersectionMismatch:
         pass
-    bound = degree_bound or (_longest_chain(lattice) + 2)
+    bound = (_longest_chain(lattice) + 2 if degree_bound is None
+             else degree_bound)
     witness = _witness_search(jm, bound, power_cap)
     if witness is not None:
         return RadicalCertificate(

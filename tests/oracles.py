@@ -168,3 +168,57 @@ def minimal_primes_all_pairs(lattice, char=0):
         if not dominated:
             minimal.append(_prime_component(ring, adm, ideal))
     return minimal
+
+
+def witness_search_poly(jm, degree_bound, power_cap=4):
+    """Reference witness search on Poly arithmetic: the same two rounds of
+    candidates as ``workflows._witness_search``, each decided by reducing
+    the candidate and its powers f^2, f^4, ... up to the cap with
+    ``ReducedGB.reduce``.
+    """
+    from lattice_lab.groebner import MonomialIdeal
+    from lattice_lab.poly import sort_key
+    from lattice_lab.workflows import _all_monomials, _standard_monomials
+
+    def is_power_witness(f):
+        power = f
+        exponent = 1
+        while exponent * 2 <= power_cap:
+            power = power * power
+            exponent *= 2
+            if not gb.reduce(power):
+                return True
+        return False
+
+    ring = jm.ring
+    gb = jm.ideal.groebner()
+    key = sort_key(ring.default_order, ring)
+    pairs = [(ring.index[a], ring.index[b])
+             for a, b in jm.lattice.incomparable_pairs()]
+    for d in range(2, degree_bound + 1):
+        for m1 in sorted(_all_monomials(ring, d), key=key):
+            partners = set()
+            for ia, ib in pairs:
+                for x, y in ((ia, ib), (ib, ia)):
+                    if m1[x] >= 1:
+                        m2 = list(m1)
+                        m2[x] -= 1
+                        m2[y] += 1
+                        m2 = tuple(m2)
+                        if key(m2) < key(m1):
+                            partners.add(m2)
+            lead = ring.monomial(m1)
+            for m2 in sorted(partners, key=key):
+                f = lead - ring.monomial(m2)
+                if gb.reduce(f) and is_power_witness(f):
+                    return f
+    ini = MonomialIdeal(ring, gb.leading_monomials())
+    for d in range(2, degree_bound + 1):
+        std = sorted(_standard_monomials(ring, ini, d), key=key)
+        for j in range(len(std)):
+            mj = ring.monomial(std[j])
+            for i in range(j):
+                f = mj - ring.monomial(std[i])
+                if gb.reduce(f) and is_power_witness(f):
+                    return f
+    return None

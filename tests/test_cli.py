@@ -164,3 +164,21 @@ def test_seed_env_var(monkeypatch, capsys):
     assert data["seed"] == 123
     assert data["sample_size"] == 25
     assert data["exhaustive"] is False
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_radical_degree_bound_below_one_is_exit_2(capsys, value):
+    code, out, err = run(capsys, "radical", "--fixture", "N",
+                         "--degree-bound", value, "--json")
+    assert code == 2
+    assert "--degree-bound must be at least 1" in err
+    assert out == ""
+
+
+def test_radical_small_degree_bound_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "radical", "--fixture", "N",
+                       "--degree-bound", "3", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "inconclusive"
+    assert data["detail"].endswith("no witness up to degree 3")

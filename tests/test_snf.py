@@ -48,12 +48,11 @@ def test_saturation_agrees_with_small_multiple_bruteforce():
         torsion = any(d not in (0, 1) for d in form.invariant_factors)
         # brute force: search small vectors v with k*v in lattice, v not
         found = False
-        span = rows
         for v in _small_vectors(4, 2):
-            if _in_lattice(v, span):
+            if _in_lattice(v, form):
                 continue
             for k in (2, 3, 4, 5, 6):
-                if _in_lattice([k * x for x in v], span):
+                if _in_lattice([k * x for x in v], form):
                     found = True
                     break
             if found:
@@ -73,9 +72,9 @@ def _small_vectors(n, bound):
             yield (x,) + rest
 
 
-def _in_lattice(v, rows):
-    """Exact membership of v in the integer row span via SNF transforms."""
-    form = smith_normal_form(rows)
+def _in_lattice(v, form):
+    """Exact membership of v in the integer row span of the matrix whose
+    Smith form (with its transforms) is ``form``."""
     # solve y * diag = v * V  =>  check divisibility coordinate-wise
     vv = [sum(v[i] * form.V[i][j] for i in range(len(v)))
           for j in range(len(v))]

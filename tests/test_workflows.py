@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -28,8 +29,9 @@ from lattice_lab import (
     saturate,
     squarefree_order_scan,
 )
-from lattice_lab.errors import BadParameters, PreconditionViolated
+from lattice_lab.errors import BadParameters, ExponentOverflow, PreconditionViolated
 from lattice_lab.fixtures import (
+    build_fixture,
     chain,
     diamond_m3,
     divisor_ladder,
@@ -47,7 +49,13 @@ from lattice_lab.lattice import (
     restrict_to_complement,
 )
 from lattice_lab.poly import product
-from lattice_lab.workflows import IntegerLattice, _component_gens, _scan_orders
+from lattice_lab.workflows import (
+    IntegerLattice,
+    _component_gens,
+    _monomial_normal_forms,
+    _scan_orders,
+    _witness_search,
+)
 
 from conftest import (
     distributive_corpus,
@@ -55,7 +63,11 @@ from conftest import (
     radical_fixture_corpus,
     small_corpus,
 )
-from oracles import minimal_primes_all_pairs, scan_orders_uncached
+from oracles import (
+    minimal_primes_all_pairs,
+    scan_orders_uncached,
+    witness_search_poly,
+)
 
 
 # -- join-meet ideal -----------------------------------------------------------
@@ -261,7 +273,7 @@ def test_minimal_primes_match_all_pairs_oracle(make, char):
 
 
 @st.composite
-def closure_lattices(draw):
+def closure_lattices(draw, max_elements=12):
     """Lattice of a random closure system: subsets of a small ground set
     closed under intersection, with the ground set as top, by inclusion."""
     ground = draw(st.integers(4, 5))
@@ -273,7 +285,7 @@ def closure_lattices(draw):
         if not more:
             break
         sets |= more
-    assume(4 <= len(sets) <= 12)
+    assume(4 <= len(sets) <= max_elements)
     names = {m: f"s{m}" for m in sets}
     covers = [(names[a], names[b]) for a in sets for b in sets
               if a != b and a & b == a
@@ -381,6 +393,104 @@ def test_m3_certificate_reports_a_definite_verdict():
     # not asserted in the source material; report whatever the machinery finds
     cert = radical_certificate(diamond_m3())
     assert cert.verdict in ("radical", "not_radical", "inconclusive")
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_radical_certificate_rejects_degree_bound_below_one(lattice_N, bound):
+    with pytest.raises(PreconditionViolated):
+        radical_certificate(lattice_N, degree_bound=bound)
+
+
+def test_radical_certificate_honours_small_degree_bound(lattice_N):
+    cert = radical_certificate(lattice_N, degree_bound=3)
+    assert cert.verdict == "inconclusive"
+    assert cert.detail.endswith("no witness up to degree 3")
+
+
+# -- the witness search against the Poly oracle ----------------------------------------
+
+def _same_witness(jm, bound, power_cap):
+    got = _witness_search(jm, bound, power_cap)
+    want = witness_search_poly(jm, bound, power_cap)
+    assert (got is None) == (want is None)
+    assert str(got) == str(want)
+    return got
+
+
+# (fixture, char, power_cap, degree bound); on N bound 3 exhausts both rounds
+_WITNESS_CASES = [
+    ("N", 32003, 2, 3), ("N", 0, 4, 4), ("N", 32003, 4, 5), ("N", 32003, 8, 6),
+    ("N", 0, 2, 6), ("M3", 0, 8, 3), ("M3", 32003, 4, 4), ("N5", 32003, 8, 3),
+    ("N5", 0, 2, 4), ("Chain:4", 0, 4, 4), ("Chain:4", 32003, 8, 3),
+    ("Lk:3:1", 0, 2, 3), ("Lk:3:1", 0, 4, 3), ("Lk:3:1", 32003, 8, 3),
+]
+
+
+@pytest.mark.parametrize("name, char, power_cap, bound", _WITNESS_CASES)
+def test_witness_search_matches_poly_oracle(name, char, power_cap, bound):
+    jm = join_meet_ideal(build_fixture(name), char)
+    got = _same_witness(jm, bound, power_cap)
+    if name == "N":
+        assert (got is None) == (bound == 3)
+
+
+# (degree bound, power cap); the Poly oracle takes seconds at (4, 8)
+_CLOSURE_BOUNDS = [(b, c) for b in (2, 3, 4) for c in (2, 4, 8) if b * c < 32]
+
+
+@given(closure_lattices(max_elements=7), st.sampled_from([0, 32003]),
+       st.sampled_from(_CLOSURE_BOUNDS))
+@settings(max_examples=15, deadline=None)
+def test_witness_search_matches_poly_oracle_on_closure_systems(L, char, bounds):
+    _same_witness(join_meet_ideal(L, char), *bounds)
+
+
+def test_witness_search_power_overflow_raises():
+    # over GF(2) each square of a two-term difference has two terms, so the
+    # powers of the first candidate reach the field width quickly
+    jm = join_meet_ideal(chain(2), 2)
+    with pytest.raises(ExponentOverflow):
+        _witness_search(jm, 2, 1 << 14)
+
+
+@functools.lru_cache(maxsize=None)
+def _nf_basis(name, char, variant):
+    """Reduced basis of a join-meet ideal under the default order, under lex
+    with the priority reversed, or plus the monomial of the first three
+    variables (so that some normal forms are 0)."""
+    jm = join_meet_ideal(build_fixture(name), char)
+    ring = jm.ring
+    if variant == "lex-reversed":
+        return ring, jm.ideal.groebner(lex(tuple(reversed(ring.variables))))
+    if variant == "plus-monomial":
+        cube = ring.monomial(tuple(int(i < 3) for i in range(ring.nvars)))
+        return ring, buchberger(jm.ideal.generators + (cube,), ring=ring)
+    return ring, jm.ideal.groebner()
+
+
+@given(st.sampled_from(["N", "Q", "R", "M3"]), st.sampled_from([0, 32003]),
+       st.sampled_from(["default", "lex-reversed", "plus-monomial"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_monomial_normal_forms_multiply_and_match_reduce(name, char, variant, data):
+    ring, gb = _nf_basis(name, char, variant)
+    ctx = gb._ctx
+    nf = _monomial_normal_forms(gb)
+    mono = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    u, v = data.draw(mono), data.draw(mono)
+    uv = tuple(a + b for a, b in zip(u, v))
+    a, b, ab = (nf(*ctx.key_pack(m)) for m in (u, v, uv))
+    if a is None or b is None:
+        assert ab is None
+    else:
+        assert ab == nf(a[0] + b[0], a[1] + b[1])
+    for m, r in ((u, a), (v, b), (uv, ab)):
+        reduced = gb.reduce(ring.monomial(m))
+        if r is None:
+            assert not reduced
+        else:
+            assert r[0] == ctx.key_packed(r[1])
+            assert reduced == ring.monomial(ctx.unpack(r[1]))
+        assert nf(*ctx.key_pack(m)) == r
 
 
 # -- squarefree order scan ----------------------------------------------------------------

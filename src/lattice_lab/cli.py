@@ -46,7 +46,14 @@ def _load_lattice(args):
         return build_fixture(args.fixture)
     if getattr(args, "input", None):
         with open(args.input, "r", encoding="utf-8") as fh:
-            return lattice_from_json(fh.read())
+            text = fh.read()
+        try:
+            return lattice_from_json(text)
+        except json.JSONDecodeError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # a missing key, a cover naming an unknown element, duplicates
+            raise SystemExit2(f"invalid lattice input ({exc})") from None
     raise SystemExit2("one of --fixture or --input is required")
 
 

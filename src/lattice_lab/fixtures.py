@@ -103,10 +103,10 @@ def lattice_r():
 
 def build_fixture(name, *params):
     """Build a fixture from a name plus parameters, or a spec string."""
-    if not params and (":" in name):
-        parts = name.split(":")
-        name, params = parts[0], tuple(int(x) for x in parts[1:])
     try:
+        if not params and (":" in name):
+            parts = name.split(":")
+            name, params = parts[0], tuple(int(x) for x in parts[1:])
         if name == "N":
             _expect(params, 0)
             return lattice_n()
@@ -153,5 +153,13 @@ def lattice_to_json(lattice):
 
 
 def lattice_from_json(text):
+    """Lattice of a {"elements": [...], "covers": [[lower, upper], ...]}
+    document; ValueError when the document has another shape."""
     data = json.loads(text)
-    return build_lattice(data["elements"], [tuple(c) for c in data["covers"]])
+    if not isinstance(data, dict) or not {"elements", "covers"} <= data.keys():
+        raise ValueError('expected an object with "elements" and "covers"')
+    elements = data["elements"]
+    if not (isinstance(elements, list)
+            and all(isinstance(e, str) for e in elements)):
+        raise ValueError('"elements" must be a list of strings')
+    return build_lattice(elements, [tuple(c) for c in data["covers"]])

@@ -632,10 +632,10 @@ class Ideal:
 
 
 def buchberger(gens, order=None, *, ring=None):
-    """Reduced Groebner basis of the given generators."""
+    """Reduced Groebner basis of the given generators; an Ideal answers from
+    its own per-order cache, the one store of its reduced bases."""
     if isinstance(gens, Ideal):
-        ring = gens.ring
-        gens = gens.generators
+        return gens.groebner(order)
     gens = list(gens)
     if ring is None:
         if not gens:

@@ -430,18 +430,11 @@ def restrict_to_complement(lattice, admissible):
     keep = [e for e in lattice.elements if e not in set(members)]
     if keep == list(lattice.elements):
         return lattice
-    kidx = [lattice.index[e] for e in keep]
-    up = lattice._up
-    sub_covers = []
-    for i in kidx:
-        for j in kidx:
-            if i != j and (up[i] >> j & 1):
-                if not any(
-                    k != i and k != j and (up[i] >> k & 1) and (up[k] >> j & 1)
-                    for k in kidx
-                ):
-                    sub_covers.append((lattice.elements[i], lattice.elements[j]))
-    sub = build_lattice(keep, sub_covers)
+    # the induced order; build_lattice reduces it to its covers
+    index, up = lattice.index, lattice._up
+    order = [(a, b) for a in keep for b in keep
+             if a != b and up[index[a]] >> index[b] & 1]
+    sub = build_lattice(keep, order)
     # admissibility guarantees closure under the ambient join and meet
     for a, b in sub.incomparable_pairs():
         assert sub.join(a, b) == lattice.join(a, b)

@@ -33,15 +33,6 @@ def mono_divides(m1, m2):
     return all(a <= b for a, b in zip(m1, m2))
 
 
-def mono_div(m1, m2):
-    """Exponent vector of m1 / m2 (caller guarantees divisibility)."""
-    return tuple(a - b for a, b in zip(m1, m2))
-
-
-def mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
-
-
 def mono_degree(m):
     return sum(m)
 
@@ -238,9 +229,7 @@ class PolyRing:
             return self.zero()
         return Poly(self, {tuple(exps): c})
 
-    def extend(self, names, position="last"):
-        if position == "first":
-            return PolyRing(tuple(names) + self.variables, self.char)
+    def extend(self, names):
         return PolyRing(self.variables + tuple(names), self.char)
 
     def restrict(self, names):
@@ -397,13 +386,9 @@ class Poly:
                 res[m] = res.get(m, 0) + c
         return Poly(self.ring, res)
 
-    def map_ring(self, other_ring, rename=None):
-        """Reinterpret in ``other_ring``; variables map by (renamed) name."""
-        rename = rename or {}
-        pos = []
-        for v in self.ring.variables:
-            w = rename.get(v, v)
-            pos.append(other_ring.index.get(w))
+    def map_ring(self, other_ring):
+        """Reinterpret in ``other_ring``; variables map by name."""
+        pos = [other_ring.index.get(v) for v in self.ring.variables]
         res = {}
         for m, c in self.terms.items():
             e = [0] * other_ring.nvars

@@ -147,17 +147,13 @@ def _split_component_shape(ideal):
     return tuple(variables), tuple(binomials)
 
 
-def _certify_saturated_part(ring, binomials):
-    """Primality of an already-saturated pure-difference part via SNF."""
-    if not binomials:
-        return True, IntegerLattice((), ())
-    gb = buchberger(binomials, ring.default_order, ring=ring)
-    for g in gb.basis:
-        if len(g.terms) == 1:
-            # a saturated proper pure-difference ideal has no monomials
-            return False, IntegerLattice((), ())
-    lattice = IntegerLattice.from_binomials(gb.basis, ring)
-    return lattice.saturated, lattice
+def _snf_certified(ideal):
+    """SNF certificate read off the reduced basis of a component: its two-term
+    elements span a saturated exponent lattice.  The one-term elements are
+    the component's variables: a proper pure-difference ideal holds no
+    monomial, because its elements vanish at the all-ones point."""
+    binomials = [g for g in ideal.groebner().basis if len(g.terms) == 2]
+    return IntegerLattice.from_binomials(binomials, ideal.ring).saturated
 
 
 def certify_prime_component(ideal):
@@ -169,16 +165,15 @@ def certify_prime_component(ideal):
     """
     ring = ideal.ring
     variables, binomials = _split_component_shape(ideal)
+    part = Ideal(ring, binomials)
     if binomials:
         survivors = [v for v in ring.variables if v not in set(variables)]
-        part = Ideal(ring, binomials)
         sat = saturate(part, product([ring.var(v) for v in survivors], ring))
         if not ideal_equal(sat, part):
             raise NotSaturatedInput(
                 "pure-difference part is not saturated w.r.t. its variables"
             )
-    ok, _ = _certify_saturated_part(ring, binomials)
-    return ok
+    return _snf_certified(part)
 
 
 def _component_gens(lattice, admissible, ring):
@@ -213,14 +208,11 @@ def component_prime(lattice, admissible, char=0):
 
 
 def _prime_component(ring, admissible, ideal):
-    """PrimeComponent of the ideal P_A: SNF certificate and Krull dimension."""
-    _, binomials = _split_component_shape(ideal)
-    certified, _ = _certify_saturated_part(ring, binomials)
-    if ideal.generators:
-        dim = krull_dim(initial_ideal(ideal), ring.nvars)
-    else:
-        dim = ring.nvars
-    return PrimeComponent(admissible, ideal, certified, dim)
+    """PrimeComponent of the ideal P_A: the SNF certificate and the Krull
+    dimension both read the ideal's one reduced basis under the default
+    order."""
+    dim = krull_dim(initial_ideal(ideal), ring.nvars)
+    return PrimeComponent(admissible, ideal, _snf_certified(ideal), dim)
 
 
 def _intersect_all(ring, ideals):
@@ -310,15 +302,16 @@ def minimal_primes(lattice, char=0, _verify=True):
         below = [f for f in found if f[0] != mask and f[0] & mask == f[0]]
         if _lattice_dominated([sides for _, sides, _ in below], mask, basic):
             continue
-        gens = _component_gens(lattice, adm, ring)
+        ideal = Ideal(ring, _component_gens(lattice, adm, ring))
         # ``below`` is empty only for the empty set, the one set that may
-        # have no generators
-        gb = buchberger(gens, ring.default_order, ring=ring) if gens else None
+        # have no generators; this basis, kept in the ideal's cache, is the
+        # one the certificate and the dimension read
+        gb = buchberger(ideal, ring.default_order) if ideal.generators else None
         if any(all(not gb.reduce(g) for g in c.ideal.generators)
                for _, _, c in below):
             continue
-        sides = _binomial_sides(g for g in gens if len(g.terms) == 2)
-        component = _prime_component(ring, adm, Ideal(ring, gens))
+        sides = _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
+        component = _prime_component(ring, adm, ideal)
         found.append((mask, sides, component))
     components = [c for _, _, c in found]
 
@@ -522,11 +515,15 @@ def radical_certificate(lattice, char=0, degree_bound=None, power_cap=4):
     3. bounded search for a pure-difference element of √I \\ I -> not
        radical with the witness; otherwise inconclusive.
 
-    ``degree_bound`` (default: the longest chain plus 2) must be at least 1.
+    ``degree_bound`` (default: the longest chain plus 2) must be at least 1,
+    and ``power_cap`` at least 2, so that the search squares something.
     """
     if degree_bound is not None and degree_bound < 1:
         raise PreconditionViolated(
             f"degree_bound must be at least 1, got {degree_bound}")
+    if power_cap < 2:
+        raise PreconditionViolated(
+            f"power_cap must be at least 2, got {power_cap}")
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     if not jm.ideal.generators:
@@ -822,28 +819,21 @@ class LkReport:
 def lk_family_initial_monomials(n, k, ring):
     """The expected minimal generators of the degrevlex initial ideal."""
     monos = set()
-
-    def mono(spec):
-        e = [0] * ring.nvars
-        for name, c in spec:
-            e[ring.index[name]] += c
-        return tuple(e)
-
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            monos.add(mono([(f"x{j}", 1), (f"y{i}", 1)]))
+            monos.add(_name_mono(ring, {f"x{j}": 1, f"y{i}": 1}))
     for i in range(1, k):
-        monos.add(mono([(f"x{i}", 1), (f"y{k + 1}", 1)]))
+        monos.add(_name_mono(ring, {f"x{i}": 1, f"y{k + 1}": 1}))
     for j in range(k + 1, n + 1):
-        monos.add(mono([(f"x{k}", 1), (f"y{j}", 1)]))
+        monos.add(_name_mono(ring, {f"x{k}": 1, f"y{j}": 1}))
     for i in range(1, k):
         for j in range(k + 2, n + 1):
-            monos.add(mono([(f"x{i}", 1), (f"x{k + 1}", 1), (f"y{j}", 1)]))
-            monos.add(mono([(f"x{i}", 1), (f"y{k}", 1), (f"y{j}", 1)]))
+            monos.add(_name_mono(ring, {f"x{i}": 1, f"x{k + 1}": 1, f"y{j}": 1}))
+            monos.add(_name_mono(ring, {f"x{i}": 1, f"y{k}": 1, f"y{j}": 1}))
     for i in range(1, k):
-        monos.add(mono([(f"y{i}", 1), (f"y{k}", 1), ("z", 1)]))
-    monos.add(mono([(f"x{k + 1}", 1), ("z", 1)]))
-    monos.add(mono([(f"y{k}", 2), ("z", 1)]))
+        monos.add(_name_mono(ring, {f"y{i}": 1, f"y{k}": 1, "z": 1}))
+    monos.add(_name_mono(ring, {f"x{k + 1}": 1, "z": 1}))
+    monos.add(_name_mono(ring, {f"y{k}": 2, "z": 1}))
     return MonomialIdeal(ring, monos)
 
 
@@ -967,6 +957,7 @@ def lk_suite(n, k, char=0):
 
 
 def _name_mono(ring, spec):
+    """Exponent tuple of the monomial given as {variable name: exponent}."""
     e = [0] * ring.nvars
     for name, c in spec.items():
         e[ring.index[name]] += c

@@ -170,6 +170,23 @@ def minimal_primes_all_pairs(lattice, char=0):
     return minimal
 
 
+def certify_saturated_part(ring, binomials):
+    """Reference SNF certificate of an already-saturated pure-difference
+    part: its own reduced basis, computed afresh, must hold no monomial, and
+    the exponent differences of its elements must span a saturated lattice.
+    """
+    from lattice_lab.groebner import buchberger
+    from lattice_lab.workflows import IntegerLattice
+
+    if not binomials:
+        return True
+    gb = buchberger(binomials, ring.default_order, ring=ring)
+    if any(len(g.terms) == 1 for g in gb.basis):
+        # a saturated proper pure-difference ideal has no monomials
+        return False
+    return IntegerLattice.from_binomials(gb.basis, ring).saturated
+
+
 def witness_search_poly(jm, degree_bound, power_cap=4):
     """Reference witness search on Poly arithmetic: the same two rounds of
     candidates as ``workflows._witness_search``, each decided by reducing

@@ -135,6 +135,38 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"elements": ["a", "b"]},
+    {"covers": [["a", "b"]]},
+    ["a", "b"],
+    {"elements": ["a", "b"], "covers": [["a", "z"]]},
+    {"elements": ["a", "b", "a"], "covers": [["a", "b"]]},
+    {"elements": "ab", "covers": [["a", "b"]]},
+    {"elements": [1, 2], "covers": [[1, 2]]},
+    {"elements": ["a", "b"], "covers": [["a"]]},
+], ids=["no-covers", "no-elements", "not-an-object", "unknown-element",
+        "duplicate-names", "elements-not-a-list", "non-string-names",
+        "short-cover"])
+@pytest.mark.parametrize("verb", ["check", "primes"])
+def test_malformed_lattice_input_is_exit_2(tmp_path, capsys, verb, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["Lk:a:1", "Chain:x", "Lk:3:"])
+def test_non_integer_fixture_parameters(capsys, spec):
+    code, out, _ = run(capsys, "check", "--fixture", spec)
+    assert code == 1
+    assert out.startswith("not a lattice: ")
+    code, out, err = run(capsys, "gb", "--fixture", spec)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
 def test_bad_fixture_is_exit_1_with_message(capsys):
     code, _, err = run(capsys, "gb", "--fixture", "Nope:3")
     assert code in (1, 2)

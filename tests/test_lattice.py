@@ -293,6 +293,23 @@ def test_restrict_rejects_non_admissible(lattice_Q):
         restrict_to_complement(lattice_Q, AdmissibleSet(("b",)))
 
 
+def test_restriction_covers_are_the_induced_covers():
+    """b covers a in the complement when a < b in L and no kept element lies
+    strictly between them."""
+    for name, L in small_corpus():
+        for adm in enumerate_admissible_sets(L):
+            if len(adm.members) == len(L.elements):
+                continue
+            sub = restrict_to_complement(L, adm)
+            keep = [e for e in L.elements if e not in adm]
+            covers = {(a, b) for a in keep for b in keep
+                      if a != b and L.le(a, b)
+                      and not any(c not in (a, b) and L.le(a, c) and L.le(c, b)
+                                  for c in keep)}
+            assert sub.elements == tuple(keep), name
+            assert set(sub.covers) == covers, (name, adm.members)
+
+
 def test_restriction_closed_under_ambient_operations():
     for name, L in small_corpus():
         for adm in enumerate_admissible_sets(L):
@@ -362,3 +379,5 @@ def test_fixture_bad_parameters():
         build_fixture("Chain:0")
     with pytest.raises(BadParameters):
         build_fixture("Mystery")
+    with pytest.raises(BadParameters):
+        build_fixture("Lk:a:1")

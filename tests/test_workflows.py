@@ -42,6 +42,7 @@ from lattice_lab.fixtures import (
     lk,
     pentagon_n5,
 )
+from lattice_lab import groebner
 from lattice_lab.groebner import buchberger, ideal_contains
 from lattice_lab.lattice import (
     build_lattice,
@@ -53,6 +54,7 @@ from lattice_lab.workflows import (
     IntegerLattice,
     _component_gens,
     _monomial_normal_forms,
+    _prime_component,
     _scan_orders,
     _witness_search,
 )
@@ -64,6 +66,7 @@ from conftest import (
     small_corpus,
 )
 from oracles import (
+    certify_saturated_part,
     minimal_primes_all_pairs,
     scan_orders_uncached,
     witness_search_poly,
@@ -150,6 +153,16 @@ def test_non_saturated_lattice_not_certified():
     assert not certify_prime_component(Ideal(R, ["x^2 - y^2"]))
 
 
+def test_prime_component_reads_certificate_and_dim_off_one_basis():
+    # the reduced basis is (x^2 - y^2, z): the certificate must skip the
+    # variable z and still see the non-saturated lattice 2Z(1,-1,0)
+    R = PolyRing(("x", "y", "z"))
+    comp = _prime_component(R, AdmissibleSet(("z",)),
+                            Ideal(R, ["z", "x^2 - y^2"]))
+    assert not comp.certified_prime
+    assert comp.dim == 1
+
+
 def test_integer_lattice_rows():
     R = PolyRing(("x", "y", "z"))
     lat = IntegerLattice.from_binomials([R.from_string("x*y - z^2")], R)
@@ -195,6 +208,7 @@ def test_chain_single_zero_component():
     comps = minimal_primes(chain(4))
     assert len(comps) == 1
     assert not comps[0].ideal.generators
+    assert comps[0].certified_prime and comps[0].dim == 4
 
 
 def test_q_minimal_primes_match_published_list(lattice_Q):
@@ -255,6 +269,17 @@ def _component_facts(components):
             for c in components]
 
 
+def _assert_certificate_and_dim_match_fresh_bases(components):
+    """The certificate and the dimension, read off the one cached basis of
+    each component, agree with ones computed from fresh bases."""
+    for c in components:
+        ring = c.ideal.ring
+        binomials = [g for g in c.ideal.generators if len(g.terms) == 2]
+        assert c.certified_prime == certify_saturated_part(ring, binomials)
+        fresh = Ideal(ring, c.ideal.generators)
+        assert c.dim == krull_dim(initial_ideal(fresh), ring.nvars)
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("make", [
     pytest.param(lattice_q, id="Q"), pytest.param(lattice_r, id="R"),
@@ -268,8 +293,10 @@ def _component_facts(components):
      for n in range(2, 7) for k in range(1, n)])
 def test_minimal_primes_match_all_pairs_oracle(make, char):
     L = make()
-    assert (_component_facts(minimal_primes(L, char, _verify=False))
+    components = minimal_primes(L, char, _verify=False)
+    assert (_component_facts(components)
             == _component_facts(minimal_primes_all_pairs(L, char)))
+    _assert_certificate_and_dim_match_fresh_bases(components)
 
 
 @st.composite
@@ -297,8 +324,28 @@ def closure_lattices(draw, max_elements=12):
 @given(closure_lattices(), st.sampled_from([0, 32003]))
 @settings(max_examples=150, deadline=None)
 def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
-    assert (_component_facts(minimal_primes(L, char, _verify=False))
+    components = minimal_primes(L, char, _verify=False)
+    assert (_component_facts(components)
             == _component_facts(minimal_primes_all_pairs(L, char)))
+    _assert_certificate_and_dim_match_fresh_bases(components)
+
+
+@pytest.mark.parametrize("name, runs", [("Q", 13), ("R", 34), ("Lk:6:3", 37)])
+@pytest.mark.parametrize("char", [0, 32003])
+def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
+    """Each surviving component gets one basis, shared by the containment
+    check, the certificate and the dimension; the other runs are saturation
+    passes and the intersection check."""
+    calls = []
+    core = groebner._buchberger_core
+
+    def counted(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", counted)
+    minimal_primes(build_fixture(name), char)
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("make", [
@@ -399,6 +446,12 @@ def test_m3_certificate_reports_a_definite_verdict():
 def test_radical_certificate_rejects_degree_bound_below_one(lattice_N, bound):
     with pytest.raises(PreconditionViolated):
         radical_certificate(lattice_N, degree_bound=bound)
+
+
+@pytest.mark.parametrize("cap", [1, 0, -4])
+def test_radical_certificate_rejects_power_cap_below_two(lattice_N, cap):
+    with pytest.raises(PreconditionViolated):
+        radical_certificate(lattice_N, power_cap=cap)
 
 
 def test_radical_certificate_honours_small_degree_bound(lattice_N):

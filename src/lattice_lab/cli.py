@@ -18,7 +18,13 @@ import json
 import sys
 import time
 
-from .errors import LatticeLabError, RingMismatch
+from .errors import (
+    LatticeLabError,
+    NoBounds,
+    NotALattice,
+    NotAPoset,
+    RingMismatch,
+)
 from .fixtures import (
     FIXTURE_NAMES,
     build_fixture,
@@ -27,7 +33,7 @@ from .fixtures import (
 )
 from .groebner import initial_ideal, krull_dim
 from .lattice import is_distributive, is_modular, join_irreducibles
-from .poly import degrevlex, lex
+from .poly import PolyRing, degrevlex, lex
 from .workflows import (
     join_meet_ideal,
     lk_suite,
@@ -89,7 +95,7 @@ def _cmd_check(args):
     started = time.perf_counter()
     try:
         lattice = _load_lattice(args)
-    except LatticeLabError as exc:
+    except (NotAPoset, NotALattice, NoBounds) as exc:
         report = {"lattice": None, "checks": [
             {"name": "is_lattice", "pass": False, "witness": str(exc)}]}
         _emit(args, report, [f"not a lattice: {exc}"])
@@ -153,7 +159,7 @@ def _cmd_ini(args):
     ]
     report = {"order": order.describe(ring), "generators": gens,
               "squarefree": ini.is_squarefree(),
-              "quotient_dim": krull_dim(ini, ring.nvars)}
+              "quotient_dim": krull_dim(ini)}
     _maybe_time(args, report, started)
     _emit(args, report,
           [f"order: {report['order']}",
@@ -349,6 +355,12 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "char"):
+            # the ring's own check, so that a bad value fails before any work
+            try:
+                PolyRing((), args.char)
+            except ValueError as exc:
+                raise SystemExit2(f"--char: {exc}") from None
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,47 +101,37 @@ def lattice_r():
     return build_lattice(list("abcdefghl") + ["m"], covers)
 
 
-def build_fixture(name, *params):
-    """Build a fixture from a name plus parameters, or a spec string."""
+# name -> (builder, number of integer parameters), in listing order
+_FIXTURES = {
+    "Chain": (chain, 1),
+    "M3": (diamond_m3, 0),
+    "N5": (pentagon_n5, 0),
+    "DivisorLadder": (divisor_ladder, 1),
+    "Lk": (lk, 2),
+    "N": (lattice_n, 0),
+    "Q": (lattice_q, 0),
+    "R": (lattice_r, 0),
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
+def build_fixture(spec):
+    """Build a fixture from a spec string such as ``Q`` or ``Lk:3:1``.
+
+    The parameters are parsed as integers before the name is looked up;
+    every failure raises BadParameters.
+    """
+    name, *parts = spec.split(":")
     try:
-        if not params and (":" in name):
-            parts = name.split(":")
-            name, params = parts[0], tuple(int(x) for x in parts[1:])
-        if name == "N":
-            _expect(params, 0)
-            return lattice_n()
-        if name == "Q":
-            _expect(params, 0)
-            return lattice_q()
-        if name == "R":
-            _expect(params, 0)
-            return lattice_r()
-        if name == "M3":
-            _expect(params, 0)
-            return diamond_m3()
-        if name == "N5":
-            _expect(params, 0)
-            return pentagon_n5()
-        if name == "Chain":
-            _expect(params, 1)
-            return chain(params[0])
-        if name == "DivisorLadder":
-            _expect(params, 1)
-            return divisor_ladder(params[0])
-        if name == "Lk":
-            _expect(params, 2)
-            return lk(params[0], params[1])
-    except (TypeError, ValueError) as exc:
+        params = [int(x) for x in parts]
+    except ValueError as exc:
         raise BadParameters(str(exc)) from exc
-    raise BadParameters(f"unknown fixture {name!r}")
-
-
-def _expect(params, n):
-    if len(params) != n:
-        raise BadParameters(f"expected {n} parameters, got {len(params)}")
-
-
-FIXTURE_NAMES = ("Chain", "M3", "N5", "DivisorLadder", "Lk", "N", "Q", "R")
+    if name not in _FIXTURES:
+        raise BadParameters(f"unknown fixture {name!r}")
+    builder, arity = _FIXTURES[name]
+    if len(params) != arity:
+        raise BadParameters(f"expected {arity} parameters, got {len(params)}")
+    return builder(*params)
 
 
 def lattice_to_json(lattice):

@@ -469,12 +469,12 @@ class ReducedGB:
 
     __slots__ = ("ring", "order", "basis", "_ctx", "_prepared", "_binomial")
 
-    def __init__(self, ring, order, basis, ctx=None, prepared=None):
+    def __init__(self, ring, order, basis, ctx=None):
         self.ring = ring
         self.order = order
         self.basis = tuple(basis)
         self._ctx = ctx
-        self._prepared = prepared
+        self._prepared = None
         self._binomial = None
 
     def _engine(self):
@@ -731,17 +731,6 @@ def _gens_are_monomial(gens):
     return all(len(g.terms) == 1 for g in gens)
 
 
-def _gens_are_pure_difference(gens):
-    for g in gens:
-        items = list(g.terms.items())
-        if len(items) == 1:
-            continue
-        if len(items) == 2 and g.ring.coeff(items[0][1] + items[1][1]) == 0:
-            continue
-        return False
-    return True
-
-
 def intersect(a, b):
     """Ideal intersection via elimination of an auxiliary variable."""
     if a.ring != b.ring:
@@ -759,14 +748,9 @@ def intersect(a, b):
                 monos.append(tuple(max(x, y) for x, y in zip(mf, mg)))
         minimal = MonomialIdeal(ring, monos)
         return Ideal(ring, [ring.monomial(m) for m in minimal.sorted_gens()])
-    # orient so that (1-t) multiplies a monomial side when possible: then all
-    # generators stay pure differences and the fast path applies
-    if _gens_are_monomial(b.generators) and _gens_are_pure_difference(a.generators):
-        first, second = a, b
-    elif _gens_are_monomial(a.generators) and _gens_are_pure_difference(b.generators):
-        first, second = b, a
-    else:
-        first, second = a, b
+    # (1-t) multiplies the monomial side when there is one: pure differences
+    # on the other side then stay pure differences and the fast path applies
+    first, second = (b, a) if _gens_are_monomial(a.generators) else (a, b)
     t = _fresh_name(ring)
     ext = ring.extend([t])
     tv = ext.var(t)
@@ -841,19 +825,16 @@ def saturate(ideal, f):
     ring = ideal.ring
     if not ideal.generators:
         return Ideal(ring, [])
-    if (
-        len(f.terms) == 1
-        and _gens_are_pure_difference(ideal.generators)
-        and all(g.is_homogeneous() for g in ideal.generators)
-    ):
-        (mono,) = f.terms
+    if len(f.terms) == 1 and all(g.is_homogeneous() for g in ideal.generators):
         ctx = _Ctx(ring, ring.default_order)
         elements = _binomial_elements(ctx, ideal.generators)
-        for i, e in enumerate(mono):
-            if e:
-                ctx, elements = _saturate_binomial_by_variable(
-                    ring, elements, ring.variables[i])
-        return Ideal(ring, _binomial_polys(ctx, elements))
+        if elements is not None:
+            (mono,) = f.terms
+            for i, e in enumerate(mono):
+                if e:
+                    ctx, elements = _saturate_binomial_by_variable(
+                        ring, elements, ring.variables[i])
+            return Ideal(ring, _binomial_polys(ctx, elements))
     t = _fresh_name(ring)
     ext = ring.extend([t])
     gens = [g.map_ring(ext) for g in ideal.generators]
@@ -875,14 +856,13 @@ def ideal_contains(a, b):
     return all(not gb.reduce(g) for g in b.generators)
 
 
-def krull_dim(m, nvars=None):
-    """Dimension of the quotient by a monomial ideal.
+def krull_dim(m):
+    """Dimension of the quotient of m's ring by the monomial ideal m.
 
-    Equals nvars minus the smallest number of variables meeting the support
-    of every minimal generator.
+    Equals the ring's number of variables minus the smallest number of
+    variables meeting the support of every minimal generator.
     """
-    if nvars is None:
-        nvars = m.ring.nvars
+    nvars = m.ring.nvars
     supports = []
     for g in m.gens:
         s = frozenset(i for i, e in enumerate(g) if e)

@@ -107,6 +107,11 @@ class Lattice:
     def top_rank(self):
         if not self.is_graded:
             raise PreconditionViolated("lattice is not graded")
+        return self.height
+
+    @property
+    def height(self):
+        """Length of the longest chain, graded or not."""
         return max(self._ranks)
 
     @property
@@ -128,12 +133,6 @@ class Lattice:
                 if not (self._up[i] >> j & 1) and not (self._up[j] >> i & 1):
                     out.append((self.elements[i], self.elements[j]))
         return out
-
-    def upper_covers(self, a):
-        return tuple(u for (l, u) in self.covers if l == a)
-
-    def lower_covers(self, a):
-        return tuple(l for (l, u) in self.covers if u == a)
 
     def __len__(self):
         return len(self.elements)
@@ -265,7 +264,7 @@ def build_lattice(elements, covers):
         elements,
         cover_names,
         _internal=(index, up, down, join_table, meet_table, graded,
-                   tuple(ranks) if graded else None),
+                   tuple(ranks)),
     )
 
 

@@ -151,8 +151,43 @@ def _bad_exponent(m):
     raise ExponentOverflow(f"an exponent in {m} exceeds {MAX_EXPONENT - 1}")
 
 
+# the first thirteen primes: Miller-Rabin with these bases is exact below
+# _PRIME_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n):
+    """Exact primality test for 0 <= n < _PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PolyRing:
-    """Polynomial ring over Q (char 0) or GF(p) with named variables."""
+    """Polynomial ring over Q (char 0) or GF(p) with named variables.
+
+    The characteristic must be 0 or a prime below 3.3e24, the range where
+    primality is decided exactly; anything else raises ValueError.
+    """
 
     __slots__ = ("variables", "char", "index", "nvars")
 
@@ -160,8 +195,9 @@ class PolyRing:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        if char < 0 or char == 1:
-            raise ValueError("characteristic must be 0 or a prime")
+        if char != 0 and not (char < _PRIME_LIMIT and _is_prime(char)):
+            raise ValueError(
+                f"characteristic must be 0 or a prime below 3.3e24, got {char}")
         self.char = char
         self.index = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
@@ -471,32 +507,32 @@ def _parse_poly(ring, text):
         kind, val = peek()
         if kind == "int":
             take()
-            num = val
             if peek()[0] == "/":
                 take()
                 den = take("int")[1]
-                return ring.constant(Fraction(num, den) if ring.char == 0 else 0), True
-            return ring.constant(num), True
+                if den == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                return ring.constant(Fraction(val, den))
+            return ring.constant(val)
         if kind == "name":
             take()
             exp = 1
             if peek()[0] == "^":
                 take()
                 exp = take("int")[1]
-            return ring.var(val) ** exp, False
+            return ring.var(val) ** exp
         if kind == "(":
             take()
             p = parse_sum()
             take(")")
-            return p, False
+            return p
         raise ValueError(f"unexpected token {peek()}")
 
     def parse_term():
-        p, _ = parse_factor()
+        p = parse_factor()
         while peek()[0] == "*":
             take()
-            q, _ = parse_factor()
-            p = p * q
+            p = p * parse_factor()
         return p
 
     def parse_sum():
@@ -510,7 +546,7 @@ def _parse_poly(ring, text):
             p = p + q.scale(-1 if op == "-" else 1)
         return p
 
-    # GF(p) fractions: a/b parsed as a * b^-1
+    # only Q has fraction coefficients, so parse_factor never sees GF(p) ones
     if ring.char != 0 and "/" in text:
         raise ValueError("fraction coefficients are not supported over GF(p)")
     result = parse_sum()

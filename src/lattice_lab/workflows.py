@@ -204,14 +204,14 @@ def component_prime(lattice, admissible, char=0):
         admissible = AdmissibleSet(tuple(admissible))
     ring = PolyRing(lattice.elements, char)
     gens = _component_gens(lattice, admissible, ring)
-    return _prime_component(ring, admissible, Ideal(ring, gens))
+    return _prime_component(admissible, Ideal(ring, gens))
 
 
-def _prime_component(ring, admissible, ideal):
+def _prime_component(admissible, ideal):
     """PrimeComponent of the ideal P_A: the SNF certificate and the Krull
     dimension both read the ideal's one reduced basis under the default
     order."""
-    dim = krull_dim(initial_ideal(ideal), ring.nvars)
+    dim = krull_dim(initial_ideal(ideal))
     return PrimeComponent(admissible, ideal, _snf_certified(ideal), dim)
 
 
@@ -311,7 +311,7 @@ def minimal_primes(lattice, char=0, _verify=True):
                for _, _, c in below):
             continue
         sides = _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
-        component = _prime_component(ring, adm, ideal)
+        component = _prime_component(adm, ideal)
         found.append((mask, sides, component))
     components = [c for _, _, c in found]
 
@@ -344,44 +344,6 @@ class RadicalCertificate:
     @property
     def is_radical(self):
         return self.verdict == "radical"
-
-
-def _longest_chain(lattice):
-    heights = {}
-    for e in lattice.elements:
-        heights[e] = 0
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in lattice.covers:
-            if heights[hi] < heights[lo] + 1:
-                heights[hi] = heights[lo] + 1
-                changed = True
-    return max(heights.values())
-
-
-def _standard_monomials(ring, ini, degree):
-    """Monomials of the given total degree outside the monomial ideal."""
-    gens = sorted(ini.gens)
-    n = ring.nvars
-    out = []
-    exps = [0] * n
-
-    def rec(pos, remaining):
-        if pos == n - 1:
-            exps[pos] = remaining
-            m = tuple(exps)
-            if not any(all(g[i] <= m[i] for i in range(n)) for g in gens):
-                out.append(m)
-            exps[pos] = 0
-            return
-        for e in range(remaining + 1):
-            exps[pos] = e
-            rec(pos + 1, remaining - e)
-        exps[pos] = 0
-
-    rec(0, degree)
-    return out
 
 
 def _all_monomials(ring, degree):
@@ -418,7 +380,7 @@ def _monomial_normal_forms(gb):
     return nf
 
 
-def _witness_search(jm, degree_bound, power_cap=4):
+def _witness_search(jm, degree_bound, power_cap):
     """First pure difference in √I \\ I among bounded-degree candidates.
 
     Candidates come in two rounds.  Round one rewrites a single variable of a
@@ -497,7 +459,8 @@ def _witness_search(jm, degree_bound, power_cap=4):
                     return ring.monomial(m1) - ring.monomial(m2)
     ini = MonomialIdeal(ring, gb.leading_monomials())
     for d in range(2, degree_bound + 1):
-        std = sorted(_standard_monomials(ring, ini, d), key=key)
+        std = sorted((m for m in _all_monomials(ring, d)
+                      if not ini.contains(m)), key=key)
         packed = [ctx.key_pack(m) for m in std]
         for j in range(len(std)):
             for i in range(j):
@@ -506,7 +469,7 @@ def _witness_search(jm, degree_bound, power_cap=4):
     return None
 
 
-def radical_certificate(lattice, char=0, degree_bound=None, power_cap=4):
+def radical_certificate(lattice, char=0, degree_bound=None):
     """Three-stage radicality check.
 
     1. squarefree initial ideal over a small fixed order family -> radical;
@@ -515,15 +478,13 @@ def radical_certificate(lattice, char=0, degree_bound=None, power_cap=4):
     3. bounded search for a pure-difference element of √I \\ I -> not
        radical with the witness; otherwise inconclusive.
 
-    ``degree_bound`` (default: the longest chain plus 2) must be at least 1,
-    and ``power_cap`` at least 2, so that the search squares something.
+    ``degree_bound`` (default: the lattice's height plus 2) must be at
+    least 1.  A candidate is a witness when its square or fourth power lies
+    in the ideal.
     """
     if degree_bound is not None and degree_bound < 1:
         raise PreconditionViolated(
             f"degree_bound must be at least 1, got {degree_bound}")
-    if power_cap < 2:
-        raise PreconditionViolated(
-            f"power_cap must be at least 2, got {power_cap}")
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     if not jm.ideal.generators:
@@ -549,9 +510,8 @@ def radical_certificate(lattice, char=0, degree_bound=None, power_cap=4):
             )
     except IntersectionMismatch:
         pass
-    bound = (_longest_chain(lattice) + 2 if degree_bound is None
-             else degree_bound)
-    witness = _witness_search(jm, bound, power_cap)
+    bound = lattice.height + 2 if degree_bound is None else degree_bound
+    witness = _witness_search(jm, bound, 4)
     if witness is not None:
         return RadicalCertificate(
             "not_radical", route="witness", witness=witness,
@@ -645,7 +605,7 @@ class _Cone:
         return True
 
 
-def _scan_orders(lattice, kinds, perms, char, stop_on_first=False):
+def _scan_orders(lattice, kinds, perms, char):
     """Scan (kind, permutation) pairs.
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
@@ -707,14 +667,11 @@ def _scan_orders(lattice, kinds, perms, char, stop_on_first=False):
                 counts[kind]["squarefree"] += 1
                 if witness is None:
                     witness = (kind, prio)
-                if stop_on_first:
-                    return counts, witness, leading
     return counts, witness, leading
 
 
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
-                          sample=10000, seed=None, char=0, jobs=None,
-                          stop_on_first=False):
+                          sample=10000, seed=None, char=0, jobs=None):
     """Per-order squarefree verdicts over Lex/DegRevLex variable permutations.
 
     Exhausts all permutations for rings with at most eight variables by
@@ -738,11 +695,10 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         perms = [tuple(rng.sample(range(n), n)) for _ in range(sample)]
         sample_size = sample
     jobs = jobs or os.cpu_count() or 1
-    if jobs > 1 and exhaustive and not stop_on_first:
+    if jobs > 1 and exhaustive:
         counts, witness, leading = _scan_parallel(lattice, kinds, n, char, jobs)
     else:
-        counts, witness, leading = _scan_orders(lattice, kinds, perms, char,
-                                                stop_on_first)
+        counts, witness, leading = _scan_orders(lattice, kinds, perms, char)
     total = sum(c["orders"] for c in counts.values())
     return ScanReport(
         total_orders=total,
@@ -948,7 +904,7 @@ def lk_suite(n, k, char=0):
         "" if dims_ok else f"got {dims}, expected {want_dims}",
     ))
 
-    qdim = krull_dim(ini, ring.nvars)
+    qdim = krull_dim(ini)
     stages.append(StageResult("quotient_dimension", qdim == n,
                               "" if qdim == n else f"got {qdim}"))
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import assume, strategies as st
 
 from lattice_lab.fixtures import (
     build_fixture,
@@ -73,6 +74,28 @@ def radical_fixture_corpus():
         ("Lk(3,2)", lk(3, 2)),
         ("R", lattice_r()),
     ]
+
+
+@st.composite
+def closure_lattices(draw, max_elements=12):
+    """Lattice of a random closure system: subsets of a small ground set
+    closed under intersection, with the ground set as top, by inclusion."""
+    ground = draw(st.integers(4, 5))
+    full = (1 << ground) - 1
+    drawn = draw(st.lists(st.integers(0, full), min_size=3, max_size=8))
+    sets = {full, *drawn}
+    while True:
+        more = {a & b for a in sets for b in sets} - sets
+        if not more:
+            break
+        sets |= more
+    assume(4 <= len(sets) <= max_elements)
+    names = {m: f"s{m}" for m in sets}
+    covers = [(names[a], names[b]) for a in sets for b in sets
+              if a != b and a & b == a
+              and not any(c not in (a, b) and a & c == a and c & b == c
+                          for c in sets)]
+    return build_lattice(sorted(names.values()), covers)
 
 
 @pytest.fixture(scope="session")

@@ -91,7 +91,7 @@ def tuple_order_key(order, ring):
     return lambda m: (sum(m), tuple(-m[i] for i in rev))
 
 
-def scan_orders_uncached(lattice, kinds, perms, char=0, stop_on_first=False):
+def scan_orders_uncached(lattice, kinds, perms, char=0):
     """Reference order scan: one minimal Groebner basis per order, no reuse.
 
     Returns (counts, witness, distinct initial ideals), where the witness is
@@ -125,8 +125,6 @@ def scan_orders_uncached(lattice, kinds, perms, char=0, stop_on_first=False):
                 counts[kind]["squarefree"] += 1
                 if witness is None:
                     witness = (kind, prio)
-                if stop_on_first:
-                    return counts, witness, len(leading)
     return counts, witness, len(leading)
 
 
@@ -166,7 +164,7 @@ def minimal_primes_all_pairs(lattice, char=0):
             and all(not gb.reduce(g) for g in ideal2.generators)
             for _, mask2, ideal2, _ in raw)
         if not dominated:
-            minimal.append(_prime_component(ring, adm, ideal))
+            minimal.append(_prime_component(adm, ideal))
     return minimal
 
 
@@ -195,7 +193,7 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
     """
     from lattice_lab.groebner import MonomialIdeal
     from lattice_lab.poly import sort_key
-    from lattice_lab.workflows import _all_monomials, _standard_monomials
+    from lattice_lab.workflows import _all_monomials
 
     def is_power_witness(f):
         power = f
@@ -231,7 +229,8 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
                     return f
     ini = MonomialIdeal(ring, gb.leading_monomials())
     for d in range(2, degree_bound + 1):
-        std = sorted(_standard_monomials(ring, ini, d), key=key)
+        std = sorted((m for m in _all_monomials(ring, d)
+                      if not ini.contains(m)), key=key)
         for j in range(len(std)):
             mj = ring.monomial(std[j])
             for i in range(j):

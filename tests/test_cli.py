@@ -18,6 +18,12 @@ def test_check_chain(capsys):
     assert "modular: True" in out
 
 
+def test_check_reports_height_of_graded_lattice(capsys):
+    code, out, _ = run(capsys, "check", "--fixture", "N")
+    assert code == 0
+    assert "graded: True (height 4)" in out.splitlines()
+
+
 def test_check_reports_witnesses(capsys):
     code, out, _ = run(capsys, "check", "--fixture", "Q")
     assert code == 0
@@ -90,7 +96,7 @@ def test_lk_suite_exit_zero(capsys):
 def test_fixtures_list_and_dump(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
-    assert "Lk" in out and "Q" in out
+    assert out == "Chain\nM3\nN5\nDivisorLadder\nLk\nN\nQ\nR\n"
     code, out, _ = run(capsys, "fixtures", "--dump", "Q")
     assert code == 0
     data = json.loads(out)
@@ -159,12 +165,46 @@ def test_malformed_lattice_input_is_exit_2(tmp_path, capsys, verb, doc):
 
 @pytest.mark.parametrize("spec", ["Lk:a:1", "Chain:x", "Lk:3:"])
 def test_non_integer_fixture_parameters(capsys, spec):
-    code, out, _ = run(capsys, "check", "--fixture", spec)
+    for verb in ("check", "gb"):
+        code, out, err = run(capsys, verb, "--fixture", spec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid literal for int()")
+        assert err.count("\n") == 1
+
+
+def test_check_unknown_fixture_is_an_error_not_a_lattice_verdict(capsys):
+    code, out, err = run(capsys, "check", "--fixture", "Nope:3")
     assert code == 1
-    assert out.startswith("not a lattice: ")
-    code, out, err = run(capsys, "gb", "--fixture", spec)
-    assert code == 1
-    assert out == "" and err.startswith("error: ")
+    assert out == ""
+    assert err == "error: unknown fixture 'Nope'\n"
+
+
+_CHAR_VERBS = [
+    ["check", "--fixture", "Q"], ["gb", "--fixture", "Q"],
+    ["ini", "--fixture", "Q"], ["primes", "--fixture", "Q"],
+    ["radical", "--fixture", "N"], ["scan", "--fixture", "N5"],
+    ["lk", "--n", "3", "--k", "1"],
+]
+
+
+@pytest.mark.parametrize("char", ["-1", "1", "4", "6"])
+@pytest.mark.parametrize("argv", _CHAR_VERBS, ids=[a[0] for a in _CHAR_VERBS])
+def test_bad_characteristic_is_exit_2(capsys, argv, char):
+    code, out, err = run(capsys, *argv, "--char", char)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --char: characteristic must be 0 or a prime "
+                   f"below 3.3e24, got {char}\n")
+
+
+def test_prime_characteristic_is_accepted(capsys):
+    code, out, _ = run(capsys, "check", "--fixture", "Q", "--char", "32003")
+    assert code == 0
+    code, out, _ = run(capsys, "gb", "--fixture", "Q", "--char", "32003",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["basis"]
 
 
 def test_bad_fixture_is_exit_1_with_message(capsys):

@@ -212,6 +212,10 @@ GOLDEN_RUNS.update({
                              "degrevlex:e,l,b,h,a,d,g,c,f"],
     "radical_N_char32003": ["radical", "--fixture", "N", "--char", str(P)],
 })
+GOLDEN_RUNS.update({
+    f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]
+    for fx in ("Q", "N", "N5", "Lk:3:1")
+})
 
 
 def test_golden_files_match_runs():

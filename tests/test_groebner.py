@@ -413,10 +413,10 @@ def test_lk_degrevlex_initial_not_squarefree():
 
 def test_krull_dim_examples():
     R2 = PolyRing(("x", "y"))
-    assert krull_dim(MonomialIdeal(R2, []), 2) == 2
-    assert krull_dim(MonomialIdeal(R2, [(1, 1)]), 2) == 1
+    assert krull_dim(MonomialIdeal(R2, [])) == 2
+    assert krull_dim(MonomialIdeal(R2, [(1, 1)])) == 1
     jm = join_meet_ideal(lk(3, 1))
-    assert krull_dim(initial_ideal(jm.ideal), jm.ring.nvars) == 3
+    assert krull_dim(initial_ideal(jm.ideal)) == 3
 
 
 def test_dimension_invariant_across_orders(Q_ideal):
@@ -425,7 +425,7 @@ def test_dimension_invariant_across_orders(Q_ideal):
     for order in (degrevlex(R.variables), lex(R.variables),
                   degrevlex(tuple(reversed(R.variables))),
                   lex(tuple(reversed(R.variables)))):
-        dims.add(krull_dim(initial_ideal(Q_ideal.ideal, order), R.nvars))
+        dims.add(krull_dim(initial_ideal(Q_ideal.ideal, order)))
     assert len(dims) == 1
 
 

@@ -1,6 +1,8 @@
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
 
 from lattice_lab import (
     AdmissibleSet,
@@ -31,7 +33,7 @@ from lattice_lab.fixtures import (
 )
 from lattice_lab.lattice import basic_binomial_pairs, is_admissible
 
-from conftest import product_lattice, small_corpus
+from conftest import closure_lattices, product_lattice, small_corpus
 
 
 # -- build_lattice ----------------------------------------------------------
@@ -370,6 +372,47 @@ def test_fixture_n_graded_of_height_4(lattice_N):
     assert lattice_N.top_rank == 4
 
 
+def _chain_height_bruteforce(L):
+    """Edges in the longest strictly increasing chain, read off ``le`` only."""
+    els = L.elements
+
+    @lru_cache(maxsize=None)
+    def above(a):
+        return max((1 + above(b) for b in els if b != a and L.le(a, b)),
+                   default=0)
+
+    return max(above(a) for a in els)
+
+
+_HEIGHT_CASES = [(name, L) for name, L in small_corpus()] + [
+    ("Lk(5,2)", lk(5, 2)), ("DivisorLadder3", divisor_ladder(3)),
+    ("Chain1", chain(1)),
+]
+
+
+@pytest.mark.parametrize("name, L", _HEIGHT_CASES, ids=[c[0] for c in _HEIGHT_CASES])
+def test_height_is_the_longest_chain(name, L):
+    assert L.height == _chain_height_bruteforce(L)
+    if L.is_graded:
+        assert L.top_rank == L.height
+
+
+def test_height_of_non_graded_pentagon():
+    L = pentagon_n5()
+    assert not L.is_graded
+    assert L.height == 3
+    with pytest.raises(PreconditionViolated):
+        L.top_rank
+    with pytest.raises(PreconditionViolated):
+        L.rank("c")
+
+
+@given(closure_lattices())
+@settings(max_examples=100, deadline=None)
+def test_height_is_the_longest_chain_on_closure_systems(L):
+    assert L.height == _chain_height_bruteforce(L)
+
+
 def test_fixture_bad_parameters():
     from lattice_lab import BadParameters
 
@@ -381,3 +424,19 @@ def test_fixture_bad_parameters():
         build_fixture("Mystery")
     with pytest.raises(BadParameters):
         build_fixture("Lk:a:1")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("Nope:3", "unknown fixture 'Nope'"),
+    ("Nope:x", "invalid literal for int() with base 10: 'x'"),
+    ("Q:1", "expected 0 parameters, got 1"),
+    ("Chain", "expected 1 parameters, got 0"),
+    ("Lk:3:", "invalid literal for int() with base 10: ''"),
+    ("Lk:3:3", "need n >= 2 and 1 <= k <= n-1, got n=3, k=3"),
+])
+def test_fixture_spec_error_messages(spec, message):
+    from lattice_lab import BadParameters
+
+    with pytest.raises(BadParameters) as info:
+        build_fixture(spec)
+    assert str(info.value) == message

@@ -236,6 +236,13 @@ def test_parse_rejects_junk(R3):
         R3.from_string("q + 1")
 
 
+def test_parse_rejects_zero_denominator(R3):
+    with pytest.raises(ValueError, match="zero denominator"):
+        R3.from_string("1/0*x")
+    assert R3.from_string("3/4*x - 1/2") == R3.var("x").scale(Fraction(3, 4)) \
+        - R3.constant(Fraction(1, 2))
+
+
 # -- prime field -----------------------------------------------------------------
 
 def test_gf_p_arithmetic():
@@ -245,6 +252,39 @@ def test_gf_p_arithmetic():
     g = R.from_string("3*x*y")
     assert g.monic() == R.from_string("x*y")
     assert (R.var("x") + R.var("y")) ** 5 == R.var("x") ** 5 + R.var("y") ** 5
+
+
+@pytest.mark.parametrize("char", [-1, 1, 4, 6, 32001, 3215031751])
+def test_ring_rejects_non_prime_characteristic(char):
+    with pytest.raises(ValueError, match="0 or a prime"):
+        PolyRing(("x",), char)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 41, 43, 32003, 2**31 - 1, 2**61 - 1])
+def test_ring_accepts_zero_and_primes(char):
+    assert PolyRing(("x",), char).char == char
+
+
+def test_ring_rejects_characteristic_past_the_exact_range():
+    from lattice_lab.poly import _PRIME_LIMIT
+
+    # 2^127 - 1 is prime, but past the range where the test is proven exact
+    assert 2**127 - 1 > _PRIME_LIMIT
+    for char in (_PRIME_LIMIT, 2**127 - 1):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            PolyRing(("x",), char)
+
+
+def test_primality_matches_trial_division():
+    from lattice_lab.poly import _is_prime
+
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(20000))
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
 
 
 def test_gf_p_rejects_fractions():

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lattice_lab import (
     AdmissibleSet,
@@ -44,11 +44,7 @@ from lattice_lab.fixtures import (
 )
 from lattice_lab import groebner
 from lattice_lab.groebner import buchberger, ideal_contains
-from lattice_lab.lattice import (
-    build_lattice,
-    enumerate_admissible_sets,
-    restrict_to_complement,
-)
+from lattice_lab.lattice import enumerate_admissible_sets, restrict_to_complement
 from lattice_lab.poly import product
 from lattice_lab.workflows import (
     IntegerLattice,
@@ -60,6 +56,7 @@ from lattice_lab.workflows import (
 )
 
 from conftest import (
+    closure_lattices,
     distributive_corpus,
     product_lattice,
     radical_fixture_corpus,
@@ -157,8 +154,7 @@ def test_prime_component_reads_certificate_and_dim_off_one_basis():
     # the reduced basis is (x^2 - y^2, z): the certificate must skip the
     # variable z and still see the non-saturated lattice 2Z(1,-1,0)
     R = PolyRing(("x", "y", "z"))
-    comp = _prime_component(R, AdmissibleSet(("z",)),
-                            Ideal(R, ["z", "x^2 - y^2"]))
+    comp = _prime_component(AdmissibleSet(("z",)), Ideal(R, ["z", "x^2 - y^2"]))
     assert not comp.certified_prime
     assert comp.dim == 1
 
@@ -277,7 +273,7 @@ def _assert_certificate_and_dim_match_fresh_bases(components):
         binomials = [g for g in c.ideal.generators if len(g.terms) == 2]
         assert c.certified_prime == certify_saturated_part(ring, binomials)
         fresh = Ideal(ring, c.ideal.generators)
-        assert c.dim == krull_dim(initial_ideal(fresh), ring.nvars)
+        assert c.dim == krull_dim(initial_ideal(fresh))
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -297,28 +293,6 @@ def test_minimal_primes_match_all_pairs_oracle(make, char):
     assert (_component_facts(components)
             == _component_facts(minimal_primes_all_pairs(L, char)))
     _assert_certificate_and_dim_match_fresh_bases(components)
-
-
-@st.composite
-def closure_lattices(draw, max_elements=12):
-    """Lattice of a random closure system: subsets of a small ground set
-    closed under intersection, with the ground set as top, by inclusion."""
-    ground = draw(st.integers(4, 5))
-    full = (1 << ground) - 1
-    drawn = draw(st.lists(st.integers(0, full), min_size=3, max_size=8))
-    sets = {full, *drawn}
-    while True:
-        more = {a & b for a in sets for b in sets} - sets
-        if not more:
-            break
-        sets |= more
-    assume(4 <= len(sets) <= max_elements)
-    names = {m: f"s{m}" for m in sets}
-    covers = [(names[a], names[b]) for a in sets for b in sets
-              if a != b and a & b == a
-              and not any(c not in (a, b) and a & c == a and c & b == c
-                          for c in sets)]
-    return build_lattice(sorted(names.values()), covers)
 
 
 @given(closure_lattices(), st.sampled_from([0, 32003]))
@@ -393,7 +367,7 @@ def test_restriction_ideal_is_zeroed_image():
 def test_distributive_dimension_formula():
     for name, L in distributive_corpus():
         jm = join_meet_ideal(L)
-        dim = krull_dim(initial_ideal(jm.ideal), jm.ring.nvars)
+        dim = krull_dim(initial_ideal(jm.ideal))
         assert dim == len(join_irreducibles(L)) + 1, name
 
 
@@ -446,12 +420,6 @@ def test_m3_certificate_reports_a_definite_verdict():
 def test_radical_certificate_rejects_degree_bound_below_one(lattice_N, bound):
     with pytest.raises(PreconditionViolated):
         radical_certificate(lattice_N, degree_bound=bound)
-
-
-@pytest.mark.parametrize("cap", [1, 0, -4])
-def test_radical_certificate_rejects_power_cap_below_two(lattice_N, cap):
-    with pytest.raises(PreconditionViolated):
-        radical_certificate(lattice_N, power_cap=cap)
 
 
 def test_radical_certificate_honours_small_degree_bound(lattice_N):
@@ -557,7 +525,7 @@ def test_scan_chain_vacuously_squarefree():
 
 
 def test_scan_q_lex_identity_is_squarefree(lattice_Q):
-    rep = squarefree_order_scan(lattice_Q, stop_on_first=True)
+    rep = squarefree_order_scan(lattice_Q, kinds=("lex",), jobs=1)
     assert rep.any_squarefree
     assert rep.witness_kind == "lex"
     assert rep.witness_priority == tuple("abcdefg")
@@ -587,30 +555,31 @@ _BOTH = ("lex", "degrevlex")
 
 
 # each case: lattice, kinds, ("full",) | ("sample", count, seed) |
-# ("prefix", count), stop_on_first
+# ("prefix", count)
 _ORACLE_CASES = [
-    pytest.param(lambda: lk(2, 1), _BOTH, ("full",), False, id="Lk21-full"),
-    pytest.param(lattice_q, _BOTH, ("full",), False, id="Q-full"),
-    pytest.param(lattice_q, ("lex",), ("full",), False, id="Q-full-lex"),
-    pytest.param(lattice_n, _BOTH, ("sample", 100, 3), False, id="N-sample"),
-    pytest.param(lattice_r, _BOTH, ("sample", 100, 5), False, id="R-sample"),
-    pytest.param(_boolean_cube, ("lex",), ("sample", 100, 1), False,
+    pytest.param(lambda: lk(2, 1), _BOTH, ("full",), id="Lk21-full"),
+    pytest.param(lattice_q, _BOTH, ("full",), id="Q-full"),
+    pytest.param(lattice_q, ("lex",), ("full",), id="Q-full-lex"),
+    pytest.param(lattice_n, _BOTH, ("sample", 100, 3), id="N-sample"),
+    pytest.param(lattice_r, _BOTH, ("sample", 100, 5), id="R-sample"),
+    pytest.param(_boolean_cube, ("lex",), ("sample", 100, 1),
                  id="B3-sample-lex"),
-    # the first lex order is not squarefree, the first degrevlex one is
-    pytest.param(_boolean_cube, _BOTH, ("sample", 100, 38), True,
+    # the first lex order is not squarefree, the first degrevlex one is: the
+    # witness is the first squarefree order of the scan, of either kind
+    pytest.param(_boolean_cube, _BOTH, ("sample", 100, 38),
                  id="B3-stop-on-first"),
-    pytest.param(lattice_n, _BOTH, ("prefix", 20000), False, id="N-prefix-20k",
+    pytest.param(lattice_n, _BOTH, ("prefix", 20000), id="N-prefix-20k",
                  marks=pytest.mark.slow),
 ]
 
 
-@pytest.mark.parametrize("make, kinds, perms, stop", _ORACLE_CASES)
-def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms, stop):
+@pytest.mark.parametrize("make, kinds, perms", _ORACLE_CASES)
+def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms):
     lattice = make()
     n = len(lattice.elements)
     if perms[0] == "prefix":
         ps = list(itertools.islice(itertools.permutations(range(n)), perms[1]))
-        counts, witness, leading = _scan_orders(lattice, kinds, ps, 0, stop)
+        counts, witness, leading = _scan_orders(lattice, kinds, ps, 0)
         distinct = len(leading)
     else:
         if perms[0] == "full":
@@ -621,14 +590,13 @@ def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms, stop):
             rng = random.Random(seed)  # the recipe squarefree_order_scan uses
             ps = [tuple(rng.sample(range(n), n)) for _ in range(count)]
             options = dict(exhaustive=False, sample=count, seed=seed)
-        rep = squarefree_order_scan(lattice, kinds=kinds, jobs=1,
-                                    stop_on_first=stop, **options)
+        rep = squarefree_order_scan(lattice, kinds=kinds, jobs=1, **options)
         counts = rep.counts
         witness = (rep.witness_kind, rep.witness_priority) if rep.any_squarefree \
             else None
         distinct = rep.distinct_initial_ideals
     assert (counts, witness, distinct) == scan_orders_uncached(
-        lattice, kinds, ps, 0, stop)
+        lattice, kinds, ps, 0)
 
 
 def test_scan_q_witness_is_the_first_order(lattice_Q):

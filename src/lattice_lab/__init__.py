@@ -61,7 +61,6 @@ from .groebner import (
 )
 from .snf import smith_normal_form
 from .workflows import (
-    IntegerLattice,
     JoinMeetIdeal,
     PrimeComponent,
     RadicalCertificate,

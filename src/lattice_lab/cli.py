@@ -84,6 +84,8 @@ def _emit(args, report, text_lines):
     else:
         for line in text_lines:
             print(line)
+        if "timings" in report:
+            print(f"time: {report['timings']['seconds']} s")
 
 
 def _maybe_time(args, report, started):
@@ -152,11 +154,7 @@ def _cmd_ini(args):
     order = _parse_order(jm.ring, args.order)
     ini = initial_ideal(jm.ideal, order)
     ring = jm.ring
-    gens = [
-        "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(ring.variables, m) if e)
-        or "1"
-        for m in ini.sorted_gens()
-    ]
+    gens = [ring.monomial_text(m) for m in ini.sorted_gens()]
     report = {"order": order.describe(ring), "generators": gens,
               "squarefree": ini.is_squarefree(),
               "quotient_dim": krull_dim(ini)}

@@ -77,10 +77,7 @@ class NotSaturatedInput(LatticeLabError):
 class IntersectionMismatch(LatticeLabError):
     """Computed component intersection differs from the join-meet ideal."""
 
-    def __init__(self, lattice, witness=None):
+    def __init__(self, lattice):
         self.lattice = lattice
-        self.witness = witness
-        msg = "intersection of components does not equal the join-meet ideal"
-        if witness is not None:
-            msg += f" (witness: {witness})"
-        super().__init__(msg)
+        super().__init__(
+            "intersection of components does not equal the join-meet ideal")

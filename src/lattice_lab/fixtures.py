@@ -75,7 +75,7 @@ def lk(n, k):
 
     Covers: the ladder's, plus x_k < z < y_{k+1}.
     """
-    if n < 1 or not (1 <= k <= n - 1):
+    if not (1 <= k <= n - 1):
         raise BadParameters(f"need n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{i}" for i in range(1, n + 1)]

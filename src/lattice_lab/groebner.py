@@ -439,22 +439,30 @@ def _entry_to_poly(ctx, entry):
     return Poly(ring, {ctx.unpack(m): c for m, c in terms.items()})
 
 
+def _binomial_shape(g):
+    """The monomials of g when g is a monomial (one) or a pure difference
+    c*(x^u - x^v) (two), else None: the one shape test of the binomial
+    engine."""
+    if len(g.terms) > 2:
+        return None
+    if len(g.terms) == 2:
+        c1, c2 = g.terms.values()
+        if g.ring.coeff(c1 + c2) != 0:
+            return None
+    return tuple(g.terms)
+
+
 def _binomial_elements(ctx, polys):
     """Pure-difference/monomial elements for the fast path, or None."""
     out = []
     for g in polys:
-        items = list(g.terms.items())
-        if not items:
-            continue
-        if len(items) == 1:
-            out.append((*ctx.key_pack(items[0][0]), -1, -1))
-        elif len(items) == 2:
-            (m1, c1), (m2, c2) = items
-            if ctx.ring.coeff(c1 + c2) != 0:
-                return None
-            out.append((*ctx.key_pack(m1), *ctx.key_pack(m2)))
-        else:
+        shape = _binomial_shape(g)
+        if shape is None:
             return None
+        if len(shape) == 1:
+            out.append((*ctx.key_pack(shape[0]), -1, -1))
+        else:
+            out.append((*ctx.key_pack(shape[0]), *ctx.key_pack(shape[1])))
     return out
 
 
@@ -581,12 +589,8 @@ class MonomialIdeal:
         return len(self.gens)
 
     def __repr__(self):
-        names = [
-            "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(self.ring.variables, m) if e)
-            or "1"
-            for m in self.sorted_gens()
-        ]
-        return f"MonomialIdeal({', '.join(names)})"
+        names = ", ".join(self.ring.monomial_text(m) for m in self.sorted_gens())
+        return f"MonomialIdeal({names})"
 
 
 class Ideal:
@@ -614,9 +618,6 @@ class Ideal:
             gb = buchberger(self.generators, order, ring=self.ring)
             self._cache[order] = gb
         return gb
-
-    def contains(self, f, order=None):
-        return ideal_member(f, self, order)
 
     def plus(self, extra):
         extra = [self.ring.from_string(g) if isinstance(g, str) else g for g in extra]

@@ -74,7 +74,7 @@ class Lattice:
     """Finite lattice with cached join/meet tables and structural facts."""
 
     __slots__ = (
-        "elements", "covers", "index", "_up", "_down",
+        "elements", "covers", "index", "_up",
         "join_table", "meet_table", "is_graded", "_ranks",
     )
 
@@ -83,7 +83,7 @@ class Lattice:
             raise TypeError("use build_lattice()")
         self.elements = tuple(elements)
         self.covers = tuple(covers)
-        (self.index, self._up, self._down, self.join_table,
+        (self.index, self._up, self.join_table,
          self.meet_table, self.is_graded, self._ranks) = _internal
 
     # -- order queries -------------------------------------------------------
@@ -113,16 +113,6 @@ class Lattice:
     def height(self):
         """Length of the longest chain, graded or not."""
         return max(self._ranks)
-
-    @property
-    def bottom(self):
-        i = min(range(len(self.elements)), key=lambda i: bin(self._down[i]).count("1"))
-        return self.elements[i]
-
-    @property
-    def top(self):
-        i = min(range(len(self.elements)), key=lambda i: bin(self._up[i]).count("1"))
-        return self.elements[i]
 
     def incomparable_pairs(self):
         """Unordered incomparable pairs in element-index order."""
@@ -263,7 +253,7 @@ def build_lattice(elements, covers):
     return Lattice(
         elements,
         cover_names,
-        _internal=(index, up, down, join_table, meet_table, graded,
+        _internal=(index, up, join_table, meet_table, graded,
                    tuple(ranks)),
     )
 

@@ -274,6 +274,11 @@ class PolyRing:
     def from_string(self, text):
         return _parse_poly(self, text)
 
+    def monomial_text(self, exps):
+        """Text of the monomial with exponent tuple ``exps``: 'x^2*y', or '1'."""
+        return "*".join(f"{v}^{e}" if e > 1 else v
+                        for v, e in zip(self.variables, exps) if e) or "1"
+
 
 class Poly:
     """Immutable polynomial: exponent-tuple -> nonzero coefficient."""
@@ -295,9 +300,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -445,17 +447,13 @@ class Poly:
             return "0"
         parts = []
         for c, m in self.sorted_terms(order):
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.ring.variables, m)
-                if e
-            )
             neg = c < 0
             mag = -c if neg else c
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
+            if not any(m):
                 body = str(mag)
+            else:
+                mono = self.ring.monomial_text(m)
+                body = mono if mag == 1 else f"{mag}*{mono}"
             if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:

@@ -12,11 +12,16 @@ class SmithForm:
     invariant_factors: tuple
     U: tuple
     V: tuple
-    diagonal: tuple
 
     @property
     def nonzero_factors(self):
         return tuple(d for d in self.invariant_factors if d != 0)
+
+    @property
+    def saturated(self):
+        """True when the row lattice is saturated in Z^cols: the quotient is
+        torsion-free, so every nonzero invariant factor equals one."""
+        return all(d == 1 for d in self.nonzero_factors)
 
 
 def _identity(n):
@@ -27,7 +32,8 @@ def smith_normal_form(matrix):
     """Diagonalize an integer matrix with row/column operations.
 
     Returns a SmithForm whose invariant factors satisfy d1 | d2 | ... and are
-    non-negative, with the recorded transforms exact: U*m*V == diagonal.
+    non-negative, with the recorded transforms exact:
+    U*m*V == diag(invariant_factors).
     """
     A = [list(map(int, row)) for row in matrix]
     rows = len(A)
@@ -123,7 +129,6 @@ def smith_normal_form(matrix):
         invariant_factors=tuple(diag),
         U=tuple(tuple(r) for r in U),
         V=tuple(tuple(r) for r in V),
-        diagonal=tuple(tuple(r) for r in A),
     )
 
 
@@ -185,16 +190,8 @@ def echelon_basis(matrix):
 
 
 def is_saturated(matrix):
-    """True when the row lattice is saturated in Z^cols.
-
-    Equivalent to the quotient being torsion-free: every nonzero invariant
-    factor equals one.
-    """
-    rows = [r for r in matrix if any(r)]
-    if not rows:
-        return True
-    snf = smith_normal_form(rows)
-    return all(d == 1 for d in snf.nonzero_factors)
+    """True when the row lattice is saturated in Z^cols (SmithForm.saturated)."""
+    return smith_normal_form(matrix).saturated
 
 
 def det(matrix):

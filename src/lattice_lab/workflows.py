@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
-    BadParameters,
     IntersectionMismatch,
     NotPureDifference,
     NotSaturatedInput,
@@ -35,6 +34,7 @@ from .groebner import (
     MonomialIdeal,
     _bin_reduce_monomial,
     _binomial_buchberger,
+    _binomial_shape,
     _Ctx,
     _overflow,
     buchberger,
@@ -60,40 +60,10 @@ class JoinMeetIdeal:
 
     lattice: object
     ideal: Ideal
-    basic_binomials: tuple  # ((a, b), Poly)
 
     @property
     def ring(self):
         return self.ideal.ring
-
-
-@dataclass(frozen=True)
-class IntegerLattice:
-    """Exponent-difference lattice of a pure-difference binomial family."""
-
-    rows: tuple
-    smith_invariants: tuple
-
-    @classmethod
-    def from_binomials(cls, polys, ring):
-        rows = []
-        for g in polys:
-            items = sorted(g.terms.items(), key=lambda kv: kv[0])
-            if len(items) != 2:
-                raise NotPureDifference(g)
-            (m1, c1), (m2, c2) = items
-            if ring.coeff(c1 + c2) != 0:
-                raise NotPureDifference(g)
-            rows.append(tuple(a - b for a, b in zip(m1, m2)))
-        invariants = ()
-        nonzero = [r for r in rows if any(r)]
-        if nonzero:
-            invariants = smith_normal_form(nonzero).invariant_factors
-        return cls(tuple(rows), invariants)
-
-    @property
-    def saturated(self):
-        return all(d == 1 for d in self.smith_invariants if d != 0)
 
 
 @dataclass(frozen=True)
@@ -108,15 +78,11 @@ class PrimeComponent:
 
 
 def join_meet_ideal(lattice, char=0):
-    """Basic binomials of every incomparable pair, deduplicated, in order."""
+    """The basic binomial of every incomparable pair, in pair order."""
     ring = PolyRing(lattice.elements, char)
-    gens = []
-    pairs = []
-    for (a, b), (c, d) in basic_binomial_pairs(lattice):
-        g = ring.monomial({a: 1, b: 1}) - ring.monomial({c: 1, d: 1})
-        gens.append(g)
-        pairs.append(((a, b), g))
-    return JoinMeetIdeal(lattice, Ideal(ring, gens), tuple(pairs))
+    gens = [ring.monomial({a: 1, b: 1}) - ring.monomial({c: 1, d: 1})
+            for (a, b), (c, d) in basic_binomial_pairs(lattice)]
+    return JoinMeetIdeal(lattice, Ideal(ring, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -124,50 +90,44 @@ def join_meet_ideal(lattice, char=0):
 # ---------------------------------------------------------------------------
 
 
-def _split_component_shape(ideal):
-    """(variable names, binomial generators); raises NotPureDifference."""
-    ring = ideal.ring
-    variables = []
-    binomials = []
-    for g in ideal.generators:
-        items = list(g.terms.items())
-        if len(items) == 1:
-            m, _ = items[0]
-            if sum(m) != 1:
-                raise NotPureDifference(g)
-            variables.append(ring.variables[m.index(1)])
-        elif len(items) == 2 and ring.coeff(items[0][1] + items[1][1]) == 0:
-            binomials.append(g)
-        else:
-            raise NotPureDifference(g)
-    bad = set(variables)
-    for g in binomials:
-        if any(ring.variables[i] in bad for i in g.support()):
-            raise NotPureDifference(g)
-    return tuple(variables), tuple(binomials)
-
-
 def _snf_certified(ideal):
-    """SNF certificate read off the reduced basis of a component: its two-term
-    elements span a saturated exponent lattice.  The one-term elements are
-    the component's variables: a proper pure-difference ideal holds no
+    """SNF certificate read off the reduced basis of a component of
+    monomials and pure differences: the rows u - v of its two-term elements
+    x^u - x^v span a saturated lattice.  The basis is binomial-engine output,
+    so each two-term element is a pure difference, and its one-term elements
+    are the component's variables: a proper pure-difference ideal holds no
     monomial, because its elements vanish at the all-ones point."""
-    binomials = [g for g in ideal.groebner().basis if len(g.terms) == 2]
-    return IntegerLattice.from_binomials(binomials, ideal.ring).saturated
+    rows = [tuple(a - b for a, b in zip(*g.terms))
+            for g in ideal.groebner().basis if len(g.terms) == 2]
+    return not rows or smith_normal_form(rows).saturated
 
 
 def certify_prime_component(ideal):
     """True iff the component ideal (pure differences + variables) is prime.
 
-    The pure-difference part must already be saturated with respect to the
-    product of the variables it involves; its exponent-difference lattice is
-    then saturated exactly when the component is prime.
+    Each generator must be a variable (up to a unit) or a pure difference
+    that involves none of those variables, else NotPureDifference.  The
+    pure-difference part must already be saturated with respect to the
+    product of the other variables, else NotSaturatedInput; its
+    exponent-difference lattice is then saturated exactly when the component
+    is prime (Eisenbud–Sturmfels 1996).
     """
     ring = ideal.ring
-    variables, binomials = _split_component_shape(ideal)
+    variables, binomials = set(), []
+    for g in ideal.generators:
+        shape = _binomial_shape(g)
+        if shape is None or (len(shape) == 1 and sum(shape[0]) != 1):
+            raise NotPureDifference(g)
+        if len(shape) == 1:
+            variables.add(shape[0].index(1))
+        else:
+            binomials.append(g)
+    for g in binomials:
+        if variables.intersection(g.support()):
+            raise NotPureDifference(g)
     part = Ideal(ring, binomials)
     if binomials:
-        survivors = [v for v in ring.variables if v not in set(variables)]
+        survivors = [v for i, v in enumerate(ring.variables) if i not in variables]
         sat = saturate(part, product([ring.var(v) for v in survivors], ring))
         if not ideal_equal(sat, part):
             raise NotSaturatedInput(
@@ -826,9 +786,8 @@ def lk_expected_primes(n, k, ring, ideal):
 
 
 def lk_suite(n, k, char=0):
-    """Verify the documented facts about the two-rail-plus-diamond family."""
-    if n < 2 or not (1 <= k <= n - 1):
-        raise BadParameters(f"need n >= 2 and 1 <= k <= n-1, got ({n}, {k})")
+    """Verify the documented facts about the two-rail-plus-diamond family;
+    ``fixtures.lk`` raises BadParameters for an (n, k) outside the family."""
     lattice = build_lk(n, k)
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring

@@ -174,7 +174,7 @@ def certify_saturated_part(ring, binomials):
     the exponent differences of its elements must span a saturated lattice.
     """
     from lattice_lab.groebner import buchberger
-    from lattice_lab.workflows import IntegerLattice
+    from lattice_lab.snf import is_saturated
 
     if not binomials:
         return True
@@ -182,7 +182,7 @@ def certify_saturated_part(ring, binomials):
     if any(len(g.terms) == 1 for g in gb.basis):
         # a saturated proper pure-difference ideal has no monomials
         return False
-    return IntegerLattice.from_binomials(gb.basis, ring).saturated
+    return is_saturated([tuple(a - b for a, b in zip(*g.terms)) for g in gb.basis])
 
 
 def witness_search_poly(jm, degree_bound, power_cap=4):

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +257,41 @@ def test_radical_small_degree_bound_is_inconclusive(capsys):
     data = json.loads(out)
     assert data["verdict"] == "inconclusive"
     assert data["detail"].endswith("no witness up to degree 3")
+
+
+def test_timings_text_mode_ends_with_time_line(capsys):
+    code, plain, _ = run(capsys, "primes", "--fixture", "Q")
+    assert code == 0
+    code, timed, _ = run(capsys, "primes", "--fixture", "Q", "--timings")
+    assert code == 0
+    *lines, last = timed.splitlines()
+    assert lines == plain.splitlines()
+    assert re.fullmatch(r"time: \d+\.\d+ s", last)
+
+
+def test_timings_json_mode_adds_seconds(capsys):
+    code, plain, _ = run(capsys, "primes", "--fixture", "Q", "--json")
+    assert code == 0
+    code, timed, _ = run(capsys, "primes", "--fixture", "Q", "--json", "--timings")
+    assert code == 0
+    data = json.loads(timed)
+    assert isinstance(data.pop("timings")["seconds"], float)
+    assert data == json.loads(plain)
+
+
+def _readme_blocks(lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def test_readme_examples_run(capsys):
+    (library,) = _readme_blocks("python")
+    exec(compile(library, "README.md", "exec"), {})
+    commands = [shlex.split(line, comments=True)
+                for block in _readme_blocks("sh") for line in block.splitlines()
+                if line.startswith("lattice-lab ")]
+    assert commands
+    for argv in commands:
+        code = main(argv[1:])
+        capsys.readouterr()
+        assert code == 0, " ".join(argv)

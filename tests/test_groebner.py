@@ -356,6 +356,28 @@ def test_saturate_by_all_variables_matches_elimination(lattice):
     assert fast.generators == ref.groebner().basis
 
 
+def _saturate_by_colon(I, f):
+    """I : f^∞ as the fixed point of I : f, (I : f) : f, ..."""
+    while True:
+        J = colon(I, f)
+        if ideal_equal(J, I):
+            return I
+        I = J
+
+
+@pytest.mark.parametrize("gens,f,expected", [
+    (["x*y - x"], "x", ["y - 1"]),  # a pure difference, not homogeneous
+    (["x*y + y"], "x + 1", ["y"]),  # f not a monomial
+    (["x^2*y + x*y^2 + y"], "y", ["x^2 + x*y + 1"]),
+], ids=["inhomogeneous-difference", "binomial-f", "trinomial"])
+def test_saturate_generic_route(gens, f, expected):
+    R = PolyRing(("x", "y"))
+    I, f = Ideal(R, gens), R.from_string(f)
+    sat = saturate(I, f)
+    assert ideal_equal(sat, Ideal(R, expected))
+    assert ideal_equal(sat, _saturate_by_colon(I, f))
+
+
 def test_colon_of_zero_divisor_raises(Q_ideal):
     with pytest.raises(ZeroDivisor):
         colon(Q_ideal.ideal, Q_ideal.ring.zero())

@@ -44,10 +44,13 @@ from lattice_lab.fixtures import (
 )
 from lattice_lab import groebner
 from lattice_lab.groebner import buchberger, ideal_contains
-from lattice_lab.lattice import enumerate_admissible_sets, restrict_to_complement
+from lattice_lab.lattice import (
+    basic_binomial_pairs,
+    enumerate_admissible_sets,
+    restrict_to_complement,
+)
 from lattice_lab.poly import product
 from lattice_lab.workflows import (
-    IntegerLattice,
     _component_gens,
     _monomial_normal_forms,
     _prime_component,
@@ -73,9 +76,8 @@ from oracles import (
 # -- join-meet ideal -----------------------------------------------------------
 
 def test_chain_has_zero_ideal():
-    jm = join_meet_ideal(chain(5))
-    assert not jm.ideal.generators
-    assert not jm.basic_binomials
+    assert not join_meet_ideal(chain(5)).ideal.generators
+    assert not basic_binomial_pairs(chain(5))
 
 
 def test_lk_generators_include_published_triple():
@@ -92,7 +94,11 @@ def test_q_basic_binomials(lattice_Q):
     expected = {R.from_string(s) for s in
                 ("b*c - a*e", "c*d - a*g", "c*f - a*g", "d*e - b*g", "e*f - b*g")}
     assert set(jm.ideal.generators) == expected
-    assert [p for p, _ in jm.basic_binomials] == lattice_Q.incomparable_pairs()
+    pairs = basic_binomial_pairs(lattice_Q)
+    assert [p for p, _ in pairs] == lattice_Q.incomparable_pairs()
+    assert list(jm.ideal.generators) == [
+        R.monomial({a: 1, b: 1}) - R.monomial({c: 1, d: 1})
+        for (a, b), (c, d) in pairs]
 
 
 def test_generator_count_equals_incomparable_pairs():
@@ -113,6 +119,8 @@ def test_dual_has_same_ideal():
 def test_single_primitive_binomial_is_prime():
     R = PolyRing(("x", "y", "z", "w"))
     assert certify_prime_component(Ideal(R, ["x*y - z*w"]))
+    # row (1, 1, -2, 0) has gcd 1, so its lattice is saturated
+    assert certify_prime_component(Ideal(R, ["x*y - z^2"]))
 
 
 def test_published_component_j_is_prime(lattice_Q):
@@ -136,6 +144,22 @@ def test_non_pure_difference_rejected():
         certify_prime_component(Ideal(R, ["x^2"]))  # monomial, not a variable
 
 
+def test_variables_among_generators_are_split_off():
+    R = PolyRing(("x", "y", "z", "w"))
+    assert certify_prime_component(Ideal(R, ["z", "x*y - w^2"]))
+    assert certify_prime_component(Ideal(R, ["2*z", "x*y - w^2"]))  # z up to a unit
+    with pytest.raises(NotPureDifference):
+        certify_prime_component(Ideal(R, ["x", "x*y - z*w"]))  # x in both
+
+
+def test_inhomogeneous_part_is_saturated_by_elimination():
+    # not homogeneous, so saturate takes its generic 1 - t*f route
+    R = PolyRing(("x", "y", "z"))
+    assert certify_prime_component(Ideal(R, ["x - y^2"]))
+    # saturated w.r.t. xyz, but its lattice 2Z(1,-1,-1) is not saturated
+    assert not certify_prime_component(Ideal(R, ["x^2 - y^2*z^2"]))
+
+
 def test_unsaturated_input_rejected():
     R = PolyRing(("x", "y", "z"))
     # x*(y - z) generates an ideal not saturated w.r.t. x
@@ -157,13 +181,6 @@ def test_prime_component_reads_certificate_and_dim_off_one_basis():
     comp = _prime_component(AdmissibleSet(("z",)), Ideal(R, ["z", "x^2 - y^2"]))
     assert not comp.certified_prime
     assert comp.dim == 1
-
-
-def test_integer_lattice_rows():
-    R = PolyRing(("x", "y", "z"))
-    lat = IntegerLattice.from_binomials([R.from_string("x*y - z^2")], R)
-    assert lat.rows in (((1, 1, -2),), ((-1, -1, 2),))
-    assert lat.saturated
 
 
 def test_distributive_fixtures_have_prime_saturation():

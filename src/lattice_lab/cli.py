@@ -7,6 +7,10 @@ its squarefree verdict, ``primes`` the minimal-prime decomposition,
 scan, ``lk`` the two-rail family suite, and ``fixtures`` lists or dumps the
 bundled lattices.
 
+Each verb loads its input, computes and returns ``(status, report, lines)``;
+``main`` alone times the verb, prints the JSON report or the text lines and
+returns the status.
+
 Exit status: 0 on success, 1 on a failed verification check, 2 on bad
 arguments or unreadable input.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -48,15 +53,17 @@ class SystemExit2(Exception):
 
 
 def _load_lattice(args):
-    if getattr(args, "fixture", None):
+    if args.fixture and args.input:
+        raise SystemExit2("pass only one of --fixture or --input")
+    if args.fixture:
         return build_fixture(args.fixture)
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
             return lattice_from_json(text)
-        except json.JSONDecodeError:
-            raise
+        except json.JSONDecodeError as exc:
+            raise SystemExit2(f"invalid JSON input ({exc})") from None
         except (TypeError, ValueError) as exc:
             # a missing key, a cover naming an unknown element, duplicates
             raise SystemExit2(f"invalid lattice input ({exc})") from None
@@ -78,30 +85,13 @@ def _parse_order(ring, text):
     return order
 
 
-def _emit(args, report, text_lines):
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-        if "timings" in report:
-            print(f"time: {report['timings']['seconds']} s")
-
-
-def _maybe_time(args, report, started):
-    if getattr(args, "timings", False):
-        report["timings"] = {"seconds": round(time.perf_counter() - started, 3)}
-
-
 def _cmd_check(args):
-    started = time.perf_counter()
     try:
         lattice = _load_lattice(args)
     except (NotAPoset, NotALattice, NoBounds) as exc:
         report = {"lattice": None, "checks": [
             {"name": "is_lattice", "pass": False, "witness": str(exc)}]}
-        _emit(args, report, [f"not a lattice: {exc}"])
-        return 1
+        return 1, report, [f"not a lattice: {exc}"]
     dist = is_distributive(lattice)
     mod = is_modular(lattice)
     checks = [
@@ -120,7 +110,6 @@ def _cmd_check(args):
         "checks": checks,
         "join_irreducibles": list(join_irreducibles(lattice)),
     }
-    _maybe_time(args, report, started)
     lines = [f"elements: {', '.join(lattice.elements)}",
              f"graded: {lattice.is_graded}"
              + (f" (height {lattice.top_rank})" if lattice.is_graded else ""),
@@ -129,26 +118,21 @@ def _cmd_check(args):
              f"modular: {mod.modular}"
              + (f" (pentagon {mod.witness.elements})" if mod.witness else ""),
              f"join irreducibles: {', '.join(join_irreducibles(lattice))}"]
-    _emit(args, report, lines)
-    return 0
+    return 0, report, lines
 
 
 def _cmd_gb(args):
-    started = time.perf_counter()
     lattice = _load_lattice(args)
     jm = join_meet_ideal(lattice, args.char)
     order = _parse_order(jm.ring, args.order)
     gb = jm.ideal.groebner(order)
     basis = [g.to_string(order) for g in gb.basis]
-    report = {"lattice": getattr(args, "fixture", None) or args.input,
+    report = {"lattice": args.fixture or args.input,
               "order": order.describe(jm.ring), "basis": basis}
-    _maybe_time(args, report, started)
-    _emit(args, report, [f"order: {report['order']}"] + [f"  {b}" for b in basis])
-    return 0
+    return 0, report, [f"order: {report['order']}"] + [f"  {b}" for b in basis]
 
 
 def _cmd_ini(args):
-    started = time.perf_counter()
     lattice = _load_lattice(args)
     jm = join_meet_ideal(lattice, args.char)
     order = _parse_order(jm.ring, args.order)
@@ -158,17 +142,13 @@ def _cmd_ini(args):
     report = {"order": order.describe(ring), "generators": gens,
               "squarefree": ini.is_squarefree(),
               "quotient_dim": krull_dim(ini)}
-    _maybe_time(args, report, started)
-    _emit(args, report,
-          [f"order: {report['order']}",
-           f"initial ideal: ({', '.join(gens) if gens else '0'})",
-           f"squarefree: {report['squarefree']}",
-           f"quotient dimension: {report['quotient_dim']}"])
-    return 0
+    return 0, report, [f"order: {report['order']}",
+                       f"initial ideal: ({', '.join(gens) if gens else '0'})",
+                       f"squarefree: {report['squarefree']}",
+                       f"quotient dimension: {report['quotient_dim']}"]
 
 
 def _cmd_primes(args):
-    started = time.perf_counter()
     lattice = _load_lattice(args)
     components = minimal_primes(lattice, args.char)
     report = {
@@ -181,18 +161,15 @@ def _cmd_primes(args):
         ],
         "checks": [{"name": "intersection_equals_ideal", "pass": True}],
     }
-    _maybe_time(args, report, started)
     lines = [f"{len(components)} minimal primes; intersection verified"]
     for c in components:
         lines.append(f"  A = {{{', '.join(c.admissible.members)}}}  dim {c.dim}"
                      f"  prime {c.certified_prime}")
         lines.append(f"    ({', '.join(c.generators_text())})")
-    _emit(args, report, lines)
-    return 0
+    return 0, report, lines
 
 
 def _cmd_radical(args):
-    started = time.perf_counter()
     if args.degree_bound is not None and args.degree_bound < 1:
         raise SystemExit2(f"--degree-bound must be at least 1, got {args.degree_bound}")
     lattice = _load_lattice(args)
@@ -205,18 +182,15 @@ def _cmd_radical(args):
             {"admissible": list(c.admissible.members), "dim": c.dim}
             for c in cert.components
         ]
-    _maybe_time(args, report, started)
     lines = [f"verdict: {cert.verdict}", f"route: {cert.route}"]
     if cert.witness is not None:
         lines.append(f"witness: {cert.witness}")
     if cert.detail:
         lines.append(cert.detail)
-    _emit(args, report, lines)
-    return 0 if cert.verdict != "inconclusive" else 1
+    return (0 if cert.verdict != "inconclusive" else 1), report, lines
 
 
 def _cmd_scan(args):
-    started = time.perf_counter()
     for flag, value in (("--sample", args.sample), ("--jobs", args.jobs)):
         if value is not None and value < 1:
             raise SystemExit2(f"{flag} must be at least 1, got {value}")
@@ -236,18 +210,15 @@ def _cmd_scan(args):
         "sample_size": rep.sample_size,
         "seed": rep.seed,
     }
-    _maybe_time(args, report, started)
     lines = [f"orders scanned: {rep.total_orders}"
              + ("" if rep.exhaustive else f" (sampled, seed {rep.seed})"),
              f"any squarefree: {rep.any_squarefree}"]
     if rep.any_squarefree:
         lines.append(f"witness: {rep.witness_kind}:{','.join(rep.witness_priority)}")
-    _emit(args, report, lines)
-    return 0
+    return 0, report, lines
 
 
 def _cmd_lk(args):
-    started = time.perf_counter()
     rep = lk_suite(args.n, args.k, args.char)
     report = {
         "n": rep.n, "k": rep.k,
@@ -257,24 +228,18 @@ def _cmd_lk(args):
         "component_dims": rep.component_dims,
         "quotient_dim": rep.quotient_dim,
     }
-    _maybe_time(args, report, started)
     lines = [f"suite for n={rep.n}, k={rep.k}"]
     for s in rep.stages:
         lines.append(f"  {'pass' if s.passed else 'FAIL'}  {s.name}"
                      + (f"  {s.detail}" if s.detail and not s.passed else ""))
     lines.append(f"overall: {'pass' if rep.passed else 'FAIL'}")
-    _emit(args, report, lines)
-    return 0 if rep.passed else 1
+    return (0 if rep.passed else 1), report, lines
 
 
 def _cmd_fixtures(args):
     if args.dump:
-        lattice = build_fixture(args.dump)
-        print(lattice_to_json(lattice))
-        return 0
-    for name in FIXTURE_NAMES:
-        print(name)
-    return 0
+        return 0, None, [lattice_to_json(build_fixture(args.dump))]
+    return 0, None, list(FIXTURE_NAMES)
 
 
 def make_parser():
@@ -285,9 +250,10 @@ def make_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, order=False):
-        p.add_argument("--fixture", help="fixture spec, e.g. Q or Lk:3:1")
-        p.add_argument("--input", help="path to a lattice JSON file")
+    def common(p, inputs=True, order=False):
+        if inputs:
+            p.add_argument("--fixture", help="fixture spec, e.g. Q or Lk:3:1")
+            p.add_argument("--input", help="path to a lattice JSON file")
         p.add_argument("--char", type=int, default=0,
                        help="coefficient field characteristic (0 or a prime)")
         p.add_argument("--json", action="store_true", help="emit JSON")
@@ -328,8 +294,7 @@ def make_parser():
                    help="force full permutation enumeration")
     p.add_argument("--sample", type=int, default=10000,
                    help="sampled permutations when not exhaustive")
-    p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (default: LATTICE_LAB_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for exhaustive scans")
     p.set_defaults(func=_cmd_scan)
@@ -337,9 +302,7 @@ def make_parser():
     p = sub.add_parser("lk", help="two-rail family verification suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
+    common(p, inputs=False)
     p.set_defaults(func=_cmd_lk)
 
     p = sub.add_parser("fixtures", help="list bundled fixtures or dump one")
@@ -350,8 +313,7 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         if hasattr(args, "char"):
             # the ring's own check, so that a bad value fails before any work
@@ -359,19 +321,27 @@ def main(argv=None):
                 PolyRing((), args.char)
             except ValueError as exc:
                 raise SystemExit2(f"--char: {exc}") from None
-        return args.func(args)
-    except SystemExit2 as exc:
+        started = time.perf_counter()
+        status, report, lines = args.func(args)
+    except (SystemExit2, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
         return 2
     except LatticeLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if getattr(args, "timings", False):
+        seconds = round(time.perf_counter() - started, 3)
+        report["timings"] = {"seconds": seconds}
+        lines.append(f"time: {seconds} s")
+    try:
+        print(json.dumps(report, indent=2) if getattr(args, "json", False)
+              else "\n".join(lines))
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -469,32 +469,23 @@ def _binomial_elements(ctx, polys):
 class ReducedGB:
     """Reduced Groebner basis: monic, inter-reduced, sorted by leading term.
 
-    A basis from the binomial engine also keeps its packed elements in
-    ``_binomial``; ``reduce`` then works term by term, because the normal
-    form is linear and under a +-1 binomial basis a monomial reduces to a
-    monomial or to 0.
+    It keeps the engine's own elements, packed binomial ones in ``_binomial``
+    or generic ones in ``_generic``, and ``basis`` is their Poly form.  On a
+    binomial basis ``reduce`` works term by term, because the normal form is
+    linear and under a +-1 binomial basis a monomial reduces to a monomial
+    or to 0.
     """
 
-    __slots__ = ("ring", "order", "basis", "_ctx", "_prepared", "_binomial")
+    __slots__ = ("ring", "order", "basis", "_ctx", "_binomial", "_generic")
 
-    def __init__(self, ring, order, basis, ctx=None):
-        self.ring = ring
-        self.order = order
-        self.basis = tuple(basis)
+    def __init__(self, ctx, *, binomial=None, generic=None):
+        self.ring = ctx.ring
+        self.order = ctx.order
         self._ctx = ctx
-        self._prepared = None
-        self._binomial = None
-
-    def _engine(self):
-        if self._ctx is None:
-            self._ctx = _Ctx(self.ring, self.order)
-        if self._prepared is None:
-            entries = []
-            for g in self.basis:
-                terms, _ = _poly_to_terms(self._ctx, g)
-                entries.append(_make_entry(self._ctx, terms))
-            self._prepared = entries
-        return self._ctx, self._prepared
+        self._binomial = binomial
+        self._generic = generic
+        self.basis = tuple(_binomial_polys(ctx, binomial) if binomial is not None
+                           else (_entry_to_poly(ctx, e) for e in generic))
 
     def reduce(self, f):
         """Unique normal form of f modulo this basis."""
@@ -502,9 +493,9 @@ class ReducedGB:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         if self._binomial is not None:
             return self._reduce_binomial(f)
-        ctx, entries = self._engine()
+        ctx = self._ctx
         fterms, denom = _poly_to_terms(ctx, f)
-        rem, scale = _nf_generic(ctx, fterms, entries, track_scale=True)
+        rem, scale = _nf_generic(ctx, fterms, self._generic, track_scale=True)
         if self.ring.char == 0:
             total = denom * scale
             return Poly(self.ring, {ctx.unpack(m): Fraction(c, total) for m, c in rem.items()})
@@ -650,12 +641,9 @@ def buchberger(gens, order=None, *, ring=None):
     gens = [g for g in gens if g]
     binelems = _binomial_elements(ctx, gens)
     if binelems is not None:
-        reduced = _binomial_buchberger(ctx, binelems)
-        gb = ReducedGB(ring, order, _binomial_polys(ctx, reduced), ctx=ctx)
-        gb._binomial = reduced
-        return gb
-    reduced = _generic_buchberger(ctx, [_poly_to_terms(ctx, g)[0] for g in gens])
-    return ReducedGB(ring, order, [_entry_to_poly(ctx, e) for e in reduced], ctx=ctx)
+        return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, binelems))
+    return ReducedGB(ctx, generic=_generic_buchberger(
+        ctx, [_poly_to_terms(ctx, g)[0] for g in gens]))
 
 
 def normal_form(f, basis):
@@ -692,18 +680,12 @@ def _fresh_name(ring, base="t"):
 
 
 def radical_member(f, ideal):
-    """Membership in the radical via an auxiliary variable: 1 - t*f trick."""
+    """f lies in √I exactly when I : f^∞ is the unit ideal."""
     if f.ring != ideal.ring:
         raise RingMismatch(f"{f.ring} vs {ideal.ring}")
     if not f:
         return True
-    ring = ideal.ring
-    t = _fresh_name(ring)
-    ext = ring.extend([t])
-    gens = [g.map_ring(ext) for g in ideal.generators]
-    gens.append(ext.one() - ext.var(t) * f.map_ring(ext))
-    gb = buchberger(gens, degrevlex(ext.variables), ring=ext)
-    return gb.contains_one()
+    return saturate(ideal, f).groebner().contains_one()
 
 
 def eliminate(ideal, drop):

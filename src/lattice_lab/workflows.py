@@ -498,15 +498,8 @@ class ScanReport:
     counts: dict
     exhaustive: bool
     sample_size: int | None
-    seed: int | None
+    seed: int
     distinct_initial_ideals: int
-
-
-def _resolve_seed(seed):
-    if seed is not None:
-        return seed
-    env = os.environ.get("LATTICE_LAB_SEED")
-    return int(env) if env else 0
 
 
 def _weight_split(lead, tail):
@@ -631,7 +624,7 @@ def _scan_orders(lattice, kinds, perms, char):
 
 
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
-                          sample=10000, seed=None, char=0, jobs=None):
+                          sample=10000, seed=0, char=0, jobs=None):
     """Per-order squarefree verdicts over Lex/DegRevLex variable permutations.
 
     Exhausts all permutations for rings with at most eight variables by
@@ -646,7 +639,6 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     n = len(lattice.elements)
     if exhaustive is None:
         exhaustive = n <= 8
-    seed = _resolve_seed(seed)
     if exhaustive:
         perms = itertools.permutations(range(n))
         sample_size = None

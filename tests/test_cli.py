@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lattice_lab
 from lattice_lab.cli import main
 
 
@@ -34,10 +38,14 @@ def test_check_reports_witnesses(capsys):
     assert "pentagon" in out
 
 
+def _antichain(tmp_path):
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps({"elements": ["a", "b"], "covers": []}))
+    return ["check", "--input", str(path)]
+
+
 def test_check_rejects_non_lattice(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"elements": ["a", "b"], "covers": []}))
-    code, out, _ = run(capsys, "check", "--input", str(bad))
+    code, out, _ = run(capsys, *_antichain(tmp_path))
     assert code == 1
     assert "not a lattice" in out
 
@@ -183,16 +191,18 @@ def test_check_unknown_fixture_is_an_error_not_a_lattice_verdict(capsys):
     assert err == "error: unknown fixture 'Nope'\n"
 
 
-_CHAR_VERBS = [
+# one working invocation of each verb that computes
+_VERBS = [
     ["check", "--fixture", "Q"], ["gb", "--fixture", "Q"],
     ["ini", "--fixture", "Q"], ["primes", "--fixture", "Q"],
-    ["radical", "--fixture", "N"], ["scan", "--fixture", "N5"],
+    ["radical", "--fixture", "N"], ["scan", "--fixture", "N5", "--jobs", "1"],
     ["lk", "--n", "3", "--k", "1"],
 ]
+_VERB_IDS = [a[0] for a in _VERBS]
 
 
 @pytest.mark.parametrize("char", ["-1", "1", "4", "6"])
-@pytest.mark.parametrize("argv", _CHAR_VERBS, ids=[a[0] for a in _CHAR_VERBS])
+@pytest.mark.parametrize("argv", _VERBS, ids=_VERB_IDS)
 def test_bad_characteristic_is_exit_2(capsys, argv, char):
     code, out, err = run(capsys, *argv, "--char", char)
     assert code == 2
@@ -231,16 +241,6 @@ def test_bad_order_priority_is_exit_2(capsys, verb, order):
     assert out == ""
 
 
-def test_seed_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("LATTICE_LAB_SEED", "123")
-    code, out, _ = run(capsys, "scan", "--fixture", "N", "--sample", "25", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["seed"] == 123
-    assert data["sample_size"] == 25
-    assert data["exhaustive"] is False
-
-
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_radical_degree_bound_below_one_is_exit_2(capsys, value):
     code, out, err = run(capsys, "radical", "--fixture", "N",
@@ -259,24 +259,63 @@ def test_radical_small_degree_bound_is_inconclusive(capsys):
     assert data["detail"].endswith("no witness up to degree 3")
 
 
-def test_timings_text_mode_ends_with_time_line(capsys):
-    code, plain, _ = run(capsys, "primes", "--fixture", "Q")
+@pytest.mark.parametrize("argv", _VERBS, ids=_VERB_IDS)
+def test_timings_text_mode_ends_with_time_line(capsys, argv):
+    code, plain, _ = run(capsys, *argv)
     assert code == 0
-    code, timed, _ = run(capsys, "primes", "--fixture", "Q", "--timings")
+    code, timed, _ = run(capsys, *argv, "--timings")
     assert code == 0
     *lines, last = timed.splitlines()
     assert lines == plain.splitlines()
     assert re.fullmatch(r"time: \d+\.\d+ s", last)
 
 
-def test_timings_json_mode_adds_seconds(capsys):
-    code, plain, _ = run(capsys, "primes", "--fixture", "Q", "--json")
+@pytest.mark.parametrize("argv", _VERBS, ids=_VERB_IDS)
+def test_timings_json_mode_adds_seconds(capsys, argv):
+    code, plain, _ = run(capsys, *argv, "--json")
     assert code == 0
-    code, timed, _ = run(capsys, "primes", "--fixture", "Q", "--json", "--timings")
+    code, timed, _ = run(capsys, *argv, "--json", "--timings")
     assert code == 0
     data = json.loads(timed)
     assert isinstance(data.pop("timings")["seconds"], float)
     assert data == json.loads(plain)
+
+
+def test_timings_on_a_non_lattice(tmp_path, capsys):
+    argv = _antichain(tmp_path)
+    code, out, _ = run(capsys, *argv, "--timings")
+    assert code == 1
+    assert out.startswith("not a lattice: ")
+    assert re.fullmatch(r"time: \d+\.\d+ s", out.splitlines()[-1])
+    code, out, _ = run(capsys, *argv, "--json", "--timings")
+    assert code == 1
+    assert isinstance(json.loads(out)["timings"]["seconds"], float)
+
+
+def test_fixture_and_input_together_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(run(capsys, "fixtures", "--dump", "Q")[1])
+    code, out, err = run(capsys, "check", "--fixture", "Q", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: pass only one of --fixture or --input\n"
+
+
+@pytest.mark.parametrize("argv", [["fixtures", "--dump", "Q"],
+                                  ["check", "--fixture", "Q", "--json"]],
+                         ids=["text", "json"])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(lattice_lab.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lattice_lab", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
 
 
 def _readme_blocks(lang):

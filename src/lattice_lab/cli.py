@@ -58,10 +58,15 @@ def _load_lattice(args):
     if args.fixture:
         return build_fixture(args.fixture)
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
             return lattice_from_json(text)
+        except OSError as exc:
+            # missing, a directory, unreadable
+            raise SystemExit2(f"cannot read input ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise SystemExit2(f"input is not UTF-8 text ({exc})") from None
         except json.JSONDecodeError as exc:
             raise SystemExit2(f"invalid JSON input ({exc})") from None
         except (TypeError, ValueError) as exc:
@@ -323,7 +328,7 @@ def main(argv=None):
                 raise SystemExit2(f"--char: {exc}") from None
         started = time.perf_counter()
         status, report, lines = args.func(args)
-    except (SystemExit2, FileNotFoundError) as exc:
+    except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeLabError as exc:

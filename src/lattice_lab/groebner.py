@@ -28,11 +28,12 @@ from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
 from .poly import (
     BlockOrder,
     Poly,
+    MAX_EXPONENT,
     degrevlex,
-    mono_degree,
     mono_divides,
     mono_is_squarefree,
     sort_key,
+    _bad_exponent,
     _FIELD_BITS,
 )
 
@@ -175,7 +176,8 @@ def _buchberger_core(ctx, elements, s_element, reduce):
 
 
 def _minimal(basis, hm):
-    """Elements whose lead no other lead divides, by increasing lead."""
+    """Elements whose lead no other lead divides, by increasing lead; of
+    equal leads the first is kept."""
     kept = []
     for e in sorted(basis, key=lambda e: e[0]):
         lh = e[1] | hm
@@ -546,12 +548,14 @@ class MonomialIdeal:
 
     def __init__(self, ring, monomials):
         self.ring = ring
-        monos = set(map(tuple, monomials))
-        minimal = set()
-        for m in sorted(monos, key=mono_degree):
-            if not any(mono_divides(g, m) for g in minimal):
-                minimal.add(m)
-        self.gens = frozenset(minimal)
+        ctx = _Ctx(ring, ring.default_order)
+        packed = []
+        for m in monomials:
+            # the range Poly enforces, so that packing is exact
+            if min(m, default=0) < 0 or max(m, default=0) >= MAX_EXPONENT:
+                _bad_exponent(m)
+            packed.append(ctx.key_pack(m))
+        self.gens = frozenset(ctx.unpack(pk) for _, pk in _minimal(packed, ctx.hmask))
 
     def is_squarefree(self):
         return all(mono_is_squarefree(m) for m in self.gens)
@@ -641,6 +645,10 @@ def buchberger(gens, order=None, *, ring=None):
     gens = [g for g in gens if g]
     binelems = _binomial_elements(ctx, gens)
     if binelems is not None:
+        if all(tp < 0 for _, _, _, tp in binelems):
+            # the S-element of two monomials is zero: no pair needs treating,
+            # and the minimal generators by decreasing lead are the basis
+            return ReducedGB(ctx, binomial=_minimal(binelems, ctx.hmask)[::-1])
         return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, binelems))
     return ReducedGB(ctx, generic=_generic_buchberger(
         ctx, [_poly_to_terms(ctx, g)[0] for g in gens]))
@@ -722,15 +730,31 @@ def intersect(a, b):
     if not a.generators or not b.generators:
         return Ideal(ring, [])
     if _gens_are_monomial(a.generators) and _gens_are_monomial(b.generators):
-        # classical: pairwise lcms generate the intersection
-        monos = []
-        for f in a.generators:
-            (mf,) = f.terms
-            for g in b.generators:
-                (mg,) = g.terms
-                monos.append(tuple(max(x, y) for x, y in zip(mf, mg)))
-        minimal = MonomialIdeal(ring, monos)
-        return Ideal(ring, [ring.monomial(m) for m in minimal.sorted_gens()])
+        # classical: pairwise lcms generate the intersection.  A generator
+        # of one side that lies in the other is in the intersection and
+        # divides its own lcms, so it stands for them.  A proper divisor has
+        # a smaller degree, so (degree, monomial) pairs minimalise like basis
+        # elements; the minimal ones leave by decreasing key
+        ctx = _Ctx(ring, ring.default_order)
+        hm, lcm = ctx.hmask, ctx.lcm
+        fs = [ctx.pack(m) for f in a.generators for m in f.terms]
+        gs = [ctx.pack(m) for g in b.generators for m in g.terms]
+        cands = set()
+        rest = []
+        for side, other in ((fs, gs), (gs, fs)):
+            outside = []
+            for f in side:
+                fh = f | hm
+                if any((fh - g) & hm == hm for g in other):
+                    cands.add(lcm(f, f)[::-1])  # (degree, f)
+                else:
+                    outside.append(f)
+            rest.append(outside)
+        f_out, g_out = rest
+        cands.update(lcm(f, g)[::-1] for f in f_out for g in g_out)
+        kept = sorted((pk for _, pk in _minimal(cands, hm)),
+                      key=ctx.key_packed, reverse=True)
+        return Ideal(ring, [ring.monomial(ctx.unpack(pk)) for pk in kept])
     # (1-t) multiplies the monomial side when there is one: pure differences
     # on the other side then stay pure differences and the fast path applies
     first, second = (b, a) if _gens_are_monomial(a.generators) else (a, b)

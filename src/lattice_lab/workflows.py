@@ -12,6 +12,13 @@ exponent differences of the basic binomials that avoid A, so domination
 between candidates is decided by integer-lattice membership before anything
 is saturated (see ``minimal_primes``); only the candidates that test leaves
 standing are saturated, and Groebner reduction confirms them.
+
+That the join-meet ideal I is the intersection of the minimal components is
+checked from initial ideals: in(∩ P_A) ⊆ ∩ in(P_A) under any order, and
+J ⊆ K with in(J) = in(K) forces J = K, so I ⊆ every P_A together with
+in(I) = ∩ in(P_A) proves I = ∩ P_A.  Two orders are tried, the default one
+and degrevlex with the variables reversed; only when neither proves it are
+the components themselves intersected and compared with I.
 """
 
 from __future__ import annotations
@@ -246,8 +253,13 @@ def minimal_primes(lattice, char=0, _verify=True):
     sets before any saturation; a set that passes it is saturated and kept
     unless Groebner reduction shows one of those components inside it.
 
-    The caller asserts the join-meet ideal is radical (or accepts the
-    IntersectionMismatch error as a non-radicality signal).
+    The components' intersection is then checked against the join-meet
+    ideal I (``_verify_decomposition``): first by the initial-ideal
+    certificate (I ⊆ every P_A, and in(I) = ∩ in(P_A) under the default
+    order or degrevlex with the variables reversed), and only when that
+    does not hold by intersecting the components.  A mismatch raises
+    IntersectionMismatch, so the caller asserts the join-meet ideal is
+    radical (or accepts the error as a non-radicality signal).
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
@@ -274,17 +286,52 @@ def minimal_primes(lattice, char=0, _verify=True):
         component = _prime_component(adm, ideal)
         found.append((mask, sides, component))
     components = [c for _, _, c in found]
-
     if _verify:
-        if any(not c.ideal.generators for c in components):
-            # a zero-ideal component makes the intersection zero
-            ok = not jm.ideal.generators
-        else:
-            meet = _intersect_all(ring, [c.ideal for c in components])
-            ok = ideal_equal(meet, jm.ideal)
-        if not ok:
-            raise IntersectionMismatch(lattice)
+        _verify_decomposition(jm, components)
     return components
+
+
+def _initial_ideals_certify(ideal, parts):
+    """True when initial ideals prove ``ideal`` = ∩ ``parts``.
+
+    For any monomial order, in(∩ P) ⊆ ∩ in(P), and J ⊆ K with in(J) = in(K)
+    forces J = K.  So if I ⊆ every P and in(I) = ∩ in(P), then in(I) ⊆
+    in(∩ P) ⊆ ∩ in(P) = in(I) and I = ∩ P.  The test runs under the default
+    order, whose component bases are already cached, then under degrevlex
+    with the variables reversed; False means neither order proves it, not
+    that the ideals differ.
+    """
+    ring = ideal.ring
+    for order in (ring.default_order, degrevlex(tuple(reversed(ring.variables)))):
+        inis = [_monomial_generated(initial_ideal(p, order)) for p in parts]
+        if ideal_equal(_intersect_all(ring, inis),
+                       _monomial_generated(initial_ideal(ideal, order))):
+            return all(not p.groebner().reduce(g)
+                       for p in parts for g in ideal.generators)
+    return False
+
+
+def _monomial_generated(mono):
+    """The Ideal of a MonomialIdeal's minimal generators."""
+    ring = mono.ring
+    return Ideal(ring, [ring.monomial(m) for m in mono.gens])
+
+
+def _verify_decomposition(jm, components):
+    """Raise IntersectionMismatch unless the join-meet ideal is the
+    intersection of the components.  The initial-ideal certificate decides
+    first; the intersection fold runs only when it does not.  ``jm`` keeps
+    its reduced bases, so a caller that has computed them pays for none."""
+    ideal = jm.ideal
+    parts = [c.ideal for c in components]
+    if any(not p.generators for p in parts):
+        # a zero-ideal component makes the intersection zero
+        ok = not ideal.generators
+    else:
+        ok = (_initial_ideals_certify(ideal, parts)
+              or ideal_equal(_intersect_all(ideal.ring, parts), ideal))
+    if not ok:
+        raise IntersectionMismatch(jm.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +508,9 @@ def radical_certificate(lattice, char=0, degree_bound=None):
                 detail=f"squarefree initial ideal under {order.describe(ring)}",
             )
     try:
-        components = minimal_primes(lattice, char)
+        # the bases of jm computed above serve the intersection check too
+        components = minimal_primes(lattice, char, _verify=False)
+        _verify_decomposition(jm, components)
         if all(c.certified_prime for c in components):
             return RadicalCertificate(
                 "radical", route="prime_intersection",
@@ -823,7 +872,8 @@ def lk_suite(n, k, char=0):
     stages.append(StageResult("squarefree_with_diagonal_lex",
                               ini_diag_lex.is_squarefree()))
 
-    components = minimal_primes(lattice, char)
+    components = minimal_primes(lattice, char, _verify=False)
+    _verify_decomposition(jm, components)
     expected_primes = lk_expected_primes(n, k, ring, I)
     names = {}
     used = set()

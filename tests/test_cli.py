@@ -145,6 +145,21 @@ def test_unreadable_file_is_exit_2(capsys):
     assert code == 2
 
 
+def _latin1_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
+    return path
+
+
+@pytest.mark.parametrize("make", [lambda tmp_path: tmp_path, _latin1_file],
+                         ids=["directory", "not-utf8"])
+def test_unreadable_input_is_exit_2_with_one_line(tmp_path, capsys, make):
+    code, out, err = run(capsys, "check", "--input", str(make(tmp_path)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_json_is_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

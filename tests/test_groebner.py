@@ -27,8 +27,11 @@ from lattice_lab import (
     saturate,
     verify_groebner,
 )
+from lattice_lab import groebner
+from lattice_lab.errors import ExponentOverflow
 from lattice_lab.fixtures import diamond_m3, ladder, lattice_n, lattice_q, lk
 from lattice_lab.groebner import exact_div, spolynomial
+from lattice_lab.poly import sort_key
 from lattice_lab.workflows import join_meet_ideal
 
 from oracles import membership_by_linear_algebra, monomials_of_degree, random_homogeneous_difference
@@ -105,6 +108,28 @@ def test_basis_independent_of_generator_order(Q_ideal):
         gens = list(Q_ideal.ideal.generators)
         rng.shuffle(gens)
         assert buchberger(gens, order) == reference
+
+
+def test_monomial_generators_skip_the_pair_loop(monkeypatch):
+    """Monomial generators have zero S-elements, so buchberger returns their
+    minimal generators without entering the pair loop, and the result is the
+    basis the loop computes."""
+    R = PolyRing(("x", "y", "z"))
+    gens = [R.from_string(t) for t in
+            ("x^2*y", "x*y", "3*y*z^2", "x*y*z", "z^3", "2*x^3")]
+    order = lex(("z", "x", "y"))
+    ctx = groebner._Ctx(R, order)
+    looped = groebner.ReducedGB(ctx, binomial=groebner._binomial_buchberger(
+        ctx, groebner._binomial_elements(ctx, gens)))
+
+    def entered(*args):
+        raise AssertionError("the pair loop ran")
+
+    monkeypatch.setattr(groebner, "_buchberger_core", entered)
+    gb = buchberger(gens, order)
+    assert gb == looped
+    assert set(gb.leading_monomials()) == MonomialIdeal(
+        R, [g.leading_monomial() for g in gens]).gens
 
 
 def test_zero_ideal_empty_basis():
@@ -286,6 +311,41 @@ def test_intersect_monomial_fast_path_matches_elimination():
     gens += [(ext.one() - t) * g.map_ring(ext) for g in b.generators]
     ref = eliminate(Ideal(ext, gens), {"t"})
     assert ideal_equal(got, Ideal(R, [g.map_ring(R) for g in ref.generators]))
+
+
+def _naive_minimal(monos):
+    """Reference minimalisation on exponent tuples."""
+    monos = set(monos)
+    return {m for m in monos
+            if not any(d != m and all(x <= y for x, y in zip(d, m)) for d in monos)}
+
+
+_small_monomials = st.lists(
+    st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=7)
+
+
+@given(_small_monomials, _small_monomials)
+@settings(max_examples=150, deadline=None)
+def test_monomial_intersection_matches_tuple_reference(ma, mb):
+    """The packed monomial branch of intersect and MonomialIdeal's packed
+    minimalisation agree with pairwise lcms minimalised on tuples."""
+    R = PolyRing(("w", "x", "y", "z"))
+    lcms = [tuple(map(max, u, v)) for u in ma for v in mb]
+    want = _naive_minimal(lcms)
+    assert MonomialIdeal(R, lcms).gens == want
+    got = intersect(Ideal(R, [R.monomial(m) for m in ma]),
+                    Ideal(R, [R.monomial(m) for m in mb]))
+    key = sort_key(R.default_order, R)
+    assert [g.leading_monomial() for g in got.generators] == sorted(
+        want, key=key, reverse=True)
+
+
+def test_monomial_ideal_rejects_out_of_range_exponents():
+    R = PolyRing(("x", "y"))
+    with pytest.raises(ExponentOverflow):
+        MonomialIdeal(R, [(1 << 16, 0)])
+    with pytest.raises(ValueError):
+        MonomialIdeal(R, [(1, -1)])
 
 
 def test_lk_intersection_identity():

@@ -52,6 +52,8 @@ from lattice_lab.lattice import (
 from lattice_lab.poly import product
 from lattice_lab.workflows import (
     _component_gens,
+    _initial_ideals_certify,
+    _intersect_all,
     _monomial_normal_forms,
     _prime_component,
     _scan_orders,
@@ -321,22 +323,90 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
     _assert_certificate_and_dim_match_fresh_bases(components)
 
 
-@pytest.mark.parametrize("name, runs", [("Q", 13), ("R", 34), ("Lk:6:3", 37)])
+def _count_engine_runs(monkeypatch):
+    """Patch the pair loop and the generic engine to count their runs."""
+    calls = {"_buchberger_core": 0, "_generic_buchberger": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(groebner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, runs", [
+    pytest.param(name, runs, id=name)
+    for name, runs in (("Q", 9), ("R", 26), ("Lk:6:3", 33), ("N", 31))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each surviving component gets one basis, shared by the containment
-    check, the certificate and the dimension; the other runs are saturation
-    passes and the intersection check."""
-    calls = []
-    core = groebner._buchberger_core
+    check, the SNF certificate and the dimension; the other runs are
+    saturation passes, the join-meet ideal's bases and, where the default
+    order does not certify the intersection (Lk), the bases under the
+    second order.  Monomial ideals never enter the pair loop.  Only a
+    decomposition the initial ideals do not certify (N) reaches the
+    intersection fold and its generic engine."""
+    calls = _count_engine_runs(monkeypatch)
+    if name == "N":
+        with pytest.raises(IntersectionMismatch):
+            minimal_primes(build_fixture(name), char)
+        assert calls["_generic_buchberger"] >= 1
+    else:
+        minimal_primes(build_fixture(name), char)
+        assert calls["_generic_buchberger"] == 0
+    assert calls["_buchberger_core"] == runs
 
-    def counted(*args):
-        calls.append(1)
-        return core(*args)
 
-    monkeypatch.setattr(groebner, "_buchberger_core", counted)
-    minimal_primes(build_fixture(name), char)
-    assert len(calls) == runs
+@pytest.mark.parametrize("char", [0, 32003])
+def test_radical_certificate_builds_each_basis_once(monkeypatch, char):
+    """The four squarefree-order bases of R's join-meet ideal include the
+    default order, and the decomposition's intersection check reads that
+    basis instead of building it again: 4 + 26 - 1 runs."""
+    calls = _count_engine_runs(monkeypatch)
+    assert radical_certificate(lattice_r(), char).route == "prime_intersection"
+    assert calls["_buchberger_core"] == 29
+
+
+def _certificate_against_fold(L, char):
+    """The initial-ideal certificate's verdict on L's decomposition, checked
+    against the intersection fold whenever it holds; None when a component
+    is the zero ideal and neither applies."""
+    jm = join_meet_ideal(L, char)
+    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+    if not all(p.generators for p in parts):
+        return None
+    certified = _initial_ideals_certify(jm.ideal, parts)
+    if certified:
+        assert ideal_equal(_intersect_all(jm.ring, parts), jm.ideal)
+    return certified
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", [
+    "Chain:4", "M3", "N5", "DivisorLadder:3", "Q", "R",
+] + [f"Lk:{n}:{k}" for n in range(2, 7) for k in range(1, n)])
+def test_initial_ideal_certificate_agrees_with_fold(spec, char):
+    """Every radical bundled fixture is certified, and the fold agrees."""
+    want = None if spec.startswith("Chain") else True
+    assert _certificate_against_fold(build_fixture(spec), char) is want
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=100, deadline=None)
+def test_initial_ideal_certificate_agrees_with_fold_on_closure_systems(L, char):
+    _certificate_against_fold(L, char)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_initial_ideal_certificate_fails_on_non_radical_n(char):
+    """N is not radical: neither order certifies, and the fold that runs
+    instead raises."""
+    assert _certificate_against_fold(lattice_n(), char) is False
+    with pytest.raises(IntersectionMismatch):
+        minimal_primes(lattice_n(), char)
 
 
 @pytest.mark.parametrize("make", [

@@ -301,7 +301,8 @@ def make_parser():
                    help="sampled permutations when not exhaustive")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for exhaustive scans")
+                   help="processes that share a scan, this one included "
+                        "(default: the usable CPUs)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("lk", help="two-rail family verification suite")

@@ -216,21 +216,35 @@ def _bin_reduce_monomial(key, pk, basis, hm):
 
 
 def _bin_reduce(ctx, el, basis):
-    """Reduce both terms of a binomial, then orient it lead > tail.
+    """Top-reduce a binomial u - v and orient it lead > tail; None for zero.
 
-    The terms reduce independently, so the input may come in either
+    Only the larger term is rewritten, until no lead of ``basis`` divides
+    it, and the element is zero as soon as the two terms meet.  The tail is
+    left as it is: the loop needs only leads, and ``_bin_interreduced``
+    reduces the tails of the final basis.  The input may come in either
     orientation.
     """
     hm = ctx.hmask
-    lk, lp, tk, tp = el
-    lead = _bin_reduce_monomial(lk, lp, basis, hm)
-    tail = None if tp < 0 else _bin_reduce_monomial(tk, tp, basis, hm)
-    if lead is None or tail is None:
-        mono = lead or tail
+    ak, ap, bk, bp = el
+    if bp < 0:
+        mono = _bin_reduce_monomial(ak, ap, basis, hm)
         return None if mono is None else (*mono, -1, -1)
-    if lead[1] == tail[1]:
-        return None
-    return (*lead, *tail) if lead[0] > tail[0] else (*tail, *lead)
+    while ap != bp:
+        if ak < bk:
+            ak, ap, bk, bp = bk, bp, ak, ap
+        for lk, lp, tk, tp in basis:
+            if lk <= ak and ((ap | hm) - lp) & hm == hm:
+                break
+        else:
+            return ak, ap, bk, bp
+        if tp < 0:  # the larger term is 0 modulo basis, the smaller remains
+            mono = _bin_reduce_monomial(bk, bp, basis, hm)
+            return None if mono is None else (*mono, -1, -1)
+        ap += tp - lp
+        if ap & hm:
+            _overflow()
+        ak += tk - lk
+    return None
 
 
 def _bin_shifted(ctx, lcm, f):
@@ -274,7 +288,8 @@ def _binomial_buchberger(ctx, elements, interreduce=True):
     """Reduced basis of a pure-difference/monomial ideal.
 
     ``elements`` are binomial elements in either orientation; without
-    ``interreduce`` the minimal basis comes back by increasing lead.
+    ``interreduce`` the minimal basis comes back by increasing lead, a
+    Groebner basis whose tails are not reduced.
     """
     kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce)
     return _bin_interreduced(ctx, kept) if interreduce else kept

@@ -24,6 +24,7 @@ the components themselves intersected and compared with I.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ from .groebner import (
 from .lattice import (
     AdmissibleSet,
     basic_binomial_pairs,
+    build_lattice,
     enumerate_admissible_sets,
     restrict_to_complement,
 )
@@ -678,8 +680,10 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
 
     Exhausts all permutations for rings with at most eight variables by
     default and takes a seeded sample above that; ``exhaustive=True`` forces
-    the full enumeration.  ``jobs`` worker processes (default: the CPU count)
-    each scan one contiguous block of an exhaustive enumeration.
+    the full enumeration.  Exhaustive and sampled scans alike are split by
+    ``_scan_parallel`` into contiguous blocks of the order list, up to
+    ``jobs`` of them (default: the CPUs this process may use), and the
+    report does not depend on the split.
     """
     if sample < 1:
         raise PreconditionViolated(f"sample must be at least 1, got {sample}")
@@ -689,17 +693,14 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     if exhaustive is None:
         exhaustive = n <= 8
     if exhaustive:
-        perms = itertools.permutations(range(n))
+        perms = _Permutations(n)
         sample_size = None
     else:
         rng = random.Random(seed)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(sample)]
         sample_size = sample
-    jobs = jobs or os.cpu_count() or 1
-    if jobs > 1 and exhaustive:
-        counts, witness, leading = _scan_parallel(lattice, kinds, n, char, jobs)
-    else:
-        counts, witness, leading = _scan_orders(lattice, kinds, perms, char)
+    counts, witness, leading = _scan_parallel(lattice, kinds, perms, char,
+                                              jobs or _usable_cpus())
     total = sum(c["orders"] for c in counts.values())
     return ScanReport(
         total_orders=total,
@@ -714,36 +715,71 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     )
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (its affinity mask where the OS has
+    one), not the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Permutations:
+    """The permutations of range(n) from ``start`` to ``stop`` in
+    itertools order: a lazy, picklable block of an exhaustive scan."""
+
+    __slots__ = ("n", "start", "stop")
+
+    def __init__(self, n, start=0, stop=None):
+        self.n = n
+        self.start = start
+        self.stop = math.factorial(n) if stop is None else stop
+
+    def __len__(self):
+        return self.stop - self.start
+
+    def __getitem__(self, block):
+        start, stop, _ = block.indices(len(self))
+        return _Permutations(self.n, self.start + start, self.start + stop)
+
+    def __iter__(self):
+        return itertools.islice(itertools.permutations(range(self.n)),
+                                self.start, self.stop)
+
+
 def _scan_chunk(args):
-    lattice_data, kinds, n, char, start, stop = args
-    from .lattice import build_lattice
-
-    lattice = build_lattice(*lattice_data)
-    perms = itertools.islice(itertools.permutations(range(n)), start, stop)
-    return _scan_orders(lattice, kinds, perms, char)
+    """Scan one block in a worker, which rebuilds the lattice from its
+    elements and covers, so that no state from the parent is needed."""
+    lattice_data, kinds, perms, char = args
+    return _scan_orders(build_lattice(*lattice_data), kinds, perms, char)
 
 
-def _scan_parallel(lattice, kinds, n, char, jobs):
-    """Exhaustive scan split into one contiguous block per worker, so that
-    each worker's cone cache warms once."""
-    import math
+def _scan_parallel(lattice, kinds, perms, char, jobs):
+    """Scan the order list ``perms`` in contiguous blocks, one per process.
+
+    There are min(jobs, usable CPUs, len(perms)) blocks, so that each
+    block's cone cache warms once.  The calling process scans block 0
+    itself beside a pool of one worker per other block, and a single block
+    runs with no pool at all.  Blocks merge in order, so the counts, the
+    first witness and the distinct initial ideals match a serial scan.
+    """
+    total = len(perms)
+    size = -(-total // min(jobs, _usable_cpus(), total))
+    blocks = [perms[i:i + size] for i in range(0, total, size)]
+    if len(blocks) == 1:
+        return _scan_orders(lattice, kinds, perms, char)
     from multiprocessing import Pool
 
-    total = math.factorial(n)
-    chunk = -(-total // jobs)
-    ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
     data = (lattice.elements, lattice.covers)
-    args = [(data, kinds, n, char, a, b) for a, b in ranges]
-    counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
-    witness = None
-    leading = set()
-    with Pool(len(ranges)) as pool:
-        for c, w, lead_sets in pool.imap(_scan_chunk, args):
+    with Pool(len(blocks) - 1) as pool:
+        rest = pool.imap(_scan_chunk, [(data, kinds, b, char) for b in blocks[1:]])
+        counts, witness, leading = _scan_orders(lattice, kinds, blocks[0], char)
+        leading = set(leading)
+        for c, w, lead_sets in rest:
             for k in kinds:
                 counts[k]["orders"] += c[k]["orders"]
                 counts[k]["squarefree"] += c[k]["squarefree"]
-            if w is not None and witness is None:
-                witness = w  # chunks arrive in order, first hit is earliest
+            if witness is None:
+                witness = w  # blocks arrive in order, first hit is earliest
             leading.update(lead_sets)
     return counts, witness, leading
 

@@ -34,6 +34,7 @@ from lattice_lab.groebner import exact_div, spolynomial
 from lattice_lab.poly import sort_key
 from lattice_lab.workflows import join_meet_ideal
 
+from conftest import closure_lattices
 from oracles import membership_by_linear_algebra, monomials_of_degree, random_homogeneous_difference
 
 
@@ -529,6 +530,53 @@ def test_join_meet_bases_stay_binomial():
         for order in (degrevlex(jm.ring.variables), lex(jm.ring.variables)):
             gb = jm.ideal.groebner(order)
             assert all(len(g.terms) <= 2 for g in gb.basis)
+
+
+@given(L=closure_lattices(), char=st.sampled_from((0, 32003)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_minimal_basis_with_unreduced_tails_is_a_groebner_basis(L, char, data):
+    # the pair loop only top-reduces, so the minimal basis that saturation
+    # reads keeps unreduced tails; it must still be a Groebner basis, and
+    # interreducing it must give the reduced basis
+    jm = join_meet_ideal(L, char)
+    ring = jm.ring
+    kind = data.draw(st.sampled_from((lex, degrevlex)))
+    order = kind(tuple(data.draw(st.permutations(ring.variables))))
+    ctx = groebner._Ctx(ring, order)
+    elements = groebner._binomial_elements(ctx, jm.ideal.generators)
+    kept = groebner._binomial_buchberger(ctx, elements, interreduce=False)
+    assert verify_groebner(groebner.ReducedGB(ctx, binomial=kept))
+    reduced = groebner._bin_interreduced(ctx, kept)
+    assert reduced == groebner._binomial_buchberger(ctx, elements)
+    assert groebner.ReducedGB(ctx, binomial=reduced) == buchberger(
+        jm.ideal.generators, order, ring=ring)
+    leads = [e[1] for e in reduced]
+    for _, lp, _, tp in reduced:
+        assert not any(ctx.divides(o, lp) for o in leads if o != lp)
+        assert tp < 0 or not any(ctx.divides(o, tp) for o in leads)
+
+
+def _xyz_elements(*pairs):
+    """Binomial elements under lex x > y > z from exponent-tuple pairs."""
+    ring = PolyRing(("x", "y", "z"))
+    ctx = groebner._Ctx(ring, lex(ring.variables))
+    return ctx, [(*ctx.key_pack(u), *ctx.key_pack(v)) for u, v in pairs]
+
+
+def test_top_reduction_stops_when_the_terms_meet():
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    ctx, (el, *basis) = _xyz_elements((y, x), (x, y), (y, z))
+    # x -> y meets the other term, though y itself still reduces to z
+    assert groebner._bin_reduce_monomial(*el[:2], basis, ctx.hmask) != el[:2]
+    assert groebner._bin_reduce(ctx, el, basis) is None
+
+
+def test_top_reduction_leaves_the_tail_to_interreduction():
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    ctx, (xy, yz) = _xyz_elements((x, y), (y, z))
+    assert groebner._bin_reduce(ctx, xy, [yz]) == xy  # tail y is not normal
+    (xz,) = _xyz_elements((x, z))[1]
+    assert groebner._bin_interreduced(ctx, [yz, xy]) == [xz, yz]
 
 
 # -- membership oracle -----------------------------------------------------------------

@@ -1,6 +1,10 @@
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +46,7 @@ from lattice_lab.fixtures import (
     lk,
     pentagon_n5,
 )
-from lattice_lab import groebner
+from lattice_lab import groebner, workflows
 from lattice_lab.groebner import buchberger, ideal_contains
 from lattice_lab.lattice import (
     basic_binomial_pairs,
@@ -728,9 +732,128 @@ def test_workflows_over_gf5(lattice_Q):
     assert cert.is_radical and cert.route == "squarefree_order"
 
 
-def test_scan_parallel_path_matches_serial():
-    # Q: every order is squarefree, so the pooled witness must be the first
-    for L in (lk(2, 1), lattice_q()):
-        serial = squarefree_order_scan(L, exhaustive=True, jobs=1)
-        parallel = squarefree_order_scan(L, exhaustive=True, jobs=2)
-        assert serial == parallel
+def test_scan_parallel_path_matches_serial(monkeypatch):
+    monkeypatch.setattr(workflows, "_usable_cpus", lambda: 2)
+    cases = [
+        (lk(2, 1), dict(exhaustive=True)),
+        # Q: every order is squarefree, so the pooled witness must be the first
+        (lattice_q(), dict(exhaustive=True)),
+        (lattice_q(), dict(exhaustive=False, sample=20, seed=4)),
+        # 7 orders make blocks of 4 and 3; one order makes one block, no pool
+        (lattice_n(), dict(exhaustive=False, sample=7, seed=9)),
+        (lattice_r(), dict(exhaustive=False, sample=1, seed=9)),
+    ]
+    cases += [(L, dict(exhaustive=False, sample=30, seed=seed))
+              for L in (lattice_n(), lattice_r()) for seed in (1, 2, 3)]
+    for L, options in cases:
+        serial = squarefree_order_scan(L, jobs=1, **options)
+        parallel = squarefree_order_scan(L, jobs=2, **options)
+        assert serial == parallel, options
+
+
+def test_pooled_sampled_scan_witness_is_the_first_order(monkeypatch, lattice_Q):
+    # every order of Q is squarefree, so the witness is the first sampled one
+    monkeypatch.setattr(workflows, "_usable_cpus", lambda: 2)
+    rep = squarefree_order_scan(lattice_Q, exhaustive=False, sample=20, seed=4,
+                                jobs=2)
+    variables = join_meet_ideal(lattice_Q).ring.variables
+    first = random.Random(4).sample(range(7), 7)
+    assert rep.witness_kind == "lex"
+    assert rep.witness_priority == tuple(variables[i] for i in first)
+
+
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records its size and runs the
+    blocks in this process, so that no process starts."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        _InlinePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, args):
+        return map(fn, list(args))
+
+
+@pytest.mark.parametrize("cpus, make, options, expected", [
+    # 120 permutations of N5: one block per usable CPU, not per job
+    pytest.param(4, pentagon_n5, dict(exhaustive=True, jobs=300), [3],
+                 id="exhaustive-jobs-300"),
+    pytest.param(2, lambda: chain(3),
+                 dict(exhaustive=False, sample=10000, jobs=5000), [1],
+                 id="sample-jobs-5000"),
+    # fewer orders than jobs and CPUs: one block per order
+    pytest.param(8, pentagon_n5, dict(exhaustive=False, sample=3, jobs=8), [2],
+                 id="sample-3"),
+    pytest.param(8, pentagon_n5, dict(exhaustive=False, sample=1, jobs=8), [],
+                 id="sample-1"),
+    pytest.param(8, pentagon_n5, dict(exhaustive=True, jobs=1), [],
+                 id="jobs-1"),
+    # the default is the usable CPUs, not os.cpu_count()
+    pytest.param(3, pentagon_n5, dict(exhaustive=True), [2], id="default-3"),
+    pytest.param(1, pentagon_n5, dict(exhaustive=True), [], id="default-1"),
+])
+def test_scan_pool_size_is_bounded(monkeypatch, cpus, make, options, expected):
+    import multiprocessing
+
+    _InlinePool.sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    L = make()
+    rep = squarefree_order_scan(L, **options)
+    assert _InlinePool.sizes == expected
+    assert rep == squarefree_order_scan(L, **{**options, "jobs": 1})
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert workflows._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert workflows._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert workflows._usable_cpus() == 1
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing
+from lattice_lab import workflows
+from lattice_lab.fixtures import lattice_r
+
+multiprocessing.set_start_method("spawn")
+workflows._usable_cpus = lambda: 2
+sizes = []
+real_pool = multiprocessing.Pool
+def pool(processes):
+    sizes.append(processes)
+    return real_pool(processes)
+multiprocessing.Pool = pool
+L = lattice_r()
+pooled = workflows.squarefree_order_scan(L, exhaustive=False, sample=12, seed=3,
+                                         jobs=2)
+serial = workflows.squarefree_order_scan(L, exhaustive=False, sample=12, seed=3,
+                                         jobs=1)
+assert sizes == [1], sizes
+assert pooled == serial, (pooled, serial)
+print("ok")
+"""
+
+
+def test_scan_pool_under_spawn_start_method():
+    # spawned workers share no state with the parent (the macOS default;
+    # forkserver, the Linux default from Python 3.14, behaves the same way)
+    src = str(Path(workflows.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _SPAWN_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -1,8 +1,8 @@
 """Buchberger engine and derived ideal operations.
 
 One Buchberger loop computes every reduced Groebner basis.  It owns the pair
-heap, the coprime and Gebauer–Möller chain criteria and minimalisation, and
-takes its S-element and reduce steps from one of two element kinds:
+heap, the Gebauer–Möller pair update and minimalisation, and takes its
+S-element and reduce steps from one of two element kinds:
 
 * binomial elements, for ideals generated by monomials and pure differences
   of monomials (closed under S-polynomials and reduction, so every element of
@@ -22,7 +22,7 @@ import itertools
 import struct
 from fractions import Fraction
 from math import gcd as _gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
 from .poly import (
@@ -134,45 +134,70 @@ def _buchberger_core(ctx, elements, s_element, reduce):
     ``reduce(ctx, raw, basis)`` turns a raw element (an input or an
     S-element) into a basis element reduced by ``basis``, or None for zero;
     ``s_element(ctx, lcm, fi, fj)`` is the raw S-element of a pair, or None
-    when it is zero.  Pairs leave the heap by lcm degree, then lcm key; the
-    coprime criterion and the Gebauer–Möller chain criterion drop pairs.
+    when it is zero.  Pairs leave the heap by lcm degree, then lcm key.
+
+    Pairs are installed as Gebauer and Möller (1988) do.  The new element
+    h's pairs are walked by (lcm degree, coprime first), and one is kept
+    only when no kept pair's lcm divides its lcm: that drops a pair whose
+    lcm a smaller one divides (M), all but one pair of equal lcm (F), and
+    every pair of an lcm that some coprime pair has (product criterion),
+    after which the coprime pairs themselves go.  Then a pending pair
+    (i, k) goes when lead(h) divides its lcm and neither lcm(i, h) nor
+    lcm(k, h) equals it (B).  An element whose lead lead(h) divides forms
+    no more pairs and is left out of the result.
     """
     hm = ctx.hmask
     lcm_of = ctx.lcm
     key_packed = ctx.key_packed
     basis = []
+    # indices of the elements whose lead no later lead divides: they form
+    # pairs, and as every element is reduced by those before it, they end
+    # as the minimal basis
+    live = []
     pairs = []
-    pending = set()
 
     def add(el):
+        nonlocal pairs, live
         if el is None:
             return
         j, lj = len(basis), el[1]
-        for i, fi in enumerate(basis):
-            lcm, deg = lcm_of(fi[1], lj)
-            if lcm != fi[1] + lj:  # leading monomials not coprime
-                heapq.heappush(pairs, (deg, key_packed(lcm), i, j, lcm))
-                pending.add((i, j))
+        walk = []
+        for i in live:
+            li = basis[i][1]
+            lcm, deg = lcm_of(li, lj)
+            walk.append((deg, lcm != li + lj, i, lcm))
+        walk.sort()
+        kept, new = [], []
+        for deg, not_coprime, i, lcm in walk:
+            lh = lcm | hm
+            for k in kept:
+                if (lh - k) & hm == hm:
+                    break
+            else:
+                kept.append(lcm)
+                if not_coprime:
+                    new.append((deg, key_packed(lcm), i, j, lcm))
+        if pairs:
+            survivors = [p for p in pairs if ((p[4] | hm) - lj) & hm != hm
+                         or lcm_of(basis[p[2]][1], lj)[0] == p[4]
+                         or lcm_of(basis[p[3]][1], lj)[0] == p[4]]
+            if len(survivors) < len(pairs):
+                pairs = survivors
+                heapq.heapify(pairs)
+        for p in new:
+            heapq.heappush(pairs, p)
+        live = [i for i in live if ((basis[i][1] | hm) - lj) & hm != hm]
+        live.append(j)
         basis.append(el)
 
     for el in elements:
         add(reduce(ctx, el, basis))
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
-        pending.discard((i, j))
-        lh = lcm | hm
-        # chain criterion: (i, j) is redundant when some lead(fk) divides the
-        # lcm and the pairs (i, k) and (j, k) have already been treated
-        for k, fk in enumerate(basis):
-            if (lh - fk[1]) & hm == hm and k != i and k != j:
-                if (((i, k) if i < k else (k, i)) not in pending
-                        and ((j, k) if j < k else (k, j)) not in pending):
-                    break
-        else:
-            s = s_element(ctx, lcm, basis[i], basis[j])
-            if s is not None:
-                add(reduce(ctx, s, basis))
-    return _minimal(basis, hm)
+        s = s_element(ctx, lcm, basis[i], basis[j])
+        if s is not None:
+            add(reduce(ctx, s, basis))
+    return sorted((basis[i] for i in live), key=itemgetter(0))
 
 
 def _minimal(basis, hm):
@@ -284,15 +309,11 @@ def _bin_interreduced(ctx, kept):
     return final
 
 
-def _binomial_buchberger(ctx, elements, interreduce=True):
-    """Reduced basis of a pure-difference/monomial ideal.
-
-    ``elements`` are binomial elements in either orientation; without
-    ``interreduce`` the minimal basis comes back by increasing lead, a
-    Groebner basis whose tails are not reduced.
-    """
+def _binomial_buchberger(ctx, elements):
+    """Reduced basis of a pure-difference/monomial ideal, given binomial
+    elements in either orientation."""
     kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce)
-    return _bin_interreduced(ctx, kept) if interreduce else kept
+    return _bin_interreduced(ctx, kept)
 
 
 def _binomial_polys(ctx, elements):
@@ -810,59 +831,37 @@ def colon(ideal, f):
     return Ideal(ideal.ring, [exact_div(g, f) for g in meet.generators])
 
 
-def _saturate_binomial_by_variable(ring, elements, var):
-    """(ctx, reduced elements) of I : var^∞ for a homogeneous pure-difference
-    ideal given by binomial elements, in one pass.
-
-    Bayer–Stillman: under degrevlex with var last, dividing each element of
-    a Groebner basis of a homogeneous I by the largest power of var that
-    divides it gives a Groebner basis of I : var^∞ (Sturmfels, *Groebner
-    Bases and Convex Polytopes*, Lemma 12.1); only minimalisation and
-    interreduction remain.  Packing does not depend on the order, so the
-    elements only need new keys.
-    """
-    prio = tuple(v for v in ring.variables if v != var) + (var,)
-    ctx = _Ctx(ring, degrevlex(prio))
-    kp = ctx.key_packed
-    elements = [(kp(lp), lp, -1 if tp < 0 else kp(tp), tp) for _, lp, _, tp in elements]
-    shift = _FIELD * ring.index[var]
-    wvar = ctx.weights[ring.index[var]]
-    basis = _binomial_buchberger(ctx, elements, interreduce=False)
-    divided = []
-    for lk, lp, tk, tp in basis:
-        m = (lp >> shift) & (_GUARD - 1)
-        if tp >= 0:
-            m = min(m, (tp >> shift) & (_GUARD - 1))
-            tp -= m << shift
-            tk -= m * wvar
-        divided.append((lk - m * wvar, lp - (m << shift), tk, tp))
-    return ctx, _bin_interreduced(ctx, _minimal(divided, ctx.hmask))
-
-
 def saturate(ideal, f):
-    """I : f^∞, via 1 - t*f elimination; monomial f over a homogeneous
-    pure-difference ideal takes a variable-by-variable fast route."""
+    """I : f^∞, the t-free part of the reduced basis of I + (1 - t*f) under
+    an elimination order for t.
+
+    The order inside the block is degrevlex with t last, and for a monomial
+    f the last variable of f comes just before t: the t-free part is then
+    the reduced basis under degrevlex with that variable last, the basis a
+    Bayer–Stillman pass by that variable ends with.  A unit changes no
+    saturation, so a monomial f is made monic first, and over a
+    pure-difference I the element 1 - t*f is a pure difference as well: the
+    whole saturation is one binomial-engine run.
+    """
     if not f:
         raise ZeroDivisor("saturation by zero")
     ring = ideal.ring
     if not ideal.generators:
         return Ideal(ring, [])
-    if len(f.terms) == 1 and all(g.is_homogeneous() for g in ideal.generators):
-        ctx = _Ctx(ring, ring.default_order)
-        elements = _binomial_elements(ctx, ideal.generators)
-        if elements is not None:
-            (mono,) = f.terms
-            for i, e in enumerate(mono):
-                if e:
-                    ctx, elements = _saturate_binomial_by_variable(
-                        ring, elements, ring.variables[i])
-            return Ideal(ring, _binomial_polys(ctx, elements))
+    prio = ring.variables
+    if len(f.terms) == 1:
+        (mono,) = f.terms
+        f = ring.monomial(mono)
+        last = max((i for i, e in enumerate(mono) if e), default=None)
+        if last is not None:
+            prio = prio[:last] + prio[last + 1:] + (prio[last],)
     t = _fresh_name(ring)
     ext = ring.extend([t])
     gens = [g.map_ring(ext) for g in ideal.generators]
     gens.append(ext.one() - ext.var(t) * f.map_ring(ext))
-    result = eliminate(Ideal(ext, gens), {t})
-    return Ideal(ring, [g.map_ring(ring) for g in result.generators])
+    gb = buchberger(gens, BlockOrder((t,), degrevlex(prio + (t,))), ring=ext)
+    return Ideal(ring, [g.map_ring(ring) for g in gb.basis
+                        if not any(m[-1] for m in g.terms)])
 
 
 def ideal_equal(a, b):

@@ -385,23 +385,34 @@ def is_admissible(lattice, members):
 
 
 def enumerate_admissible_sets(lattice):
-    """All admissible subsets, ordered by (size, element-index sequence)."""
+    """All admissible subsets, ordered by (size, element-index sequence).
+
+    Elements are assigned in index order, in or out, and each basic
+    binomial's rule (a set hits {a, b} exactly when it hits {c, d}) is
+    checked once its highest-index element is assigned, so a partial set
+    that breaks a rule is never extended.
+    """
     els = lattice.elements
     n = len(els)
-    pairs = []
+    index = lattice.index
+    rules = [[] for _ in range(n)]  # by the highest index each rule reads
     for (a, b), (c, d) in basic_binomial_pairs(lattice):
-        mask_ab = (1 << lattice.index[a]) | (1 << lattice.index[b])
-        mask_cd = (1 << lattice.index[c]) | (1 << lattice.index[d])
-        pairs.append((mask_ab, mask_cd))
+        mask_ab = (1 << index[a]) | (1 << index[b])
+        mask_cd = (1 << index[c]) | (1 << index[d])
+        rules[(mask_ab | mask_cd).bit_length() - 1].append((mask_ab, mask_cd))
     found = []
-    for mask in range(1 << n):
-        ok = True
-        for mab, mcd in pairs:
-            if bool(mask & mab) != bool(mask & mcd):
-                ok = False
-                break
-        if ok:
+    stack = [(0, 0)]
+    while stack:
+        i, mask = stack.pop()
+        if i == n:
             found.append(mask)
+            continue
+        for m in (mask, mask | 1 << i):
+            for mab, mcd in rules[i]:
+                if (not m & mab) != (not m & mcd):
+                    break
+            else:
+                stack.append((i + 1, m))
     found.sort(key=lambda m: (bin(m).count("1"),
                               tuple(i for i in range(n) if m >> i & 1)))
     return [

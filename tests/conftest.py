@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, strategies as st
 
+from lattice_lab import groebner
 from lattice_lab.fixtures import (
     build_fixture,
     chain,
@@ -96,6 +97,20 @@ def closure_lattices(draw, max_elements=12):
               and not any(c not in (a, b) and a & c == a and c & b == c
                           for c in sets)]
     return build_lattice(sorted(names.values()), covers)
+
+
+def count_engine_runs(monkeypatch):
+    """Patch the pair loop and the generic engine to count their runs."""
+    calls = {"_buchberger_core": 0, "_generic_buchberger": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(groebner, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Independent brute-force oracles shared by the property and acceptance tests."""
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 from lattice_lab import BlockOrder
 
@@ -98,7 +100,7 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
     the first squarefree (kind, priority) in enumeration order and the last
     figure counts distinct leading-term sets among the orders scanned.
     """
-    from lattice_lab.groebner import _binomial_buchberger, _Ctx
+    from lattice_lab.groebner import _bin_reduce, _bin_s_element, _buchberger_core, _Ctx
     from lattice_lab.poly import _FIELD_BITS, degrevlex, lex
     from lattice_lab.workflows import join_meet_ideal
 
@@ -117,7 +119,7 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
             order = lex(prio) if kind == "lex" else degrevlex(prio)
             ctx = _Ctx(ring, order)
             elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
-            minimal = _binomial_buchberger(ctx, elements, interreduce=False)
+            minimal = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce)
             leads = frozenset(lp for _, lp, _, _ in minimal)
             leading.add(leads)
             counts[kind]["orders"] += 1
@@ -126,6 +128,141 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
                 if witness is None:
                     witness = (kind, prio)
     return counts, witness, len(leading)
+
+
+def saturate_by_passes(ideal, f):
+    """Reference I : f^∞ for a homogeneous pure-difference ideal and a
+    monomial f: one Bayer–Stillman pass per variable of f, in ring order.
+
+    Under degrevlex with x last, dividing each element of a Groebner basis
+    of a homogeneous I by the largest power of x that divides it gives a
+    Groebner basis of I : x^∞ (Sturmfels, *Groebner Bases and Convex
+    Polytopes*, Lemma 12.1); the pass then minimalises and interreduces.
+    The last pass leaves the reduced basis under degrevlex with f's last
+    variable last, by decreasing lead.
+    """
+    from lattice_lab.groebner import (
+        Ideal, _bin_interreduced, _bin_reduce, _bin_s_element, _binomial_elements,
+        _binomial_polys, _buchberger_core, _Ctx, _minimal)
+    from lattice_lab.poly import _FIELD_BITS, degrevlex
+
+    ring = ideal.ring
+    assert all(g.is_homogeneous() for g in ideal.generators)
+    (mono,) = f.terms
+    ctx = _Ctx(ring, ring.default_order)
+    elements = _binomial_elements(ctx, ideal.generators)
+    assert elements is not None, "not a pure-difference ideal"
+    low = (1 << (_FIELD_BITS - 1)) - 1
+    for index, exponent in enumerate(mono):
+        if not exponent:
+            continue
+        var = ring.variables[index]
+        ctx = _Ctx(ring, degrevlex(
+            tuple(v for v in ring.variables if v != var) + (var,)))
+        kp = ctx.key_packed
+        elements = [(kp(lp), lp, -1 if tp < 0 else kp(tp), tp)
+                    for _, lp, _, tp in elements]
+        shift = _FIELD_BITS * index
+        wvar = ctx.weights[index]
+        divided = []
+        for lk, lp, tk, tp in _buchberger_core(ctx, elements, _bin_s_element,
+                                               _bin_reduce):
+            m = (lp >> shift) & low
+            if tp >= 0:
+                m = min(m, (tp >> shift) & low)
+                tp -= m << shift
+                tk -= m * wvar
+            divided.append((lk - m * wvar, lp - (m << shift), tk, tp))
+        elements = _bin_interreduced(ctx, _minimal(divided, ctx.hmask))
+    return Ideal(ring, _binomial_polys(ctx, elements))
+
+
+def buchberger_all_pairs(gens, order, ring):
+    """Reference reduced Groebner basis: Buchberger's algorithm on term
+    dicts that treats every pair, with no coprime, chain or Gebauer–Möller
+    criterion, then minimalisation and interreduction.  Returns the monic
+    basis as Polys by decreasing lead, the shape of ``ReducedGB.basis``.
+    """
+    from lattice_lab.poly import Poly
+
+    key = lru_cache(maxsize=None)(tuple_order_key(order, ring))
+    char = ring.char
+
+    def lead(f):
+        return max(f, key=key)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def monic(f):
+        lm = lead(f)
+        inv = 1 / f[lm] if char == 0 else pow(f[lm], -1, char)
+        return lm, {m: c * inv if char == 0 else c * inv % char
+                    for m, c in f.items()}
+
+    def subtract(f, c, shift, g):
+        # f -= c * x^shift * g, in place
+        for m, gc in g.items():
+            m = tuple(map(add, m, shift))
+            v = f.get(m, 0) - c * gc
+            if char:
+                v %= char
+            if v:
+                f[m] = v
+            else:
+                f.pop(m, None)
+
+    def normal_form(f, basis):
+        f, rem = dict(f), {}
+        while f:
+            m = lead(f)
+            for lg, g in basis:
+                if divides(lg, m):
+                    subtract(f, f[m], tuple(map(sub, m, lg)), g)
+                    break
+            else:
+                rem[m] = f.pop(m)
+        return rem
+
+    basis = [monic(g.terms) for g in gens if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (li, fi), (lj, fj) = basis[i], basis[j]
+        lcm = tuple(map(max, li, lj))
+        s = {}
+        subtract(s, -1, tuple(map(sub, lcm, li)), fi)
+        subtract(s, 1, tuple(map(sub, lcm, lj)), fj)
+        r = normal_form(s, basis)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(monic(r))
+    minimal = []
+    for lg, g in sorted(basis, key=lambda e: key(e[0])):
+        if not any(divides(lh, lg) for lh, _ in minimal):
+            minimal.append((lg, g))
+    reduced = []
+    for lg, g in minimal:
+        tail = normal_form({m: c for m, c in g.items() if m != lg},
+                           [e for e in minimal if e[0] != lg])
+        reduced.append(Poly(ring, {lg: 1, **tail}))
+    return reduced[::-1]
+
+
+def admissible_masks_by_loop(lattice):
+    """Reference admissible sets: every one of the 2^n masks tested against
+    every basic binomial, as element tuples by (size, index sequence)."""
+    from lattice_lab.lattice import basic_binomial_pairs
+
+    els, index = lattice.elements, lattice.index
+    n = len(els)
+    pairs = [((1 << index[a]) | (1 << index[b]), (1 << index[c]) | (1 << index[d]))
+             for (a, b), (c, d) in basic_binomial_pairs(lattice)]
+    found = [mask for mask in range(1 << n)
+             if all(bool(mask & mab) == bool(mask & mcd) for mab, mcd in pairs)]
+    found.sort(key=lambda m: (bin(m).count("1"),
+                              tuple(i for i in range(n) if m >> i & 1)))
+    return [tuple(els[i] for i in range(n) if m >> i & 1) for m in found]
 
 
 def minimal_primes_all_pairs(lattice, char=0):

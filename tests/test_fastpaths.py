@@ -222,6 +222,7 @@ GOLDEN_RUNS.update({
     "ini_N_degrevlex_perm": ["ini", "--fixture", "N", "--order",
                              "degrevlex:e,l,b,h,a,d,g,c,f"],
     "radical_N_char32003": ["radical", "--fixture", "N", "--char", str(P)],
+    "primes_Lk_8_4_char0": ["primes", "--fixture", "Lk:8:4", "--char", "0"],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

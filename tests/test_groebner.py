@@ -31,11 +31,17 @@ from lattice_lab import groebner
 from lattice_lab.errors import ExponentOverflow
 from lattice_lab.fixtures import diamond_m3, ladder, lattice_n, lattice_q, lk
 from lattice_lab.groebner import exact_div, spolynomial
-from lattice_lab.poly import sort_key
+from lattice_lab.poly import BlockOrder, product, sort_key
 from lattice_lab.workflows import join_meet_ideal
 
-from conftest import closure_lattices
-from oracles import membership_by_linear_algebra, monomials_of_degree, random_homogeneous_difference
+from conftest import closure_lattices, count_engine_runs
+from oracles import (
+    buchberger_all_pairs,
+    membership_by_linear_algebra,
+    monomials_of_degree,
+    random_homogeneous_difference,
+    saturate_by_passes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +137,70 @@ def test_monomial_generators_skip_the_pair_loop(monkeypatch):
     assert gb == looped
     assert set(gb.leading_monomials()) == MonomialIdeal(
         R, [g.leading_monomial() for g in gens]).gens
+
+
+# -- pair update against a criteria-free Buchberger ----------------------------
+# Inhomogeneous and generic inputs stay in three variables: the oracle treats
+# every pair, and its bases grow fast.
+
+P = 32003
+
+
+def _orders(names):
+    return st.tuples(st.sampled_from((lex, degrevlex)), st.permutations(names))
+
+
+def _monos(nvars, top):
+    return st.tuples(*(st.integers(0, top) for _ in range(nvars)))
+
+
+@given(char=st.sampled_from((0, P)), order=_orders("xyzw"), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_pure_difference_basis_matches_all_pairs_oracle(char, order, data):
+    R = PolyRing(tuple("xyzw"), char)
+    monos = monomials_of_degree(R.nvars, data.draw(st.integers(1, 3)))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(monos),
+                                         st.sampled_from(monos)),
+                               min_size=1, max_size=5))
+    gens = [R.monomial(u) - R.monomial(v) for u, v in pairs]
+    order = order[0](tuple(order[1]))
+    gb = buchberger(gens, order, ring=R)
+    assert gb._binomial is not None
+    assert list(gb.basis) == buchberger_all_pairs(gens, order, R)
+
+
+@given(char=st.sampled_from((0, P)), order=_orders("xyz"),
+       pairs=st.lists(st.tuples(_monos(3, 2), _monos(3, 2)), min_size=1, max_size=4),
+       m=_monos(3, 2), block=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_saturation_shaped_basis_matches_all_pairs_oracle(char, order, pairs, m,
+                                                          block):
+    """Inhomogeneous pure differences plus 1 - t*m, the element saturation
+    adds, under the elimination order for t or an order over all variables."""
+    R = PolyRing(tuple("xyzt"), char)
+    gens = [R.monomial(u + (0,)) - R.monomial(v + (0,)) for u, v in pairs]
+    gens.append(R.one() - R.monomial(m + (1,)))
+    kind, perm = order
+    inner = kind(tuple(perm) + ("t",))
+    order = BlockOrder(("t",), inner) if block else inner
+    gb = buchberger(gens, order, ring=R)
+    assert gb._binomial is not None
+    assert list(gb.basis) == buchberger_all_pairs(gens, order, R)
+
+
+@given(char=st.sampled_from((0, P)), order=_orders("xyz"),
+       polys=st.lists(st.lists(st.tuples(_monos(3, 1), st.integers(-3, 3)),
+                               min_size=1, max_size=3),
+                      min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_generic_basis_matches_all_pairs_oracle(char, order, polys):
+    R = PolyRing(tuple("xyz"), char)
+    gens = [sum((R.monomial(m, c) for m, c in terms), R.zero()) for terms in polys]
+    gens.append(R.from_string("x*y + 2*z + 3"))  # three terms: the generic engine
+    order = order[0](tuple(order[1]))
+    gb = buchberger(gens, order, ring=R)
+    assert gb._generic is not None
+    assert list(gb.basis) == buchberger_all_pairs(gens, order, R)
 
 
 def test_zero_ideal_empty_basis():
@@ -383,38 +453,47 @@ def test_saturate_regular_variables_fixed_point():
     assert ideal_equal(saturate(I, prod), I)
 
 
-def _saturate_by_elimination(I, f):
-    R = I.ring
-    ext = R.extend(["t"])
-    t = ext.var("t")
-    gens = [g.map_ring(ext) for g in I.generators]
-    gens.append(ext.one() - t * f.map_ring(ext))
-    ref = eliminate(Ideal(ext, gens), {"t"})
-    return Ideal(R, [g.map_ring(R) for g in ref.generators])
-
-
-def test_saturate_fast_path_matches_elimination():
+def test_saturate_matches_pass_chain():
     R = PolyRing(("x", "y", "z"))
     I = Ideal(R, ["x*y - z^2", "y^2 - x*z"])
     f = R.from_string("x*y")
-    fast = saturate(I, f)  # homogeneous pure differences: variable route
-    assert ideal_equal(fast, _saturate_by_elimination(I, f))
+    assert saturate(I, f).generators == saturate_by_passes(I, f).generators
 
 
 @pytest.mark.parametrize("lattice", [diamond_m3(), lk(3, 1)], ids=["M3", "Lk31"])
-def test_saturate_by_all_variables_matches_elimination(lattice):
+def test_saturate_by_all_variables_matches_pass_chain(lattice):
     # the ideals are not saturated, so some pass divides out its variable
     I = join_meet_ideal(lattice).ideal
     R = I.ring
-    f = R.one()
-    for v in R.variables:
-        f = f * R.var(v)
-    fast = saturate(I, f)
-    assert not ideal_equal(fast, I)
-    # the last pass saturates by the last variable under degrevlex with it
-    # last, the default order, so it returns the reduced basis itself
-    ref = _saturate_by_elimination(I, f)
-    assert fast.generators == ref.groebner().basis
+    f = product([R.var(v) for v in R.variables], R)
+    sat = saturate(I, f)
+    assert not ideal_equal(sat, I)
+    # f's last variable is the ring's last, so both return the reduced basis
+    # under the default order
+    assert sat.generators == saturate_by_passes(I, f).generators
+    assert sat.generators == sat.groebner().basis
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_saturate_by_non_monic_monomial_stays_binomial(monkeypatch, char):
+    """A unit changes no saturation: saturate makes a monomial monic, so
+    1 - t*f stays a pure difference and the binomial engine runs."""
+    I = join_meet_ideal(diamond_m3(), char).ideal
+    R = I.ring
+    xy, x = R.var(R.variables[1]) * R.var(R.variables[2]), R.var(R.variables[1])
+    expected = [saturate(I, xy).generators, saturate(I, x).generators]
+    calls = count_engine_runs(monkeypatch)
+    assert [saturate(I, 2 * xy).generators, saturate(I, -x).generators] == expected
+    assert calls == {"_buchberger_core": 2, "_generic_buchberger": 0}
+
+
+def test_saturate_by_monomial_is_one_engine_run(monkeypatch):
+    I = join_meet_ideal(lattice_q()).ideal
+    R = I.ring
+    f = product([R.var(v) for v in R.variables], R)
+    calls = count_engine_runs(monkeypatch)
+    saturate(I, f)
+    assert calls == {"_buchberger_core": 1, "_generic_buchberger": 0}
 
 
 def _saturate_by_colon(I, f):
@@ -427,7 +506,7 @@ def _saturate_by_colon(I, f):
 
 
 @pytest.mark.parametrize("gens,f,expected", [
-    (["x*y - x"], "x", ["y - 1"]),  # a pure difference, not homogeneous
+    (["x*y - x"], "x", ["y - 1"]),  # not homogeneous, still binomial
     (["x*y + y"], "x + 1", ["y"]),  # f not a monomial
     (["x^2*y + x*y^2 + y"], "y", ["x^2 + x*y + 1"]),
 ], ids=["inhomogeneous-difference", "binomial-f", "trinomial"])
@@ -535,16 +614,17 @@ def test_join_meet_bases_stay_binomial():
 @given(L=closure_lattices(), char=st.sampled_from((0, 32003)), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_minimal_basis_with_unreduced_tails_is_a_groebner_basis(L, char, data):
-    # the pair loop only top-reduces, so the minimal basis that saturation
-    # reads keeps unreduced tails; it must still be a Groebner basis, and
-    # interreducing it must give the reduced basis
+    # the pair loop only top-reduces, so the minimal basis it returns keeps
+    # unreduced tails; it must still be a Groebner basis, and interreducing
+    # it must give the reduced basis
     jm = join_meet_ideal(L, char)
     ring = jm.ring
     kind = data.draw(st.sampled_from((lex, degrevlex)))
     order = kind(tuple(data.draw(st.permutations(ring.variables))))
     ctx = groebner._Ctx(ring, order)
     elements = groebner._binomial_elements(ctx, jm.ideal.generators)
-    kept = groebner._binomial_buchberger(ctx, elements, interreduce=False)
+    kept = groebner._buchberger_core(ctx, elements, groebner._bin_s_element,
+                                     groebner._bin_reduce)
     assert verify_groebner(groebner.ReducedGB(ctx, binomial=kept))
     reduced = groebner._bin_interreduced(ctx, kept)
     assert reduced == groebner._binomial_buchberger(ctx, elements)

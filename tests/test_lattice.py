@@ -34,6 +34,7 @@ from lattice_lab.fixtures import (
 from lattice_lab.lattice import basic_binomial_pairs, is_admissible
 
 from conftest import closure_lattices, product_lattice, small_corpus
+from oracles import admissible_masks_by_loop
 
 
 # -- build_lattice ----------------------------------------------------------
@@ -271,6 +272,21 @@ def test_enumeration_order_is_size_then_lexicographic(lattice_Q):
         for a in sets
     ]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "N5"] + [
+    f"Lk:{n}:{k}" for n in range(2, 8) for k in range(1, n)])
+def test_backtracking_matches_mask_loop(spec):
+    L = build_fixture(spec)
+    assert ([a.members for a in enumerate_admissible_sets(L)]
+            == admissible_masks_by_loop(L))
+
+
+@given(closure_lattices())
+@settings(max_examples=60, deadline=None)
+def test_backtracking_matches_mask_loop_on_closure_systems(L):
+    assert ([a.members for a in enumerate_admissible_sets(L)]
+            == admissible_masks_by_loop(L))
 
 
 # -- restriction ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +47,7 @@ from lattice_lab.fixtures import (
     lk,
     pentagon_n5,
 )
-from lattice_lab import groebner, workflows
+from lattice_lab import workflows
 from lattice_lab.groebner import buchberger, ideal_contains
 from lattice_lab.lattice import (
     basic_binomial_pairs,
@@ -66,6 +67,7 @@ from lattice_lab.workflows import (
 
 from conftest import (
     closure_lattices,
+    count_engine_runs,
     distributive_corpus,
     product_lattice,
     radical_fixture_corpus,
@@ -74,6 +76,7 @@ from conftest import (
 from oracles import (
     certify_saturated_part,
     minimal_primes_all_pairs,
+    saturate_by_passes,
     scan_orders_uncached,
     witness_search_poly,
 )
@@ -159,7 +162,7 @@ def test_variables_among_generators_are_split_off():
 
 
 def test_inhomogeneous_part_is_saturated_by_elimination():
-    # not homogeneous, so saturate takes its generic 1 - t*f route
+    # not homogeneous: the 1 - t*f elimination needs no grading
     R = PolyRing(("x", "y", "z"))
     assert certify_prime_component(Ideal(R, ["x - y^2"]))
     # saturated w.r.t. xyz, but its lattice 2Z(1,-1,-1) is not saturated
@@ -327,33 +330,19 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
     _assert_certificate_and_dim_match_fresh_bases(components)
 
 
-def _count_engine_runs(monkeypatch):
-    """Patch the pair loop and the generic engine to count their runs."""
-    calls = {"_buchberger_core": 0, "_generic_buchberger": 0}
-    for name in calls:
-        original = getattr(groebner, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(groebner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name, runs", [
     pytest.param(name, runs, id=name)
-    for name, runs in (("Q", 9), ("R", 26), ("Lk:6:3", 33), ("N", 31))])
+    for name, runs in (("Q", 3), ("R", 7), ("Lk:6:3", 11), ("N", 15))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
-    """Each surviving component gets one basis, shared by the containment
-    check, the SNF certificate and the dimension; the other runs are
-    saturation passes, the join-meet ideal's bases and, where the default
-    order does not certify the intersection (Lk), the bases under the
-    second order.  Monomial ideals never enter the pair loop.  Only a
-    decomposition the initial ideals do not certify (N) reaches the
-    intersection fold and its generic engine."""
-    calls = _count_engine_runs(monkeypatch)
+    """Each saturation is one run, the elimination of 1 - t*f.  Each
+    saturated candidate gets one basis, shared by the containment check,
+    the SNF certificate and the dimension; the join-meet ideal adds its
+    basis and, where the default order does not certify the intersection
+    (Lk), the bases under the second order come on top.  Monomial ideals
+    never enter the pair loop.  Only a decomposition the initial ideals do
+    not certify (N) reaches the intersection fold and its generic engine."""
+    calls = count_engine_runs(monkeypatch)
     if name == "N":
         with pytest.raises(IntersectionMismatch):
             minimal_primes(build_fixture(name), char)
@@ -368,10 +357,12 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
 def test_radical_certificate_builds_each_basis_once(monkeypatch, char):
     """The four squarefree-order bases of R's join-meet ideal include the
     default order, and the decomposition's intersection check reads that
-    basis instead of building it again: 4 + 26 - 1 runs."""
-    calls = _count_engine_runs(monkeypatch)
+    basis instead of building it again.  The decomposition alone is 7 runs
+    (three saturations, three component bases and the join-meet basis), so
+    the certificate makes 4 + 7 - 1."""
+    calls = count_engine_runs(monkeypatch)
     assert radical_certificate(lattice_r(), char).route == "prime_intersection"
-    assert calls["_buchberger_core"] == 29
+    assert calls["_buchberger_core"] == 10
 
 
 def _certificate_against_fold(L, char):
@@ -460,6 +451,37 @@ def test_distributive_dimension_formula():
         jm = join_meet_ideal(L)
         dim = krull_dim(initial_ideal(jm.ideal))
         assert dim == len(join_irreducibles(L)) + 1, name
+
+
+# -- saturation against the Bayer–Stillman pass chain ---------------------------------------
+
+def _assert_saturations_match_passes(L, char):
+    """Every complement ideal that ``minimal_primes`` saturates gives the
+    pass chain's generators, in the same order."""
+    calls = []
+
+    def recording(ideal, f):
+        sat = saturate(ideal, f)
+        calls.append((ideal, f, sat))
+        return sat
+
+    with mock.patch.object(workflows, "saturate", recording):
+        minimal_primes(L, char, _verify=False)
+    for ideal, f, sat in calls:
+        assert sat.generators == saturate_by_passes(ideal, f).generators
+    return len(calls)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "N5", "Lk:6:3", "Lk:8:4"])
+def test_saturate_matches_pass_chain_on_fixtures(spec, char):
+    _assert_saturations_match_passes(build_fixture(spec), char)
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=100, deadline=None)
+def test_saturate_matches_pass_chain_on_closure_systems(L, char):
+    _assert_saturations_match_passes(L, char)
 
 
 # -- colon equals saturation on radical fixtures -------------------------------------------

@@ -158,24 +158,6 @@ def _toposort(n, succ):
     return out if len(out) == n else None
 
 
-def _transitive_reduction(n, up):
-    """Cover pairs (i, j) of the order given by reachability masks."""
-    covers = []
-    for i in range(n):
-        above = up[i] & ~(1 << i)
-        for j in range(n):
-            if above >> j & 1:
-                # j covers i unless some k lies strictly between
-                between = False
-                for k in range(n):
-                    if k != i and k != j and (above >> k & 1) and (up[k] >> j & 1):
-                        between = True
-                        break
-                if not between:
-                    covers.append((i, j))
-    return covers
-
-
 def build_lattice(elements, covers):
     """Construct a Lattice from element names and cover (lower, upper) pairs.
 
@@ -237,8 +219,10 @@ def build_lattice(elements, covers):
     if least_of(full, up) is None or least_of(full, down) is None:
         raise NoBounds("no unique minimum or maximum")
 
-    # longest-path rank from the bottom; graded iff each cover steps by one
-    reduction = _transitive_reduction(n, up)
+    # j covers i exactly when the interval [i, j] is {i, j}; longest-path
+    # rank from the bottom; graded iff each cover steps by one
+    reduction = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and up[i] & down[j] == (1 << i) | (1 << j)]
     ranks = [0] * n
     for i in topo:
         for (lo, hi) in reduction:

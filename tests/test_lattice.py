@@ -339,6 +339,44 @@ def test_restriction_closed_under_ambient_operations():
                 assert L.meet(x, y) in set(sub.elements)
 
 
+def _covers_by_definition(L):
+    """Pairs a < b with no element strictly between them, read off ``le``."""
+    E = L.elements
+    return {(a, b) for a in E for b in E
+            if a != b and L.le(a, b)
+            and not any(c not in (a, b) and L.le(a, c) and L.le(c, b)
+                        for c in E)}
+
+
+def _check_covers(L):
+    # rebuilt from every strict comparability, so the builder itself must
+    # drop the pairs that are not covers
+    full = build_lattice(L.elements, [(a, b) for a in L.elements
+                                      for b in L.elements
+                                      if a != b and L.le(a, b)])
+    expected = _covers_by_definition(L)
+    assert set(L.covers) == expected
+    assert set(full.covers) == expected
+    assert full.is_graded == L.is_graded
+    assert full.height == L.height
+
+
+@pytest.mark.parametrize("spec", ["Q", "N", "R", "M3", "N5", "Chain:1",
+                                  "Chain:5", "DivisorLadder:3", "Lk:2:1",
+                                  "Lk:4:2", "Lk:6:3"])
+def test_covers_match_definition_on_fixtures_and_duals(spec):
+    L = build_fixture(spec)
+    _check_covers(L)
+    _check_covers(dual(L))
+
+
+@given(closure_lattices())
+@settings(max_examples=60, deadline=None)
+def test_covers_match_definition_on_closure_systems(L):
+    _check_covers(L)
+    _check_covers(dual(L))
+
+
 # -- join irreducibles, dual ----------------------------------------------------
 
 def test_chain_join_irreducibles():

@@ -336,8 +336,8 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
-    saturated candidate gets one basis, shared by the containment check,
-    the SNF certificate and the dimension; the join-meet ideal adds its
+    saturated candidate gets one basis, shared by the SNF certificate, the
+    dimension and the verify step; the join-meet ideal adds its
     basis and, where the default order does not certify the intersection
     (Lk), the bases under the second order come on top.  Monomial ideals
     never enter the pair loop.  Only a decomposition the initial ideals do
@@ -419,8 +419,10 @@ def test_admissible_sets_give_distinct_component_bases(make):
 
 
 def test_lk_10_5_has_seven_components():
-    comps = minimal_primes(lk(10, 5))
-    assert sorted(c.dim for c in comps) == [6, 6, 6, 6, 10, 10, 10]
+    for (n, k), dims in (((10, 5), [6, 6, 6, 6, 10, 10, 10]),
+                         ((12, 6), [7, 7, 7, 7, 12, 12, 12])):
+        comps = minimal_primes(lk(n, k))
+        assert sorted(c.dim for c in comps) == dims, (n, k)
 
 
 # -- admissible restriction matches the variable-killing image ----------------------------

@@ -152,4 +152,9 @@ def lattice_from_json(text):
     if not (isinstance(elements, list)
             and all(isinstance(e, str) for e in elements)):
         raise ValueError('"elements" must be a list of strings')
-    return build_lattice(elements, [tuple(c) for c in data["covers"]])
+    covers = data["covers"]
+    if not (isinstance(covers, list) and all(
+            isinstance(c, list) and len(c) == 2
+            and all(isinstance(e, str) for e in c) for c in covers)):
+        raise ValueError('"covers" must be a list of [lower, upper] string pairs')
+    return build_lattice(elements, [tuple(c) for c in covers])

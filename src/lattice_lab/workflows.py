@@ -671,6 +671,9 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     ``jobs`` of them (default: the CPUs this process may use), and the
     report does not depend on the split.
     """
+    if not kinds or not set(kinds) <= {"lex", "degrevlex"}:
+        raise PreconditionViolated(
+            f"kinds must name lex or degrevlex, got {tuple(kinds)}")
     if sample < 1:
         raise PreconditionViolated(f"sample must be at least 1, got {sample}")
     if jobs is not None and jobs < 1:

@@ -38,6 +38,21 @@ def test_check_reports_witnesses(capsys):
     assert "pentagon" in out
 
 
+def test_check_long_chain_under_a_pentagon(tmp_path, capsys):
+    # 60 elements: the pentagon comes last in element order
+    chain = [f"c{i}" for i in range(1, 56)]
+    pent = [f"p{i}" for i in range(5)]
+    covers = [[a, b] for a, b in zip(chain, chain[1:] + ["p0"])]
+    covers += [["p0", "p1"], ["p1", "p2"], ["p2", "p4"], ["p0", "p3"],
+               ["p3", "p4"]]
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"elements": chain + pent, "covers": covers}))
+    code, out, _ = run(capsys, "check", "--input", str(path), "--json")
+    assert code == 0
+    modular = json.loads(out)["checks"][3]
+    assert modular == {"name": "modular", "pass": False, "witness": pent}
+
+
 def _antichain(tmp_path):
     path = tmp_path / "antichain.json"
     path.write_text(json.dumps({"elements": ["a", "b"], "covers": []}))
@@ -176,9 +191,10 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
     {"elements": "ab", "covers": [["a", "b"]]},
     {"elements": [1, 2], "covers": [[1, 2]]},
     {"elements": ["a", "b"], "covers": [["a"]]},
+    {"elements": ["a", "b"], "covers": ["ab"]},
 ], ids=["no-covers", "no-elements", "not-an-object", "unknown-element",
         "duplicate-names", "elements-not-a-list", "non-string-names",
-        "short-cover"])
+        "short-cover", "string-cover"])
 @pytest.mark.parametrize("verb", ["check", "primes"])
 def test_malformed_lattice_input_is_exit_2(tmp_path, capsys, verb, doc):
     path = tmp_path / "malformed.json"

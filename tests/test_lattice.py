@@ -53,8 +53,14 @@ def test_no_upper_bound_raises():
 
 
 def test_cycle_raises():
-    with pytest.raises(NotAPoset):
+    with pytest.raises(NotAPoset) as exc:
         build_lattice(["a", "b"], [("a", "b"), ("b", "a")])
+    assert exc.value.cycle == ("a", "b")
+    # d and e lie above the cycle, not on it; b is its least-index element
+    with pytest.raises(NotAPoset) as exc:
+        build_lattice(list("abcde"), [("a", "b"), ("b", "c"), ("c", "b"),
+                                      ("c", "d"), ("a", "e"), ("e", "d")])
+    assert exc.value.cycle == ("b", "c")
 
 
 def test_empty_raises():
@@ -169,6 +175,37 @@ def test_pentagon_not_modular_with_witness():
     assert not rep.modular
     assert rep.witness.kind == "pentagon"
     assert set(rep.witness.elements) == {"a", "b", "c", "e", "f"}
+
+
+def _assert_pentagon(L, w):
+    lo, hi, lone = w.middles
+    assert w.kind == "pentagon" and len(set(w.elements)) == 5
+    assert L.le(w.min_element, lo) and L.le(lo, hi) and L.le(hi, w.max_element)
+    for x in (lo, hi):
+        assert not L.le(x, lone) and not L.le(lone, x)
+        assert L.join(x, lone) == w.max_element
+        assert L.meet(x, lone) == w.min_element
+
+
+@given(closure_lattices())
+@settings(max_examples=100, deadline=None)
+def test_modular_witness_is_a_pentagon_on_closure_systems(L):
+    rep = is_modular(L)
+    assert rep.modular == (not _has_sublattice_pattern(L, "N5"))
+    assert (rep.witness is None) == rep.modular
+    if rep.witness is not None:
+        _assert_pentagon(L, rep.witness)
+
+
+def test_pentagon_read_off_the_first_failing_triple():
+    # x = b <= z = f with y = g fails the modular law first:
+    # g∧f = a < b∨(g∧f) = b < (b∨g)∧f = f < b∨g = d
+    L = build_lattice(list("abcdefg"), [
+        ("a", "b"), ("a", "e"), ("a", "g"), ("b", "f"), ("c", "d"),
+        ("e", "c"), ("e", "f"), ("f", "d"), ("g", "c")])
+    w = is_modular(L).witness
+    _assert_pentagon(L, w)
+    assert w.elements == ("a", "b", "f", "g", "d")
 
 
 def test_lk_modular():

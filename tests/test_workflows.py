@@ -722,7 +722,8 @@ def test_scan_q_witness_is_the_first_order(lattice_Q):
 
 
 @pytest.mark.parametrize("bad", [dict(sample=0), dict(sample=-3), dict(jobs=0),
-                                 dict(jobs=-1)])
+                                 dict(jobs=-1), dict(kinds=()),
+                                 dict(kinds=("lex", "bogus"))])
 def test_scan_rejects_empty_scans(lattice_N, bad):
     with pytest.raises(PreconditionViolated):
         squarefree_order_scan(lattice_N, exhaustive=False, **bad)

@@ -7,7 +7,7 @@ S-element and reduce steps from one of two element kinds:
 * binomial elements, for ideals generated by monomials and pure differences
   of monomials (closed under S-polynomials and reduction, so every element of
   every intermediate basis has at most two terms), and
-* generic elements, with fraction-free integer pseudo-reduction.
+* generic elements, monic, with coefficients in the field (Q or GF(p)).
 
 Monomials live in hot loops as packed integers (16-bit fields per variable)
 so that divisibility is two big-int operations, and each monomial order is a
@@ -21,7 +21,6 @@ import heapq
 import itertools
 import struct
 from fractions import Fraction
-from math import gcd as _gcd
 from operator import itemgetter, mul
 
 from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
@@ -82,13 +81,6 @@ class _Ctx:
     def unpack(self, packed):
         # guard bits are clear, so each 16-bit field is one exponent
         return self._fields(packed.to_bytes(self._bytes, "little"))
-
-    def key_exps(self, exps):
-        k = 0
-        for e, w in zip(exps, self.weights):
-            if e:
-                k += e * w
-        return k
 
     def key_pack(self, exps):
         """(order key, packed) of an exponent tuple in one pass."""
@@ -328,122 +320,86 @@ def _binomial_polys(ctx, elements):
 
 
 # ---------------------------------------------------------------------------
-# generic elements: fraction-free integer pseudo-reduction
+# generic elements: monic, with field coefficients
 # ---------------------------------------------------------------------------
-# (lead_key, lead_packed, terms: dict packed->int coeff, lead_coeff).  Over Q
-# the coefficients are primitive integers with positive leading coefficient;
-# over GF(p) they are residues with monic lead.  Raw elements are term dicts.
+# (lead_key, lead_packed, terms: dict packed->coeff) with terms[lead_packed]
+# == 1.  Coefficients are residues over GF(p).  Over Q they are ints where
+# possible, as int arithmetic is much the faster: inputs and new elements
+# store integral values as ints, and Fractions enter only with non-integral
+# ones.  Raw elements are term dicts.
 
 
-def _content(terms):
-    g = 0
-    for c in terms.values():
-        g = _gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g or 1
+def _rational(c):
+    """A rational as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _make_entry(ctx, terms):
-    """Normalize a term dict into a generic element (or None if zero)."""
-    terms = {m: c for m, c in terms.items() if c}
+    """The monic element of a nonzero term dict, or None for the empty one."""
     if not terms:
         return None
     lead = max(terms, key=ctx.key_packed)
-    if ctx.ring.char == 0:
-        g = _content(terms)
-        if g > 1:
-            terms = {m: c // g for m, c in terms.items()}
-        if terms[lead] < 0:
-            terms = {m: -c for m, c in terms.items()}
-    else:
-        p = ctx.ring.char
-        inv = pow(terms[lead], -1, p)
-        terms = {m: (c * inv) % p for m, c in terms.items()}
-        terms = {m: c for m, c in terms.items() if c}
-    return (ctx.key_packed(lead), lead, terms, terms[lead])
+    lc = terms[lead]
+    if lc != 1:
+        char = ctx.ring.char
+        if char:
+            inv = pow(lc, -1, char)
+            terms = {m: c * inv % char for m, c in terms.items()}
+        else:
+            inv = _rational(Fraction(1, lc))
+            terms = {m: _rational(c * inv) for m, c in terms.items()}
+    return ctx.key_packed(lead), lead, terms
 
 
-def _nf_generic(ctx, fterms, basis, track_scale=False):
-    """Normal form of a term dict modulo generic elements.
+def _subtract(ctx, p, c, shift, g):
+    """p -= c * x^shift * (g - lead g) in place, for a generic element g."""
+    char, hm = ctx.ring.char, ctx.hmask
+    lead = g[1]
+    for t, gc in g[2].items():
+        if t == lead:
+            continue
+        tt = t + shift
+        if tt & hm:
+            _overflow()
+        nv = p.get(tt, 0) - c * gc
+        if char:
+            nv %= char
+        if nv:
+            p[tt] = nv
+        elif tt in p:
+            del p[tt]
 
-    Returns (remainder dict, scale): over Q the true remainder equals
-    remainder / scale; over GF(p) the scale is always 1.
-    """
-    char = ctx.ring.char
+
+def _nf_generic(ctx, terms, basis):
+    """Normal form of a term dict modulo generic elements, as a term dict."""
     key_packed = ctx.key_packed
     divides = ctx.divides
-    hm = ctx.hmask
-    p = {m: c for m, c in fterms.items() if c}
+    p = {m: c for m, c in terms.items() if c}
     rem = {}
-    scale = 1
     while p:
         m = max(p, key=key_packed)
         mk = key_packed(m)
-        c = p[m]
-        reducer = None
-        for entry in basis:
-            if entry[0] <= mk and divides(entry[1], m):
-                reducer = entry
+        c = p.pop(m)
+        for g in basis:
+            if g[0] <= mk and divides(g[1], m):
+                # the lead term of c * x^(m - lead g) * g cancels c * x^m
+                _subtract(ctx, p, c, m - g[1], g)
                 break
-        if reducer is None:
-            rem[m] = c
-            del p[m]
-            continue
-        _, glead, gterms, glc = reducer
-        shift = m - glead
-        if char == 0:
-            if glc != 1:
-                scale *= glc
-                for t in p:
-                    p[t] *= glc
-                for t in rem:
-                    rem[t] *= glc
-                c *= glc
-            for t, gc in gterms.items():
-                tt = t + shift
-                if tt & hm:
-                    _overflow()
-                nv = p.get(tt, 0) - (c // glc) * gc
-                if nv:
-                    p[tt] = nv
-                elif tt in p:
-                    del p[tt]
         else:
-            for t, gc in gterms.items():
-                tt = t + shift
-                if tt & hm:
-                    _overflow()
-                nv = (p.get(tt, 0) - c * gc) % char
-                if nv:
-                    p[tt] = nv
-                elif tt in p:
-                    del p[tt]
-    if char == 0 and not track_scale and rem:
-        g = _content(rem)
-        if g > 1:
-            rem = {m: c // g for m, c in rem.items()}
-            scale = 1
-    return rem, scale
+            rem[m] = c
+    return rem
 
 
 def _gen_reduce(ctx, terms, basis):
-    return _make_entry(ctx, _nf_generic(ctx, terms, basis)[0])
+    return _make_entry(ctx, _nf_generic(ctx, terms, basis))
 
 
 def _gen_s_element(ctx, lcm, fi, fj):
-    """lc(fj) (lcm/lead fi) fi - lc(fi) (lcm/lead fj) fj as a term dict."""
-    char = ctx.ring.char
-    ci, cj = (fj[3], fi[3]) if char == 0 else (1, 1)
-    si, sj = lcm - fi[1], lcm - fj[1]
+    """(lcm/lead fi) fi - (lcm/lead fj) fj as a term dict; the leads cancel."""
     s = {}
-    for t, c in fi[2].items():
-        s[t + si] = s.get(t + si, 0) + ci * c
-    for t, c in fj[2].items():
-        s[t + sj] = s.get(t + sj, 0) - cj * c
-    if any(t & ctx.hmask for t in s):
-        _overflow()
-    return {m: c % char for m, c in s.items()} if char else s
+    _subtract(ctx, s, -1, lcm - fi[1], fi)
+    _subtract(ctx, s, 1, lcm - fj[1], fj)
+    return s
 
 
 def _generic_buchberger(ctx, elements):
@@ -460,21 +416,12 @@ def _generic_buchberger(ctx, elements):
 
 
 def _poly_to_terms(ctx, poly):
-    """Poly -> (dict packed->int, scale) clearing denominators over Q."""
-    if ctx.ring.char == 0:
-        denom = 1
-        for c in poly.terms.values():
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
-        return {ctx.pack(m): int(c * denom) for m, c in poly.terms.items()}, denom
-    return {ctx.pack(m): c for m, c in poly.terms.items()}, 1
+    """Poly -> term dict, with integral rationals as ints."""
+    return {ctx.pack(m): _rational(c) for m, c in poly.terms.items()}
 
 
 def _entry_to_poly(ctx, entry):
-    _, _, terms, lc = entry
-    ring = ctx.ring
-    if ring.char == 0:
-        return Poly(ring, {ctx.unpack(m): Fraction(c, lc) for m, c in terms.items()})
-    return Poly(ring, {ctx.unpack(m): c for m, c in terms.items()})
+    return Poly(ctx.ring, {ctx.unpack(m): c for m, c in entry[2].items()})
 
 
 def _binomial_shape(g):
@@ -532,13 +479,8 @@ class ReducedGB:
         if self._binomial is not None:
             return self._reduce_binomial(f)
         ctx = self._ctx
-        fterms, denom = _poly_to_terms(ctx, f)
-        rem, scale = _nf_generic(ctx, fterms, self._generic, track_scale=True)
-        if self.ring.char == 0:
-            total = denom * scale
-            return Poly(self.ring, {ctx.unpack(m): Fraction(c, total) for m, c in rem.items()})
-        inv = pow(denom * scale % self.ring.char, -1, self.ring.char) if rem else 1
-        return Poly(self.ring, {ctx.unpack(m): c * inv for m, c in rem.items()})
+        rem = _nf_generic(ctx, _poly_to_terms(ctx, f), self._generic)
+        return Poly(self.ring, {ctx.unpack(m): c for m, c in rem.items()})
 
     def _reduce_binomial(self, f):
         ctx = self._ctx
@@ -687,7 +629,7 @@ def buchberger(gens, order=None, *, ring=None):
             return ReducedGB(ctx, binomial=_minimal(binelems, ctx.hmask)[::-1])
         return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, binelems))
     return ReducedGB(ctx, generic=_generic_buchberger(
-        ctx, [_poly_to_terms(ctx, g)[0] for g in gens]))
+        ctx, [_poly_to_terms(ctx, g) for g in gens]))
 
 
 def normal_form(f, basis):
@@ -799,9 +741,8 @@ def intersect(a, b):
     tv = ext.var(t)
     gens = [tv * g.map_ring(ext) for g in first.generators]
     gens += [(ext.one() - tv) * g.map_ring(ext) for g in second.generators]
-    extended = Ideal(ext, gens)
-    result = eliminate(extended, {t})
-    return Ideal(ring, [g.map_ring(ring) for g in result.generators])
+    # t is the one variable dropped and the last, so eliminate's ring is ring
+    return eliminate(Ideal(ext, gens), {t})
 
 
 def exact_div(g, f, order=None):
@@ -816,8 +757,7 @@ def exact_div(g, f, order=None):
         if not mono_divides(lm_f, lm_r):
             raise ValueError("division is not exact")
         shift = tuple(a - b for a, b in zip(lm_r, lm_f))
-        t = ring.monomial(shift, lc_r / lc_f if ring.char == 0
-                          else lc_r * ring.coeff_inv(lc_f))
+        t = ring.monomial(shift, lc_r * ring.coeff_inv(lc_f))
         q = q + t
         r = r - t * f
     return q
@@ -918,9 +858,7 @@ def spolynomial(f, g, order=None):
     lcm = tuple(max(a, b) for a, b in zip(mf, mg))
     tf = ring.monomial(tuple(a - b for a, b in zip(lcm, mf)), 1)
     tg = ring.monomial(tuple(a - b for a, b in zip(lcm, mg)), 1)
-    inv_cf = 1 / cf if ring.char == 0 else ring.coeff_inv(cf)
-    inv_cg = 1 / cg if ring.char == 0 else ring.coeff_inv(cg)
-    return tf * f.scale(inv_cf) - tg * g.scale(inv_cg)
+    return tf * f.scale(ring.coeff_inv(cf)) - tg * g.scale(ring.coeff_inv(cg))
 
 
 def verify_groebner(gb):

@@ -221,6 +221,11 @@ class PolyRing:
     def coeff(self, c):
         if self.char == 0:
             return Fraction(c)
+        if type(c) is not int:
+            q = Fraction(c)
+            if q.denominator != 1:
+                raise ValueError(f"{c} is not an integer, so not in GF({self.char})")
+            c = q.numerator
         return c % self.char
 
     def coeff_inv(self, c):

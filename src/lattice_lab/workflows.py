@@ -646,8 +646,8 @@ def _scan_orders(lattice, kinds, perms, char):
                 break
             else:
                 ctx = _Ctx(ring, order)
-                elements = [(ctx.key_exps(m1), p1, ctx.key_exps(m2), p2)
-                            for (m1, m2), (p1, p2) in zip(gens, sides)]
+                elements = [(ctx.key_packed(p1), p1, ctx.key_packed(p2), p2)
+                            for p1, p2 in sides]
                 cone = _Cone(_binomial_buchberger(ctx, elements), sides, high,
                              split)
                 cones.insert(0, cone)

@@ -2,7 +2,7 @@
 
 * ``_Ctx.lcm`` (guard-bit max-select) against a per-field loop;
 * ``ReducedGB.reduce`` on a binomial basis (term by term) against the
-  generic fraction-free normal form of the same ideal;
+  generic (monic, field-coefficient) normal form of the same ideal;
 * ``ExponentOverflow`` where a packed exponent outgrows its field or a
   ``Poly`` exponent reaches ``MAX_EXPONENT``;
 * byte-identical CLI ``--json`` output against captured golden files.

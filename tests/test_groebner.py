@@ -189,13 +189,17 @@ def test_saturation_shaped_basis_matches_all_pairs_oracle(char, order, pairs, m,
 
 
 @given(char=st.sampled_from((0, P)), order=_orders("xyz"),
-       polys=st.lists(st.lists(st.tuples(_monos(3, 1), st.integers(-3, 3)),
+       polys=st.lists(st.lists(st.tuples(_monos(3, 1), st.integers(-3, 3),
+                                         st.integers(1, 4)),
                                min_size=1, max_size=3),
                       min_size=1, max_size=2))
 @settings(max_examples=80, deadline=None)
 def test_generic_basis_matches_all_pairs_oracle(char, order, polys):
+    """Coefficients c/d over Q (c over GF(p)), so leads that are not
+    integral or not units of Z meet the oracle too."""
     R = PolyRing(tuple("xyz"), char)
-    gens = [sum((R.monomial(m, c) for m, c in terms), R.zero()) for terms in polys]
+    gens = [sum((R.monomial(m, Fraction(c, d) if char == 0 else c)
+                 for m, c, d in terms), R.zero()) for terms in polys]
     gens.append(R.from_string("x*y + 2*z + 3"))  # three terms: the generic engine
     order = order[0](tuple(order[1]))
     gb = buchberger(gens, order, ring=R)
@@ -210,7 +214,7 @@ def test_zero_ideal_empty_basis():
 
 def test_binomial_and_generic_paths_agree():
     # pure-difference inputs run the fast path; perturbing the generator
-    # list with a redundant三-term combination forces the generic path
+    # list with a redundant four-term combination forces the generic path
     R = PolyRing(("x", "y", "z", "w"))
     gens = [R.from_string(s) for s in ("x*y - z*w", "x*z - y*w", "y^2 - z^2")]
     fast = buchberger(gens, degrevlex(R.variables))

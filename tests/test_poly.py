@@ -291,3 +291,19 @@ def test_gf_p_rejects_fractions():
     R = PolyRing(("x",), char=5)
     with pytest.raises(ValueError):
         R.from_string("1/2*x")
+
+
+def test_gf_p_coefficients_are_residues():
+    R = PolyRing(("x", "y"), char=5)
+    for value, residue in ((7, 2), (-1, 4), (Fraction(3, 1), 3),
+                           (Fraction(-8, 2), 1), (True, 1), (6.0, 1)):
+        c = R.coeff(value)
+        assert c == residue and type(c) is int
+    for value in (2.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            R.coeff(value)
+    with pytest.raises(ValueError, match="not an integer"):
+        R.constant(Fraction(1, 5))
+    with pytest.raises(ValueError, match="not an integer"):
+        R.monomial((1, 0), Fraction(1, 2))
+    assert R.monomial((1, 0), Fraction(6, 2)) - R.var("y") == R.from_string("3*x - y")

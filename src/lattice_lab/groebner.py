@@ -23,7 +23,12 @@ import struct
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .errors import ExponentOverflow, RingMismatch, ZeroDivisor
+from .errors import (
+    ExponentOverflow,
+    PreconditionViolated,
+    RingMismatch,
+    ZeroDivisor,
+)
 from .poly import (
     BlockOrder,
     Poly,
@@ -701,7 +706,13 @@ def _gens_are_monomial(gens):
 
 
 def intersect(a, b):
-    """Ideal intersection via elimination of an auxiliary variable."""
+    """Ideal intersection via elimination of an auxiliary variable.
+
+    Generators both sides share generate an ideal S inside both, and then
+    (S + F) ∩ (S + G) = (S + tF + (1-t)G) ∩ K[x].  So shared generators stay
+    out of the t and (1-t) products: a shared pure difference stays a pure
+    difference, and the binomial engine still applies when the rest does.
+    """
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     ring = a.ring
@@ -733,14 +744,19 @@ def intersect(a, b):
         kept = sorted((pk for _, pk in _minimal(cands, hm)),
                       key=ctx.key_packed, reverse=True)
         return Ideal(ring, [ring.monomial(ctx.unpack(pk)) for pk in kept])
+    shared = set(a.generators) & set(b.generators)
+    first = [g for g in a.generators if g not in shared]
+    second = [g for g in b.generators if g not in shared]
     # (1-t) multiplies the monomial side when there is one: pure differences
     # on the other side then stay pure differences and the fast path applies
-    first, second = (b, a) if _gens_are_monomial(a.generators) else (a, b)
+    if _gens_are_monomial(first):
+        first, second = second, first
     t = _fresh_name(ring)
     ext = ring.extend([t])
     tv = ext.var(t)
-    gens = [tv * g.map_ring(ext) for g in first.generators]
-    gens += [(ext.one() - tv) * g.map_ring(ext) for g in second.generators]
+    gens = [g.map_ring(ext) for g in a.generators if g in shared]
+    gens += [tv * g.map_ring(ext) for g in first]
+    gens += [(ext.one() - tv) * g.map_ring(ext) for g in second]
     # t is the one variable dropped and the last, so eliminate's ring is ring
     return eliminate(Ideal(ext, gens), {t})
 
@@ -769,6 +785,37 @@ def colon(ideal, f):
         raise ZeroDivisor("colon by zero")
     meet = intersect(ideal, Ideal(ideal.ring, [f]))
     return Ideal(ideal.ring, [exact_div(g, f) for g in meet.generators])
+
+
+def _binomial_colons(ideal, index):
+    """Groebner bases of I : x and I : x², as binomial elements, for the
+    variable x at ``index`` of a homogeneous pure-difference ideal I.
+
+    Under degrevlex with x last, dividing each element g of a Groebner basis
+    of a homogeneous I by x^min(e, v_x(g)) gives one of I : x^e (Sturmfels,
+    *Groebner Bases and Convex Polytopes*, Lemma 12.1, applied e times), so
+    both come from the one reduced basis of I under that order, which the
+    Ideal caches.  Returns that order's context and the two bases, neither
+    of them reduced.
+    """
+    ring = ideal.ring
+    var = ring.variables[index]
+    gb = ideal.groebner(degrevlex(
+        tuple(v for v in ring.variables if v != var) + (var,)))
+    ctx = gb._ctx
+    shift, wx, low = _FIELD * index, ctx.weights[index], _GUARD - 1
+
+    def divided(e):
+        out = []
+        for lk, lp, tk, tp in gb._binomial:
+            m = min(e, (lp >> shift) & low)
+            if tp >= 0:
+                m = min(m, (tp >> shift) & low)
+                tk, tp = tk - m * wx, tp - (m << shift)
+            out.append((lk - m * wx, lp - (m << shift), tk, tp))
+        return out
+
+    return ctx, divided(1), divided(2)
 
 
 def saturate(ideal, f):
@@ -821,14 +868,15 @@ def krull_dim(m):
     """Dimension of the quotient of m's ring by the monomial ideal m.
 
     Equals the ring's number of variables minus the smallest number of
-    variables meeting the support of every minimal generator.
+    variables meeting the support of every minimal generator.  The unit
+    ideal has no quotient to measure and raises PreconditionViolated.
     """
     nvars = m.ring.nvars
     supports = []
     for g in m.gens:
         s = frozenset(i for i, e in enumerate(g) if e)
         if not s:
-            raise ValueError("unit ideal has no quotient dimension")
+            raise PreconditionViolated("unit ideal has no quotient dimension")
         supports.append(s)
     if not supports:
         return nvars

@@ -14,11 +14,20 @@ is saturated (see ``minimal_primes``); only the candidates that test leaves
 standing are saturated, and they are the minimal components.
 
 That the join-meet ideal I is the intersection of the minimal components is
-checked from initial ideals: in(∩ P_A) ⊆ ∩ in(P_A) under any order, and
-J ⊆ K with in(J) = in(K) forces J = K, so I ⊆ every P_A together with
-in(I) = ∩ in(P_A) proves I = ∩ P_A.  Two orders are tried, the default one
-and degrevlex with the variables reversed; only when neither proves it are
-the components themselves intersected and compared with I.
+checked in three steps.  First from initial ideals: in(∩ P_A) ⊆ ∩ in(P_A)
+under any order, and J ⊆ K with in(J) = in(K) forces J = K, so I ⊆ every
+P_A together with in(I) = ∩ in(P_A) proves I = ∩ P_A.  Two orders are
+tried, the default one and degrevlex with the variables reversed.  Then,
+when every component is certified prime, a colon witness disproves it: for
+a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f
+outside I with w² in I, so I is not radical, while an intersection of
+primes is.  Both colons come from one binomial basis of I per variable.
+Only when neither step decides are the components themselves intersected
+and compared with I.
+
+The colon witness also bounds the radicality certificate's search for an
+element of √I \\ I: the search stops at the witness's degree, and the
+witness is the answer when the search finds nothing below it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ from .groebner import (
     MonomialIdeal,
     _bin_reduce_monomial,
     _binomial_buchberger,
+    _binomial_colons,
+    _binomial_polys,
     _binomial_shape,
     _Ctx,
     _overflow,
@@ -259,8 +270,9 @@ def minimal_primes(lattice, char=0, _verify=True):
     The components' intersection is then checked against the join-meet
     ideal I (``_verify_decomposition``): first by the initial-ideal
     certificate (I ⊆ every P_A, and in(I) = ∩ in(P_A) under the default
-    order or degrevlex with the variables reversed), and only when that
-    does not hold by intersecting the components.  A mismatch raises
+    order or degrevlex with the variables reversed), then by a colon
+    witness when every component is certified prime, and only when neither
+    decides by intersecting the components.  A mismatch raises
     IntersectionMismatch, so the caller asserts the join-meet ideal is
     radical (or accepts the error as a non-radicality signal).
     """
@@ -320,14 +332,48 @@ def _monomial_generated(mono):
 
 def _verify_decomposition(jm, components):
     """Raise IntersectionMismatch unless the join-meet ideal is the
-    intersection of the components.  The initial-ideal certificate decides
-    first; the intersection fold runs only when it does not.  ``jm`` keeps
-    its reduced bases, so a caller that has computed them pays for none."""
+    intersection of the components.
+
+    The initial-ideal certificate decides first.  When it fails and every
+    component is certified prime, a colon witness (``_colon_witness``)
+    raises at once: each P_A contains I by construction, so ∩ P_A is
+    radical, and a colon witness proves I is not.  Only otherwise does the
+    intersection fold run.  ``jm`` keeps its reduced bases, so a caller
+    that has computed them pays for none."""
     ideal = jm.ideal
     parts = [c.ideal for c in components]
-    if not (_initial_ideals_certify(ideal, parts)
-            or ideal_equal(_intersect_all(ideal.ring, parts), ideal)):
+    if _initial_ideals_certify(ideal, parts):
+        return
+    if (all(c.certified_prime for c in components)
+            and _colon_witness(ideal) is not None):
         raise IntersectionMismatch(jm.lattice)
+    if not ideal_equal(_intersect_all(ideal.ring, parts), ideal):
+        raise IntersectionMismatch(jm.lattice)
+
+
+def _colon_witness(ideal):
+    """A colon witness of a homogeneous pure-difference ideal I, or None.
+
+    For a variable x with I : x ≠ I : x², and f in I : x² but not in I : x,
+    w = x·f lies outside I while w² = f·(x²f) lies in I, so w is in √I \\ I
+    (a radical I has I : x = I : x² for every x).  The variables are walked
+    in ring order, and the first one whose colons differ gives f: the first
+    element of the basis of I : x², by decreasing lead, that the basis of
+    I : x does not reduce to 0.  Both bases come from the one binomial basis
+    of I under degrevlex with x last (``_binomial_colons``), and an element
+    u - v lies in I : x exactly when x^u and x^v have one normal form
+    modulo its basis.  Only w becomes a Poly.
+    """
+    for i in range(ideal.ring.nvars):
+        ctx, colon1, colon2 = _binomial_colons(ideal, i)
+        hm = ctx.hmask
+        for lk, lp, tk, tp in sorted(colon2, key=lambda e: -e[0]):
+            tail = None if tp < 0 else _bin_reduce_monomial(tk, tp, colon1, hm)
+            if _bin_reduce_monomial(lk, lp, colon1, hm) != tail:
+                x, wx = 1 << (_FIELD_BITS * i), ctx.weights[i]
+                w = (lk + wx, lp + x, tk + wx, -1 if tp < 0 else tp + x)
+                return _binomial_polys(ctx, [w])[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +421,7 @@ def _monomial_normal_forms(gb):
     return nf
 
 
-def _witness_search(jm, degree_bound, power_cap):
+def _witness_search(jm, degree_bound, power_cap, primes=()):
     """First pure difference in √I \\ I among bounded-degree candidates.
 
     Candidates come in two rounds.  Round one rewrites a single variable of a
@@ -394,6 +440,11 @@ def _witness_search(jm, degree_bound, power_cap):
     returned witness becomes a Poly.  A pure-difference ideal contains no
     monomial (its elements vanish at the all-ones point), so no normal form
     here is 0.
+
+    ``primes`` holds the admissible sets A of prime components P_A ⊇ I.  A
+    candidate with a variable of A in exactly one of its monomials is
+    nonzero modulo P_A, so it lies outside P_A ⊇ √I and is skipped before
+    any normal form is taken.
     """
     ring = jm.ring
     lattice = jm.lattice
@@ -402,10 +453,16 @@ def _witness_search(jm, degree_bound, power_cap):
     hm = ctx.hmask
     char = ring.char
     nf = _monomial_normal_forms(gb)
+    field = (1 << (_FIELD_BITS - 1)) - 1
+    masks = [sum(field << (_FIELD_BITS * ring.index[e]) for e in adm)
+             for adm in primes]
 
     def is_witness(u, v):
         """u - v ((key, packed) pairs) is outside I and some 2^i-th power
         up to the cap is inside."""
+        for m in masks:
+            if bool(u[1] & m) != bool(v[1] & m):
+                return False
         a, b = nf(*u), nf(*v)
         if a == b:
             return False
@@ -475,7 +532,10 @@ def radical_certificate(lattice, char=0, degree_bound=None):
 
     ``degree_bound`` (default: the lattice's height plus 2) must be at
     least 1.  A candidate is a witness when its square or fourth power lies
-    in the ideal.
+    in the ideal.  When I has a colon witness w (``_colon_witness``), the
+    search stops at min(bound, deg w) and skips the candidates that a
+    certified component rules out; if it finds nothing and deg w is within
+    the bound, w is the witness.
     """
     if degree_bound is not None and degree_bound < 1:
         raise PreconditionViolated(
@@ -495,11 +555,12 @@ def radical_certificate(lattice, char=0, degree_bound=None):
                 "radical", route="squarefree_order", witness_order=order,
                 detail=f"squarefree initial ideal under {order.describe(ring)}",
             )
+    components = minimal_primes(lattice, char, _verify=False)
+    primes = [c for c in components if c.certified_prime]
     try:
         # the bases of jm computed above serve the intersection check too
-        components = minimal_primes(lattice, char, _verify=False)
         _verify_decomposition(jm, components)
-        if all(c.certified_prime for c in components):
+        if len(primes) == len(components):
             return RadicalCertificate(
                 "radical", route="prime_intersection",
                 components=tuple(components),
@@ -508,7 +569,11 @@ def radical_certificate(lattice, char=0, degree_bound=None):
     except IntersectionMismatch:
         pass
     bound = lattice.height + 2 if degree_bound is None else degree_bound
-    witness = _witness_search(jm, bound, 4)
+    colon = _colon_witness(jm.ideal)
+    cap = bound if colon is None else min(bound, colon.total_degree())
+    witness = _witness_search(jm, cap, 4, [c.admissible for c in primes])
+    if witness is None and colon is not None and colon.total_degree() <= bound:
+        witness = colon
     if witness is not None:
         return RadicalCertificate(
             "not_radical", route="witness", witness=witness,

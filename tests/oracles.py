@@ -177,6 +177,23 @@ def saturate_by_passes(ideal, f):
     return Ideal(ring, _binomial_polys(ctx, elements))
 
 
+def intersect_by_elimination(a, b):
+    """Reference a ∩ b: t·a + (1-t)·b with every generator of both sides in
+    a product, t eliminated; (1-t) multiplies the monomial side when there
+    is one.  ``a``'s ring must not have a variable named t.
+    """
+    from lattice_lab.groebner import Ideal, eliminate
+
+    ring = a.ring
+    first, second = (b, a) if all(len(g.terms) == 1 for g in a.generators) else (a, b)
+    ext = ring.extend(["t"])
+    t = ext.var("t")
+    gens = [t * g.map_ring(ext) for g in first.generators]
+    gens += [(ext.one() - t) * g.map_ring(ext) for g in second.generators]
+    meet = eliminate(Ideal(ext, gens), {"t"})
+    return Ideal(ring, [g.map_ring(ring) for g in meet.generators])
+
+
 def buchberger_all_pairs(gens, order, ring):
     """Reference reduced Groebner basis: Buchberger's algorithm on term
     dicts that treats every pair, with no coprime, chain or Gebauer–Möller

@@ -28,7 +28,7 @@ from lattice_lab import (
     verify_groebner,
 )
 from lattice_lab import groebner
-from lattice_lab.errors import ExponentOverflow
+from lattice_lab.errors import ExponentOverflow, PreconditionViolated
 from lattice_lab.fixtures import diamond_m3, ladder, lattice_n, lattice_q, lk
 from lattice_lab.groebner import exact_div, spolynomial
 from lattice_lab.poly import BlockOrder, product, sort_key
@@ -37,6 +37,7 @@ from lattice_lab.workflows import join_meet_ideal
 from conftest import closure_lattices, count_engine_runs
 from oracles import (
     buchberger_all_pairs,
+    intersect_by_elimination,
     membership_by_linear_algebra,
     monomials_of_degree,
     random_homogeneous_difference,
@@ -431,6 +432,47 @@ def test_lk_intersection_identity():
     assert ideal_equal(intersect(a, b), jm.ideal)
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+def test_intersection_sharing_generators_stays_binomial(monkeypatch, char):
+    """Both sides contain the join-meet ideal I: its generators stay out of
+    the t and (1-t) products, and the rest are a pure difference and a
+    monomial, so no generic element is ever formed."""
+    jm = join_meet_ideal(lk(4, 2), char)
+    R = jm.ring
+    a = jm.ideal.plus([R.var("x3") - R.var("y2")])
+    b = jm.ideal.plus([R.var("z")])
+    calls = count_engine_runs(monkeypatch)
+    meet = intersect(a, b)
+    assert calls["_generic_buchberger"] == 0
+    assert ideal_equal(meet, jm.ideal)
+
+
+_shared_side = st.lists(st.tuples(_monos(3, 2), _monos(3, 2)), min_size=1, max_size=3)
+_extra_side = st.lists(st.tuples(_monos(3, 2), st.none() | _monos(3, 2)),
+                       min_size=1, max_size=2)
+
+
+@given(char=st.sampled_from((0, P)), shared=_shared_side, fa=_extra_side,
+       fb=_extra_side)
+@settings(max_examples=60, deadline=None)
+def test_intersect_matches_elimination_of_every_generator(char, shared, fa, fb):
+    """Pure differences both sides share, plus monomials or pure
+    differences of each side's own: keeping the shared generators out of
+    the t and (1-t) products gives the same ideal as the route that
+    multiplies them all."""
+    R = PolyRing(_VARS3, char)
+
+    def gens(pairs):
+        return [R.monomial(u) - (R.zero() if v is None else R.monomial(v))
+                for u, v in pairs]
+
+    common = gens(shared)
+    a = Ideal(R, common + gens(fa))
+    b = Ideal(R, gens(fb) + common[::-1])
+    assume(a.generators and b.generators)
+    assert ideal_equal(intersect(a, b), intersect_by_elimination(a, b))
+
+
 def test_colon_and_saturate(Q_ideal):
     R = Q_ideal.ring
     prod = R.one()
@@ -583,6 +625,12 @@ def test_krull_dim_examples():
     assert krull_dim(MonomialIdeal(R2, [(1, 1)])) == 1
     jm = join_meet_ideal(lk(3, 1))
     assert krull_dim(initial_ideal(jm.ideal)) == 3
+
+
+def test_krull_dim_of_the_unit_ideal_is_a_typed_error():
+    R = PolyRing(("x", "y"))
+    with pytest.raises(PreconditionViolated):
+        krull_dim(initial_ideal(Ideal(R, [R.one()])))
 
 
 def test_dimension_invariant_across_orders(Q_ideal):

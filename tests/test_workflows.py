@@ -23,6 +23,7 @@ from lattice_lab import (
     degrevlex,
     dual,
     ideal_equal,
+    ideal_member,
     initial_ideal,
     join_irreducibles,
     join_meet_ideal,
@@ -48,7 +49,12 @@ from lattice_lab.fixtures import (
     pentagon_n5,
 )
 from lattice_lab import workflows
-from lattice_lab.groebner import buchberger, ideal_contains
+from lattice_lab.groebner import (
+    _binomial_colons,
+    _binomial_polys,
+    buchberger,
+    ideal_contains,
+)
 from lattice_lab.lattice import (
     basic_binomial_pairs,
     enumerate_admissible_sets,
@@ -56,6 +62,7 @@ from lattice_lab.lattice import (
 )
 from lattice_lab.poly import product
 from lattice_lab.workflows import (
+    _colon_witness,
     _component_gens,
     _initial_ideals_certify,
     _intersect_all,
@@ -332,25 +339,41 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
 
 @pytest.mark.parametrize("name, runs", [
     pytest.param(name, runs, id=name)
-    for name, runs in (("Q", 3), ("R", 7), ("Lk:6:3", 11), ("N", 15))])
+    for name, runs in (("Q", 3), ("R", 7), ("Lk:6:3", 11), ("N", 14))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
     saturated candidate gets one basis, shared by the SNF certificate, the
     dimension and the verify step; the join-meet ideal adds its
     basis and, where the default order does not certify the intersection
-    (Lk), the bases under the second order come on top.  Monomial ideals
-    never enter the pair loop.  Only a decomposition the initial ideals do
-    not certify (N) reaches the intersection fold and its generic engine."""
+    (Lk, N), the bases under the second order come on top.  Monomial ideals
+    never enter the pair loop.  On N, whose components are all certified
+    prime, the colon witness of its third variable c decides: the bases
+    under degrevlex with a, b and c last are three runs, and the
+    intersection fold and its generic engine never run."""
     calls = count_engine_runs(monkeypatch)
     if name == "N":
         with pytest.raises(IntersectionMismatch):
             minimal_primes(build_fixture(name), char)
-        assert calls["_generic_buchberger"] >= 1
     else:
         minimal_primes(build_fixture(name), char)
-        assert calls["_generic_buchberger"] == 0
-    assert calls["_buchberger_core"] == runs
+    assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("run, runs", [
+    pytest.param(lambda char: radical_certificate(lattice_n(), char), 16,
+                 id="radical-N"),
+    pytest.param(lambda char: lk_suite(6, 3, char), 19, id="lk-6-3"),
+])
+def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
+    """N's non-radicality is decided by its colon witness, whose bases the
+    capped search's fallback reads again from the cache; the lk suite's
+    intersection identity keeps I's shared generators out of the t and
+    (1-t) products, so all of it stays on the binomial engine."""
+    calls = count_engine_runs(monkeypatch)
+    run(char)
+    assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -397,8 +420,8 @@ def test_initial_ideal_certificate_agrees_with_fold_on_closure_systems(L, char):
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_initial_ideal_certificate_fails_on_non_radical_n(char):
-    """N is not radical: neither order certifies, and the fold that runs
-    instead raises."""
+    """N is not radical: neither order certifies, and the colon witness
+    raises instead."""
     assert _certificate_against_fold(lattice_n(), char) is False
     with pytest.raises(IntersectionMismatch):
         minimal_primes(lattice_n(), char)
@@ -543,6 +566,54 @@ def test_radical_certificate_honours_small_degree_bound(lattice_N):
     assert cert.detail.endswith("no witness up to degree 3")
 
 
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=30, deadline=None)
+def test_certificate_witness_lies_in_the_radical_on_closure_systems(L, char):
+    cert = radical_certificate(L, char)
+    if cert.verdict == "not_radical":
+        I = join_meet_ideal(L, char).ideal
+        w = cert.witness
+        assert not ideal_member(w, I)
+        assert ideal_member(w ** 2, I) or ideal_member(w ** 4, I)
+
+
+# -- colon witnesses ----------------------------------------------------------------------
+
+def _colons_match_colon(L, char):
+    """Check both one-basis colons of every variable against ``colon``, and
+    the colon witness against membership; return the witness."""
+    I = join_meet_ideal(L, char).ideal
+    ring = I.ring
+    for i, v in enumerate(ring.variables):
+        x = ring.var(v)
+        ctx, colon1, colon2 = _binomial_colons(I, i)
+        once = colon(I, x)
+        assert ideal_equal(Ideal(ring, _binomial_polys(ctx, colon1)), once)
+        assert ideal_equal(Ideal(ring, _binomial_polys(ctx, colon2)), colon(once, x))
+    w = _colon_witness(I)
+    if w is not None:
+        assert not ideal_member(w, I)
+        assert ideal_member(w * w, I)
+    return w
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["N", "R", "Q", "Lk:4:2"])
+def test_colon_bases_match_colon_on_fixtures(spec, char):
+    """Only N is not radical; its first variable with I : x ≠ I : x² is c."""
+    w = _colons_match_colon(build_fixture(spec), char)
+    if spec == "N":
+        assert w == w.ring.from_string("b*c*g*l - a*c*l^2")
+    else:
+        assert w is None
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=30, deadline=None)
+def test_colon_bases_match_colon_on_closure_systems(L, char):
+    _colons_match_colon(L, char)
+
+
 # -- the witness search against the Poly oracle ----------------------------------------
 
 def _same_witness(jm, bound, power_cap):
@@ -579,6 +650,36 @@ _CLOSURE_BOUNDS = [(b, c) for b in (2, 3, 4) for c in (2, 4, 8) if b * c < 32]
 @settings(max_examples=15, deadline=None)
 def test_witness_search_matches_poly_oracle_on_closure_systems(L, char, bounds):
     _same_witness(join_meet_ideal(L, char), *bounds)
+
+
+def _capped_prefiltered_search(L, char, bound):
+    """The search as ``radical_certificate`` runs it, with the cap and the
+    certified components' admissible sets, beside the Poly oracle's search
+    under the same cap."""
+    jm = join_meet_ideal(L, char)
+    primes = [c.admissible for c in minimal_primes(L, char, _verify=False)
+              if c.certified_prime]
+    w = _colon_witness(jm.ideal)
+    cap = bound if w is None else min(bound, w.total_degree())
+    got = _witness_search(jm, cap, 4, primes)
+    want = witness_search_poly(jm, cap, 4)
+    assert str(got) == str(want)
+    return got
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("bound", [3, 4, 6])
+def test_prefiltered_capped_search_matches_poly_oracle_on_n(char, bound):
+    got = _capped_prefiltered_search(lattice_n(), char, bound)
+    assert (got is None) == (bound == 3)
+
+
+@given(closure_lattices(max_elements=7), st.sampled_from([0, 32003]),
+       st.sampled_from([2, 3, 4]))
+@settings(max_examples=15, deadline=None)
+def test_prefiltered_capped_search_matches_poly_oracle_on_closure_systems(
+        L, char, bound):
+    _capped_prefiltered_search(L, char, bound)
 
 
 def test_witness_search_power_overflow_raises():

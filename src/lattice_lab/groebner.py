@@ -501,7 +501,9 @@ class ReducedGB:
         return Poly(self.ring, {ctx.unpack(pk): rem[pk] for pk in order})
 
     def leading_monomials(self):
-        return tuple(g.leading_monomial(self.order) for g in self.basis)
+        """Leads in basis order, read off the engine's own elements."""
+        elements = self._binomial if self._binomial is not None else self._generic
+        return tuple(self._ctx.unpack(e[1]) for e in elements)
 
     def contains_one(self):
         return len(self.basis) == 1 and self.basis[0] == self.ring.one()
@@ -534,6 +536,9 @@ class MonomialIdeal:
         ctx = _Ctx(ring, ring.default_order)
         packed = []
         for m in monomials:
+            if len(m) != ring.nvars:
+                raise RingMismatch(
+                    f"monomial {m} has {len(m)} exponents, not {ring.nvars}")
             # the range Poly enforces, so that packing is exact
             if min(m, default=0) < 0 or max(m, default=0) >= MAX_EXPONENT:
                 _bad_exponent(m)
@@ -661,11 +666,11 @@ def ideal_member(f, ideal, order=None):
     return not ideal.groebner(order).reduce(f)
 
 
-def _fresh_name(ring, base="t"):
-    if base not in ring.index:
-        return base
+def _fresh_name(ring):
+    if "t" not in ring.index:
+        return "t"
     for i in itertools.count():
-        cand = f"{base}{i}"
+        cand = f"t{i}"
         if cand not in ring.index:
             return cand
 
@@ -701,12 +706,17 @@ def eliminate(ideal, drop):
     return Ideal(small, kept)
 
 
-def _gens_are_monomial(gens):
-    return all(len(g.terms) == 1 for g in gens)
+def _monomial_pair(a, b):
+    """True for two MonomialIdeals, False for two Ideals, else an error."""
+    if isinstance(a, MonomialIdeal) != isinstance(b, MonomialIdeal):
+        raise PreconditionViolated("a MonomialIdeal paired with an Ideal")
+    return isinstance(a, MonomialIdeal)
 
 
 def intersect(a, b):
-    """Ideal intersection via elimination of an auxiliary variable.
+    """Intersection of two MonomialIdeals, by pairwise lcms (a generator of
+    one side that lies in the other stands for its own lcms), or of two
+    Ideals, by eliminating an auxiliary variable t.
 
     Generators both sides share generate an ideal S inside both, and then
     (S + F) ∩ (S + G) = (S + tF + (1-t)G) ∩ K[x].  So shared generators stay
@@ -716,40 +726,25 @@ def intersect(a, b):
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     ring = a.ring
+    if _monomial_pair(a, b):
+        ctx = _Ctx(ring, ring.default_order)
+        hm = ctx.hmask
+        sides = [ctx.pack(m) for m in a.gens], [ctx.pack(m) for m in b.gens]
+        meet, rest = set(), []
+        for side, other in (sides, sides[::-1]):
+            inside = {f for f in side if any(((f | hm) - g) & hm == hm for g in other)}
+            meet |= inside
+            rest.append([f for f in side if f not in inside])
+        meet.update(ctx.lcm(f, g)[0] for f, g in itertools.product(*rest))
+        return MonomialIdeal(ring, map(ctx.unpack, meet))
     if not a.generators or not b.generators:
         return Ideal(ring, [])
-    if _gens_are_monomial(a.generators) and _gens_are_monomial(b.generators):
-        # classical: pairwise lcms generate the intersection.  A generator
-        # of one side that lies in the other is in the intersection and
-        # divides its own lcms, so it stands for them.  A proper divisor has
-        # a smaller degree, so (degree, monomial) pairs minimalise like basis
-        # elements; the minimal ones leave by decreasing key
-        ctx = _Ctx(ring, ring.default_order)
-        hm, lcm = ctx.hmask, ctx.lcm
-        fs = [ctx.pack(m) for f in a.generators for m in f.terms]
-        gs = [ctx.pack(m) for g in b.generators for m in g.terms]
-        cands = set()
-        rest = []
-        for side, other in ((fs, gs), (gs, fs)):
-            outside = []
-            for f in side:
-                fh = f | hm
-                if any((fh - g) & hm == hm for g in other):
-                    cands.add(lcm(f, f)[::-1])  # (degree, f)
-                else:
-                    outside.append(f)
-            rest.append(outside)
-        f_out, g_out = rest
-        cands.update(lcm(f, g)[::-1] for f in f_out for g in g_out)
-        kept = sorted((pk for _, pk in _minimal(cands, hm)),
-                      key=ctx.key_packed, reverse=True)
-        return Ideal(ring, [ring.monomial(ctx.unpack(pk)) for pk in kept])
     shared = set(a.generators) & set(b.generators)
     first = [g for g in a.generators if g not in shared]
     second = [g for g in b.generators if g not in shared]
     # (1-t) multiplies the monomial side when there is one: pure differences
     # on the other side then stay pure differences and the fast path applies
-    if _gens_are_monomial(first):
+    if all(len(g.terms) == 1 for g in first):
         first, second = second, first
     t = _fresh_name(ring)
     ext = ring.extend([t])
@@ -852,9 +847,12 @@ def saturate(ideal, f):
 
 
 def ideal_equal(a, b):
-    """Equality via reduced bases under the ring's canonical order."""
+    """Equality of MonomialIdeals by minimal generators, of Ideals by reduced
+    bases under the ring's canonical order."""
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
+    if _monomial_pair(a, b):
+        return a.gens == b.gens
     return a.groebner().basis == b.groebner().basis
 
 

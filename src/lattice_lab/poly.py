@@ -259,12 +259,18 @@ class PolyRing:
         return Poly(self, {tuple(e): self.coeff(1)})
 
     def monomial(self, exps, coeff=1):
-        """Poly from {name: exponent} or a bare exponent tuple."""
+        """Poly from {name: exponent} or a bare exponent tuple; an unknown
+        name or a tuple of the wrong length raises RingMismatch."""
         if isinstance(exps, dict):
             e = [0] * self.nvars
             for name, k in exps.items():
+                if name not in self.index:
+                    raise RingMismatch(f"unknown variable {name!r}")
                 e[self.index[name]] = k
             exps = tuple(e)
+        elif len(exps) != self.nvars:
+            raise RingMismatch(
+                f"monomial {tuple(exps)} has {len(exps)} exponents, not {self.nvars}")
         c = self.coeff(coeff)
         if c == 0:
             return self.zero()
@@ -292,10 +298,13 @@ class Poly:
 
     def __init__(self, ring, terms):
         self.ring = ring
+        n = ring.nvars
         clean = {}
         for m, c in terms.items():
             c = ring.coeff(c)
             if c != 0:
+                if len(m) != n:
+                    raise RingMismatch(f"monomial {m} has {len(m)} exponents, not {n}")
                 if any(e < 0 or e >= MAX_EXPONENT for e in m):
                     _bad_exponent(m)
                 clean[m] = c

@@ -3,9 +3,9 @@ certificates, squarefree order scans, and the two-rail-family suite.
 
 The decomposition machinery follows one recipe: for an admissible subset A of
 a lattice L, the candidate prime is the join-meet ideal of L \\ A saturated by
-the product of the surviving variables, plus the variables of A.  Primality
-of the saturated pure-difference part is certified through the Smith normal
-form of its exponent-difference lattice (prime iff saturated).
+the product of the surviving variables, plus the variables of A.  One Smith
+normal form of its exponent-difference lattice Λ_A gives both the primality
+certificate (prime iff saturated) and the dimension |L| - |A| - rank Λ_A.
 
 The saturated part is the lattice ideal of Λ_A, the integer span of the
 exponent differences of the basic binomials that avoid A, so domination
@@ -17,7 +17,8 @@ That the join-meet ideal I is the intersection of the minimal components is
 checked in three steps.  First from initial ideals: in(∩ P_A) ⊆ ∩ in(P_A)
 under any order, and J ⊆ K with in(J) = in(K) forces J = K, so I ⊆ every
 P_A together with in(I) = ∩ in(P_A) proves I = ∩ P_A.  Two orders are
-tried, the default one and degrevlex with the variables reversed.  Then,
+tried, the default one and degrevlex with the variables reversed, and the
+initial ideals stay MonomialIdeals, which meet by pairwise lcms.  Then,
 when every component is certified prime, a colon witness disproves it: for
 a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f
 outside I with w² in I, so I is not radical, while an intersection of
@@ -37,6 +38,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter
 
 from .errors import (
@@ -111,15 +113,15 @@ def join_meet_ideal(lattice, char=0):
 
 
 def _snf_certified(ideal):
-    """SNF certificate read off the reduced basis of a component of
-    monomials and pure differences: the rows u - v of its two-term elements
-    x^u - x^v span a saturated lattice.  The basis is binomial-engine output,
-    so each two-term element is a pure difference, and its one-term elements
+    """Smith form of the rows u - v of the two-term elements x^u - x^v of a
+    component's reduced basis (None when it has none): saturated exactly
+    when the component is prime.  The basis is binomial-engine output, so
+    each two-term element is a pure difference, and its one-term elements
     are the component's variables: a proper pure-difference ideal holds no
     monomial, because its elements vanish at the all-ones point."""
     rows = [tuple(a - b for a, b in zip(*g.terms))
             for g in ideal.groebner().basis if len(g.terms) == 2]
-    return not rows or smith_normal_form(rows).saturated
+    return smith_normal_form(rows) if rows else None
 
 
 def certify_prime_component(ideal):
@@ -153,7 +155,8 @@ def certify_prime_component(ideal):
             raise NotSaturatedInput(
                 "pure-difference part is not saturated w.r.t. its variables"
             )
-    return _snf_certified(part)
+    snf = _snf_certified(part)
+    return snf is None or snf.saturated
 
 
 def _component_gens(lattice, admissible, ring):
@@ -188,14 +191,16 @@ def component_prime(lattice, admissible, char=0):
 
 
 def _prime_component(admissible, ideal):
-    """PrimeComponent of the ideal P_A: the SNF certificate and the Krull
-    dimension both read the ideal's one reduced basis under the default
-    order."""
-    dim = krull_dim(initial_ideal(ideal))
-    return PrimeComponent(admissible, ideal, _snf_certified(ideal), dim)
+    """PrimeComponent of P_A, the variables of A plus the lattice ideal of
+    Λ_A: one Smith form (``_snf_certified``) gives its certificate and its
+    dimension |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996)."""
+    snf = _snf_certified(ideal)
+    rank = 0 if snf is None else len(snf.nonzero_factors)
+    return PrimeComponent(admissible, ideal, snf is None or snf.saturated,
+                          ideal.ring.nvars - len(admissible) - rank)
 
 
-def _intersect_all(ring, ideals):
+def _intersect_all(ideals):
     """Fold ideals by intersection, monomial components first."""
     monomial = [i for i in ideals if all(len(g.terms) == 1 for g in i.generators)]
     rest = [i for i in ideals if not all(len(g.terms) == 1 for g in i.generators)]
@@ -311,23 +316,16 @@ def _initial_ideals_certify(ideal, parts):
     forces J = K.  So if I ⊆ every P and in(I) = ∩ in(P), then in(I) ⊆
     in(∩ P) ⊆ ∩ in(P) = in(I) and I = ∩ P.  The test runs under the default
     order, whose component bases are already cached, then under degrevlex
-    with the variables reversed; False means neither order proves it, not
-    that the ideals differ.
+    with the variables reversed, on MonomialIdeals throughout; False means
+    neither order proves it, not that the ideals differ.
     """
     ring = ideal.ring
     for order in (ring.default_order, degrevlex(tuple(reversed(ring.variables)))):
-        inis = [_monomial_generated(initial_ideal(p, order)) for p in parts]
-        if ideal_equal(_intersect_all(ring, inis),
-                       _monomial_generated(initial_ideal(ideal, order))):
+        meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
+        if ideal_equal(meet, initial_ideal(ideal, order)):
             return all(not p.groebner().reduce(g)
                        for p in parts for g in ideal.generators)
     return False
-
-
-def _monomial_generated(mono):
-    """The Ideal of a MonomialIdeal's minimal generators."""
-    ring = mono.ring
-    return Ideal(ring, [ring.monomial(m) for m in mono.gens])
 
 
 def _verify_decomposition(jm, components):
@@ -347,7 +345,7 @@ def _verify_decomposition(jm, components):
     if (all(c.certified_prime for c in components)
             and _colon_witness(ideal) is not None):
         raise IntersectionMismatch(jm.lattice)
-    if not ideal_equal(_intersect_all(ideal.ring, parts), ideal):
+    if not ideal_equal(_intersect_all(parts), ideal):
         raise IntersectionMismatch(jm.lattice)
 
 
@@ -509,7 +507,7 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
             for m2 in sorted(partners, key=key):
                 if is_witness(u, ctx.key_pack(m2)):
                     return ring.monomial(m1) - ring.monomial(m2)
-    ini = MonomialIdeal(ring, gb.leading_monomials())
+    ini = initial_ideal(jm.ideal)
     for d in range(2, degree_bound + 1):
         std = sorted((m for m in _all_monomials(ring, d)
                       if not ini.contains(m)), key=key)

@@ -400,20 +400,82 @@ _small_monomials = st.lists(
     st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=7)
 
 
+_UNIT4 = (0, 0, 0, 0)
+
+
 @given(_small_monomials, _small_monomials)
 @settings(max_examples=150, deadline=None)
 def test_monomial_intersection_matches_tuple_reference(ma, mb):
-    """The packed monomial branch of intersect and MonomialIdeal's packed
-    minimalisation agree with pairwise lcms minimalised on tuples."""
+    """intersect on MonomialIdeals (packed lcms), MonomialIdeal's packed
+    minimalisation and the elimination route on monomial Ideals agree with
+    pairwise lcms minimalised on tuples, and ideal_equal on MonomialIdeals
+    compares minimal generators."""
     R = PolyRing(("w", "x", "y", "z"))
     lcms = [tuple(map(max, u, v)) for u in ma for v in mb]
     want = _naive_minimal(lcms)
     assert MonomialIdeal(R, lcms).gens == want
+    a, b = MonomialIdeal(R, ma), MonomialIdeal(R, mb)
+    meet = intersect(a, b)
+    assert isinstance(meet, MonomialIdeal) and meet.gens == want
+    assert ideal_equal(meet, MonomialIdeal(R, want))
+    assert ideal_equal(intersect(b, a), meet)
+    assert ideal_equal(meet, a) == (_naive_minimal(ma) == want)
     got = intersect(Ideal(R, [R.monomial(m) for m in ma]),
                     Ideal(R, [R.monomial(m) for m in mb]))
     key = sort_key(R.default_order, R)
     assert [g.leading_monomial() for g in got.generators] == sorted(
         want, key=key, reverse=True)
+    # the zero ideal absorbs, the unit ideal is neutral
+    zero, unit = MonomialIdeal(R, []), MonomialIdeal(R, [_UNIT4])
+    assert intersect(a, zero).gens == intersect(zero, a).gens == frozenset()
+    assert intersect(a, unit) == intersect(unit, a) == a
+    assert intersect(unit, unit) == unit
+
+
+def test_monomial_ideal_with_an_ideal_is_a_typed_error():
+    R = PolyRing(("x", "y"))
+    mono, ideal = MonomialIdeal(R, [(1, 0)]), Ideal(R, ["x"])
+    for a, b in ((mono, ideal), (ideal, mono)):
+        with pytest.raises(PreconditionViolated):
+            intersect(a, b)
+        with pytest.raises(PreconditionViolated):
+            ideal_equal(a, b)
+    with pytest.raises(RingMismatch):
+        intersect(mono, MonomialIdeal(PolyRing(("x", "z")), [(1, 0)]))
+
+
+def _lead_cases(char):
+    """(generators, order) whose bases are binomial, all-monomial, generic,
+    and binomial and generic under a BlockOrder."""
+    R = PolyRing(("x", "y", "z", "w"), char)
+    jm = join_meet_ideal(lattice_q(), char)
+    block = BlockOrder(("z",), degrevlex(("x", "y", "w", "z")))
+    generic = [R.from_string(t) for t in
+               ("x^2 + 2*y*z - w", "3*x*y - z^2 + 1", "y^3 - x*w")]
+    return [
+        (jm.ideal.generators, jm.ring.default_order),
+        (jm.ideal.generators, lex(tuple(reversed(jm.ring.variables)))),
+        ([R.from_string(t) for t in ("x^2*y", "y*z^3", "x*w", "z^2*w^2")],
+         lex(("w", "z", "y", "x"))),
+        (generic, degrevlex()),
+        (generic, lex(("z", "y", "x", "w"))),
+        (generic, block),
+        ([R.from_string(t) for t in ("x*y - z^2", "x^2 - y*w", "z*w - x*y")],
+         block),
+    ]
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_leading_monomials_match_the_basis(char):
+    """Leads read off the engine's elements equal the leads of the Poly
+    basis, on binomial, all-monomial and generic bases."""
+    kinds = set()
+    for gens, order in _lead_cases(char):
+        gb = buchberger(gens, order)
+        kinds.add("binomial" if gb._binomial is not None else "generic")
+        assert gb.leading_monomials() == tuple(
+            g.leading_monomial(gb.order) for g in gb.basis)
+    assert kinds == {"binomial", "generic"}
 
 
 def test_monomial_ideal_rejects_out_of_range_exponents():
@@ -422,6 +484,15 @@ def test_monomial_ideal_rejects_out_of_range_exponents():
         MonomialIdeal(R, [(1 << 16, 0)])
     with pytest.raises(ValueError):
         MonomialIdeal(R, [(1, -1)])
+
+
+def test_monomial_ideal_rejects_wrong_length_monomials():
+    """Packing would drop a fourth exponent or read a short tuple as
+    padded; the unit ideal and (x) must not come out of such input."""
+    R = PolyRing(("x", "y", "z"))
+    for monos in ([(1, 2, 3, 4)], [(0, 0, 0, 1)], [(1,)], [(1, 0, 0), (0, 1)]):
+        with pytest.raises(RingMismatch):
+            MonomialIdeal(R, monos)
 
 
 def test_lk_intersection_identity():

@@ -45,6 +45,22 @@ def test_compare_rejects_wrong_length(R3):
         compare(lex(), R3, (1, 0), (0, 1, 0))
 
 
+def test_wrong_length_monomials_and_unknown_names_are_rejected(R3):
+    """A monomial must have one exponent per variable: a longer tuple is not
+    truncated and a shorter one is not padded."""
+    for exps in ((1, 2, 3, 4), (0, 0, 0, 1), (1,), (1, 2), ()):
+        with pytest.raises(RingMismatch):
+            Poly(R3, {exps: 1})
+        with pytest.raises(RingMismatch):
+            R3.monomial(exps)
+        with pytest.raises(RingMismatch):
+            R3.monomial(exps, 0)
+    with pytest.raises(RingMismatch):
+        R3.monomial({"q": 1})
+    # a zero coefficient is dropped before the length is read, as in any sum
+    assert Poly(R3, {(1, 2): 0}) == R3.zero()
+
+
 def test_compare_rejects_exponents_outside_the_weights(R3):
     # past MAX_EXPONENT the weight key would no longer separate monomials
     with pytest.raises(ExponentOverflow):

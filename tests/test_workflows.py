@@ -328,6 +328,21 @@ def test_minimal_primes_match_all_pairs_oracle(make, char):
     _assert_certificate_and_dim_match_fresh_bases(components)
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "Lk:5:2"])
+def test_component_dim_is_krull_dim_on_every_admissible_set(spec, char):
+    """The dimension read off the Smith form, |L| - |A| - rank Λ_A, equals
+    the Krull dimension of a fresh basis's initial ideal on every
+    admissible set, not only on the minimal ones."""
+    L = build_fixture(spec)
+    sets = enumerate_admissible_sets(L)
+    assert len(sets) > len(minimal_primes(L, char, _verify=False))
+    for adm in sets:
+        c = component_prime(L, adm, char)
+        fresh = Ideal(c.ideal.ring, c.ideal.generators)
+        assert c.dim == krull_dim(initial_ideal(fresh))
+
+
 @given(closure_lattices(), st.sampled_from([0, 32003]))
 @settings(max_examples=150, deadline=None)
 def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
@@ -398,7 +413,7 @@ def _certificate_against_fold(L, char):
         return None
     certified = _initial_ideals_certify(jm.ideal, parts)
     if certified:
-        assert ideal_equal(_intersect_all(jm.ring, parts), jm.ideal)
+        assert ideal_equal(_intersect_all(parts), jm.ideal)
     return certified
 
 

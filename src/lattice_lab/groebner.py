@@ -9,10 +9,12 @@ S-element and reduce steps from one of two element kinds:
   every intermediate basis has at most two terms), and
 * generic elements, monic, with coefficients in the field (Q or GF(p)).
 
-Monomials live in hot loops as packed integers (16-bit fields per variable)
-so that divisibility is two big-int operations, and each monomial order is a
-linear functional ``key(m) = dot(exponents, weights)`` (see poly.py), so that
-order comparisons are single integer comparisons.
+Monomials live in hot loops as packed integers, one 16-bit field per
+variable, so that divisibility is two big-int operations.  The fields are
+laid out by the monomial order (``_Ctx``): then the order's key, the dot
+product of the exponents with its weights (see poly.py), is a linear
+function of the packed integer and its degree, so a key costs a few integer
+operations and an order comparison is one integer comparison.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import heapq
 import itertools
 import struct
 from fractions import Fraction
-from operator import itemgetter, mul
+from functools import lru_cache
+from operator import itemgetter, pos
 
 from .errors import (
     ExponentOverflow,
@@ -49,43 +52,113 @@ def _overflow():
     raise ExponentOverflow(f"an exponent exceeds {_GUARD - 1} in the Groebner engine")
 
 
+@lru_cache(maxsize=None)
+def _field_constants(n):
+    """The constants of n fields that do not depend on their order: the
+    guard mask, the degree fold's masks and shift (odd fields fold onto even
+    ones in 32-bit slots, then one multiply by a ones-per-slot vector leaves
+    the total in the top slot), the byte length and the fields' struct."""
+    slots = max(1, (n + 1) // 2)
+    return (sum(_GUARD << (_FIELD * f) for f in range(n)),
+            sum(((1 << _FIELD) - 1) << (2 * _FIELD * i) for i in range(slots)),
+            sum(1 << (2 * _FIELD * i) for i in range(slots)),
+            2 * _FIELD * (slots - 1),
+            _FIELD // 8 * n,
+            struct.Struct(f"<{n}H"))
+
+
 class _Ctx:
     """Packing and order-key helper bound to (ring, order).
 
     Exponents sit in 16-bit fields whose high (guard) bit stays clear: every
     packed add in the engine tests ``pk & hmask`` and raises
     ExponentOverflow, so field arithmetic below never carries or borrows.
+
+    The fields follow the order, not the ring: the variable of rank r
+    (highest first) sits in field n-1-r under lex and in field r under
+    degrevlex, and a BlockOrder lays out by its inner order.  ``shifts[i]``
+    is the bit offset of variable i's field.  The key of the order's weights
+    (poly.py) is then linear in the packed integer p and its degree,
+
+        key(p) = A*deg(p) + S*p + sum over dropped v of C_v*field_v(p),
+
+    with A = 0 and S = 1 under lex, A = 2^(16(n+1)) and S = -1 under
+    degrevlex, and C_v a dropped variable's block weight; ``linear`` holds
+    (A, S, ((C_v, shift of v), ...)).
     """
 
-    __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask",
-                 "_pairs", "_ones", "_top", "_keys", "_bytes", "_fields")
+    __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask", "linear",
+                 "key_packed", "unpack", "_field_of", "_pairs", "_ones", "_top",
+                 "_bytes", "_struct")
 
     def __init__(self, ring, order):
         self.ring = ring
         self.order = order
-        self.n = ring.nvars
+        n = self.n = ring.nvars
         self.weights = order.weights(ring)
-        self.shifts = tuple(_FIELD * i for i in range(self.n))
-        self.hmask = sum(_GUARD << s for s in self.shifts)
-        # degree: fold odd fields onto even ones (32-bit slots), then one
-        # multiply by a ones-per-slot vector leaves the total in the top slot
-        slots = max(1, (self.n + 1) // 2)
-        self._pairs = sum(((1 << _FIELD) - 1) << (2 * _FIELD * i) for i in range(slots))
-        self._ones = sum(1 << (2 * _FIELD * i) for i in range(slots))
-        self._top = 2 * _FIELD * (slots - 1)
-        self._keys = {}
-        self._bytes = _FIELD // 8 * self.n
-        self._fields = struct.Struct(f"<{self.n}H").unpack
+        inner, drop = ((order.inner, order.drop) if isinstance(order, BlockOrder)
+                       else (order, ()))
+        by_field = [ring.index[v] for v in inner.resolve(ring)]
+        if inner.kind == "lex":
+            by_field.reverse()
+        self._field_of = sorted(range(n), key=by_field.__getitem__)
+        self.shifts = tuple(_FIELD * f for f in self._field_of)
+        a = 0 if inner.kind == "lex" else 1 << (_FIELD * (n + 1))
+        drops = ()
+        if drop:
+            inner_weights = inner.weights(ring)
+            drops = tuple((self.weights[i] - inner_weights[i], self.shifts[i])
+                          for i in map(ring.index.__getitem__, drop))
+        self.linear = (a, -1 if a else 1, drops)
+        (self.hmask, self._pairs, self._ones, self._top, self._bytes,
+         self._struct) = _field_constants(n)
+        self.key_packed = self._linear_key()
+        self.unpack = self._unpacker()
+
+    def _linear_key(self):
+        """key(p) by the linear formula, for packed monomials p."""
+        a, s, drops = self.linear
+        pairs, ones, top, low = self._pairs, self._ones, self._top, _GUARD - 1
+
+        def key(p):
+            k = s * p
+            if a:
+                folded = (p & pairs) + ((p >> _FIELD) & pairs)
+                k += a * (((folded * ones) >> top) & 0xFFFFFFFF)
+            for c, sh in drops:
+                k += c * ((p >> sh) & low)
+            return k
+        return key
+
+    def _unpacker(self):
+        """Packed -> exponent tuple: guard bits are clear, so each 16-bit
+        field is one exponent, read in field order and put in ring order."""
+        nbytes, fields = self._bytes, self._struct.unpack
+        # the ring's own degrevlex layout needs no permutation, and so does
+        # every layout of one variable, where itemgetter would give a scalar
+        if self._field_of == list(range(self.n)):
+            return lambda p: fields(p.to_bytes(nbytes, "little"))
+        get = itemgetter(*self._field_of)
+        return lambda p: get(fields(p.to_bytes(nbytes, "little")))
+
+    def repacker(self, src):
+        """The map from monomials packed by ``src``, a context on the same
+        ring, to the same monomials packed by this one: one permutation of
+        the fields."""
+        if src._field_of == self._field_of:
+            return pos
+        # layouts differ only on two or more variables: get gives a tuple
+        by_field = sorted(range(self.n), key=self._field_of.__getitem__)
+        get = itemgetter(*(src._field_of[i] for i in by_field))
+        nbytes, fields, pack = self._bytes, self._struct.unpack, self._struct.pack
+        return lambda p: int.from_bytes(
+            pack(*get(fields(p.to_bytes(nbytes, "little")))), "little")
 
     def pack(self, exps):
         p = 0
         for e, s in zip(exps, self.shifts):
             p |= e << s
         return p
-
-    def unpack(self, packed):
-        # guard bits are clear, so each 16-bit field is one exponent
-        return self._fields(packed.to_bytes(self._bytes, "little"))
 
     def key_pack(self, exps):
         """(order key, packed) of an exponent tuple in one pass."""
@@ -95,12 +168,6 @@ class _Ctx:
                 k += e * w
                 p |= e << s
         return k, p
-
-    def key_packed(self, packed):
-        k = self._keys.get(packed)
-        if k is None:
-            k = self._keys[packed] = sum(map(mul, self.unpack(packed), self.weights))
-        return k
 
     def divides(self, a, b):
         """Packed divisibility a | b."""
@@ -130,22 +197,22 @@ def _buchberger_core(ctx, elements, s_element, reduce):
 
     ``reduce(ctx, raw, basis)`` turns a raw element (an input or an
     S-element) into a basis element reduced by ``basis``, or None for zero;
-    ``s_element(ctx, lcm, fi, fj)`` is the raw S-element of a pair, or None
-    when it is zero.  Pairs leave the heap by lcm degree, then lcm key.
+    ``s_element(ctx, lcm, key, fi, fj)`` is the raw S-element of a pair
+    with lcm ``lcm`` of order key ``key``, or None when it is zero.  Pairs
+    leave the heap by lcm degree, then lcm key.
 
     Pairs are installed as Gebauer and Möller (1988) do.  The new element
     h's pairs are walked by (lcm degree, coprime first), and one is kept
     only when no kept pair's lcm divides its lcm: that drops a pair whose
     lcm a smaller one divides (M), all but one pair of equal lcm (F), and
     every pair of an lcm that some coprime pair has (product criterion),
-    after which the coprime pairs themselves go.  Then a pending pair
-    (i, k) goes when lead(h) divides its lcm and neither lcm(i, h) nor
-    lcm(k, h) equals it (B).  An element whose lead lead(h) divides forms
-    no more pairs and is left out of the result.
+    after which the coprime pairs themselves go.  An element whose lead
+    lead(h) divides forms no more pairs and is left out of the result.
     """
     hm = ctx.hmask
-    lcm_of = ctx.lcm
-    key_packed = ctx.key_packed
+    fold, ones, top = ctx._pairs, ctx._ones, ctx._top
+    a, s, drops = ctx.linear
+    low = _GUARD - 1
     basis = []
     # indices of the elements whose lead no later lead divides: they form
     # pairs, and as every element is reduced by those before it, they end
@@ -154,17 +221,22 @@ def _buchberger_core(ctx, elements, s_element, reduce):
     pairs = []
 
     def add(el):
-        nonlocal pairs, live
+        nonlocal live
         if el is None:
             return
         j, lj = len(basis), el[1]
         walk = []
         for i in live:
             li = basis[i][1]
-            lcm, deg = lcm_of(li, lj)
+            # the packed lcm and its degree, as in _Ctx.lcm
+            g = ((li | hm) - lj) & hm
+            sel = g - (g >> (_FIELD - 1))
+            lcm = (li & sel) | (lj & ~sel)
+            folded = (lcm & fold) + ((lcm >> _FIELD) & fold)
+            deg = ((folded * ones) >> top) & 0xFFFFFFFF
             walk.append((deg, lcm != li + lj, i, lcm))
         walk.sort()
-        kept, new = [], []
+        kept = []
         for deg, not_coprime, i, lcm in walk:
             lh = lcm | hm
             for k in kept:
@@ -173,16 +245,10 @@ def _buchberger_core(ctx, elements, s_element, reduce):
             else:
                 kept.append(lcm)
                 if not_coprime:
-                    new.append((deg, key_packed(lcm), i, j, lcm))
-        if pairs:
-            survivors = [p for p in pairs if ((p[4] | hm) - lj) & hm != hm
-                         or lcm_of(basis[p[2]][1], lj)[0] == p[4]
-                         or lcm_of(basis[p[3]][1], lj)[0] == p[4]]
-            if len(survivors) < len(pairs):
-                pairs = survivors
-                heapq.heapify(pairs)
-        for p in new:
-            heapq.heappush(pairs, p)
+                    key = a * deg + s * lcm
+                    for c, sh in drops:
+                        key += c * ((lcm >> sh) & low)
+                    heapq.heappush(pairs, (deg, key, i, j, lcm))
         live = [i for i in live if ((basis[i][1] | hm) - lj) & hm != hm]
         live.append(j)
         basis.append(el)
@@ -190,10 +256,10 @@ def _buchberger_core(ctx, elements, s_element, reduce):
     for el in elements:
         add(reduce(ctx, el, basis))
     while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        s = s_element(ctx, lcm, basis[i], basis[j])
-        if s is not None:
-            add(reduce(ctx, s, basis))
+        _, key, i, j, lcm = heapq.heappop(pairs)
+        s_el = s_element(ctx, lcm, key, basis[i], basis[j])
+        if s_el is not None:
+            add(reduce(ctx, s_el, basis))
     return sorted((basis[i] for i in live), key=itemgetter(0))
 
 
@@ -269,22 +335,22 @@ def _bin_reduce(ctx, el, basis):
     return None
 
 
-def _bin_shifted(ctx, lcm, f):
-    """(key, packed) of (lcm / lead(f)) * tail(f)."""
+def _bin_shifted(ctx, lcm, key, f):
+    """(key, packed) of (lcm / lead(f)) * tail(f), for an lcm of key ``key``."""
     pk = lcm - f[1] + f[3]
     if pk & ctx.hmask:
         _overflow()
-    return ctx.key_packed(lcm) - f[0] + f[2], pk
+    return key - f[0] + f[2], pk
 
 
-def _bin_s_element(ctx, lcm, fi, fj):
+def _bin_s_element(ctx, lcm, key, fi, fj):
     """S-element of u1 - v1, u2 - v2: (lcm/u2) v2 - (lcm/u1) v1, unoriented."""
     if fi[3] < 0:
-        return None if fj[3] < 0 else (*_bin_shifted(ctx, lcm, fj), -1, -1)
+        return None if fj[3] < 0 else (*_bin_shifted(ctx, lcm, key, fj), -1, -1)
     if fj[3] < 0:
-        return (*_bin_shifted(ctx, lcm, fi), -1, -1)
-    m1 = _bin_shifted(ctx, lcm, fi)
-    m2 = _bin_shifted(ctx, lcm, fj)
+        return (*_bin_shifted(ctx, lcm, key, fi), -1, -1)
+    m1 = _bin_shifted(ctx, lcm, key, fi)
+    m2 = _bin_shifted(ctx, lcm, key, fj)
     return None if m1[1] == m2[1] else (*m1, *m2)
 
 
@@ -399,7 +465,7 @@ def _gen_reduce(ctx, terms, basis):
     return _make_entry(ctx, _nf_generic(ctx, terms, basis))
 
 
-def _gen_s_element(ctx, lcm, fi, fj):
+def _gen_s_element(ctx, lcm, key, fi, fj):
     """(lcm/lead fi) fi - (lcm/lead fj) fj as a term dict; the leads cancel."""
     s = {}
     _subtract(ctx, s, -1, lcm - fi[1], fi)
@@ -526,6 +592,11 @@ class ReducedGB:
         return f"ReducedGB({[str(g) for g in self.basis]})"
 
 
+def _check_length(ring, m):
+    if len(m) != ring.nvars:
+        raise RingMismatch(f"monomial {m} has {len(m)} exponents, not {ring.nvars}")
+
+
 class MonomialIdeal:
     """Monomial ideal stored by its minimal generators."""
 
@@ -536,9 +607,7 @@ class MonomialIdeal:
         ctx = _Ctx(ring, ring.default_order)
         packed = []
         for m in monomials:
-            if len(m) != ring.nvars:
-                raise RingMismatch(
-                    f"monomial {m} has {len(m)} exponents, not {ring.nvars}")
+            _check_length(ring, m)
             # the range Poly enforces, so that packing is exact
             if min(m, default=0) < 0 or max(m, default=0) >= MAX_EXPONENT:
                 _bad_exponent(m)
@@ -549,7 +618,9 @@ class MonomialIdeal:
         return all(mono_is_squarefree(m) for m in self.gens)
 
     def contains(self, mono):
-        return any(mono_divides(g, tuple(mono)) for g in self.gens)
+        mono = tuple(mono)
+        _check_length(self.ring, mono)
+        return any(mono_divides(g, mono) for g in self.gens)
 
     def with_extra(self, monomials):
         return MonomialIdeal(self.ring, set(self.gens) | set(map(tuple, monomials)))
@@ -798,7 +869,7 @@ def _binomial_colons(ideal, index):
     gb = ideal.groebner(degrevlex(
         tuple(v for v in ring.variables if v != var) + (var,)))
     ctx = gb._ctx
-    shift, wx, low = _FIELD * index, ctx.weights[index], _GUARD - 1
+    shift, wx, low = ctx.shifts[index], ctx.weights[index], _GUARD - 1
 
     def divided(e):
         out = []

@@ -72,8 +72,9 @@ class MonomialOrder:
     @lru_cache(maxsize=128)
     def weights(self, ring):
         """Integer weight per variable; key(m) = dot(m, weights).  Memoised
-        per (order, ring), in a bounded cache so that an order scan's
-        thousands of orders cannot grow it."""
+        per (order, ring).  The cache is bounded because it keeps its orders
+        and rings alive, and the order scan builds a new order for each
+        engine run, one per Groebner cone it meets."""
         perm = tuple(ring.index[v] for v in self.resolve(ring))
         n = len(perm)
         w = [0] * n

@@ -72,7 +72,15 @@ from .lattice import (
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from .poly import _FIELD_BITS, PolyRing, degrevlex, lex, product, sort_key
+from .poly import (
+    MAX_EXPONENT,
+    MonomialOrder,
+    PolyRing,
+    degrevlex,
+    lex,
+    product,
+    sort_key,
+)
 from .snf import echelon_basis, smith_normal_form
 
 
@@ -368,7 +376,7 @@ def _colon_witness(ideal):
         for lk, lp, tk, tp in sorted(colon2, key=lambda e: -e[0]):
             tail = None if tp < 0 else _bin_reduce_monomial(tk, tp, colon1, hm)
             if _bin_reduce_monomial(lk, lp, colon1, hm) != tail:
-                x, wx = 1 << (_FIELD_BITS * i), ctx.weights[i]
+                x, wx = 1 << ctx.shifts[i], ctx.weights[i]
                 w = (lk + wx, lp + x, tk + wx, -1 if tp < 0 else tp + x)
                 return _binomial_polys(ctx, [w])[0]
     return None
@@ -451,8 +459,8 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
     hm = ctx.hmask
     char = ring.char
     nf = _monomial_normal_forms(gb)
-    field = (1 << (_FIELD_BITS - 1)) - 1
-    masks = [sum(field << (_FIELD_BITS * ring.index[e]) for e in adm)
+    # the packed mask of A's fields, for each A
+    masks = [ctx.pack([MAX_EXPONENT - 1 if v in adm else 0 for v in ring.variables])
              for adm in primes]
 
     def is_witness(u, v):
@@ -663,20 +671,25 @@ def _scan_orders(lattice, kinds, perms, char):
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
     the leading-term set of each distinct initial ideal met.  Each order is
-    tested against the Groebner cones found so far, most recently used
-    first; the engine runs only for an order outside all of them.
+    tested, as its weight vector, against the Groebner cones found so far,
+    most recently used first.  Only an order outside all of them becomes an
+    order object: the engine runs in that order's own packing (``_Ctx``),
+    and the basis is repacked into the scan's, ``ctx0``, in which cones and
+    leading-term sets are kept.
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
+    n = ring.nvars
     ctx0 = _Ctx(ring, degrevlex(ring.variables))
     gens = [tuple(g.terms) for g in jm.ideal.generators]
     sides = [(ctx0.pack(m1), ctx0.pack(m2)) for m1, m2 in gens]
     gen_splits = [(1 << i, *_weight_split(m1, m2))
                   for i, (m1, m2) in enumerate(gens)]
     everything = (1 << len(gens)) - 1
-    high = 0
-    for i in range(ring.nvars):
-        high |= ((1 << _FIELD_BITS) - 2) << (_FIELD_BITS * i)
+    high = ctx0.pack([MAX_EXPONENT - 2] * n)  # the bits of exponents above one
+    # the weight of each rank under each kind: the weights of the ring's own
+    # variable order, where variable i has rank i
+    rank_weights = {k: MonomialOrder(k).weights(ring) for k in kinds}
     known_splits = {}  # nearby cones share most of their binomials
 
     def split(lead, tail):
@@ -691,10 +704,9 @@ def _scan_orders(lattice, kinds, perms, char):
     cones = []
     leading = []
     for perm in perms:
-        prio = tuple(ring.variables[i] for i in perm)
+        rank = sorted(range(n), key=perm.__getitem__)
         for kind in kinds:
-            order = lex(prio) if kind == "lex" else degrevlex(prio)
-            w0 = order.weights(ring) + (0,)
+            w0 = [*map(rank_weights[kind].__getitem__, rank), 0]
             first = 0
             for bit, up, down in gen_splits:
                 if sum(up(w0)) > sum(down(w0)):
@@ -708,18 +720,20 @@ def _scan_orders(lattice, kinds, perms, char):
                     cones.insert(0, cones.pop(c))
                 break
             else:
-                ctx = _Ctx(ring, order)
-                elements = [(ctx.key_packed(p1), p1, ctx.key_packed(p2), p2)
-                            for p1, p2 in sides]
-                cone = _Cone(_binomial_buchberger(ctx, elements), sides, high,
-                             split)
+                ctx = _Ctx(ring, MonomialOrder(
+                    kind, tuple(ring.variables[i] for i in perm)))
+                elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
+                back = ctx0.repacker(ctx)
+                reduced = [(lk, back(lp), tk, tp if tp < 0 else back(tp))
+                           for lk, lp, tk, tp in _binomial_buchberger(ctx, elements)]
+                cone = _Cone(reduced, sides, high, split)
                 cones.insert(0, cone)
                 leading.append(cone.leads)
             counts[kind]["orders"] += 1
             if cone.squarefree:
                 counts[kind]["squarefree"] += 1
                 if witness is None:
-                    witness = (kind, prio)
+                    witness = (kind, tuple(ring.variables[i] for i in perm))
     return counts, witness, leading
 
 

@@ -101,15 +101,12 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
     figure counts distinct leading-term sets among the orders scanned.
     """
     from lattice_lab.groebner import _bin_reduce, _bin_s_element, _buchberger_core, _Ctx
-    from lattice_lab.poly import _FIELD_BITS, degrevlex, lex
+    from lattice_lab.poly import degrevlex, lex, mono_is_squarefree
     from lattice_lab.workflows import join_meet_ideal
 
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     gens = [tuple(g.terms) for g in jm.ideal.generators]
-    high = 0
-    for i in range(ring.nvars):
-        high |= ((1 << _FIELD_BITS) - 2) << (_FIELD_BITS * i)
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
     leading = set()
@@ -120,10 +117,11 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
             ctx = _Ctx(ring, order)
             elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
             minimal = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce)
-            leads = frozenset(lp for _, lp, _, _ in minimal)
+            # exponent tuples: each order packs in a layout of its own
+            leads = frozenset(ctx.unpack(lp) for _, lp, _, _ in minimal)
             leading.add(leads)
             counts[kind]["orders"] += 1
-            if all(lp & high == 0 for lp in leads):
+            if all(map(mono_is_squarefree, leads)):
                 counts[kind]["squarefree"] += 1
                 if witness is None:
                     witness = (kind, prio)
@@ -144,7 +142,7 @@ def saturate_by_passes(ideal, f):
     from lattice_lab.groebner import (
         Ideal, _bin_interreduced, _bin_reduce, _bin_s_element, _binomial_elements,
         _binomial_polys, _buchberger_core, _Ctx, _minimal)
-    from lattice_lab.poly import _FIELD_BITS, degrevlex
+    from lattice_lab.poly import MAX_EXPONENT, degrevlex
 
     ring = ideal.ring
     assert all(g.is_homogeneous() for g in ideal.generators)
@@ -152,17 +150,19 @@ def saturate_by_passes(ideal, f):
     ctx = _Ctx(ring, ring.default_order)
     elements = _binomial_elements(ctx, ideal.generators)
     assert elements is not None, "not a pure-difference ideal"
-    low = (1 << (_FIELD_BITS - 1)) - 1
+    low = MAX_EXPONENT - 1
     for index, exponent in enumerate(mono):
         if not exponent:
             continue
         var = ring.variables[index]
-        ctx = _Ctx(ring, degrevlex(
+        prev, ctx = ctx, _Ctx(ring, degrevlex(
             tuple(v for v in ring.variables if v != var) + (var,)))
-        kp = ctx.key_packed
-        elements = [(kp(lp), lp, -1 if tp < 0 else kp(tp), tp)
+        # each pass's order packs in a layout of its own: repack through
+        # exponent tuples
+        elements = [(*ctx.key_pack(prev.unpack(lp)),
+                     *((-1, -1) if tp < 0 else ctx.key_pack(prev.unpack(tp))))
                     for _, lp, _, tp in elements]
-        shift = _FIELD_BITS * index
+        shift = ctx.shifts[index]
         wvar = ctx.weights[index]
         divided = []
         for lk, lp, tk, tp in _buchberger_core(ctx, elements, _bin_s_element,

@@ -1,6 +1,9 @@
 """Packed-monomial fast paths against independent references.
 
 * ``_Ctx.lcm`` (guard-bit max-select) against a per-field loop;
+* the order-aligned packing of ``_Ctx``: keys by the linear formula against
+  the order's weights, and unpacking, divisibility, lcm and repacking
+  against exponent tuples;
 * ``ReducedGB.reduce`` on a binomial basis (term by term) against the
   generic (monic, field-coefficient) normal form of the same ideal;
 * ``ExponentOverflow`` where a packed exponent outgrows its field or a
@@ -27,7 +30,7 @@ from lattice_lab.cli import main
 from lattice_lab.fixtures import lattice_r
 from lattice_lab.groebner import _Ctx
 from lattice_lab.lattice import enumerate_admissible_sets
-from lattice_lab.poly import MAX_EXPONENT
+from lattice_lab.poly import MAX_EXPONENT, BlockOrder
 from lattice_lab.workflows import _component_gens, join_meet_ideal
 
 P = 32003
@@ -68,6 +71,50 @@ def test_lcm_degree_past_sixteen_bits():
         assert ctx.lcm(top, alt) == (top, n * FIELD_MAX)
         assert ctx.lcm(0, alt) == (alt, (n // 2) * FIELD_MAX)
     assert 40 * FIELD_MAX >= 1 << 16
+
+
+# -- order-aligned packing ----------------------------------------------------
+
+
+@st.composite
+def _orders(draw, ring):
+    """A lex, degrevlex or BlockOrder (one or two dropped variables) order."""
+    kind = draw(st.sampled_from((lex, degrevlex)))
+    order = kind(tuple(draw(st.permutations(ring.variables))))
+    drop = draw(st.integers(0, min(2, ring.nvars)))
+    if drop:
+        order = BlockOrder(tuple(draw(st.permutations(ring.variables))[:drop]),
+                           order)
+    return order
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_packing_layout_matches_exponent_tuples(data):
+    """Each context packs in its order's own field layout: the linear key
+    must equal the dot product with the order's weights, and unpacking,
+    divisibility, lcm and repacking must agree with exponent tuples.  One
+    variable is covered, where a single-index itemgetter returns a scalar."""
+    n = data.draw(st.integers(1, 9))
+    R = PolyRing(tuple(f"v{i}" for i in range(n)))
+    order, other = data.draw(_orders(R)), data.draw(_orders(R))
+    ctx, ctx2 = _Ctx(R, order), _Ctx(R, other)
+    weights = order.weights(R)
+    mono = st.tuples(*[_field] * n)
+    a, b = data.draw(mono), data.draw(mono)
+    if data.draw(st.booleans()):
+        b = tuple(map(max, a, b))  # a divides b
+    for m in (a, b):
+        key, packed = ctx.key_pack(m)
+        assert key == sum(e * w for e, w in zip(m, weights))
+        assert ctx.key_packed(packed) == key
+        assert packed == ctx.pack(m)
+        assert ctx.unpack(packed) == m
+        assert ctx2.unpack(ctx2.repacker(ctx)(packed)) == m
+    pa, pb = ctx.pack(a), ctx.pack(b)
+    assert ctx.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    lcm = tuple(map(max, a, b))
+    assert ctx.lcm(pa, pb) == (ctx.pack(lcm), sum(lcm))
 
 
 # -- binomial normal form -----------------------------------------------------

@@ -495,6 +495,16 @@ def test_monomial_ideal_rejects_wrong_length_monomials():
             MonomialIdeal(R, monos)
 
 
+def test_monomial_ideal_contains_rejects_wrong_length_monomials():
+    """Membership zipped exponent tuples: a short tuple or one with an extra
+    exponent got an answer instead of an error."""
+    ideal = MonomialIdeal(PolyRing(("x", "y", "z")), [(1, 0, 0)])
+    for mono in ((1,), (1, 0, 0, 5)):
+        with pytest.raises(RingMismatch):
+            ideal.contains(mono)
+    assert ideal.contains((1, 2, 0)) and not ideal.contains((0, 2, 1))
+
+
 def test_lk_intersection_identity():
     jm = join_meet_ideal(lk(3, 1))
     R = jm.ring

@@ -41,6 +41,7 @@ from .poly import (
     mono_is_squarefree,
     sort_key,
     _bad_exponent,
+    _check_length,
     _FIELD_BITS,
 )
 
@@ -525,23 +526,32 @@ def _binomial_elements(ctx, polys):
 class ReducedGB:
     """Reduced Groebner basis: monic, inter-reduced, sorted by leading term.
 
-    It keeps the engine's own elements, packed binomial ones in ``_binomial``
-    or generic ones in ``_generic``, and ``basis`` is their Poly form.  On a
-    binomial basis ``reduce`` works term by term, because the normal form is
-    linear and under a +-1 binomial basis a monomial reduces to a monomial
-    or to 0.
+    It is the engine's own elements, packed binomial ones in ``_binomial``
+    or generic ones in ``_generic``; ``basis`` builds their Poly form each
+    time it is read.  On a binomial basis ``reduce`` works term by term,
+    because the normal form is linear and under a +-1 binomial basis a
+    monomial reduces to a monomial or to 0.
     """
 
-    __slots__ = ("ring", "order", "basis", "_ctx", "_binomial", "_generic")
+    __slots__ = ("_ctx", "_binomial", "_generic")
 
     def __init__(self, ctx, *, binomial=None, generic=None):
-        self.ring = ctx.ring
-        self.order = ctx.order
         self._ctx = ctx
         self._binomial = binomial
         self._generic = generic
-        self.basis = tuple(_binomial_polys(ctx, binomial) if binomial is not None
-                           else (_entry_to_poly(ctx, e) for e in generic))
+
+    ring = property(lambda self: self._ctx.ring)
+    order = property(lambda self: self._ctx.order)
+
+    @property
+    def basis(self):
+        """The elements as Polys, by decreasing lead."""
+        if self._binomial is not None:
+            return tuple(_binomial_polys(self._ctx, self._binomial))
+        return tuple(_entry_to_poly(self._ctx, e) for e in self._generic)
+
+    def _elements(self):
+        return self._binomial if self._binomial is not None else self._generic
 
     def reduce(self, f):
         """Unique normal form of f modulo this basis."""
@@ -568,17 +578,17 @@ class ReducedGB:
 
     def leading_monomials(self):
         """Leads in basis order, read off the engine's own elements."""
-        elements = self._binomial if self._binomial is not None else self._generic
-        return tuple(self._ctx.unpack(e[1]) for e in elements)
+        return tuple(self._ctx.unpack(e[1]) for e in self._elements())
 
     def contains_one(self):
-        return len(self.basis) == 1 and self.basis[0] == self.ring.one()
+        # a monic element whose lead is the monomial 1 (packed 0) is 1
+        return len(self) == 1 and self._elements()[0][1] == 0
 
     def __iter__(self):
         return iter(self.basis)
 
     def __len__(self):
-        return len(self.basis)
+        return len(self._elements())
 
     def __eq__(self, other):
         return (
@@ -590,11 +600,6 @@ class ReducedGB:
 
     def __repr__(self):
         return f"ReducedGB({[str(g) for g in self.basis]})"
-
-
-def _check_length(ring, m):
-    if len(m) != ring.nvars:
-        raise RingMismatch(f"monomial {m} has {len(m)} exponents, not {ring.nvars}")
 
 
 class MonomialIdeal:
@@ -770,11 +775,8 @@ def eliminate(ideal, drop):
     gb = buchberger(ideal.generators, order, ring=ring)
     small = ring.restrict(keep)
     drop_idx = [ring.index[v] for v in drop_sorted]
-    kept = []
-    for g in gb.basis:
-        if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
-            kept.append(g.map_ring(small))
-    return Ideal(small, kept)
+    return Ideal(small, [g.map_ring(small) for g in gb.basis
+                         if not any(m[i] for m in g.terms for i in drop_idx)])
 
 
 def _monomial_pair(a, b):
@@ -808,8 +810,6 @@ def intersect(a, b):
             rest.append([f for f in side if f not in inside])
         meet.update(ctx.lcm(f, g)[0] for f, g in itertools.product(*rest))
         return MonomialIdeal(ring, map(ctx.unpack, meet))
-    if not a.generators or not b.generators:
-        return Ideal(ring, [])
     shared = set(a.generators) & set(b.generators)
     first = [g for g in a.generators if g not in shared]
     second = [g for g in b.generators if g not in shared]
@@ -899,8 +899,6 @@ def saturate(ideal, f):
     if not f:
         raise ZeroDivisor("saturation by zero")
     ring = ideal.ring
-    if not ideal.generators:
-        return Ideal(ring, [])
     prio = ring.variables
     if len(f.terms) == 1:
         (mono,) = f.terms
@@ -947,8 +945,6 @@ def krull_dim(m):
         if not s:
             raise PreconditionViolated("unit ideal has no quotient dimension")
         supports.append(s)
-    if not supports:
-        return nvars
     supports.sort(key=len)
     best = [nvars]
 
@@ -980,10 +976,5 @@ def spolynomial(f, g, order=None):
 
 def verify_groebner(gb):
     """Post-hoc check: every S-polynomial of every pair reduces to zero."""
-    basis = gb.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = spolynomial(basis[i], basis[j], gb.order)
-            if gb.reduce(s):
-                return False
-    return True
+    return not any(gb.reduce(spolynomial(f, g, gb.order))
+                   for f, g in itertools.combinations(gb.basis, 2))

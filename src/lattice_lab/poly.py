@@ -136,14 +136,21 @@ def sort_key(order, ring):
 
 def compare(order, ring, m1, m2):
     """-1, 0 or 1 as m1 is below, equal to or above m2 under ``order``."""
-    if len(m1) != ring.nvars or len(m2) != ring.nvars:
-        raise RingMismatch("monomial length does not match ring")
+    _check_length(ring, m1)
+    _check_length(ring, m2)
     for m in (m1, m2):
         if any(e < 0 or e >= MAX_EXPONENT for e in m):
             _bad_exponent(m)
     key = sort_key(order, ring)
     a, b = key(m1), key(m2)
     return (a > b) - (a < b)
+
+
+def _check_length(ring, m):
+    """RingMismatch unless the exponent tuple m has one entry per variable."""
+    if len(m) != ring.nvars:
+        raise RingMismatch(
+            f"monomial {tuple(m)} has {len(m)} exponents, not {ring.nvars}")
 
 
 def _bad_exponent(m):
@@ -269,9 +276,7 @@ class PolyRing:
                     raise RingMismatch(f"unknown variable {name!r}")
                 e[self.index[name]] = k
             exps = tuple(e)
-        elif len(exps) != self.nvars:
-            raise RingMismatch(
-                f"monomial {tuple(exps)} has {len(exps)} exponents, not {self.nvars}")
+        _check_length(self, exps)
         c = self.coeff(coeff)
         if c == 0:
             return self.zero()

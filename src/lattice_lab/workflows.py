@@ -122,14 +122,15 @@ def join_meet_ideal(lattice, char=0):
 
 def _snf_certified(ideal):
     """Smith form of the rows u - v of the two-term elements x^u - x^v of a
-    component's reduced basis (None when it has none): saturated exactly
+    component's reduced basis (no rows when it has none): saturated exactly
     when the component is prime.  The basis is binomial-engine output, so
     each two-term element is a pure difference, and its one-term elements
     are the component's variables: a proper pure-difference ideal holds no
     monomial, because its elements vanish at the all-ones point."""
-    rows = [tuple(a - b for a, b in zip(*g.terms))
-            for g in ideal.groebner().basis if len(g.terms) == 2]
-    return smith_normal_form(rows) if rows else None
+    gb = ideal.groebner()
+    unpack = gb._ctx.unpack
+    return smith_normal_form([tuple(a - b for a, b in zip(unpack(lp), unpack(tp)))
+                              for _, lp, _, tp in gb._binomial if tp >= 0])
 
 
 def certify_prime_component(ideal):
@@ -163,8 +164,7 @@ def certify_prime_component(ideal):
             raise NotSaturatedInput(
                 "pure-difference part is not saturated w.r.t. its variables"
             )
-    snf = _snf_certified(part)
-    return snf is None or snf.saturated
+    return _snf_certified(part).saturated
 
 
 def _component_gens(lattice, admissible, ring):
@@ -174,10 +174,9 @@ def _component_gens(lattice, admissible, ring):
     gens = []
     if survivors:
         sub = restrict_to_complement(lattice, admissible)
-        pairs = basic_binomial_pairs(sub) if len(sub.elements) > 1 else []
         binoms = [
             ring.monomial({a: 1, b: 1}) - ring.monomial({c: 1, d: 1})
-            for (a, b), (c, d) in pairs
+            for (a, b), (c, d) in basic_binomial_pairs(sub)
         ]
         if binoms:
             sat = saturate(
@@ -201,11 +200,11 @@ def component_prime(lattice, admissible, char=0):
 def _prime_component(admissible, ideal):
     """PrimeComponent of P_A, the variables of A plus the lattice ideal of
     Λ_A: one Smith form (``_snf_certified``) gives its certificate and its
-    dimension |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996)."""
+    dimension |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996), also when
+    Λ_A = 0 and the form has no rows."""
     snf = _snf_certified(ideal)
-    rank = 0 if snf is None else len(snf.nonzero_factors)
-    return PrimeComponent(admissible, ideal, snf is None or snf.saturated,
-                          ideal.ring.nvars - len(admissible) - rank)
+    return PrimeComponent(admissible, ideal, snf.saturated,
+                          ideal.ring.nvars - len(admissible) - len(snf.nonzero_factors))
 
 
 def _intersect_all(ideals):

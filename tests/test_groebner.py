@@ -373,6 +373,13 @@ def test_intersect_principal_monomials():
     R = PolyRing(("x", "y"))
     got = intersect(Ideal(R, ["x"]), Ideal(R, ["y"]))
     assert ideal_equal(got, Ideal(R, ["x*y"]))
+    # a zero side takes the general route: t*J holds no t-free element
+    for char in (0, P):
+        R = PolyRing(("x", "y"), char)
+        zero, some = Ideal(R, []), Ideal(R, ["x*y - y^2", "x^2 + 2*y"])
+        for a, b in ((zero, some), (some, zero), (zero, zero)):
+            meet = intersect(a, b)
+            assert meet.ring == R and meet.generators == ()
 
 
 def test_intersect_monomial_fast_path_matches_elimination():
@@ -476,6 +483,39 @@ def test_leading_monomials_match_the_basis(char):
         assert gb.leading_monomials() == tuple(
             g.leading_monomial(gb.order) for g in gb.basis)
     assert kinds == {"binomial", "generic"}
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_bases_read_through_their_elements_build_no_polys(monkeypatch, char):
+    """A basis read through ``initial_ideal``, ``reduce``, ``len``,
+    ``contains_one`` or the colon bases never becomes Polys, on binomial,
+    all-monomial and generic bases; ``basis``, built when read, is then the
+    reference reduced basis."""
+    def built(*args):
+        raise AssertionError("a basis became Polys")
+
+    monkeypatch.setattr(groebner, "_binomial_polys", built)
+    monkeypatch.setattr(groebner, "_entry_to_poly", built)
+    cases = _lead_cases(char)
+    bases = []
+    for gens, order in cases:
+        ideal = Ideal(gens[0].ring, gens)
+        gb = ideal.groebner(order)
+        assert initial_ideal(ideal, order).gens == set(gb.leading_monomials())
+        assert not any(gb.reduce(g) for g in gens)
+        assert len(gb) == len(gb.leading_monomials()) > 0
+        assert not gb.contains_one()
+        bases.append(gb)
+    R = cases[-1][0][0].ring
+    for gens, n in (([], 0), ([R.one()], 1), (["x + y + 1", "x + y"], 1)):
+        gb = Ideal(R, gens).groebner()
+        assert (len(gb), gb.contains_one()) == (n, n == 1)
+    jm = Ideal(cases[0][0][0].ring, cases[0][0])
+    for i in range(jm.ring.nvars):
+        groebner._binomial_colons(jm, i)
+    monkeypatch.undo()
+    for (gens, order), gb in zip(cases, bases):
+        assert list(gb.basis) == buchberger_all_pairs(gens, order, gb.ring)
 
 
 def test_monomial_ideal_rejects_out_of_range_exponents():
@@ -632,13 +672,21 @@ def _saturate_by_colon(I, f):
         I = J
 
 
-@pytest.mark.parametrize("gens,f,expected", [
-    (["x*y - x"], "x", ["y - 1"]),  # not homogeneous, still binomial
-    (["x*y + y"], "x + 1", ["y"]),  # f not a monomial
-    (["x^2*y + x*y^2 + y"], "y", ["x^2 + x*y + 1"]),
-], ids=["inhomogeneous-difference", "binomial-f", "trinomial"])
-def test_saturate_generic_route(gens, f, expected):
-    R = PolyRing(("x", "y"))
+_ZERO_BY = (("variable", "x"), ("monomial", "x^2*y"), ("difference", "x - y"),
+            ("constant", "3"))
+
+
+@pytest.mark.parametrize("gens,f,expected,char", [
+    (["x*y - x"], "x", ["y - 1"], 0),  # not homogeneous, still binomial
+    (["x*y + y"], "x + 1", ["y"], 0),  # f not a monomial
+    (["x^2*y + x*y^2 + y"], "y", ["x^2 + x*y + 1"], 0),
+] + [([], f, [], char) for char in (0, P) for _, f in _ZERO_BY],
+    ids=["inhomogeneous-difference", "binomial-f", "trinomial"]
+    + [f"zero-by-{kind}-char{char}" for char in (0, P) for kind, _ in _ZERO_BY])
+def test_saturate_generic_route(gens, f, expected, char):
+    """The zero ideal takes the general route too: the basis of (1 - t*f)
+    has no t-free element."""
+    R = PolyRing(("x", "y"), char)
     I, f = Ideal(R, gens), R.from_string(f)
     sat = saturate(I, f)
     assert ideal_equal(sat, Ideal(R, expected))
@@ -703,6 +751,11 @@ def test_lk_degrevlex_initial_not_squarefree():
 def test_krull_dim_examples():
     R2 = PolyRing(("x", "y"))
     assert krull_dim(MonomialIdeal(R2, [])) == 2
+    # the zero ideal has no support to meet: the search ends at once
+    for char in (0, P):
+        for names in ((), ("x",), ("x", "y", "z")):
+            R = PolyRing(names, char)
+            assert krull_dim(MonomialIdeal(R, [])) == R.nvars
     assert krull_dim(MonomialIdeal(R2, [(1, 1)])) == 1
     jm = join_meet_ideal(lk(3, 1))
     assert krull_dim(initial_ideal(jm.ideal)) == 3

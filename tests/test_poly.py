@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lattice_lab import (
     BlockOrder,
     ExponentOverflow,
+    MonomialIdeal,
     Poly,
     PolyRing,
     RingMismatch,
@@ -43,6 +44,18 @@ def test_degrevlex_tie_break(R3):
 def test_compare_rejects_wrong_length(R3):
     with pytest.raises(RingMismatch):
         compare(lex(), R3, (1, 0), (0, 1, 0))
+
+
+def test_wrong_length_errors_name_the_monomial(R3):
+    """compare, PolyRing.monomial and MonomialIdeal share one message."""
+    said = "monomial (1, 0) has 2 exponents, not 3"
+    for check in (lambda: compare(lex(), R3, (0, 1, 0), (1, 0)),
+                  lambda: compare(lex(), R3, [1, 0], (0, 1, 0)),
+                  lambda: R3.monomial([1, 0]),
+                  lambda: MonomialIdeal(R3, [[1, 0]])):
+        with pytest.raises(RingMismatch) as err:
+            check()
+        assert str(err.value) == said
 
 
 def test_wrong_length_monomials_and_unknown_names_are_rejected(R3):

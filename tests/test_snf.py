@@ -14,6 +14,9 @@ def _matmul(A, B):
 
 def test_identity():
     assert smith_normal_form([[1, 0], [0, 1]]).invariant_factors == (1, 1)
+    # no rows: the form of a component with no two-term element
+    empty = smith_normal_form([])
+    assert empty.saturated and empty.nonzero_factors == ()
 
 
 def test_diag_2_3_normalizes_to_1_6():

@@ -213,6 +213,14 @@ def test_full_admissible_set_gives_maximal_ideal(lattice_Q):
     R = comp.ideal.ring
     assert set(comp.ideal.generators) == {R.var(v) for v in lattice_Q.elements}
     assert comp.certified_prime and comp.dim == 0
+    # components of variables alone, with survivors: a chain's one
+    # survivor, and Q without c, e, g (a chain); each Smith form has no rows
+    for char in (0, 32003):
+        for lattice, adm, dim in ((chain(3), ("a", "b"), 1),
+                                  (lattice_Q, ("c", "e", "g"), 4)):
+            comp = component_prime(lattice, adm, char)
+            assert comp.generators_text() == adm
+            assert comp.certified_prime and comp.dim == dim
 
 
 def test_empty_admissible_set_on_q_gives_j(lattice_Q):

@@ -380,17 +380,6 @@ def _binomial_buchberger(ctx, elements):
     return _bin_interreduced(ctx, kept)
 
 
-def _binomial_polys(ctx, elements):
-    """Packed binomial elements -> Polys (lead - tail, or a monomial)."""
-    ring = ctx.ring
-    one, minus = ring.coeff(1), ring.coeff(-1)
-    return [
-        Poly(ring, {ctx.unpack(lp): one} if tp < 0
-             else {ctx.unpack(lp): one, ctx.unpack(tp): minus})
-        for _, lp, _, tp in elements
-    ]
-
-
 # ---------------------------------------------------------------------------
 # generic elements: monic, with field coefficients
 # ---------------------------------------------------------------------------
@@ -492,10 +481,6 @@ def _poly_to_terms(ctx, poly):
     return {ctx.pack(m): _rational(c) for m, c in poly.terms.items()}
 
 
-def _entry_to_poly(ctx, entry):
-    return Poly(ctx.ring, {ctx.unpack(m): c for m, c in entry[2].items()})
-
-
 def _binomial_shape(g):
     """The monomials of g when g is a monomial (one) or a pure difference
     c*(x^u - x^v) (two), else None: the one shape test of the binomial
@@ -527,10 +512,12 @@ class ReducedGB:
     """Reduced Groebner basis: monic, inter-reduced, sorted by leading term.
 
     It is the engine's own elements, packed binomial ones in ``_binomial``
-    or generic ones in ``_generic``; ``basis`` builds their Poly form each
-    time it is read.  On a binomial basis ``reduce`` works term by term,
-    because the normal form is linear and under a +-1 binomial basis a
-    monomial reduces to a monomial or to 0.
+    or generic ones in ``_generic``, read one way (``_view``): ``basis``
+    builds their Poly form when read, the one place engine elements become
+    Polys, and as a reduced basis is unique, equal views make equal bases
+    whichever engine built them.  On a binomial basis ``reduce`` works term
+    by term, because the normal form is linear and under a +-1 binomial
+    basis a monomial reduces to a monomial or to 0.
     """
 
     __slots__ = ("_ctx", "_binomial", "_generic")
@@ -543,12 +530,20 @@ class ReducedGB:
     ring = property(lambda self: self._ctx.ring)
     order = property(lambda self: self._ctx.order)
 
+    def _view(self):
+        """(lead, {packed: coeff}) per element by decreasing lead, any kind."""
+        if self._binomial is None:
+            return [(lead, terms) for _, lead, terms in self._generic]
+        one, minus = self.ring.coeff(1), self.ring.coeff(-1)
+        return [(lp, {lp: one} if tp < 0 else {lp: one, tp: minus})
+                for _, lp, _, tp in self._binomial]
+
     @property
     def basis(self):
         """The elements as Polys, by decreasing lead."""
-        if self._binomial is not None:
-            return tuple(_binomial_polys(self._ctx, self._binomial))
-        return tuple(_entry_to_poly(self._ctx, e) for e in self._generic)
+        ring, unpack = self.ring, self._ctx.unpack
+        return tuple(Poly(ring, {unpack(m): c for m, c in terms.items()})
+                     for _, terms in self._view())
 
     def _elements(self):
         return self._binomial if self._binomial is not None else self._generic
@@ -595,7 +590,7 @@ class ReducedGB:
             isinstance(other, ReducedGB)
             and self.ring == other.ring
             and self.order == other.order
-            and self.basis == other.basis
+            and self._view() == other._view()
         )
 
     def __repr__(self):
@@ -760,8 +755,25 @@ def radical_member(f, ideal):
     return saturate(ideal, f).groebner().contains_one()
 
 
+def _eliminate(ring, gens, keep):
+    """The step of ``eliminate`` and ``saturate``: gens ∩ K[keep], by the
+    reduced basis under BlockOrder(drop, degrevlex(keep + drop)), with
+    ``drop`` the other variables.  An element is free of drop when its
+    lead is, and drop's fields are the top ones (``_Ctx``), so the kept
+    elements are those with leads below them; packed as they are, they
+    are the reduced basis under degrevlex(keep) on the smaller ring, and
+    only they become Polys."""
+    drop = tuple(v for v in ring.variables if v not in keep)
+    gb = buchberger(gens, BlockOrder(drop, degrevlex(keep + drop)), ring=ring)
+    ctx = _Ctx(ring.restrict(v for v in ring.variables if v in keep), degrevlex(keep))
+    top = 1 << (_FIELD * len(keep))
+    kept = [(ctx.key_packed(lead), lead, terms)
+            for lead, terms in gb._view() if lead < top]
+    return Ideal(ctx.ring, ReducedGB(ctx, generic=kept).basis)
+
+
 def eliminate(ideal, drop):
-    """Generators of ideal ∩ K[remaining variables]."""
+    """Generators of ideal ∩ K[remaining variables] (``_eliminate``)."""
     drop = set(drop)
     if not drop:
         return ideal
@@ -769,14 +781,8 @@ def eliminate(ideal, drop):
     unknown = drop - set(ring.variables)
     if unknown:
         raise RingMismatch(f"unknown variables {sorted(unknown)}")
-    keep = tuple(v for v in ring.variables if v not in drop)
-    drop_sorted = tuple(v for v in ring.variables if v in drop)
-    order = BlockOrder(drop_sorted, degrevlex(ring.variables))
-    gb = buchberger(ideal.generators, order, ring=ring)
-    small = ring.restrict(keep)
-    drop_idx = [ring.index[v] for v in drop_sorted]
-    return Ideal(small, [g.map_ring(small) for g in gb.basis
-                         if not any(m[i] for m in g.terms for i in drop_idx)])
+    return _eliminate(ring, ideal.generators,
+                      tuple(v for v in ring.variables if v not in drop))
 
 
 def _monomial_pair(a, b):
@@ -886,7 +892,7 @@ def _binomial_colons(ideal, index):
 
 def saturate(ideal, f):
     """I : f^∞, the t-free part of the reduced basis of I + (1 - t*f) under
-    an elimination order for t.
+    an elimination order for t: eliminate's step (``_eliminate``).
 
     The order inside the block is degrevlex with t last, and for a monomial
     f the last variable of f comes just before t: the t-free part is then
@@ -910,19 +916,17 @@ def saturate(ideal, f):
     ext = ring.extend([t])
     gens = [g.map_ring(ext) for g in ideal.generators]
     gens.append(ext.one() - ext.var(t) * f.map_ring(ext))
-    gb = buchberger(gens, BlockOrder((t,), degrevlex(prio + (t,))), ring=ext)
-    return Ideal(ring, [g.map_ring(ring) for g in gb.basis
-                        if not any(m[-1] for m in g.terms)])
+    return _eliminate(ext, gens, prio)
 
 
 def ideal_equal(a, b):
     """Equality of MonomialIdeals by minimal generators, of Ideals by reduced
-    bases under the ring's canonical order."""
+    bases under the ring's canonical order (``ReducedGB`` equality)."""
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     if _monomial_pair(a, b):
         return a.gens == b.gens
-    return a.groebner().basis == b.groebner().basis
+    return a.groebner() == b.groebner()
 
 
 def ideal_contains(a, b):

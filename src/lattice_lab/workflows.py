@@ -51,10 +51,10 @@ from .fixtures import lk as build_lk
 from .groebner import (
     Ideal,
     MonomialIdeal,
+    ReducedGB,
     _bin_reduce_monomial,
     _binomial_buchberger,
     _binomial_colons,
-    _binomial_polys,
     _binomial_shape,
     _Ctx,
     _overflow,
@@ -377,7 +377,7 @@ def _colon_witness(ideal):
             if _bin_reduce_monomial(lk, lp, colon1, hm) != tail:
                 x, wx = 1 << ctx.shifts[i], ctx.weights[i]
                 w = (lk + wx, lp + x, tk + wx, -1 if tp < 0 else tp + x)
-                return _binomial_polys(ctx, [w])[0]
+                return ReducedGB(ctx, binomial=[w]).basis[0]
     return None
 
 
@@ -975,24 +975,19 @@ def lk_suite(n, k, char=0):
 
     components = minimal_primes(lattice, char, _verify=False)
     _verify_decomposition(jm, components)
-    expected_primes = lk_expected_primes(n, k, ring, I)
+    # P_A holds exactly the variables of A: match it with that prime alone
+    expected = {frozenset(ring.variables[i] for g in ideal.generators
+                          if len(g.terms) == 1 for i in g.support()): (name, ideal)
+                for name, ideal in lk_expected_primes(n, k, ring, I)}
     names = {}
-    used = set()
-    matched = len(components) == len(expected_primes)
     for comp in components:
-        hit = None
-        for name, ideal in expected_primes:
-            if name not in used and ideal_equal(comp.ideal, ideal):
-                hit = name
-                break
-        if hit is None:
-            matched = False
-        else:
-            used.add(hit)
-            names[hit] = comp
+        name, ideal = expected.get(frozenset(comp.admissible), (None, None))
+        if ideal is not None and ideal_equal(comp.ideal, ideal):
+            names[name] = comp
+    matched = len(components) == len(expected) == len(names)
     stages.append(StageResult(
         "minimal_primes", matched,
-        "" if matched else f"{len(components)} components, matched {sorted(used)}",
+        "" if matched else f"{len(components)} components, matched {sorted(names)}",
     ))
 
     dims = {name: comp.dim for name, comp in sorted(names.items())}

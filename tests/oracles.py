@@ -140,8 +140,8 @@ def saturate_by_passes(ideal, f):
     variable last, by decreasing lead.
     """
     from lattice_lab.groebner import (
-        Ideal, _bin_interreduced, _bin_reduce, _bin_s_element, _binomial_elements,
-        _binomial_polys, _buchberger_core, _Ctx, _minimal)
+        Ideal, ReducedGB, _bin_interreduced, _bin_reduce, _bin_s_element,
+        _binomial_elements, _buchberger_core, _Ctx, _minimal)
     from lattice_lab.poly import MAX_EXPONENT, degrevlex
 
     ring = ideal.ring
@@ -174,7 +174,7 @@ def saturate_by_passes(ideal, f):
                 tk -= m * wvar
             divided.append((lk - m * wvar, lp - (m << shift), tk, tp))
         elements = _bin_interreduced(ctx, _minimal(divided, ctx.hmask))
-    return Ideal(ring, _binomial_polys(ctx, elements))
+    return Ideal(ring, ReducedGB(ctx, binomial=elements).basis)
 
 
 def intersect_by_elimination(a, b):

@@ -494,8 +494,7 @@ def test_bases_read_through_their_elements_build_no_polys(monkeypatch, char):
     def built(*args):
         raise AssertionError("a basis became Polys")
 
-    monkeypatch.setattr(groebner, "_binomial_polys", built)
-    monkeypatch.setattr(groebner, "_entry_to_poly", built)
+    monkeypatch.setattr(groebner.ReducedGB, "basis", property(built))
     cases = _lead_cases(char)
     bases = []
     for gens, order in cases:
@@ -516,6 +515,55 @@ def test_bases_read_through_their_elements_build_no_polys(monkeypatch, char):
     monkeypatch.undo()
     for (gens, order), gb in zip(cases, bases):
         assert list(gb.basis) == buchberger_all_pairs(gens, order, gb.ring)
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_bases_from_either_engine_compare_equal(char):
+    """A reduced basis is unique, so the generic engine's basis of
+    (x - y, x + y) equals the binomial engine's basis of (x, y); bases one
+    sign apart differ."""
+    R = PolyRing(("x", "y"), char)
+    generic, binomial = Ideal(R, ["x - y", "x + y"]), Ideal(R, ["x", "y"])
+    assert generic.groebner()._generic and binomial.groebner()._binomial
+    assert generic.groebner() == binomial.groebner()
+    assert ideal_equal(generic, binomial) and ideal_equal(binomial, generic)
+    minus, plus = Ideal(R, ["x - y"]), Ideal(R, ["x + y"])
+    assert minus.groebner() != plus.groebner()
+    assert not ideal_equal(minus, plus)
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_equality_and_elimination_read_no_basis_they_start_from(monkeypatch, char):
+    """ideal_equal compares engine elements, and saturate and eliminate keep
+    the elements free of the dropped variables before any becomes a Poly:
+    none of them reads ``basis`` of a basis it compares or eliminates from.
+    Only the kept elements are built, over the smaller ring."""
+    read = groebner.ReducedGB.basis.fget
+    built_over = set()
+
+    def basis(gb):
+        if gb.ring not in built_over:
+            raise AssertionError(f"a basis over {gb.ring} became Polys")
+        return read(gb)
+
+    I = join_meet_ideal(lattice_q(), char).ideal
+    R = I.ring
+    f = product([R.var(v) for v in R.variables], R)
+    sat_want = saturate_by_passes(I, f).generators
+    S = PolyRing(("x", "y"), char)
+    cases = [(names, gens, want)
+             for names in (("x", "y", "t"), ("t", "x", "y"), ("x", "t", "y"))
+             for gens, want in ((["x - t", "y - t^2"], "x^2 - y"),
+                                (["x - 2*t", "y - t^2"], "x^2 - 4*y"))]
+    monkeypatch.setattr(groebner.ReducedGB, "basis", property(basis))
+    assert ideal_equal(Ideal(R, I.generators[::-1]), I)
+    assert ideal_equal(Ideal(S, ["x - y", "x + y"]), Ideal(S, ["x", "y"]))
+    built_over.add(R)
+    assert saturate(I, f).generators == sat_want
+    built_over.add(S)
+    for names, gens, want in cases:
+        meet = eliminate(Ideal(PolyRing(names, char), gens), {"t"})
+        assert meet.ring == S and meet.generators == (S.from_string(want),)
 
 
 def test_monomial_ideal_rejects_out_of_range_exponents():

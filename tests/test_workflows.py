@@ -50,8 +50,8 @@ from lattice_lab.fixtures import (
 )
 from lattice_lab import workflows
 from lattice_lab.groebner import (
+    ReducedGB,
     _binomial_colons,
-    _binomial_polys,
     buchberger,
     ideal_contains,
 )
@@ -611,8 +611,9 @@ def _colons_match_colon(L, char):
         x = ring.var(v)
         ctx, colon1, colon2 = _binomial_colons(I, i)
         once = colon(I, x)
-        assert ideal_equal(Ideal(ring, _binomial_polys(ctx, colon1)), once)
-        assert ideal_equal(Ideal(ring, _binomial_polys(ctx, colon2)), colon(once, x))
+        assert ideal_equal(Ideal(ring, ReducedGB(ctx, binomial=colon1).basis), once)
+        assert ideal_equal(Ideal(ring, ReducedGB(ctx, binomial=colon2).basis),
+                           colon(once, x))
     w = _colon_witness(I)
     if w is not None:
         assert not ideal_member(w, I)

@@ -14,7 +14,8 @@ variable, so that divisibility is two big-int operations.  The fields are
 laid out by the monomial order (``_Ctx``): then the order's key, the dot
 product of the exponents with its weights (see poly.py), is a linear
 function of the packed integer and its degree, so a key costs a few integer
-operations and an order comparison is one integer comparison.
+operations and an order comparison is one integer comparison.  A
+``MonomialIdeal`` keeps its minimal generators packed in the default layout.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ from .poly import (
     MAX_EXPONENT,
     degrevlex,
     mono_divides,
-    mono_is_squarefree,
-    sort_key,
-    _bad_exponent,
-    _check_length,
+    _check_monomial,
     _FIELD_BITS,
 )
 
@@ -276,6 +274,11 @@ def _minimal(basis, hm):
         else:
             kept.append(e)
     return kept
+
+
+def _minimal_packed(ctx, packed):
+    """The minimal packed monomials; a divisor is never the larger integer."""
+    return frozenset(p for _, p in _minimal([(p, p) for p in packed], ctx.hmask))
 
 
 # ---------------------------------------------------------------------------
@@ -598,49 +601,54 @@ class ReducedGB:
 
 
 class MonomialIdeal:
-    """Monomial ideal stored by its minimal generators."""
+    """Monomial ideal stored by its minimal generators, packed in the ring's
+    default-order layout.  The constructor alone checks and packs exponent
+    tuples; the engine builds from packed leads (``_of_packed``), and
+    ``gens``, ``sorted_gens`` and ``repr`` unpack when read."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("_ctx", "_packed")
 
     def __init__(self, ring, monomials):
-        self.ring = ring
         ctx = _Ctx(ring, ring.default_order)
-        packed = []
-        for m in monomials:
-            _check_length(ring, m)
-            # the range Poly enforces, so that packing is exact
-            if min(m, default=0) < 0 or max(m, default=0) >= MAX_EXPONENT:
-                _bad_exponent(m)
-            packed.append(ctx.key_pack(m))
-        self.gens = frozenset(ctx.unpack(pk) for _, pk in _minimal(packed, ctx.hmask))
+        self._ctx, self._packed = ctx, _minimal_packed(
+            ctx, [ctx.pack(_check_monomial(ring, m)) for m in monomials])
+
+    @classmethod
+    def _of_packed(cls, ctx, packed):
+        """The ideal of monomials packed by ``ctx``, a default-order context."""
+        ideal = cls.__new__(cls)
+        ideal._ctx, ideal._packed = ctx, _minimal_packed(ctx, packed)
+        return ideal
+
+    ring = property(lambda self: self._ctx.ring)
+    gens = property(lambda self: frozenset(map(self._ctx.unpack, self._packed)))
 
     def is_squarefree(self):
-        return all(mono_is_squarefree(m) for m in self.gens)
+        high = self._ctx.pack([MAX_EXPONENT - 2] * self._ctx.n)  # exponents > 1
+        return not any(p & high for p in self._packed)
 
     def contains(self, mono):
-        mono = tuple(mono)
-        _check_length(self.ring, mono)
-        return any(mono_divides(g, mono) for g in self.gens)
-
-    def with_extra(self, monomials):
-        return MonomialIdeal(self.ring, set(self.gens) | set(map(tuple, monomials)))
+        ctx = self._ctx
+        p = ctx.pack(_check_monomial(ctx.ring, tuple(mono)))
+        return any(ctx.divides(g, p) for g in self._packed)
 
     def sorted_gens(self):
-        key = sort_key(self.ring.default_order, self.ring)
-        return sorted(self.gens, key=key, reverse=True)
+        ctx = self._ctx
+        return [ctx.unpack(p)
+                for p in sorted(self._packed, key=ctx.key_packed, reverse=True)]
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
             and self.ring == other.ring
-            and self.gens == other.gens
+            and self._packed == other._packed
         )
 
     def __hash__(self):
-        return hash((self.ring, self.gens))
+        return hash((self.ring, self._packed))
 
     def __len__(self):
-        return len(self.gens)
+        return len(self._packed)
 
     def __repr__(self):
         names = ", ".join(self.ring.monomial_text(m) for m in self.sorted_gens())
@@ -720,9 +728,12 @@ def normal_form(f, basis):
 
 def initial_ideal(ideal, order=None):
     """Minimal monomial generators of the ideal of leading terms."""
-    order = order or ideal.ring.default_order
+    ring = ideal.ring
+    order = order or ring.default_order
     gb = ideal.groebner(order)
-    return MonomialIdeal(ideal.ring, gb.leading_monomials())
+    ctx = gb._ctx if order == ring.default_order else _Ctx(ring, ring.default_order)
+    repack = ctx.repacker(gb._ctx)
+    return MonomialIdeal._of_packed(ctx, [repack(e[1]) for e in gb._elements()])
 
 
 def is_squarefree(m):
@@ -806,16 +817,16 @@ def intersect(a, b):
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     ring = a.ring
     if _monomial_pair(a, b):
-        ctx = _Ctx(ring, ring.default_order)
+        ctx = a._ctx
         hm = ctx.hmask
-        sides = [ctx.pack(m) for m in a.gens], [ctx.pack(m) for m in b.gens]
+        sides = a._packed, b._packed
         meet, rest = set(), []
         for side, other in (sides, sides[::-1]):
             inside = {f for f in side if any(((f | hm) - g) & hm == hm for g in other)}
             meet |= inside
             rest.append([f for f in side if f not in inside])
         meet.update(ctx.lcm(f, g)[0] for f, g in itertools.product(*rest))
-        return MonomialIdeal(ring, map(ctx.unpack, meet))
+        return MonomialIdeal._of_packed(ctx, meet)
     shared = set(a.generators) & set(b.generators)
     first = [g for g in a.generators if g not in shared]
     second = [g for g in b.generators if g not in shared]
@@ -902,9 +913,11 @@ def saturate(ideal, f):
     pure-difference I the element 1 - t*f is a pure difference as well: the
     whole saturation is one binomial-engine run.
     """
+    ring = ideal.ring
+    if f.ring != ring:
+        raise RingMismatch(f"{f.ring} vs {ring}")
     if not f:
         raise ZeroDivisor("saturation by zero")
-    ring = ideal.ring
     prio = ring.variables
     if len(f.terms) == 1:
         (mono,) = f.terms
@@ -925,7 +938,7 @@ def ideal_equal(a, b):
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     if _monomial_pair(a, b):
-        return a.gens == b.gens
+        return a._packed == b._packed
     return a.groebner() == b.groebner()
 
 

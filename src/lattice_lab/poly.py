@@ -5,7 +5,7 @@ value objects usable as cache keys, and an order is its integer weight vector:
 ``sort_key(order, ring)(m) = dot(m, order.weights(ring))`` is strictly
 monotone and additive under multiplication, so every comparison, here and in
 the engine, is one integer comparison.  The weights separate exponents below
-``MAX_EXPONENT``, which ``Poly`` enforces.
+``MAX_EXPONENT``: ``_check_monomial`` admits every exponent tuple that enters.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ def mono_divides(m1, m2):
 
 def mono_degree(m):
     return sum(m)
-
-
-def mono_is_squarefree(m):
-    return all(e <= 1 for e in m)
 
 
 @dataclass(frozen=True)
@@ -136,27 +132,23 @@ def sort_key(order, ring):
 
 def compare(order, ring, m1, m2):
     """-1, 0 or 1 as m1 is below, equal to or above m2 under ``order``."""
-    _check_length(ring, m1)
-    _check_length(ring, m2)
-    for m in (m1, m2):
-        if any(e < 0 or e >= MAX_EXPONENT for e in m):
-            _bad_exponent(m)
     key = sort_key(order, ring)
-    a, b = key(m1), key(m2)
+    a, b = key(_check_monomial(ring, m1)), key(_check_monomial(ring, m2))
     return (a > b) - (a < b)
 
 
-def _check_length(ring, m):
-    """RingMismatch unless the exponent tuple m has one entry per variable."""
+def _check_monomial(ring, m):
+    """m, once it has one exponent per variable of ``ring`` (else
+    RingMismatch), none negative (else ValueError) and none of
+    ``MAX_EXPONENT`` or more (else ExponentOverflow), so packing is exact."""
     if len(m) != ring.nvars:
         raise RingMismatch(
             f"monomial {tuple(m)} has {len(m)} exponents, not {ring.nvars}")
-
-
-def _bad_exponent(m):
-    if any(e < 0 for e in m):
+    if min(m, default=0) < 0:
         raise ValueError(f"negative exponent in {m}")
-    raise ExponentOverflow(f"an exponent in {m} exceeds {MAX_EXPONENT - 1}")
+    if max(m, default=0) >= MAX_EXPONENT:
+        raise ExponentOverflow(f"an exponent in {m} exceeds {MAX_EXPONENT - 1}")
+    return m
 
 
 # the first thirteen primes: Miller-Rabin with these bases is exact below
@@ -268,7 +260,8 @@ class PolyRing:
 
     def monomial(self, exps, coeff=1):
         """Poly from {name: exponent} or a bare exponent tuple; an unknown
-        name or a tuple of the wrong length raises RingMismatch."""
+        name raises RingMismatch, and the exponents must pass
+        ``_check_monomial`` even when the coefficient is 0."""
         if isinstance(exps, dict):
             e = [0] * self.nvars
             for name, k in exps.items():
@@ -276,7 +269,7 @@ class PolyRing:
                     raise RingMismatch(f"unknown variable {name!r}")
                 e[self.index[name]] = k
             exps = tuple(e)
-        _check_length(self, exps)
+        _check_monomial(self, exps)
         c = self.coeff(coeff)
         if c == 0:
             return self.zero()
@@ -304,16 +297,11 @@ class Poly:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        n = ring.nvars
         clean = {}
         for m, c in terms.items():
             c = ring.coeff(c)
             if c != 0:
-                if len(m) != n:
-                    raise RingMismatch(f"monomial {m} has {len(m)} exponents, not {n}")
-                if any(e < 0 or e >= MAX_EXPONENT for e in m):
-                    _bad_exponent(m)
-                clean[m] = c
+                clean[_check_monomial(ring, m)] = c
         self.terms = clean
 
     # -- basic protocol ----------------------------------------------------

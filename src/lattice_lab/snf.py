@@ -189,11 +189,6 @@ def echelon_basis(matrix):
     return EchelonBasis(tuple(basis), tuple(pivots))
 
 
-def is_saturated(matrix):
-    """True when the row lattice is saturated in Z^cols (SmithForm.saturated)."""
-    return smith_normal_form(matrix).saturated
-
-
 def det(matrix):
     """Integer determinant by fraction-free (Bareiss) elimination."""
     A = [list(map(int, row)) for row in matrix]

@@ -738,7 +738,8 @@ def _scan_orders(lattice, kinds, perms, char):
 
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
                           sample=10000, seed=0, char=0, jobs=None):
-    """Per-order squarefree verdicts over Lex/DegRevLex variable permutations.
+    """Per-order squarefree verdicts over Lex/DegRevLex variable permutations;
+    ``kinds`` names each of the two at most once.
 
     Exhausts all permutations for rings with at most eight variables by
     default and takes a seeded sample above that; ``exhaustive=True`` forces
@@ -747,9 +748,9 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     ``jobs`` of them (default: the CPUs this process may use), and the
     report does not depend on the split.
     """
-    if not kinds or not set(kinds) <= {"lex", "degrevlex"}:
+    if not 0 < len(kinds) == len(set(kinds) & {"lex", "degrevlex"}):
         raise PreconditionViolated(
-            f"kinds must name lex or degrevlex, got {tuple(kinds)}")
+            f"kinds must name lex or degrevlex, each once, got {tuple(kinds)}")
     if sample < 1:
         raise PreconditionViolated(f"sample must be at least 1, got {sample}")
     if jobs is not None and jobs < 1:
@@ -949,7 +950,7 @@ def lk_suite(n, k, char=0):
     I_diag = I.plus([diag])
 
     ini_z = initial_ideal(I_z)
-    want_z = ini.with_extra([ring.monomial({"z": 1}).leading_monomial()])
+    want_z = MonomialIdeal(ring, [*ini.gens, _name_mono(ring, {"z": 1})])
     stages.append(StageResult("ini_with_z", ini_z == want_z,
                               "" if ini_z == want_z else f"{ini_z!r}"))
 
@@ -957,7 +958,7 @@ def lk_suite(n, k, char=0):
     extra = [_name_mono(ring, {f"x{k + 1}": 1})]
     extra += [_name_mono(ring, {f"y{i}": 1, f"y{k}": 1}) for i in range(1, k)]
     extra += [_name_mono(ring, {f"y{k}": 2})]
-    want_diag = ini.with_extra(extra)
+    want_diag = MonomialIdeal(ring, [*ini.gens, *extra])
     stages.append(StageResult("ini_with_diagonal", ini_diag == want_diag,
                               "" if ini_diag == want_diag else f"{ini_diag!r}"))
 

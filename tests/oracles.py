@@ -101,7 +101,7 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
     figure counts distinct leading-term sets among the orders scanned.
     """
     from lattice_lab.groebner import _bin_reduce, _bin_s_element, _buchberger_core, _Ctx
-    from lattice_lab.poly import degrevlex, lex, mono_is_squarefree
+    from lattice_lab.poly import degrevlex, lex
     from lattice_lab.workflows import join_meet_ideal
 
     jm = join_meet_ideal(lattice, char)
@@ -121,7 +121,7 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
             leads = frozenset(ctx.unpack(lp) for _, lp, _, _ in minimal)
             leading.add(leads)
             counts[kind]["orders"] += 1
-            if all(map(mono_is_squarefree, leads)):
+            if all(e <= 1 for m in leads for e in m):
                 counts[kind]["squarefree"] += 1
                 if witness is None:
                     witness = (kind, prio)
@@ -328,7 +328,7 @@ def certify_saturated_part(ring, binomials):
     the exponent differences of its elements must span a saturated lattice.
     """
     from lattice_lab.groebner import buchberger
-    from lattice_lab.snf import is_saturated
+    from lattice_lab.snf import smith_normal_form
 
     if not binomials:
         return True
@@ -336,7 +336,8 @@ def certify_saturated_part(ring, binomials):
     if any(len(g.terms) == 1 for g in gb.basis):
         # a saturated proper pure-difference ideal has no monomials
         return False
-    return is_saturated([tuple(a - b for a, b in zip(*g.terms)) for g in gb.basis])
+    return smith_normal_form(
+        [tuple(a - b for a, b in zip(*g.terms)) for g in gb.basis]).saturated
 
 
 def witness_search_poly(jm, degree_bound, power_cap=4):

@@ -29,10 +29,12 @@ from lattice_lab import (
 )
 from lattice_lab import groebner
 from lattice_lab.errors import ExponentOverflow, PreconditionViolated
-from lattice_lab.fixtures import diamond_m3, ladder, lattice_n, lattice_q, lk
+from lattice_lab.fixtures import (
+    build_fixture, diamond_m3, ladder, lattice_n, lattice_q, lk)
 from lattice_lab.groebner import exact_div, spolynomial
-from lattice_lab.poly import BlockOrder, product, sort_key
-from lattice_lab.workflows import join_meet_ideal
+from lattice_lab.poly import BlockOrder, Poly, compare, product, sort_key
+from lattice_lab.workflows import (
+    _initial_ideals_certify, join_meet_ideal, minimal_primes)
 
 from conftest import closure_lattices, count_engine_runs
 from oracles import (
@@ -437,6 +439,16 @@ def test_monomial_intersection_matches_tuple_reference(ma, mb):
     assert intersect(a, zero).gens == intersect(zero, a).gens == frozenset()
     assert intersect(a, unit) == intersect(unit, a) == a
     assert intersect(unit, unit) == unit
+    # the packed ideal from intersect reads like the public one, and both
+    # like the tuple reference
+    public = MonomialIdeal(R, want)
+    assert meet == public and hash(meet) == hash(public)
+    assert len(meet) == len(want)
+    assert meet.sorted_gens() == sorted(want, key=key, reverse=True)
+    assert meet.is_squarefree() == all(e <= 1 for m in want for e in m)
+    for m in itertools.product(range(4), repeat=4):
+        divisible = any(all(x <= y for x, y in zip(g, m)) for g in want)
+        assert meet.contains(m) == public.contains(m) == divisible
 
 
 def test_monomial_ideal_with_an_ideal_is_a_typed_error():
@@ -593,6 +605,65 @@ def test_monomial_ideal_contains_rejects_wrong_length_monomials():
     assert ideal.contains((1, 2, 0)) and not ideal.contains((0, 2, 1))
 
 
+@pytest.mark.parametrize("mono,error", [
+    ((1, 0), RingMismatch),
+    ((1, 0, 0, 0), RingMismatch),
+    ((1, -1, 0), ValueError),
+    ((0, 0, 1 << 15), ExponentOverflow),
+], ids=["short", "long", "negative", "overflow"])
+def test_every_entry_checks_a_monomial_by_one_rule(mono, error):
+    """Poly, compare, PolyRing.monomial (with a zero coefficient too),
+    MonomialIdeal and its membership test raise the same error for the same
+    bad exponent tuple."""
+    R = PolyRing(("x", "y", "z"))
+    ideal = MonomialIdeal(R, [(1, 0, 0)])
+    for entry in (lambda: Poly(R, {mono: 1}),
+                  lambda: Poly(R, {(0, 0, 0): 1, mono: 2}),
+                  lambda: compare(degrevlex(), R, mono, (0, 0, 0)),
+                  lambda: compare(lex(), R, (0, 0, 0), mono),
+                  lambda: R.monomial(mono),
+                  lambda: R.monomial(mono, 0),
+                  lambda: MonomialIdeal(R, [(0, 1, 0), mono]),
+                  lambda: ideal.contains(mono)):
+        with pytest.raises(error) as err:
+            entry()
+        assert type(err.value) is error
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_initial_ideal_is_the_ideal_of_the_leads_under_any_order(char):
+    """initial_ideal repacks the basis's packed leads into the default
+    layout: under lex, permuted degrevlex and block orders it equals, hashes
+    and reads like the public MonomialIdeal of the leads."""
+    cases = _lead_cases(char)
+    cases += [(cases[0][0], degrevlex(tuple("dbfagce"))),
+              (cases[3][0], degrevlex(("w", "y", "x", "z")))]
+    for gens, order in cases:
+        ideal = Ideal(gens[0].ring, gens)
+        ini = initial_ideal(ideal, order)
+        want = MonomialIdeal(ideal.ring, ideal.groebner(order).leading_monomials())
+        assert ini == want and hash(ini) == hash(want)
+        assert ini.sorted_gens() == want.sorted_gens() and ini.gens == want.gens
+
+
+@pytest.mark.parametrize("char", [0, P])
+@pytest.mark.parametrize("spec", ["R", "Lk:6:3"])
+def test_initial_ideal_certificate_packs_and_unpacks_no_tuples(monkeypatch, spec, char):
+    """The certificate reads, meets and compares initial ideals in the
+    engine's packed form: it runs no public MonomialIdeal constructor and
+    reads no exponent tuple back."""
+    L = build_fixture(spec)
+    jm = join_meet_ideal(L, char)
+    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+
+    def refuse(*args):
+        raise AssertionError("exponent tuples were packed or unpacked")
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", refuse)
+    monkeypatch.setattr(MonomialIdeal, "gens", property(refuse))
+    assert _initial_ideals_certify(jm.ideal, parts)
+
+
 def test_lk_intersection_identity():
     jm = join_meet_ideal(lk(3, 1))
     R = jm.ring
@@ -673,6 +744,17 @@ def test_saturate_matches_pass_chain():
     I = Ideal(R, ["x*y - z^2", "y^2 - x*z"])
     f = R.from_string("x*y")
     assert saturate(I, f).generators == saturate_by_passes(I, f).generators
+
+
+def test_saturate_rejects_an_element_of_another_ring():
+    """f from another field gave a silent answer, and f from fewer variables
+    an error that named a monomial instead of the two rings."""
+    R = PolyRing(("x", "y", "z"))
+    I = Ideal(R, ["x*y - z^2"])
+    for S in (PolyRing(("x", "y", "z"), 32003), PolyRing(("x", "y"))):
+        with pytest.raises(RingMismatch) as err:
+            saturate(I, S.var("x"))
+        assert str(err.value) == f"{S} vs {R}"
 
 
 @pytest.mark.parametrize("lattice", [diamond_m3(), lk(3, 1)], ids=["M3", "Lk31"])

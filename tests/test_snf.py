@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_lab.snf import det, echelon_basis, is_saturated, smith_normal_form
+from lattice_lab.snf import det, echelon_basis, smith_normal_form
 
 
 def _matmul(A, B):
@@ -31,14 +31,14 @@ def test_component_exponent_rows_saturated():
         [0, 1, 0, 0, -1, -1, 1],
         [0, 0, 0, 1, 0, -1, 0],
     ]
-    assert is_saturated(rows)
     form = smith_normal_form(rows)
+    assert form.saturated
     assert all(d == 1 for d in form.nonzero_factors)
 
 
 def test_unsaturated_row_lattice():
-    assert not is_saturated([[2, -2]])
-    assert is_saturated([[1, -1]])
+    assert not smith_normal_form([[2, -2]]).saturated
+    assert smith_normal_form([[1, -1]]).saturated
 
 
 def test_saturation_agrees_with_small_multiple_bruteforce():

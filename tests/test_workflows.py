@@ -848,8 +848,11 @@ def test_scan_q_witness_is_the_first_order(lattice_Q):
 
 @pytest.mark.parametrize("bad", [dict(sample=0), dict(sample=-3), dict(jobs=0),
                                  dict(jobs=-1), dict(kinds=()),
-                                 dict(kinds=("lex", "bogus"))])
+                                 dict(kinds=("lex", "bogus")),
+                                 dict(kinds=("lex", "degrevlex", "lex"))])
 def test_scan_rejects_empty_scans(lattice_N, bad):
+    """A repeated kind is rejected too: its orders were counted once per
+    entry of kinds, and once more per extra worker block."""
     with pytest.raises(PreconditionViolated):
         squarefree_order_scan(lattice_N, exhaustive=False, **bad)
 

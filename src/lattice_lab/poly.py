@@ -555,7 +555,10 @@ def _parse_poly(ring, text):
     # only Q has fraction coefficients, so parse_factor never sees GF(p) ones
     if ring.char != 0 and "/" in text:
         raise ValueError("fraction coefficients are not supported over GF(p)")
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise ValueError("polynomial text is nested too deeply to parse") from None
     take("end")
     return result
 

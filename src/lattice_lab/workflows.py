@@ -79,7 +79,6 @@ from .poly import (
     degrevlex,
     lex,
     product,
-    sort_key,
 )
 from .snf import echelon_basis, smith_normal_form
 
@@ -400,11 +399,13 @@ class RadicalCertificate:
         return self.verdict == "radical"
 
 
-def _all_monomials(ring, degree):
-    """Exponent tuples of the monomials of the given degree."""
-    n = ring.nvars
-    return [tuple(map(c.count, range(n)))
-            for c in itertools.combinations_with_replacement(range(n), degree)]
+def _all_monomials(ctx, degree):
+    """The monomials of the given degree as (key, packed) pairs of ``ctx``,
+    by increasing key: a monomial's key is the dot product of its exponents
+    with ``ctx.weights``, and distinct monomials have distinct keys."""
+    units = [(w, 1 << s) for w, s in zip(ctx.weights, ctx.shifts)]
+    return sorted((sum(w for w, _ in c), sum(u for _, u in c))
+                  for c in itertools.combinations_with_replacement(units, degree))
 
 
 def _monomial_normal_forms(gb):
@@ -437,14 +438,16 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
     of standard monomials.  Membership in the radical is established by a
     power landing in the ideal, so the certificate is self-contained.
 
-    Every test runs on packed monomials of the ideal's binomial reduced
-    basis (``_monomial_normal_forms``): x^u - x^v lies outside I exactly when
-    the normal forms of x^u and x^v differ, and the 2^i-th power is squared
-    in reduced form, since NF(ab) = NF(NF(a)·NF(b)) when a ≡ NF(a) modulo I.
-    The power lies in I exactly when it reduces to the empty sum.  Only the
-    returned witness becomes a Poly.  A pure-difference ideal contains no
-    monomial (its elements vanish at the all-ones point), so no normal form
-    here is 0.
+    Candidates are (key, packed) monomials of the ideal's binomial reduced
+    basis from start to finish, and every test runs on them
+    (``_monomial_normal_forms``): a monomial is standard exactly when it is
+    its own normal form, x^u - x^v lies outside I exactly when the normal
+    forms of x^u and x^v differ, and the 2^i-th power is squared in reduced
+    form, since NF(ab) = NF(NF(a)·NF(b)) when a ≡ NF(a) modulo I.  The power
+    lies in I exactly when it reduces to the empty sum.  Only the returned
+    witness becomes a Poly, through ``ReducedGB.basis``.  A pure-difference
+    ideal contains no monomial (its elements vanish at the all-ones point),
+    so no normal form here is 0.
 
     ``primes`` holds the admissible sets A of prime components P_A ⊇ I.  A
     candidate with a variable of A in exactly one of its monomials is
@@ -452,7 +455,6 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
     any normal form is taken.
     """
     ring = jm.ring
-    lattice = jm.lattice
     gb = jm.ideal.groebner()
     ctx = gb._ctx
     hm = ctx.hmask
@@ -494,35 +496,28 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
                 return True
         return False
 
-    key = sort_key(ring.default_order, ring)
-    pairs = [
-        (ring.index[a], ring.index[b]) for a, b in lattice.incomparable_pairs()
-    ]
-    for d in range(2, degree_bound + 1):
-        for m1 in sorted(_all_monomials(ring, d), key=key):
-            partners = set()
-            for ia, ib in pairs:
-                for x, y in ((ia, ib), (ib, ia)):
-                    if m1[x] >= 1:
-                        m2 = list(m1)
-                        m2[x] -= 1
-                        m2[y] += 1
-                        m2 = tuple(m2)
-                        if key(m2) < key(m1):
-                            partners.add(m2)
-            u = ctx.key_pack(m1)
-            for m2 in sorted(partners, key=key):
-                if is_witness(u, ctx.key_pack(m2)):
-                    return ring.monomial(m1) - ring.monomial(m2)
-    ini = initial_ideal(jm.ideal)
-    for d in range(2, degree_bound + 1):
-        std = sorted((m for m in _all_monomials(ring, d)
-                      if not ini.contains(m)), key=key)
-        packed = [ctx.key_pack(m) for m in std]
-        for j in range(len(std)):
-            for i in range(j):
-                if is_witness(packed[j], packed[i]):
-                    return ring.monomial(std[j]) - ring.monomial(std[i])
+    # rewriting one x into an incomparable y of smaller key, one packed add:
+    # (x's field mask, key change, packed change)
+    w, sh = ctx.weights, ctx.shifts
+    moves = [((MAX_EXPONENT - 1) << sh[x], w[y] - w[x], (1 << sh[y]) - (1 << sh[x]))
+             for pair in jm.lattice.incomparable_pairs()
+             for x, y in itertools.permutations(map(ring.index.get, pair))
+             if w[y] < w[x]]
+
+    def candidates():
+        for d in range(2, degree_bound + 1):
+            for k, p in _all_monomials(ctx, d):
+                for v in sorted({(k + dk, p + dp) for f, dk, dp in moves if p & f}):
+                    yield (k, p), v
+        for d in range(2, degree_bound + 1):
+            std = [u for u in _all_monomials(ctx, d) if nf(*u) == u]
+            for j, u in enumerate(std):
+                for v in std[:j]:
+                    yield u, v
+
+    for u, v in candidates():
+        if is_witness(u, v):
+            return ReducedGB(ctx, binomial=[(*u, *v)]).basis[0]
     return None
 
 

@@ -348,7 +348,6 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
     """
     from lattice_lab.groebner import MonomialIdeal
     from lattice_lab.poly import sort_key
-    from lattice_lab.workflows import _all_monomials
 
     def is_power_witness(f):
         power = f
@@ -366,7 +365,7 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
     pairs = [(ring.index[a], ring.index[b])
              for a, b in jm.lattice.incomparable_pairs()]
     for d in range(2, degree_bound + 1):
-        for m1 in sorted(_all_monomials(ring, d), key=key):
+        for m1 in sorted(monomials_of_degree(ring.nvars, d), key=key):
             partners = set()
             for ia, ib in pairs:
                 for x, y in ((ia, ib), (ib, ia)):
@@ -384,7 +383,7 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
                     return f
     ini = MonomialIdeal(ring, gb.leading_monomials())
     for d in range(2, degree_bound + 1):
-        std = sorted((m for m in _all_monomials(ring, d)
+        std = sorted((m for m in monomials_of_degree(ring.nvars, d)
                       if not ini.contains(m)), key=key)
         for j in range(len(std)):
             mj = ring.monomial(std[j])

@@ -263,6 +263,9 @@ def test_parse_rejects_junk(R3):
         R3.from_string("x +* y")
     with pytest.raises(RingMismatch):
         R3.from_string("q + 1")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        R3.from_string("(" * 1000 + "x" + ")" * 1000)
+    assert R3.from_string("(" * 300 + "x" + ")" * 300) == R3.var("x")
 
 
 def test_parse_rejects_zero_denominator(R3):

@@ -57,10 +57,11 @@ from lattice_lab.groebner import (
 )
 from lattice_lab.lattice import (
     basic_binomial_pairs,
+    build_lattice,
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from lattice_lab.poly import product
+from lattice_lab.poly import Poly, product
 from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
@@ -712,6 +713,60 @@ def test_witness_search_power_overflow_raises():
     jm = join_meet_ideal(chain(2), 2)
     with pytest.raises(ExponentOverflow):
         _witness_search(jm, 2, 1 << 14)
+
+
+def _round_two_lattice():
+    """A six-element closure lattice whose witness only round two finds."""
+    return build_lattice(
+        ["s0", "s1", "s18", "s22", "s31", "s4"],
+        [("s0", "s1"), ("s0", "s18"), ("s0", "s4"), ("s1", "s31"),
+         ("s18", "s22"), ("s22", "s31"), ("s4", "s22")])
+
+
+@pytest.mark.parametrize("char, witness, colon_witness", [
+    (0, "s1^2*s4 - s1*s31*s4", "s0*s1*s31 - s0*s31^2"),
+    (32003, "s1^2*s4 + 32002*s1*s31*s4", "s0*s1*s31 + 32002*s0*s31^2"),
+])
+def test_radical_certificate_takes_a_round_two_witness(char, witness, colon_witness):
+    """The witness trades s1 for s31 above it, not for an incomparable
+    partner, so round one never proposes it; it comes before the colon
+    witness of the same degree."""
+    L = _round_two_lattice()
+    assert {"s1", "s31"} not in [set(p) for p in L.incomparable_pairs()]
+    cert = radical_certificate(L, char)
+    assert (cert.verdict, cert.route) == ("not_radical", "witness")
+    assert str(cert.witness) == witness
+    assert cert.detail == "witness found at degree 3"
+    jm = join_meet_ideal(L, char)
+    assert str(_colon_witness(jm.ideal)) == colon_witness
+    assert str(_same_witness(jm, 3, 4)) == witness
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name, bound", [("N", 3), ("N", 4), ("round two", 3)])
+def test_witness_search_builds_only_its_witness(name, bound, char, monkeypatch):
+    """Candidates stay packed: the one Poly the search builds is the witness
+    it returns, and standard monomials are read off their normal forms, not
+    off the initial ideal."""
+    L = lattice_n() if name == "N" else _round_two_lattice()
+    jm = join_meet_ideal(L, char)
+    jm.ideal.groebner()
+    built = []
+    init = Poly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the search reads no initial ideal")
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    monkeypatch.setattr(workflows, "initial_ideal", unused)
+    w = _witness_search(jm, bound, 4)
+    monkeypatch.undo()
+    assert (w is None) == (name == "N" and bound == 3)
+    assert built == ([] if w is None else [w])
 
 
 @functools.lru_cache(maxsize=None)

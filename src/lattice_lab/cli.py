@@ -11,8 +11,9 @@ Each verb loads its input, computes and returns ``(status, report, lines)``;
 ``main`` alone times the verb, prints the JSON report or the text lines and
 returns the status.
 
-Exit status: 0 on success, 1 on a failed verification check, 2 on bad
-arguments or unreadable input.
+Exit status: 0 on success; 1 on a failed verification check, an
+inconclusive radicality verdict or a library error (a bad fixture spec such
+as ``Nope:3`` included); 2 on bad arguments or unreadable input.
 """
 
 from __future__ import annotations

@@ -748,15 +748,6 @@ def ideal_member(f, ideal, order=None):
     return not ideal.groebner(order).reduce(f)
 
 
-def _fresh_name(ring):
-    if "t" not in ring.index:
-        return "t"
-    for i in itertools.count():
-        cand = f"t{i}"
-        if cand not in ring.index:
-            return cand
-
-
 def radical_member(f, ideal):
     """f lies in √I exactly when I : f^∞ is the unit ideal."""
     if f.ring != ideal.ring:
@@ -783,6 +774,17 @@ def _eliminate(ring, gens, keep):
     return Ideal(ctx.ring, ReducedGB(ctx, generic=kept).basis)
 
 
+def _with_t(ring, rows):
+    """K[x, t] for a last variable t that ``ring`` lacks (t, else t0, t1,
+    ...), and each row as one Poly in it, built from its terms: a row
+    [(g, e), ...] of Polys g of ``ring`` and distinct e is the sum of t^e·g,
+    so (1 - t)·g is [(g, 0), (-g, 1)] and 1 - t·f is [(ring.one(), 0), (-f, 1)]."""
+    names = itertools.chain(["t"], (f"t{i}" for i in itertools.count()))
+    ext = ring.extend([next(v for v in names if v not in ring.index)])
+    return ext, [Poly(ext, {(*m, e): c for g, e in row for m, c in g.terms.items()})
+                 for row in rows]
+
+
 def eliminate(ideal, drop):
     """Generators of ideal ∩ K[remaining variables] (``_eliminate``)."""
     drop = set(drop)
@@ -806,7 +808,8 @@ def _monomial_pair(a, b):
 def intersect(a, b):
     """Intersection of two MonomialIdeals, by pairwise lcms (a generator of
     one side that lies in the other stands for its own lcms), or of two
-    Ideals, by eliminating an auxiliary variable t.
+    Ideals, by eliminating an auxiliary variable t (``_eliminate``) from
+    generators built once each in K[x, t] (``_with_t``).
 
     Generators both sides share generate an ideal S inside both, and then
     (S + F) ∩ (S + G) = (S + tF + (1-t)G) ∩ K[x].  So shared generators stay
@@ -834,14 +837,11 @@ def intersect(a, b):
     # on the other side then stay pure differences and the fast path applies
     if all(len(g.terms) == 1 for g in first):
         first, second = second, first
-    t = _fresh_name(ring)
-    ext = ring.extend([t])
-    tv = ext.var(t)
-    gens = [g.map_ring(ext) for g in a.generators if g in shared]
-    gens += [tv * g.map_ring(ext) for g in first]
-    gens += [(ext.one() - tv) * g.map_ring(ext) for g in second]
-    # t is the one variable dropped and the last, so eliminate's ring is ring
-    return eliminate(Ideal(ext, gens), {t})
+    ext, gens = _with_t(ring, [[(g, 0)] for g in a.generators if g in shared]
+                        + [[(g, 1)] for g in first]
+                        + [[(g, 0), (-g, 1)] for g in second])
+    # t is the one variable dropped and the last, so the result's ring is ring
+    return _eliminate(ext, gens, ring.variables)
 
 
 def exact_div(g, f, order=None):
@@ -903,7 +903,8 @@ def _binomial_colons(ideal, index):
 
 def saturate(ideal, f):
     """I : f^∞, the t-free part of the reduced basis of I + (1 - t*f) under
-    an elimination order for t: eliminate's step (``_eliminate``).
+    an elimination order for t: eliminate's step (``_eliminate``), on
+    generators built once each in K[x, t] (``_with_t``).
 
     The order inside the block is degrevlex with t last, and for a monomial
     f the last variable of f comes just before t: the t-free part is then
@@ -925,10 +926,8 @@ def saturate(ideal, f):
         last = max((i for i, e in enumerate(mono) if e), default=None)
         if last is not None:
             prio = prio[:last] + prio[last + 1:] + (prio[last],)
-    t = _fresh_name(ring)
-    ext = ring.extend([t])
-    gens = [g.map_ring(ext) for g in ideal.generators]
-    gens.append(ext.one() - ext.var(t) * f.map_ring(ext))
+    ext, gens = _with_t(ring, [[(g, 0)] for g in ideal.generators]
+                        + [[(ring.one(), 0), (-f, 1)]])
     return _eliminate(ext, gens, prio)
 
 

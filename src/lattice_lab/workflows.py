@@ -78,7 +78,6 @@ from .poly import (
     PolyRing,
     degrevlex,
     lex,
-    product,
 )
 from .snf import echelon_basis, smith_normal_form
 
@@ -106,30 +105,22 @@ class PrimeComponent:
         return tuple(str(g) for g in self.ideal.generators)
 
 
+def _basic_binomials(lattice, ring):
+    """ab - (a∧b)(a∨b) in ``ring`` for every incomparable pair of
+    ``lattice``, in pair order."""
+    return [ring.monomial({a: 1, b: 1}) - ring.monomial({c: 1, d: 1})
+            for (a, b), (c, d) in basic_binomial_pairs(lattice)]
+
+
 def join_meet_ideal(lattice, char=0):
     """The basic binomial of every incomparable pair, in pair order."""
     ring = PolyRing(lattice.elements, char)
-    gens = [ring.monomial({a: 1, b: 1}) - ring.monomial({c: 1, d: 1})
-            for (a, b), (c, d) in basic_binomial_pairs(lattice)]
-    return JoinMeetIdeal(lattice, Ideal(ring, gens))
+    return JoinMeetIdeal(lattice, Ideal(ring, _basic_binomials(lattice, ring)))
 
 
 # ---------------------------------------------------------------------------
 # prime components
 # ---------------------------------------------------------------------------
-
-
-def _snf_certified(ideal):
-    """Smith form of the rows u - v of the two-term elements x^u - x^v of a
-    component's reduced basis (no rows when it has none): saturated exactly
-    when the component is prime.  The basis is binomial-engine output, so
-    each two-term element is a pure difference, and its one-term elements
-    are the component's variables: a proper pure-difference ideal holds no
-    monomial, because its elements vanish at the all-ones point."""
-    gb = ideal.groebner()
-    unpack = gb._ctx.unpack
-    return smith_normal_form([tuple(a - b for a, b in zip(unpack(lp), unpack(tp)))
-                              for _, lp, _, tp in gb._binomial if tp >= 0])
 
 
 def certify_prime_component(ideal):
@@ -140,7 +131,8 @@ def certify_prime_component(ideal):
     pure-difference part must already be saturated with respect to the
     product of the other variables, else NotSaturatedInput; its
     exponent-difference lattice is then saturated exactly when the component
-    is prime (Eisenbud–Sturmfels 1996).
+    is prime (Eisenbud–Sturmfels 1996), read off the part's own rows u - v
+    as in ``_prime_component``.
     """
     ring = ideal.ring
     variables, binomials = set(), []
@@ -158,12 +150,12 @@ def certify_prime_component(ideal):
     part = Ideal(ring, binomials)
     if binomials:
         survivors = [v for i, v in enumerate(ring.variables) if i not in variables]
-        sat = saturate(part, product([ring.var(v) for v in survivors], ring))
+        sat = saturate(part, ring.monomial(dict.fromkeys(survivors, 1)))
         if not ideal_equal(sat, part):
             raise NotSaturatedInput(
                 "pure-difference part is not saturated w.r.t. its variables"
             )
-    return _snf_certified(part).saturated
+    return smith_normal_form([d for _, _, d in _binomial_sides(binomials)]).saturated
 
 
 def _component_gens(lattice, admissible, ring):
@@ -173,15 +165,10 @@ def _component_gens(lattice, admissible, ring):
     gens = []
     if survivors:
         sub = restrict_to_complement(lattice, admissible)
-        binoms = [
-            ring.monomial({a: 1, b: 1}) - ring.monomial({c: 1, d: 1})
-            for (a, b), (c, d) in basic_binomial_pairs(sub)
-        ]
+        binoms = _basic_binomials(sub, ring)
         if binoms:
-            sat = saturate(
-                Ideal(ring, binoms),
-                product([ring.var(v) for v in survivors], ring),
-            )
+            sat = saturate(Ideal(ring, binoms),
+                           ring.monomial(dict.fromkeys(survivors, 1)))
             gens.extend(sat.generators)
     gens.extend(ring.var(v) for v in admissible)
     return tuple(gens)
@@ -198,10 +185,14 @@ def component_prime(lattice, admissible, char=0):
 
 def _prime_component(admissible, ideal):
     """PrimeComponent of P_A, the variables of A plus the lattice ideal of
-    Λ_A: one Smith form (``_snf_certified``) gives its certificate and its
-    dimension |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996), also when
-    Λ_A = 0 and the form has no rows."""
-    snf = _snf_certified(ideal)
+    Λ_A: one Smith form gives its certificate and its dimension
+    |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996), also when Λ_A = 0 and
+    the form has no rows.  Its rows are the u - v of P_A's own two-term
+    generators x^u - x^v, and no basis of P_A is read: pure differences
+    that generate a lattice ideal I_L span L, as x^u ≡ x^v modulo them
+    exactly when a chain of their moves joins u to v."""
+    sides = _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
+    snf = smith_normal_form([d for _, _, d in sides])
     return PrimeComponent(admissible, ideal, snf.saturated,
                           ideal.ring.nvars - len(admissible) - len(snf.nonzero_factors))
 
@@ -301,9 +292,9 @@ def minimal_primes(lattice, char=0, _verify=True):
         if _lattice_dominated(below, mask, basic):
             continue
         ideal = Ideal(ring, _component_gens(lattice, adm, ring))
-        # the component's one basis, kept in the ideal's cache, where the
-        # certificate, the dimension and the verify step read it; built by
-        # name here because the traced benchmark (perfbench/layers.py)
+        # the component's default-order basis, cached in the ideal for the
+        # initial-ideal certificate's default pass, its one reader here;
+        # built by name because the traced benchmark (perfbench/layers.py)
         # requires a buchberger call made directly from minimal_primes
         buchberger(ideal, ring.default_order)
         sides = _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)

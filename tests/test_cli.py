@@ -253,7 +253,7 @@ def test_prime_characteristic_is_accepted(capsys):
 
 def test_bad_fixture_is_exit_1_with_message(capsys):
     code, _, err = run(capsys, "gb", "--fixture", "Nope:3")
-    assert code in (1, 2)
+    assert code == 1
     assert "error" in err
 
 

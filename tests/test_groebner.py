@@ -810,8 +810,11 @@ _ZERO_BY = (("variable", "x"), ("monomial", "x^2*y"), ("difference", "x - y"),
     (["x*y - x"], "x", ["y - 1"], 0),  # not homogeneous, still binomial
     (["x*y + y"], "x + 1", ["y"], 0),  # f not a monomial
     (["x^2*y + x*y^2 + y"], "y", ["x^2 + x*y + 1"], 0),
+    (["x*y + y"], "x + 1", ["y"], P),
+    (["x^2*y + x*y^2 + y"], "y", ["x^2 + x*y + 1"], P),
 ] + [([], f, [], char) for char in (0, P) for _, f in _ZERO_BY],
-    ids=["inhomogeneous-difference", "binomial-f", "trinomial"]
+    ids=["inhomogeneous-difference", "binomial-f", "trinomial", f"binomial-f-char{P}",
+         f"trinomial-char{P}"]
     + [f"zero-by-{kind}-char{char}" for char in (0, P) for kind, _ in _ZERO_BY])
 def test_saturate_generic_route(gens, f, expected, char):
     """The zero ideal takes the general route too: the basis of (1 - t*f)
@@ -821,6 +824,83 @@ def test_saturate_generic_route(gens, f, expected, char):
     sat = saturate(I, f)
     assert ideal_equal(sat, Ideal(R, expected))
     assert ideal_equal(sat, _saturate_by_colon(I, f))
+
+
+def _refuse_extended_ring_arithmetic(monkeypatch, ring):
+    """Poly.map_ring raises, and so do Poly's *, + and - on a Poly of a
+    ring with a variable that ``ring`` lacks."""
+    def refuse(*args):
+        raise AssertionError("a Poly was mapped into another ring")
+
+    monkeypatch.setattr(Poly, "map_ring", refuse)
+    for op in ("__mul__", "__add__", "__sub__"):
+        def guarded(self, other, _original=getattr(Poly, op)):
+            for p in (self, other):
+                if isinstance(p, Poly) and set(p.ring.variables) - set(ring.variables):
+                    raise AssertionError(f"Poly arithmetic in {p.ring}")
+            return _original(self, other)
+
+        monkeypatch.setattr(Poly, op, guarded)
+
+
+# pinned answers of the elimination route, one generic saturation per field
+_GENERIC_SATURATION = {
+    0: ["y^3*z - x*y*z^2 + 2*y*z^2", "x^2*y - y*z", "x*y^2 + 2*x*z - z^2",
+        "x^2*z + 1/2*y^2*z - 1/2*x*z^2"],
+    P: ["y^3*z + 32002*x*y*z^2 + 2*y*z^2", "x^2*y + 32002*y*z",
+        "x*y^2 + 2*x*z + 32002*z^2", "x^2*z + 16002*y^2*z + 16001*x*z^2"],
+}
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_extended_ring_generators_are_built_once(monkeypatch, char):
+    """saturate and intersect build each generator of K[x, t] as one Poly
+    from the terms of its factors: none is mapped into the larger ring, and
+    no Poly of it is multiplied, added or subtracted.  The references are
+    computed before the patches go on."""
+    runs = []  # (input ring, call, check of its answer)
+    for spec in ("N5", "Lk:6:3"):
+        I = join_meet_ideal(build_fixture(spec), char).ideal
+        f = I.ring.monomial(dict.fromkeys(I.ring.variables, 1))
+        want = saturate_by_passes(I, f).generators
+        runs.append((I.ring, lambda I=I, f=f: saturate(I, f),
+                     lambda got, want=want: got.generators == want))
+    R = PolyRing(_VARS3, char)
+    I = Ideal(R, ["x^2*y - y*z", "x*y^2 + 2*x*z - z^2"])
+    runs.append((R, lambda: saturate(I, R.from_string("x + y + 1")),
+                 lambda got: [str(g) for g in got.generators]
+                 == _GENERIC_SATURATION[char]))
+    jm = join_meet_ideal(lk(3, 1), char)
+    S = jm.ring
+    pairs = [(jm.ideal.plus([S.var("z")]), jm.ideal.plus([S.var("x2") - S.var("y1")])),
+             (Ideal(R, ["x^2 + 2*y*z - 1", "y^2 - x*z + 3"]),
+              Ideal(R, ["x*y - z^2 + 5", "x - 2*y + z"]))]
+    for a, b in pairs:
+        want = intersect_by_elimination(a, b)
+        runs.append((a.ring, lambda a=a, b=b: intersect(a, b),
+                     lambda got, want=want: ideal_equal(got, want)))
+    for ring, call, check in runs:
+        with monkeypatch.context() as m:
+            _refuse_extended_ring_arithmetic(m, ring)
+            got = call()
+        assert check(got)
+
+
+@pytest.mark.parametrize("char", [0, P])
+@pytest.mark.parametrize("variables", [("t", "x"), ("t", "t0", "x")])
+def test_saturate_and_intersect_over_rings_that_use_t(variables, char):
+    """The auxiliary variable takes a name the ring lacks; the answers are
+    pinned from the route that mapped every generator into K[x, t]."""
+    R = PolyRing(variables, char)
+    sat = saturate(Ideal(R, ["t*x - x"]), R.var("x"))
+    assert ideal_equal(sat, Ideal(R, ["t - 1"]))
+    assert ideal_equal(intersect(Ideal(R, ["t"]), Ideal(R, ["x"])), Ideal(R, ["t*x"]))
+    if len(variables) == 3:
+        sat = saturate(Ideal(R, ["t*x - t0*x", "t0^2*x - x"]), R.var("x"))
+        assert ideal_equal(sat, Ideal(R, ["t0^2 - 1", "t - t0"]))
+        meet = intersect(Ideal(R, ["t - t0"]), Ideal(R, ["x*t0 + 1"]))
+        assert ideal_equal(meet, Ideal(R, ["t*t0*x - t0^2*x + t - t0"]))
+        assert meet.ring == R
 
 
 def test_colon_of_zero_divisor_raises(Q_ideal):

@@ -62,6 +62,7 @@ from lattice_lab.lattice import (
     restrict_to_complement,
 )
 from lattice_lab.poly import Poly, product
+from lattice_lab.snf import smith_normal_form
 from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
@@ -192,12 +193,61 @@ def test_non_saturated_lattice_not_certified():
 
 
 def test_prime_component_reads_certificate_and_dim_off_one_basis():
-    # the reduced basis is (x^2 - y^2, z): the certificate must skip the
+    # the generators are (z, x^2 - y^2): the certificate must skip the
     # variable z and still see the non-saturated lattice 2Z(1,-1,0)
     R = PolyRing(("x", "y", "z"))
     comp = _prime_component(AdmissibleSet(("z",)), Ideal(R, ["z", "x^2 - y^2"]))
     assert not comp.certified_prime
     assert comp.dim == 1
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "N5", "Lk:4:2"])
+def test_component_prime_computes_no_basis_of_its_ring(monkeypatch, spec, char):
+    """The certificate and the dimension come from the component's own
+    generators.  The saturation's elimination calls buchberger on a list of
+    generators, so only a basis of the component's ring would go through
+    Ideal.groebner."""
+    L = build_fixture(spec)
+    sets = enumerate_admissible_sets(L)
+
+    def facts():
+        return [(c.certified_prime, c.dim, c.generators_text())
+                for c in (component_prime(L, adm, char) for adm in sets)]
+
+    want = facts()
+
+    def refuse(self, order=None):
+        raise AssertionError("a Groebner basis of the component's ring")
+
+    monkeypatch.setattr(Ideal, "groebner", refuse)
+    assert facts() == want
+
+
+def _assert_generator_and_basis_rows_agree(L, char):
+    """The nonzero invariant factors of the rows u - v of each minimal
+    component's two-term generators equal those of its reduced basis's
+    two-term elements: both span Λ_A."""
+    def factors(polys):
+        rows = [tuple(a - b for a, b in zip(*g.terms)) for g in polys
+                if len(g.terms) == 2]
+        return smith_normal_form(rows).nonzero_factors
+
+    for c in minimal_primes(L, char, _verify=False):
+        assert factors(c.ideal.generators) == factors(c.ideal.groebner().basis)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "M3", "N5", "Chain:3",
+                                  "DivisorLadder:3", "Lk:3:1", "Lk:5:2", "Lk:6:3"])
+def test_generator_and_basis_rows_give_one_smith_form(spec, char):
+    _assert_generator_and_basis_rows_agree(build_fixture(spec), char)
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=60, deadline=None)
+def test_generator_and_basis_rows_give_one_smith_form_on_closure_systems(L, char):
+    _assert_generator_and_basis_rows_agree(L, char)
 
 
 def test_distributive_fixtures_have_prime_saturation():
@@ -308,8 +358,8 @@ def _component_facts(components):
 
 
 def _assert_certificate_and_dim_match_fresh_bases(components):
-    """The certificate and the dimension, read off the one cached basis of
-    each component, agree with ones computed from fresh bases."""
+    """The certificate and the dimension, read off each component's own
+    generators, agree with ones computed from fresh bases."""
     for c in components:
         ring = c.ideal.ring
         binomials = [g for g in c.ideal.generators if len(g.terms) == 2]
@@ -367,13 +417,13 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
-    saturated candidate gets one basis, shared by the SNF certificate, the
-    dimension and the verify step; the join-meet ideal adds its
-    basis and, where the default order does not certify the intersection
-    (Lk, N), the bases under the second order come on top.  Monomial ideals
-    never enter the pair loop.  On N, whose components are all certified
-    prime, the colon witness of its third variable c decides: the bases
-    under degrevlex with a, b and c last are three runs, and the
+    saturated candidate gets one basis, which the verify step reads (the
+    SNF certificate and the dimension read its generators); the join-meet
+    ideal adds its basis and, where the default order does not certify the
+    intersection (Lk, N), the bases under the second order come on top.
+    Monomial ideals never enter the pair loop.  On N, whose components are
+    all certified prime, the colon witness of its third variable c decides:
+    the bases under degrevlex with a, b and c last are three runs, and the
     intersection fold and its generic engine never run."""
     calls = count_engine_runs(monkeypatch)
     if name == "N":

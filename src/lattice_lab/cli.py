@@ -9,7 +9,7 @@ bundled lattices.
 
 Each verb loads its input, computes and returns ``(status, report, lines)``;
 ``main`` alone times the verb, prints the JSON report or the text lines and
-returns the status.
+returns the status.  The argument parser is built once per process.
 
 Exit status: 0 on success; 1 on a failed verification check, an
 inconclusive radicality verdict or a library error (a bad fixture spec such
@@ -19,6 +19,7 @@ as ``Nope:3`` included); 2 on bad arguments or unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,25 +273,20 @@ def make_parser():
 
     p = sub.add_parser("check", help="structural tests of a lattice")
     common(p)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of the join-meet ideal")
     common(p, order=True)
-    p.set_defaults(func=_cmd_gb)
 
     p = sub.add_parser("ini", help="initial ideal and squarefree verdict")
     common(p, order=True)
-    p.set_defaults(func=_cmd_ini)
 
     p = sub.add_parser("primes", help="minimal-prime decomposition")
     common(p)
-    p.set_defaults(func=_cmd_primes)
 
     p = sub.add_parser("radical", help="radicality certificate")
     common(p)
     p.add_argument("--degree-bound", type=int, default=None,
                    help="witness search degree bound, at least 1 (default: height + 2)")
-    p.set_defaults(func=_cmd_radical)
 
     p = sub.add_parser("scan", help="squarefree scan over monomial orders")
     common(p)
@@ -304,23 +300,34 @@ def make_parser():
     p.add_argument("--jobs", type=int, default=None,
                    help="processes that share a scan, this one included "
                         "(default: the usable CPUs)")
-    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("lk", help="two-rail family verification suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     common(p, inputs=False)
-    p.set_defaults(func=_cmd_lk)
 
     p = sub.add_parser("fixtures", help="list bundled fixtures or dump one")
     p.add_argument("--dump", help="fixture spec to dump as lattice JSON")
-    p.set_defaults(func=_cmd_fixtures)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process."""
+    return make_parser()
+
+
+def _command(verb):
+    """The function of a verb, read when the verb runs, so that a patched
+    ``_cmd_<verb>`` acts even after the parser is built."""
+    return {"check": _cmd_check, "gb": _cmd_gb, "ini": _cmd_ini,
+            "primes": _cmd_primes, "radical": _cmd_radical, "scan": _cmd_scan,
+            "lk": _cmd_lk, "fixtures": _cmd_fixtures}[verb]
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "char"):
             # the ring's own check, so that a bad value fails before any work
@@ -329,7 +336,7 @@ def main(argv=None):
             except ValueError as exc:
                 raise SystemExit2(f"--char: {exc}") from None
         started = time.perf_counter()
-        status, report, lines = args.func(args)
+        status, report, lines = _command(args.verb)(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

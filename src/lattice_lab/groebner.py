@@ -179,9 +179,21 @@ class _Ctx:
         g = ((a | hm) - b) & hm
         sel = g - (g >> (_FIELD - 1))
         p = (a & sel) | (b & ~sel)
+        return p, self.degree(p)
+
+    def degree(self, p):
+        """Total degree of a packed monomial, by the degree fold."""
         pairs = self._pairs
         folded = (p & pairs) + ((p >> _FIELD) & pairs)
-        return p, ((folded * self._ones) >> self._top) & 0xFFFFFFFF
+        return ((folded * self._ones) >> self._top) & 0xFFFFFFFF
+
+
+@lru_cache(maxsize=64)
+def _default_ctx(ring):
+    """The default-order context of ``ring``, one per ring.  Monomial ideals
+    are packed in it, so it is built once, not per initial ideal; contexts of
+    other orders are not kept, as the scan builds thousands of orders."""
+    return _Ctx(ring, ring.default_order)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +203,7 @@ class _Ctx:
 # those two fields and leaves the rest to the kind's own steps.
 
 
-def _buchberger_core(ctx, elements, s_element, reduce):
+def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
     """Minimal Groebner basis of ``elements``, sorted by increasing lead.
 
     ``reduce(ctx, raw, basis)`` turns a raw element (an input or an
@@ -207,6 +219,10 @@ def _buchberger_core(ctx, elements, s_element, reduce):
     every pair of an lcm that some coprime pair has (product criterion),
     after which the coprime pairs themselves go.  An element whose lead
     lead(h) divides forms no more pairs and is left out of the result.
+
+    ``stop(basis, degree)``, when given, is called before each pair leaves
+    the heap with every element added so far, in order, and that pair's lcm
+    degree; a true answer ends the run, which then returns None.
     """
     hm = ctx.hmask
     fold, ones, top = ctx._pairs, ctx._ones, ctx._top
@@ -255,6 +271,8 @@ def _buchberger_core(ctx, elements, s_element, reduce):
     for el in elements:
         add(reduce(ctx, el, basis))
     while pairs:
+        if stop is not None and stop(basis, pairs[0][0]):
+            return None
         _, key, i, j, lcm = heapq.heappop(pairs)
         s_el = s_element(ctx, lcm, key, basis[i], basis[j])
         if s_el is not None:
@@ -609,7 +627,7 @@ class MonomialIdeal:
     __slots__ = ("_ctx", "_packed")
 
     def __init__(self, ring, monomials):
-        ctx = _Ctx(ring, ring.default_order)
+        ctx = _default_ctx(ring)
         self._ctx, self._packed = ctx, _minimal_packed(
             ctx, [ctx.pack(_check_monomial(ring, m)) for m in monomials])
 
@@ -731,9 +749,58 @@ def initial_ideal(ideal, order=None):
     ring = ideal.ring
     order = order or ring.default_order
     gb = ideal.groebner(order)
-    ctx = gb._ctx if order == ring.default_order else _Ctx(ring, ring.default_order)
+    ctx = _default_ctx(ring)
     repack = ctx.repacker(gb._ctx)
     return MonomialIdeal._of_packed(ctx, [repack(e[1]) for e in gb._elements()])
+
+
+def _initial_ideal_toward(ideal, order, goal):
+    """in(I) under ``order`` as far as it must grow to contain the
+    MonomialIdeal ``goal``, or None once it cannot.
+
+    ``ideal`` is binomial.  A basis it caches gives the whole of in(I),
+    whether or not that contains ``goal``.  Otherwise the pair loop runs
+    on I's binomial elements with a stop hook, and the leads of
+    the elements it has added, all in in(I), are the answer as soon as
+    they divide every minimal generator of ``goal``.  On homogeneous input
+    pairs leave the heap by degree and every S-element keeps its pair's
+    degree, so once the next pair's degree exceeds d, the leads so far
+    generate in(I) up to degree d: a generator of ``goal`` of degree d
+    that no lead divides is outside in(I).  A run that ends by itself has
+    built a Groebner basis, and its leads are all of in(I).
+    """
+    if order in ideal._cache:
+        return initial_ideal(ideal, order)
+    ctx = _Ctx(ideal.ring, order)
+    elements = _binomial_elements(ctx, ideal.generators)
+    home, hm = goal._ctx, ctx.hmask
+    there, back = ctx.repacker(home), home.repacker(ctx)
+    wanted = {}  # goal's generators that no lead divides, by their degree
+    for g in map(there, goal._packed):
+        wanted.setdefault(ctx.degree(g), []).append(g)
+    homogeneous = all(tp < 0 or ctx.degree(lp) == ctx.degree(tp)
+                      for _, lp, _, tp in elements)
+    leads = []
+
+    def covered(basis, degree):
+        for _, lp, _, _ in basis[len(leads):]:
+            leads.append(lp)
+            for d in [d for d in wanted if d >= ctx.degree(lp)]:
+                left = [g for g in wanted[d] if ((g | hm) - lp) & hm != hm]
+                if left:
+                    wanted[d] = left
+                else:
+                    del wanted[d]
+        return not wanted or (homogeneous and degree > min(wanted))
+
+    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce,
+                            stop=covered)
+    if kept is not None:
+        leads.clear()
+        covered(kept, 0)
+    if wanted:
+        return None
+    return MonomialIdeal._of_packed(home, map(back, leads))
 
 
 def is_squarefree(m):

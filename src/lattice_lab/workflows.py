@@ -17,8 +17,11 @@ That the join-meet ideal I is the intersection of the minimal components is
 checked in three steps.  First from initial ideals: in(∩ P_A) ⊆ ∩ in(P_A)
 under any order, and J ⊆ K with in(J) = in(K) forces J = K, so I ⊆ every
 P_A together with in(I) = ∩ in(P_A) proves I = ∩ P_A.  Two orders are
-tried, the default one and degrevlex with the variables reversed, and the
-initial ideals stay MonomialIdeals, which meet by pairwise lcms.  Then,
+tried, degrevlex with the variables reversed first, under which the
+component bases are built, then the default one.  The initial ideals stay
+MonomialIdeals, which meet by pairwise lcms; in(I) is grown only until its
+leads cover ∩ in(P_A) or a generator of it is known to lie outside, and
+I ⊆ P_A is read off packed normal forms modulo P_A's basis.  Then,
 when every component is certified prime, a colon witness disproves it: for
 a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f
 outside I with w² in I, so I is not radical, while an intersection of
@@ -55,8 +58,10 @@ from .groebner import (
     _bin_reduce_monomial,
     _binomial_buchberger,
     _binomial_colons,
+    _binomial_elements,
     _binomial_shape,
     _Ctx,
+    _initial_ideal_toward,
     _overflow,
     buchberger,
     ideal_equal,
@@ -183,15 +188,22 @@ def component_prime(lattice, admissible, char=0):
     return _prime_component(admissible, Ideal(ring, gens))
 
 
-def _prime_component(admissible, ideal):
+def _two_term_sides(ideal):
+    """``_binomial_sides`` of the two-term generators of a component."""
+    return _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
+
+
+def _prime_component(admissible, ideal, sides=None):
     """PrimeComponent of P_A, the variables of A plus the lattice ideal of
     Λ_A: one Smith form gives its certificate and its dimension
     |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996), also when Λ_A = 0 and
     the form has no rows.  Its rows are the u - v of P_A's own two-term
-    generators x^u - x^v, and no basis of P_A is read: pure differences
-    that generate a lattice ideal I_L span L, as x^u ≡ x^v modulo them
-    exactly when a chain of their moves joins u to v."""
-    sides = _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
+    generators x^u - x^v (``sides``, their ``_two_term_sides`` when the
+    caller has them), and no basis of P_A is read: pure differences that
+    generate a lattice ideal I_L span L, as x^u ≡ x^v modulo them exactly
+    when a chain of their moves joins u to v."""
+    if sides is None:
+        sides = _two_term_sides(ideal)
     snf = smith_normal_form([d for _, _, d in sides])
     return PrimeComponent(admissible, ideal, snf.saturated,
                           ideal.ring.nvars - len(admissible) - len(snf.nonzero_factors))
@@ -271,8 +283,8 @@ def minimal_primes(lattice, char=0, _verify=True):
 
     The components' intersection is then checked against the join-meet
     ideal I (``_verify_decomposition``): first by the initial-ideal
-    certificate (I ⊆ every P_A, and in(I) = ∩ in(P_A) under the default
-    order or degrevlex with the variables reversed), then by a colon
+    certificate (I ⊆ every P_A, and in(I) = ∩ in(P_A) under degrevlex with
+    the variables reversed or the default order), then by a colon
     witness when every component is certified prime, and only when neither
     decides by intersecting the components.  A mismatch raises
     IntersectionMismatch, so the caller asserts the join-meet ideal is
@@ -282,6 +294,7 @@ def minimal_primes(lattice, char=0, _verify=True):
     ring = jm.ring
     index = lattice.index
     basic = _binomial_sides(jm.ideal.generators)
+    first = _certificate_orders(ring)[0]
 
     found = []  # (mask, binomial sides, component) of each minimal component
     for adm in enumerate_admissible_sets(lattice):
@@ -292,18 +305,24 @@ def minimal_primes(lattice, char=0, _verify=True):
         if _lattice_dominated(below, mask, basic):
             continue
         ideal = Ideal(ring, _component_gens(lattice, adm, ring))
-        # the component's default-order basis, cached in the ideal for the
-        # initial-ideal certificate's default pass, its one reader here;
-        # built by name because the traced benchmark (perfbench/layers.py)
-        # requires a buchberger call made directly from minimal_primes
-        buchberger(ideal, ring.default_order)
-        sides = _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
-        component = _prime_component(adm, ideal)
-        found.append((mask, sides, component))
+        # the component's basis under the certificate's first order, cached
+        # in the ideal for the initial-ideal certificate, which reads it
+        # for in(P_A) and for the containment I ⊆ P_A; built by name
+        # because the traced benchmark (perfbench/layers.py) requires a
+        # buchberger call made directly from minimal_primes
+        buchberger(ideal, first)
+        sides = _two_term_sides(ideal)
+        found.append((mask, sides, _prime_component(adm, ideal, sides)))
     components = [c for _, _, c in found]
     if _verify:
         _verify_decomposition(jm, components)
     return components
+
+
+def _certificate_orders(ring):
+    """The orders the initial-ideal certificate tries, in turn: degrevlex
+    with the variables reversed, then the default order."""
+    return degrevlex(tuple(reversed(ring.variables))), ring.default_order
 
 
 def _initial_ideals_certify(ideal, parts):
@@ -311,18 +330,46 @@ def _initial_ideals_certify(ideal, parts):
 
     For any monomial order, in(∩ P) ⊆ ∩ in(P), and J ⊆ K with in(J) = in(K)
     forces J = K.  So if I ⊆ every P and in(I) = ∩ in(P), then in(I) ⊆
-    in(∩ P) ⊆ ∩ in(P) = in(I) and I = ∩ P.  The test runs under the default
-    order, whose component bases are already cached, then under degrevlex
-    with the variables reversed, on MonomialIdeals throughout; False means
-    neither order proves it, not that the ideals differ.
+    in(∩ P) ⊆ ∩ in(P) = in(I) and I = ∩ P.  The orders come from
+    ``_certificate_orders``: the reversed one first, under which
+    ``minimal_primes`` caches the component bases, then the default one.
+    Initial ideals stay MonomialIdeals throughout.
+
+    in(I) grows only as far as it must (``_initial_ideal_toward``): once
+    its leads contain M = ∩ in(P), they are M, since in(I) ⊆ M; and on the
+    homogeneous join-meet ideal a pass fails as soon as a generator of M
+    lies below the degree the pair loop has completed.  A basis of I the
+    ideal caches is read whole.  I ⊆ P is decided on packed elements
+    (``_contained``).  False means neither order proves it, not that the
+    ideals differ.
     """
-    ring = ideal.ring
-    for order in (ring.default_order, degrevlex(tuple(reversed(ring.variables)))):
+    for order in _certificate_orders(ideal.ring):
         meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
-        if ideal_equal(meet, initial_ideal(ideal, order)):
-            return all(not p.groebner().reduce(g)
-                       for p in parts for g in ideal.generators)
+        ini = _initial_ideal_toward(ideal, order, meet)
+        if ini is not None and ideal_equal(meet, ini):
+            return _contained(ideal, parts, order)
     return False
+
+
+def _contained(ideal, parts, order):
+    """True when ``ideal`` lies in every one of ``parts``, read off their
+    bases under ``order``; all of them are binomial, as the join-meet ideal
+    and its components are.
+
+    A pure difference c·(x^u - x^v) lies in P exactly when x^u and x^v have
+    one normal form modulo P's binomial basis, and a monomial exactly when
+    its normal form is 0, so no Poly is reduced.  The bases of one order
+    share one packing, in which I's generators are packed once.
+    """
+    elements = _binomial_elements(_Ctx(ideal.ring, order), ideal.generators)
+    for p in parts:
+        gb = p.groebner(order)
+        basis, hm = gb._binomial, gb._ctx.hmask
+        for ak, ap, bk, bp in elements:
+            nf = _bin_reduce_monomial(ak, ap, basis, hm)
+            if nf != (None if bp < 0 else _bin_reduce_monomial(bk, bp, basis, hm)):
+                return False
+    return True
 
 
 def _verify_decomposition(jm, components):

@@ -105,9 +105,9 @@ def count_engine_runs(monkeypatch):
     for name in calls:
         original = getattr(groebner, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(groebner, name, counted)
     return calls

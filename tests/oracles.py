@@ -392,3 +392,23 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
                 if gb.reduce(f) and is_power_witness(f):
                     return f
     return None
+
+
+def initial_ideals_certify_full(ideal, parts):
+    """Reference initial-ideal certificate on whole reduced bases: under the
+    default order, then degrevlex with the variables reversed, in(I) is the
+    initial ideal of I's full basis, compared with ∩ in(P), and I ⊆ every P
+    is decided by reducing each generator of I as a Poly.
+    """
+    from functools import reduce
+
+    from lattice_lab.groebner import ideal_equal, initial_ideal, intersect
+    from lattice_lab.poly import degrevlex
+
+    ring = ideal.ring
+    for order in (ring.default_order, degrevlex(tuple(reversed(ring.variables)))):
+        meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
+        if ideal_equal(meet, initial_ideal(ideal, order)):
+            return all(not p.groebner().reduce(g)
+                       for p in parts for g in ideal.generators)
+    return False

@@ -365,3 +365,57 @@ def test_readme_examples_run(capsys):
         code = main(argv[1:])
         capsys.readouterr()
         assert code == 0, " ".join(argv)
+
+
+# -- one parser per process -----------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from lattice_lab import cli
+
+    built = []
+    make = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make())
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "primes", "--fixture", "Q", "--json")
+        second = run(capsys, "primes", "--fixture", "Q", "--json")
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first == second
+    golden = Path(__file__).parent / "golden" / "primes_Q_char0.json"
+    assert first == (0, golden.read_text(encoding="utf-8"), "")
+
+
+def test_patched_verb_acts_before_and_after_the_parser_is_built(monkeypatch, capsys):
+    """``main`` reads the verb's function, and the library call it makes,
+    when the verb runs, so a patch acts whenever it was applied."""
+    from lattice_lab import cli
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_cmd_fixtures", lambda args: (0, None, ["first"]))
+    assert run(capsys, "fixtures") == (0, "first\n", "")
+    monkeypatch.setattr(cli, "_cmd_fixtures", lambda args: (0, None, ["second"]))
+    assert run(capsys, "fixtures") == (0, "second\n", "")
+    monkeypatch.setattr(cli, "minimal_primes", lambda lattice, char: [])
+    code, out, _ = run(capsys, "primes", "--fixture", "Q")
+    assert code == 0 and out.startswith("0 minimal primes")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0), (["primes", "--help"], 0), (["primes", "--bogus"], 2),
+    (["nope"], 2), ([], 2), (["lk", "--n", "3"], 2),
+])
+def test_help_and_usage_errors_repeat_as_from_a_fresh_parser(capsys, argv, status):
+    from lattice_lab import cli
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    fresh = outcome(lambda a: cli.make_parser().parse_args(a))
+    assert fresh[0] == status
+    assert outcome(main) == outcome(main) == fresh

@@ -1094,3 +1094,88 @@ def test_membership_matches_bruteforce_oracle():
         ), (case, [str(g) for g in gens], str(f))
         agree += 1
     assert agree >= 400  # the rest of the 500 draws degenerate to zero
+
+
+# -- the pair loop's stop hook and the goal-directed initial ideal -------------
+
+
+def _orders_of(ring, rnd):
+    names = list(ring.variables)
+    rnd.shuffle(names)
+    return [ring.default_order, degrevlex(tuple(reversed(ring.variables))),
+            degrevlex(tuple(names)), lex(tuple(names))]
+
+
+def _assert_leads_complete_below_next_pair(ideal, order):
+    """Homogeneous input: before each pair leaves the heap, the minimal
+    leads added so far, of degree below that pair's, are exactly the final
+    leads of that degree; and a hook that never stops changes nothing."""
+    ctx = groebner._Ctx(ideal.ring, order)
+    elements = groebner._binomial_elements(ctx, ideal.generators)
+    steps = (groebner._bin_s_element, groebner._bin_reduce)
+    seen = []
+
+    def watch(basis, degree):
+        seen.append((degree, [e[1] for e in basis]))
+        return False
+
+    kept = groebner._buchberger_core(ctx, elements, *steps, stop=watch)
+    assert kept == groebner._buchberger_core(ctx, elements, *steps)
+    final = [e[1] for e in kept]
+    for degree, leads in seen:
+        below = [p for p in leads if ctx.degree(p) < degree]
+        assert (groebner._minimal_packed(ctx, below)
+                == {p for p in final if ctx.degree(p) < degree})
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "Lk:5:2", "Lk:6:3"])
+def test_stop_hook_sees_leads_complete_below_the_next_pair(spec):
+    ideal = join_meet_ideal(build_fixture(spec)).ideal
+    for order in _orders_of(ideal.ring, random.Random(spec)):
+        assert _assert_leads_complete_below_next_pair(ideal, order)
+
+
+@given(closure_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_stop_hook_sees_leads_complete_below_the_next_pair_on_closure_systems(L, rnd):
+    ideal = join_meet_ideal(L).ideal
+    for order in _orders_of(ideal.ring, rnd):
+        _assert_leads_complete_below_next_pair(ideal, order)
+
+
+@given(closure_lattices(), st.sampled_from([0, P]), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_initial_ideal_toward_decides_containment_exactly(L, char, rnd):
+    """Goals are in(I) under each order and the meet of the components'
+    initial ideals: the answer is None exactly when in(I) misses a goal
+    generator, and otherwise lies in in(I) and contains the goal.  No
+    basis is left in the ideal's cache."""
+    jm = join_meet_ideal(L, char)
+    ring = jm.ring
+    orders = _orders_of(ring, rnd)
+    whole = {order: initial_ideal(jm.ideal, order) for order in orders}
+    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+    meet = initial_ideal(parts[0], orders[1])
+    for p in parts[1:]:
+        meet = intersect(meet, initial_ideal(p, orders[1]))
+    for order in orders:
+        for goal in [*whole.values(), meet]:
+            fresh = Ideal(ring, jm.ideal.generators)
+            got = groebner._initial_ideal_toward(fresh, order, goal)
+            inside = all(whole[order].contains(m) for m in goal.gens)
+            assert (got is not None) is inside
+            if inside:
+                assert all(whole[order].contains(m) for m in got.gens)
+                assert all(got.contains(m) for m in goal.gens)
+            assert not fresh._cache
+
+
+def test_initial_ideal_toward_reads_a_cached_basis_whole(monkeypatch):
+    ideal = join_meet_ideal(lk(5, 2)).ideal
+    order = degrevlex(tuple(reversed(ideal.ring.variables)))
+    whole = initial_ideal(ideal, order)
+    calls = count_engine_runs(monkeypatch)
+    empty = MonomialIdeal(ideal.ring, [])
+    assert groebner._initial_ideal_toward(ideal, order, empty) == whole
+    assert calls["_buchberger_core"] == 0

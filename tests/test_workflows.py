@@ -48,7 +48,7 @@ from lattice_lab.fixtures import (
     lk,
     pentagon_n5,
 )
-from lattice_lab import workflows
+from lattice_lab import groebner, workflows
 from lattice_lab.groebner import (
     ReducedGB,
     _binomial_colons,
@@ -64,8 +64,10 @@ from lattice_lab.lattice import (
 from lattice_lab.poly import Poly, product
 from lattice_lab.snf import smith_normal_form
 from lattice_lab.workflows import (
+    _certificate_orders,
     _colon_witness,
     _component_gens,
+    _contained,
     _initial_ideals_certify,
     _intersect_all,
     _monomial_normal_forms,
@@ -84,6 +86,7 @@ from conftest import (
 )
 from oracles import (
     certify_saturated_part,
+    initial_ideals_certify_full,
     minimal_primes_all_pairs,
     saturate_by_passes,
     scan_orders_uncached,
@@ -413,17 +416,21 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
 
 @pytest.mark.parametrize("name, runs", [
     pytest.param(name, runs, id=name)
-    for name, runs in (("Q", 3), ("R", 7), ("Lk:6:3", 11), ("N", 14))])
+    for name, runs in (("Q", 3), ("R", 7), ("Lk:6:3", 7), ("N", 14))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
-    saturated candidate gets one basis, which the verify step reads (the
-    SNF certificate and the dimension read its generators); the join-meet
-    ideal adds its basis and, where the default order does not certify the
-    intersection (Lk, N), the bases under the second order come on top.
-    Monomial ideals never enter the pair loop.  On N, whose components are
-    all certified prime, the colon witness of its third variable c decides:
-    the bases under degrevlex with a, b and c last are three runs, and the
+    saturated candidate gets one basis, under the reversed order, which the
+    verify step reads (the SNF certificate and the dimension read its
+    generators); the join-meet ideal adds one run, cut short once its leads
+    decide the certificate.  Monomial ideals never enter the pair loop.
+    Lk:6:3 is 7 runs (three saturations, three component bases and I's
+    run): the reversed order, tried first, certifies every Lk, so the
+    default-order bases that the default pass needed before it failed
+    there (three components and I) are never built.  On N neither order
+    certifies, so the default pass adds the component bases and a second
+    run of I, and the colon witness of its third variable c decides: the
+    bases under degrevlex with a, b and c last are three runs, and the
     intersection fold and its generic engine never run."""
     calls = count_engine_runs(monkeypatch)
     if name == "N":
@@ -452,27 +459,34 @@ def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_radical_certificate_builds_each_basis_once(monkeypatch, char):
-    """The four squarefree-order bases of R's join-meet ideal include the
-    default order, and the decomposition's intersection check reads that
-    basis instead of building it again.  The decomposition alone is 7 runs
-    (three saturations, three component bases and the join-meet basis), so
-    the certificate makes 4 + 7 - 1."""
+    """The four squarefree-order bases of R's join-meet ideal include
+    degrevlex with the variables reversed, the initial-ideal certificate's
+    first order, and the certificate reads that basis instead of growing
+    in(I) again.  The decomposition alone is 7 runs (three saturations,
+    three component bases and the join-meet ideal's run), so the
+    certificate makes 4 + 7 - 1."""
     calls = count_engine_runs(monkeypatch)
     assert radical_certificate(lattice_r(), char).route == "prime_intersection"
     assert calls["_buchberger_core"] == 10
 
 
 def _certificate_against_fold(L, char):
-    """The initial-ideal certificate's verdict on L's decomposition, checked
-    against the intersection fold whenever it holds; None when a component
-    is the zero ideal and neither applies."""
-    jm = join_meet_ideal(L, char)
-    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+    """The initial-ideal certificate's verdict on L's decomposition, which
+    must equal the two-pass full-basis oracle's, run on ideals of its own so
+    that neither reads a basis the other cached; it is checked against the
+    intersection fold whenever it holds, and is None when a component is
+    the zero ideal and the fold does not apply."""
+    def fresh():
+        jm = join_meet_ideal(L, char)
+        return jm.ideal, [c.ideal for c in minimal_primes(L, char, _verify=False)]
+
+    ideal, parts = fresh()
+    certified = _initial_ideals_certify(ideal, parts)
+    assert certified == initial_ideals_certify_full(*fresh())
     if not all(p.generators for p in parts):
         return None
-    certified = _initial_ideals_certify(jm.ideal, parts)
     if certified:
-        assert ideal_equal(_intersect_all(parts), jm.ideal)
+        assert ideal_equal(_intersect_all(parts), ideal)
     return certified
 
 
@@ -481,7 +495,8 @@ def _certificate_against_fold(L, char):
     "Chain:4", "M3", "N5", "DivisorLadder:3", "Q", "R",
 ] + [f"Lk:{n}:{k}" for n in range(2, 7) for k in range(1, n)])
 def test_initial_ideal_certificate_agrees_with_fold(spec, char):
-    """Every radical bundled fixture is certified, and the fold agrees."""
+    """Every radical bundled fixture is certified, and the full-basis
+    oracle and the fold agree."""
     want = None if spec.startswith("Chain") else True
     assert _certificate_against_fold(build_fixture(spec), char) is want
 
@@ -499,6 +514,59 @@ def test_initial_ideal_certificate_fails_on_non_radical_n(char):
     assert _certificate_against_fold(lattice_n(), char) is False
     with pytest.raises(IntersectionMismatch):
         minimal_primes(lattice_n(), char)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_primes_lk_never_builds_the_default_order_basis(monkeypatch, char):
+    """The reversed order, tried first, certifies Lk:6:3, so no pair loop
+    runs under the default order: neither I's basis nor a component's."""
+    orders = []
+    core = groebner._buchberger_core
+
+    def watched(ctx, *args, **kwargs):
+        orders.append(ctx.order)
+        return core(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", watched)
+    L = build_fixture("Lk:6:3")
+    assert len(minimal_primes(L, char)) == 7
+    default = join_meet_ideal(L, char).ring.default_order
+    assert orders and default not in orders
+
+
+def _refuse(*args):
+    raise AssertionError("a Poly was built")
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "Lk:6:3"])
+def test_containment_builds_no_poly(monkeypatch, spec, char):
+    """I ⊆ P_A is decided on packed elements: neither Poly reduction nor a
+    Poly basis is read, in the containment or anywhere in the certificate."""
+    L = build_fixture(spec)
+    ideal = join_meet_ideal(L, char).ideal
+    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+    monkeypatch.setattr(ReducedGB, "reduce", _refuse)
+    monkeypatch.setattr(ReducedGB, "basis", property(_refuse))
+    assert _contained(ideal, parts, _certificate_orders(ideal.ring)[0])
+    assert _initial_ideals_certify(ideal, parts)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "Lk:5:2"])
+def test_containment_matches_poly_reduction(spec, char):
+    """Each component's own generators as the ideal, against every
+    component: the packed test and Poly reduction agree, both ways."""
+    L = build_fixture(spec)
+    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+    verdicts = set()
+    for order in _certificate_orders(parts[0].ring):
+        for q in parts:
+            for p in parts:
+                want = all(not p.groebner(order).reduce(g) for g in q.generators)
+                assert _contained(q, [p], order) is want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("make", [

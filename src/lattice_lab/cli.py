@@ -273,20 +273,27 @@ def make_parser():
 
     p = sub.add_parser("check", help="structural tests of a lattice")
     common(p)
+    # the verb's function is named inside a lambda, so it is looked up
+    # when the verb runs and a patched _cmd_<verb> acts on a built parser
+    p.set_defaults(func=lambda args: _cmd_check(args))
 
     p = sub.add_parser("gb", help="reduced Groebner basis of the join-meet ideal")
     common(p, order=True)
+    p.set_defaults(func=lambda args: _cmd_gb(args))
 
     p = sub.add_parser("ini", help="initial ideal and squarefree verdict")
     common(p, order=True)
+    p.set_defaults(func=lambda args: _cmd_ini(args))
 
     p = sub.add_parser("primes", help="minimal-prime decomposition")
     common(p)
+    p.set_defaults(func=lambda args: _cmd_primes(args))
 
     p = sub.add_parser("radical", help="radicality certificate")
     common(p)
     p.add_argument("--degree-bound", type=int, default=None,
                    help="witness search degree bound, at least 1 (default: height + 2)")
+    p.set_defaults(func=lambda args: _cmd_radical(args))
 
     p = sub.add_parser("scan", help="squarefree scan over monomial orders")
     common(p)
@@ -300,14 +307,17 @@ def make_parser():
     p.add_argument("--jobs", type=int, default=None,
                    help="processes that share a scan, this one included "
                         "(default: the usable CPUs)")
+    p.set_defaults(func=lambda args: _cmd_scan(args))
 
     p = sub.add_parser("lk", help="two-rail family verification suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     common(p, inputs=False)
+    p.set_defaults(func=lambda args: _cmd_lk(args))
 
     p = sub.add_parser("fixtures", help="list bundled fixtures or dump one")
     p.add_argument("--dump", help="fixture spec to dump as lattice JSON")
+    p.set_defaults(func=lambda args: _cmd_fixtures(args))
 
     return parser
 
@@ -316,14 +326,6 @@ def make_parser():
 def _parser():
     """The parser, built once per process."""
     return make_parser()
-
-
-def _command(verb):
-    """The function of a verb, read when the verb runs, so that a patched
-    ``_cmd_<verb>`` acts even after the parser is built."""
-    return {"check": _cmd_check, "gb": _cmd_gb, "ini": _cmd_ini,
-            "primes": _cmd_primes, "radical": _cmd_radical, "scan": _cmd_scan,
-            "lk": _cmd_lk, "fixtures": _cmd_fixtures}[verb]
 
 
 def main(argv=None):
@@ -336,7 +338,7 @@ def main(argv=None):
             except ValueError as exc:
                 raise SystemExit2(f"--char: {exc}") from None
         started = time.perf_counter()
-        status, report, lines = _command(args.verb)(args)
+        status, report, lines = args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

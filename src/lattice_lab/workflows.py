@@ -21,11 +21,11 @@ tried, degrevlex with the variables reversed first, under which the
 component bases are built, then the default one.  The initial ideals stay
 MonomialIdeals, which meet by pairwise lcms; in(I) is grown only until its
 leads cover ∩ in(P_A) or a generator of it is known to lie outside, and
-I ⊆ P_A is read off packed normal forms modulo P_A's basis.  Then,
-when every component is certified prime, a colon witness disproves it: for
-a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f
-outside I with w² in I, so I is not radical, while an intersection of
-primes is.  Both colons come from one binomial basis of I per variable.
+I ⊆ P_A is read off normal forms modulo P_A's basis under the same order.
+Then, when every component is certified prime, a colon witness disproves
+it: for a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives
+w = x·f outside I with w² in I, so I is not radical, while an intersection
+of primes is.  Both colons come from one binomial basis of I per variable.
 Only when neither step decides are the components themselves intersected
 and compared with I.
 
@@ -58,7 +58,6 @@ from .groebner import (
     _bin_reduce_monomial,
     _binomial_buchberger,
     _binomial_colons,
-    _binomial_elements,
     _binomial_shape,
     _Ctx,
     _initial_ideal_toward,
@@ -339,37 +338,18 @@ def _initial_ideals_certify(ideal, parts):
     its leads contain M = ∩ in(P), they are M, since in(I) ⊆ M; and on the
     homogeneous join-meet ideal a pass fails as soon as a generator of M
     lies below the degree the pair loop has completed.  A basis of I the
-    ideal caches is read whole.  I ⊆ P is decided on packed elements
-    (``_contained``).  False means neither order proves it, not that the
+    ideal caches is read whole.  I ⊆ P is decided by normal forms modulo
+    P's basis under the pass's order, the one ``minimal_primes`` cached
+    for the first pass.  False means neither order proves it, not that the
     ideals differ.
     """
     for order in _certificate_orders(ideal.ring):
         meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
         ini = _initial_ideal_toward(ideal, order, meet)
         if ini is not None and ideal_equal(meet, ini):
-            return _contained(ideal, parts, order)
+            return all(not p.groebner(order).reduce(g)
+                       for p in parts for g in ideal.generators)
     return False
-
-
-def _contained(ideal, parts, order):
-    """True when ``ideal`` lies in every one of ``parts``, read off their
-    bases under ``order``; all of them are binomial, as the join-meet ideal
-    and its components are.
-
-    A pure difference c·(x^u - x^v) lies in P exactly when x^u and x^v have
-    one normal form modulo P's binomial basis, and a monomial exactly when
-    its normal form is 0, so no Poly is reduced.  The bases of one order
-    share one packing, in which I's generators are packed once.
-    """
-    elements = _binomial_elements(_Ctx(ideal.ring, order), ideal.generators)
-    for p in parts:
-        gb = p.groebner(order)
-        basis, hm = gb._binomial, gb._ctx.hmask
-        for ak, ap, bk, bp in elements:
-            nf = _bin_reduce_monomial(ak, ap, basis, hm)
-            if nf != (None if bp < 0 else _bin_reduce_monomial(bk, bp, basis, hm)):
-                return False
-    return True
 
 
 def _verify_decomposition(jm, components):

@@ -394,11 +394,12 @@ def _bin_interreduced(ctx, kept):
     return final
 
 
-def _binomial_buchberger(ctx, elements):
+def _binomial_buchberger(ctx, elements, *, stop=None):
     """Reduced basis of a pure-difference/monomial ideal, given binomial
-    elements in either orientation."""
-    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce)
-    return _bin_interreduced(ctx, kept)
+    elements in either orientation, or None when ``stop`` (as in
+    ``_buchberger_core``) ends the run."""
+    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce, stop=stop)
+    return None if kept is None else _bin_interreduced(ctx, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -611,6 +611,17 @@ def radical_certificate(lattice, char=0, degree_bound=None):
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The verdicts of a squarefree order scan.
+
+    ``distinct_initial_ideals`` counts the distinct initial ideals of an
+    exhaustive scan.  It is None for a sampled scan, which settles a
+    non-squarefree order at its first non-squarefree lead m: no order that
+    picks the same leads on m's element and on the elements of lower degree
+    is squarefree, as m is then a minimal generator of its in(I) (proof at
+    ``squarefree_order_scan``).  So a sampled scan never learns the whole
+    of that order's in(I).
+    """
+
     total_orders: int
     any_squarefree: bool
     witness_kind: str | None
@@ -619,7 +630,7 @@ class ScanReport:
     exhaustive: bool
     sample_size: int | None
     seed: int
-    distinct_initial_ideals: int
+    distinct_initial_ideals: int | None
 
 
 def _weight_split(lead, tail):
@@ -635,7 +646,8 @@ def _weight_split(lead, tail):
 
 
 class _Cone:
-    """Groebner cone of one reduced basis G of a join-meet ideal I.
+    """Groebner cone of one reduced basis G of a join-meet ideal I, or a
+    negative cone of a run stopped at its first non-squarefree lead.
 
     An order lies in the cone when it picks the same leading term in every
     element of G; G is then its reduced basis too (Mora–Robbiano), so the
@@ -645,6 +657,15 @@ class _Cone:
     not, so one bitmask per order rejects most cones before any inequality
     is tested.  ``splits`` holds one inequality per binomial of G, the last
     one to fail at the front.
+
+    A negative cone is built the same way from the elements that a
+    sampled scan's run stops at (``_settling_stop``): those of degree
+    below d, E, and the element g whose lead m, of degree d, is not
+    squarefree.  No order that picks the same leads on E and on g is
+    squarefree (``squarefree_order_scan``).  E holds every element of
+    degree two (d > 2, since the degree-two elements are the generators
+    reduced, whose terms are squarefree), so the bitmask prefilter holds
+    for it too.
     """
 
     __slots__ = ("leads", "squarefree", "off_first", "off_second", "splits")
@@ -678,7 +699,29 @@ class _Cone:
         return True
 
 
-def _scan_orders(lattice, kinds, perms, char):
+def _settling_stop(ctx, high, stash):
+    """A stop hook for the pair loop (``_buchberger_core``) on a homogeneous
+    binomial ideal: it ends the run at the first added lead that is not
+    squarefree (``high``: the packed bits of exponents above one, the same
+    in every layout) and leaves in ``stash`` the elements of a negative
+    cone (``_Cone``), those of lower degree and that lead's own."""
+    seen = 0
+
+    def stop(basis, degree):
+        nonlocal seen
+        for j in range(seen, len(basis)):
+            if basis[j][1] & high:
+                d = ctx.degree(basis[j][1])
+                stash.extend(e for e in basis[:j] if ctx.degree(e[1]) < d)
+                stash.append(basis[j])
+                return True
+        seen = len(basis)
+        return False
+
+    return stop
+
+
+def _scan_orders(lattice, kinds, perms, char, settle=False):
     """Scan (kind, permutation) pairs.
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
@@ -688,12 +731,25 @@ def _scan_orders(lattice, kinds, perms, char):
     order object: the engine runs in that order's own packing (``_Ctx``),
     and the basis is repacked into the scan's, ``ctx0``, in which cones and
     leading-term sets are kept.
+
+    With ``settle`` (sampled scans), a run stops at its first lead m that
+    is not squarefree (``_settling_stop``) and leaves a negative cone
+    (``_Cone``): every order that picks the same leads on m's element and
+    on those of lower degree has m as a minimal generator of its in(I)
+    (proof at ``squarefree_order_scan``).  That needs pairs to leave the
+    heap by degree on a homogeneous ideal, so it applies only when every
+    generator is homogeneous, as those of a join-meet ideal are; otherwise
+    runs stay whole.  A squarefree verdict, and so the witness, comes only
+    from a whole reduced basis, and the leading-term sets are those of the
+    whole bases, so they count the distinct initial ideals only when
+    nothing settles.
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     n = ring.nvars
     ctx0 = _Ctx(ring, degrevlex(ring.variables))
     gens = [tuple(g.terms) for g in jm.ideal.generators]
+    settle = settle and all(sum(m1) == sum(m2) for m1, m2 in gens)
     sides = [(ctx0.pack(m1), ctx0.pack(m2)) for m1, m2 in gens]
     gen_splits = [(1 << i, *_weight_split(m1, m2))
                   for i, (m1, m2) in enumerate(gens)]
@@ -736,11 +792,16 @@ def _scan_orders(lattice, kinds, perms, char):
                     kind, tuple(ring.variables[i] for i in perm)))
                 elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
                 back = ctx0.repacker(ctx)
+                stash = []
+                basis = _binomial_buchberger(
+                    ctx, elements,
+                    stop=_settling_stop(ctx, high, stash) if settle else None)
                 reduced = [(lk, back(lp), tk, tp if tp < 0 else back(tp))
-                           for lk, lp, tk, tp in _binomial_buchberger(ctx, elements)]
+                           for lk, lp, tk, tp in (stash if basis is None else basis)]
                 cone = _Cone(reduced, sides, high, split)
                 cones.insert(0, cone)
-                leading.append(cone.leads)
+                if basis is not None:
+                    leading.append(cone.leads)
             counts[kind]["orders"] += 1
             if cone.squarefree:
                 counts[kind]["squarefree"] += 1
@@ -760,6 +821,20 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     ``_scan_parallel`` into contiguous blocks of the order list, up to
     ``jobs`` of them (default: the CPUs this process may use), and the
     report does not depend on the split.
+
+    A sampled scan settles a non-squarefree order at its first lead m that
+    is not squarefree, of degree d, and keeps a negative cone (``_Cone``)
+    of the elements added so far of degree below d, E, and m's element g.
+    The join-meet ideal is homogeneous and pairs leave the heap by degree,
+    so the leads of E generate in(I) below d, and none of them divides m.
+    Under any order that picks the same leads on E and on g,
+    (1) the leads of E lie in its in(I) and, as dim in(I)_e = dim I_e in
+    each degree e, generate it below d; (2) m lies in its in(I), and no
+    lead of E divides m; (3) so m is a minimal generator of in(I), and the
+    order is not squarefree.  A squarefree verdict and the witness come
+    only from whole reduced bases, and exhaustive scans build only those.
+    A sampled scan does not learn each order's whole in(I), so its report's
+    ``distinct_initial_ideals`` is None.
     """
     if not 0 < len(kinds) == len(set(kinds) & {"lex", "degrevlex"}):
         raise PreconditionViolated(
@@ -779,7 +854,7 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         perms = [tuple(rng.sample(range(n), n)) for _ in range(sample)]
         sample_size = sample
     counts, witness, leading = _scan_parallel(lattice, kinds, perms, char,
-                                              jobs or _usable_cpus())
+                                              jobs or _usable_cpus(), not exhaustive)
     total = sum(c["orders"] for c in counts.values())
     return ScanReport(
         total_orders=total,
@@ -790,7 +865,7 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         exhaustive=exhaustive,
         sample_size=sample_size,
         seed=seed,
-        distinct_initial_ideals=len(leading),
+        distinct_initial_ideals=len(leading) if exhaustive else None,
     )
 
 
@@ -828,30 +903,33 @@ class _Permutations:
 def _scan_chunk(args):
     """Scan one block in a worker, which rebuilds the lattice from its
     elements and covers, so that no state from the parent is needed."""
-    lattice_data, kinds, perms, char = args
-    return _scan_orders(build_lattice(*lattice_data), kinds, perms, char)
+    lattice_data, kinds, perms, char, settle = args
+    return _scan_orders(build_lattice(*lattice_data), kinds, perms, char, settle)
 
 
-def _scan_parallel(lattice, kinds, perms, char, jobs):
+def _scan_parallel(lattice, kinds, perms, char, jobs, settle):
     """Scan the order list ``perms`` in contiguous blocks, one per process.
 
     There are min(jobs, usable CPUs, len(perms)) blocks, so that each
     block's cone cache warms once.  The calling process scans block 0
     itself beside a pool of one worker per other block, and a single block
-    runs with no pool at all.  Blocks merge in order, so the counts, the
-    first witness and the distinct initial ideals match a serial scan.
+    runs with no pool at all.  Every block is scanned with ``settle`` as in
+    ``_scan_orders``.  Blocks merge in order, so the counts, the first
+    witness and the distinct initial ideals match a serial scan.
     """
     total = len(perms)
     size = -(-total // min(jobs, _usable_cpus(), total))
     blocks = [perms[i:i + size] for i in range(0, total, size)]
     if len(blocks) == 1:
-        return _scan_orders(lattice, kinds, perms, char)
+        return _scan_orders(lattice, kinds, perms, char, settle)
     from multiprocessing import Pool
 
     data = (lattice.elements, lattice.covers)
     with Pool(len(blocks) - 1) as pool:
-        rest = pool.imap(_scan_chunk, [(data, kinds, b, char) for b in blocks[1:]])
-        counts, witness, leading = _scan_orders(lattice, kinds, blocks[0], char)
+        rest = pool.imap(_scan_chunk, [(data, kinds, b, char, settle)
+                                       for b in blocks[1:]])
+        counts, witness, leading = _scan_orders(lattice, kinds, blocks[0], char,
+                                                settle)
         leading = set(leading)
         for c, w, lead_sets in rest:
             for k in kinds:
@@ -989,14 +1067,16 @@ def lk_suite(n, k, char=0):
 
     components = minimal_primes(lattice, char, _verify=False)
     _verify_decomposition(jm, components)
-    # P_A holds exactly the variables of A: match it with that prime alone
+    # P_A holds exactly the variables of A: match it with that prime alone,
+    # by reduced bases under the order whose basis each component caches
+    first = _certificate_orders(ring)[0]
     expected = {frozenset(ring.variables[i] for g in ideal.generators
                           if len(g.terms) == 1 for i in g.support()): (name, ideal)
                 for name, ideal in lk_expected_primes(n, k, ring, I)}
     names = {}
     for comp in components:
         name, ideal = expected.get(frozenset(comp.admissible), (None, None))
-        if ideal is not None and ideal_equal(comp.ideal, ideal):
+        if ideal is not None and comp.ideal.groebner(first) == ideal.groebner(first):
             names[name] = comp
     matched = len(components) == len(expected) == len(names)
     stages.append(StageResult(

@@ -261,6 +261,7 @@ GOLDEN_RUNS.update({
     "ini_Lk_3_1": ["ini", "--fixture", "Lk:3:1"],
     "scan_N_sample_seed11": ["scan", "--fixture", "N", "--sample", "300", "--seed", "11"],
     "scan_N5_exhaustive": ["scan", "--fixture", "N5", "--exhaustive", "--jobs", "1"],
+    "scan_R_sample_seed5": ["scan", "--fixture", "R", "--sample", "100", "--seed", "5"],
     "lk_4_2_char0": ["lk", "--n", "4", "--k", "2"],
     "lk_4_2_char32003": ["lk", "--n", "4", "--k", "2", "--char", str(P)],
     "gb_Q_lex": ["gb", "--fixture", "Q", "--order", "lex:d,a,g,c,f,b,e"],

@@ -443,13 +443,18 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
 @pytest.mark.parametrize("run, runs", [
     pytest.param(lambda char: radical_certificate(lattice_n(), char), 16,
                  id="radical-N"),
-    pytest.param(lambda char: lk_suite(6, 3, char), 19, id="lk-6-3"),
+    pytest.param(lambda char: lk_suite(6, 3, char), 16, id="lk-6-3"),
+    pytest.param(lambda char: lk_suite(4, 2, char), 16, id="lk-4-2"),
+    pytest.param(lambda char: lk_suite(6, 1, char), 13, id="lk-6-1"),
 ])
 def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     """N's non-radicality is decided by its colon witness, whose bases the
     capped search's fallback reads again from the cache; the lk suite's
     intersection identity keeps I's shared generators out of the t and
-    (1-t) products, so all of it stays on the binomial engine."""
+    (1-t) products, so all of it stays on the binomial engine.  The suite
+    matches each component with its expected prime under the order whose
+    basis the component caches, so it builds no component basis under the
+    default order (which took 19, 19 and 15 runs)."""
     calls = count_engine_runs(monkeypatch)
     run(char)
     assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
@@ -966,8 +971,24 @@ _ORACLE_CASES = [
 ]
 
 
+def _sampled(n, count, seed):
+    """The permutations of a sampled scan, by squarefree_order_scan's recipe."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(n), n)) for _ in range(count)]
+
+
+def _verdicts(rep):
+    """(counts, witness) of a ScanReport, as the oracle gives them."""
+    witness = (rep.witness_kind, rep.witness_priority) if rep.any_squarefree \
+        else None
+    return rep.counts, witness
+
+
 @pytest.mark.parametrize("make, kinds, perms", _ORACLE_CASES)
 def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms):
+    """A sampled scan settles non-squarefree orders at their first
+    non-squarefree lead, so it reports no count of distinct initial
+    ideals; full and prefix scans match all three figures."""
     lattice = make()
     n = len(lattice.elements)
     if perms[0] == "prefix":
@@ -980,16 +1001,56 @@ def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms):
             options = dict(exhaustive=True)
         else:
             _, count, seed = perms
-            rng = random.Random(seed)  # the recipe squarefree_order_scan uses
-            ps = [tuple(rng.sample(range(n), n)) for _ in range(count)]
+            ps = _sampled(n, count, seed)
             options = dict(exhaustive=False, sample=count, seed=seed)
         rep = squarefree_order_scan(lattice, kinds=kinds, jobs=1, **options)
-        counts = rep.counts
-        witness = (rep.witness_kind, rep.witness_priority) if rep.any_squarefree \
-            else None
+        counts, witness = _verdicts(rep)
         distinct = rep.distinct_initial_ideals
-    assert (counts, witness, distinct) == scan_orders_uncached(
-        lattice, kinds, ps, 0)
+    want = scan_orders_uncached(lattice, kinds, ps, 0)
+    if perms[0] == "sample":
+        want = (*want[:2], None)
+    assert (counts, witness, distinct) == want
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]),
+       st.sampled_from([("lex",), ("degrevlex",), _BOTH, _BOTH[::-1]]),
+       st.integers(0, 1 << 20))
+@settings(max_examples=100, deadline=None)
+def test_sampled_scan_matches_uncached_oracle_on_closure_systems(L, char, kinds,
+                                                                 seed):
+    """Negative cones (``_Cone``) never change a verdict: the counts and the
+    witness of a sampled scan are the whole-basis oracle's."""
+    count = 30
+    rep = squarefree_order_scan(L, kinds=kinds, exhaustive=False, sample=count,
+                                seed=seed, char=char, jobs=1)
+    ps = _sampled(len(L.elements), count, seed)
+    assert _verdicts(rep) == scan_orders_uncached(L, kinds, ps, char)[:2]
+
+
+def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
+                                                                  lattice_R):
+    """No order of R is squarefree, so every run of a sampled scan ends at
+    its hook: 184 runs for R's 200 sampled orders (seed 5), forming 1,951
+    S-elements where the whole reduced bases form 13,701."""
+    calls = {"runs": 0, "stopped": 0, "s_elements": 0}
+    core, s_element = groebner._buchberger_core, groebner._bin_s_element
+
+    def run(*args, **kwargs):
+        calls["runs"] += 1
+        kept = core(*args, **kwargs)
+        calls["stopped"] += kept is None
+        return kept
+
+    def formed(*args):
+        calls["s_elements"] += 1
+        return s_element(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", run)
+    monkeypatch.setattr(groebner, "_bin_s_element", formed)
+    rep = squarefree_order_scan(lattice_R, exhaustive=False, sample=100, seed=5,
+                                jobs=1)
+    assert not rep.any_squarefree and rep.total_orders == 200
+    assert calls == {"runs": 184, "stopped": 184, "s_elements": 1951}
 
 
 def test_scan_q_witness_is_the_first_order(lattice_Q):

@@ -36,7 +36,6 @@ from .errors import (
 from .poly import (
     BlockOrder,
     Poly,
-    MAX_EXPONENT,
     degrevlex,
     mono_divides,
     _check_monomial,
@@ -54,11 +53,14 @@ def _overflow():
 @lru_cache(maxsize=None)
 def _field_constants(n):
     """The constants of n fields that do not depend on their order: the
-    guard mask, the degree fold's masks and shift (odd fields fold onto even
-    ones in 32-bit slots, then one multiply by a ones-per-slot vector leaves
-    the total in the top slot), the byte length and the fields' struct."""
+    guard mask, the mask of exponents above one (a packed monomial is
+    squarefree when it has none of those bits), the degree fold's masks and
+    shift (odd fields fold onto even ones in 32-bit slots, then one multiply
+    by a ones-per-slot vector leaves the total in the top slot), the byte
+    length and the fields' struct."""
     slots = max(1, (n + 1) // 2)
     return (sum(_GUARD << (_FIELD * f) for f in range(n)),
+            sum((_GUARD - 2) << (_FIELD * f) for f in range(n)),
             sum(((1 << _FIELD) - 1) << (2 * _FIELD * i) for i in range(slots)),
             sum(1 << (2 * _FIELD * i) for i in range(slots)),
             2 * _FIELD * (slots - 1),
@@ -86,9 +88,9 @@ class _Ctx:
     (A, S, ((C_v, shift of v), ...)).
     """
 
-    __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask", "linear",
-                 "key_packed", "unpack", "_field_of", "_pairs", "_ones", "_top",
-                 "_bytes", "_struct")
+    __slots__ = ("ring", "order", "n", "weights", "shifts", "hmask", "above_one",
+                 "linear", "key_packed", "unpack", "_field_of", "_pairs", "_ones",
+                 "_top", "_bytes", "_struct")
 
     def __init__(self, ring, order):
         self.ring = ring
@@ -109,8 +111,8 @@ class _Ctx:
             drops = tuple((self.weights[i] - inner_weights[i], self.shifts[i])
                           for i in map(ring.index.__getitem__, drop))
         self.linear = (a, -1 if a else 1, drops)
-        (self.hmask, self._pairs, self._ones, self._top, self._bytes,
-         self._struct) = _field_constants(n)
+        (self.hmask, self.above_one, self._pairs, self._ones, self._top,
+         self._bytes, self._struct) = _field_constants(n)
         self.key_packed = self._linear_key()
         self.unpack = self._unpacker()
 
@@ -643,8 +645,8 @@ class MonomialIdeal:
     gens = property(lambda self: frozenset(map(self._ctx.unpack, self._packed)))
 
     def is_squarefree(self):
-        high = self._ctx.pack([MAX_EXPONENT - 2] * self._ctx.n)  # exponents > 1
-        return not any(p & high for p in self._packed)
+        above_one = self._ctx.above_one
+        return not any(p & above_one for p in self._packed)
 
     def contains(self, mono):
         ctx = self._ctx

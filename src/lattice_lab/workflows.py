@@ -42,7 +42,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
+from operator import gt, itemgetter, lt
 
 from .errors import (
     IntersectionMismatch,
@@ -633,16 +633,17 @@ class ScanReport:
     distinct_initial_ideals: int | None
 
 
-def _weight_split(lead, tail):
-    """Getters of the weights of lead/gcd and of tail/gcd out of w + (0,):
-    the order with weights w puts lead above tail exactly when the first
-    getter's weights sum to more.  Each side is padded with two copies of
-    the zero weight at index n, so that each getter returns a tuple."""
-    n = len(lead)
-    up, down = [], []
-    for i, (a, b) in enumerate(zip(lead, tail)):
-        (up if a > b else down).extend([i] * abs(a - b))
-    return itemgetter(*up, n, n), itemgetter(*down, n, n)
+def _tuple_order(kind, perm):
+    """The key and comparison of the ``kind`` order with priority ``perm``
+    (variable indices, highest first) on exponent tuples of one degree: the
+    order puts a above b exactly when ``above(key(a), key(b))``.  Lex reads
+    the tuples in ``perm`` order and the larger is above.  Degrevlex reads
+    them in reversed ``perm`` order and the smaller is above, which holds
+    only between tuples of one degree, as the two terms of every binomial of
+    a homogeneous ideal are."""
+    if kind == "lex":
+        return itemgetter(*perm), gt
+    return itemgetter(*perm[::-1]), lt
 
 
 class _Cone:
@@ -654,9 +655,10 @@ class _Cone:
     squarefree verdict carries over.  Under such an order the leading term
     of each generator lies in in(I) = <lead(G)>; ``off_first`` and
     ``off_second`` mark the generators whose first or second monomial does
-    not, so one bitmask per order rejects most cones before any inequality
-    is tested.  ``splits`` holds one inequality per binomial of G, the last
-    one to fail at the front.
+    not, so one bitmask per order rejects most cones before any comparison
+    is made.  ``pairs`` holds the (lead, tail) exponent tuples of each
+    binomial of G, the last one to fail at the front.  I is homogeneous, so
+    each pair is compared by ``_tuple_order``'s rule for its kind.
 
     A negative cone is built the same way from the elements that a
     sampled scan's run stops at (``_settling_stop``): those of degree
@@ -668,49 +670,49 @@ class _Cone:
     for it too.
     """
 
-    __slots__ = ("leads", "squarefree", "off_first", "off_second", "splits")
+    __slots__ = ("leads", "squarefree", "off_first", "off_second", "pairs")
 
-    def __init__(self, reduced, sides, high, split):
-        """``reduced``: binomial elements of G; ``sides``: the packed
-        (first, second) monomials of each generator of I; ``high``: the
-        packed mask of exponents above one; ``split(lead, tail)``: the
-        inequality of a packed binomial."""
-        leads = frozenset(e[1] for e in reduced)
-        self.leads = leads
-        self.squarefree = all(lp & high == 0 for lp in leads)
+    def __init__(self, ctx, elements, gens):
+        """``elements``: binomial elements of G, packed by ``ctx``, the
+        context of the run that found them; ``gens``: the (first, second)
+        exponent tuples of each generator of I."""
+        unpack = ctx.unpack
+        self.squarefree = not any(e[1] & ctx.above_one for e in elements)
+        leads = self.leads = frozenset(unpack(e[1]) for e in elements)
         # I is generated in degree two, so every lead has degree >= 2 and a
         # degree-two monomial lies in <lead(G)> exactly when it is a lead
         self.off_first = self.off_second = 0
-        for i, (p1, p2) in enumerate(sides):
-            if p1 not in leads:
+        for i, (m1, m2) in enumerate(gens):
+            if m1 not in leads:
                 self.off_first |= 1 << i
-            if p2 not in leads:
+            if m2 not in leads:
                 self.off_second |= 1 << i
-        self.splits = [split(lp, tp) for _, lp, _, tp in reduced if tp >= 0]
+        self.pairs = [(unpack(lp), unpack(tp)) for _, lp, _, tp in elements if tp >= 0]
 
-    def contains(self, w0):
-        """True when the weights w, given as w0 = w + (0,), lie in the cone."""
-        splits = self.splits
-        for j, (up, down) in enumerate(splits):
-            if sum(up(w0)) <= sum(down(w0)):
+    def contains(self, key, above):
+        """True when the order of ``_tuple_order``'s (key, above) lies in
+        the cone."""
+        pairs = self.pairs
+        for j, (lead, tail) in enumerate(pairs):
+            if not above(key(lead), key(tail)):
                 if j:
-                    splits.insert(0, splits.pop(j))
+                    pairs.insert(0, pairs.pop(j))
                 return False
         return True
 
 
-def _settling_stop(ctx, high, stash):
+def _settling_stop(ctx, stash):
     """A stop hook for the pair loop (``_buchberger_core``) on a homogeneous
     binomial ideal: it ends the run at the first added lead that is not
-    squarefree (``high``: the packed bits of exponents above one, the same
-    in every layout) and leaves in ``stash`` the elements of a negative
-    cone (``_Cone``), those of lower degree and that lead's own."""
+    squarefree (one with a bit of ``ctx.above_one``) and leaves in
+    ``stash`` the elements of a negative cone (``_Cone``), those of lower
+    degree and that lead's own."""
     seen = 0
 
     def stop(basis, degree):
         nonlocal seen
         for j in range(seen, len(basis)):
-            if basis[j][1] & high:
+            if basis[j][1] & ctx.above_one:
                 d = ctx.degree(basis[j][1])
                 stash.extend(e for e in basis[:j] if ctx.degree(e[1]) < d)
                 stash.append(basis[j])
@@ -725,12 +727,13 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     """Scan (kind, permutation) pairs.
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
-    the leading-term set of each distinct initial ideal met.  Each order is
-    tested, as its weight vector, against the Groebner cones found so far,
-    most recently used first.  Only an order outside all of them becomes an
-    order object: the engine runs in that order's own packing (``_Ctx``),
-    and the basis is repacked into the scan's, ``ctx0``, in which cones and
-    leading-term sets are kept.
+    the leading-term set, as exponent tuples, of each distinct initial ideal
+    met.  Each order is tested against the Groebner cones found so far, most
+    recently used first, by comparing exponent tuples (``_tuple_order``):
+    the join-meet ideal is homogeneous, as the degrevlex rule needs.  Only an
+    order outside all of them becomes an order object, and the engine runs
+    in that order's own packing (``_Ctx``).  The new cone unpacks the run's
+    basis once into exponent tuples.
 
     With ``settle`` (sampled scans), a run stops at its first lead m that
     is not squarefree (``_settling_stop``) and leaves a negative cone
@@ -746,43 +749,22 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
-    n = ring.nvars
-    ctx0 = _Ctx(ring, degrevlex(ring.variables))
     gens = [tuple(g.terms) for g in jm.ideal.generators]
     settle = settle and all(sum(m1) == sum(m2) for m1, m2 in gens)
-    sides = [(ctx0.pack(m1), ctx0.pack(m2)) for m1, m2 in gens]
-    gen_splits = [(1 << i, *_weight_split(m1, m2))
-                  for i, (m1, m2) in enumerate(gens)]
     everything = (1 << len(gens)) - 1
-    high = ctx0.pack([MAX_EXPONENT - 2] * n)  # the bits of exponents above one
-    # the weight of each rank under each kind: the weights of the ring's own
-    # variable order, where variable i has rank i
-    rank_weights = {k: MonomialOrder(k).weights(ring) for k in kinds}
-    known_splits = {}  # nearby cones share most of their binomials
-
-    def split(lead, tail):
-        s = known_splits.get((lead, tail))
-        if s is None:
-            s = known_splits[lead, tail] = _weight_split(
-                ctx0.unpack(lead), ctx0.unpack(tail))
-        return s
-
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
     cones = []
     leading = []
     for perm in perms:
-        rank = sorted(range(n), key=perm.__getitem__)
         for kind in kinds:
-            w0 = [*map(rank_weights[kind].__getitem__, rank), 0]
-            first = 0
-            for bit, up, down in gen_splits:
-                if sum(up(w0)) > sum(down(w0)):
-                    first |= bit
+            key, above = _tuple_order(kind, perm)
+            first = sum(1 << i for i, (m1, m2) in enumerate(gens)
+                        if above(key(m1), key(m2)))
             second = everything ^ first
             for c, cone in enumerate(cones):
                 if (first & cone.off_first or second & cone.off_second
-                        or not cone.contains(w0)):
+                        or not cone.contains(key, above)):
                     continue
                 if c:
                     cones.insert(0, cones.pop(c))
@@ -791,14 +773,10 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                 ctx = _Ctx(ring, MonomialOrder(
                     kind, tuple(ring.variables[i] for i in perm)))
                 elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
-                back = ctx0.repacker(ctx)
                 stash = []
                 basis = _binomial_buchberger(
-                    ctx, elements,
-                    stop=_settling_stop(ctx, high, stash) if settle else None)
-                reduced = [(lk, back(lp), tk, tp if tp < 0 else back(tp))
-                           for lk, lp, tk, tp in (stash if basis is None else basis)]
-                cone = _Cone(reduced, sides, high, split)
+                    ctx, elements, stop=_settling_stop(ctx, stash) if settle else None)
+                cone = _Cone(ctx, stash if basis is None else basis, gens)
                 cones.insert(0, cone)
                 if basis is not None:
                     leading.append(cone.leads)
@@ -821,6 +799,13 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     ``_scan_parallel`` into contiguous blocks of the order list, up to
     ``jobs`` of them (default: the CPUs this process may use), and the
     report does not depend on the split.
+
+    The engine runs once per Groebner cone met, not once per order: each
+    order is tested against the cones found so far by comparing exponent
+    tuples (``_tuple_order``).  Lex reads them in priority order; degrevlex
+    reads them in reversed priority order, which ranks only monomials of
+    one degree, so the scan needs homogeneous input, as every join-meet
+    ideal is.
 
     A sampled scan settles a non-squarefree order at its first lead m that
     is not squarefree, of degree d, and keeps a negative cone (``_Cone``)

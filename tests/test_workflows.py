@@ -61,7 +61,7 @@ from lattice_lab.lattice import (
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from lattice_lab.poly import Poly, product
+from lattice_lab.poly import MonomialOrder, Poly, compare, product
 from lattice_lab.snf import smith_normal_form
 from lattice_lab.workflows import (
     _colon_witness,
@@ -71,6 +71,7 @@ from lattice_lab.workflows import (
     _monomial_normal_forms,
     _prime_component,
     _scan_orders,
+    _tuple_order,
     _witness_search,
 )
 
@@ -949,6 +950,16 @@ def _boolean_cube():
     return product_lattice(ladder(2), chain(2))
 
 
+def _cube_without_a_coatom():
+    """B3 with the coatom {2, 3} removed, as a closure system on {0, 1, 2, 3}
+    (s<bits>): of its 5,040 orders, 3,324 are squarefree under lex and
+    3,240 under degrevlex, and they meet 68 initial ideals."""
+    return build_lattice(
+        ["s0", "s10", "s15", "s2", "s4", "s6", "s8"],
+        [("s0", "s2"), ("s0", "s4"), ("s0", "s8"), ("s2", "s6"), ("s2", "s10"),
+         ("s4", "s6"), ("s8", "s10"), ("s6", "s15"), ("s10", "s15")])
+
+
 _BOTH = ("lex", "degrevlex")
 
 
@@ -958,6 +969,8 @@ _ORACLE_CASES = [
     pytest.param(lambda: lk(2, 1), _BOTH, ("full",), id="Lk21-full"),
     pytest.param(lattice_q, _BOTH, ("full",), id="Q-full"),
     pytest.param(lattice_q, ("lex",), ("full",), id="Q-full-lex"),
+    pytest.param(_cube_without_a_coatom, _BOTH, ("full",),
+                 id="B3-minus-coatom-full"),
     pytest.param(lattice_n, _BOTH, ("sample", 100, 3), id="N-sample"),
     pytest.param(lattice_r, _BOTH, ("sample", 100, 5), id="R-sample"),
     pytest.param(_boolean_cube, ("lex",), ("sample", 100, 1),
@@ -1051,6 +1064,28 @@ def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
                                 jobs=1)
     assert not rep.any_squarefree and rep.total_orders == 200
     assert calls == {"runs": 184, "stopped": 184, "s_elements": 1951}
+
+
+@st.composite
+def _ordered_pairs(draw):
+    """A priority of n variables and two exponent tuples of one degree."""
+    n = draw(st.integers(1, 7))
+    degree = draw(st.integers(0, 6))
+    picks = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)
+    a, b = (tuple(map(draw(picks).count, range(n))) for _ in "ab")
+    return draw(st.permutations(range(n))), a, b
+
+
+@given(st.sampled_from(["lex", "degrevlex"]), _ordered_pairs())
+def test_tuple_order_is_the_monomial_order_on_one_degree(kind, case):
+    """The scan's cone test compares exponent tuples (``_tuple_order``); it
+    must rank homogeneous pairs as ``compare`` does under the same order."""
+    perm, a, b = case
+    ring = PolyRing([f"x{i}" for i in range(len(perm))])
+    order = MonomialOrder(kind, tuple(ring.variables[i] for i in perm))
+    key, above = _tuple_order(kind, perm)
+    sign = compare(order, ring, a, b)
+    assert (above(key(a), key(b)), above(key(b), key(a))) == (sign > 0, sign < 0)
 
 
 def test_scan_q_witness_is_the_first_order(lattice_Q):

@@ -72,7 +72,6 @@ from .groebner import (
 from .lattice import (
     AdmissibleSet,
     basic_binomial_pairs,
-    build_lattice,
     enumerate_admissible_sets,
     restrict_to_complement,
 )
@@ -728,29 +727,28 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
     the leading-term set, as exponent tuples, of each distinct initial ideal
-    met.  Each order is tested against the Groebner cones found so far, most
-    recently used first, by comparing exponent tuples (``_tuple_order``):
-    the join-meet ideal is homogeneous, as the degrevlex rule needs.  Only an
-    order outside all of them becomes an order object, and the engine runs
-    in that order's own packing (``_Ctx``).  The new cone unpacks the run's
-    basis once into exponent tuples.
+    met.  The ideal scanned is the join-meet ideal, whose generators
+    ab - (a∧b)(a∨b) are homogeneous of degree two; the degrevlex rule of
+    ``_tuple_order`` and ``settle`` both rely on that.  Each order is tested
+    against the Groebner cones found so far, most recently used first, by
+    comparing exponent tuples (``_tuple_order``).  Only an order outside all
+    of them becomes an order object, and the engine runs in that order's
+    own packing (``_Ctx``).  The new cone unpacks the run's basis once into
+    exponent tuples.
 
     With ``settle`` (sampled scans), a run stops at its first lead m that
     is not squarefree (``_settling_stop``) and leaves a negative cone
     (``_Cone``): every order that picks the same leads on m's element and
     on those of lower degree has m as a minimal generator of its in(I)
-    (proof at ``squarefree_order_scan``).  That needs pairs to leave the
-    heap by degree on a homogeneous ideal, so it applies only when every
-    generator is homogeneous, as those of a join-meet ideal are; otherwise
-    runs stay whole.  A squarefree verdict, and so the witness, comes only
-    from a whole reduced basis, and the leading-term sets are those of the
-    whole bases, so they count the distinct initial ideals only when
+    (proof at ``squarefree_order_scan``), as pairs leave the heap by degree
+    on a homogeneous ideal.  A squarefree verdict, and so the witness, comes
+    only from a whole reduced basis, and the leading-term sets are those of
+    the whole bases, so they count the distinct initial ideals only when
     nothing settles.
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     gens = [tuple(g.terms) for g in jm.ideal.generators]
-    settle = settle and all(sum(m1) == sum(m2) for m1, m2 in gens)
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
@@ -795,10 +793,15 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
 
     Exhausts all permutations for rings with at most eight variables by
     default and takes a seeded sample above that; ``exhaustive=True`` forces
-    the full enumeration.  Exhaustive and sampled scans alike are split by
-    ``_scan_parallel`` into contiguous blocks of the order list, up to
-    ``jobs`` of them (default: the CPUs this process may use), and the
-    report does not depend on the split.
+    the full enumeration.  The scan's permutations form one stream, all of
+    them in itertools order or ``sample`` draws of ``random.Random(seed)``,
+    and it is cut into contiguous blocks of indices (``_scan_block``), one
+    per process, up to ``jobs`` of them (default: the CPUs this process may
+    use), so that each block's cone cache warms once.  The calling process
+    scans block 0 beside a pool of one worker per other block, and a single
+    block runs with no pool at all.  Blocks merge in order, so the counts,
+    the first witness and the distinct initial ideals do not depend on the
+    split.
 
     The engine runs once per Groebner cone met, not once per order: each
     order is tested against the cones found so far by comparing exponent
@@ -831,24 +834,37 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     n = len(lattice.elements)
     if exhaustive is None:
         exhaustive = n <= 8
-    if exhaustive:
-        perms = _Permutations(n)
-        sample_size = None
+    total = math.factorial(n) if exhaustive else sample
+    cpus = _usable_cpus()
+    size = -(-total // min(jobs or cpus, cpus, total))
+    blocks = [(lattice, kinds, exhaustive, seed, start, min(start + size, total), char)
+              for start in range(0, total, size)]
+    if len(blocks) == 1:
+        results = [_scan_block(blocks[0])]
     else:
-        rng = random.Random(seed)
-        perms = [tuple(rng.sample(range(n), n)) for _ in range(sample)]
-        sample_size = sample
-    counts, witness, leading = _scan_parallel(lattice, kinds, perms, char,
-                                              jobs or _usable_cpus(), not exhaustive)
-    total = sum(c["orders"] for c in counts.values())
+        from multiprocessing import Pool
+
+        with Pool(len(blocks) - 1) as pool:
+            rest = pool.imap(_scan_block, blocks[1:])
+            results = [_scan_block(blocks[0]), *rest]
+    counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
+    witness = None
+    leading = set()
+    for c, w, lead_sets in results:
+        for k in kinds:
+            counts[k]["orders"] += c[k]["orders"]
+            counts[k]["squarefree"] += c[k]["squarefree"]
+        if witness is None:
+            witness = w
+        leading.update(lead_sets)
     return ScanReport(
-        total_orders=total,
+        total_orders=total * len(kinds),
         any_squarefree=witness is not None,
         witness_kind=witness[0] if witness else None,
         witness_priority=witness[1] if witness else None,
         counts=counts,
         exhaustive=exhaustive,
-        sample_size=sample_size,
+        sample_size=None if exhaustive else sample,
         seed=seed,
         distinct_initial_ideals=len(leading) if exhaustive else None,
     )
@@ -862,68 +878,21 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-class _Permutations:
-    """The permutations of range(n) from ``start`` to ``stop`` in
-    itertools order: a lazy, picklable block of an exhaustive scan."""
-
-    __slots__ = ("n", "start", "stop")
-
-    def __init__(self, n, start=0, stop=None):
-        self.n = n
-        self.start = start
-        self.stop = math.factorial(n) if stop is None else stop
-
-    def __len__(self):
-        return self.stop - self.start
-
-    def __getitem__(self, block):
-        start, stop, _ = block.indices(len(self))
-        return _Permutations(self.n, self.start + start, self.start + stop)
-
-    def __iter__(self):
-        return itertools.islice(itertools.permutations(range(self.n)),
-                                self.start, self.stop)
-
-
-def _scan_chunk(args):
-    """Scan one block in a worker, which rebuilds the lattice from its
-    elements and covers, so that no state from the parent is needed."""
-    lattice_data, kinds, perms, char, settle = args
-    return _scan_orders(build_lattice(*lattice_data), kinds, perms, char, settle)
-
-
-def _scan_parallel(lattice, kinds, perms, char, jobs, settle):
-    """Scan the order list ``perms`` in contiguous blocks, one per process.
-
-    There are min(jobs, usable CPUs, len(perms)) blocks, so that each
-    block's cone cache warms once.  The calling process scans block 0
-    itself beside a pool of one worker per other block, and a single block
-    runs with no pool at all.  Every block is scanned with ``settle`` as in
-    ``_scan_orders``.  Blocks merge in order, so the counts, the first
-    witness and the distinct initial ideals match a serial scan.
-    """
-    total = len(perms)
-    size = -(-total // min(jobs, _usable_cpus(), total))
-    blocks = [perms[i:i + size] for i in range(0, total, size)]
-    if len(blocks) == 1:
-        return _scan_orders(lattice, kinds, perms, char, settle)
-    from multiprocessing import Pool
-
-    data = (lattice.elements, lattice.covers)
-    with Pool(len(blocks) - 1) as pool:
-        rest = pool.imap(_scan_chunk, [(data, kinds, b, char, settle)
-                                       for b in blocks[1:]])
-        counts, witness, leading = _scan_orders(lattice, kinds, blocks[0], char,
-                                                settle)
-        leading = set(leading)
-        for c, w, lead_sets in rest:
-            for k in kinds:
-                counts[k]["orders"] += c[k]["orders"]
-                counts[k]["squarefree"] += c[k]["squarefree"]
-            if witness is None:
-                witness = w  # blocks arrive in order, first hit is earliest
-            leading.update(lead_sets)
-    return counts, witness, leading
+def _scan_block(args):
+    """Scan the orders from index ``start`` to ``stop`` of a scan's
+    permutation stream, which this process regenerates: every permutation
+    of range(n) in itertools order when exhaustive, else draws of
+    ``random.Random(seed)``.  A sampled block settles its runs
+    (``_scan_orders``)."""
+    lattice, kinds, exhaustive, seed, start, stop, char = args
+    n = len(lattice.elements)
+    if exhaustive:
+        stream = itertools.permutations(range(n))
+    else:
+        rng = random.Random(seed)
+        stream = (tuple(rng.sample(range(n), n)) for _ in itertools.count())
+    return _scan_orders(lattice, kinds, itertools.islice(stream, start, stop), char,
+                        settle=not exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,8 +1019,7 @@ def lk_suite(n, k, char=0):
     stages.append(StageResult("squarefree_with_diagonal_lex",
                               ini_diag_lex.is_squarefree()))
 
-    components = minimal_primes(lattice, char, _verify=False)
-    _verify_decomposition(jm, components)
+    components = minimal_primes(lattice, char)
     # P_A holds exactly the variables of A: match it with that prime alone,
     # by reduced bases under the order whose basis each component caches
     first = _certificate_orders(ring)[0]

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -28,6 +29,7 @@ from lattice_lab.fixtures import (
     ladder,
     lattice_n,
     lattice_q,
+    lattice_r,
     lk,
     pentagon_n5,
 )
@@ -531,3 +533,25 @@ def test_fixture_spec_error_messages(spec, message):
     with pytest.raises(BadParameters) as info:
         build_fixture(spec)
     assert str(info.value) == message
+
+
+def _assert_pickle_round_trip(L):
+    copy = pickle.loads(pickle.dumps(L))
+    assert copy == L
+    for a, b in itertools.product(L.elements, repeat=2):
+        assert copy.le(a, b) == L.le(a, b)
+        assert copy.join(a, b) == L.join(a, b)
+        assert copy.meet(a, b) == L.meet(a, b)
+    assert copy.incomparable_pairs() == L.incomparable_pairs()
+
+
+@pytest.mark.parametrize("make", [lattice_n, lattice_r], ids=["N", "R"])
+def test_lattice_survives_a_pickle_round_trip(make):
+    # the order scan's pool workers receive the lattice itself
+    _assert_pickle_round_trip(make())
+
+
+@given(closure_lattices())
+@settings(max_examples=50, deadline=None)
+def test_lattice_survives_a_pickle_round_trip_on_closure_systems(L):
+    _assert_pickle_round_trip(L)

@@ -205,7 +205,7 @@ def _cmd_scan(args):
     kinds = ("lex", "degrevlex") if args.family == "both" else (args.family,)
     rep = squarefree_order_scan(
         lattice, kinds=kinds, exhaustive=True if args.exhaustive else None,
-        sample=args.sample, seed=args.seed, char=args.char, jobs=args.jobs,
+        sample=args.sample, seed=args.seed, char=args.char,
     )
     report = {
         "total_orders": rep.total_orders,
@@ -305,8 +305,8 @@ def make_parser():
                    help="sampled permutations when not exhaustive")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--jobs", type=int, default=None,
-                   help="processes that share a scan, this one included "
-                        "(default: the usable CPUs)")
+                   help="accepted for existing invocations and changes nothing: "
+                        "a scan runs in this process")
     p.set_defaults(func=lambda args: _cmd_scan(args))
 
     p = sub.add_parser("lk", help="two-rail family verification suite")

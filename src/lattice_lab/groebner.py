@@ -610,10 +610,12 @@ class ReducedGB:
         return len(self._elements())
 
     def __eq__(self, other):
+        # the orders' weights on the ring, not the order objects: lex() and
+        # lex(ring.variables) are one order, with one packing
         return (
             isinstance(other, ReducedGB)
             and self.ring == other.ring
-            and self.order == other.order
+            and self._ctx.weights == other._ctx.weights
             and self._view() == other._view()
         )
 
@@ -695,11 +697,13 @@ class Ideal:
         self._cache = {}
 
     def groebner(self, order=None):
+        """The reduced basis under ``order``, cached by the order's weights
+        on the ring, so that every spelling of one order shares one basis."""
         order = order or self.ring.default_order
-        gb = self._cache.get(order)
+        weights = order.weights(self.ring)
+        gb = self._cache.get(weights)
         if gb is None:
-            gb = buchberger(self.generators, order, ring=self.ring)
-            self._cache[order] = gb
+            gb = self._cache[weights] = buchberger(self.generators, order, ring=self.ring)
         return gb
 
     def plus(self, extra):
@@ -772,7 +776,7 @@ def _initial_ideal_toward(ideal, order, goal):
     that no lead divides is outside in(I).  A run that ends by itself has
     built a Groebner basis, and its leads are all of in(I).
     """
-    if order in ideal._cache:
+    if order.weights(ideal.ring) in ideal._cache:
         return initial_ideal(ideal, order)
     ctx = _Ctx(ideal.ring, order)
     elements = _binomial_elements(ctx, ideal.generators)

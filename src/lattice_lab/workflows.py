@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import gt, itemgetter, lt
+from operator import ge, gt, itemgetter, lt
 
 from .errors import (
     IntersectionMismatch,
@@ -574,19 +573,23 @@ def radical_certificate(lattice, char=0, degree_bound=None):
             )
     components = minimal_primes(lattice, char, _verify=False)
     primes = [c for c in components if c.certified_prime]
-    try:
-        # the bases of jm computed above serve the intersection check too
-        _verify_decomposition(jm, components)
-        if len(primes) == len(components):
-            return RadicalCertificate(
-                "radical", route="prime_intersection",
-                components=tuple(components),
-                detail="all component primes certified; intersection verified",
-            )
-    except IntersectionMismatch:
-        pass
+    # only an intersection of certified primes proves I radical, so only
+    # then is it checked, in _verify_decomposition's steps, which walk the
+    # colons once for both the check and the search's bound; the bases of
+    # jm computed above serve the check too
+    all_prime = len(primes) == len(components)
+    parts = [c.ideal for c in components]
+    verified = all_prime and _initial_ideals_certify(jm.ideal, parts)
+    colon = None if verified else _colon_witness(jm.ideal)
+    if all_prime and not verified and colon is None:
+        verified = ideal_equal(_intersect_all(parts), jm.ideal)
+    if verified:
+        return RadicalCertificate(
+            "radical", route="prime_intersection",
+            components=tuple(components),
+            detail="all component primes certified; intersection verified",
+        )
     bound = lattice.height + 2 if degree_bound is None else degree_bound
-    colon = _colon_witness(jm.ideal)
     cap = bound if colon is None else min(bound, colon.total_degree())
     witness = _witness_search(jm, cap, 4, [c.admissible for c in primes])
     if witness is None and colon is not None and colon.total_degree() <= bound:
@@ -614,9 +617,9 @@ class ScanReport:
 
     ``distinct_initial_ideals`` counts the distinct initial ideals of an
     exhaustive scan.  It is None for a sampled scan, which settles a
-    non-squarefree order at its first non-squarefree lead m: no order that
-    picks the same leads on m's element and on the elements of lower degree
-    is squarefree, as m is then a minimal generator of its in(I) (proof at
+    non-squarefree order at its first non-squarefree lead m: every order
+    that keeps m above the other term of m's element and each m/x least in
+    its fiber component has m as a minimal generator of its in(I) (proof at
     ``squarefree_order_scan``).  So a sampled scan never learns the whole
     of that order's in(I).
     """
@@ -645,6 +648,23 @@ def _tuple_order(kind, perm):
     return itemgetter(*perm[::-1]), lt
 
 
+def _fiber_component(start, moves):
+    """The monomials, as exponent tuples, that a chain of moves joins to
+    ``start``, ``start`` included: a move trades the term a of a generator
+    a - b for b in a monomial that a divides, and ``moves`` holds each
+    generator's (a, b) and (b, a)."""
+    seen = {start}
+    todo = [start]
+    for u in todo:
+        for a, b in moves:
+            if all(map(ge, u, a)):
+                v = tuple(x - y + z for x, y, z in zip(u, a, b))
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return seen
+
+
 class _Cone:
     """Groebner cone of one reduced basis G of a join-meet ideal I, or a
     negative cone of a run stopped at its first non-squarefree lead.
@@ -655,18 +675,15 @@ class _Cone:
     of each generator lies in in(I) = <lead(G)>; ``off_first`` and
     ``off_second`` mark the generators whose first or second monomial does
     not, so one bitmask per order rejects most cones before any comparison
-    is made.  ``pairs`` holds the (lead, tail) exponent tuples of each
-    binomial of G, the last one to fail at the front.  I is homogeneous, so
-    each pair is compared by ``_tuple_order``'s rule for its kind.
+    is made.  ``pairs`` holds the (above, below) exponent tuples that an
+    order in the cone ranks that way, the last one to fail at the front;
+    for G, the (lead, tail) of each binomial.  The two tuples of a pair
+    have one degree, so ``_tuple_order``'s rule for the kind compares them.
 
-    A negative cone is built the same way from the elements that a
-    sampled scan's run stops at (``_settling_stop``): those of degree
-    below d, E, and the element g whose lead m, of degree d, is not
-    squarefree.  No order that picks the same leads on E and on g is
-    squarefree (``squarefree_order_scan``).  E holds every element of
-    degree two (d > 2, since the degree-two elements are the generators
-    reduced, whose terms are squarefree), so the bitmask prefilter holds
-    for it too.
+    A negative cone (``settled``) keeps the element g = m - t of a sampled
+    run that stopped at its non-squarefree lead m, and holds every order
+    that puts m above t and each m/x least in its fiber component; no such
+    order is squarefree (``squarefree_order_scan``).  Its masks are empty.
     """
 
     __slots__ = ("leads", "squarefree", "off_first", "off_second", "pairs")
@@ -688,12 +705,30 @@ class _Cone:
                 self.off_second |= 1 << i
         self.pairs = [(unpack(lp), unpack(tp)) for _, lp, _, tp in elements if tp >= 0]
 
+    @classmethod
+    def settled(cls, ctx, g, moves):
+        """The negative cone of the element ``g``, packed by ``ctx``, whose
+        lead m stopped a run: (m, tail(g)), and (c, m/x) for each variable x
+        dividing m and each other monomial c of m/x's fiber component
+        (``_fiber_component`` over ``moves``)."""
+        cone = cls.__new__(cls)
+        cone.squarefree, cone.leads = False, None
+        cone.off_first = cone.off_second = 0
+        m = ctx.unpack(g[1])
+        cone.pairs = [(m, ctx.unpack(g[3]))]
+        for i, e in enumerate(m):
+            if e:
+                below = (*m[:i], e - 1, *m[i + 1:])
+                cone.pairs += [(c, below) for c in _fiber_component(below, moves)
+                               if c != below]
+        return cone
+
     def contains(self, key, above):
         """True when the order of ``_tuple_order``'s (key, above) lies in
         the cone."""
         pairs = self.pairs
-        for j, (lead, tail) in enumerate(pairs):
-            if not above(key(lead), key(tail)):
+        for j, (high, low) in enumerate(pairs):
+            if not above(key(high), key(low)):
                 if j:
                     pairs.insert(0, pairs.pop(j))
                 return False
@@ -703,18 +738,15 @@ class _Cone:
 def _settling_stop(ctx, stash):
     """A stop hook for the pair loop (``_buchberger_core``) on a homogeneous
     binomial ideal: it ends the run at the first added lead that is not
-    squarefree (one with a bit of ``ctx.above_one``) and leaves in
-    ``stash`` the elements of a negative cone (``_Cone``), those of lower
-    degree and that lead's own."""
+    squarefree (one with a bit of ``ctx.above_one``) and leaves that lead's
+    element in ``stash``, for a negative cone (``_Cone.settled``)."""
     seen = 0
 
     def stop(basis, degree):
         nonlocal seen
-        for j in range(seen, len(basis)):
-            if basis[j][1] & ctx.above_one:
-                d = ctx.degree(basis[j][1])
-                stash.extend(e for e in basis[:j] if ctx.degree(e[1]) < d)
-                stash.append(basis[j])
+        for e in basis[seen:]:
+            if e[1] & ctx.above_one:
+                stash.append(e)
                 return True
         seen = len(basis)
         return False
@@ -738,17 +770,16 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
 
     With ``settle`` (sampled scans), a run stops at its first lead m that
     is not squarefree (``_settling_stop``) and leaves a negative cone
-    (``_Cone``): every order that picks the same leads on m's element and
-    on those of lower degree has m as a minimal generator of its in(I)
-    (proof at ``squarefree_order_scan``), as pairs leave the heap by degree
-    on a homogeneous ideal.  A squarefree verdict, and so the witness, comes
-    only from a whole reduced basis, and the leading-term sets are those of
-    the whole bases, so they count the distinct initial ideals only when
-    nothing settles.
+    (``_Cone.settled``) of the orders under which m is a minimal generator
+    of in(I) (proof at ``squarefree_order_scan``).  A squarefree verdict,
+    and so the witness, comes only from a whole reduced basis, and the
+    leading-term sets are those of the whole bases, so they count the
+    distinct initial ideals only when nothing settles.
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
     gens = [tuple(g.terms) for g in jm.ideal.generators]
+    moves = gens + [(m2, m1) for m1, m2 in gens]
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
@@ -774,10 +805,12 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                 stash = []
                 basis = _binomial_buchberger(
                     ctx, elements, stop=_settling_stop(ctx, stash) if settle else None)
-                cone = _Cone(ctx, stash if basis is None else basis, gens)
-                cones.insert(0, cone)
-                if basis is not None:
+                if basis is None:
+                    cone = _Cone.settled(ctx, stash[0], moves)
+                else:
+                    cone = _Cone(ctx, basis, gens)
                     leading.append(cone.leads)
+                cones.insert(0, cone)
             counts[kind]["orders"] += 1
             if cone.squarefree:
                 counts[kind]["squarefree"] += 1
@@ -787,7 +820,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
 
 
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
-                          sample=10000, seed=0, char=0, jobs=None):
+                          sample=10000, seed=0, char=0):
     """Per-order squarefree verdicts over Lex/DegRevLex variable permutations;
     ``kinds`` names each of the two at most once.
 
@@ -795,13 +828,8 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     default and takes a seeded sample above that; ``exhaustive=True`` forces
     the full enumeration.  The scan's permutations form one stream, all of
     them in itertools order or ``sample`` draws of ``random.Random(seed)``,
-    and it is cut into contiguous blocks of indices (``_scan_block``), one
-    per process, up to ``jobs`` of them (default: the CPUs this process may
-    use), so that each block's cone cache warms once.  The calling process
-    scans block 0 beside a pool of one worker per other block, and a single
-    block runs with no pool at all.  Blocks merge in order, so the counts,
-    the first witness and the distinct initial ideals do not depend on the
-    split.
+    scanned in this process by one ``_scan_orders`` call, so one cone cache
+    serves every order.
 
     The engine runs once per Groebner cone met, not once per order: each
     order is tested against the cones found so far by comparing exponent
@@ -811,14 +839,16 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     ideal is.
 
     A sampled scan settles a non-squarefree order at its first lead m that
-    is not squarefree, of degree d, and keeps a negative cone (``_Cone``)
-    of the elements added so far of degree below d, E, and m's element g.
-    The join-meet ideal is homogeneous and pairs leave the heap by degree,
-    so the leads of E generate in(I) below d, and none of them divides m.
-    Under any order that picks the same leads on E and on g,
-    (1) the leads of E lie in its in(I) and, as dim in(I)_e = dim I_e in
-    each degree e, generate it below d; (2) m lies in its in(I), and no
-    lead of E divides m; (3) so m is a minimal generator of in(I), and the
+    is not squarefree, of degree d, in the element g = m - t, and keeps a
+    negative cone (``_Cone.settled``).  The proof that no order in it is
+    squarefree rests on fibers (Diaconis–Sturmfels 1998): I is spanned in
+    each degree e by the differences x^u - x^v along moves w·(a - b) of its
+    generators a - b, so in(I)_e holds every monomial of degree e but the
+    least of each fiber component.  Pairs leave the heap by degree on the
+    homogeneous I, so when g is added the leads so far generate in(I) below
+    d, and none divides m: each m/x is least in its component.  Under any
+    order that puts m above t and each m/x least in its component, m lies
+    in in(I) and no m/x does, so m is a minimal generator of in(I), and the
     order is not squarefree.  A squarefree verdict and the witness come
     only from whole reduced bases, and exhaustive scans build only those.
     A sampled scan does not learn each order's whole in(I), so its report's
@@ -829,34 +859,17 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
             f"kinds must name lex or degrevlex, each once, got {tuple(kinds)}")
     if sample < 1:
         raise PreconditionViolated(f"sample must be at least 1, got {sample}")
-    if jobs is not None and jobs < 1:
-        raise PreconditionViolated(f"jobs must be at least 1, got {jobs}")
     n = len(lattice.elements)
     if exhaustive is None:
         exhaustive = n <= 8
-    total = math.factorial(n) if exhaustive else sample
-    cpus = _usable_cpus()
-    size = -(-total // min(jobs or cpus, cpus, total))
-    blocks = [(lattice, kinds, exhaustive, seed, start, min(start + size, total), char)
-              for start in range(0, total, size)]
-    if len(blocks) == 1:
-        results = [_scan_block(blocks[0])]
+    if exhaustive:
+        total, perms = math.factorial(n), itertools.permutations(range(n))
     else:
-        from multiprocessing import Pool
-
-        with Pool(len(blocks) - 1) as pool:
-            rest = pool.imap(_scan_block, blocks[1:])
-            results = [_scan_block(blocks[0]), *rest]
-    counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
-    witness = None
-    leading = set()
-    for c, w, lead_sets in results:
-        for k in kinds:
-            counts[k]["orders"] += c[k]["orders"]
-            counts[k]["squarefree"] += c[k]["squarefree"]
-        if witness is None:
-            witness = w
-        leading.update(lead_sets)
+        rng = random.Random(seed)
+        total = sample
+        perms = (tuple(rng.sample(range(n), n)) for _ in range(sample))
+    counts, witness, leading = _scan_orders(lattice, kinds, perms, char,
+                                            settle=not exhaustive)
     return ScanReport(
         total_orders=total * len(kinds),
         any_squarefree=witness is not None,
@@ -868,31 +881,6 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         seed=seed,
         distinct_initial_ideals=len(leading) if exhaustive else None,
     )
-
-
-def _usable_cpus():
-    """The CPUs this process may run on (its affinity mask where the OS has
-    one), not the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _scan_block(args):
-    """Scan the orders from index ``start`` to ``stop`` of a scan's
-    permutation stream, which this process regenerates: every permutation
-    of range(n) in itertools order when exhaustive, else draws of
-    ``random.Random(seed)``.  A sampled block settles its runs
-    (``_scan_orders``)."""
-    lattice, kinds, exhaustive, seed, start, stop, char = args
-    n = len(lattice.elements)
-    if exhaustive:
-        stream = itertools.permutations(range(n))
-    else:
-        rng = random.Random(seed)
-        stream = (tuple(rng.sample(range(n), n)) for _ in itertools.count())
-    return _scan_orders(lattice, kinds, itertools.islice(stream, start, stop), char,
-                        settle=not exhaustive)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,16 @@ def test_scan_empty_is_exit_2(capsys, flag, value):
     assert out == ""
 
 
+def test_scan_jobs_is_accepted_and_changes_nothing(capsys):
+    """A scan runs in this process; --jobs still parses for existing
+    invocations, and the report is the same with any value or none."""
+    reports = [run(capsys, "scan", "--fixture", "R", "--sample", "20", "--seed", "3",
+                   "--json", *jobs)
+               for jobs in ([], ["--jobs", "1"], ["--jobs", "2"])]
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_lk_suite_exit_zero(capsys):
     code, out, _ = run(capsys, "lk", "--n", "3", "--k", "1")
     assert code == 0

@@ -120,6 +120,20 @@ def test_basis_independent_of_generator_order(Q_ideal):
         assert buchberger(gens, order) == reference
 
 
+@pytest.mark.parametrize("spell", [lex, degrevlex])
+def test_an_order_and_its_explicit_priority_are_one_order(spell):
+    """``lex()`` and ``degrevlex()`` are the ring's native priority spelled
+    out: an ideal caches one basis for both, and bases built apart under
+    the two spellings compare equal."""
+    jm = join_meet_ideal(lattice_q())
+    ring = jm.ring
+    implicit, explicit = spell(), spell(ring.variables)
+    assert jm.ideal.groebner(implicit) is jm.ideal.groebner(explicit)
+    gens = list(jm.ideal.generators)
+    assert buchberger(gens, implicit) == buchberger(gens, explicit)
+    assert buchberger(gens, spell(ring.variables[::-1])) != buchberger(gens, implicit)
+
+
 def test_monomial_generators_skip_the_pair_loop(monkeypatch):
     """Monomial generators have zero S-elements, so buchberger returns their
     minimal generators without entering the pair loop, and the result is the

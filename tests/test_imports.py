@@ -92,3 +92,38 @@ def test_unread_private_name_is_caught():
     assert _unread_private_names(sources) == [
         ("a.py", 6, "_Gone"), ("b.py", 4, "_lonely"), ("c.py", 1, "_recursive"),
         ("c.py", 4, "_Gone")]
+
+
+CONCURRENCY = ("multiprocessing", "concurrent.futures", "threading")
+
+
+def _concurrency_imports(source):
+    """(line, module) of each import of a process or thread module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if any(name == c or name.startswith(c + ".") for c in CONCURRENCY)]
+    return sorted(set(found))
+
+
+def test_the_library_runs_in_one_process():
+    """No module starts processes or threads: every scan and check runs in
+    the calling process."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = _concurrency_imports(path.read_text(encoding="utf-8"))
+        assert not found, f"{path.name}: concurrency imports (line, module) {found}"
+
+
+def test_concurrency_import_is_caught():
+    source = ("import os\nfrom multiprocessing import Pool\nimport threading as t\n"
+              "from concurrent import futures\nimport concurrent.futures\n"
+              "from threadingx import y\n")
+    assert _concurrency_imports(source) == [
+        (2, "multiprocessing"), (2, "multiprocessing.Pool"), (3, "threading"),
+        (4, "concurrent.futures"), (5, "concurrent.futures")]

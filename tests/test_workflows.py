@@ -1,10 +1,6 @@
 import functools
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -61,16 +57,19 @@ from lattice_lab.lattice import (
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from lattice_lab.poly import MonomialOrder, Poly, compare, product
+from lattice_lab.poly import MonomialOrder, Poly, compare, product, sort_key
 from lattice_lab.snf import smith_normal_form
 from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
+    _Cone,
+    _fiber_component,
     _initial_ideals_certify,
     _intersect_all,
     _monomial_normal_forms,
     _prime_component,
     _scan_orders,
+    _settling_stop,
     _tuple_order,
     _witness_search,
 )
@@ -459,6 +458,22 @@ def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     calls = count_engine_runs(monkeypatch)
     run(char)
     assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_radical_n_walks_the_colons_once(monkeypatch, char):
+    """N's components are all certified prime and the initial-ideal
+    certificate fails on them, so the decomposition check walks the colons;
+    that one walk's witness also bounds the witness search."""
+    walks = []
+
+    def counted(ideal):
+        walks.append(ideal)
+        return _colon_witness(ideal)
+
+    monkeypatch.setattr(workflows, "_colon_witness", counted)
+    assert radical_certificate(lattice_n(), char).verdict == "not_radical"
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -924,7 +939,7 @@ def test_scan_chain_vacuously_squarefree():
 
 
 def test_scan_q_lex_identity_is_squarefree(lattice_Q):
-    rep = squarefree_order_scan(lattice_Q, kinds=("lex",), jobs=1)
+    rep = squarefree_order_scan(lattice_Q, kinds=("lex",))
     assert rep.any_squarefree
     assert rep.witness_kind == "lex"
     assert rep.witness_priority == tuple("abcdefg")
@@ -1016,7 +1031,7 @@ def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms):
             _, count, seed = perms
             ps = _sampled(n, count, seed)
             options = dict(exhaustive=False, sample=count, seed=seed)
-        rep = squarefree_order_scan(lattice, kinds=kinds, jobs=1, **options)
+        rep = squarefree_order_scan(lattice, kinds=kinds, **options)
         counts, witness = _verdicts(rep)
         distinct = rep.distinct_initial_ideals
     want = scan_orders_uncached(lattice, kinds, ps, 0)
@@ -1035,7 +1050,7 @@ def test_sampled_scan_matches_uncached_oracle_on_closure_systems(L, char, kinds,
     witness of a sampled scan are the whole-basis oracle's."""
     count = 30
     rep = squarefree_order_scan(L, kinds=kinds, exhaustive=False, sample=count,
-                                seed=seed, char=char, jobs=1)
+                                seed=seed, char=char)
     ps = _sampled(len(L.elements), count, seed)
     assert _verdicts(rep) == scan_orders_uncached(L, kinds, ps, char)[:2]
 
@@ -1043,8 +1058,10 @@ def test_sampled_scan_matches_uncached_oracle_on_closure_systems(L, char, kinds,
 def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
                                                                   lattice_R):
     """No order of R is squarefree, so every run of a sampled scan ends at
-    its hook: 184 runs for R's 200 sampled orders (seed 5), forming 1,951
-    S-elements where the whole reduced bases form 13,701."""
+    its hook: 29 runs for R's 200 sampled orders (seed 5), forming 548
+    S-elements where the whole reduced bases form 13,701.  A negative cone
+    holds every order under which the run's lead stays a minimal generator
+    of in(I), so few orders need a run of their own."""
     calls = {"runs": 0, "stopped": 0, "s_elements": 0}
     core, s_element = groebner._buchberger_core, groebner._bin_s_element
 
@@ -1060,10 +1077,9 @@ def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
 
     monkeypatch.setattr(groebner, "_buchberger_core", run)
     monkeypatch.setattr(groebner, "_bin_s_element", formed)
-    rep = squarefree_order_scan(lattice_R, exhaustive=False, sample=100, seed=5,
-                                jobs=1)
+    rep = squarefree_order_scan(lattice_R, exhaustive=False, sample=100, seed=5)
     assert not rep.any_squarefree and rep.total_orders == 200
-    assert calls == {"runs": 184, "stopped": 184, "s_elements": 1951}
+    assert calls == {"runs": 29, "stopped": 29, "s_elements": 548}
 
 
 @st.composite
@@ -1088,20 +1104,95 @@ def test_tuple_order_is_the_monomial_order_on_one_degree(kind, case):
     assert (above(key(a), key(b)), above(key(b), key(a))) == (sign > 0, sign < 0)
 
 
+_FIBER_LATTICES = st.one_of(st.sampled_from([lattice_n, lattice_r, diamond_m3])
+                           .map(lambda make: make()), closure_lattices())
+
+
+def _moves(jm):
+    """Each generator's two terms (a, b), as exponent tuples, and (b, a)."""
+    gens = [tuple(g.terms) for g in jm.ideal.generators]
+    return gens + [(b, a) for a, b in gens]
+
+
+def _drawn_order(ring, kind, rnd):
+    perm = tuple(rnd.sample(range(ring.nvars), ring.nvars))
+    return perm, MonomialOrder(kind, tuple(ring.variables[i] for i in perm))
+
+
+@given(_FIBER_LATTICES, st.sampled_from(["lex", "degrevlex"]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_standard_monomials_are_the_least_of_their_fiber_components(L, kind, rnd):
+    """I is spanned in each degree by differences along moves, so a monomial
+    of degree 2 to 4 lies outside in(I) exactly when it is the least of its
+    fiber component (``_fiber_component``); in(I) comes from a whole reduced
+    basis, and the least by the order's own key (``sort_key``)."""
+    jm = join_meet_ideal(L)
+    ring = jm.ring
+    _, order = _drawn_order(ring, kind, rnd)
+    ini = initial_ideal(jm.ideal, order)
+    key = sort_key(order, ring)
+    moves = _moves(jm)
+    for degree in (2, 3, 4):
+        left = {tuple(map(c.count, range(ring.nvars)))
+                for c in itertools.combinations_with_replacement(range(ring.nvars),
+                                                                 degree)}
+        while left:
+            component = _fiber_component(left.pop(), moves)
+            left -= component
+            least = min(component, key=key)
+            assert [v for v in component if not ini.contains(v)] == [least]
+
+
+def _settled(jm, kind, perm):
+    """(negative cone, stopping lead) of a sampled scan's run under the
+    order, or None when the run ends with a whole reduced basis."""
+    ring = jm.ring
+    ctx = groebner._Ctx(ring, MonomialOrder(kind, tuple(ring.variables[i] for i in perm)))
+    elements = [(*ctx.key_pack(a), *ctx.key_pack(b))
+                for a, b in (tuple(g.terms) for g in jm.ideal.generators)]
+    stash = []
+    if groebner._binomial_buchberger(ctx, elements,
+                                     stop=_settling_stop(ctx, stash)) is not None:
+        return None
+    return _Cone.settled(ctx, stash[0], _moves(jm)), ctx.unpack(stash[0][1])
+
+
+@given(_FIBER_LATTICES, st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, rnd):
+    """A settled run's own order lies in its negative cone, and under every
+    order in the cone the stopping lead m is a minimal generator of a whole
+    reduced basis's in(I), so that order is not squarefree."""
+    jm = join_meet_ideal(L)
+    ring = jm.ring
+    drawn = [(kind, *_drawn_order(ring, kind, rnd))
+             for _ in range(12) for kind in ("lex", "degrevlex")]
+    for kind, perm, _ in drawn:
+        settled = _settled(jm, kind, perm)
+        if settled is None:
+            continue
+        cone, m = settled
+        assert cone.contains(*_tuple_order(kind, perm))
+        for other, operm, order in drawn:
+            if cone.contains(*_tuple_order(other, operm)):
+                ini = initial_ideal(jm.ideal, order)
+                assert m in ini.gens and not ini.is_squarefree()
+
+
 def test_scan_q_witness_is_the_first_order(lattice_Q):
-    rep = squarefree_order_scan(lattice_Q, jobs=1)
+    rep = squarefree_order_scan(lattice_Q)
     assert rep.counts["lex"] == {"orders": 5040, "squarefree": 5040}
     assert (rep.witness_kind, rep.witness_priority) == ("lex", tuple("abcdefg"))
     assert rep.distinct_initial_ideals == 12
 
 
-@pytest.mark.parametrize("bad", [dict(sample=0), dict(sample=-3), dict(jobs=0),
-                                 dict(jobs=-1), dict(kinds=()),
+@pytest.mark.parametrize("bad", [dict(sample=0), dict(sample=-3), dict(kinds=()),
                                  dict(kinds=("lex", "bogus")),
                                  dict(kinds=("lex", "degrevlex", "lex"))])
 def test_scan_rejects_empty_scans(lattice_N, bad):
-    """A repeated kind is rejected too: its orders were counted once per
-    entry of kinds, and once more per extra worker block."""
+    """A repeated kind is rejected too: its orders would be counted once per
+    entry of kinds."""
     with pytest.raises(PreconditionViolated):
         squarefree_order_scan(lattice_N, exhaustive=False, **bad)
 
@@ -1132,130 +1223,3 @@ def test_workflows_over_gf5(lattice_Q):
     assert lk_suite(2, 1, char=5).passed
     cert = radical_certificate(lattice_Q, char=5)
     assert cert.is_radical and cert.route == "squarefree_order"
-
-
-def test_scan_parallel_path_matches_serial(monkeypatch):
-    monkeypatch.setattr(workflows, "_usable_cpus", lambda: 2)
-    cases = [
-        (lk(2, 1), dict(exhaustive=True)),
-        # Q: every order is squarefree, so the pooled witness must be the first
-        (lattice_q(), dict(exhaustive=True)),
-        (lattice_q(), dict(exhaustive=False, sample=20, seed=4)),
-        # 7 orders make blocks of 4 and 3; one order makes one block, no pool
-        (lattice_n(), dict(exhaustive=False, sample=7, seed=9)),
-        (lattice_r(), dict(exhaustive=False, sample=1, seed=9)),
-    ]
-    cases += [(L, dict(exhaustive=False, sample=30, seed=seed))
-              for L in (lattice_n(), lattice_r()) for seed in (1, 2, 3)]
-    for L, options in cases:
-        serial = squarefree_order_scan(L, jobs=1, **options)
-        parallel = squarefree_order_scan(L, jobs=2, **options)
-        assert serial == parallel, options
-
-
-def test_pooled_sampled_scan_witness_is_the_first_order(monkeypatch, lattice_Q):
-    # every order of Q is squarefree, so the witness is the first sampled one
-    monkeypatch.setattr(workflows, "_usable_cpus", lambda: 2)
-    rep = squarefree_order_scan(lattice_Q, exhaustive=False, sample=20, seed=4,
-                                jobs=2)
-    variables = join_meet_ideal(lattice_Q).ring.variables
-    first = random.Random(4).sample(range(7), 7)
-    assert rep.witness_kind == "lex"
-    assert rep.witness_priority == tuple(variables[i] for i in first)
-
-
-class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size and runs the
-    blocks in this process, so that no process starts."""
-
-    sizes = []
-
-    def __init__(self, processes):
-        _InlinePool.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, args):
-        return map(fn, list(args))
-
-
-@pytest.mark.parametrize("cpus, make, options, expected", [
-    # 120 permutations of N5: one block per usable CPU, not per job
-    pytest.param(4, pentagon_n5, dict(exhaustive=True, jobs=300), [3],
-                 id="exhaustive-jobs-300"),
-    pytest.param(2, lambda: chain(3),
-                 dict(exhaustive=False, sample=10000, jobs=5000), [1],
-                 id="sample-jobs-5000"),
-    # fewer orders than jobs and CPUs: one block per order
-    pytest.param(8, pentagon_n5, dict(exhaustive=False, sample=3, jobs=8), [2],
-                 id="sample-3"),
-    pytest.param(8, pentagon_n5, dict(exhaustive=False, sample=1, jobs=8), [],
-                 id="sample-1"),
-    pytest.param(8, pentagon_n5, dict(exhaustive=True, jobs=1), [],
-                 id="jobs-1"),
-    # the default is the usable CPUs, not os.cpu_count()
-    pytest.param(3, pentagon_n5, dict(exhaustive=True), [2], id="default-3"),
-    pytest.param(1, pentagon_n5, dict(exhaustive=True), [], id="default-1"),
-])
-def test_scan_pool_size_is_bounded(monkeypatch, cpus, make, options, expected):
-    import multiprocessing
-
-    _InlinePool.sizes = []
-    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    L = make()
-    rep = squarefree_order_scan(L, **options)
-    assert _InlinePool.sizes == expected
-    assert rep == squarefree_order_scan(L, **{**options, "jobs": 1})
-
-
-def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert workflows._usable_cpus() == 3
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert workflows._usable_cpus() == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert workflows._usable_cpus() == 1
-
-
-_SPAWN_SCRIPT = """
-import multiprocessing
-from lattice_lab import workflows
-from lattice_lab.fixtures import lattice_r
-
-multiprocessing.set_start_method("spawn")
-workflows._usable_cpus = lambda: 2
-sizes = []
-real_pool = multiprocessing.Pool
-def pool(processes):
-    sizes.append(processes)
-    return real_pool(processes)
-multiprocessing.Pool = pool
-L = lattice_r()
-pooled = workflows.squarefree_order_scan(L, exhaustive=False, sample=12, seed=3,
-                                         jobs=2)
-serial = workflows.squarefree_order_scan(L, exhaustive=False, sample=12, seed=3,
-                                         jobs=1)
-assert sizes == [1], sizes
-assert pooled == serial, (pooled, serial)
-print("ok")
-"""
-
-
-def test_scan_pool_under_spawn_start_method():
-    # spawned workers share no state with the parent (the macOS default;
-    # forkserver, the Linux default from Python 3.14, behaves the same way)
-    src = str(Path(workflows.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _SPAWN_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"

@@ -1187,9 +1187,13 @@ def test_scan_q_witness_is_the_first_order(lattice_Q):
     assert rep.distinct_initial_ideals == 12
 
 
-@pytest.mark.parametrize("bad", [dict(sample=0), dict(sample=-3), dict(kinds=()),
-                                 dict(kinds=("lex", "bogus")),
-                                 dict(kinds=("lex", "degrevlex", "lex"))])
+@pytest.mark.parametrize("bad", [
+    pytest.param(dict(sample=0), id="bad0"),
+    pytest.param(dict(sample=-3), id="bad1"),
+    pytest.param(dict(kinds=()), id="bad4"),
+    pytest.param(dict(kinds=("lex", "bogus")), id="bad5"),
+    pytest.param(dict(kinds=("lex", "degrevlex", "lex")), id="bad6"),
+])
 def test_scan_rejects_empty_scans(lattice_N, bad):
     """A repeated kind is rejected too: its orders would be counted once per
     entry of kinds."""

@@ -14,20 +14,21 @@ is saturated (see ``minimal_primes``); only the candidates that test leaves
 standing are saturated, and they are the minimal components.
 
 That the join-meet ideal I is the intersection of the minimal components is
-checked in three steps.  First from initial ideals: in(∩ P_A) ⊆ ∩ in(P_A)
-under any order, and J ⊆ K with in(J) = in(K) forces J = K, so I ⊆ every
-P_A together with in(I) = ∩ in(P_A) proves I = ∩ P_A.  Two orders are
-tried, degrevlex with the variables reversed first, under which the
-component bases are built, then the default one.  The initial ideals stay
-MonomialIdeals, which meet by pairwise lcms; in(I) is grown only until its
-leads cover ∩ in(P_A) or a generator of it is known to lie outside, and
-I ⊆ P_A is read off normal forms modulo P_A's basis under the same order.
-Then, when every component is certified prime, a colon witness disproves
-it: for a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives
-w = x·f outside I with w² in I, so I is not radical, while an intersection
-of primes is.  Both colons come from one binomial basis of I per variable.
-Only when neither step decides are the components themselves intersected
-and compared with I.
+checked in one place, ``_decomposition_holds``, which ``minimal_primes`` and
+``radical_certificate`` both read, in three steps.  First from initial
+ideals: in(∩ P_A) ⊆ ∩ in(P_A) under any order, and J ⊆ K with in(J) = in(K)
+forces J = K, so I ⊆ every P_A together with in(I) = ∩ in(P_A) proves
+I = ∩ P_A.  Two orders are tried, degrevlex with the variables reversed
+first, under which the component bases are built, then the default one.  The
+initial ideals stay MonomialIdeals, which meet by pairwise lcms; in(I) is
+grown only until its leads cover ∩ in(P_A) or a generator of it is known to
+lie outside, and I ⊆ P_A is read off normal forms modulo P_A's basis under
+the same order.  Then the colons are walked once, and when every component
+is certified prime a colon witness disproves it: for a variable x with
+I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f outside I with w² in
+I, so I is not radical, while an intersection of primes is.  Both colons
+come from one binomial basis of I per variable.  Only when neither step
+decides are the components themselves intersected and compared with I.
 
 The colon witness also bounds the radicality certificate's search for an
 element of √I \\ I: the search stops at the witness's degree, and the
@@ -181,8 +182,8 @@ def component_prime(lattice, admissible, char=0):
     if not isinstance(admissible, AdmissibleSet):
         admissible = AdmissibleSet(tuple(admissible))
     ring = PolyRing(lattice.elements, char)
-    gens = _component_gens(lattice, admissible, ring)
-    return _prime_component(admissible, Ideal(ring, gens))
+    ideal = Ideal(ring, _component_gens(lattice, admissible, ring))
+    return _prime_component(admissible, ideal, _two_term_sides(ideal))
 
 
 def _two_term_sides(ideal):
@@ -190,17 +191,15 @@ def _two_term_sides(ideal):
     return _binomial_sides(g for g in ideal.generators if len(g.terms) == 2)
 
 
-def _prime_component(admissible, ideal, sides=None):
+def _prime_component(admissible, ideal, sides):
     """PrimeComponent of P_A, the variables of A plus the lattice ideal of
     Λ_A: one Smith form gives its certificate and its dimension
     |L| - |A| - rank Λ_A (Eisenbud–Sturmfels 1996), also when Λ_A = 0 and
     the form has no rows.  Its rows are the u - v of P_A's own two-term
-    generators x^u - x^v (``sides``, their ``_two_term_sides`` when the
-    caller has them), and no basis of P_A is read: pure differences that
-    generate a lattice ideal I_L span L, as x^u ≡ x^v modulo them exactly
-    when a chain of their moves joins u to v."""
-    if sides is None:
-        sides = _two_term_sides(ideal)
+    generators x^u - x^v (``sides``, their ``_two_term_sides``), and no
+    basis of P_A is read: pure differences that generate a lattice ideal
+    I_L span L, as x^u ≡ x^v modulo them exactly when a chain of their
+    moves joins u to v."""
     snf = smith_normal_form([d for _, _, d in sides])
     return PrimeComponent(admissible, ideal, snf.saturated,
                           ideal.ring.nvars - len(admissible) - len(snf.nonzero_factors))
@@ -279,13 +278,10 @@ def minimal_primes(lattice, char=0, _verify=True):
     kept.
 
     The components' intersection is then checked against the join-meet
-    ideal I (``_verify_decomposition``): first by the initial-ideal
-    certificate (I ⊆ every P_A, and in(I) = ∩ in(P_A) under degrevlex with
-    the variables reversed or the default order), then by a colon
-    witness when every component is certified prime, and only when neither
-    decides by intersecting the components.  A mismatch raises
+    ideal I (``_decomposition_holds``), and a mismatch raises
     IntersectionMismatch, so the caller asserts the join-meet ideal is
     radical (or accepts the error as a non-radicality signal).
+    ``_verify=False`` skips the check.
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
@@ -311,8 +307,8 @@ def minimal_primes(lattice, char=0, _verify=True):
         sides = _two_term_sides(ideal)
         found.append((mask, sides, _prime_component(adm, ideal, sides)))
     components = [c for _, _, c in found]
-    if _verify:
-        _verify_decomposition(jm, components)
+    if _verify and not _decomposition_holds(jm.ideal, components)[0]:
+        raise IntersectionMismatch(lattice)
     return components
 
 
@@ -350,25 +346,25 @@ def _initial_ideals_certify(ideal, parts):
     return False
 
 
-def _verify_decomposition(jm, components):
-    """Raise IntersectionMismatch unless the join-meet ideal is the
-    intersection of the components.
+def _decomposition_holds(ideal, components):
+    """(holds, colon): whether ``ideal`` is the intersection of the
+    components, and the colon witness the check met, or None.
 
-    The initial-ideal certificate decides first.  When it fails and every
-    component is certified prime, a colon witness (``_colon_witness``)
-    raises at once: each P_A contains I by construction, so ∩ P_A is
-    radical, and a colon witness proves I is not.  Only otherwise does the
-    intersection fold run.  ``jm`` keeps its reduced bases, so a caller
-    that has computed them pays for none."""
-    ideal = jm.ideal
+    The one check, in three steps.  The initial-ideal certificate
+    (``_initial_ideals_certify``) decides first, and then no colon is
+    walked.  Otherwise the colons are walked once (``_colon_witness``): a
+    witness decides False when every component is certified prime, since
+    each P_A contains I by construction, so ∩ P_A is radical, and a colon
+    witness proves I is not.  Only otherwise are the components intersected
+    (``_intersect_all``) and compared with I.  ``ideal`` keeps its reduced
+    bases, so a caller that has computed them pays for none."""
     parts = [c.ideal for c in components]
     if _initial_ideals_certify(ideal, parts):
-        return
-    if (all(c.certified_prime for c in components)
-            and _colon_witness(ideal) is not None):
-        raise IntersectionMismatch(jm.lattice)
-    if not ideal_equal(_intersect_all(parts), ideal):
-        raise IntersectionMismatch(jm.lattice)
+        return True, None
+    colon = _colon_witness(ideal)
+    if colon is not None and all(c.certified_prime for c in components):
+        return False, colon
+    return ideal_equal(_intersect_all(parts), ideal), colon
 
 
 def _colon_witness(ideal):
@@ -542,16 +538,17 @@ def radical_certificate(lattice, char=0, degree_bound=None):
 
     1. squarefree initial ideal over a small fixed order family -> radical;
     2. all component primes certified and their intersection equals the
-       ideal -> radical with the decomposition;
+       ideal (``_decomposition_holds``) -> radical with the decomposition;
     3. bounded search for a pure-difference element of √I \\ I -> not
        radical with the witness; otherwise inconclusive.
 
     ``degree_bound`` (default: the lattice's height plus 2) must be at
     least 1.  A candidate is a witness when its square or fourth power lies
-    in the ideal.  When I has a colon witness w (``_colon_witness``), the
-    search stops at min(bound, deg w) and skips the candidates that a
-    certified component rules out; if it finds nothing and deg w is within
-    the bound, w is the witness.
+    in the ideal.  When I has a colon witness w (``_colon_witness``, from
+    the check's walk, or walked here when the check holds), the search
+    stops at min(bound, deg w) and skips the candidates that a certified
+    component rules out; if it finds nothing and deg w is within the bound,
+    w is the witness.
     """
     if degree_bound is not None and degree_bound < 1:
         raise PreconditionViolated(
@@ -573,22 +570,19 @@ def radical_certificate(lattice, char=0, degree_bound=None):
             )
     components = minimal_primes(lattice, char, _verify=False)
     primes = [c for c in components if c.certified_prime]
-    # only an intersection of certified primes proves I radical, so only
-    # then is it checked, in _verify_decomposition's steps, which walk the
-    # colons once for both the check and the search's bound; the bases of
-    # jm computed above serve the check too
-    all_prime = len(primes) == len(components)
-    parts = [c.ideal for c in components]
-    verified = all_prime and _initial_ideals_certify(jm.ideal, parts)
-    colon = None if verified else _colon_witness(jm.ideal)
-    if all_prime and not verified and colon is None:
-        verified = ideal_equal(_intersect_all(parts), jm.ideal)
-    if verified:
+    # the bases of jm computed above serve the check too
+    holds, colon = _decomposition_holds(jm.ideal, components)
+    if holds and len(primes) == len(components):
         return RadicalCertificate(
             "radical", route="prime_intersection",
             components=tuple(components),
             detail="all component primes certified; intersection verified",
         )
+    if holds and colon is None:
+        # a component is not certified prime, so the decomposition proves
+        # nothing; the check walks the colons only once its certificate
+        # fails, and their witness bounds the search
+        colon = _colon_witness(jm.ideal)
     bound = lattice.height + 2 if degree_bound is None else degree_bound
     cap = bound if colon is None else min(bound, colon.total_degree())
     witness = _witness_search(jm, cap, 4, [c.admissible for c in primes])
@@ -686,7 +680,7 @@ class _Cone:
     order is squarefree (``squarefree_order_scan``).  Its masks are empty.
     """
 
-    __slots__ = ("leads", "squarefree", "off_first", "off_second", "pairs")
+    __slots__ = ("squarefree", "off_first", "off_second", "pairs")
 
     def __init__(self, ctx, elements, gens):
         """``elements``: binomial elements of G, packed by ``ctx``, the
@@ -694,7 +688,7 @@ class _Cone:
         exponent tuples of each generator of I."""
         unpack = ctx.unpack
         self.squarefree = not any(e[1] & ctx.above_one for e in elements)
-        leads = self.leads = frozenset(unpack(e[1]) for e in elements)
+        leads = {unpack(e[1]) for e in elements}
         # I is generated in degree two, so every lead has degree >= 2 and a
         # degree-two monomial lies in <lead(G)> exactly when it is a lead
         self.off_first = self.off_second = 0
@@ -712,7 +706,7 @@ class _Cone:
         dividing m and each other monomial c of m/x's fiber component
         (``_fiber_component`` over ``moves``)."""
         cone = cls.__new__(cls)
-        cone.squarefree, cone.leads = False, None
+        cone.squarefree = False
         cone.off_first = cone.off_second = 0
         m = ctx.unpack(g[1])
         cone.pairs = [(m, ctx.unpack(g[3]))]
@@ -758,23 +752,24 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     """Scan (kind, permutation) pairs.
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
-    the leading-term set, as exponent tuples, of each distinct initial ideal
-    met.  The ideal scanned is the join-meet ideal, whose generators
-    ab - (a∧b)(a∨b) are homogeneous of degree two; the degrevlex rule of
-    ``_tuple_order`` and ``settle`` both rely on that.  Each order is tested
-    against the Groebner cones found so far, most recently used first, by
-    comparing exponent tuples (``_tuple_order``).  Only an order outside all
-    of them becomes an order object, and the engine runs in that order's
-    own packing (``_Ctx``).  The new cone unpacks the run's basis once into
-    exponent tuples.
+    the number of whole-basis cones met.  The ideal scanned is the join-meet
+    ideal, whose generators ab - (a∧b)(a∨b) are homogeneous of degree two;
+    the degrevlex rule of ``_tuple_order`` and ``settle`` both rely on that.
+    Each order is tested against the Groebner cones found so far, most
+    recently used first, by comparing exponent tuples (``_tuple_order``).
+    Only an order outside all of them becomes an order object, and the
+    engine runs in that order's own packing (``_Ctx``).  The new cone
+    unpacks the run's basis once into exponent tuples.
 
     With ``settle`` (sampled scans), a run stops at its first lead m that
     is not squarefree (``_settling_stop``) and leaves a negative cone
     (``_Cone.settled``) of the orders under which m is a minimal generator
     of in(I) (proof at ``squarefree_order_scan``).  A squarefree verdict,
-    and so the witness, comes only from a whole reduced basis, and the
-    leading-term sets are those of the whole bases, so they count the
-    distinct initial ideals only when nothing settles.
+    and so the witness, comes only from a whole reduced basis.  When nothing
+    settles, the whole-basis count is the number of distinct initial ideals:
+    the engine runs only for an order in no cone found so far, so its
+    reduced basis is new, and so is its initial ideal, which determines the
+    reduced basis.
     """
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
@@ -784,7 +779,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
     cones = []
-    leading = []
+    whole = 0
     for perm in perms:
         for kind in kinds:
             key, above = _tuple_order(kind, perm)
@@ -809,14 +804,14 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     cone = _Cone.settled(ctx, stash[0], moves)
                 else:
                     cone = _Cone(ctx, basis, gens)
-                    leading.append(cone.leads)
+                    whole += 1
                 cones.insert(0, cone)
             counts[kind]["orders"] += 1
             if cone.squarefree:
                 counts[kind]["squarefree"] += 1
                 if witness is None:
                     witness = (kind, tuple(ring.variables[i] for i in perm))
-    return counts, witness, leading
+    return counts, witness, whole
 
 
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
@@ -868,8 +863,8 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         rng = random.Random(seed)
         total = sample
         perms = (tuple(rng.sample(range(n), n)) for _ in range(sample))
-    counts, witness, leading = _scan_orders(lattice, kinds, perms, char,
-                                            settle=not exhaustive)
+    counts, witness, whole = _scan_orders(lattice, kinds, perms, char,
+                                          settle=not exhaustive)
     return ScanReport(
         total_orders=total * len(kinds),
         any_squarefree=witness is not None,
@@ -879,7 +874,7 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
         exhaustive=exhaustive,
         sample_size=None if exhaustive else sample,
         seed=seed,
-        distinct_initial_ideals=len(leading) if exhaustive else None,
+        distinct_initial_ideals=whole if exhaustive else None,
     )
 
 

@@ -295,6 +295,7 @@ def minimal_primes_all_pairs(lattice, char=0):
     from lattice_lab.workflows import (
         _component_gens,
         _prime_component,
+        _two_term_sides,
         join_meet_ideal,
     )
 
@@ -318,7 +319,7 @@ def minimal_primes_all_pairs(lattice, char=0):
             and all(not gb.reduce(g) for g in ideal2.generators)
             for _, mask2, ideal2, _ in raw)
         if not dominated:
-            minimal.append(_prime_component(adm, ideal))
+            minimal.append(_prime_component(adm, ideal, _two_term_sides(ideal)))
     return minimal
 
 

@@ -250,6 +250,10 @@ def test_cli_poly_overflow_exits_1(capsys, monkeypatch):
 # -- golden CLI capture -------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
+# a closure lattice whose decomposition check neither the initial-ideal
+# certificate nor a colon witness settles, so the intersection fold does;
+# it lives outside golden/, which holds captures only
+FOLD9 = str(Path(__file__).resolve().parent / "data" / "closure_fold9.json")
 GOLDEN_RUNS = {
     f"primes_{fx.replace(':', '_')}_char{c}": ["primes", "--fixture", fx, "--char", str(c)]
     for fx in ("Q", "R", "Lk:5:2", "Lk:6:3") for c in (0, P)
@@ -271,6 +275,8 @@ GOLDEN_RUNS.update({
                              "degrevlex:e,l,b,h,a,d,g,c,f"],
     "radical_N_char32003": ["radical", "--fixture", "N", "--char", str(P)],
     "primes_Lk_8_4_char0": ["primes", "--fixture", "Lk:8:4", "--char", "0"],
+    "radical_fold9": ["radical", "--input", FOLD9],
+    "primes_fold9_char0": ["primes", "--input", FOLD9, "--char", "0"],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from lattice_lab import (
     NotPureDifference,
     NotSaturatedInput,
     PolyRing,
+    PrimeComponent,
     certify_prime_component,
     colon,
     component_prime,
@@ -24,6 +26,7 @@ from lattice_lab import (
     join_irreducibles,
     join_meet_ideal,
     krull_dim,
+    lattice_from_json,
     lex,
     lk_suite,
     minimal_primes,
@@ -71,6 +74,7 @@ from lattice_lab.workflows import (
     _scan_orders,
     _settling_stop,
     _tuple_order,
+    _two_term_sides,
     _witness_search,
 )
 
@@ -197,7 +201,8 @@ def test_prime_component_reads_certificate_and_dim_off_one_basis():
     # the generators are (z, x^2 - y^2): the certificate must skip the
     # variable z and still see the non-saturated lattice 2Z(1,-1,0)
     R = PolyRing(("x", "y", "z"))
-    comp = _prime_component(AdmissibleSet(("z",)), Ideal(R, ["z", "x^2 - y^2"]))
+    ideal = Ideal(R, ["z", "x^2 - y^2"])
+    comp = _prime_component(AdmissibleSet(("z",)), ideal, _two_term_sides(ideal))
     assert not comp.certified_prime
     assert comp.dim == 1
 
@@ -474,6 +479,79 @@ def test_radical_n_walks_the_colons_once(monkeypatch, char):
     monkeypatch.setattr(workflows, "_colon_witness", counted)
     assert radical_certificate(lattice_n(), char).verdict == "not_radical"
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_uncertified_component_keeps_the_answers(monkeypatch, char):
+    """No fixture has a component that is not certified prime, so the ∅
+    component is made to report one.  M3's certificate holds before any
+    colon walk, so radical walks the colons itself and, with no
+    decomposition to trust, ends inconclusive.  On N the check walks the
+    colons, but their witness decides nothing without certified primes, so
+    the fold decides the mismatch, and radical's search reads the same
+    walk's witness as its bound."""
+    prime_component = workflows._prime_component
+
+    def uncertified(adm, ideal, sides):
+        comp = prime_component(adm, ideal, sides)
+        if adm.members:
+            return comp
+        return PrimeComponent(comp.admissible, comp.ideal, False, comp.dim)
+
+    walks = []
+
+    def counted(ideal):
+        walks.append(ideal)
+        return _colon_witness(ideal)
+
+    monkeypatch.setattr(workflows, "_prime_component", uncertified)
+    monkeypatch.setattr(workflows, "_colon_witness", counted)
+
+    cert = radical_certificate(diamond_m3(), char)
+    assert (cert.verdict, cert.route, len(walks)) == ("inconclusive", None, 1)
+    walks.clear()
+    cert = radical_certificate(lattice_n(), char)
+    assert (cert.verdict, cert.route, len(walks)) == ("not_radical", "witness", 1)
+    if char == 0:
+        assert str(cert.witness) == "a*d*g*l - a*f*g*l"
+    walks.clear()
+    with pytest.raises(IntersectionMismatch):
+        minimal_primes(lattice_n(), char)
+    assert len(walks) == 1
+    walks.clear()
+    assert not all(c.certified_prime for c in minimal_primes(diamond_m3(), char))
+    assert not walks
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("verb", ["radical", "primes"])
+def test_fold9_is_decided_by_the_fold(monkeypatch, verb, char):
+    """Neither order's initial-ideal certificate holds on this closure
+    lattice and its colons give no witness, so the intersection fold
+    verifies the decomposition (goldens radical_fold9, primes_fold9_char0)."""
+    text = (Path(__file__).parent / "data" / "closure_fold9.json").read_text(
+        encoding="utf-8")
+    L = lattice_from_json(text)
+    steps = []
+
+    def watched(name):
+        step = getattr(workflows, name)
+
+        def run(*args):
+            out = step(*args)
+            steps.append((name, out))
+            return out
+        monkeypatch.setattr(workflows, name, run)
+
+    route = ["_initial_ideals_certify", "_colon_witness", "_intersect_all"]
+    for name in route:
+        watched(name)
+    if verb == "radical":
+        assert radical_certificate(L, char).route == "prime_intersection"
+    else:
+        assert len(minimal_primes(L, char)) == 9
+    assert [name for name, _ in steps] == route
+    assert steps[0][1] is False and steps[1][1] is None
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -1021,8 +1099,7 @@ def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms):
     n = len(lattice.elements)
     if perms[0] == "prefix":
         ps = list(itertools.islice(itertools.permutations(range(n)), perms[1]))
-        counts, witness, leading = _scan_orders(lattice, kinds, ps, 0)
-        distinct = len(leading)
+        counts, witness, distinct = _scan_orders(lattice, kinds, ps, 0)
     else:
         if perms[0] == "full":
             ps = itertools.permutations(range(n))

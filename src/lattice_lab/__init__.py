@@ -17,7 +17,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .lattice import (
-    AdmissibleSet,
     Lattice,
     Rank2Interval,
     SublatticeWitness,
@@ -61,7 +60,6 @@ from .groebner import (
 )
 from .snf import smith_normal_form
 from .workflows import (
-    JoinMeetIdeal,
     PrimeComponent,
     RadicalCertificate,
     ScanReport,

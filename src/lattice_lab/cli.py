@@ -130,21 +130,21 @@ def _cmd_check(args):
 
 def _cmd_gb(args):
     lattice = _load_lattice(args)
-    jm = join_meet_ideal(lattice, args.char)
-    order = _parse_order(jm.ring, args.order)
-    gb = jm.ideal.groebner(order)
+    ideal = join_meet_ideal(lattice, args.char)
+    order = _parse_order(ideal.ring, args.order)
+    gb = ideal.groebner(order)
     basis = [g.to_string(order) for g in gb.basis]
     report = {"lattice": args.fixture or args.input,
-              "order": order.describe(jm.ring), "basis": basis}
+              "order": order.describe(ideal.ring), "basis": basis}
     return 0, report, [f"order: {report['order']}"] + [f"  {b}" for b in basis]
 
 
 def _cmd_ini(args):
     lattice = _load_lattice(args)
-    jm = join_meet_ideal(lattice, args.char)
-    order = _parse_order(jm.ring, args.order)
-    ini = initial_ideal(jm.ideal, order)
-    ring = jm.ring
+    ideal = join_meet_ideal(lattice, args.char)
+    order = _parse_order(ideal.ring, args.order)
+    ini = initial_ideal(ideal, order)
+    ring = ideal.ring
     gens = [ring.monomial_text(m) for m in ini.sorted_gens()]
     report = {"order": order.describe(ring), "generators": gens,
               "squarefree": ini.is_squarefree(),
@@ -160,7 +160,7 @@ def _cmd_primes(args):
     components = minimal_primes(lattice, args.char)
     report = {
         "components": [
-            {"admissible": list(c.admissible.members),
+            {"admissible": list(c.admissible),
              "generators": list(c.generators_text()),
              "prime": c.certified_prime,
              "dim": c.dim}
@@ -170,7 +170,7 @@ def _cmd_primes(args):
     }
     lines = [f"{len(components)} minimal primes; intersection verified"]
     for c in components:
-        lines.append(f"  A = {{{', '.join(c.admissible.members)}}}  dim {c.dim}"
+        lines.append(f"  A = {{{', '.join(c.admissible)}}}  dim {c.dim}"
                      f"  prime {c.certified_prime}")
         lines.append(f"    ({', '.join(c.generators_text())})")
     return 0, report, lines
@@ -186,7 +186,7 @@ def _cmd_radical(args):
         report["witness"] = str(cert.witness)
     if cert.components:
         report["components"] = [
-            {"admissible": list(c.admissible.members), "dim": c.dim}
+            {"admissible": list(c.admissible), "dim": c.dim}
             for c in cert.components
         ]
     lines = [f"verdict: {cert.verdict}", f"route: {cert.route}"]

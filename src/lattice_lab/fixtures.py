@@ -52,15 +52,20 @@ def pentagon_n5():
     return build_lattice(els, covers)
 
 
+def _rails(n):
+    """Elements x_1..x_n, y_1..y_n and covers of the two rails, then of the
+    rungs x_i < y_i."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    ys = [f"y{i}" for i in range(1, n + 1)]
+    covers = list(zip(xs, xs[1:])) + list(zip(ys, ys[1:])) + list(zip(xs, ys))
+    return xs + ys, covers
+
+
 def ladder(n):
     """Two-rail grid x_1..x_n, y_1..y_n with x_i < y_i (divisors of 2*3^(n-1))."""
     if n < 1:
         raise BadParameters("ladder size must be >= 1")
-    xs = [f"x{i}" for i in range(1, n + 1)]
-    ys = [f"y{i}" for i in range(1, n + 1)]
-    covers = list(zip(xs, xs[1:])) + list(zip(ys, ys[1:]))
-    covers += list(zip(xs, ys))
-    return build_lattice(xs + ys, covers)
+    return build_lattice(*_rails(n))
 
 
 def divisor_ladder(n):
@@ -77,12 +82,9 @@ def lk(n, k):
     """
     if not (1 <= k <= n - 1):
         raise BadParameters(f"need n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
-    xs = [f"x{i}" for i in range(1, n + 1)]
-    ys = [f"y{i}" for i in range(1, n + 1)]
-    covers = list(zip(xs, xs[1:])) + list(zip(ys, ys[1:]))
-    covers += list(zip(xs, ys))
-    covers += [(f"x{k}", "z"), ("z", f"y{k + 1}")]
-    return build_lattice(xs + ys + ["z"], covers)
+    elements, covers = _rails(n)
+    return build_lattice(elements + ["z"],
+                         covers + [(f"x{k}", "z"), ("z", f"y{k + 1}")])
 
 
 def lattice_n():

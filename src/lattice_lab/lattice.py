@@ -43,22 +43,6 @@ class Rank2Interval:
 
 
 @dataclass(frozen=True)
-class AdmissibleSet:
-    """Subset covering both monomials of every basic binomial, or neither."""
-
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
-
-
-@dataclass(frozen=True)
 class DistributivityReport:
     distributive: bool
     witness: tuple | None  # failing triple (x, y, z)
@@ -352,7 +336,9 @@ def is_admissible(lattice, members):
 
 
 def enumerate_admissible_sets(lattice):
-    """All admissible subsets, ordered by (size, element-index sequence).
+    """All admissible subsets, ordered by (size, element-index sequence),
+    each as the tuple of its element names.  A set is admissible when it
+    covers both monomials of every basic binomial, or neither.
 
     Elements are assigned in index order, in or out, and each basic
     binomial's rule (a set hits {a, b} exactly when it hits {c, d}) is
@@ -382,10 +368,7 @@ def enumerate_admissible_sets(lattice):
                 stack.append((i + 1, m))
     found.sort(key=lambda m: (bin(m).count("1"),
                               tuple(i for i in range(n) if m >> i & 1)))
-    return [
-        AdmissibleSet(tuple(els[i] for i in range(n) if m >> i & 1))
-        for m in found
-    ]
+    return [tuple(els[i] for i in range(n) if m >> i & 1) for m in found]
 
 
 def restrict_to_complement(lattice, admissible):

@@ -70,7 +70,6 @@ from .groebner import (
     saturate,
 )
 from .lattice import (
-    AdmissibleSet,
     basic_binomial_pairs,
     enumerate_admissible_sets,
     restrict_to_complement,
@@ -86,20 +85,8 @@ from .snf import echelon_basis, smith_normal_form
 
 
 @dataclass(frozen=True)
-class JoinMeetIdeal:
-    """The ideal generated by ab - (a∧b)(a∨b) over incomparable pairs."""
-
-    lattice: object
-    ideal: Ideal
-
-    @property
-    def ring(self):
-        return self.ideal.ring
-
-
-@dataclass(frozen=True)
 class PrimeComponent:
-    admissible: AdmissibleSet
+    admissible: tuple  # the element names of A
     ideal: Ideal
     certified_prime: bool
     dim: int
@@ -116,9 +103,10 @@ def _basic_binomials(lattice, ring):
 
 
 def join_meet_ideal(lattice, char=0):
-    """The basic binomial of every incomparable pair, in pair order."""
+    """The Ideal generated by ab - (a∧b)(a∨b) over the incomparable pairs,
+    one basic binomial per pair, in pair order."""
     ring = PolyRing(lattice.elements, char)
-    return JoinMeetIdeal(lattice, Ideal(ring, _basic_binomials(lattice, ring)))
+    return Ideal(ring, _basic_binomials(lattice, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +166,9 @@ def _component_gens(lattice, admissible, ring):
 
 
 def component_prime(lattice, admissible, char=0):
-    """The candidate prime P_A: saturated complement ideal plus A's variables."""
-    if not isinstance(admissible, AdmissibleSet):
-        admissible = AdmissibleSet(tuple(admissible))
+    """The candidate prime P_A: saturated complement ideal plus A's
+    variables, for any iterable of A's elements."""
+    admissible = tuple(admissible)
     ring = PolyRing(lattice.elements, char)
     ideal = Ideal(ring, _component_gens(lattice, admissible, ring))
     return _prime_component(admissible, ideal, _two_term_sides(ideal))
@@ -283,10 +271,10 @@ def minimal_primes(lattice, char=0, _verify=True):
     radical (or accepts the error as a non-radicality signal).
     ``_verify=False`` skips the check.
     """
-    jm = join_meet_ideal(lattice, char)
-    ring = jm.ring
+    I = join_meet_ideal(lattice, char)
+    ring = I.ring
     index = lattice.index
-    basic = _binomial_sides(jm.ideal.generators)
+    basic = _binomial_sides(I.generators)
     first = _certificate_orders(ring)[0]
 
     found = []  # (mask, binomial sides, component) of each minimal component
@@ -307,7 +295,7 @@ def minimal_primes(lattice, char=0, _verify=True):
         sides = _two_term_sides(ideal)
         found.append((mask, sides, _prime_component(adm, ideal, sides)))
     components = [c for _, _, c in found]
-    if _verify and not _decomposition_holds(jm.ideal, components)[0]:
+    if _verify and not _decomposition_holds(I, components)[0]:
         raise IntersectionMismatch(lattice)
     return components
 
@@ -402,7 +390,6 @@ class RadicalCertificate:
     verdict: str  # "radical" | "not_radical" | "inconclusive"
     route: str | None = None  # "squarefree_order" | "prime_intersection" | "witness"
     witness: object = None  # Poly for not_radical
-    witness_order: object = None
     components: tuple = ()
     detail: str = ""
 
@@ -439,7 +426,7 @@ def _monomial_normal_forms(gb):
     return nf
 
 
-def _witness_search(jm, degree_bound, power_cap, primes=()):
+def _witness_search(lattice, ideal, degree_bound, power_cap, primes=()):
     """First pure difference in √I \\ I among bounded-degree candidates.
 
     Candidates come in two rounds.  Round one rewrites a single variable of a
@@ -461,13 +448,14 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
     ideal contains no monomial (its elements vanish at the all-ones point),
     so no normal form here is 0.
 
-    ``primes`` holds the admissible sets A of prime components P_A ⊇ I.  A
-    candidate with a variable of A in exactly one of its monomials is
-    nonzero modulo P_A, so it lies outside P_A ⊇ √I and is skipped before
-    any normal form is taken.
+    ``ideal`` is the join-meet ideal I of ``lattice``, whose incomparable
+    pairs give round one's rewrites.  ``primes`` holds the admissible sets A
+    of prime components P_A ⊇ I.  A candidate with a variable of A in
+    exactly one of its monomials is nonzero modulo P_A, so it lies outside
+    P_A ⊇ √I and is skipped before any normal form is taken.
     """
-    ring = jm.ring
-    gb = jm.ideal.groebner()
+    ring = ideal.ring
+    gb = ideal.groebner()
     ctx = gb._ctx
     hm = ctx.hmask
     char = ring.char
@@ -512,7 +500,7 @@ def _witness_search(jm, degree_bound, power_cap, primes=()):
     # (x's field mask, key change, packed change)
     w, sh = ctx.weights, ctx.shifts
     moves = [((MAX_EXPONENT - 1) << sh[x], w[y] - w[x], (1 << sh[y]) - (1 << sh[x]))
-             for pair in jm.lattice.incomparable_pairs()
+             for pair in lattice.incomparable_pairs()
              for x, y in itertools.permutations(map(ring.index.get, pair))
              if w[y] < w[x]]
 
@@ -553,25 +541,24 @@ def radical_certificate(lattice, char=0, degree_bound=None):
     if degree_bound is not None and degree_bound < 1:
         raise PreconditionViolated(
             f"degree_bound must be at least 1, got {degree_bound}")
-    jm = join_meet_ideal(lattice, char)
-    ring = jm.ring
-    if not jm.ideal.generators:
+    I = join_meet_ideal(lattice, char)
+    ring = I.ring
+    if not I.generators:
         return RadicalCertificate("radical", route="squarefree_order",
-                                  witness_order=ring.default_order,
                                   detail="zero ideal")
     rev = tuple(reversed(ring.variables))
     for order in (degrevlex(ring.variables), lex(ring.variables),
                   degrevlex(rev), lex(rev)):
-        ini = initial_ideal(jm.ideal, order)
+        ini = initial_ideal(I, order)
         if ini.is_squarefree():
             return RadicalCertificate(
-                "radical", route="squarefree_order", witness_order=order,
+                "radical", route="squarefree_order",
                 detail=f"squarefree initial ideal under {order.describe(ring)}",
             )
     components = minimal_primes(lattice, char, _verify=False)
     primes = [c for c in components if c.certified_prime]
-    # the bases of jm computed above serve the check too
-    holds, colon = _decomposition_holds(jm.ideal, components)
+    # the bases of I computed above serve the check too
+    holds, colon = _decomposition_holds(I, components)
     if holds and len(primes) == len(components):
         return RadicalCertificate(
             "radical", route="prime_intersection",
@@ -582,10 +569,10 @@ def radical_certificate(lattice, char=0, degree_bound=None):
         # a component is not certified prime, so the decomposition proves
         # nothing; the check walks the colons only once its certificate
         # fails, and their witness bounds the search
-        colon = _colon_witness(jm.ideal)
+        colon = _colon_witness(I)
     bound = lattice.height + 2 if degree_bound is None else degree_bound
     cap = bound if colon is None else min(bound, colon.total_degree())
-    witness = _witness_search(jm, cap, 4, [c.admissible for c in primes])
+    witness = _witness_search(lattice, I, cap, 4, [c.admissible for c in primes])
     if witness is None and colon is not None and colon.total_degree() <= bound:
         witness = colon
     if witness is not None:
@@ -771,9 +758,9 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     reduced basis is new, and so is its initial ideal, which determines the
     reduced basis.
     """
-    jm = join_meet_ideal(lattice, char)
-    ring = jm.ring
-    gens = [tuple(g.terms) for g in jm.ideal.generators]
+    I = join_meet_ideal(lattice, char)
+    ring = I.ring
+    gens = [tuple(g.terms) for g in I.generators]
     moves = gens + [(m2, m1) for m1, m2 in gens]
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
@@ -960,9 +947,8 @@ def lk_suite(n, k, char=0):
     """Verify the documented facts about the two-rail-plus-diamond family;
     ``fixtures.lk`` raises BadParameters for an (n, k) outside the family."""
     lattice = build_lk(n, k)
-    jm = join_meet_ideal(lattice, char)
-    ring = jm.ring
-    I = jm.ideal
+    I = join_meet_ideal(lattice, char)
+    ring = I.ring
     stages = []
 
     ini = initial_ideal(I)

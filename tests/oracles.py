@@ -17,21 +17,24 @@ def monomials_of_degree(nvars, degree):
     return out
 
 
-def membership_by_linear_algebra(f, gens, ring):
-    """Homogeneous ideal membership decided by exact Gaussian elimination.
+def membership_by_linear_algebra(f, gens, ring, bound=None):
+    """Ideal membership decided by exact Gaussian elimination.
 
-    Builds the column space of all monomial multiples of the generators at
-    f's total degree and checks solvability; entirely independent of the
-    Groebner machinery.
+    Without ``bound``, for homogeneous input: builds the column space of all
+    monomial multiples of the generators at f's total degree and checks
+    solvability, which decides membership.  With ``bound`` D, for any
+    input: the columns are every multiple m·g of total degree at most D, so
+    True proves membership and False proves only that no such combination
+    reaches f.  Entirely independent of the Groebner machinery.
     """
     d = f.total_degree()
     cols = []
     for g in gens:
         dg = g.total_degree()
-        if dg > d:
-            continue
-        for m in monomials_of_degree(ring.nvars, d - dg):
-            cols.append((g, m))
+        degrees = [d - dg] if bound is None else range(bound - dg + 1)
+        for e in degrees:
+            if e >= 0:
+                cols.extend((g, m) for m in monomials_of_degree(ring.nvars, e))
     monos = sorted({tuple(a + b for a, b in zip(m, t)) for g, m in cols
                     for t in g.terms} | set(f.terms))
     index = {m: i for i, m in enumerate(monos)}
@@ -106,7 +109,7 @@ def scan_orders_uncached(lattice, kinds, perms, char=0):
 
     jm = join_meet_ideal(lattice, char)
     ring = jm.ring
-    gens = [tuple(g.terms) for g in jm.ideal.generators]
+    gens = [tuple(g.terms) for g in jm.generators]
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
     leading = set()
@@ -341,11 +344,12 @@ def certify_saturated_part(ring, binomials):
         [tuple(a - b for a, b in zip(*g.terms)) for g in gb.basis]).saturated
 
 
-def witness_search_poly(jm, degree_bound, power_cap=4):
+def witness_search_poly(lattice, ideal, degree_bound, power_cap=4):
     """Reference witness search on Poly arithmetic: the same two rounds of
     candidates as ``workflows._witness_search``, each decided by reducing
     the candidate and its powers f^2, f^4, ... up to the cap with
-    ``ReducedGB.reduce``.
+    ``ReducedGB.reduce``.  Round one's rewrites are read off the incomparable
+    pairs of ``lattice``, whose join-meet ideal ``ideal`` is.
     """
     from lattice_lab.groebner import MonomialIdeal
     from lattice_lab.poly import sort_key
@@ -360,11 +364,11 @@ def witness_search_poly(jm, degree_bound, power_cap=4):
                 return True
         return False
 
-    ring = jm.ring
-    gb = jm.ideal.groebner()
+    ring = ideal.ring
+    gb = ideal.groebner()
     key = sort_key(ring.default_order, ring)
     pairs = [(ring.index[a], ring.index[b])
-             for a, b in jm.lattice.incomparable_pairs()]
+             for a, b in lattice.incomparable_pairs()]
     for d in range(2, degree_bound + 1):
         for m1 in sorted(monomials_of_degree(ring.nvars, d), key=key):
             partners = set()

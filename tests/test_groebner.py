@@ -68,7 +68,7 @@ def test_single_binomial_is_its_own_basis():
 
 def test_q_lex_basis_matches_published_basis(Q_ideal):
     order = lex(tuple("abcdefg"))
-    gb = Q_ideal.ideal.groebner(order)
+    gb = Q_ideal.groebner(order)
     got = [g.to_string(order) for g in gb.basis]
     assert got == ["a*e - b*c", "a*g - c*f", "b*g - e*f", "c*d - c*f", "d*e - e*f"]
 
@@ -105,17 +105,17 @@ def test_lk_42_family_is_a_groebner_basis():
     G = _lk_generating_family(R, 4, 2)
     # every member lies in the ideal, and the leading terms generate the
     # initial ideal: exactly the statement that the family is a basis
-    assert all(ideal_member(g, jm.ideal) for g in G)
+    assert all(ideal_member(g, jm) for g in G)
     leads = MonomialIdeal(R, [g.leading_monomial() for g in G])
-    assert leads == initial_ideal(jm.ideal)
+    assert leads == initial_ideal(jm)
 
 
 def test_basis_independent_of_generator_order(Q_ideal):
     order = degrevlex(Q_ideal.ring.variables)
-    reference = buchberger(list(Q_ideal.ideal.generators), order)
+    reference = buchberger(list(Q_ideal.generators), order)
     rng = random.Random(7)
     for _ in range(5):
-        gens = list(Q_ideal.ideal.generators)
+        gens = list(Q_ideal.generators)
         rng.shuffle(gens)
         assert buchberger(gens, order) == reference
 
@@ -128,8 +128,8 @@ def test_an_order_and_its_explicit_priority_are_one_order(spell):
     jm = join_meet_ideal(lattice_q())
     ring = jm.ring
     implicit, explicit = spell(), spell(ring.variables)
-    assert jm.ideal.groebner(implicit) is jm.ideal.groebner(explicit)
-    gens = list(jm.ideal.generators)
+    assert jm.groebner(implicit) is jm.groebner(explicit)
+    gens = list(jm.generators)
     assert buchberger(gens, implicit) == buchberger(gens, explicit)
     assert buchberger(gens, spell(ring.variables[::-1])) != buchberger(gens, implicit)
 
@@ -293,27 +293,27 @@ def test_generic_elements_with_any_leading_coefficient(polys, char, kind, perm):
 # -- normal form --------------------------------------------------------------
 
 def test_normal_form_of_basis_members_is_zero(Q_ideal):
-    gb = Q_ideal.ideal.groebner()
+    gb = Q_ideal.groebner()
     for g in gb.basis:
         assert not normal_form(g, gb)
 
 
 def test_normal_form_published_nonmember(N_ideal):
-    gb = N_ideal.ideal.groebner()
+    gb = N_ideal.groebner()
     w = N_ideal.ring.from_string("a*d*g*l - a*f*g*l")
     assert normal_form(w, gb)
 
 
 def test_normal_form_published_square_member(N_ideal):
     R = N_ideal.ring
-    gb = N_ideal.ideal.groebner()
+    gb = N_ideal.groebner()
     f = R.from_string("a*g*l") * (R.var("d") - R.var("f"))
     assert not normal_form(f * (R.var("d") - R.var("f")), gb)
 
 
 def test_normal_form_idempotent(N_ideal):
     R = N_ideal.ring
-    gb = N_ideal.ideal.groebner()
+    gb = N_ideal.groebner()
     rng = random.Random(3)
     monos = list(itertools.combinations_with_replacement(range(R.nvars), 3))
     for _ in range(25):
@@ -331,27 +331,27 @@ def test_normal_form_idempotent(N_ideal):
 # -- membership ----------------------------------------------------------------
 
 def test_zero_always_member(Q_ideal):
-    assert ideal_member(Q_ideal.ring.zero(), Q_ideal.ideal)
+    assert ideal_member(Q_ideal.ring.zero(), Q_ideal)
 
 
 def test_published_membership_facts(N_ideal):
     R = N_ideal.ring
-    assert not ideal_member(R.from_string("a*d*g*l - a*f*g*l"), N_ideal.ideal)
-    assert ideal_member(R.from_string("a*d*h - a*f*h"), N_ideal.ideal)
-    assert ideal_member(R.from_string("c*d*l - c*f*l"), N_ideal.ideal)
+    assert not ideal_member(R.from_string("a*d*g*l - a*f*g*l"), N_ideal)
+    assert ideal_member(R.from_string("a*d*h - a*f*h"), N_ideal)
+    assert ideal_member(R.from_string("c*d*l - c*f*l"), N_ideal)
 
 
 def test_ring_mismatch(Q_ideal):
     other = PolyRing(("x",))
     with pytest.raises(RingMismatch):
-        ideal_member(other.var("x"), Q_ideal.ideal)
+        ideal_member(other.var("x"), Q_ideal)
 
 
 # -- radical membership ----------------------------------------------------------
 
 def test_members_are_radical_members(Q_ideal):
-    g = Q_ideal.ideal.generators[0]
-    assert radical_member(g, Q_ideal.ideal)
+    g = Q_ideal.generators[0]
+    assert radical_member(g, Q_ideal)
 
 
 def test_x_in_radical_of_x_squared():
@@ -364,13 +364,13 @@ def test_x_in_radical_of_x_squared():
 
 def test_published_radical_membership(N_ideal):
     w = N_ideal.ring.from_string("a*d*g*l - a*f*g*l")
-    assert radical_member(w, N_ideal.ideal)
+    assert radical_member(w, N_ideal)
 
 
 # -- eliminate / intersect / colon / saturate -------------------------------------
 
 def test_eliminate_nothing_is_identity(Q_ideal):
-    assert eliminate(Q_ideal.ideal, set()) is Q_ideal.ideal
+    assert eliminate(Q_ideal, set()) is Q_ideal
 
 
 def test_eliminate_parametrization():
@@ -382,7 +382,7 @@ def test_eliminate_parametrization():
 
 
 def test_intersect_self(Q_ideal):
-    assert ideal_equal(intersect(Q_ideal.ideal, Q_ideal.ideal), Q_ideal.ideal)
+    assert ideal_equal(intersect(Q_ideal, Q_ideal), Q_ideal)
 
 
 def test_intersect_principal_monomials():
@@ -486,8 +486,8 @@ def _lead_cases(char):
     generic = [R.from_string(t) for t in
                ("x^2 + 2*y*z - w", "3*x*y - z^2 + 1", "y^3 - x*w")]
     return [
-        (jm.ideal.generators, jm.ring.default_order),
-        (jm.ideal.generators, lex(tuple(reversed(jm.ring.variables)))),
+        (jm.generators, jm.ring.default_order),
+        (jm.generators, lex(tuple(reversed(jm.ring.variables)))),
         ([R.from_string(t) for t in ("x^2*y", "y*z^3", "x*w", "z^2*w^2")],
          lex(("w", "z", "y", "x"))),
         (generic, degrevlex()),
@@ -572,7 +572,7 @@ def test_equality_and_elimination_read_no_basis_they_start_from(monkeypatch, cha
             raise AssertionError(f"a basis over {gb.ring} became Polys")
         return read(gb)
 
-    I = join_meet_ideal(lattice_q(), char).ideal
+    I = join_meet_ideal(lattice_q(), char)
     R = I.ring
     f = product([R.var(v) for v in R.variables], R)
     sat_want = saturate_by_passes(I, f).generators
@@ -675,15 +675,15 @@ def test_initial_ideal_certificate_packs_and_unpacks_no_tuples(monkeypatch, spec
 
     monkeypatch.setattr(MonomialIdeal, "__init__", refuse)
     monkeypatch.setattr(MonomialIdeal, "gens", property(refuse))
-    assert _initial_ideals_certify(jm.ideal, parts)
+    assert _initial_ideals_certify(jm, parts)
 
 
 def test_lk_intersection_identity():
     jm = join_meet_ideal(lk(3, 1))
     R = jm.ring
-    a = jm.ideal.plus([R.var("x2") - R.var("y1")])
-    b = jm.ideal.plus([R.var("z")])
-    assert ideal_equal(intersect(a, b), jm.ideal)
+    a = jm.plus([R.var("x2") - R.var("y1")])
+    b = jm.plus([R.var("z")])
+    assert ideal_equal(intersect(a, b), jm)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -693,12 +693,12 @@ def test_intersection_sharing_generators_stays_binomial(monkeypatch, char):
     monomial, so no generic element is ever formed."""
     jm = join_meet_ideal(lk(4, 2), char)
     R = jm.ring
-    a = jm.ideal.plus([R.var("x3") - R.var("y2")])
-    b = jm.ideal.plus([R.var("z")])
+    a = jm.plus([R.var("x3") - R.var("y2")])
+    b = jm.plus([R.var("z")])
     calls = count_engine_runs(monkeypatch)
     meet = intersect(a, b)
     assert calls["_generic_buchberger"] == 0
-    assert ideal_equal(meet, jm.ideal)
+    assert ideal_equal(meet, jm)
 
 
 _shared_side = st.lists(st.tuples(_monos(3, 2), _monos(3, 2)), min_size=1, max_size=3)
@@ -732,21 +732,21 @@ def test_colon_and_saturate(Q_ideal):
     prod = R.one()
     for v in R.variables:
         prod = prod * R.var(v)
-    c = colon(Q_ideal.ideal, prod)
-    s = saturate(Q_ideal.ideal, prod)
+    c = colon(Q_ideal, prod)
+    s = saturate(Q_ideal, prod)
     J = Ideal(R, ["a*e - b*c", "a*g - c*f", "b*g - e*f", "d - f"])
     assert ideal_equal(c, s)
     assert ideal_equal(c, J)
 
 
 def test_saturate_by_one(Q_ideal):
-    assert ideal_equal(saturate(Q_ideal.ideal, Q_ideal.ring.one()), Q_ideal.ideal)
+    assert ideal_equal(saturate(Q_ideal, Q_ideal.ring.one()), Q_ideal)
 
 
 def test_saturate_regular_variables_fixed_point():
     D = join_meet_ideal(ladder(3))
     R = D.ring
-    I = D.ideal.plus([R.var("x2") - R.var("y1")])
+    I = D.plus([R.var("x2") - R.var("y1")])
     prod = R.one()
     for v in R.variables:
         prod = prod * R.var(v)
@@ -774,7 +774,7 @@ def test_saturate_rejects_an_element_of_another_ring():
 @pytest.mark.parametrize("lattice", [diamond_m3(), lk(3, 1)], ids=["M3", "Lk31"])
 def test_saturate_by_all_variables_matches_pass_chain(lattice):
     # the ideals are not saturated, so some pass divides out its variable
-    I = join_meet_ideal(lattice).ideal
+    I = join_meet_ideal(lattice)
     R = I.ring
     f = product([R.var(v) for v in R.variables], R)
     sat = saturate(I, f)
@@ -789,7 +789,7 @@ def test_saturate_by_all_variables_matches_pass_chain(lattice):
 def test_saturate_by_non_monic_monomial_stays_binomial(monkeypatch, char):
     """A unit changes no saturation: saturate makes a monomial monic, so
     1 - t*f stays a pure difference and the binomial engine runs."""
-    I = join_meet_ideal(diamond_m3(), char).ideal
+    I = join_meet_ideal(diamond_m3(), char)
     R = I.ring
     xy, x = R.var(R.variables[1]) * R.var(R.variables[2]), R.var(R.variables[1])
     expected = [saturate(I, xy).generators, saturate(I, x).generators]
@@ -799,7 +799,7 @@ def test_saturate_by_non_monic_monomial_stays_binomial(monkeypatch, char):
 
 
 def test_saturate_by_monomial_is_one_engine_run(monkeypatch):
-    I = join_meet_ideal(lattice_q()).ideal
+    I = join_meet_ideal(lattice_q())
     R = I.ring
     f = product([R.var(v) for v in R.variables], R)
     calls = count_engine_runs(monkeypatch)
@@ -874,7 +874,7 @@ def test_extended_ring_generators_are_built_once(monkeypatch, char):
     computed before the patches go on."""
     runs = []  # (input ring, call, check of its answer)
     for spec in ("N5", "Lk:6:3"):
-        I = join_meet_ideal(build_fixture(spec), char).ideal
+        I = join_meet_ideal(build_fixture(spec), char)
         f = I.ring.monomial(dict.fromkeys(I.ring.variables, 1))
         want = saturate_by_passes(I, f).generators
         runs.append((I.ring, lambda I=I, f=f: saturate(I, f),
@@ -886,7 +886,7 @@ def test_extended_ring_generators_are_built_once(monkeypatch, char):
                  == _GENERIC_SATURATION[char]))
     jm = join_meet_ideal(lk(3, 1), char)
     S = jm.ring
-    pairs = [(jm.ideal.plus([S.var("z")]), jm.ideal.plus([S.var("x2") - S.var("y1")])),
+    pairs = [(jm.plus([S.var("z")]), jm.plus([S.var("x2") - S.var("y1")])),
              (Ideal(R, ["x^2 + 2*y*z - 1", "y^2 - x*z + 3"]),
               Ideal(R, ["x*y - z^2 + 5", "x - 2*y + z"]))]
     for a, b in pairs:
@@ -919,9 +919,9 @@ def test_saturate_and_intersect_over_rings_that_use_t(variables, char):
 
 def test_colon_of_zero_divisor_raises(Q_ideal):
     with pytest.raises(ZeroDivisor):
-        colon(Q_ideal.ideal, Q_ideal.ring.zero())
+        colon(Q_ideal, Q_ideal.ring.zero())
     with pytest.raises(ZeroDivisor):
-        saturate(Q_ideal.ideal, Q_ideal.ring.zero())
+        saturate(Q_ideal, Q_ideal.ring.zero())
 
 
 def test_exact_div():
@@ -935,13 +935,13 @@ def test_exact_div():
 # -- ideal equality -----------------------------------------------------------------
 
 def test_ideal_equal_permuted(Q_ideal):
-    gens = list(Q_ideal.ideal.generators)
-    assert ideal_equal(Ideal(Q_ideal.ring, gens[::-1]), Q_ideal.ideal)
+    gens = list(Q_ideal.generators)
+    assert ideal_equal(Ideal(Q_ideal.ring, gens[::-1]), Q_ideal)
 
 
 def test_ideal_equal_distinguishes(Q_ideal):
-    sub = Ideal(Q_ideal.ring, Q_ideal.ideal.generators[:2])
-    assert not ideal_equal(sub, Q_ideal.ideal)
+    sub = Ideal(Q_ideal.ring, Q_ideal.generators[:2])
+    assert not ideal_equal(sub, Q_ideal)
 
 
 # -- initial ideal / squarefree / dimension -------------------------------------------
@@ -959,12 +959,12 @@ def test_squarefree_basics():
 
 
 def test_q_lex_initial_squarefree(Q_ideal):
-    assert is_squarefree(initial_ideal(Q_ideal.ideal, lex(tuple("abcdefg"))))
+    assert is_squarefree(initial_ideal(Q_ideal, lex(tuple("abcdefg"))))
 
 
 def test_lk_degrevlex_initial_not_squarefree():
     jm = join_meet_ideal(lk(3, 1))
-    ini = initial_ideal(jm.ideal)
+    ini = initial_ideal(jm)
     assert not is_squarefree(ini)
     y1sq_z = tuple(
         {"y1": 2, "z": 1}.get(v, 0) for v in jm.ring.variables
@@ -982,7 +982,7 @@ def test_krull_dim_examples():
             assert krull_dim(MonomialIdeal(R, [])) == R.nvars
     assert krull_dim(MonomialIdeal(R2, [(1, 1)])) == 1
     jm = join_meet_ideal(lk(3, 1))
-    assert krull_dim(initial_ideal(jm.ideal)) == 3
+    assert krull_dim(initial_ideal(jm)) == 3
 
 
 def test_krull_dim_of_the_unit_ideal_is_a_typed_error():
@@ -997,7 +997,7 @@ def test_dimension_invariant_across_orders(Q_ideal):
     for order in (degrevlex(R.variables), lex(R.variables),
                   degrevlex(tuple(reversed(R.variables))),
                   lex(tuple(reversed(R.variables)))):
-        dims.add(krull_dim(initial_ideal(Q_ideal.ideal, order)))
+        dims.add(krull_dim(initial_ideal(Q_ideal, order)))
     assert len(dims) == 1
 
 
@@ -1005,9 +1005,9 @@ def test_dimension_invariant_across_orders(Q_ideal):
 
 def test_every_computed_basis_passes_spolynomial_check():
     cases = [
-        join_meet_ideal(lattice_q()).ideal.groebner(lex(tuple("abcdefg"))),
-        join_meet_ideal(lattice_n()).ideal.groebner(),
-        join_meet_ideal(lk(3, 2)).ideal.groebner(),
+        join_meet_ideal(lattice_q()).groebner(lex(tuple("abcdefg"))),
+        join_meet_ideal(lattice_n()).groebner(),
+        join_meet_ideal(lk(3, 2)).groebner(),
     ]
     for gb in cases:
         assert verify_groebner(gb)
@@ -1017,7 +1017,7 @@ def test_join_meet_bases_stay_binomial():
     for L in (lattice_q(), lattice_n(), lk(3, 1), ladder(3)):
         jm = join_meet_ideal(L)
         for order in (degrevlex(jm.ring.variables), lex(jm.ring.variables)):
-            gb = jm.ideal.groebner(order)
+            gb = jm.groebner(order)
             assert all(len(g.terms) <= 2 for g in gb.basis)
 
 
@@ -1032,14 +1032,14 @@ def test_minimal_basis_with_unreduced_tails_is_a_groebner_basis(L, char, data):
     kind = data.draw(st.sampled_from((lex, degrevlex)))
     order = kind(tuple(data.draw(st.permutations(ring.variables))))
     ctx = groebner._Ctx(ring, order)
-    elements = groebner._binomial_elements(ctx, jm.ideal.generators)
+    elements = groebner._binomial_elements(ctx, jm.generators)
     kept = groebner._buchberger_core(ctx, elements, groebner._bin_s_element,
                                      groebner._bin_reduce)
     assert verify_groebner(groebner.ReducedGB(ctx, binomial=kept))
     reduced = groebner._bin_interreduced(ctx, kept)
     assert reduced == groebner._binomial_buchberger(ctx, elements)
     assert groebner.ReducedGB(ctx, binomial=reduced) == buchberger(
-        jm.ideal.generators, order, ring=ring)
+        jm.generators, order, ring=ring)
     leads = [e[1] for e in reduced]
     for _, lp, _, tp in reduced:
         assert not any(ctx.divides(o, lp) for o in leads if o != lp)
@@ -1110,6 +1110,66 @@ def test_membership_matches_bruteforce_oracle():
     assert agree >= 400  # the rest of the 500 draws degenerate to zero
 
 
+def _walked_difference(rng, sides, nvars):
+    """x^s - x^w: s a multiple of one side of a generator, w reached from s
+    by one to three moves x^a -> x^b along the generators' sides, then in
+    three draws of ten moved off by one more variable."""
+    u, _ = rng.choice(sides)
+    start = _add(tuple(rng.choice(monomials_of_degree(nvars, rng.randint(0, 1)))), u)
+    w = start
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice([(a, b) for a, b in sides + [(b, a) for a, b in sides]
+                           if all(x >= y for x, y in zip(w, a))])
+        w = tuple(x - y + z for x, y, z in zip(w, a, b))
+    if rng.random() < 0.3:
+        w = _add(w, rng.choice(monomials_of_degree(nvars, 1)))
+    return start, w
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def test_inhomogeneous_membership_agrees_with_bounded_oracle():
+    """Inhomogeneous pure differences in 3-4 variables over Q.  A bounded
+    oracle (multiples of degree at most D) proves membership but cannot
+    refute it, so only two things are asserted: a constructed Σ m_i g_i is
+    an ideal member, and every difference the oracle proves a member is
+    one.  Differences are walked along the generators so that most lie in
+    the ideal."""
+    rng = random.Random(20261020)
+    constructed = proved = 0
+    for case in range(220):
+        nvars = rng.randint(3, 4)
+        ring = PolyRing(tuple(f"v{i}" for i in range(nvars)))
+        sides = []
+        while not sides or all(sum(u) == sum(v) for u, v in sides):
+            sides = []
+            for _ in range(rng.randint(2, 3)):
+                u, v = (tuple(rng.choice(monomials_of_degree(nvars, rng.randint(1, 3))))
+                        for _ in range(2))
+                if u != v:
+                    sides.append((u, v))
+        gens = [ring.monomial(u) - ring.monomial(v) for u, v in sides]
+        ideal = Ideal(ring, gens)
+        f = ring.zero()
+        for g in gens:
+            m = rng.choice(monomials_of_degree(nvars, rng.randint(0, 2)))
+            f = f + ring.monomial(m) * g
+        if f:
+            assert ideal_member(f, ideal), (case, [str(g) for g in gens], str(f))
+            constructed += 1
+        s, w = _walked_difference(rng, sides, nvars)
+        if s == w:
+            continue
+        f = ring.monomial(s) - ring.monomial(w)
+        bound = max(g.total_degree() for g in gens) + 2
+        if membership_by_linear_algebra(f, gens, ring, bound):
+            assert ideal_member(f, ideal), (case, [str(g) for g in gens], str(f))
+            proved += 1
+    assert constructed >= 200 and proved >= 100, (constructed, proved)
+
+
 # -- the pair loop's stop hook and the goal-directed initial ideal -------------
 
 
@@ -1145,7 +1205,7 @@ def _assert_leads_complete_below_next_pair(ideal, order):
 
 @pytest.mark.parametrize("spec", ["Q", "R", "N", "Lk:5:2", "Lk:6:3"])
 def test_stop_hook_sees_leads_complete_below_the_next_pair(spec):
-    ideal = join_meet_ideal(build_fixture(spec)).ideal
+    ideal = join_meet_ideal(build_fixture(spec))
     for order in _orders_of(ideal.ring, random.Random(spec)):
         assert _assert_leads_complete_below_next_pair(ideal, order)
 
@@ -1153,7 +1213,7 @@ def test_stop_hook_sees_leads_complete_below_the_next_pair(spec):
 @given(closure_lattices(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_stop_hook_sees_leads_complete_below_the_next_pair_on_closure_systems(L, rnd):
-    ideal = join_meet_ideal(L).ideal
+    ideal = join_meet_ideal(L)
     for order in _orders_of(ideal.ring, rnd):
         _assert_leads_complete_below_next_pair(ideal, order)
 
@@ -1168,14 +1228,14 @@ def test_initial_ideal_toward_decides_containment_exactly(L, char, rnd):
     jm = join_meet_ideal(L, char)
     ring = jm.ring
     orders = _orders_of(ring, rnd)
-    whole = {order: initial_ideal(jm.ideal, order) for order in orders}
+    whole = {order: initial_ideal(jm, order) for order in orders}
     parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
     meet = initial_ideal(parts[0], orders[1])
     for p in parts[1:]:
         meet = intersect(meet, initial_ideal(p, orders[1]))
     for order in orders:
         for goal in [*whole.values(), meet]:
-            fresh = Ideal(ring, jm.ideal.generators)
+            fresh = Ideal(ring, jm.generators)
             got = groebner._initial_ideal_toward(fresh, order, goal)
             inside = all(whole[order].contains(m) for m in goal.gens)
             assert (got is not None) is inside
@@ -1186,7 +1246,7 @@ def test_initial_ideal_toward_decides_containment_exactly(L, char, rnd):
 
 
 def test_initial_ideal_toward_reads_a_cached_basis_whole(monkeypatch):
-    ideal = join_meet_ideal(lk(5, 2)).ideal
+    ideal = join_meet_ideal(lk(5, 2))
     order = degrevlex(tuple(reversed(ideal.ring.variables)))
     whole = initial_ideal(ideal, order)
     calls = count_engine_runs(monkeypatch)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from lattice_lab import (
-    AdmissibleSet,
     NoBounds,
     NotALattice,
     NotAPoset,
@@ -274,7 +273,7 @@ def test_chain_all_subsets_admissible():
 
 
 def test_q_admissible_contains_paper_set(lattice_Q):
-    sets = [frozenset(a.members) for a in enumerate_admissible_sets(lattice_Q)]
+    sets = [frozenset(a) for a in enumerate_admissible_sets(lattice_Q)]
     assert frozenset({"g", "d", "f"}) in sets
 
 
@@ -290,14 +289,14 @@ def test_admissible_matches_bruteforce_filter():
                     for (a, b), (c, d) in pairs
                 ):
                     brute.append(frozenset(combo))
-        ours = [frozenset(a.members) for a in enumerate_admissible_sets(L)]
+        ours = [frozenset(a) for a in enumerate_admissible_sets(L)]
         assert sorted(map(sorted, ours)) == sorted(map(sorted, brute)), name
         assert frozenset() in ours and frozenset(L.elements) in ours
 
 
 def test_admissible_recheck():
     for name, L in small_corpus():
-        admissible = {frozenset(a.members) for a in enumerate_admissible_sets(L)}
+        admissible = {frozenset(a) for a in enumerate_admissible_sets(L)}
         for r in range(len(L.elements) + 1):
             for combo in itertools.combinations(L.elements, r):
                 ok = is_admissible(L, combo) is None
@@ -307,7 +306,7 @@ def test_admissible_recheck():
 def test_enumeration_order_is_size_then_lexicographic(lattice_Q):
     sets = enumerate_admissible_sets(lattice_Q)
     keys = [
-        (len(a.members), tuple(lattice_Q.index[e] for e in a.members))
+        (len(a), tuple(lattice_Q.index[e] for e in a))
         for a in sets
     ]
     assert keys == sorted(keys)
@@ -317,37 +316,37 @@ def test_enumeration_order_is_size_then_lexicographic(lattice_Q):
     f"Lk:{n}:{k}" for n in range(2, 8) for k in range(1, n)])
 def test_backtracking_matches_mask_loop(spec):
     L = build_fixture(spec)
-    assert ([a.members for a in enumerate_admissible_sets(L)]
+    assert ([a for a in enumerate_admissible_sets(L)]
             == admissible_masks_by_loop(L))
 
 
 @given(closure_lattices())
 @settings(max_examples=60, deadline=None)
 def test_backtracking_matches_mask_loop_on_closure_systems(L):
-    assert ([a.members for a in enumerate_admissible_sets(L)]
+    assert ([a for a in enumerate_admissible_sets(L)]
             == admissible_masks_by_loop(L))
 
 
 # -- restriction ---------------------------------------------------------------
 
 def test_restrict_empty_set_is_identity(lattice_Q):
-    assert restrict_to_complement(lattice_Q, AdmissibleSet(())) == lattice_Q
+    assert restrict_to_complement(lattice_Q, ()) == lattice_Q
 
 
 def test_restrict_q_to_chain(lattice_Q):
-    sub = restrict_to_complement(lattice_Q, AdmissibleSet(("c", "e", "g")))
+    sub = restrict_to_complement(lattice_Q, ("c", "e", "g"))
     assert sub.elements == ("a", "b", "d", "f")
     assert sub.covers == (("a", "b"), ("b", "d"), ("d", "f"))
 
 
 def test_restrict_q_paper_set(lattice_Q):
-    sub = restrict_to_complement(lattice_Q, AdmissibleSet(("d", "f", "g")))
+    sub = restrict_to_complement(lattice_Q, ("d", "f", "g"))
     assert set(sub.elements) == {"a", "b", "c", "e"}
 
 
 def test_restrict_rejects_non_admissible(lattice_Q):
     with pytest.raises(NotAdmissible):
-        restrict_to_complement(lattice_Q, AdmissibleSet(("b",)))
+        restrict_to_complement(lattice_Q, ("b",))
 
 
 def test_restriction_covers_are_the_induced_covers():
@@ -355,7 +354,7 @@ def test_restriction_covers_are_the_induced_covers():
     strictly between them."""
     for name, L in small_corpus():
         for adm in enumerate_admissible_sets(L):
-            if len(adm.members) == len(L.elements):
+            if len(adm) == len(L.elements):
                 continue
             sub = restrict_to_complement(L, adm)
             keep = [e for e in L.elements if e not in adm]
@@ -364,13 +363,13 @@ def test_restriction_covers_are_the_induced_covers():
                       and not any(c not in (a, b) and L.le(a, c) and L.le(c, b)
                                   for c in keep)}
             assert sub.elements == tuple(keep), name
-            assert set(sub.covers) == covers, (name, adm.members)
+            assert set(sub.covers) == covers, (name, adm)
 
 
 def test_restriction_closed_under_ambient_operations():
     for name, L in small_corpus():
         for adm in enumerate_admissible_sets(L):
-            if len(adm.members) in (0, len(L.elements)):
+            if len(adm) in (0, len(L.elements)):
                 continue
             sub = restrict_to_complement(L, adm)
             for x, y in itertools.combinations(sub.elements, 2):

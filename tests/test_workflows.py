@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_lab import (
-    AdmissibleSet,
     Ideal,
     IntersectionMismatch,
     NotPureDifference,
@@ -99,14 +98,14 @@ from oracles import (
 # -- join-meet ideal -----------------------------------------------------------
 
 def test_chain_has_zero_ideal():
-    assert not join_meet_ideal(chain(5)).ideal.generators
+    assert not join_meet_ideal(chain(5)).generators
     assert not basic_binomial_pairs(chain(5))
 
 
 def test_lk_generators_include_published_triple():
     jm = join_meet_ideal(lk(3, 1))
     R = jm.ring
-    gens = set(jm.ideal.generators)
+    gens = set(jm.generators)
     for s in ("y1*z - x1*y2", "x2*z - x1*y2", "x2*y1 - x1*y2"):
         assert R.from_string(s) in gens
 
@@ -116,10 +115,10 @@ def test_q_basic_binomials(lattice_Q):
     R = jm.ring
     expected = {R.from_string(s) for s in
                 ("b*c - a*e", "c*d - a*g", "c*f - a*g", "d*e - b*g", "e*f - b*g")}
-    assert set(jm.ideal.generators) == expected
+    assert set(jm.generators) == expected
     pairs = basic_binomial_pairs(lattice_Q)
     assert [p for p, _ in pairs] == lattice_Q.incomparable_pairs()
-    assert list(jm.ideal.generators) == [
+    assert list(jm.generators) == [
         R.monomial({a: 1, b: 1}) - R.monomial({c: 1, d: 1})
         for (a, b), (c, d) in pairs]
 
@@ -127,14 +126,14 @@ def test_q_basic_binomials(lattice_Q):
 def test_generator_count_equals_incomparable_pairs():
     for name, L in small_corpus():
         jm = join_meet_ideal(L)
-        assert len(jm.ideal.generators) == len(L.incomparable_pairs()), name
+        assert len(jm.generators) == len(L.incomparable_pairs()), name
 
 
 def test_dual_has_same_ideal():
     for L in (lk(3, 1), lattice_q(), lattice_n()):
         a = join_meet_ideal(L)
         b = join_meet_ideal(dual(L))
-        assert set(a.ideal.generators) == set(b.ideal.generators)
+        assert set(a.generators) == set(b.generators)
 
 
 # -- primality certification ------------------------------------------------------
@@ -155,7 +154,7 @@ def test_published_component_j_is_prime(lattice_Q):
 def test_ladder_with_diagonal_is_prime():
     for n in (2, 3, 4):
         jm = join_meet_ideal(ladder(n))
-        I = jm.ideal.plus([jm.ring.var("x2") - jm.ring.var("y1")])
+        I = jm.plus([jm.ring.var("x2") - jm.ring.var("y1")])
         assert certify_prime_component(I)
 
 
@@ -202,7 +201,7 @@ def test_prime_component_reads_certificate_and_dim_off_one_basis():
     # variable z and still see the non-saturated lattice 2Z(1,-1,0)
     R = PolyRing(("x", "y", "z"))
     ideal = Ideal(R, ["z", "x^2 - y^2"])
-    comp = _prime_component(AdmissibleSet(("z",)), ideal, _two_term_sides(ideal))
+    comp = _prime_component(("z",), ideal, _two_term_sides(ideal))
     assert not comp.certified_prime
     assert comp.dim == 1
 
@@ -259,14 +258,14 @@ def test_generator_and_basis_rows_give_one_smith_form_on_closure_systems(L, char
 def test_distributive_fixtures_have_prime_saturation():
     # background oracle: for these lattices the saturated ideal is prime
     for name, L in distributive_corpus():
-        comp = component_prime(L, AdmissibleSet(()))
+        comp = component_prime(L, ())
         assert comp.certified_prime, name
 
 
 # -- component primes ----------------------------------------------------------------
 
 def test_full_admissible_set_gives_maximal_ideal(lattice_Q):
-    comp = component_prime(lattice_Q, AdmissibleSet(tuple(lattice_Q.elements)))
+    comp = component_prime(lattice_Q, tuple(lattice_Q.elements))
     R = comp.ideal.ring
     assert set(comp.ideal.generators) == {R.var(v) for v in lattice_Q.elements}
     assert comp.certified_prime and comp.dim == 0
@@ -281,7 +280,7 @@ def test_full_admissible_set_gives_maximal_ideal(lattice_Q):
 
 
 def test_empty_admissible_set_on_q_gives_j(lattice_Q):
-    comp = component_prime(lattice_Q, AdmissibleSet(()))
+    comp = component_prime(lattice_Q, ())
     R = comp.ideal.ring
     J = Ideal(R, ["a*e - b*c", "a*g - c*f", "b*g - e*f", "d - f"])
     assert ideal_equal(comp.ideal, J)
@@ -289,8 +288,8 @@ def test_empty_admissible_set_on_q_gives_j(lattice_Q):
 
 
 def test_paper_admissible_set_not_minimal(lattice_Q):
-    comp = component_prime(lattice_Q, AdmissibleSet(("d", "f", "g")))
-    base = component_prime(lattice_Q, AdmissibleSet(()))
+    comp = component_prime(lattice_Q, ("d", "f", "g"))
+    base = component_prime(lattice_Q, ())
     assert comp.certified_prime
     assert ideal_contains(comp.ideal, base.ideal)
     assert not ideal_equal(comp.ideal, base.ideal)
@@ -324,13 +323,13 @@ def test_lk21_minimal_primes_match_expected_seven():
     L = lk(2, 1)
     jm = join_meet_ideal(L)
     comps = minimal_primes(L)
-    expected = lk_expected_primes(2, 1, jm.ring, jm.ideal)
+    expected = lk_expected_primes(2, 1, jm.ring, jm)
     assert len(comps) == 7
     used = set()
     for name, ideal in expected:
         hit = [c for c in comps if ideal_equal(c.ideal, ideal)]
         assert len(hit) == 1, name
-        used.add(hit[0].admissible.members)
+        used.add(hit[0].admissible)
     assert len(used) == 7
 
 
@@ -340,7 +339,7 @@ def test_minimal_primes_postconditions(lattice_Q):
         comps = minimal_primes(L)
         for c in comps:
             assert c.certified_prime
-            assert ideal_contains(c.ideal, jm.ideal)
+            assert ideal_contains(c.ideal, jm)
         for a, b in itertools.permutations(comps, 2):
             assert not ideal_contains(b.ideal, a.ideal)
 
@@ -494,7 +493,7 @@ def test_uncertified_component_keeps_the_answers(monkeypatch, char):
 
     def uncertified(adm, ideal, sides):
         comp = prime_component(adm, ideal, sides)
-        if adm.members:
+        if adm:
             return comp
         return PrimeComponent(comp.admissible, comp.ideal, False, comp.dim)
 
@@ -575,7 +574,7 @@ def _certificate_against_fold(L, char):
     the zero ideal and the fold does not apply."""
     def fresh():
         jm = join_meet_ideal(L, char)
-        return jm.ideal, [c.ideal for c in minimal_primes(L, char, _verify=False)]
+        return jm, [c.ideal for c in minimal_primes(L, char, _verify=False)]
 
     ideal, parts = fresh()
     certified = _initial_ideals_certify(ideal, parts)
@@ -642,7 +641,7 @@ def test_certificate_builds_no_poly_basis(monkeypatch, spec, char):
     and reduces I's generators by the cached component bases: no basis is
     turned into Polys."""
     L = build_fixture(spec)
-    ideal = join_meet_ideal(L, char).ideal
+    ideal = join_meet_ideal(L, char)
     parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
     monkeypatch.setattr(ReducedGB, "basis", property(_refuse))
     assert _initial_ideals_certify(ideal, parts)
@@ -677,17 +676,17 @@ def test_restriction_ideal_is_zeroed_image():
             continue
         jm = join_meet_ideal(L)
         for adm in enumerate_admissible_sets(L):
-            if len(adm.members) in (0, len(L.elements)):
+            if len(adm) in (0, len(L.elements)):
                 continue
             sub = restrict_to_complement(L, adm)
             sub_jm = join_meet_ideal(sub)
             images = [
-                g.zero_out(adm.members).map_ring(sub_jm.ring)
-                for g in jm.ideal.generators
+                g.zero_out(adm).map_ring(sub_jm.ring)
+                for g in jm.generators
             ]
             images = [g for g in images if g]
-            assert ideal_equal(Ideal(sub_jm.ring, images), sub_jm.ideal), (
-                name, adm.members)
+            assert ideal_equal(Ideal(sub_jm.ring, images), sub_jm), (
+                name, adm)
 
 
 # -- dimension facts -------------------------------------------------------------------
@@ -695,7 +694,7 @@ def test_restriction_ideal_is_zeroed_image():
 def test_distributive_dimension_formula():
     for name, L in distributive_corpus():
         jm = join_meet_ideal(L)
-        dim = krull_dim(initial_ideal(jm.ideal))
+        dim = krull_dim(initial_ideal(jm))
         assert dim == len(join_irreducibles(L)) + 1, name
 
 
@@ -735,13 +734,13 @@ def test_saturate_matches_pass_chain_on_closure_systems(L, char):
 def test_colon_equals_saturation_on_radical_fixtures():
     for name, L in radical_fixture_corpus():
         jm = join_meet_ideal(L)
-        if not jm.ideal.generators:
+        if not jm.generators:
             continue
         prod = product([jm.ring.var(v) for v in jm.ring.variables], jm.ring)
-        c = colon(jm.ideal, prod)
-        s = saturate(jm.ideal, prod)
+        c = colon(jm, prod)
+        s = saturate(jm, prod)
         assert ideal_equal(c, s), name
-        assert ideal_contains(c, jm.ideal), name
+        assert ideal_contains(c, jm), name
 
 
 # -- radicality certificates -----------------------------------------------------------
@@ -792,7 +791,7 @@ def test_radical_certificate_honours_small_degree_bound(lattice_N):
 def test_certificate_witness_lies_in_the_radical_on_closure_systems(L, char):
     cert = radical_certificate(L, char)
     if cert.verdict == "not_radical":
-        I = join_meet_ideal(L, char).ideal
+        I = join_meet_ideal(L, char)
         w = cert.witness
         assert not ideal_member(w, I)
         assert ideal_member(w ** 2, I) or ideal_member(w ** 4, I)
@@ -803,7 +802,7 @@ def test_certificate_witness_lies_in_the_radical_on_closure_systems(L, char):
 def _colons_match_colon(L, char):
     """Check both one-basis colons of every variable against ``colon``, and
     the colon witness against membership; return the witness."""
-    I = join_meet_ideal(L, char).ideal
+    I = join_meet_ideal(L, char)
     ring = I.ring
     for i, v in enumerate(ring.variables):
         x = ring.var(v)
@@ -838,9 +837,9 @@ def test_colon_bases_match_colon_on_closure_systems(L, char):
 
 # -- the witness search against the Poly oracle ----------------------------------------
 
-def _same_witness(jm, bound, power_cap):
-    got = _witness_search(jm, bound, power_cap)
-    want = witness_search_poly(jm, bound, power_cap)
+def _same_witness(L, jm, bound, power_cap):
+    got = _witness_search(L, jm, bound, power_cap)
+    want = witness_search_poly(L, jm, bound, power_cap)
     assert (got is None) == (want is None)
     assert str(got) == str(want)
     return got
@@ -857,8 +856,8 @@ _WITNESS_CASES = [
 
 @pytest.mark.parametrize("name, char, power_cap, bound", _WITNESS_CASES)
 def test_witness_search_matches_poly_oracle(name, char, power_cap, bound):
-    jm = join_meet_ideal(build_fixture(name), char)
-    got = _same_witness(jm, bound, power_cap)
+    L = build_fixture(name)
+    got = _same_witness(L, join_meet_ideal(L, char), bound, power_cap)
     if name == "N":
         assert (got is None) == (bound == 3)
 
@@ -871,7 +870,7 @@ _CLOSURE_BOUNDS = [(b, c) for b in (2, 3, 4) for c in (2, 4, 8) if b * c < 32]
        st.sampled_from(_CLOSURE_BOUNDS))
 @settings(max_examples=15, deadline=None)
 def test_witness_search_matches_poly_oracle_on_closure_systems(L, char, bounds):
-    _same_witness(join_meet_ideal(L, char), *bounds)
+    _same_witness(L, join_meet_ideal(L, char), *bounds)
 
 
 def _capped_prefiltered_search(L, char, bound):
@@ -881,10 +880,10 @@ def _capped_prefiltered_search(L, char, bound):
     jm = join_meet_ideal(L, char)
     primes = [c.admissible for c in minimal_primes(L, char, _verify=False)
               if c.certified_prime]
-    w = _colon_witness(jm.ideal)
+    w = _colon_witness(jm)
     cap = bound if w is None else min(bound, w.total_degree())
-    got = _witness_search(jm, cap, 4, primes)
-    want = witness_search_poly(jm, cap, 4)
+    got = _witness_search(L, jm, cap, 4, primes)
+    want = witness_search_poly(L, jm, cap, 4)
     assert str(got) == str(want)
     return got
 
@@ -907,9 +906,9 @@ def test_prefiltered_capped_search_matches_poly_oracle_on_closure_systems(
 def test_witness_search_power_overflow_raises():
     # over GF(2) each square of a two-term difference has two terms, so the
     # powers of the first candidate reach the field width quickly
-    jm = join_meet_ideal(chain(2), 2)
+    L = chain(2)
     with pytest.raises(ExponentOverflow):
-        _witness_search(jm, 2, 1 << 14)
+        _witness_search(L, join_meet_ideal(L, 2), 2, 1 << 14)
 
 
 def _round_two_lattice():
@@ -935,8 +934,8 @@ def test_radical_certificate_takes_a_round_two_witness(char, witness, colon_witn
     assert str(cert.witness) == witness
     assert cert.detail == "witness found at degree 3"
     jm = join_meet_ideal(L, char)
-    assert str(_colon_witness(jm.ideal)) == colon_witness
-    assert str(_same_witness(jm, 3, 4)) == witness
+    assert str(_colon_witness(jm)) == colon_witness
+    assert str(_same_witness(L, jm, 3, 4)) == witness
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -947,7 +946,7 @@ def test_witness_search_builds_only_its_witness(name, bound, char, monkeypatch):
     off the initial ideal."""
     L = lattice_n() if name == "N" else _round_two_lattice()
     jm = join_meet_ideal(L, char)
-    jm.ideal.groebner()
+    jm.groebner()
     built = []
     init = Poly.__init__
 
@@ -960,7 +959,7 @@ def test_witness_search_builds_only_its_witness(name, bound, char, monkeypatch):
 
     monkeypatch.setattr(Poly, "__init__", counted)
     monkeypatch.setattr(workflows, "initial_ideal", unused)
-    w = _witness_search(jm, bound, 4)
+    w = _witness_search(L, jm, bound, 4)
     monkeypatch.undo()
     assert (w is None) == (name == "N" and bound == 3)
     assert built == ([] if w is None else [w])
@@ -974,11 +973,11 @@ def _nf_basis(name, char, variant):
     jm = join_meet_ideal(build_fixture(name), char)
     ring = jm.ring
     if variant == "lex-reversed":
-        return ring, jm.ideal.groebner(lex(tuple(reversed(ring.variables))))
+        return ring, jm.groebner(lex(tuple(reversed(ring.variables))))
     if variant == "plus-monomial":
         cube = ring.monomial(tuple(int(i < 3) for i in range(ring.nvars)))
-        return ring, buchberger(jm.ideal.generators + (cube,), ring=ring)
-    return ring, jm.ideal.groebner()
+        return ring, buchberger(jm.generators + (cube,), ring=ring)
+    return ring, jm.groebner()
 
 
 @given(st.sampled_from(["N", "Q", "R", "M3"]), st.sampled_from([0, 32003]),
@@ -1187,7 +1186,7 @@ _FIBER_LATTICES = st.one_of(st.sampled_from([lattice_n, lattice_r, diamond_m3])
 
 def _moves(jm):
     """Each generator's two terms (a, b), as exponent tuples, and (b, a)."""
-    gens = [tuple(g.terms) for g in jm.ideal.generators]
+    gens = [tuple(g.terms) for g in jm.generators]
     return gens + [(b, a) for a, b in gens]
 
 
@@ -1207,7 +1206,7 @@ def test_standard_monomials_are_the_least_of_their_fiber_components(L, kind, rnd
     jm = join_meet_ideal(L)
     ring = jm.ring
     _, order = _drawn_order(ring, kind, rnd)
-    ini = initial_ideal(jm.ideal, order)
+    ini = initial_ideal(jm, order)
     key = sort_key(order, ring)
     moves = _moves(jm)
     for degree in (2, 3, 4):
@@ -1227,7 +1226,7 @@ def _settled(jm, kind, perm):
     ring = jm.ring
     ctx = groebner._Ctx(ring, MonomialOrder(kind, tuple(ring.variables[i] for i in perm)))
     elements = [(*ctx.key_pack(a), *ctx.key_pack(b))
-                for a, b in (tuple(g.terms) for g in jm.ideal.generators)]
+                for a, b in (tuple(g.terms) for g in jm.generators)]
     stash = []
     if groebner._binomial_buchberger(ctx, elements,
                                      stop=_settling_stop(ctx, stash)) is not None:
@@ -1253,7 +1252,7 @@ def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, rnd):
         assert cone.contains(*_tuple_order(kind, perm))
         for other, operm, order in drawn:
             if cone.contains(*_tuple_order(other, operm)):
-                ini = initial_ideal(jm.ideal, order)
+                ini = initial_ideal(jm, order)
                 assert m in ini.gens and not ini.is_squarefree()
 
 

@@ -596,13 +596,16 @@ def radical_certificate(lattice, char=0, degree_bound=None):
 class ScanReport:
     """The verdicts of a squarefree order scan.
 
-    ``distinct_initial_ideals`` counts the distinct initial ideals of an
-    exhaustive scan.  It is None for a sampled scan, which settles a
-    non-squarefree order at its first non-squarefree lead m: every order
-    that keeps m above the other term of m's element and each m/x least in
-    its fiber component has m as a minimal generator of its in(I) (proof at
-    ``squarefree_order_scan``).  So a sampled scan never learns the whole
-    of that order's in(I).
+    An exhaustive scan's ``counts`` sum the orders of each whole Groebner
+    cone met, counted without visiting them, and its witness is the first
+    squarefree priority in itertools order (``_count_orders``); a sampled
+    scan counts the orders it draws.  ``distinct_initial_ideals`` counts the
+    distinct initial ideals, one per cone, of an exhaustive scan.  It is
+    None for a sampled scan, which settles a non-squarefree order at its
+    first non-squarefree lead m: every order that keeps m above the other
+    term of m's element and each m/x least in its fiber component has m as
+    a minimal generator of its in(I) (proof at ``squarefree_order_scan``).
+    So a sampled scan never learns the whole of that order's in(I).
     """
 
     total_orders: int
@@ -655,11 +658,13 @@ class _Cone:
     squarefree verdict carries over.  Under such an order the leading term
     of each generator lies in in(I) = <lead(G)>; ``off_first`` and
     ``off_second`` mark the generators whose first or second monomial does
-    not, so one bitmask per order rejects most cones before any comparison
-    is made.  ``pairs`` holds the (above, below) exponent tuples that an
-    order in the cone ranks that way, the last one to fail at the front;
-    for G, the (lead, tail) of each binomial.  The two tuples of a pair
-    have one degree, so ``_tuple_order``'s rule for the kind compares them.
+    not, so one bitmask per sampled order rejects most cones before any
+    comparison is made.  ``pairs`` holds the (above, below) exponent tuples
+    that an order in the cone ranks that way, the last one to fail at the
+    front; for G, the (lead, tail) of each binomial, from which an
+    exhaustive scan counts the cone's orders (``_order_tables``).  The two
+    tuples of a pair have one degree, so ``_tuple_order``'s rule for the
+    kind compares them.
 
     A negative cone (``settled``) keeps the element g = m - t of a sampled
     run that stopped at its non-squarefree lead m, and holds every order
@@ -735,15 +740,25 @@ def _settling_stop(ctx, stash):
     return stop
 
 
+def _packed_generators(ring, gens, kind, perm):
+    """The packing context of the ``kind`` order with priority ``perm``, and
+    the (first, second) exponent tuples of ``gens`` packed by it, as the
+    engine takes them."""
+    ctx = _Ctx(ring, MonomialOrder(kind, tuple(ring.variables[i] for i in perm)))
+    return ctx, [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
+
+
 def _scan_orders(lattice, kinds, perms, char, settle=False):
-    """Scan (kind, permutation) pairs.
+    """Scan (kind, permutation) pairs one order at a time; sampled scans
+    take this path.
 
     Returns the per-kind counts, the first squarefree (kind, priority) and
     the number of whole-basis cones met.  The ideal scanned is the join-meet
     ideal, whose generators ab - (a∧b)(a∨b) are homogeneous of degree two;
     the degrevlex rule of ``_tuple_order`` and ``settle`` both rely on that.
     Each order is tested against the Groebner cones found so far, most
-    recently used first, by comparing exponent tuples (``_tuple_order``).
+    recently used first, by comparing exponent tuples (``_tuple_order``),
+    after the generator bitmask of ``_Cone`` once some cone has a mask.
     Only an order outside all of them becomes an order object, and the
     engine runs in that order's own packing (``_Ctx``).  The new cone
     unpacks the run's basis once into exponent tuples.
@@ -767,12 +782,17 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     witness = None
     cones = []
     whole = 0
+    # negative cones have empty masks, so the mask rejects nothing until a
+    # whole cone is met
+    masked = False
+    first = second = 0
     for perm in perms:
         for kind in kinds:
             key, above = _tuple_order(kind, perm)
-            first = sum(1 << i for i, (m1, m2) in enumerate(gens)
-                        if above(key(m1), key(m2)))
-            second = everything ^ first
+            if masked:
+                first = sum(1 << i for i, (m1, m2) in enumerate(gens)
+                            if above(key(m1), key(m2)))
+                second = everything ^ first
             for c, cone in enumerate(cones):
                 if (first & cone.off_first or second & cone.off_second
                         or not cone.contains(key, above)):
@@ -781,9 +801,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     cones.insert(0, cones.pop(c))
                 break
             else:
-                ctx = _Ctx(ring, MonomialOrder(
-                    kind, tuple(ring.variables[i] for i in perm)))
-                elements = [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
+                ctx, elements = _packed_generators(ring, gens, kind, perm)
                 stash = []
                 basis = _binomial_buchberger(
                     ctx, elements, stop=_settling_stop(ctx, stash) if settle else None)
@@ -791,6 +809,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     cone = _Cone.settled(ctx, stash[0], moves)
                 else:
                     cone = _Cone(ctx, basis, gens)
+                    masked = masked or bool(cone.off_first | cone.off_second)
                     whole += 1
                 cones.insert(0, cone)
             counts[kind]["orders"] += 1
@@ -801,6 +820,185 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     return counts, witness, whole
 
 
+def _order_tables(pairs, n):
+    """(bad, count) tables of the reading orders σ that rank each (above,
+    below) pair of ``pairs`` that way, placing σ front to back; an order
+    reads exponent tuples in its priority under lex and in its reversed
+    priority under degrevlex (``_tuple_order``).  For a set S of variables
+    placed first (a bitmask) by a placing that keeps every pair, ``bad[S]``
+    holds the variables whose placing next would turn some pair over, and
+    ``count[S]`` the number of ways to place the rest without turning one.
+    Both are dicts over the sets that such placings reach.
+
+    Read in σ, a pair (a, b) of one degree is decided at the first variable
+    of the support D of a - b placed: lex with priority σ keeps it when
+    a_i > b_i there, and so does degrevlex with priority σ reversed for the
+    swapped pair (b, a).  So placing v after S turns the pair over when D
+    misses S and a_v < b_v, and count(S) sums count(S ∪ {v}) over the v
+    that turn none.  When some σ keeps every pair, every set reached has a
+    completion: σ restricted to the variables left keeps every pair whose D
+    misses S, and the placing that reached S decided the others.
+    """
+    rules = set()
+    for above, below in pairs:
+        support = wrong = 0
+        for i, (a, b) in enumerate(zip(above, below)):
+            if a != b:
+                support |= 1 << i
+                if a < b:
+                    wrong |= 1 << i
+        if wrong:
+            rules.add((support, wrong))
+    full = (1 << n) - 1
+    bad, count = {}, {full: 1}
+
+    def completions(placed):
+        total = count.get(placed)
+        if total is None:
+            broken = 0
+            for support, wrong in rules:
+                if not support & placed:
+                    broken |= wrong
+            bad[placed] = broken
+            free = full & ~(placed | broken)
+            total = 0
+            while free:
+                v = free & -free
+                total += completions(placed | v)
+                free ^= v
+            count[placed] = total
+        return total
+
+    completions(0)
+    return bad, count
+
+
+def _cone_tables(lattice, kinds, char):
+    """The whole Groebner cones that the ``kinds`` orders of every priority
+    meet, each with its ``_order_tables`` under each kind that meets it:
+    a dict from kind to its list of (cone, bad, count).  A cone's tables
+    under degrevlex are those of its pairs swapped.
+
+    For each kind, a depth-first walk over prefixes of the reading order,
+    in itertools order, keeps the cones found so far that the prefix has
+    not ruled out, and leaves a prefix once their counts of its completions
+    add up to all (n - |prefix|)! of them.  A cone found below a prefix
+    holds an order that extends it, so it joins the lists of every prefix
+    on the path.  At an order that no cone of the kind holds, the whole
+    cones found under the other kind are tried (``_Cone.contains``), and
+    only when none holds it does the engine run, so every run finds a new
+    reduced basis.
+    """
+    I = join_meet_ideal(lattice, char)
+    ring = I.ring
+    n = ring.nvars
+    gens = [tuple(g.terms) for g in I.generators]
+    rest = [math.factorial(n - depth) for depth in range(n + 1)]
+    tables = {k: [] for k in kinds}
+    elsewhere = {k: [] for k in kinds}  # cones found under another kind only
+    path = []
+
+    def meet(kind, perm):
+        key, above = _tuple_order(kind, perm)
+        for cone in elsewhere[kind]:
+            if cone.contains(key, above):
+                elsewhere[kind].remove(cone)
+                break
+        else:
+            ctx, elements = _packed_generators(ring, gens, kind, perm)
+            cone = _Cone(ctx, _binomial_buchberger(ctx, elements), gens)
+            for other in kinds:
+                if other != kind:
+                    elsewhere[other].append(cone)
+        pairs = cone.pairs if kind == "lex" else [(b, a) for a, b in cone.pairs]
+        entry = (cone, *_order_tables(pairs, n))
+        tables[kind].append(entry)
+        for live in path:
+            live.append(entry)
+
+    def visit(kind, seq, placed, live):
+        if sum(e[2][placed] for e in live) >= rest[len(seq)]:
+            return
+        if len(seq) == n:
+            meet(kind, seq if kind == "lex" else seq[::-1])
+            return
+        path.append(live)
+        for v in range(n):
+            bit = 1 << v
+            if not placed & bit:
+                visit(kind, seq + (v,), placed | bit,
+                      [e for e in live if not e[1][placed] & bit])
+        path.pop()
+
+    for kind in kinds:
+        visit(kind, (), 0, [])
+    return tables
+
+
+def _first_squarefree(kind, entries, n):
+    """The first priority in itertools order of a ``kind`` order in one of
+    the squarefree cones among ``entries`` (``_cone_tables``), or None.
+
+    Each variable is the least that some squarefree cone still admits, so
+    the walk never turns back.  Under lex the priority is the reading
+    order: v comes right after the prefix, and any set reached has a
+    completion (``_order_tables``).  Under degrevlex the priority is the
+    reading order reversed, so the prefix fixes the end of the reading, and
+    v comes right before that end, after a placing of the variables left,
+    which the tables hold exactly when one exists.  That placing extends by
+    v: a pair that v would turn over has no variable of D left but v, so
+    every placing of the variables left with v would turn it over, yet the
+    step before found that set reached."""
+    live = [e for e in entries if e[0].squarefree]
+    if not live:
+        return None
+    full = (1 << n) - 1
+    perm, placed = (), 0
+    while len(perm) < n:
+        for v in range(n):
+            bit = 1 << v
+            if placed & bit:
+                continue
+            if kind == "lex":
+                kept = [e for e in live if not e[1][placed] & bit]
+            else:
+                kept = [e for e in live if full ^ placed ^ bit in e[2]]
+            if kept:
+                break
+        perm, placed, live = perm + (v,), placed | bit, kept
+    return perm
+
+
+def _count_orders(lattice, kinds, char):
+    """The exhaustive scan: (counts, witness, cones) as ``_scan_orders``
+    gives them over all permutations in itertools order, from the cones'
+    order counts (``_cone_tables``) instead of one visit per order.
+
+    Each kind's orders are the sum of its cones' counts, which must come to
+    n! since every order lies in exactly one cone.  The witness is the
+    first squarefree priority over the kinds, the earlier kind in ``kinds``
+    on a tie."""
+    tables = _cone_tables(lattice, kinds, char)
+    n = len(lattice.elements)
+    counts = {}
+    for kind, entries in tables.items():
+        orders = sum(e[2][0] for e in entries)
+        if orders != math.factorial(n):
+            raise AssertionError(
+                f"the {kind} cones hold {orders} orders, not {n}!")
+        counts[kind] = {"orders": orders, "squarefree": sum(
+            e[2][0] for e in entries if e[0].squarefree)}
+    firsts = [(perm, i) for i, perm in enumerate(
+        _first_squarefree(kind, tables[kind], n) for kind in kinds)
+        if perm is not None]
+    witness = None
+    if firsts:
+        perm, i = min(firsts)
+        witness = (kinds[i], tuple(lattice.elements[v] for v in perm))
+    cones = {id(e[0]) for entries in tables.values() for e in entries}
+    return counts, witness, len(cones)
+
+
 def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
                           sample=10000, seed=0, char=0):
     """Per-order squarefree verdicts over Lex/DegRevLex variable permutations;
@@ -808,33 +1006,44 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
 
     Exhausts all permutations for rings with at most eight variables by
     default and takes a seeded sample above that; ``exhaustive=True`` forces
-    the full enumeration.  The scan's permutations form one stream, all of
-    them in itertools order or ``sample`` draws of ``random.Random(seed)``,
-    scanned in this process by one ``_scan_orders`` call, so one cone cache
-    serves every order.
+    the full enumeration.
 
-    The engine runs once per Groebner cone met, not once per order: each
-    order is tested against the cones found so far by comparing exponent
-    tuples (``_tuple_order``).  Lex reads them in priority order; degrevlex
-    reads them in reversed priority order, which ranks only monomials of
-    one degree, so the scan needs homogeneous input, as every join-meet
-    ideal is.
+    The engine runs once per Groebner cone met, not once per order.  An
+    order lies in the cone of a reduced basis G when it picks the same
+    leading term in every element of G; G is then its reduced basis too.
+    Lex compares exponent tuples in priority order; degrevlex compares them
+    in reversed priority order, which ranks only monomials of one degree, so
+    the scan needs homogeneous input, as every join-meet ideal is
+    (``_tuple_order``).
 
-    A sampled scan settles a non-squarefree order at its first lead m that
-    is not squarefree, of degree d, in the element g = m - t, and keeps a
-    negative cone (``_Cone.settled``).  The proof that no order in it is
-    squarefree rests on fibers (Diaconis–Sturmfels 1998): I is spanned in
-    each degree e by the differences x^u - x^v along moves w·(a - b) of its
-    generators a - b, so in(I)_e holds every monomial of degree e but the
-    least of each fiber component.  Pairs leave the heap by degree on the
-    homogeneous I, so when g is added the leads so far generate in(I) below
-    d, and none divides m: each m/x is least in its component.  Under any
-    order that puts m above t and each m/x least in its component, m lies
-    in in(I) and no m/x does, so m is a minimal generator of in(I), and the
-    order is not squarefree.  A squarefree verdict and the witness come
-    only from whole reduced bases, and exhaustive scans build only those.
-    A sampled scan does not learn each order's whole in(I), so its report's
-    ``distinct_initial_ideals`` is None.
+    An exhaustive scan visits no order one at a time.  Each element of G
+    decides its lead at the first variable of its support that the order
+    reads, in the priority under lex and in the reversed priority under
+    degrevlex, so a subset recursion counts the orders of each kind in each
+    cone (``_order_tables``); a walk over reading-order prefixes meets every
+    cone and runs the engine only at an order no cone found so far holds
+    (``_cone_tables``); the witness, the first squarefree priority in
+    itertools order, is read greedily from the same tables
+    (``_first_squarefree``, ``_count_orders``).  Every run yields a new
+    reduced basis, so the runs are the distinct initial ideals.
+
+    A sampled scan takes its ``sample`` draws of ``random.Random(seed)`` as
+    one stream in this process, tests each against the cones found so far
+    (``_scan_orders``), and settles a non-squarefree order at its first lead
+    m that is not squarefree, of degree d, in the element g = m - t, keeping
+    a negative cone (``_Cone.settled``).  Negative cones overlap, so they
+    cannot be counted.  The proof that no order in one is squarefree rests
+    on fibers (Diaconis–Sturmfels 1998): I is spanned in each degree e by
+    the differences x^u - x^v along moves w·(a - b) of its generators
+    a - b, so in(I)_e holds every monomial of degree e but the least of each
+    fiber component.  Pairs leave the heap by degree on the homogeneous I,
+    so when g is added the leads so far generate in(I) below d, and none
+    divides m: each m/x is least in its component.  Under any order that
+    puts m above t and each m/x least in its component, m lies in in(I) and
+    no m/x does, so m is a minimal generator of in(I), and the order is not
+    squarefree.  A squarefree verdict and the witness come only from whole
+    reduced bases.  A sampled scan does not learn each order's whole in(I),
+    so its report's ``distinct_initial_ideals`` is None.
     """
     if not 0 < len(kinds) == len(set(kinds) & {"lex", "degrevlex"}):
         raise PreconditionViolated(
@@ -845,13 +1054,14 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     if exhaustive is None:
         exhaustive = n <= 8
     if exhaustive:
-        total, perms = math.factorial(n), itertools.permutations(range(n))
+        total = math.factorial(n)
+        counts, witness, whole = _count_orders(lattice, tuple(kinds), char)
     else:
         rng = random.Random(seed)
         total = sample
         perms = (tuple(rng.sample(range(n), n)) for _ in range(sample))
-    counts, witness, whole = _scan_orders(lattice, kinds, perms, char,
-                                          settle=not exhaustive)
+        counts, witness, whole = _scan_orders(lattice, kinds, perms, char,
+                                              settle=True)
     return ScanReport(
         total_orders=total * len(kinds),
         any_squarefree=witness is not None,

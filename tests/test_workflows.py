@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from pathlib import Path
 from unittest import mock
@@ -65,6 +66,7 @@ from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
     _Cone,
+    _cone_tables,
     _fiber_component,
     _initial_ideals_certify,
     _intersect_all,
@@ -1261,6 +1263,82 @@ def test_scan_q_witness_is_the_first_order(lattice_Q):
     assert rep.counts["lex"] == {"orders": 5040, "squarefree": 5040}
     assert (rep.witness_kind, rep.witness_priority) == ("lex", tuple("abcdefg"))
     assert rep.distinct_initial_ideals == 12
+
+
+_KINDS = [("lex",), ("degrevlex",), _BOTH, _BOTH[::-1]]
+
+
+@given(closure_lattices(max_elements=7), st.sampled_from([0, 32003]),
+       st.sampled_from(_KINDS))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_scan_counts_cones_as_the_per_order_scan_visits_them(L, char,
+                                                                        kinds):
+    """The cone counter (``_count_orders``) reports the counts, the witness
+    and the distinct initial ideals that visiting every order in itertools
+    order with whole bases (``_scan_orders``) finds."""
+    rep = squarefree_order_scan(L, kinds=kinds, exhaustive=True, char=char)
+    perms = itertools.permutations(range(len(L.elements)))
+    assert (*_verdicts(rep), rep.distinct_initial_ideals) == _scan_orders(
+        L, kinds, perms, char, settle=False)
+
+
+def _late_witness_lattice():
+    """A closure lattice on {0, ..., 4} (s<bits>) whose first squarefree
+    priority is not the identity under either kind, and whose first
+    degrevlex one comes before its first lex one."""
+    return build_lattice(
+        ["s0", "s10", "s2", "s20", "s31", "s4", "s6"],
+        [("s0", "s2"), ("s0", "s4"), ("s10", "s31"), ("s2", "s10"), ("s2", "s6"),
+         ("s20", "s31"), ("s4", "s20"), ("s4", "s6"), ("s6", "s31")])
+
+
+@pytest.mark.parametrize("kinds", _KINDS, ids="-".join)
+def test_exhaustive_scan_witness_is_the_first_squarefree_priority(kinds):
+    """The greedy witness (``_first_squarefree``) reads lex priorities front
+    to back and degrevlex ones from the end of the reading order."""
+    L = _late_witness_lattice()
+    rep = squarefree_order_scan(L, kinds=kinds, exhaustive=True)
+    perms = itertools.permutations(range(len(L.elements)))
+    assert (*_verdicts(rep), rep.distinct_initial_ideals) == _scan_orders(
+        L, kinds, perms, 0, settle=False)
+    if "degrevlex" in kinds:
+        assert (rep.witness_kind, rep.witness_priority) == (
+            "degrevlex", ("s0", "s10", "s2", "s20", "s4", "s6", "s31"))
+
+
+def test_exhaustive_scan_counts_divisor_ladder_4():
+    """2·10! orders, beyond the default exhaustive threshold, all
+    squarefree, in 120 cones."""
+    rep = squarefree_order_scan(divisor_ladder(4), exhaustive=True)
+    assert rep.total_orders == 2 * 3628800
+    assert rep.counts == {k: {"orders": 3628800, "squarefree": 3628800}
+                          for k in _BOTH}
+    assert (rep.witness_kind, rep.witness_priority) == (
+        "lex", tuple(divisor_ladder(4).elements))
+    assert rep.distinct_initial_ideals == 120
+
+
+_UP_TO_EIGHT = {name: L for name, L in small_corpus() + distributive_corpus()
+                + radical_fixture_corpus() + [("DivLadder3", divisor_ladder(3)),
+                                              ("B3-minus-coatom",
+                                               _cube_without_a_coatom())]
+                if len(L.elements) <= 8}
+
+
+@pytest.mark.parametrize("name", sorted(_UP_TO_EIGHT))
+def test_exhaustive_scan_orders_are_the_sum_of_cone_counts(name):
+    """Each kind's ``orders`` is summed from its cones' counts, and comes to
+    n!: every order lies in exactly one cone."""
+    L = _UP_TO_EIGHT[name]
+    rep = squarefree_order_scan(L, exhaustive=True)
+    tables = _cone_tables(L, _BOTH, 0)
+    for kind in _BOTH:
+        per_cone = [count[0] for _, _, count in tables[kind]]
+        assert all(per_cone)
+        assert rep.counts[kind]["orders"] == sum(per_cone) \
+            == math.factorial(len(L.elements))
+        assert rep.counts[kind]["squarefree"] == sum(
+            count[0] for cone, _, count in tables[kind] if cone.squarefree)
 
 
 @pytest.mark.parametrize("bad", [

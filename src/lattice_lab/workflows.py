@@ -42,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import ge, gt, itemgetter, lt
+from operator import ge
 
 from .errors import (
     IntersectionMismatch,
@@ -619,17 +619,35 @@ class ScanReport:
     distinct_initial_ideals: int | None
 
 
-def _tuple_order(kind, perm):
-    """The key and comparison of the ``kind`` order with priority ``perm``
-    (variable indices, highest first) on exponent tuples of one degree: the
-    order puts a above b exactly when ``above(key(a), key(b))``.  Lex reads
-    the tuples in ``perm`` order and the larger is above.  Degrevlex reads
-    them in reversed ``perm`` order and the smaller is above, which holds
-    only between tuples of one degree, as the two terms of every binomial of
-    a homogeneous ideal are."""
-    if kind == "lex":
-        return itemgetter(*perm), gt
-    return itemgetter(*perm[::-1]), lt
+def _rules(pairs):
+    """{kind: [(D, W), ...]}, one rule per (above, below) pair of exponent
+    tuples.  An order reads the variables in its priority under lex and in
+    its reversed priority under degrevlex, and puts above over below exactly
+    when the first variable of the support D of above - below that it reads
+    is not in W: lex wants the larger exponent there, so W = {i : above_i <
+    below_i}, and degrevlex the smaller, so W is D minus that set.  This
+    ranks only tuples of one degree, as a homogeneous binomial's are."""
+    lex, degrevlex = [], []
+    for above, below in pairs:
+        support = wrong = 0
+        for i, (a, b) in enumerate(zip(above, below)):
+            if a != b:
+                support |= 1 << i
+                if a < b:
+                    wrong |= 1 << i
+        lex.append((support, wrong))
+        degrevlex.append((support, support ^ wrong))
+    return {"lex": lex, "degrevlex": degrevlex}
+
+
+def _keeps(rule, reading):
+    """True when the order that reads the variables in ``reading`` keeps
+    ``rule`` (``_rules``); none keeps the empty support of equal tuples."""
+    support, wrong = rule
+    for v in reading:
+        if support >> v & 1:
+            return not wrong >> v & 1
+    return False
 
 
 def _fiber_component(start, moves):
@@ -659,12 +677,10 @@ class _Cone:
     of each generator lies in in(I) = <lead(G)>; ``off_first`` and
     ``off_second`` mark the generators whose first or second monomial does
     not, so one bitmask per sampled order rejects most cones before any
-    comparison is made.  ``pairs`` holds the (above, below) exponent tuples
-    that an order in the cone ranks that way, the last one to fail at the
-    front; for G, the (lead, tail) of each binomial, from which an
-    exhaustive scan counts the cone's orders (``_order_tables``).  The two
-    tuples of a pair have one degree, so ``_tuple_order``'s rule for the
-    kind compares them.
+    rule is read.  ``rules`` holds the ``_rules`` of the (above, below)
+    pairs that an order in the cone ranks that way, the last one to fail at
+    the front; for G, the (lead, tail) of each binomial, from which an
+    exhaustive scan counts the cone's orders (``_order_tables``).
 
     A negative cone (``settled``) keeps the element g = m - t of a sampled
     run that stopped at its non-squarefree lead m, and holds every order
@@ -672,7 +688,7 @@ class _Cone:
     order is squarefree (``squarefree_order_scan``).  Its masks are empty.
     """
 
-    __slots__ = ("squarefree", "off_first", "off_second", "pairs")
+    __slots__ = ("squarefree", "off_first", "off_second", "rules")
 
     def __init__(self, ctx, elements, gens):
         """``elements``: binomial elements of G, packed by ``ctx``, the
@@ -689,7 +705,8 @@ class _Cone:
                 self.off_first |= 1 << i
             if m2 not in leads:
                 self.off_second |= 1 << i
-        self.pairs = [(unpack(lp), unpack(tp)) for _, lp, _, tp in elements if tp >= 0]
+        self.rules = _rules((unpack(lp), unpack(tp))
+                            for _, lp, _, tp in elements if tp >= 0)
 
     @classmethod
     def settled(cls, ctx, g, moves):
@@ -701,22 +718,20 @@ class _Cone:
         cone.squarefree = False
         cone.off_first = cone.off_second = 0
         m = ctx.unpack(g[1])
-        cone.pairs = [(m, ctx.unpack(g[3]))]
-        for i, e in enumerate(m):
-            if e:
-                below = (*m[:i], e - 1, *m[i + 1:])
-                cone.pairs += [(c, below) for c in _fiber_component(below, moves)
-                               if c != below]
+        lower = [(*m[:i], e - 1, *m[i + 1:]) for i, e in enumerate(m) if e]
+        cone.rules = _rules([(m, ctx.unpack(g[3]))] + [
+            (c, below) for below in lower
+            for c in _fiber_component(below, moves) if c != below])
         return cone
 
-    def contains(self, key, above):
-        """True when the order of ``_tuple_order``'s (key, above) lies in
-        the cone."""
-        pairs = self.pairs
-        for j, (high, low) in enumerate(pairs):
-            if not above(key(high), key(low)):
+    def contains(self, kind, reading):
+        """True when the ``kind`` order that reads the variables in
+        ``reading`` keeps every rule of the cone (``_keeps``)."""
+        rules = self.rules[kind]
+        for j, rule in enumerate(rules):
+            if not _keeps(rule, reading):
                 if j:
-                    pairs.insert(0, pairs.pop(j))
+                    rules.insert(0, rules.pop(j))
                 return False
         return True
 
@@ -755,13 +770,14 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     Returns the per-kind counts, the first squarefree (kind, priority) and
     the number of whole-basis cones met.  The ideal scanned is the join-meet
     ideal, whose generators ab - (a∧b)(a∨b) are homogeneous of degree two;
-    the degrevlex rule of ``_tuple_order`` and ``settle`` both rely on that.
+    the degrevlex rules of ``_rules`` and ``settle`` both rely on that.
     Each order is tested against the Groebner cones found so far, most
-    recently used first, by comparing exponent tuples (``_tuple_order``),
-    after the generator bitmask of ``_Cone`` once some cone has a mask.
+    recently used first, by their rules (``_Cone.contains``), after the
+    generator bitmask of ``_Cone``, from the generators' rules, once some
+    cone has a mask.
     Only an order outside all of them becomes an order object, and the
     engine runs in that order's own packing (``_Ctx``).  The new cone
-    unpacks the run's basis once into exponent tuples.
+    turns the run's basis once into rules.
 
     With ``settle`` (sampled scans), a run stops at its first lead m that
     is not squarefree (``_settling_stop``) and leaves a negative cone
@@ -777,6 +793,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     ring = I.ring
     gens = [tuple(g.terms) for g in I.generators]
     moves = gens + [(m2, m1) for m1, m2 in gens]
+    gen_rules = _rules(gens)
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
@@ -788,14 +805,14 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     first = second = 0
     for perm in perms:
         for kind in kinds:
-            key, above = _tuple_order(kind, perm)
+            reading = perm if kind == "lex" else perm[::-1]
             if masked:
-                first = sum(1 << i for i, (m1, m2) in enumerate(gens)
-                            if above(key(m1), key(m2)))
+                first = sum(1 << i for i, rule in enumerate(gen_rules[kind])
+                            if _keeps(rule, reading))
                 second = everything ^ first
             for c, cone in enumerate(cones):
                 if (first & cone.off_first or second & cone.off_second
-                        or not cone.contains(key, above)):
+                        or not cone.contains(kind, reading)):
                     continue
                 if c:
                     cones.insert(0, cones.pop(c))
@@ -820,35 +837,22 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     return counts, witness, whole
 
 
-def _order_tables(pairs, n):
-    """(bad, count) tables of the reading orders σ that rank each (above,
-    below) pair of ``pairs`` that way, placing σ front to back; an order
-    reads exponent tuples in its priority under lex and in its reversed
-    priority under degrevlex (``_tuple_order``).  For a set S of variables
-    placed first (a bitmask) by a placing that keeps every pair, ``bad[S]``
-    holds the variables whose placing next would turn some pair over, and
-    ``count[S]`` the number of ways to place the rest without turning one.
-    Both are dicts over the sets that such placings reach.
+def _order_tables(rules, n):
+    """(bad, count) tables of the reading orders σ that keep every
+    (support, wrong) rule of ``rules`` (``_rules``), placing σ front to
+    back.  For a set S of variables placed first (a bitmask) by a placing
+    that keeps every rule, ``bad[S]`` holds the variables whose placing next
+    would break some rule, and ``count[S]`` the number of ways to place the
+    rest without breaking one.  Both are dicts over the sets that such
+    placings reach.
 
-    Read in σ, a pair (a, b) of one degree is decided at the first variable
-    of the support D of a - b placed: lex with priority σ keeps it when
-    a_i > b_i there, and so does degrevlex with priority σ reversed for the
-    swapped pair (b, a).  So placing v after S turns the pair over when D
-    misses S and a_v < b_v, and count(S) sums count(S ∪ {v}) over the v
-    that turn none.  When some σ keeps every pair, every set reached has a
-    completion: σ restricted to the variables left keeps every pair whose D
-    misses S, and the placing that reached S decided the others.
+    A rule (D, W) is decided at the first variable of D placed, so placing
+    v after S breaks it when D misses S and v is in W, and count(S) sums
+    count(S ∪ {v}) over the v that break none.  When some σ keeps every
+    rule, every set reached has a completion: σ restricted to the variables
+    left keeps every rule whose D misses S, and the placing that reached S
+    decided the others.
     """
-    rules = set()
-    for above, below in pairs:
-        support = wrong = 0
-        for i, (a, b) in enumerate(zip(above, below)):
-            if a != b:
-                support |= 1 << i
-                if a < b:
-                    wrong |= 1 << i
-        if wrong:
-            rules.add((support, wrong))
     full = (1 << n) - 1
     bad, count = {}, {full: 1}
 
@@ -875,9 +879,8 @@ def _order_tables(pairs, n):
 
 def _cone_tables(lattice, kinds, char):
     """The whole Groebner cones that the ``kinds`` orders of every priority
-    meet, each with its ``_order_tables`` under each kind that meets it:
-    a dict from kind to its list of (cone, bad, count).  A cone's tables
-    under degrevlex are those of its pairs swapped.
+    meet, each with the ``_order_tables`` of its rules under each kind that
+    meets it: a dict from kind to its list of (cone, bad, count).
 
     For each kind, a depth-first walk over prefixes of the reading order,
     in itertools order, keeps the cones found so far that the prefix has
@@ -898,20 +901,19 @@ def _cone_tables(lattice, kinds, char):
     elsewhere = {k: [] for k in kinds}  # cones found under another kind only
     path = []
 
-    def meet(kind, perm):
-        key, above = _tuple_order(kind, perm)
+    def meet(kind, reading):
         for cone in elsewhere[kind]:
-            if cone.contains(key, above):
+            if cone.contains(kind, reading):
                 elsewhere[kind].remove(cone)
                 break
         else:
+            perm = reading if kind == "lex" else reading[::-1]
             ctx, elements = _packed_generators(ring, gens, kind, perm)
             cone = _Cone(ctx, _binomial_buchberger(ctx, elements), gens)
             for other in kinds:
                 if other != kind:
                     elsewhere[other].append(cone)
-        pairs = cone.pairs if kind == "lex" else [(b, a) for a, b in cone.pairs]
-        entry = (cone, *_order_tables(pairs, n))
+        entry = (cone, *_order_tables(cone.rules[kind], n))
         tables[kind].append(entry)
         for live in path:
             live.append(entry)
@@ -920,7 +922,7 @@ def _cone_tables(lattice, kinds, char):
         if sum(e[2][placed] for e in live) >= rest[len(seq)]:
             return
         if len(seq) == n:
-            meet(kind, seq if kind == "lex" else seq[::-1])
+            meet(kind, seq)
             return
         path.append(live)
         for v in range(n):
@@ -946,9 +948,9 @@ def _first_squarefree(kind, entries, n):
     reading order reversed, so the prefix fixes the end of the reading, and
     v comes right before that end, after a placing of the variables left,
     which the tables hold exactly when one exists.  That placing extends by
-    v: a pair that v would turn over has no variable of D left but v, so
-    every placing of the variables left with v would turn it over, yet the
-    step before found that set reached."""
+    v: a rule that v would break has no variable of D left but v, so every
+    placing of the variables left with v would break it, yet the step
+    before found that set reached."""
     live = [e for e in entries if e[0].squarefree]
     if not live:
         return None
@@ -1011,16 +1013,14 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     The engine runs once per Groebner cone met, not once per order.  An
     order lies in the cone of a reduced basis G when it picks the same
     leading term in every element of G; G is then its reduced basis too.
-    Lex compares exponent tuples in priority order; degrevlex compares them
-    in reversed priority order, which ranks only monomials of one degree, so
-    the scan needs homogeneous input, as every join-meet ideal is
-    (``_tuple_order``).
+    Each element decides its lead by one rule (``_rules``), read at the
+    first variable of its support that the order reads, which ranks only
+    monomials of one degree, so the scan needs homogeneous input, as every
+    join-meet ideal is.
 
-    An exhaustive scan visits no order one at a time.  Each element of G
-    decides its lead at the first variable of its support that the order
-    reads, in the priority under lex and in the reversed priority under
-    degrevlex, so a subset recursion counts the orders of each kind in each
-    cone (``_order_tables``); a walk over reading-order prefixes meets every
+    An exhaustive scan visits no order one at a time: a subset recursion
+    counts the orders of each kind in each cone from its rules
+    (``_order_tables``); a walk over reading-order prefixes meets every
     cone and runs the engine only at an order no cone found so far holds
     (``_cone_tables``); the witness, the first squarefree priority in
     itertools order, is read greedily from the same tables

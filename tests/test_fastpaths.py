@@ -256,6 +256,9 @@ GOLDEN = Path(__file__).parent / "golden"
 FOLD9 = str(Path(__file__).resolve().parent / "data" / "closure_fold9.json")
 # B3 without a coatom: some orders of each kind are squarefree and some not
 CUBE = str(Path(__file__).resolve().parent / "data" / "cube_minus_coatom.json")
+# a closure lattice on which a 300-order sample finds some orders of each
+# kind squarefree and some not, so whole cones and the generator mask act
+MIXED9 = str(Path(__file__).resolve().parent / "data" / "closure_mixed9.json")
 GOLDEN_RUNS = {
     f"primes_{fx.replace(':', '_')}_char{c}": ["primes", "--fixture", fx, "--char", str(c)]
     for fx in ("Q", "R", "Lk:5:2", "Lk:6:3") for c in (0, P)
@@ -270,6 +273,8 @@ GOLDEN_RUNS.update({
     "scan_R_sample_seed5": ["scan", "--fixture", "R", "--sample", "100", "--seed", "5"],
     "scan_Q_exhaustive": ["scan", "--fixture", "Q", "--exhaustive"],
     "scan_cube_minus_coatom_exhaustive": ["scan", "--input", CUBE, "--exhaustive"],
+    "scan_closure_mixed9_sample_seed2": ["scan", "--input", MIXED9, "--sample", "300",
+                                         "--seed", "2"],
     "lk_4_2_char0": ["lk", "--n", "4", "--k", "2"],
     "lk_4_2_char32003": ["lk", "--n", "4", "--k", "2", "--char", str(P)],
     "gb_Q_lex": ["gb", "--fixture", "Q", "--order", "lex:d,a,g,c,f,b,e"],

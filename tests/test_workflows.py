@@ -72,9 +72,9 @@ from lattice_lab.workflows import (
     _intersect_all,
     _monomial_normal_forms,
     _prime_component,
+    _rules,
     _scan_orders,
     _settling_stop,
-    _tuple_order,
     _two_term_sides,
     _witness_search,
 )
@@ -1162,7 +1162,8 @@ def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
 
 @st.composite
 def _ordered_pairs(draw):
-    """A priority of n variables and two exponent tuples of one degree."""
+    """A priority of n variables and two exponent tuples of one degree,
+    equal ones included."""
     n = draw(st.integers(1, 7))
     degree = draw(st.integers(0, 6))
     picks = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)
@@ -1170,16 +1171,35 @@ def _ordered_pairs(draw):
     return draw(st.permutations(range(n))), a, b
 
 
-@given(st.sampled_from(["lex", "degrevlex"]), _ordered_pairs())
-def test_tuple_order_is_the_monomial_order_on_one_degree(kind, case):
-    """The scan's cone test compares exponent tuples (``_tuple_order``); it
-    must rank homogeneous pairs as ``compare`` does under the same order."""
+def _reading(kind, perm):
+    """The order in which the ``kind`` order with priority ``perm`` reads
+    the variables: the priority under lex, reversed under degrevlex."""
+    return perm if kind == "lex" else perm[::-1]
+
+
+def _cone_of(pairs):
+    """A cone whose only rules are those of the (above, below) ``pairs``."""
+    cone = _Cone.__new__(_Cone)
+    cone.rules = _rules(pairs)
+    return cone
+
+
+@given(_ordered_pairs())
+def test_rules_rank_pairs_of_one_degree_as_compare_does(case):
+    """The scan's one order rule (``_rules``, read by ``_Cone.contains`` in
+    the reading order) must rank a pair of one degree, both ways round, as
+    ``compare`` does under the same order, under both kinds.  Equal tuples
+    have an empty support, and no order keeps either way round."""
     perm, a, b = case
     ring = PolyRing([f"x{i}" for i in range(len(perm))])
-    order = MonomialOrder(kind, tuple(ring.variables[i] for i in perm))
-    key, above = _tuple_order(kind, perm)
-    sign = compare(order, ring, a, b)
-    assert (above(key(a), key(b)), above(key(b), key(a))) == (sign > 0, sign < 0)
+    for kind in ("lex", "degrevlex"):
+        order = MonomialOrder(kind, tuple(ring.variables[i] for i in perm))
+        sign = compare(order, ring, a, b)
+        kept = tuple(_cone_of([pair]).contains(kind, _reading(kind, perm))
+                     for pair in ((a, b), (b, a)))
+        assert kept == (sign > 0, sign < 0)
+        if a == b:
+            assert _rules([(a, b)])[kind] == [(0, 0)] and kept == (False, False)
 
 
 _FIBER_LATTICES = st.one_of(st.sampled_from([lattice_n, lattice_r, diamond_m3])
@@ -1251,9 +1271,9 @@ def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, rnd):
         if settled is None:
             continue
         cone, m = settled
-        assert cone.contains(*_tuple_order(kind, perm))
+        assert cone.contains(kind, _reading(kind, perm))
         for other, operm, order in drawn:
-            if cone.contains(*_tuple_order(other, operm)):
+            if cone.contains(other, _reading(other, operm)):
                 ini = initial_ideal(jm, order)
                 assert m in ini.gens and not ini.is_squarefree()
 
@@ -1316,6 +1336,18 @@ def test_exhaustive_scan_counts_divisor_ladder_4():
     assert (rep.witness_kind, rep.witness_priority) == (
         "lex", tuple(divisor_ladder(4).elements))
     assert rep.distinct_initial_ideals == 120
+
+
+@pytest.mark.slow
+def test_exhaustive_scan_counts_r(lattice_R):
+    """2·10! orders of R, none squarefree under either kind, in 2,030
+    cones."""
+    rep = squarefree_order_scan(lattice_R, exhaustive=True)
+    assert rep.total_orders == 2 * 3628800
+    assert rep.counts == {k: {"orders": 3628800, "squarefree": 0} for k in _BOTH}
+    assert not rep.any_squarefree
+    assert (rep.witness_kind, rep.witness_priority) == (None, None)
+    assert rep.distinct_initial_ideals == 2030
 
 
 _UP_TO_EIGHT = {name: L for name, L in small_corpus() + distributive_corpus()

@@ -158,21 +158,22 @@ def _cmd_ini(args):
 def _cmd_primes(args):
     lattice = _load_lattice(args)
     components = minimal_primes(lattice, args.char)
+    texts = [c.generators_text() for c in components]
     report = {
         "components": [
             {"admissible": list(c.admissible),
-             "generators": list(c.generators_text()),
+             "generators": list(text),
              "prime": c.certified_prime,
              "dim": c.dim}
-            for c in components
+            for c, text in zip(components, texts)
         ],
         "checks": [{"name": "intersection_equals_ideal", "pass": True}],
     }
     lines = [f"{len(components)} minimal primes; intersection verified"]
-    for c in components:
+    for c, text in zip(components, texts):
         lines.append(f"  A = {{{', '.join(c.admissible)}}}  dim {c.dim}"
                      f"  prime {c.certified_prime}")
-        lines.append(f"    ({', '.join(c.generators_text())})")
+        lines.append(f"    ({', '.join(text)})")
     return 0, report, lines
 
 

@@ -762,52 +762,60 @@ def initial_ideal(ideal, order=None):
 
 
 def _initial_ideal_toward(ideal, order, goal):
-    """in(I) under ``order`` as far as it must grow to contain the
-    MonomialIdeal ``goal``, or None once it cannot.
+    """A monomial ideal inside in(I) under ``order`` that contains the
+    MonomialIdeal ``goal``, or None when in(I) does not contain ``goal``.
 
-    ``ideal`` is binomial.  A basis it caches gives the whole of in(I),
-    whether or not that contains ``goal``.  Otherwise the pair loop runs
-    on I's binomial elements with a stop hook, and the leads of
-    the elements it has added, all in in(I), are the answer as soon as
-    they divide every minimal generator of ``goal``.  On homogeneous input
-    pairs leave the heap by degree and every S-element keeps its pair's
-    degree, so once the next pair's degree exceeds d, the leads so far
-    generate in(I) up to degree d: a generator of ``goal`` of degree d
-    that no lead divides is outside in(I).  A run that ends by itself has
-    built a Groebner basis, and its leads are all of in(I).
+    ``ideal`` must be generated by homogeneous pure differences, as a
+    join-meet ideal is; anything else raises PreconditionViolated.  A basis
+    it caches gives the whole of in(I).  Otherwise no engine runs, and the
+    answer is ``goal`` itself or None, decided by fiber walks
+    (Diaconis–Sturmfels 1998).  I is spanned in each degree d by the
+    differences x^u - x^v along moves w·(a - b) of its generators a - b,
+    so in(I)_d holds every monomial of degree d but the least of each
+    fiber component.  A generator m of ``goal`` lies in in(I) exactly when
+    a breadth-first walk from m along the moves reaches a monomial of
+    smaller key, and the walk stops at the first one.  The key is linear
+    in the packed monomial (``_Ctx``), so a move a → b changes it by
+    key(b) - key(a).
     """
-    if order.weights(ideal.ring) in ideal._cache:
-        return initial_ideal(ideal, order)
-    ctx = _Ctx(ideal.ring, order)
+    ring = ideal.ring
+    ctx = _Ctx(ring, order)
     elements = _binomial_elements(ctx, ideal.generators)
-    home, hm = goal._ctx, ctx.hmask
-    there, back = ctx.repacker(home), home.repacker(ctx)
-    wanted = {}  # goal's generators that no lead divides, by their degree
-    for g in map(there, goal._packed):
-        wanted.setdefault(ctx.degree(g), []).append(g)
-    homogeneous = all(tp < 0 or ctx.degree(lp) == ctx.degree(tp)
-                      for _, lp, _, tp in elements)
-    leads = []
+    if elements is None or any(tp < 0 or ctx.degree(lp) != ctx.degree(tp)
+                               for _, lp, _, tp in elements):
+        raise PreconditionViolated(
+            "fiber walks need homogeneous pure-difference generators")
+    if order.weights(ring) in ideal._cache:
+        return initial_ideal(ideal, order)
+    # a move (key change, term a, packed change) trades a for b in a
+    # monomial that a divides, for each generator a - b both ways round
+    moves = []
+    for ak, ap, bk, bp in elements:
+        moves += [(bk - ak, ap, bp - ap), (ak - bk, bp, ap - bp)]
+    there = ctx.repacker(goal._ctx)
+    if all(_fiber_goes_below(ctx, moves, there(m)) for m in goal._packed):
+        return goal
+    return None
 
-    def covered(basis, degree):
-        for _, lp, _, _ in basis[len(leads):]:
-            leads.append(lp)
-            for d in [d for d in wanted if d >= ctx.degree(lp)]:
-                left = [g for g in wanted[d] if ((g | hm) - lp) & hm != hm]
-                if left:
-                    wanted[d] = left
-                else:
-                    del wanted[d]
-        return not wanted or (homogeneous and degree > min(wanted))
 
-    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce,
-                            stop=covered)
-    if kept is not None:
-        leads.clear()
-        covered(kept, 0)
-    if wanted:
-        return None
-    return MonomialIdeal._of_packed(home, map(back, leads))
+def _fiber_goes_below(ctx, moves, m):
+    """True when a chain of ``moves`` (``_initial_ideal_toward``) joins the
+    packed monomial m to one of smaller key, walked breadth-first until the
+    first such monomial or the end of m's fiber component."""
+    hm = ctx.hmask
+    top = ctx.key_packed(m)
+    seen = {m}
+    todo = [(top, m)]
+    for key, c in todo:
+        for dk, a, dp in moves:
+            if ((c | hm) - a) & hm == hm:
+                d = c + dp
+                if d not in seen:
+                    if key + dk < top:
+                        return True
+                    seen.add(d)
+                    todo.append((key + dk, d))
+    return False
 
 
 def is_squarefree(m):

@@ -20,15 +20,16 @@ ideals: in(∩ P_A) ⊆ ∩ in(P_A) under any order, and J ⊆ K with in(J) = in
 forces J = K, so I ⊆ every P_A together with in(I) = ∩ in(P_A) proves
 I = ∩ P_A.  Two orders are tried, degrevlex with the variables reversed
 first, under which the component bases are built, then the default one.  The
-initial ideals stay MonomialIdeals, which meet by pairwise lcms; in(I) is
-grown only until its leads cover ∩ in(P_A) or a generator of it is known to
-lie outside, and I ⊆ P_A is read off normal forms modulo P_A's basis under
-the same order.  Then the colons are walked once, and when every component
-is certified prime a colon witness disproves it: for a variable x with
-I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f outside I with w² in
-I, so I is not radical, while an intersection of primes is.  Both colons
-come from one binomial basis of I per variable.  Only when neither step
-decides are the components themselves intersected and compared with I.
+initial ideals stay MonomialIdeals, which meet by pairwise lcms; whether
+in(I) holds each generator of ∩ in(P_A) is decided by a walk over its fiber
+component, with no basis of I, and I ⊆ P_A is read off normal forms modulo
+P_A's basis under the same order.  Then the colons are walked once, and
+when every component is certified prime a colon witness disproves it: for
+a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f
+outside I with w² in I, so I is not radical, while an intersection of
+primes is.  Both colons come from one binomial basis of I per variable.
+Only when neither step decides are the components themselves intersected
+and compared with I.
 
 The colon witness also bounds the radicality certificate's search for an
 element of √I \\ I: the search stops at the witness's degree, and the
@@ -58,6 +59,7 @@ from .groebner import (
     _bin_reduce_monomial,
     _binomial_buchberger,
     _binomial_colons,
+    _binomial_elements,
     _binomial_shape,
     _Ctx,
     _initial_ideal_toward,
@@ -316,14 +318,13 @@ def _initial_ideals_certify(ideal, parts):
     ``minimal_primes`` caches the component bases, then the default one.
     Initial ideals stay MonomialIdeals throughout.
 
-    in(I) grows only as far as it must (``_initial_ideal_toward``): once
-    its leads contain M = ∩ in(P), they are M, since in(I) ⊆ M; and on the
-    homogeneous join-meet ideal a pass fails as soon as a generator of M
-    lies below the degree the pair loop has completed.  A basis of I the
-    ideal caches is read whole.  I ⊆ P is decided by normal forms modulo
-    P's basis under the pass's order, the one ``minimal_primes`` cached
-    for the first pass.  False means neither order proves it, not that the
-    ideals differ.
+    As I ⊆ every P, in(I) ⊆ M = ∩ in(P), so in(I) = M once every minimal
+    generator of M lies in in(I).  ``_initial_ideal_toward`` decides that
+    by fiber walks on the homogeneous join-meet ideal, and runs no engine
+    on I; a basis of I the ideal caches is read whole.  I ⊆ P is decided by
+    normal forms modulo P's basis under the pass's order, the one
+    ``minimal_primes`` cached for the first pass.  False means neither
+    order proves it, not that the ideals differ.
     """
     for order in _certificate_orders(ideal.ring):
         meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
@@ -339,13 +340,16 @@ def _decomposition_holds(ideal, components):
     components, and the colon witness the check met, or None.
 
     The one check, in three steps.  The initial-ideal certificate
-    (``_initial_ideals_certify``) decides first, and then no colon is
-    walked.  Otherwise the colons are walked once (``_colon_witness``): a
-    witness decides False when every component is certified prime, since
-    each P_A contains I by construction, so ∩ P_A is radical, and a colon
-    witness proves I is not.  Only otherwise are the components intersected
+    (``_initial_ideals_certify``) decides first, from the components'
+    bases and fiber walks on I, and then no colon is walked.  Otherwise
+    the colons are walked once (``_colon_witness``): a witness decides
+    False when every component is certified prime, since each P_A contains
+    I by construction, so ∩ P_A is radical, and a colon witness proves I
+    is not.  Only otherwise are the components intersected
     (``_intersect_all``) and compared with I.  ``ideal`` keeps its reduced
-    bases, so a caller that has computed them pays for none."""
+    bases, so a caller that has computed them pays for none: the default
+    certificate pass reads a cached default-order basis whole, and so does
+    the colon walk's pass for the last variable."""
     parts = [c.ideal for c in components]
     if _initial_ideals_certify(ideal, parts):
         return True, None
@@ -521,10 +525,30 @@ def _witness_search(lattice, ideal, degree_bound, power_cap, primes=()):
     return None
 
 
+def _squarefree_under(ideal, order):
+    """Whether in(I) under ``order`` is squarefree, for a homogeneous
+    pure-difference ideal I.  Under the default order the whole basis is
+    built and cached, as the colon walk and the witness search read it.
+    Under any other order the run stops at its first lead m that is not
+    squarefree (``_settling_stop``): m is then a minimal generator of in(I),
+    by the proof at ``squarefree_order_scan``.  A run that ends by itself
+    has built the reduced basis, whose leads are the minimal generators."""
+    ring = ideal.ring
+    if order == ring.default_order:
+        return initial_ideal(ideal, order).is_squarefree()
+    ctx = _Ctx(ring, order)
+    basis = _binomial_buchberger(ctx, _binomial_elements(ctx, ideal.generators),
+                                 stop=_settling_stop(ctx, []))
+    return basis is not None and not any(e[1] & ctx.above_one for e in basis)
+
+
 def radical_certificate(lattice, char=0, degree_bound=None):
     """Three-stage radicality check.
 
-    1. squarefree initial ideal over a small fixed order family -> radical;
+    1. squarefree initial ideal over a small fixed order family -> radical
+       (``_squarefree_under``: the default order's whole basis, which later
+       stages read, and three runs that stop at their first lead that is
+       not squarefree);
     2. all component primes certified and their intersection equals the
        ideal (``_decomposition_holds``) -> radical with the decomposition;
     3. bounded search for a pure-difference element of √I \\ I -> not
@@ -547,17 +571,16 @@ def radical_certificate(lattice, char=0, degree_bound=None):
         return RadicalCertificate("radical", route="squarefree_order",
                                   detail="zero ideal")
     rev = tuple(reversed(ring.variables))
-    for order in (degrevlex(ring.variables), lex(ring.variables),
+    for order in (ring.default_order, lex(ring.variables),
                   degrevlex(rev), lex(rev)):
-        ini = initial_ideal(I, order)
-        if ini.is_squarefree():
+        if _squarefree_under(I, order):
             return RadicalCertificate(
                 "radical", route="squarefree_order",
                 detail=f"squarefree initial ideal under {order.describe(ring)}",
             )
     components = minimal_primes(lattice, char, _verify=False)
     primes = [c for c in components if c.certified_prime]
-    # the bases of I computed above serve the check too
+    # the default-order basis of I built above serves the check too
     holds, colon = _decomposition_holds(I, components)
     if holds and len(primes) == len(components):
         return RadicalCertificate(

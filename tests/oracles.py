@@ -417,3 +417,22 @@ def initial_ideals_certify_full(ideal, parts):
             return all(not p.groebner().reduce(g)
                        for p in parts for g in ideal.generators)
     return False
+
+
+def radical_certificate_whole_bases(lattice, char=0):
+    """``workflows.radical_certificate`` with the two decisions that stop
+    early made on whole reduced bases instead: the squarefree order family
+    reads each order's whole in(I), and the initial-ideal certificate
+    compares the whole in(I) with the meet of the components' initial
+    ideals."""
+    import pytest
+
+    from lattice_lab import workflows
+    from lattice_lab.groebner import initial_ideal
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workflows, "_squarefree_under",
+                   lambda ideal, order: initial_ideal(ideal, order).is_squarefree())
+        mp.setattr(workflows, "_initial_ideal_toward",
+                   lambda ideal, order, goal: initial_ideal(ideal, order))
+        return workflows.radical_certificate(lattice, char)

@@ -286,6 +286,9 @@ GOLDEN_RUNS.update({
     "primes_Lk_8_4_char0": ["primes", "--fixture", "Lk:8:4", "--char", "0"],
     "radical_fold9": ["radical", "--input", FOLD9],
     "primes_fold9_char0": ["primes", "--input", FOLD9, "--char", "0"],
+    "primes_Lk_7_3_char0": ["primes", "--fixture", "Lk:7:3", "--char", "0"],
+    "lk_6_3_char0": ["lk", "--n", "6", "--k", "3"],
+    "radical_R_char32003": ["radical", "--fixture", "R", "--char", str(P)],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

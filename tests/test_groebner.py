@@ -1170,7 +1170,7 @@ def test_inhomogeneous_membership_agrees_with_bounded_oracle():
     assert constructed >= 200 and proved >= 100, (constructed, proved)
 
 
-# -- the pair loop's stop hook and the goal-directed initial ideal -------------
+# -- the pair loop's stop hook and the fiber-walk initial ideal ----------------
 
 
 def _orders_of(ring, rnd):
@@ -1223,8 +1223,9 @@ def test_stop_hook_sees_leads_complete_below_the_next_pair_on_closure_systems(L,
 def test_initial_ideal_toward_decides_containment_exactly(L, char, rnd):
     """Goals are in(I) under each order and the meet of the components'
     initial ideals: the answer is None exactly when in(I) misses a goal
-    generator, and otherwise lies in in(I) and contains the goal.  No
-    basis is left in the ideal's cache."""
+    generator, and otherwise lies in in(I) and contains the goal.  On an
+    ideal that caches no basis, fiber walks decide it without an engine
+    run, and no basis is left in the ideal's cache."""
     jm = join_meet_ideal(L, char)
     ring = jm.ring
     orders = _orders_of(ring, rnd)
@@ -1236,7 +1237,10 @@ def test_initial_ideal_toward_decides_containment_exactly(L, char, rnd):
     for order in orders:
         for goal in [*whole.values(), meet]:
             fresh = Ideal(ring, jm.generators)
-            got = groebner._initial_ideal_toward(fresh, order, goal)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_engine_runs(mp)
+                got = groebner._initial_ideal_toward(fresh, order, goal)
+            assert calls == {"_buchberger_core": 0, "_generic_buchberger": 0}
             inside = all(whole[order].contains(m) for m in goal.gens)
             assert (got is not None) is inside
             if inside:
@@ -1253,3 +1257,22 @@ def test_initial_ideal_toward_reads_a_cached_basis_whole(monkeypatch):
     empty = MonomialIdeal(ideal.ring, [])
     assert groebner._initial_ideal_toward(ideal, order, empty) == whole
     assert calls["_buchberger_core"] == 0
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(["x*y - y*z", "x*z"], id="monomial"),
+    pytest.param(["x - y^2"], id="inhomogeneous"),
+    pytest.param(["x*y - 2*y*z"], id="not-a-pure-difference"),
+])
+def test_initial_ideal_toward_needs_homogeneous_pure_differences(gens):
+    """Fiber walks end only on homogeneous pure differences, whose fiber
+    components are finite, and a monomial generator has no move."""
+    ring = PolyRing(("x", "y", "z"))
+    ideal = Ideal(ring, gens)
+    goal = MonomialIdeal(ring, [(1, 1, 0)])
+    with pytest.raises(PreconditionViolated):
+        groebner._initial_ideal_toward(ideal, ring.default_order, goal)
+    # the check does not depend on which bases the ideal caches
+    initial_ideal(ideal)
+    with pytest.raises(PreconditionViolated):
+        groebner._initial_ideal_toward(ideal, ring.default_order, goal)

@@ -75,6 +75,7 @@ from lattice_lab.workflows import (
     _rules,
     _scan_orders,
     _settling_stop,
+    _squarefree_under,
     _two_term_sides,
     _witness_search,
 )
@@ -91,6 +92,7 @@ from oracles import (
     certify_saturated_part,
     initial_ideals_certify_full,
     minimal_primes_all_pairs,
+    radical_certificate_whole_bases,
     saturate_by_passes,
     scan_orders_uncached,
     witness_search_poly,
@@ -420,22 +422,22 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
 
 @pytest.mark.parametrize("name, runs", [
     pytest.param(name, runs, id=name)
-    for name, runs in (("Q", 3), ("R", 7), ("Lk:6:3", 7), ("N", 14))])
+    for name, runs in (("Q", 2), ("R", 6), ("Lk:6:3", 6), ("N", 12))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
     saturated candidate gets one basis, under the reversed order, which the
     verify step reads (the SNF certificate and the dimension read its
-    generators); the join-meet ideal adds one run, cut short once its leads
-    decide the certificate.  Monomial ideals never enter the pair loop.
-    Lk:6:3 is 7 runs (three saturations, three component bases and I's
-    run): the reversed order, tried first, certifies every Lk, so the
-    default-order bases that the default pass needed before it failed
-    there (three components and I) are never built.  On N neither order
-    certifies, so the default pass adds the component bases and a second
-    run of I, and the colon witness of its third variable c decides: the
-    bases under degrevlex with a, b and c last are three runs, and the
-    intersection fold and its generic engine never run."""
+    generators).  The join-meet ideal adds no run: fiber walks decide
+    whether in(I) holds the meet of the components' initial ideals.
+    Monomial ideals never enter the pair loop.  Lk:6:3 is 6 runs (three
+    saturations and three component bases): the reversed order, tried
+    first, certifies every Lk, so the default-order component bases that
+    the default pass needs are never built.  On N neither order
+    certifies, so the default pass adds the component bases, and the
+    colon witness of its third variable c decides: the bases under
+    degrevlex with a, b and c last are three runs, and the intersection
+    fold and its generic engine never run."""
     calls = count_engine_runs(monkeypatch)
     if name == "N":
         with pytest.raises(IntersectionMismatch):
@@ -449,9 +451,9 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
 @pytest.mark.parametrize("run, runs", [
     pytest.param(lambda char: radical_certificate(lattice_n(), char), 16,
                  id="radical-N"),
-    pytest.param(lambda char: lk_suite(6, 3, char), 16, id="lk-6-3"),
-    pytest.param(lambda char: lk_suite(4, 2, char), 16, id="lk-4-2"),
-    pytest.param(lambda char: lk_suite(6, 1, char), 13, id="lk-6-1"),
+    pytest.param(lambda char: lk_suite(6, 3, char), 15, id="lk-6-3"),
+    pytest.param(lambda char: lk_suite(4, 2, char), 15, id="lk-4-2"),
+    pytest.param(lambda char: lk_suite(6, 1, char), 12, id="lk-6-1"),
 ])
 def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     """N's non-radicality is decided by its colon witness, whose bases the
@@ -460,7 +462,10 @@ def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     (1-t) products, so all of it stays on the binomial engine.  The suite
     matches each component with its expected prime under the order whose
     basis the component caches, so it builds no component basis under the
-    default order (which took 19, 19 and 15 runs)."""
+    default order (which took 19, 19 and 15 runs).  Fiber walks decide the
+    initial-ideal certificate, so the join-meet ideal gets no run for it
+    (which took one more run in the lk suite); radical's squarefree family
+    on N is one whole basis and three runs settled early."""
     calls = count_engine_runs(monkeypatch)
     run(char)
     assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
@@ -557,15 +562,35 @@ def test_fold9_is_decided_by_the_fold(monkeypatch, verb, char):
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_radical_certificate_builds_each_basis_once(monkeypatch, char):
-    """The four squarefree-order bases of R's join-meet ideal include
-    degrevlex with the variables reversed, the initial-ideal certificate's
-    first order, and the certificate reads that basis instead of growing
-    in(I) again.  The decomposition alone is 7 runs (three saturations,
-    three component bases and the join-meet ideal's run), so the
-    certificate makes 4 + 7 - 1."""
+    """R's squarefree-order family is one whole default-order basis of
+    its join-meet ideal plus three runs settled at their first lead that
+    is not squarefree.  The decomposition is six runs (three saturations
+    and three component bases): fiber walks decide the initial-ideal
+    certificate, so the join-meet ideal adds no run.  So the certificate
+    makes 1 + 3 + 6."""
     calls = count_engine_runs(monkeypatch)
     assert radical_certificate(lattice_r(), char).route == "prime_intersection"
     assert calls["_buchberger_core"] == 10
+
+
+def _certificate_facts(cert):
+    return (cert.verdict, cert.route, cert.detail, str(cert.witness),
+            [(c.admissible, c.certified_prime, c.dim) for c in cert.components])
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=40, deadline=None)
+def test_settled_family_runs_match_whole_initial_ideals(L, char):
+    """Each order of radical's squarefree family gives the verdict of a
+    whole initial ideal, on ideals that cache no basis, and the certificate
+    equals the one made on whole bases throughout."""
+    ring = join_meet_ideal(L, char).ring
+    rev = tuple(reversed(ring.variables))
+    for order in (ring.default_order, lex(ring.variables), degrevlex(rev), lex(rev)):
+        whole = initial_ideal(join_meet_ideal(L, char), order)
+        assert _squarefree_under(join_meet_ideal(L, char), order) == whole.is_squarefree()
+    assert (_certificate_facts(radical_certificate(L, char))
+            == _certificate_facts(radical_certificate_whole_bases(L, char)))
 
 
 def _certificate_against_fold(L, char):

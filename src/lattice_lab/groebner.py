@@ -215,12 +215,16 @@ def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
     leave the heap by lcm degree, then lcm key.
 
     Pairs are installed as Gebauer and Möller (1988) do.  The new element
-    h's pairs are walked by (lcm degree, coprime first), and one is kept
+    h's pairs are walked by (packed lcm, coprime first), and one is kept
     only when no kept pair's lcm divides its lcm: that drops a pair whose
     lcm a smaller one divides (M), all but one pair of equal lcm (F), and
     every pair of an lcm that some coprime pair has (product criterion),
-    after which the coprime pairs themselves go.  An element whose lead
-    lead(h) divides forms no more pairs and is left out of the result.
+    after which the coprime pairs themselves go.  Packed a | b implies
+    a <= b as integers, so the walk meets every proper divisor of an lcm
+    before that lcm, and the kept pairs are one per minimal lcm, the first
+    of its equals.  Only those pushed get a degree and a heap key.  An
+    element whose lead lead(h) divides forms no more pairs and is left out
+    of the result.
 
     ``stop(basis, degree)``, when given, is called before each pair leaves
     the heap with every element added so far, in order, and that pair's lcm
@@ -245,16 +249,14 @@ def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
         walk = []
         for i in live:
             li = basis[i][1]
-            # the packed lcm and its degree, as in _Ctx.lcm
+            # the packed lcm, as in _Ctx.lcm
             g = ((li | hm) - lj) & hm
             sel = g - (g >> (_FIELD - 1))
             lcm = (li & sel) | (lj & ~sel)
-            folded = (lcm & fold) + ((lcm >> _FIELD) & fold)
-            deg = ((folded * ones) >> top) & 0xFFFFFFFF
-            walk.append((deg, lcm != li + lj, i, lcm))
+            walk.append((lcm, lcm != li + lj, i))
         walk.sort()
         kept = []
-        for deg, not_coprime, i, lcm in walk:
+        for lcm, not_coprime, i in walk:
             lh = lcm | hm
             for k in kept:
                 if (lh - k) & hm == hm:
@@ -262,6 +264,8 @@ def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
             else:
                 kept.append(lcm)
                 if not_coprime:
+                    folded = (lcm & fold) + ((lcm >> _FIELD) & fold)
+                    deg = ((folded * ones) >> top) & 0xFFFFFFFF
                     key = a * deg + s * lcm
                     for c, sh in drops:
                         key += c * ((lcm >> sh) & low)

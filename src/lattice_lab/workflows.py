@@ -43,7 +43,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import ge
 
 from .errors import (
     IntersectionMismatch,
@@ -624,11 +623,11 @@ class ScanReport:
     squarefree priority in itertools order (``_count_orders``); a sampled
     scan counts the orders it draws.  ``distinct_initial_ideals`` counts the
     distinct initial ideals, one per cone, of an exhaustive scan.  It is
-    None for a sampled scan, which settles a non-squarefree order at its
-    first non-squarefree lead m: every order that keeps m above the other
-    term of m's element and each m/x least in its fiber component has m as
-    a minimal generator of its in(I) (proof at ``squarefree_order_scan``).
-    So a sampled scan never learns the whole of that order's in(I).
+    None for a sampled scan, which settles a non-squarefree order on one
+    minimal generator m of its in(I) that is not squarefree, through the
+    fiber cone of the orders that have m as one (proof at
+    ``squarefree_order_scan``).  So a sampled scan never learns the whole
+    of that order's in(I).
     """
 
     total_orders: int
@@ -663,107 +662,193 @@ def _rules(pairs):
     return {"lex": lex, "degrevlex": degrevlex}
 
 
-def _keeps(rule, reading):
-    """True when the order that reads the variables in ``reading`` keeps
-    ``rule`` (``_rules``); none keeps the empty support of equal tuples."""
-    support, wrong = rule
+def _sliced(rules, n):
+    """The (support, wrong) ``rules`` of one kind (``_rules``) bit-sliced
+    by variable: (on, off), where ``on[v]`` is the bitmask of the rules, by
+    their place in ``rules``, whose D holds v, and ``off[v]`` that of the
+    rules whose W holds v."""
+    on, off = [0] * n, [0] * n
+    for j, (support, wrong) in enumerate(rules):
+        bit = 1 << j
+        while support:
+            low = support & -support
+            v = low.bit_length() - 1
+            on[v] |= bit
+            if wrong & low:
+                off[v] |= bit
+            support ^= low
+    return on, off
+
+
+def _kept(sliced, reading):
+    """The bitmask of the rules (``_sliced``) that the order reading the
+    variables in ``reading`` keeps, in one pass: the rules of ``on[v]`` not
+    decided before are decided at v, and those of ``off[v]`` among them are
+    broken.  No order keeps a rule of empty D."""
+    on, off = sliced
+    left, kept = -1, 0
     for v in reading:
-        if support >> v & 1:
-            return not wrong >> v & 1
-    return False
+        new = on[v] & left
+        if new:
+            kept |= new & ~off[v]
+            left ^= new
+    return kept
 
 
-def _fiber_component(start, moves):
-    """The monomials, as exponent tuples, that a chain of moves joins to
-    ``start``, ``start`` included: a move trades the term a of a generator
-    a - b for b in a monomial that a divides, and ``moves`` holds each
-    generator's (a, b) and (b, a)."""
-    seen = {start}
-    todo = [start]
-    for u in todo:
-        for a, b in moves:
-            if all(map(ge, u, a)):
-                v = tuple(x - y + z for x, y, z in zip(u, a, b))
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-    return seen
+def _holds(sliced, reading, every, some):
+    """True when the order reading the variables in ``reading`` keeps each
+    rule of the bitmask ``every`` and, unless ``some`` is 0, at least one
+    rule of ``some``: the pass of ``_kept``, ended once the answer is
+    known."""
+    on, off = sliced
+    left, met = every | some, not some
+    for v in reading:
+        new = on[v] & left
+        if new:
+            broken = new & off[v]
+            if broken & every:
+                return False
+            if not met and new & some & ~broken:
+                met = True
+                left &= every
+            left &= ~new
+            if not left:
+                return met
+    return met and not left & every
+
+
+class _Fibers:
+    """The fiber components of monomials, as exponent tuples, under the
+    moves of a pure-difference ideal: a move trades the term a of a
+    generator a - b for b in a monomial that a divides, and ``moves`` holds
+    each generator's (a, b) and (b, a).  Components do not depend on the
+    order, so each is walked once and shared by all its members."""
+
+    __slots__ = ("_moves", "_of")
+
+    def __init__(self, moves):
+        # each move sparse: a's support with its exponents, and the nonzero
+        # entries of b - a
+        self._moves = [(tuple((i, e) for i, e in enumerate(a) if e),
+                        tuple((i, y - x) for i, (x, y) in enumerate(zip(a, b))
+                              if x != y))
+                       for a, b in moves]
+        self._of = {}
+
+    def component(self, start):
+        """The frozenset of the monomials that a chain of moves joins to
+        ``start``, ``start`` included."""
+        found = self._of.get(start)
+        if found is None:
+            seen = {start}
+            todo = [start]
+            for u in todo:
+                for need, change in self._moves:
+                    for i, e in need:
+                        if u[i] < e:
+                            break
+                    else:
+                        v = list(u)
+                        for i, d in change:
+                            v[i] += d
+                        v = tuple(v)
+                        if v not in seen:
+                            seen.add(v)
+                            todo.append(v)
+            found = frozenset(seen)
+            for u in found:
+                self._of[u] = found
+        return found
 
 
 class _Cone:
-    """Groebner cone of one reduced basis G of a join-meet ideal I, or a
-    negative cone of a run stopped at its first non-squarefree lead.
+    """The orders that rank given (above, below) pairs of exponent tuples
+    that way: the Groebner cone of one reduced basis G of a join-meet ideal
+    I (``whole``), or the fiber cone of a monomial m (``settled``).
 
-    An order lies in the cone when it picks the same leading term in every
-    element of G; G is then its reduced basis too (Mora–Robbiano), so the
-    squarefree verdict carries over.  Under such an order the leading term
-    of each generator lies in in(I) = <lead(G)>; ``off_first`` and
+    ``rules`` holds the ``_rules`` of the pairs, by kind, and ``sliced``
+    the same rules bit-sliced by variable (``_sliced``).  An order lies in
+    the cone when it keeps every rule of the bitmask ``every`` and, unless
+    ``some`` is 0, at least one rule of ``some`` (``contains``, one pass of
+    the reading order).
+
+    An order lies in the cone of G when it picks the same leading term in
+    every element of G; G is then its reduced basis too (Mora–Robbiano),
+    so the squarefree verdict carries over.  Its rules are the (lead, tail)
+    of each binomial, all in ``every``, from which an exhaustive scan counts
+    the cone's orders (``_order_tables``).  Under such an order the leading
+    term of each generator lies in in(I) = <lead(G)>; ``off_first`` and
     ``off_second`` mark the generators whose first or second monomial does
     not, so one bitmask per sampled order rejects most cones before any
-    rule is read.  ``rules`` holds the ``_rules`` of the (above, below)
-    pairs that an order in the cone ranks that way, the last one to fail at
-    the front; for G, the (lead, tail) of each binomial, from which an
-    exhaustive scan counts the cone's orders (``_order_tables``).
+    rule is read.
 
-    A negative cone (``settled``) keeps the element g = m - t of a sampled
-    run that stopped at its non-squarefree lead m, and holds every order
-    that puts m above t and each m/x least in its fiber component; no such
-    order is squarefree (``squarefree_order_scan``).  Its masks are empty.
+    The fiber cone of a monomial m that is not squarefree holds exactly the
+    orders under which m is a minimal generator of in(I), so none of them
+    is squarefree (``squarefree_order_scan``).  Its masks are empty.
     """
 
-    __slots__ = ("squarefree", "off_first", "off_second", "rules")
+    __slots__ = ("squarefree", "off_first", "off_second", "rules", "sliced",
+                 "every", "some")
 
-    def __init__(self, ctx, elements, gens):
-        """``elements``: binomial elements of G, packed by ``ctx``, the
-        context of the run that found them; ``gens``: the (first, second)
-        exponent tuples of each generator of I."""
+    def __init__(self, n, every, some=()):
+        """The cone of the orders of n variables that rank each (above,
+        below) pair of ``every`` that way and, when ``some`` has pairs, at
+        least one pair of ``some``; not squarefree, and with empty masks."""
+        pairs = list(every)
+        self.every = (1 << len(pairs)) - 1
+        pairs += some
+        self.some = (1 << len(pairs)) - 1 ^ self.every
+        self.rules = _rules(pairs)
+        self.sliced = {kind: _sliced(rules, n) for kind, rules in self.rules.items()}
+        self.squarefree = False
+        self.off_first = self.off_second = 0
+
+    @classmethod
+    def whole(cls, ctx, elements, gens):
+        """The cone of G.  ``elements``: binomial elements of G, packed by
+        ``ctx``, the context of the run that found them; ``gens``: the
+        (first, second) exponent tuples of each generator of I."""
         unpack = ctx.unpack
-        self.squarefree = not any(e[1] & ctx.above_one for e in elements)
+        cone = cls(ctx.n, [(unpack(lp), unpack(tp))
+                           for _, lp, _, tp in elements if tp >= 0])
+        cone.squarefree = not any(e[1] & ctx.above_one for e in elements)
         leads = {unpack(e[1]) for e in elements}
         # I is generated in degree two, so every lead has degree >= 2 and a
         # degree-two monomial lies in <lead(G)> exactly when it is a lead
-        self.off_first = self.off_second = 0
         for i, (m1, m2) in enumerate(gens):
             if m1 not in leads:
-                self.off_first |= 1 << i
+                cone.off_first |= 1 << i
             if m2 not in leads:
-                self.off_second |= 1 << i
-        self.rules = _rules((unpack(lp), unpack(tp))
-                            for _, lp, _, tp in elements if tp >= 0)
+                cone.off_second |= 1 << i
+        return cone
 
     @classmethod
-    def settled(cls, ctx, g, moves):
-        """The negative cone of the element ``g``, packed by ``ctx``, whose
-        lead m stopped a run: (m, tail(g)), and (c, m/x) for each variable x
-        dividing m and each other monomial c of m/x's fiber component
-        (``_fiber_component`` over ``moves``)."""
-        cone = cls.__new__(cls)
-        cone.squarefree = False
-        cone.off_first = cone.off_second = 0
-        m = ctx.unpack(g[1])
+    def settled(cls, m, fibers):
+        """The fiber cone of the exponent tuple m, from the components of
+        ``fibers`` (``_Fibers``) of I's generators.  By the lemma at
+        ``squarefree_order_scan``, m/x lies outside in(I) exactly when it is
+        least in its component, and m inside exactly when it is not least in
+        its own.  So m is a minimal generator exactly when the order keeps
+        (c, m/x) for each variable x dividing m and each other monomial c of
+        m/x's component, all in ``every``, and (m, c) for at least one other
+        monomial c of m's component, the rules of ``some``."""
         lower = [(*m[:i], e - 1, *m[i + 1:]) for i, e in enumerate(m) if e]
-        cone.rules = _rules([(m, ctx.unpack(g[3]))] + [
-            (c, below) for below in lower
-            for c in _fiber_component(below, moves) if c != below])
-        return cone
+        return cls(len(m),
+                   [(c, below) for below in lower
+                    for c in fibers.component(below) if c != below],
+                   [(m, c) for c in fibers.component(m) if c != m])
 
     def contains(self, kind, reading):
         """True when the ``kind`` order that reads the variables in
-        ``reading`` keeps every rule of the cone (``_keeps``)."""
-        rules = self.rules[kind]
-        for j, rule in enumerate(rules):
-            if not _keeps(rule, reading):
-                if j:
-                    rules.insert(0, rules.pop(j))
-                return False
-        return True
+        ``reading`` lies in the cone (``_holds``)."""
+        return _holds(self.sliced[kind], reading, self.every, self.some)
 
 
 def _settling_stop(ctx, stash):
     """A stop hook for the pair loop (``_buchberger_core``) on a homogeneous
     binomial ideal: it ends the run at the first added lead that is not
     squarefree (one with a bit of ``ctx.above_one``) and leaves that lead's
-    element in ``stash``, for a negative cone (``_Cone.settled``)."""
+    element in ``stash``, for a fiber cone (``_Cone.settled``)."""
     seen = 0
 
     def stop(basis, degree):
@@ -786,6 +871,25 @@ def _packed_generators(ring, gens, kind, perm):
     return ctx, [(*ctx.key_pack(m1), *ctx.key_pack(m2)) for m1, m2 in gens]
 
 
+def _degree_three_seeds(gens):
+    """The monomials x·t, as sorted exponent tuples, for each distinct term
+    t of the join-meet generators ``gens`` and each variable x of t.
+
+    The terms are squarefree of degree two, so x² is alone in its fiber
+    and every degree-two lead is squarefree.  A monomial of degree three
+    moves only when some term t divides it, and then it is x·t for a
+    variable x, squarefree unless x divides t.  So the fiber cones of the
+    seeds (``_Cone.settled``) together hold exactly the orders whose in(I)
+    has a minimal generator of degree at most three that is not
+    squarefree."""
+    seeds = set()
+    for t in {t for g in gens for t in g}:
+        for x, e in enumerate(t):
+            if e:
+                seeds.add((*t[:x], e + 1, *t[x + 1:]))
+    return sorted(seeds)
+
+
 def _scan_orders(lattice, kinds, perms, char, settle=False):
     """Scan (kind, permutation) pairs one order at a time; sampled scans
     take this path.
@@ -794,35 +898,42 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     the number of whole-basis cones met.  The ideal scanned is the join-meet
     ideal, whose generators ab - (a∧b)(a∨b) are homogeneous of degree two;
     the degrevlex rules of ``_rules`` and ``settle`` both rely on that.
-    Each order is tested against the Groebner cones found so far, most
-    recently used first, by their rules (``_Cone.contains``), after the
-    generator bitmask of ``_Cone``, from the generators' rules, once some
+    Each order is tested against the cones found so far, most recently used
+    first, by one pass of its reading order over each cone's bit-sliced
+    rules (``_Cone.contains``), after the generator bitmask of ``_Cone``,
+    kept from the generators' rules in one pass too (``_kept``), once some
     cone has a mask.
     Only an order outside all of them becomes an order object, and the
     engine runs in that order's own packing (``_Ctx``).  The new cone
     turns the run's basis once into rules.
 
-    With ``settle`` (sampled scans), a run stops at its first lead m that
-    is not squarefree (``_settling_stop``) and leaves a negative cone
-    (``_Cone.settled``) of the orders under which m is a minimal generator
-    of in(I) (proof at ``squarefree_order_scan``).  A squarefree verdict,
-    and so the witness, comes only from a whole reduced basis.  When nothing
-    settles, the whole-basis count is the number of distinct initial ideals:
-    the engine runs only for an order in no cone found so far, so its
-    reduced basis is new, and so is its initial ideal, which determines the
-    reduced basis.
+    With ``settle`` (sampled scans), an order outside every cone found so
+    far is first tried against the fiber cones of the degree-three seeds
+    (``_degree_three_seeds``), and a seed that holds it joins the cones.
+    Otherwise the run stops at its first lead m that is not squarefree
+    (``_settling_stop``), which has degree at least four, and leaves the
+    fiber cone (``_Cone.settled``) of the orders under which m is a minimal
+    generator of in(I) (proof at ``squarefree_order_scan``).  A squarefree
+    verdict, and so the witness, comes only from a whole reduced basis.
+    When nothing settles, the whole-basis count is the number of distinct
+    initial ideals: the engine runs only for an order in no cone found so
+    far, so its reduced basis is new, and so is its initial ideal, which
+    determines the reduced basis.
     """
     I = join_meet_ideal(lattice, char)
     ring = I.ring
     gens = [tuple(g.terms) for g in I.generators]
-    moves = gens + [(m2, m1) for m1, m2 in gens]
-    gen_rules = _rules(gens)
+    fibers = _Fibers(gens + [(m2, m1) for m1, m2 in gens])
+    seeds = ([_Cone.settled(m, fibers) for m in _degree_three_seeds(gens)]
+             if settle else [])
+    gen_rules = {kind: _sliced(rules, ring.nvars)
+                 for kind, rules in _rules(gens).items()}
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
     cones = []
     whole = 0
-    # negative cones have empty masks, so the mask rejects nothing until a
+    # fiber cones have empty masks, so the mask rejects nothing until a
     # whole cone is met
     masked = False
     first = second = 0
@@ -830,8 +941,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
         for kind in kinds:
             reading = perm if kind == "lex" else perm[::-1]
             if masked:
-                first = sum(1 << i for i, rule in enumerate(gen_rules[kind])
-                            if _keeps(rule, reading))
+                first = _kept(gen_rules[kind], reading)
                 second = everything ^ first
             for c, cone in enumerate(cones):
                 if (first & cone.off_first or second & cone.off_second
@@ -841,16 +951,22 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     cones.insert(0, cones.pop(c))
                 break
             else:
-                ctx, elements = _packed_generators(ring, gens, kind, perm)
-                stash = []
-                basis = _binomial_buchberger(
-                    ctx, elements, stop=_settling_stop(ctx, stash) if settle else None)
-                if basis is None:
-                    cone = _Cone.settled(ctx, stash[0], moves)
+                for s, cone in enumerate(seeds):
+                    if cone.contains(kind, reading):
+                        del seeds[s]
+                        break
                 else:
-                    cone = _Cone(ctx, basis, gens)
-                    masked = masked or bool(cone.off_first | cone.off_second)
-                    whole += 1
+                    ctx, elements = _packed_generators(ring, gens, kind, perm)
+                    stash = []
+                    basis = _binomial_buchberger(
+                        ctx, elements,
+                        stop=_settling_stop(ctx, stash) if settle else None)
+                    if basis is None:
+                        cone = _Cone.settled(ctx.unpack(stash[0][1]), fibers)
+                    else:
+                        cone = _Cone.whole(ctx, basis, gens)
+                        masked = masked or bool(cone.off_first | cone.off_second)
+                        whole += 1
                 cones.insert(0, cone)
             counts[kind]["orders"] += 1
             if cone.squarefree:
@@ -932,7 +1048,7 @@ def _cone_tables(lattice, kinds, char):
         else:
             perm = reading if kind == "lex" else reading[::-1]
             ctx, elements = _packed_generators(ring, gens, kind, perm)
-            cone = _Cone(ctx, _binomial_buchberger(ctx, elements), gens)
+            cone = _Cone.whole(ctx, _binomial_buchberger(ctx, elements), gens)
             for other in kinds:
                 if other != kind:
                     elsewhere[other].append(cone)
@@ -1052,21 +1168,25 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
 
     A sampled scan takes its ``sample`` draws of ``random.Random(seed)`` as
     one stream in this process, tests each against the cones found so far
-    (``_scan_orders``), and settles a non-squarefree order at its first lead
-    m that is not squarefree, of degree d, in the element g = m - t, keeping
-    a negative cone (``_Cone.settled``).  Negative cones overlap, so they
-    cannot be counted.  The proof that no order in one is squarefree rests
-    on fibers (Diaconis–Sturmfels 1998): I is spanned in each degree e by
-    the differences x^u - x^v along moves w·(a - b) of its generators
-    a - b, so in(I)_e holds every monomial of degree e but the least of each
-    fiber component.  Pairs leave the heap by degree on the homogeneous I,
-    so when g is added the leads so far generate in(I) below d, and none
-    divides m: each m/x is least in its component.  Under any order that
-    puts m above t and each m/x least in its component, m lies in in(I) and
-    no m/x does, so m is a minimal generator of in(I), and the order is not
-    squarefree.  A squarefree verdict and the witness come only from whole
-    reduced bases.  A sampled scan does not learn each order's whole in(I),
-    so its report's ``distinct_initial_ideals`` is None.
+    (``_scan_orders``), and settles a non-squarefree order on a minimal
+    generator m of its in(I) that is not squarefree, keeping m's fiber cone
+    (``_Cone.settled``): the orders under which m is such a generator.
+    Fiber cones overlap, so they cannot be counted.  They rest on fibers
+    (Diaconis–Sturmfels 1998): I is spanned in each degree e by the
+    differences x^u - x^v along moves w·(a - b) of its generators a - b, so
+    in(I)_e holds every monomial of degree e but the least of each fiber
+    component.  So m is a minimal generator of in(I) exactly when each m/x,
+    for a variable x dividing m, is least in its component and m is not
+    least in its own, and the fiber cone is exact.  The first such m tried
+    are the degree-three seeds x·t, from the generators' terms t alone
+    (``_degree_three_seeds``); only an order that no cone found so far and
+    no seed holds runs the engine.  Pairs leave the heap by degree on the
+    homogeneous I, so when a lead m of degree d is added the leads so far
+    generate in(I) below d and none divides m: a run stops at its first
+    lead m that is not squarefree, a minimal generator.  A squarefree
+    verdict and the witness come only from whole reduced bases.  A sampled
+    scan does not learn each order's whole in(I), so its report's
+    ``distinct_initial_ideals`` is None.
     """
     if not 0 < len(kinds) == len(set(kinds) & {"lex", "degrevlex"}):
         raise PreconditionViolated(

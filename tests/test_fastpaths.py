@@ -289,6 +289,10 @@ GOLDEN_RUNS.update({
     "primes_Lk_7_3_char0": ["primes", "--fixture", "Lk:7:3", "--char", "0"],
     "lk_6_3_char0": ["lk", "--n", "6", "--k", "3"],
     "radical_R_char32003": ["radical", "--fixture", "R", "--char", str(P)],
+    # default sample size: Lk:5:2 settles mostly on degree-3 seeds, and on
+    # DivisorLadder:4 every order is squarefree, so only whole cones act
+    "scan_Lk_5_2_default": ["scan", "--fixture", "Lk:5:2"],
+    "scan_DivisorLadder_4_default": ["scan", "--fixture", "DivisorLadder:4"],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

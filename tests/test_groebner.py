@@ -1046,6 +1046,44 @@ def test_minimal_basis_with_unreduced_tails_is_a_groebner_basis(L, char, data):
         assert tp < 0 or not any(ctx.divides(o, tp) for o in leads)
 
 
+# (S-elements formed, basis size) under the default order, degrevlex with
+# the variables reversed and lex, then the S-elements of
+# minimal_primes(_verify=False)
+_PAIR_WORK = {
+    "N": [(60, 19), (70, 21), (43, 16), 153],
+    "R": [(90, 24), (133, 31), (70, 21), 240],
+    "Lk:6:3": [(144, 32), (343, 57), (176, 37), 358],
+    "Lk:7:3": [(235, 43), (598, 82), (278, 49), 608],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_PAIR_WORK))
+def test_pair_installation_forms_the_pinned_s_elements(monkeypatch, spec):
+    """The pair loop keeps one pair per minimal lcm of each new element's
+    pairs, whatever linear extension of divisibility it walks them in, so
+    the S-elements formed and the bases built stay as pinned."""
+    formed = [0]
+    s_element = groebner._bin_s_element
+
+    def counted(*args):
+        formed[0] += 1
+        return s_element(*args)
+
+    monkeypatch.setattr(groebner, "_bin_s_element", counted)
+    L = build_fixture(spec)
+    ring = join_meet_ideal(L).ring
+    got = []
+    for order in (ring.default_order, degrevlex(tuple(reversed(ring.variables))),
+                  lex(ring.variables)):
+        formed[0] = 0
+        size = len(join_meet_ideal(L).groebner(order))
+        got.append((formed[0], size))
+    formed[0] = 0
+    minimal_primes(L, _verify=False)
+    got.append(formed[0])
+    assert got == _PAIR_WORK[spec]
+
+
 def _xyz_elements(*pairs):
     """Binomial elements under lex x > y > z from exponent-tuple pairs."""
     ring = PolyRing(("x", "y", "z"))

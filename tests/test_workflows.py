@@ -67,14 +67,18 @@ from lattice_lab.workflows import (
     _component_gens,
     _Cone,
     _cone_tables,
-    _fiber_component,
+    _degree_three_seeds,
+    _Fibers,
+    _holds,
     _initial_ideals_certify,
     _intersect_all,
+    _kept,
     _monomial_normal_forms,
     _prime_component,
     _rules,
     _scan_orders,
     _settling_stop,
+    _sliced,
     _squarefree_under,
     _two_term_sides,
     _witness_search,
@@ -1092,6 +1096,8 @@ _ORACLE_CASES = [
                  id="B3-minus-coatom-full"),
     pytest.param(lattice_n, _BOTH, ("sample", 100, 3), id="N-sample"),
     pytest.param(lattice_r, _BOTH, ("sample", 100, 5), id="R-sample"),
+    # most orders settle on degree-three seeds and fiber cones
+    pytest.param(lattice_r, _BOTH, ("sample", 200, 7), id="R-sample-200"),
     pytest.param(_boolean_cube, ("lex",), ("sample", 100, 1),
                  id="B3-sample-lex"),
     # the first lex order is not squarefree, the first degrevlex one is: the
@@ -1161,10 +1167,12 @@ def test_sampled_scan_matches_uncached_oracle_on_closure_systems(L, char, kinds,
 def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
                                                                   lattice_R):
     """No order of R is squarefree, so every run of a sampled scan ends at
-    its hook: 29 runs for R's 200 sampled orders (seed 5), forming 548
-    S-elements where the whole reduced bases form 13,701.  A negative cone
-    holds every order under which the run's lead stays a minimal generator
-    of in(I), so few orders need a run of their own."""
+    its hook: 11 runs for R's 200 sampled orders (seed 5), forming 414
+    S-elements where the whole reduced bases form 13,701.  The degree-three
+    seeds settle every order whose in(I) has a minimal generator of degree
+    three that is not squarefree before any run, and the fiber cone of a
+    run's lead holds every order under which that lead is a minimal
+    generator of in(I), so few orders need a run of their own."""
     calls = {"runs": 0, "stopped": 0, "s_elements": 0}
     core, s_element = groebner._buchberger_core, groebner._bin_s_element
 
@@ -1182,7 +1190,7 @@ def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
     monkeypatch.setattr(groebner, "_bin_s_element", formed)
     rep = squarefree_order_scan(lattice_R, exhaustive=False, sample=100, seed=5)
     assert not rep.any_squarefree and rep.total_orders == 200
-    assert calls == {"runs": 29, "stopped": 29, "s_elements": 548}
+    assert calls == {"runs": 11, "stopped": 11, "s_elements": 414}
 
 
 @st.composite
@@ -1203,10 +1211,9 @@ def _reading(kind, perm):
 
 
 def _cone_of(pairs):
-    """A cone whose only rules are those of the (above, below) ``pairs``."""
-    cone = _Cone.__new__(_Cone)
-    cone.rules = _rules(pairs)
-    return cone
+    """A cone whose only rules are those of the (above, below) ``pairs``,
+    all of which it keeps."""
+    return _Cone(len(pairs[0][0]), pairs)
 
 
 @given(_ordered_pairs())
@@ -1248,28 +1255,28 @@ def _drawn_order(ring, kind, rnd):
 def test_standard_monomials_are_the_least_of_their_fiber_components(L, kind, rnd):
     """I is spanned in each degree by differences along moves, so a monomial
     of degree 2 to 4 lies outside in(I) exactly when it is the least of its
-    fiber component (``_fiber_component``); in(I) comes from a whole reduced
+    fiber component (``_Fibers``); in(I) comes from a whole reduced
     basis, and the least by the order's own key (``sort_key``)."""
     jm = join_meet_ideal(L)
     ring = jm.ring
     _, order = _drawn_order(ring, kind, rnd)
     ini = initial_ideal(jm, order)
     key = sort_key(order, ring)
-    moves = _moves(jm)
+    fibers = _Fibers(_moves(jm))
     for degree in (2, 3, 4):
         left = {tuple(map(c.count, range(ring.nvars)))
                 for c in itertools.combinations_with_replacement(range(ring.nvars),
                                                                  degree)}
         while left:
-            component = _fiber_component(left.pop(), moves)
+            component = fibers.component(left.pop())
             left -= component
             least = min(component, key=key)
             assert [v for v in component if not ini.contains(v)] == [least]
 
 
-def _settled(jm, kind, perm):
-    """(negative cone, stopping lead) of a sampled scan's run under the
-    order, or None when the run ends with a whole reduced basis."""
+def _stopping_lead(jm, kind, perm):
+    """The lead, as an exponent tuple, at which a sampled scan's run under
+    the order stops, or None when the run ends with a whole reduced basis."""
     ring = jm.ring
     ctx = groebner._Ctx(ring, MonomialOrder(kind, tuple(ring.variables[i] for i in perm)))
     elements = [(*ctx.key_pack(a), *ctx.key_pack(b))
@@ -1278,29 +1285,104 @@ def _settled(jm, kind, perm):
     if groebner._binomial_buchberger(ctx, elements,
                                      stop=_settling_stop(ctx, stash)) is not None:
         return None
-    return _Cone.settled(ctx, stash[0], _moves(jm)), ctx.unpack(stash[0][1])
+    return ctx.unpack(stash[0][1])
 
 
 @given(_FIBER_LATTICES, st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, rnd):
-    """A settled run's own order lies in its negative cone, and under every
-    order in the cone the stopping lead m is a minimal generator of a whole
-    reduced basis's in(I), so that order is not squarefree."""
+    """The fiber cone (``_Cone.settled``) of a settled run's stopping lead
+    m is exact: it holds a drawn order, the run's own among them, exactly
+    when m is a minimal generator of the in(I) of a whole reduced basis
+    under that order."""
     jm = join_meet_ideal(L)
     ring = jm.ring
+    fibers = _Fibers(_moves(jm))
     drawn = [(kind, *_drawn_order(ring, kind, rnd))
              for _ in range(12) for kind in ("lex", "degrevlex")]
     for kind, perm, _ in drawn:
-        settled = _settled(jm, kind, perm)
-        if settled is None:
+        m = _stopping_lead(jm, kind, perm)
+        if m is None:
             continue
-        cone, m = settled
+        cone = _Cone.settled(m, fibers)
         assert cone.contains(kind, _reading(kind, perm))
         for other, operm, order in drawn:
-            if cone.contains(other, _reading(other, operm)):
-                ini = initial_ideal(jm, order)
-                assert m in ini.gens and not ini.is_squarefree()
+            assert cone.contains(other, _reading(other, operm)) == (
+                m in initial_ideal(jm, order).gens)
+
+
+def _assert_seeds_hold_the_cubic_non_squarefree_generators(L, char, rnd, draws):
+    """Under each drawn order of either kind, the degree-three seeds whose
+    fiber cones hold it (``_degree_three_seeds``) are exactly the minimal
+    generators of degree three that are not squarefree of the in(I) of a
+    whole reduced basis."""
+    jm = join_meet_ideal(L, char)
+    ring = jm.ring
+    fibers = _Fibers(_moves(jm))
+    seeds = {m: _Cone.settled(m, fibers)
+             for m in _degree_three_seeds([tuple(g.terms) for g in jm.generators])}
+    for _ in range(draws):
+        for kind in ("lex", "degrevlex"):
+            perm, order = _drawn_order(ring, kind, rnd)
+            held = {m for m, cone in seeds.items()
+                    if cone.contains(kind, _reading(kind, perm))}
+            assert held == {m for m in initial_ideal(jm, order).gens
+                            if sum(m) == 3 and max(m) > 1}
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_degree_three_seeds_that_hold_are_the_cubic_generators(L, char, rnd):
+    _assert_seeds_hold_the_cubic_non_squarefree_generators(L, char, rnd, 3)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["N", "R", "M3", "Lk:5:2", "DivisorLadder:3"])
+def test_degree_three_seeds_that_hold_are_the_cubic_generators_of_fixtures(spec,
+                                                                          char):
+    _assert_seeds_hold_the_cubic_non_squarefree_generators(
+        build_fixture(spec), char, random.Random(spec), 6)
+
+
+def _keeps(rule, reading):
+    """Reference for one (support, wrong) rule (``_rules``): the order that
+    reads the variables in ``reading`` keeps it when the first variable of
+    the support it reads is not in W."""
+    support, wrong = rule
+    for v in reading:
+        if support >> v & 1:
+            return not wrong >> v & 1
+    return False
+
+
+@st.composite
+def _rule_sweeps(draw):
+    """A reading order of n variables, (support, wrong) rules over them,
+    empty supports included, and two bitmasks over the rules."""
+    n = draw(st.integers(1, 7))
+    subsets = st.integers(0, (1 << n) - 1)
+    rules = draw(st.lists(st.tuples(subsets, subsets).map(lambda r: (r[0], r[0] & r[1])),
+                          max_size=12))
+    masks = st.integers(0, (1 << len(rules)) - 1)
+    return n, draw(st.permutations(range(n))), rules, draw(masks), draw(masks)
+
+
+@given(_rule_sweeps())
+def test_one_sweep_decides_each_rule_as_the_rule_alone_does(case):
+    """The bit-sliced pass (``_kept``, ``_holds``) gives the kept mask, the
+    all-kept answer and the any-kept answer that reading each rule on its
+    own gives."""
+    n, reading, rules, every, some = case
+    kept = [_keeps(rule, reading) for rule in rules]
+    sliced = _sliced(rules, n)
+    assert _kept(sliced, reading) == sum(1 << j for j, k in enumerate(kept) if k)
+    in_every = [k for j, k in enumerate(kept) if every >> j & 1]
+    in_some = [k for j, k in enumerate(kept) if some >> j & 1]
+    assert _holds(sliced, reading, every, 0) == all(in_every)
+    assert _holds(sliced, reading, 0, some) == (not some or any(in_some))
+    assert _holds(sliced, reading, every, some) == (
+        all(in_every) and (not some or any(in_some)))
 
 
 def test_scan_q_witness_is_the_first_order(lattice_Q):

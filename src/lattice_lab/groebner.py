@@ -770,56 +770,76 @@ def _initial_ideal_toward(ideal, order, goal):
     MonomialIdeal ``goal``, or None when in(I) does not contain ``goal``.
 
     ``ideal`` must be generated by homogeneous pure differences, as a
-    join-meet ideal is; anything else raises PreconditionViolated.  A basis
-    it caches gives the whole of in(I).  Otherwise no engine runs, and the
-    answer is ``goal`` itself or None, decided by fiber walks
-    (Diaconis–Sturmfels 1998).  I is spanned in each degree d by the
-    differences x^u - x^v along moves w·(a - b) of its generators a - b,
-    so in(I)_d holds every monomial of degree d but the least of each
-    fiber component.  A generator m of ``goal`` lies in in(I) exactly when
-    a breadth-first walk from m along the moves reaches a monomial of
-    smaller key, and the walk stops at the first one.  The key is linear
-    in the packed monomial (``_Ctx``), so a move a → b changes it by
-    key(b) - key(a).
+    join-meet ideal is; anything else raises PreconditionViolated
+    (``_Fibers``).  A basis it caches gives the whole of in(I).  Otherwise
+    no engine runs, and the answer is ``goal`` itself or None, decided by
+    fiber walks: a generator m of ``goal`` lies in in(I) exactly when m is
+    not the least of its fiber component, that is when the walk from m
+    reaches a monomial of smaller key, and the walk stops at the first one.
     """
     ring = ideal.ring
     ctx = _Ctx(ring, order)
-    elements = _binomial_elements(ctx, ideal.generators)
-    if elements is None or any(tp < 0 or ctx.degree(lp) != ctx.degree(tp)
-                               for _, lp, _, tp in elements):
-        raise PreconditionViolated(
-            "fiber walks need homogeneous pure-difference generators")
+    fibers = _Fibers(ctx, _binomial_elements(ctx, ideal.generators))
     if order.weights(ring) in ideal._cache:
         return initial_ideal(ideal, order)
-    # a move (key change, term a, packed change) trades a for b in a
-    # monomial that a divides, for each generator a - b both ways round
-    moves = []
-    for ak, ap, bk, bp in elements:
-        moves += [(bk - ak, ap, bp - ap), (ak - bk, bp, ap - bp)]
-    there = ctx.repacker(goal._ctx)
-    if all(_fiber_goes_below(ctx, moves, there(m)) for m in goal._packed):
-        return goal
-    return None
+    key = ctx.key_packed
+    for m in map(ctx.repacker(goal._ctx), goal._packed):
+        top = key(m)
+        if not any(key(c) < top for c in fibers.walk(m)):
+            return None
+    return goal
 
 
-def _fiber_goes_below(ctx, moves, m):
-    """True when a chain of ``moves`` (``_initial_ideal_toward``) joins the
-    packed monomial m to one of smaller key, walked breadth-first until the
-    first such monomial or the end of m's fiber component."""
-    hm = ctx.hmask
-    top = ctx.key_packed(m)
-    seen = {m}
-    todo = [(top, m)]
-    for key, c in todo:
-        for dk, a, dp in moves:
-            if ((c | hm) - a) & hm == hm:
-                d = c + dp
-                if d not in seen:
-                    if key + dk < top:
-                        return True
-                    seen.add(d)
-                    todo.append((key + dk, d))
-    return False
+class _Fibers:
+    """The fiber components of monomials packed by ``ctx`` under the moves
+    of the binomial ``elements`` (``_binomial_elements``) of an ideal I.
+
+    When I is generated by homogeneous pure differences, it is spanned in
+    each degree d by the differences x^u - x^v along moves w·(a - b) of its
+    generators a - b (Diaconis–Sturmfels 1998), so under any order in(I)_d
+    holds every monomial of degree d but the least of each fiber component.
+    A move, (a, b - a) packed, trades a for b in a monomial that a divides,
+    for each generator both ways round.  Moves keep the degree, so every
+    component is finite; any other generator raises PreconditionViolated.
+    Components do not depend on the order, so ``component`` walks each once
+    for all its members.
+    """
+
+    __slots__ = ("ctx", "_moves", "_of")
+
+    def __init__(self, ctx, elements):
+        if elements is None or any(tp < 0 or ctx.degree(lp) != ctx.degree(tp)
+                                   for _, lp, _, tp in elements):
+            raise PreconditionViolated(
+                "fiber walks need homogeneous pure-difference generators")
+        self.ctx = ctx
+        self._moves = [move for _, a, _, b in elements
+                       for move in ((a, b - a), (b, a - b))]
+        self._of = {}
+
+    def walk(self, m):
+        """The monomials of the packed monomial m's component, m first,
+        each yielded when first reached, breadth first."""
+        hm = self.ctx.hmask
+        yield m
+        seen, todo = {m}, [m]
+        for c in todo:
+            for a, change in self._moves:
+                if ((c | hm) - a) & hm == hm:
+                    d = c + change
+                    if d not in seen:
+                        yield d
+                        seen.add(d)
+                        todo.append(d)
+
+    def component(self, m):
+        """The frozenset of the monomials of the packed monomial m's
+        component, m included."""
+        found = self._of.get(m)
+        if found is None:
+            found = frozenset(self.walk(m))
+            self._of.update(dict.fromkeys(found, found))
+        return found
 
 
 def is_squarefree(m):

@@ -23,13 +23,14 @@ first, under which the component bases are built, then the default one.  The
 initial ideals stay MonomialIdeals, which meet by pairwise lcms; whether
 in(I) holds each generator of ∩ in(P_A) is decided by a walk over its fiber
 component, with no basis of I, and I ⊆ P_A is read off normal forms modulo
-P_A's basis under the same order.  Then the colons are walked once, and
-when every component is certified prime a colon witness disproves it: for
-a variable x with I : x ≠ I : x², an f in I : x² \\ I : x gives w = x·f
-outside I with w² in I, so I is not radical, while an intersection of
-primes is.  Both colons come from one binomial basis of I per variable.
-Only when neither step decides are the components themselves intersected
-and compared with I.
+P_A's basis under the same order.  One fiber walker, ``groebner._Fibers``,
+serves that test and the sampled order scan's fiber cones.  Then the
+colons are walked once, and when every component is certified prime a
+colon witness disproves it: for a variable x with I : x ≠ I : x², an f in
+I : x² \\ I : x gives w = x·f outside I with w² in I, so I is not radical,
+while an intersection of primes is.  Both colons come from one binomial
+basis of I per variable.  Only when neither step decides are the
+components themselves intersected and compared with I.
 
 The colon witness also bounds the radicality certificate's search for an
 element of √I \\ I: the search stops at the witness's degree, and the
@@ -61,6 +62,8 @@ from .groebner import (
     _binomial_elements,
     _binomial_shape,
     _Ctx,
+    _default_ctx,
+    _Fibers,
     _initial_ideal_toward,
     _overflow,
     buchberger,
@@ -717,50 +720,6 @@ def _holds(sliced, reading, every, some):
     return met and not left & every
 
 
-class _Fibers:
-    """The fiber components of monomials, as exponent tuples, under the
-    moves of a pure-difference ideal: a move trades the term a of a
-    generator a - b for b in a monomial that a divides, and ``moves`` holds
-    each generator's (a, b) and (b, a).  Components do not depend on the
-    order, so each is walked once and shared by all its members."""
-
-    __slots__ = ("_moves", "_of")
-
-    def __init__(self, moves):
-        # each move sparse: a's support with its exponents, and the nonzero
-        # entries of b - a
-        self._moves = [(tuple((i, e) for i, e in enumerate(a) if e),
-                        tuple((i, y - x) for i, (x, y) in enumerate(zip(a, b))
-                              if x != y))
-                       for a, b in moves]
-        self._of = {}
-
-    def component(self, start):
-        """The frozenset of the monomials that a chain of moves joins to
-        ``start``, ``start`` included."""
-        found = self._of.get(start)
-        if found is None:
-            seen = {start}
-            todo = [start]
-            for u in todo:
-                for need, change in self._moves:
-                    for i, e in need:
-                        if u[i] < e:
-                            break
-                    else:
-                        v = list(u)
-                        for i, d in change:
-                            v[i] += d
-                        v = tuple(v)
-                        if v not in seen:
-                            seen.add(v)
-                            todo.append(v)
-            found = frozenset(seen)
-            for u in found:
-                self._of[u] = found
-        return found
-
-
 class _Cone:
     """The orders that rank given (above, below) pairs of exponent tuples
     that way: the Groebner cone of one reduced basis G of a join-meet ideal
@@ -784,7 +743,8 @@ class _Cone:
 
     The fiber cone of a monomial m that is not squarefree holds exactly the
     orders under which m is a minimal generator of in(I), so none of them
-    is squarefree (``squarefree_order_scan``).  Its masks are empty.
+    is squarefree (``squarefree_order_scan``); its pairs come from the
+    components of ``groebner._Fibers``.  Its masks are empty.
     """
 
     __slots__ = ("squarefree", "off_first", "off_second", "rules", "sliced",
@@ -824,19 +784,27 @@ class _Cone:
 
     @classmethod
     def settled(cls, m, fibers):
-        """The fiber cone of the exponent tuple m, from the components of
-        ``fibers`` (``_Fibers``) of I's generators.  By the lemma at
-        ``squarefree_order_scan``, m/x lies outside in(I) exactly when it is
-        least in its component, and m inside exactly when it is not least in
-        its own.  So m is a minimal generator exactly when the order keeps
-        (c, m/x) for each variable x dividing m and each other monomial c of
-        m/x's component, all in ``every``, and (m, c) for at least one other
-        monomial c of m's component, the rules of ``some``."""
-        lower = [(*m[:i], e - 1, *m[i + 1:]) for i, e in enumerate(m) if e]
-        return cls(len(m),
-                   [(c, below) for below in lower
-                    for c in fibers.component(below) if c != below],
-                   [(m, c) for c in fibers.component(m) if c != m])
+        """The fiber cone of m, packed by ``fibers.ctx``, from the
+        components of ``fibers`` (``groebner._Fibers``) of I's generators.
+        By the lemma at ``squarefree_order_scan``, m/x lies outside in(I)
+        exactly when it is least in its component, and m inside exactly when
+        it is not least in its own.  So m is a minimal generator exactly
+        when the order keeps (c, m/x) for each variable x dividing m and
+        each other monomial c of m/x's component, all in ``every``, and
+        (m, c) for at least one other monomial c of m's component, the rules
+        of ``some``; the members are unpacked for ``_rules``."""
+        ctx = fibers.ctx
+        unpack = ctx.unpack
+        every = []
+        for s, e in zip(ctx.shifts, unpack(m)):
+            if e:
+                below = m - (1 << s)
+                low = unpack(below)
+                every += [(unpack(c), low)
+                          for c in fibers.component(below) if c != below]
+        top = unpack(m)
+        return cls(ctx.n, every,
+                   [(top, unpack(c)) for c in fibers.component(m) if c != m])
 
     def contains(self, kind, reading):
         """True when the ``kind`` order that reads the variables in
@@ -913,19 +881,21 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     Otherwise the run stops at its first lead m that is not squarefree
     (``_settling_stop``), which has degree at least four, and leaves the
     fiber cone (``_Cone.settled``) of the orders under which m is a minimal
-    generator of in(I) (proof at ``squarefree_order_scan``).  A squarefree
-    verdict, and so the witness, comes only from a whole reduced basis.
-    When nothing settles, the whole-basis count is the number of distinct
-    initial ideals: the engine runs only for an order in no cone found so
-    far, so its reduced basis is new, and so is its initial ideal, which
-    determines the reduced basis.
+    generator of in(I) (proof at ``squarefree_order_scan``).  Fiber cones
+    read one ``_Fibers`` in the ring's default packing, to which seeds and
+    stopping leads are packed.  A squarefree verdict, and so the witness,
+    comes only from a whole reduced basis.  When nothing settles, the
+    whole-basis count is the number of distinct initial ideals: the engine
+    runs only for an order in no cone found so far, so its reduced basis is
+    new, and so is its initial ideal, which determines the reduced basis.
     """
     I = join_meet_ideal(lattice, char)
     ring = I.ring
     gens = [tuple(g.terms) for g in I.generators]
-    fibers = _Fibers(gens + [(m2, m1) for m1, m2 in gens])
-    seeds = ([_Cone.settled(m, fibers) for m in _degree_three_seeds(gens)]
-             if settle else [])
+    home = _default_ctx(ring)
+    fibers = _Fibers(home, _binomial_elements(home, I.generators))
+    seeds = ([_Cone.settled(home.pack(m), fibers)
+              for m in _degree_three_seeds(gens)] if settle else [])
     gen_rules = {kind: _sliced(rules, ring.nvars)
                  for kind, rules in _rules(gens).items()}
     everything = (1 << len(gens)) - 1
@@ -962,7 +932,8 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                         ctx, elements,
                         stop=_settling_stop(ctx, stash) if settle else None)
                     if basis is None:
-                        cone = _Cone.settled(ctx.unpack(stash[0][1]), fibers)
+                        cone = _Cone.settled(home.repacker(ctx)(stash[0][1]),
+                                             fibers)
                     else:
                         cone = _Cone.whole(ctx, basis, gens)
                         masked = masked or bool(cone.off_first | cone.off_second)
@@ -1183,9 +1154,11 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     no seed holds runs the engine.  Pairs leave the heap by degree on the
     homogeneous I, so when a lead m of degree d is added the leads so far
     generate in(I) below d and none divides m: a run stops at its first
-    lead m that is not squarefree, a minimal generator.  A squarefree
-    verdict and the witness come only from whole reduced bases.  A sampled
-    scan does not learn each order's whole in(I), so its report's
+    lead m that is not squarefree, a minimal generator.  The components
+    come from one ``groebner._Fibers`` per scan, the walker that also
+    decides the decomposition certificate (``_initial_ideal_toward``).  A
+    squarefree verdict and the witness come only from whole reduced bases.
+    A sampled scan does not learn each order's whole in(I), so its report's
     ``distinct_initial_ideals`` is None.
     """
     if not 0 < len(kinds) == len(set(kinds) & {"lex", "degrevlex"}):

@@ -1304,12 +1304,17 @@ def test_initial_ideal_toward_reads_a_cached_basis_whole(monkeypatch):
 ])
 def test_initial_ideal_toward_needs_homogeneous_pure_differences(gens):
     """Fiber walks end only on homogeneous pure differences, whose fiber
-    components are finite, and a monomial generator has no move."""
+    components are finite, and a monomial generator has no move; the walker
+    (``_Fibers``) raises as the certificate does."""
     ring = PolyRing(("x", "y", "z"))
     ideal = Ideal(ring, gens)
     goal = MonomialIdeal(ring, [(1, 1, 0)])
     with pytest.raises(PreconditionViolated):
         groebner._initial_ideal_toward(ideal, ring.default_order, goal)
+    # the walker itself checks, as the scan builds it directly
+    ctx = groebner._default_ctx(ring)
+    with pytest.raises(PreconditionViolated):
+        groebner._Fibers(ctx, groebner._binomial_elements(ctx, ideal.generators))
     # the check does not depend on which bases the ideal caches
     initial_ideal(ideal)
     with pytest.raises(PreconditionViolated):

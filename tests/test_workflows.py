@@ -68,7 +68,6 @@ from lattice_lab.workflows import (
     _Cone,
     _cone_tables,
     _degree_three_seeds,
-    _Fibers,
     _holds,
     _initial_ideals_certify,
     _intersect_all,
@@ -1238,10 +1237,13 @@ _FIBER_LATTICES = st.one_of(st.sampled_from([lattice_n, lattice_r, diamond_m3])
                            .map(lambda make: make()), closure_lattices())
 
 
-def _moves(jm):
-    """Each generator's two terms (a, b), as exponent tuples, and (b, a)."""
-    gens = [tuple(g.terms) for g in jm.generators]
-    return gens + [(b, a) for a, b in gens]
+def _fibers(jm, order=None):
+    """The fiber components (``groebner._Fibers``) of the join-meet ideal's
+    moves, packed by the context of ``order``, the default one if None."""
+    ring = jm.ring
+    ctx = (groebner._default_ctx(ring) if order is None
+           else groebner._Ctx(ring, order))
+    return groebner._Fibers(ctx, groebner._binomial_elements(ctx, jm.generators))
 
 
 def _drawn_order(ring, kind, rnd):
@@ -1250,28 +1252,40 @@ def _drawn_order(ring, kind, rnd):
 
 
 @given(_FIBER_LATTICES, st.sampled_from(["lex", "degrevlex"]),
-       st.randoms(use_true_random=False))
+       st.sampled_from([0, 32003]), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_standard_monomials_are_the_least_of_their_fiber_components(L, kind, rnd):
+def test_standard_monomials_are_the_least_of_their_fiber_components(L, kind, char,
+                                                                    rnd):
     """I is spanned in each degree by differences along moves, so a monomial
     of degree 2 to 4 lies outside in(I) exactly when it is the least of its
-    fiber component (``_Fibers``); in(I) comes from a whole reduced
-    basis, and the least by the order's own key (``sort_key``)."""
-    jm = join_meet_ideal(L)
+    fiber component (``groebner._Fibers``); in(I) comes from a whole reduced
+    basis, and the least by the order's own key (``sort_key``).  The
+    certificate's stopping walk, in the order's own packing and by its
+    packed key, reaches a smaller key from m exactly when m is not the
+    least of the component the scan reads."""
+    jm = join_meet_ideal(L, char)
     ring = jm.ring
     _, order = _drawn_order(ring, kind, rnd)
     ini = initial_ideal(jm, order)
     key = sort_key(order, ring)
-    fibers = _Fibers(_moves(jm))
+    fibers = _fibers(jm)
+    ctx = fibers.ctx
+    walker = _fibers(jm, order)
+    there, below = walker.ctx.repacker(ctx), walker.ctx.key_packed
     for degree in (2, 3, 4):
-        left = {tuple(map(c.count, range(ring.nvars)))
+        left = {ctx.pack(tuple(map(c.count, range(ring.nvars))))
                 for c in itertools.combinations_with_replacement(range(ring.nvars),
                                                                  degree)}
         while left:
-            component = fibers.component(left.pop())
-            left -= component
+            packed = fibers.component(left.pop())
+            left -= packed
+            component = [ctx.unpack(p) for p in packed]
             least = min(component, key=key)
             assert [v for v in component if not ini.contains(v)] == [least]
+            for p, v in zip(packed, component):
+                top = below(there(p))
+                assert any(below(c) < top for c in walker.walk(there(p))) is (
+                    v != least)
 
 
 def _stopping_lead(jm, kind, perm):
@@ -1297,14 +1311,14 @@ def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, rnd):
     under that order."""
     jm = join_meet_ideal(L)
     ring = jm.ring
-    fibers = _Fibers(_moves(jm))
+    fibers = _fibers(jm)
     drawn = [(kind, *_drawn_order(ring, kind, rnd))
              for _ in range(12) for kind in ("lex", "degrevlex")]
     for kind, perm, _ in drawn:
         m = _stopping_lead(jm, kind, perm)
         if m is None:
             continue
-        cone = _Cone.settled(m, fibers)
+        cone = _Cone.settled(fibers.ctx.pack(m), fibers)
         assert cone.contains(kind, _reading(kind, perm))
         for other, operm, order in drawn:
             assert cone.contains(other, _reading(other, operm)) == (
@@ -1318,8 +1332,8 @@ def _assert_seeds_hold_the_cubic_non_squarefree_generators(L, char, rnd, draws):
     whole reduced basis."""
     jm = join_meet_ideal(L, char)
     ring = jm.ring
-    fibers = _Fibers(_moves(jm))
-    seeds = {m: _Cone.settled(m, fibers)
+    fibers = _fibers(jm)
+    seeds = {m: _Cone.settled(fibers.ctx.pack(m), fibers)
              for m in _degree_three_seeds([tuple(g.terms) for g in jm.generators])}
     for _ in range(draws):
         for kind in ("lex", "degrevlex"):

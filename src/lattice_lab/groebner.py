@@ -587,7 +587,7 @@ class ReducedGB:
         return Poly(self.ring, {ctx.unpack(m): c for m, c in rem.items()})
 
     def _reduce_binomial(self, f):
-        ctx = self._ctx
+        ctx, ring = self._ctx, self.ring
         basis, hm = self._binomial, ctx.hmask
         rem = {}
         keys = {}
@@ -596,8 +596,13 @@ class ReducedGB:
             if nf is not None:
                 keys[nf[1]] = nf[0]
                 rem[nf[1]] = rem.get(nf[1], 0) + c
-        order = sorted(rem, key=keys.get, reverse=True)
-        return Poly(self.ring, {ctx.unpack(pk): rem[pk] for pk in order})
+        # terms that cancel are dropped here, so a remainder of zero, the
+        # common answer of a containment test, is neither sorted nor unpacked
+        kept = [pk for pk, c in rem.items() if ring.coeff(c)]
+        if not kept:
+            return ring.zero()
+        kept.sort(key=keys.get, reverse=True)
+        return Poly(ring, {ctx.unpack(pk): rem[pk] for pk in kept})
 
     def leading_monomials(self):
         """Leads in basis order, read off the engine's own elements."""
@@ -782,7 +787,10 @@ def _initial_ideal_toward(ideal, order, goal):
     fibers = _Fibers(ctx, _binomial_elements(ctx, ideal.generators))
     if order.weights(ring) in ideal._cache:
         return initial_ideal(ideal, order)
-    key = ctx.key_packed
+    # a component has one degree, so keys within it differ only by the
+    # rest of the linear key (_Ctx): S*p plus the dropped-variable terms
+    _, s, drops = ctx.linear
+    key = ctx.key_packed if drops else s.__mul__
     for m in map(ctx.repacker(goal._ctx), goal._packed):
         top = key(m)
         if not any(key(c) < top for c in fibers.walk(m)):

@@ -340,35 +340,41 @@ def enumerate_admissible_sets(lattice):
     each as the tuple of its element names.  A set is admissible when it
     covers both monomials of every basic binomial, or neither.
 
-    Elements are assigned in index order, in or out, and each basic
-    binomial's rule (a set hits {a, b} exactly when it hits {c, d}) is
-    checked once its highest-index element is assigned, so a partial set
-    that breaks a rule is never extended.
+    Elements are placed in rank order (longest chain from the bottom, then
+    index), in or out, and each basic binomial's rule (a set hits {a, b}
+    exactly when it hits {c, d}) is checked as soon as its join d is
+    placed: the meet c and the pair a, b lie below d, so they are placed
+    before it, and a partial set that breaks a rule is never extended.
+    Each set is held as a mask whose bit n-1-i stands for element i, so
+    for sets of one size a larger mask has the smaller index sequence, and
+    the leaves sort by the integer key (size, -mask).
     """
     els = lattice.elements
     n = len(els)
     index = lattice.index
-    rules = [[] for _ in range(n)]  # by the highest index each rule reads
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    ranks = lattice._ranks
+    placed = sorted(range(n), key=lambda i: (ranks[i], i))
+    position = {i: p for p, i in enumerate(placed)}
+    rules = [[] for _ in range(n)]  # by the position of the rule's join
     for (a, b), (c, d) in basic_binomial_pairs(lattice):
-        mask_ab = (1 << index[a]) | (1 << index[b])
-        mask_cd = (1 << index[c]) | (1 << index[d])
-        rules[(mask_ab | mask_cd).bit_length() - 1].append((mask_ab, mask_cd))
+        rules[position[index[d]]].append(
+            (bit[index[a]] | bit[index[b]], bit[index[c]] | bit[index[d]]))
     found = []
     stack = [(0, 0)]
     while stack:
-        i, mask = stack.pop()
-        if i == n:
+        p, mask = stack.pop()
+        if p == n:
             found.append(mask)
             continue
-        for m in (mask, mask | 1 << i):
-            for mab, mcd in rules[i]:
+        for m in (mask, mask | bit[placed[p]]):
+            for mab, mcd in rules[p]:
                 if (not m & mab) != (not m & mcd):
                     break
             else:
-                stack.append((i + 1, m))
-    found.sort(key=lambda m: (bin(m).count("1"),
-                              tuple(i for i in range(n) if m >> i & 1)))
-    return [tuple(els[i] for i in range(n) if m >> i & 1) for m in found]
+                stack.append((p + 1, m))
+    found.sort(key=lambda m: (m.bit_count(), -m))
+    return [tuple(els[i] for i in range(n) if m & bit[i]) for m in found]
 
 
 def restrict_to_complement(lattice, admissible):

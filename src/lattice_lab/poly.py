@@ -220,7 +220,7 @@ class PolyRing:
 
     def coeff(self, c):
         if self.char == 0:
-            return Fraction(c)
+            return c if type(c) is Fraction else Fraction(c)
         if type(c) is not int:
             q = Fraction(c)
             if q.denominator != 1:

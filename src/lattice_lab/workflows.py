@@ -227,8 +227,10 @@ def _binomial_sides(binomials):
 
 
 def _lattice_dominated(below, mask, basic):
-    """True when some P_M in ``below`` (binomial sides of each) lies in P_A,
-    for the admissible set A given by ``mask``.
+    """True when some P_M in ``below`` lies in P_A, for the admissible set
+    A given by ``mask``; each P_M is given by the binomial sides of its
+    two-term generators that are not basic rows (``minimal_primes``), and
+    none of those lists is empty.
 
     For M inside A, P_M lies in P_A exactly when each binomial x^u - x^v of
     P_M has a variable of A in both monomials, or in neither and u - v lies
@@ -236,10 +238,12 @@ def _lattice_dominated(below, mask, basic):
     (``basic``) that avoid A; A being admissible, each avoids A on both sides
     or on neither.  The reason: P_A meets the ring of the variables outside
     A in the lattice ideal of Λ_A, which holds no monomial and contains
-    x^u - x^v exactly when u - v is in Λ_A.  Λ_A is reduced only when some
-    binomial needs it.
+    x^u - x^v exactly when u - v is in Λ_A.  A generator whose row is ± a
+    basic row always passes, so it was dropped from ``below``.  Each P_M is
+    first read without Λ_A, and a Hermite basis of Λ_A is built only when
+    no P_M passes without one and some P_M has binomials avoiding A.
     """
-    span = None
+    pending = []
     for sides in below:
         avoiding = []
         for mu, mv, diff in sides:
@@ -249,25 +253,38 @@ def _lattice_dominated(below, mask, basic):
             elif not (hit_u and hit_v):
                 break
         else:
-            if avoiding and span is None:
-                span = echelon_basis([d for mu, mv, d in basic
-                                      if not (mu | mv) & mask])
-            if all(span.contains(d) for d in avoiding):
+            if not avoiding:
                 return True
-    return False
+            pending.append(avoiding)
+    if not pending:
+        return False
+    span = echelon_basis([d for mu, mv, d in basic if not (mu | mv) & mask])
+    return any(all(span.contains(d) for d in avoiding) for avoiding in pending)
 
 
 def minimal_primes(lattice, char=0, _verify=True):
     """Inclusion-minimal component primes plus the verified intersection.
 
-    Admissible sets are walked smallest first.  P_M lies in P_A only when
-    M lies in A (the variables in P_A are exactly those of A), and
+    Admissible sets are walked smallest first (``enumerate_admissible_sets``
+    walks them in rank order and sorts the leaves).  P_M lies in P_A only
+    when M lies in A (the variables in P_A are exactly those of A), and
     containment is transitive, so each set A is compared only with the
     minimal components found so far whose admissible set is strictly inside
     A's.  That test is integer-lattice membership (``_lattice_dominated``),
     since the binomial part of each P_A is the lattice ideal of Λ_A; it
     runs before any saturation, and a set that passes it is saturated and
     kept.
+
+    Of each minimal P_M only the two-term generators x^u - x^v whose row
+    u - v is not ± a basic row e_a + e_b - e_{a∧b} - e_{a∨b} are kept for
+    that test, since the others lie in every admissible P_A with A ⊇ M: if
+    both monomials hit A, the generator is in (x_A); if neither does, the
+    row's support lies in supp(u) ∪ supp(v), so the row avoids A and u - v
+    is in Λ_A; and exactly one cannot hit A, as that monomial would hit A
+    in {a, b} or in {a∧b, a∨b}, and admissibility then makes the other one
+    hit A too.  A component with no other two-term generator lies in every
+    admissible strict superset, so the subset test alone settles those
+    sets, and only the rest reach ``_lattice_dominated``.
 
     The components' intersection is then checked against the join-meet
     ideal I (``_decomposition_holds``), and a mismatch raises
@@ -279,15 +296,19 @@ def minimal_primes(lattice, char=0, _verify=True):
     ring = I.ring
     index = lattice.index
     basic = _binomial_sides(I.generators)
+    rows = {d for _, _, d in basic}
+    rows.update([tuple(-x for x in d) for d in rows])
     first = _certificate_orders(ring)[0]
 
-    found = []  # (mask, binomial sides, component) of each minimal component
+    components = []
+    found = []  # (mask, sides of its other two-term generators) per component
     for adm in enumerate_admissible_sets(lattice):
         mask = 0
         for e in adm:
             mask |= 1 << index[e]
-        below = [sides for m, sides, _ in found if m != mask and m & mask == m]
-        if _lattice_dominated(below, mask, basic):
+        # each set is walked once, so every earlier mask differs from it
+        below = [rest for m, rest in found if m & mask == m]
+        if not all(below) or _lattice_dominated(below, mask, basic):
             continue
         ideal = Ideal(ring, _component_gens(lattice, adm, ring))
         # the component's basis under the certificate's first order, cached
@@ -297,8 +318,8 @@ def minimal_primes(lattice, char=0, _verify=True):
         # buchberger call made directly from minimal_primes
         buchberger(ideal, first)
         sides = _two_term_sides(ideal)
-        found.append((mask, sides, _prime_component(adm, ideal, sides)))
-    components = [c for _, _, c in found]
+        found.append((mask, [s for s in sides if s[2] not in rows]))
+        components.append(_prime_component(adm, ideal, sides))
     if _verify and not _decomposition_holds(I, components)[0]:
         raise IntersectionMismatch(lattice)
     return components
@@ -332,8 +353,9 @@ def _initial_ideals_certify(ideal, parts):
         meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
         ini = _initial_ideal_toward(ideal, order, meet)
         if ini is not None and ideal_equal(meet, ini):
-            return all(not p.groebner(order).reduce(g)
-                       for p in parts for g in ideal.generators)
+            bases = [p.groebner(order) for p in parts]
+            return all(not gb.reduce(g)
+                       for gb in bases for g in ideal.generators)
     return False
 
 

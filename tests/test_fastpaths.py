@@ -287,6 +287,9 @@ GOLDEN_RUNS.update({
     "radical_fold9": ["radical", "--input", FOLD9],
     "primes_fold9_char0": ["primes", "--input", FOLD9, "--char", "0"],
     "primes_Lk_7_3_char0": ["primes", "--fixture", "Lk:7:3", "--char", "0"],
+    # the rank-order walk and the basic-row domination rule at scale:
+    # 2,653 admissible sets, of which 255 need a Hermite basis
+    "primes_Lk_10_5_char0": ["primes", "--fixture", "Lk:10:5", "--char", "0"],
     "lk_6_3_char0": ["lk", "--n", "6", "--k", "3"],
     "radical_R_char32003": ["radical", "--fixture", "R", "--char", str(P)],
     # default sample size: Lk:5:2 settles mostly on degree-3 seeds, and on

@@ -278,7 +278,9 @@ def test_q_admissible_contains_paper_set(lattice_Q):
 
 
 def test_admissible_matches_bruteforce_filter():
-    for name, L in small_corpus():
+    # the duals list their elements against the rank order the walk uses
+    corpus = small_corpus()
+    for name, L in corpus + [(f"dual({name})", dual(L)) for name, L in corpus]:
         pairs = basic_binomial_pairs(L)
         brute = []
         for r in range(len(L.elements) + 1):
@@ -288,10 +290,12 @@ def test_admissible_matches_bruteforce_filter():
                     (bool(s & {a, b})) == (bool(s & {c, d}))
                     for (a, b), (c, d) in pairs
                 ):
-                    brute.append(frozenset(combo))
-        ours = [frozenset(a) for a in enumerate_admissible_sets(L)]
-        assert sorted(map(sorted, ours)) == sorted(map(sorted, brute)), name
-        assert frozenset() in ours and frozenset(L.elements) in ours
+                    brute.append(combo)
+        # combinations come in (size, element-index sequence) order, the
+        # order the walk's leaves are sorted into
+        ours = enumerate_admissible_sets(L)
+        assert ours == brute, name
+        assert ours[0] == () and ours[-1] == L.elements
 
 
 def test_admissible_recheck():

@@ -325,6 +325,18 @@ def test_gf_p_rejects_fractions():
         R.from_string("1/2*x")
 
 
+def test_rational_coefficients_are_fractions_kept_as_given():
+    """Over Q a Fraction is its own coefficient, not a rebuilt copy; any
+    other rational value becomes a Fraction."""
+    R = PolyRing(("x", "y"))
+    q = Fraction(-3, 4)
+    assert R.coeff(q) is q
+    for value, expected in ((7, Fraction(7)), (True, Fraction(1)), (0.5, Fraction(1, 2))):
+        c = R.coeff(value)
+        assert c == expected and type(c) is Fraction
+    assert next(iter(R.monomial((1, 0), q).terms.values())) is q
+
+
 def test_gf_p_coefficients_are_residues():
     R = PolyRing(("x", "y"), char=5)
     for value, residue in ((7, 2), (-1, 4), (Fraction(3, 1), 3),

@@ -61,7 +61,7 @@ from lattice_lab.lattice import (
     restrict_to_complement,
 )
 from lattice_lab.poly import MonomialOrder, Poly, compare, product, sort_key
-from lattice_lab.snf import smith_normal_form
+from lattice_lab.snf import echelon_basis, smith_normal_form
 from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
@@ -421,6 +421,63 @@ def test_minimal_primes_match_all_pairs_oracle_on_closure_systems(L, char):
     assert (_component_facts(components)
             == _component_facts(minimal_primes_all_pairs(L, char)))
     _assert_certificate_and_dim_match_fresh_bases(components)
+
+
+def _assert_basic_row_generators_lie_above(L, char):
+    """Every two-term generator x^u - x^v of a minimal P_M whose row u - v
+    is ± a basic row reduces to 0 modulo P_A, for every admissible A ⊇ M:
+    the reason ``minimal_primes`` drops those generators from its
+    domination test."""
+    rows = set()
+    for g in join_meet_ideal(L, char).generators:
+        u, v = g.terms
+        rows.add(tuple(a - b for a, b in zip(u, v)))
+        rows.add(tuple(b - a for a, b in zip(u, v)))
+    sets = [frozenset(a) for a in enumerate_admissible_sets(L)]
+    bases = {}
+    checked = 0
+    for c in minimal_primes(L, char, _verify=False):
+        gens = [g for g in c.ideal.generators if len(g.terms) == 2
+                and tuple(a - b for a, b in zip(*g.terms)) in rows]
+        for A in sets:
+            if not gens or not A >= frozenset(c.admissible):
+                continue
+            if A not in bases:
+                bases[A] = component_prime(L, A, char).ideal.groebner()
+            for g in gens:
+                assert not bases[A].reduce(g), (c.admissible, sorted(A), g)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "N5", "DivisorLadder:3",
+                                  "Lk:4:2", "Lk:5:2"])
+def test_basic_row_generators_lie_in_every_admissible_superset(spec, char):
+    assert _assert_basic_row_generators_lie_above(build_fixture(spec), char)
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=60, deadline=None)
+def test_basic_row_generators_lie_in_every_admissible_superset_on_closure_systems(
+        L, char):
+    _assert_basic_row_generators_lie_above(L, char)
+
+
+@pytest.mark.parametrize("spec, bases", [("Lk:7:3", 31), ("Lk:10:5", 255)])
+def test_minimal_primes_hermite_bases(monkeypatch, spec, bases):
+    """A Hermite basis of Λ_A is built only for the sets that neither a
+    component with basic-row generators alone nor a test without Λ_A
+    settles; on Lk every one of them is the test against P_∅."""
+    built = []
+
+    def counting(rows):
+        built.append(len(rows))
+        return echelon_basis(rows)
+
+    monkeypatch.setattr(workflows, "echelon_basis", counting)
+    assert len(minimal_primes(build_fixture(spec), _verify=False)) == 7
+    assert len(built) == bases
 
 
 @pytest.mark.parametrize("name, runs", [

@@ -49,6 +49,7 @@ from lattice_lab.fixtures import (
 )
 from lattice_lab import groebner, workflows
 from lattice_lab.groebner import (
+    MonomialIdeal,
     ReducedGB,
     _binomial_colons,
     buchberger,
@@ -511,21 +512,21 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
 @pytest.mark.parametrize("run, runs", [
     pytest.param(lambda char: radical_certificate(lattice_n(), char), 16,
                  id="radical-N"),
-    pytest.param(lambda char: lk_suite(6, 3, char), 15, id="lk-6-3"),
-    pytest.param(lambda char: lk_suite(4, 2, char), 15, id="lk-4-2"),
-    pytest.param(lambda char: lk_suite(6, 1, char), 12, id="lk-6-1"),
+    pytest.param(lambda char: lk_suite(6, 3, char), 13, id="lk-6-3"),
+    pytest.param(lambda char: lk_suite(4, 2, char), 13, id="lk-4-2"),
+    pytest.param(lambda char: lk_suite(6, 1, char), 10, id="lk-6-1"),
 ])
 def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     """N's non-radicality is decided by its colon witness, whose bases the
-    capped search's fallback reads again from the cache; the lk suite's
-    intersection identity keeps I's shared generators out of the t and
-    (1-t) products, so all of it stays on the binomial engine.  The suite
-    matches each component with its expected prime under the order whose
-    basis the component caches, so it builds no component basis under the
-    default order (which took 19, 19 and 15 runs).  Fiber walks decide the
-    initial-ideal certificate, so the join-meet ideal gets no run for it
-    (which took one more run in the lk suite); radical's squarefree family
-    on N is one whole basis and three runs settled early."""
+    capped search's fallback reads again from the cache, and radical's
+    squarefree family on N is one whole basis and three runs settled early.
+    The lk suite's intersection identity is the meet of the initial ideals
+    its earlier stages computed, so it runs no elimination and builds no
+    basis of the meet.  The suite matches each
+    component with its expected prime under the order whose basis the
+    component caches, so it builds no component basis under the default
+    order, and fiber walks decide the initial-ideal certificate, so the
+    join-meet ideal gets no run for it.  No generic engine runs."""
     calls = count_engine_runs(monkeypatch)
     run(char)
     assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
@@ -960,15 +961,20 @@ def test_witness_search_matches_poly_oracle_on_closure_systems(L, char, bounds):
     _same_witness(L, join_meet_ideal(L, char), *bounds)
 
 
-def _capped_prefiltered_search(L, char, bound):
-    """The search as ``radical_certificate`` runs it, with the cap and the
-    certified components' admissible sets, beside the Poly oracle's search
-    under the same cap."""
+def _capped_search_inputs(L, char, bound):
+    """The join-meet ideal, the cap and the certified components with which
+    ``radical_certificate`` runs the witness search."""
     jm = join_meet_ideal(L, char)
-    primes = [c.admissible for c in minimal_primes(L, char, _verify=False)
+    primes = [c for c in minimal_primes(L, char, _verify=False)
               if c.certified_prime]
     w = _colon_witness(jm)
-    cap = bound if w is None else min(bound, w.total_degree())
+    return jm, bound if w is None else min(bound, w.total_degree()), primes
+
+
+def _capped_prefiltered_search(L, char, bound):
+    """The search as ``radical_certificate`` runs it, beside the Poly
+    oracle's search under the same cap."""
+    jm, cap, primes = _capped_search_inputs(L, char, bound)
     got = _witness_search(L, jm, cap, 4, primes)
     want = witness_search_poly(L, jm, cap, 4)
     assert str(got) == str(want)
@@ -988,6 +994,39 @@ def test_prefiltered_capped_search_matches_poly_oracle_on_n(char, bound):
 def test_prefiltered_capped_search_matches_poly_oracle_on_closure_systems(
         L, char, bound):
     _capped_prefiltered_search(L, char, bound)
+
+
+@given(closure_lattices(max_elements=9), st.sampled_from([0, 32003]),
+       st.sampled_from([2, 3, 4]))
+@settings(max_examples=25, deadline=None)
+def test_component_filter_keeps_the_unfiltered_witness(L, char, bound):
+    """Certified components drop only candidates outside √I, so the capped
+    search returns what it returns with no components."""
+    jm, cap, primes = _capped_search_inputs(L, char, bound)
+    assert (str(_witness_search(L, jm, cap, 4, primes))
+            == str(_witness_search(L, jm, cap, 4, primes=())))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_radical_n_takes_few_candidates_to_normal_forms(monkeypatch, char):
+    """Of N's 707 round-one candidates up to its witness, 96 lie in every
+    certified component and reach a normal form."""
+    candidates = workflows._witness_candidates
+    seen = []
+
+    def counted(*args):
+        for pair in candidates(*args):
+            seen.append(pair)
+            yield pair
+
+    monkeypatch.setattr(workflows, "_witness_candidates", counted)
+    cert = radical_certificate(lattice_n(), char)
+    assert cert.detail == "witness found at degree 4"
+    assert len(seen) == 96
+    seen.clear()
+    jm = join_meet_ideal(lattice_n(), char)
+    assert str(_witness_search(lattice_n(), jm, 4, 4)) == str(cert.witness)
+    assert len(seen) == 707
 
 
 def test_witness_search_power_overflow_raises():
@@ -1573,6 +1612,44 @@ def test_lk_suite_passes(n, k):
     failing = [s.name for s in rep.stages if not s.passed]
     assert rep.passed, failing
     assert rep.quotient_dim == n
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 8) for k in range(1, n)])
+def test_lk_intersection_identity_needs_no_elimination(monkeypatch, n, k, char):
+    """The meet of in(I + (x_{k+1} - y_k)) and in(I + (z)) is in(I) on every
+    Lk(n, k) checked, so the stage meets monomial ideals only."""
+    meets = []
+    meet = workflows.intersect
+
+    def watched(a, b):
+        meets.append(type(a))
+        return meet(a, b)
+
+    monkeypatch.setattr(workflows, "intersect", watched)
+    rep = lk_suite(n, k, char)
+    assert rep.passed
+    assert set(meets) == {MonomialIdeal}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_lk_intersection_identity_falls_back_to_elimination(monkeypatch, char):
+    """When the initial ideals' meet is not in(I), which on no Lk happens,
+    the elimination decides the identity."""
+    jm = join_meet_ideal(lk(4, 2), char)
+    ini_z = initial_ideal(jm.plus([jm.ring.var("z")]))
+    meets = []
+    meet = workflows.intersect
+
+    def spoiled(a, b):
+        meets.append(type(a))
+        # the stage's meet is the only one with in(I + (z)) as a side
+        return a if b == ini_z else meet(a, b)
+
+    monkeypatch.setattr(workflows, "intersect", spoiled)
+    rep = lk_suite(4, 2, char)
+    assert rep.passed
+    assert meets.count(Ideal) == 1
 
 
 def test_lk_suite_bad_parameters():

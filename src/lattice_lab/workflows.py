@@ -46,7 +46,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 
 from .errors import (
     IntersectionMismatch,
@@ -570,13 +570,15 @@ def _witness_candidates(lattice, ctx, nf, degree_bound, primes):
              for pair in lattice.incomparable_pairs()
              for x, y in itertools.permutations(map(ring.index.get, pair))
              if w[y] < w[x]]
+    # each degree's monomials are built once, when a round first reaches it
+    monomials = cache(partial(_all_monomials, ctx))
     for d in range(2, degree_bound + 1):
-        for k, p in _all_monomials(ctx, d):
+        for k, p in monomials(d):
             for v in sorted({(k + dk, p + dp) for f, dk, dp, x, hit in moves
                              if p & f and all((p - x) & m for m in hit)}):
                 yield (k, p), v
     for d in range(2, degree_bound + 1):
-        std = [u for u in _all_monomials(ctx, d) if nf(*u) == u]
+        std = [u for u in monomials(d) if nf(*u) == u]
         for j, u in enumerate(std):
             for v in std[:j]:
                 if all(bool(u[1] & m) == bool(v[1] & m) for m in masks):
@@ -702,14 +704,15 @@ class ScanReport:
 
 
 def _rules(pairs):
-    """{kind: [(D, W), ...]}, one rule per (above, below) pair of exponent
-    tuples.  An order reads the variables in its priority under lex and in
-    its reversed priority under degrevlex, and puts above over below exactly
-    when the first variable of the support D of above - below that it reads
-    is not in W: lex wants the larger exponent there, so W = {i : above_i <
-    below_i}, and degrevlex the smaller, so W is D minus that set.  This
-    ranks only tuples of one degree, as a homogeneous binomial's are."""
-    lex, degrevlex = [], []
+    """[(D, W), ...], one rule per (above, below) pair of exponent tuples of
+    one degree, as a homogeneous binomial's are: D is the support of above -
+    below and W = {i : above_i < below_i}.  An order reads the variables in
+    its priority under lex and in its reversed priority under degrevlex, and
+    decides the rule at the first variable of D that it reads.  Lex wants
+    the larger exponent there, so it keeps the rule when that variable is
+    outside W, and degrevlex the smaller, so it keeps it exactly when lex
+    does not: each kind XORs its flip (``_FLIP``) into W inside D."""
+    rules = []
     for above, below in pairs:
         support = wrong = 0
         for i, (a, b) in enumerate(zip(above, below)):
@@ -717,16 +720,18 @@ def _rules(pairs):
                 support |= 1 << i
                 if a < b:
                     wrong |= 1 << i
-        lex.append((support, wrong))
-        degrevlex.append((support, support ^ wrong))
-    return {"lex": lex, "degrevlex": degrevlex}
+        rules.append((support, wrong))
+    return rules
+
+
+_FLIP = {"lex": 0, "degrevlex": -1}  # the mask each kind XORs into W
 
 
 def _sliced(rules, n):
-    """The (support, wrong) ``rules`` of one kind (``_rules``) bit-sliced
-    by variable: (on, off), where ``on[v]`` is the bitmask of the rules, by
-    their place in ``rules``, whose D holds v, and ``off[v]`` that of the
-    rules whose W holds v."""
+    """The (support, wrong) ``rules`` (``_rules``) bit-sliced by variable:
+    (on, off), where ``on[v]`` is the bitmask of the rules, by their place
+    in ``rules``, whose D holds v, and ``off[v]`` that of the rules whose W
+    holds v."""
     on, off = [0] * n, [0] * n
     for j, (support, wrong) in enumerate(rules):
         bit = 1 << j
@@ -740,32 +745,33 @@ def _sliced(rules, n):
     return on, off
 
 
-def _kept(sliced, reading):
-    """The bitmask of the rules (``_sliced``) that the order reading the
-    variables in ``reading`` keeps, in one pass: the rules of ``on[v]`` not
-    decided before are decided at v, and those of ``off[v]`` among them are
-    broken.  No order keeps a rule of empty D."""
+def _kept(sliced, reading, flip):
+    """The bitmask of the rules (``_sliced``) that the order of flip
+    ``flip`` (``_FLIP``) reading the variables in ``reading`` keeps, in one
+    pass: the rules of ``on[v]`` not decided before are decided at v, and
+    those of ``off[v] ^ flip`` among them are broken.  No order keeps a
+    rule of empty D."""
     on, off = sliced
     left, kept = -1, 0
     for v in reading:
         new = on[v] & left
         if new:
-            kept |= new & ~off[v]
+            kept |= new & ~(off[v] ^ flip)
             left ^= new
     return kept
 
 
-def _holds(sliced, reading, every, some):
-    """True when the order reading the variables in ``reading`` keeps each
-    rule of the bitmask ``every`` and, unless ``some`` is 0, at least one
-    rule of ``some``: the pass of ``_kept``, ended once the answer is
-    known."""
+def _holds(sliced, reading, flip, every, some):
+    """True when the order of flip ``flip`` reading the variables in
+    ``reading`` keeps each rule of the bitmask ``every`` and, unless
+    ``some`` is 0, at least one rule of ``some``: the pass of ``_kept``,
+    ended once the answer is known."""
     on, off = sliced
     left, met = every | some, not some
     for v in reading:
         new = on[v] & left
         if new:
-            broken = new & off[v]
+            broken = new & (off[v] ^ flip)
             if broken & every:
                 return False
             if not met and new & some & ~broken:
@@ -782,11 +788,11 @@ class _Cone:
     that way: the Groebner cone of one reduced basis G of a join-meet ideal
     I (``whole``), or the fiber cone of a monomial m (``settled``).
 
-    ``rules`` holds the ``_rules`` of the pairs, by kind, and ``sliced``
-    the same rules bit-sliced by variable (``_sliced``).  An order lies in
-    the cone when it keeps every rule of the bitmask ``every`` and, unless
-    ``some`` is 0, at least one rule of ``some`` (``contains``, one pass of
-    the reading order).
+    ``rules`` holds the ``_rules`` of the pairs, one set for both kinds,
+    and ``sliced`` the same rules bit-sliced by variable (``_sliced``).  An
+    order lies in the cone when it keeps every rule of the bitmask ``every``
+    and, unless ``some`` is 0, at least one rule of ``some`` (``contains``,
+    one pass of the reading order under the kind's flip).
 
     An order lies in the cone of G when it picks the same leading term in
     every element of G; G is then its reduced basis too (Mora–Robbiano),
@@ -816,7 +822,7 @@ class _Cone:
         pairs += some
         self.some = (1 << len(pairs)) - 1 ^ self.every
         self.rules = _rules(pairs)
-        self.sliced = {kind: _sliced(rules, n) for kind, rules in self.rules.items()}
+        self.sliced = _sliced(self.rules, n)
         self.squarefree = False
         self.off_first = self.off_second = 0
 
@@ -866,7 +872,7 @@ class _Cone:
     def contains(self, kind, reading):
         """True when the ``kind`` order that reads the variables in
         ``reading`` lies in the cone (``_holds``)."""
-        return _holds(self.sliced[kind], reading, self.every, self.some)
+        return _holds(self.sliced, reading, _FLIP[kind], self.every, self.some)
 
 
 def _settling_stop(ctx, stash):
@@ -922,21 +928,20 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     Returns the per-kind counts, the first squarefree (kind, priority) and
     the number of whole-basis cones met.  The ideal scanned is the join-meet
     ideal, whose generators ab - (a∧b)(a∨b) are homogeneous of degree two;
-    the degrevlex rules of ``_rules`` and ``settle`` both rely on that.
-    Each order is tested against the cones found so far, most recently used
+    the one rule set of ``_rules`` and ``settle`` both rely on that.  Each
+    order is tested against the cones of one list, most recently used
     first, by one pass of its reading order over each cone's bit-sliced
-    rules (``_Cone.contains``), after the generator bitmask of ``_Cone``,
-    kept from the generators' rules in one pass too (``_kept``), once some
-    cone has a mask.
-    Only an order outside all of them becomes an order object, and the
-    engine runs in that order's own packing (``_Ctx``).  The new cone
-    turns the run's basis once into rules.
+    rules under its kind's flip (``_Cone.contains``), after the generator
+    bitmask of ``_Cone``, kept from the generators' rules in one pass too
+    (``_kept``), once some cone has a mask.  The cone that holds it moves to
+    the front.  Only an order outside all of them becomes an order object,
+    and the engine runs in that order's own packing (``_Ctx``); its basis
+    turns once into the rules of a new cone at the front.
 
-    With ``settle`` (sampled scans), an order outside every cone found so
-    far is first tried against the fiber cones of the degree-three seeds
-    (``_degree_three_seeds``), and a seed that holds it joins the cones.
-    Otherwise the run stops at its first lead m that is not squarefree
-    (``_settling_stop``), which has degree at least four, and leaves the
+    With ``settle`` (sampled scans), the list starts with the fiber cones
+    of the degree-three seeds (``_degree_three_seeds``), tried after every
+    cone found so far, and a run stops at its first lead m that is not
+    squarefree (``_settling_stop``), of degree at least four, leaving the
     fiber cone (``_Cone.settled``) of the orders under which m is a minimal
     generator of in(I) (proof at ``squarefree_order_scan``).  Fiber cones
     read one ``_Fibers`` in the ring's default packing, to which seeds and
@@ -951,14 +956,12 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     gens = [tuple(g.terms) for g in I.generators]
     home = _default_ctx(ring)
     fibers = _Fibers(home, _binomial_elements(home, I.generators))
-    seeds = ([_Cone.settled(home.pack(m), fibers)
+    cones = ([_Cone.settled(home.pack(m), fibers)
               for m in _degree_three_seeds(gens)] if settle else [])
-    gen_rules = {kind: _sliced(rules, ring.nvars)
-                 for kind, rules in _rules(gens).items()}
+    gen_rules = _sliced(_rules(gens), ring.nvars)
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
-    cones = []
     whole = 0
     # fiber cones have empty masks, so the mask rejects nothing until a
     # whole cone is met
@@ -968,7 +971,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
         for kind in kinds:
             reading = perm if kind == "lex" else perm[::-1]
             if masked:
-                first = _kept(gen_rules[kind], reading)
+                first = _kept(gen_rules, reading, _FLIP[kind])
                 second = everything ^ first
             for c, cone in enumerate(cones):
                 if (first & cone.off_first or second & cone.off_second
@@ -978,23 +981,17 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     cones.insert(0, cones.pop(c))
                 break
             else:
-                for s, cone in enumerate(seeds):
-                    if cone.contains(kind, reading):
-                        del seeds[s]
-                        break
+                ctx, elements = _packed_generators(ring, gens, kind, perm)
+                stash = []
+                basis = _binomial_buchberger(
+                    ctx, elements,
+                    stop=_settling_stop(ctx, stash) if settle else None)
+                if basis is None:
+                    cone = _Cone.settled(home.repacker(ctx)(stash[0][1]), fibers)
                 else:
-                    ctx, elements = _packed_generators(ring, gens, kind, perm)
-                    stash = []
-                    basis = _binomial_buchberger(
-                        ctx, elements,
-                        stop=_settling_stop(ctx, stash) if settle else None)
-                    if basis is None:
-                        cone = _Cone.settled(home.repacker(ctx)(stash[0][1]),
-                                             fibers)
-                    else:
-                        cone = _Cone.whole(ctx, basis, gens)
-                        masked = masked or bool(cone.off_first | cone.off_second)
-                        whole += 1
+                    cone = _Cone.whole(ctx, basis, gens)
+                    masked = masked or bool(cone.off_first | cone.off_second)
+                    whole += 1
                 cones.insert(0, cone)
             counts[kind]["orders"] += 1
             if cone.squarefree:
@@ -1004,21 +1001,21 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     return counts, witness, whole
 
 
-def _order_tables(rules, n):
-    """(bad, count) tables of the reading orders σ that keep every
-    (support, wrong) rule of ``rules`` (``_rules``), placing σ front to
-    back.  For a set S of variables placed first (a bitmask) by a placing
-    that keeps every rule, ``bad[S]`` holds the variables whose placing next
-    would break some rule, and ``count[S]`` the number of ways to place the
-    rest without breaking one.  Both are dicts over the sets that such
-    placings reach.
+def _order_tables(rules, n, flip):
+    """(bad, count) tables of the reading orders σ of flip ``flip``
+    (``_FLIP``) that keep every (support, wrong) rule of ``rules``
+    (``_rules``), placing σ front to back.  For a set S of variables placed
+    first (a bitmask) by a placing that keeps every rule, ``bad[S]`` holds
+    the variables whose placing next would break some rule, and
+    ``count[S]`` the number of ways to place the rest without breaking one.
+    Both are dicts over the sets that such placings reach.
 
     A rule (D, W) is decided at the first variable of D placed, so placing
-    v after S breaks it when D misses S and v is in W, and count(S) sums
-    count(S ∪ {v}) over the v that break none.  When some σ keeps every
-    rule, every set reached has a completion: σ restricted to the variables
-    left keeps every rule whose D misses S, and the placing that reached S
-    decided the others.
+    v after S breaks it when D misses S and v is in W ^ (D & flip), and
+    count(S) sums count(S ∪ {v}) over the v that break none.  When some σ
+    keeps every rule, every set reached has a completion: σ restricted to
+    the variables left keeps every rule whose D misses S, and the placing
+    that reached S decided the others.
     """
     full = (1 << n) - 1
     bad, count = {}, {full: 1}
@@ -1029,7 +1026,7 @@ def _order_tables(rules, n):
             broken = 0
             for support, wrong in rules:
                 if not support & placed:
-                    broken |= wrong
+                    broken |= wrong ^ (support & flip)
             bad[placed] = broken
             free = full & ~(placed | broken)
             total = 0
@@ -1080,7 +1077,7 @@ def _cone_tables(lattice, kinds, char):
             for other in kinds:
                 if other != kind:
                     elsewhere[other].append(cone)
-        entry = (cone, *_order_tables(cone.rules[kind], n))
+        entry = (cone, *_order_tables(cone.rules, n, _FLIP[kind]))
         tables[kind].append(entry)
         for live in path:
             live.append(entry)

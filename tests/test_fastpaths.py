@@ -296,6 +296,15 @@ GOLDEN_RUNS.update({
     # DivisorLadder:4 every order is squarefree, so only whole cones act
     "scan_Lk_5_2_default": ["scan", "--fixture", "Lk:5:2"],
     "scan_DivisorLadder_4_default": ["scan", "--fixture", "DivisorLadder:4"],
+    # one family at a time: a wrong degrevlex flip of the one rule set
+    # would move these counts
+    "scan_cube_minus_coatom_exhaustive_degrevlex": ["scan", "--input", CUBE, "--exhaustive",
+                                                    "--family", "degrevlex"],
+    "scan_closure_mixed9_sample_seed2_degrevlex": ["scan", "--input", MIXED9, "--sample",
+                                                   "300", "--seed", "2", "--family",
+                                                   "degrevlex"],
+    "scan_closure_mixed9_sample_seed2_lex": ["scan", "--input", MIXED9, "--sample", "300",
+                                             "--seed", "2", "--family", "lex"],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

@@ -66,6 +66,7 @@ from lattice_lab.snf import echelon_basis, smith_normal_form
 from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
+    _FLIP,
     _Cone,
     _cone_tables,
     _degree_three_seeds,
@@ -74,6 +75,7 @@ from lattice_lab.workflows import (
     _intersect_all,
     _kept,
     _monomial_normal_forms,
+    _order_tables,
     _prime_component,
     _rules,
     _scan_orders,
@@ -1325,8 +1327,8 @@ def test_rules_rank_pairs_of_one_degree_as_compare_does(case):
         kept = tuple(_cone_of([pair]).contains(kind, _reading(kind, perm))
                      for pair in ((a, b), (b, a)))
         assert kept == (sign > 0, sign < 0)
-        if a == b:
-            assert _rules([(a, b)])[kind] == [(0, 0)] and kept == (False, False)
+    if a == b:
+        assert _rules([(a, b)]) == [(0, 0)]
 
 
 _FIBER_LATTICES = st.one_of(st.sampled_from([lattice_n, lattice_r, diamond_m3])
@@ -1455,44 +1457,57 @@ def test_degree_three_seeds_that_hold_are_the_cubic_generators_of_fixtures(spec,
         build_fixture(spec), char, random.Random(spec), 6)
 
 
-def _keeps(rule, reading):
-    """Reference for one (support, wrong) rule (``_rules``): the order that
-    reads the variables in ``reading`` keeps it when the first variable of
-    the support it reads is not in W."""
+def _keeps(rule, kind, reading):
+    """Reference for one (support, wrong) rule (``_rules``): the ``kind``
+    order that reads the variables in ``reading`` keeps it when the first
+    variable of the support it reads is outside W under lex, and inside W
+    under degrevlex."""
     support, wrong = rule
     for v in reading:
         if support >> v & 1:
-            return not wrong >> v & 1
+            return bool(wrong >> v & 1) == (kind == "degrevlex")
     return False
 
 
 @st.composite
 def _rule_sweeps(draw):
-    """A reading order of n variables, (support, wrong) rules over them,
-    empty supports included, and two bitmasks over the rules."""
+    """A kind, a reading order of n variables, (support, wrong) rules over
+    them, empty supports included, and two bitmasks over the rules."""
     n = draw(st.integers(1, 7))
     subsets = st.integers(0, (1 << n) - 1)
     rules = draw(st.lists(st.tuples(subsets, subsets).map(lambda r: (r[0], r[0] & r[1])),
                           max_size=12))
     masks = st.integers(0, (1 << len(rules)) - 1)
-    return n, draw(st.permutations(range(n))), rules, draw(masks), draw(masks)
+    return (draw(st.sampled_from(["lex", "degrevlex"])), n,
+            draw(st.permutations(range(n))), rules, draw(masks), draw(masks))
 
 
 @given(_rule_sweeps())
 def test_one_sweep_decides_each_rule_as_the_rule_alone_does(case):
-    """The bit-sliced pass (``_kept``, ``_holds``) gives the kept mask, the
-    all-kept answer and the any-kept answer that reading each rule on its
-    own gives."""
-    n, reading, rules, every, some = case
-    kept = [_keeps(rule, reading) for rule in rules]
+    """The bit-sliced pass (``_kept``, ``_holds``) under the kind's flip
+    (``_FLIP``) gives the kept mask, the all-kept answer and the any-kept
+    answer that reading each rule on its own gives."""
+    kind, n, reading, rules, every, some = case
+    flip = _FLIP[kind]
+    kept = [_keeps(rule, kind, reading) for rule in rules]
     sliced = _sliced(rules, n)
-    assert _kept(sliced, reading) == sum(1 << j for j, k in enumerate(kept) if k)
+    assert _kept(sliced, reading, flip) == sum(1 << j for j, k in enumerate(kept) if k)
     in_every = [k for j, k in enumerate(kept) if every >> j & 1]
     in_some = [k for j, k in enumerate(kept) if some >> j & 1]
-    assert _holds(sliced, reading, every, 0) == all(in_every)
-    assert _holds(sliced, reading, 0, some) == (not some or any(in_some))
-    assert _holds(sliced, reading, every, some) == (
+    assert _holds(sliced, reading, flip, every, 0) == all(in_every)
+    assert _holds(sliced, reading, flip, 0, some) == (not some or any(in_some))
+    assert _holds(sliced, reading, flip, every, some) == (
         all(in_every) and (not some or any(in_some)))
+
+
+@given(_rule_sweeps())
+def test_degrevlex_flip_counts_orders_as_the_complemented_rules_do(case):
+    """The degrevlex flip (``_FLIP``) of ``_order_tables`` reads each rule
+    (D, W) as the explicit degrevlex rule (D, D minus W) read with flip 0:
+    the same bad sets and the same counts of the reading orders."""
+    _, n, _, rules, _, _ = case
+    explicit = [(support, support ^ wrong) for support, wrong in rules]
+    assert _order_tables(rules, n, _FLIP["degrevlex"]) == _order_tables(explicit, n, 0)
 
 
 def test_scan_q_witness_is_the_first_order(lattice_Q):

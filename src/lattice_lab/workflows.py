@@ -791,8 +791,10 @@ class _Cone:
     ``rules`` holds the ``_rules`` of the pairs, one set for both kinds,
     and ``sliced`` the same rules bit-sliced by variable (``_sliced``).  An
     order lies in the cone when it keeps every rule of the bitmask ``every``
-    and, unless ``some`` is 0, at least one rule of ``some`` (``contains``,
-    one pass of the reading order under the kind's flip).
+    and, unless ``some`` is 0, at least one rule of ``some``; a sampled scan
+    tests an order so by one pass of its reading order under the kind's
+    flip (``contains``), and an exhaustive scan counts a cone's orders
+    instead.
 
     An order lies in the cone of G when it picks the same leading term in
     every element of G; G is then its reduced basis too (Mora–Robbiano),
@@ -1046,15 +1048,16 @@ def _cone_tables(lattice, kinds, char):
     meet, each with the ``_order_tables`` of its rules under each kind that
     meets it: a dict from kind to its list of (cone, bad, count).
 
-    For each kind, a depth-first walk over prefixes of the reading order,
-    in itertools order, keeps the cones found so far that the prefix has
-    not ruled out, and leaves a prefix once their counts of its completions
-    add up to all (n - |prefix|)! of them.  A cone found below a prefix
-    holds an order that extends it, so it joins the lists of every prefix
-    on the path.  At an order that no cone of the kind holds, the whole
-    cones found under the other kind are tried (``_Cone.contains``), and
-    only when none holds it does the engine run, so every run finds a new
-    reduced basis.
+    A new cone is tabled under every kind at once, and enters a kind's list
+    when it holds some order of that kind.  For each kind, a depth-first
+    walk over prefixes of the reading order, in itertools order, starts
+    from the cones already in the kind's list, keeps those that the prefix
+    has not ruled out, and leaves a prefix once their counts of its
+    completions add up to all (n - |prefix|)! of them.  A cone found below
+    a prefix holds an order that extends it, so it joins the lists of
+    every prefix on the path.  So a leaf is an order that no cone found so
+    far holds, the engine runs there, and every run finds a new reduced
+    basis.
     """
     I = join_meet_ideal(lattice, char)
     ring = I.ring
@@ -1062,25 +1065,19 @@ def _cone_tables(lattice, kinds, char):
     gens = [tuple(g.terms) for g in I.generators]
     rest = [math.factorial(n - depth) for depth in range(n + 1)]
     tables = {k: [] for k in kinds}
-    elsewhere = {k: [] for k in kinds}  # cones found under another kind only
     path = []
 
     def meet(kind, reading):
-        for cone in elsewhere[kind]:
-            if cone.contains(kind, reading):
-                elsewhere[kind].remove(cone)
-                break
-        else:
-            perm = reading if kind == "lex" else reading[::-1]
-            ctx, elements = _packed_generators(ring, gens, kind, perm)
-            cone = _Cone.whole(ctx, _binomial_buchberger(ctx, elements), gens)
-            for other in kinds:
-                if other != kind:
-                    elsewhere[other].append(cone)
-        entry = (cone, *_order_tables(cone.rules, n, _FLIP[kind]))
-        tables[kind].append(entry)
+        perm = reading if kind == "lex" else reading[::-1]
+        ctx, elements = _packed_generators(ring, gens, kind, perm)
+        cone = _Cone.whole(ctx, _binomial_buchberger(ctx, elements), gens)
+        for k in kinds:
+            entry = (cone, *_order_tables(cone.rules, n, _FLIP[k]))
+            if entry[2][0]:
+                tables[k].append(entry)
+        # the cone holds the order just read, so its last entry is kind's
         for live in path:
-            live.append(entry)
+            live.append(tables[kind][-1])
 
     def visit(kind, seq, placed, live):
         if sum(e[2][placed] for e in live) >= rest[len(seq)]:
@@ -1097,7 +1094,7 @@ def _cone_tables(lattice, kinds, char):
         path.pop()
 
     for kind in kinds:
-        visit(kind, (), 0, [])
+        visit(kind, (), 0, list(tables[kind]))
     return tables
 
 
@@ -1184,12 +1181,13 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
 
     An exhaustive scan visits no order one at a time: a subset recursion
     counts the orders of each kind in each cone from its rules
-    (``_order_tables``); a walk over reading-order prefixes meets every
-    cone and runs the engine only at an order no cone found so far holds
-    (``_cone_tables``); the witness, the first squarefree priority in
-    itertools order, is read greedily from the same tables
-    (``_first_squarefree``, ``_count_orders``).  Every run yields a new
-    reduced basis, so the runs are the distinct initial ideals.
+    (``_order_tables``), under every kind as soon as the cone is found; a
+    walk over reading-order prefixes meets every cone and runs the engine
+    only at an order no cone found so far holds (``_cone_tables``); the
+    witness, the first squarefree priority in itertools order, is read
+    greedily from the same tables (``_first_squarefree``,
+    ``_count_orders``).  Every run yields a new reduced basis, so the runs
+    are the distinct initial ideals.
 
     A sampled scan takes its ``sample`` draws of ``random.Random(seed)`` as
     one stream in this process, tests each against the cones found so far

@@ -305,6 +305,8 @@ GOLDEN_RUNS.update({
                                                    "degrevlex"],
     "scan_closure_mixed9_sample_seed2_lex": ["scan", "--input", MIXED9, "--sample", "300",
                                              "--seed", "2", "--family", "lex"],
+    # 1,190 cones, 640 of them holding orders of one kind only, and a witness
+    "scan_closure_mixed9_exhaustive": ["scan", "--input", MIXED9, "--exhaustive"],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

@@ -1592,17 +1592,55 @@ _UP_TO_EIGHT = {name: L for name, L in small_corpus() + distributive_corpus()
 @pytest.mark.parametrize("name", sorted(_UP_TO_EIGHT))
 def test_exhaustive_scan_orders_are_the_sum_of_cone_counts(name):
     """Each kind's ``orders`` is summed from its cones' counts, and comes to
-    n!: every order lies in exactly one cone."""
+    n!: every order lies in exactly one cone.  A cone met under either kind
+    is in a kind's table exactly when it holds an order of that kind."""
     L = _UP_TO_EIGHT[name]
+    n = len(L.elements)
     rep = squarefree_order_scan(L, exhaustive=True)
     tables = _cone_tables(L, _BOTH, 0)
     for kind in _BOTH:
         per_cone = [count[0] for _, _, count in tables[kind]]
         assert all(per_cone)
-        assert rep.counts[kind]["orders"] == sum(per_cone) \
-            == math.factorial(len(L.elements))
+        assert rep.counts[kind]["orders"] == sum(per_cone) == math.factorial(n)
         assert rep.counts[kind]["squarefree"] == sum(
             count[0] for cone, _, count in tables[kind] if cone.squarefree)
+    cones = {id(e[0]): e[0] for entries in tables.values() for e in entries}
+    for kind in _BOTH:
+        tabled = {id(e[0]) for e in tables[kind]}
+        for key, cone in cones.items():
+            assert (key in tabled) == (
+                _order_tables(cone.rules, n, _FLIP[kind])[1][0] > 0)
+
+
+@pytest.mark.parametrize("kinds", [_BOTH, _BOTH[::-1]], ids="-".join)
+def test_exhaustive_scan_runs_the_engine_once_per_cone(monkeypatch, kinds):
+    """Each new cone is tabled under every kind at once, so a leaf of the
+    prefix walk (``_cone_tables``) is always an order no known cone holds:
+    the engine runs once per distinct initial ideal, and no order is tested
+    against a cone one at a time (``_Cone.contains``)."""
+    calls = {"engine": 0, "contains": 0}
+    engine, contains = workflows._binomial_buchberger, _Cone.contains
+
+    def counted_engine(*args, **kwargs):
+        calls["engine"] += 1
+        return engine(*args, **kwargs)
+
+    def counted_contains(*args, **kwargs):
+        calls["contains"] += 1
+        return contains(*args, **kwargs)
+
+    monkeypatch.setattr(workflows, "_binomial_buchberger", counted_engine)
+    monkeypatch.setattr(_Cone, "contains", counted_contains)
+    rep = squarefree_order_scan(lattice_n(), kinds=kinds, exhaustive=True)
+    assert calls == {"engine": 386, "contains": 0}
+    assert rep.distinct_initial_ideals == 386
+    calls["engine"] = 0
+    tables = _cone_tables(lattice_n(), _BOTH, 0)
+    assert calls == {"engine": 386, "contains": 0}
+    assert (len(tables["lex"]), len(tables["degrevlex"])) == (374, 249)
+    lex = {id(e[0]) for e in tables["lex"]}
+    degrevlex = {id(e[0]) for e in tables["degrevlex"]}
+    assert (len(lex & degrevlex), len(lex | degrevlex)) == (237, 386)
 
 
 @pytest.mark.parametrize("bad", [

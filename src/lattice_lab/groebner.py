@@ -205,8 +205,9 @@ def _default_ctx(ring):
 # those two fields and leaves the rest to the kind's own steps.
 
 
-def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
-    """Minimal Groebner basis of ``elements``, sorted by increasing lead.
+def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None, known=()):
+    """Minimal Groebner basis of ``known`` and ``elements``, sorted by
+    increasing lead.
 
     ``reduce(ctx, raw, basis)`` turns a raw element (an input or an
     S-element) into a basis element reduced by ``basis``, or None for zero;
@@ -226,6 +227,13 @@ def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
     element whose lead lead(h) divides forms no more pairs and is left out
     of the result.
 
+    ``known``, when given, is a reduced Groebner basis in ``ctx`` of the
+    ideal of some generators (the incremental step of Gebauer and Möller).
+    Its elements enter the basis and form pairs only with the elements
+    added after them: the S-element of two of them top-reduces to zero by
+    the known basis itself, so a run from all of them would add nothing
+    for those pairs, and the run from ``known`` adds the same elements.
+
     ``stop(basis, degree)``, when given, is called before each pair leaves
     the heap with every element added so far, in order, and that pair's lcm
     degree; a true answer ends the run, which then returns None.
@@ -234,11 +242,11 @@ def _buchberger_core(ctx, elements, s_element, reduce, *, stop=None):
     fold, ones, top = ctx._pairs, ctx._ones, ctx._top
     a, s, drops = ctx.linear
     low = _GUARD - 1
-    basis = []
+    basis = list(known)
     # indices of the elements whose lead no later lead divides: they form
     # pairs, and as every element is reduced by those before it, they end
-    # as the minimal basis
-    live = []
+    # as the minimal basis; no lead of a reduced basis divides another
+    live = list(range(len(basis)))
     pairs = []
 
     def add(el):
@@ -400,11 +408,13 @@ def _bin_interreduced(ctx, kept):
     return final
 
 
-def _binomial_buchberger(ctx, elements, *, stop=None):
+def _binomial_buchberger(ctx, elements, *, stop=None, known=()):
     """Reduced basis of a pure-difference/monomial ideal, given binomial
     elements in either orientation, or None when ``stop`` (as in
-    ``_buchberger_core``) ends the run."""
-    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce, stop=stop)
+    ``_buchberger_core``) ends the run; the run starts from the reduced
+    basis ``known`` of the other generators, when one is given."""
+    kept = _buchberger_core(ctx, elements, _bin_s_element, _bin_reduce, stop=stop,
+                            known=known)
     return None if kept is None else _bin_interreduced(ctx, kept)
 
 
@@ -688,9 +698,13 @@ class MonomialIdeal:
 
 
 class Ideal:
-    """Polynomial ideal with a per-order cache of reduced Groebner bases."""
+    """Polynomial ideal with a per-order cache of reduced Groebner bases.
 
-    __slots__ = ("ring", "generators", "_cache")
+    An ideal made by ``plus`` keeps its parent, whose generators come first
+    in its own, and a basis of it starts from the parent's cached basis
+    under the same order when there is one (``_buchberger_from``)."""
+
+    __slots__ = ("ring", "generators", "_cache", "_parent")
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -704,6 +718,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache = {}
+        self._parent = None
 
     def groebner(self, order=None):
         """The reduced basis under ``order``, cached by the order's weights
@@ -712,12 +727,26 @@ class Ideal:
         weights = order.weights(self.ring)
         gb = self._cache.get(weights)
         if gb is None:
-            gb = self._cache[weights] = buchberger(self.generators, order, ring=self.ring)
+            parent = self._parent
+            if parent is not None:
+                gb = _buchberger_from(parent._cache.get(weights),
+                                      self.generators[len(parent.generators):],
+                                      order, self.ring)
+            if gb is None:
+                gb = buchberger(self.generators, order, ring=self.ring)
+            self._cache[weights] = gb
         return gb
 
     def plus(self, extra):
+        """The ideal of these generators and ``extra`` (Polys or strings).
+        Its basis under an order whose basis this ideal has cached by then
+        starts from that basis, so only pairs with the new generators are
+        formed, when both are of the binomial kind; else it is built from
+        all the generators."""
         extra = [self.ring.from_string(g) if isinstance(g, str) else g for g in extra]
-        return Ideal(self.ring, self.generators + tuple(extra))
+        ideal = Ideal(self.ring, self.generators + tuple(extra))
+        ideal._parent = self
+        return ideal
 
     def __repr__(self):
         return f"Ideal({[str(g) for g in self.generators]})"
@@ -753,6 +782,33 @@ def buchberger(gens, order=None, *, ring=None):
         return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, binelems))
     return ReducedGB(ctx, generic=_generic_buchberger(
         ctx, [_poly_to_terms(ctx, g) for g in gens]))
+
+
+def _buchberger_from(known, extra, order, ring):
+    """The reduced basis under ``order`` of ``extra`` (Polys of ``ring``)
+    and the ideal whose reduced basis is ``known``, by one binomial-engine
+    run that starts from ``known`` (``_buchberger_core``), or None when
+    ``known`` is None or generic or ``extra`` is not of the binomial kind.
+
+    ``known`` must be a Groebner basis under ``order`` of the ideal it
+    generates in ``ring``, and ``order`` must pack known's monomials in the
+    fields known's own order does.  Two callers meet that: ``Ideal.plus``, with the same order
+    on the same ring, whose elements are used as they are, and
+    ``saturate``, with the block order of K[x, t] for t last, whose fields
+    for x are those of known's degrevlex (``_Ctx``), so that only the keys
+    are computed anew."""
+    if known is None or known._binomial is None:
+        return None
+    ctx = _Ctx(ring, order)
+    elements = _binomial_elements(ctx, extra)
+    if elements is None:
+        return None
+    seed = known._binomial
+    if ctx.weights != known._ctx.weights:
+        key = ctx.key_packed
+        seed = [(key(lp), lp, *((-1, -1) if tp < 0 else (key(tp), tp)))
+                for _, lp, _, tp in seed]
+    return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, elements, known=seed))
 
 
 def normal_form(f, basis):
@@ -871,16 +927,19 @@ def radical_member(f, ideal):
     return saturate(ideal, f).groebner().contains_one()
 
 
-def _eliminate(ring, gens, keep):
+def _eliminate(ring, gens, keep, known=None):
     """The step of ``eliminate`` and ``saturate``: gens ∩ K[keep], by the
     reduced basis under BlockOrder(drop, degrevlex(keep + drop)), with
-    ``drop`` the other variables.  An element is free of drop when its
+    ``drop`` the other variables; the run starts from ``known``, when given,
+    as ``_buchberger_from`` does.  An element is free of drop when its
     lead is, and drop's fields are the top ones (``_Ctx``), so the kept
     elements are those with leads below them; packed as they are, they
     are the reduced basis under degrevlex(keep) on the smaller ring, and
     only they become Polys."""
     drop = tuple(v for v in ring.variables if v not in keep)
-    gb = buchberger(gens, BlockOrder(drop, degrevlex(keep + drop)), ring=ring)
+    order = BlockOrder(drop, degrevlex(keep + drop))
+    gb = (buchberger(gens, order, ring=ring) if known is None
+          else _buchberger_from(known, gens, order, ring))
     ctx = _Ctx(ring.restrict(v for v in ring.variables if v in keep), degrevlex(keep))
     top = 1 << (_FIELD * len(keep))
     kept = [(ctx.key_packed(lead), lead, terms)
@@ -1027,6 +1086,16 @@ def saturate(ideal, f):
     saturation, so a monomial f is made monic first, and over a
     pure-difference I the element 1 - t*f is a pure difference as well: the
     whole saturation is one binomial-engine run.
+
+    For a monomial f, when I caches a binomial reduced basis G under
+    degrevlex with f's last variable last (the default order when that is
+    the ring's last), the run starts from G and 1 - t*f alone
+    (``_buchberger_from``).  G is a reduced Groebner basis of I·K[x, t]
+    under the block order: its elements are free of t, and on t-free
+    monomials the block order is that degrevlex, so G's leads and its
+    S-elements' reductions are the same in K[x, t].  Only a monomial f
+    looks for a cached basis: for any other f, 1 - t*f is not of the
+    binomial kind.
     """
     ring = ideal.ring
     if f.ring != ring:
@@ -1034,15 +1103,19 @@ def saturate(ideal, f):
     if not f:
         raise ZeroDivisor("saturation by zero")
     prio = ring.variables
+    known = None
     if len(f.terms) == 1:
         (mono,) = f.terms
         f = ring.monomial(mono)
         last = max((i for i, e in enumerate(mono) if e), default=None)
         if last is not None:
             prio = prio[:last] + prio[last + 1:] + (prio[last],)
-    ext, gens = _with_t(ring, [[(g, 0)] for g in ideal.generators]
-                        + [[(ring.one(), 0), (-f, 1)]])
-    return _eliminate(ext, gens, prio)
+        known = ideal._cache.get(degrevlex(prio).weights(ring))
+        if known is not None and known._binomial is None:
+            known = None
+    rows = [] if known is not None else [[(g, 0)] for g in ideal.generators]
+    ext, gens = _with_t(ring, rows + [[(ring.one(), 0), (-f, 1)]])
+    return _eliminate(ext, gens, prio, known)
 
 
 def ideal_equal(a, b):

@@ -46,7 +46,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import reduce
 
 from .errors import (
     IntersectionMismatch,
@@ -156,20 +156,54 @@ def certify_prime_component(ideal):
     return smith_normal_form([d for _, _, d in _binomial_sides(binomials)]).saturated
 
 
-def _component_gens(lattice, admissible, ring):
-    """Saturated binomial part + variables of A, as generators in ``ring``."""
+def _component_gens(lattice, admissible, ring, ideal=None):
+    """Saturated binomial part + variables of A, as generators in ``ring``.
+    For A = ∅ the part is the join-meet ideal itself, and ``ideal``, when
+    given, is saturated in its stead, so a basis it caches starts the run
+    (``saturate``)."""
     members = set(admissible)
     survivors = [e for e in lattice.elements if e not in members]
     gens = []
     if survivors:
         sub = restrict_to_complement(lattice, admissible)
-        binoms = _basic_binomials(sub, ring)
-        if binoms:
-            sat = saturate(Ideal(ring, binoms),
-                           ring.monomial(dict.fromkeys(survivors, 1)))
+        part = (ideal if ideal is not None and not admissible
+                else Ideal(ring, _basic_binomials(sub, ring)))
+        if part.generators:
+            sat = saturate(part, ring.monomial(dict.fromkeys(survivors, 1)))
             gens.extend(sat.generators)
     gens.extend(ring.var(v) for v in admissible)
     return tuple(gens)
+
+
+def _component_ideal(lattice, admissible, ring, ideal=None):
+    """The Ideal of P_A (``_component_gens``), caching its default-order
+    basis (``_default_basis``)."""
+    part = Ideal(ring, _component_gens(lattice, admissible, ring, ideal))
+    part._cache[ring.default_order.weights(ring)] = _default_basis(part)
+    return part
+
+
+def _default_basis(ideal):
+    """The reduced basis of a component P_A (``_component_gens``) under the
+    ring's default order, read off its generators with no engine run.
+
+    P_A's generators are the saturation S of the complement's basic
+    binomials by the product of the survivors, then A's variables.  S is
+    the reduced basis under degrevlex(prio), prio being the ring's
+    variables with the last survivor moved last (``saturate``).  It lies in
+    K[survivors], as no engine step brings in a variable its input lacks.
+    On K[survivors] degrevlex(prio) and the default order agree: both rank
+    the survivors in ring order, and a variable outside K[survivors] has
+    exponent 0 in both monomials compared.  So S is the reduced basis of
+    its ideal under the default order too.  Adding the variables of A
+    keeps a reduced basis: no element of S involves one, so each new pair
+    has coprime leads, and no lead of S divides a variable outside
+    K[survivors] nor does one divide a term of S.  Each element of S
+    lists its lead first, as ``ReducedGB.basis`` builds it, and that lead
+    is the default order's too, so packing keeps every element oriented."""
+    ctx = _default_ctx(ideal.ring)
+    return ReducedGB(ctx, binomial=sorted(_binomial_elements(ctx, ideal.generators),
+                                          key=lambda e: -e[0]))
 
 
 def component_prime(lattice, admissible, char=0):
@@ -177,7 +211,7 @@ def component_prime(lattice, admissible, char=0):
     variables, for any iterable of A's elements."""
     admissible = tuple(admissible)
     ring = PolyRing(lattice.elements, char)
-    ideal = Ideal(ring, _component_gens(lattice, admissible, ring))
+    ideal = _component_ideal(lattice, admissible, ring)
     return _prime_component(admissible, ideal, _two_term_sides(ideal))
 
 
@@ -265,7 +299,7 @@ def _lattice_dominated(below, mask, basic):
     return any(all(span.contains(d) for d in avoiding) for avoiding in pending)
 
 
-def minimal_primes(lattice, char=0, _verify=True):
+def minimal_primes(lattice, char=0, _verify=True, _ideal=None):
     """Inclusion-minimal component primes plus the verified intersection.
 
     Admissible sets are walked smallest first (``enumerate_admissible_sets``
@@ -294,8 +328,15 @@ def minimal_primes(lattice, char=0, _verify=True):
     IntersectionMismatch, so the caller asserts the join-meet ideal is
     radical (or accepts the error as a non-radicality signal).
     ``_verify=False`` skips the check.
+
+    Each component caches two bases: the one under the certificate's first
+    order, built by an engine run, and the one under the default order,
+    read off its generators (``_default_basis``).  ``_ideal`` is I when the
+    caller holds it (``radical_certificate``, ``lk_suite``): the bases it
+    caches are then read, by the P_∅ saturation (``_component_gens``) and
+    by the check.
     """
-    I = join_meet_ideal(lattice, char)
+    I = join_meet_ideal(lattice, char) if _ideal is None else _ideal
     ring = I.ring
     index = lattice.index
     basic = _binomial_sides(I.generators)
@@ -313,7 +354,7 @@ def minimal_primes(lattice, char=0, _verify=True):
         below = [rest for m, rest in found if m & mask == m]
         if not all(below) or _lattice_dominated(below, mask, basic):
             continue
-        ideal = Ideal(ring, _component_gens(lattice, adm, ring))
+        ideal = _component_ideal(lattice, adm, ring, I)
         # the component's basis under the certificate's first order, cached
         # in the ideal for the initial-ideal certificate, which reads it
         # for in(P_A) and for the containment I ⊆ P_A; built by name
@@ -348,9 +389,9 @@ def _initial_ideals_certify(ideal, parts):
     generator of M lies in in(I).  ``_initial_ideal_toward`` decides that
     by fiber walks on the homogeneous join-meet ideal, and runs no engine
     on I; a basis of I the ideal caches is read whole.  I ⊆ P is decided by
-    normal forms modulo P's basis under the pass's order, the one
-    ``minimal_primes`` cached for the first pass.  False means neither
-    order proves it, not that the ideals differ.
+    normal forms modulo P's basis under the pass's order, one that
+    ``minimal_primes`` cached for each pass.  False means neither order
+    proves it, not that the ideals differ.
     """
     for order in _certificate_orders(ideal.ring):
         meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
@@ -376,7 +417,10 @@ def _decomposition_holds(ideal, components):
     (``_intersect_all``) and compared with I.  ``ideal`` keeps its reduced
     bases, so a caller that has computed them pays for none: the default
     certificate pass reads a cached default-order basis whole, and so does
-    the colon walk's pass for the last variable."""
+    the colon walk's pass for the last variable.  The components from
+    ``minimal_primes`` cache their bases under both certificate orders,
+    the default one read off their generators, so neither pass runs the
+    engine on a component."""
     parts = [c.ideal for c in components]
     if _initial_ideals_certify(ideal, parts):
         return True, None
@@ -429,13 +473,31 @@ class RadicalCertificate:
         return self.verdict == "radical"
 
 
-def _all_monomials(ctx, degree):
-    """The monomials of the given degree as (key, packed) pairs of ``ctx``,
-    by increasing key: a monomial's key is the dot product of its exponents
-    with ``ctx.weights``, and distinct monomials have distinct keys."""
-    units = [(w, 1 << s) for w, s in zip(ctx.weights, ctx.shifts)]
-    return sorted((sum(w for w, _ in c), sum(u for _, u in c))
-                  for c in itertools.combinations_with_replacement(units, degree))
+def _all_monomials(ctx):
+    """``monomials(d)``: the monomials of degree d as (key, packed) pairs of
+    ``ctx``, by increasing key.  A monomial's key is the dot product of its
+    exponents with ``ctx.weights``, and distinct monomials have distinct
+    keys.
+
+    Degree d is built from degree d - 1, each degree once: a monomial made
+    of variables up to index i (by ring index, i its last one) gains one
+    more of i or of a later variable, one add of key and packed unit each,
+    so every monomial is made exactly once.  Each degree is sorted once."""
+    units = list(enumerate(zip(ctx.weights, (1 << s for s in ctx.shifts))))
+    after = [units[i:] for i in range(len(units) + 1)]
+    levels = [[(0, 0, 0)]]  # (key, packed, index of the last variable)
+    ordered = {}
+
+    def monomials(degree):
+        out = ordered.get(degree)
+        if out is None:
+            while len(levels) <= degree:
+                levels.append([(k + w, p + u, j) for k, p, last in levels[-1]
+                               for j, (w, u) in after[last]])
+            out = ordered[degree] = sorted((k, p) for k, p, _ in levels[degree])
+        return out
+
+    return monomials
 
 
 def _monomial_normal_forms(gb):
@@ -571,7 +633,7 @@ def _witness_candidates(lattice, ctx, nf, degree_bound, primes):
              for x, y in itertools.permutations(map(ring.index.get, pair))
              if w[y] < w[x]]
     # each degree's monomials are built once, when a round first reaches it
-    monomials = cache(partial(_all_monomials, ctx))
+    monomials = _all_monomials(ctx)
     for d in range(2, degree_bound + 1):
         for k, p in monomials(d):
             for v in sorted({(k + dk, p + dp) for f, dk, dp, x, hit in moves
@@ -639,9 +701,10 @@ def radical_certificate(lattice, char=0, degree_bound=None):
                 "radical", route="squarefree_order",
                 detail=f"squarefree initial ideal under {order.describe(ring)}",
             )
-    components = minimal_primes(lattice, char, _verify=False)
+    # the default-order basis of I built above starts the P_∅ saturation
+    # and serves the check too
+    components = minimal_primes(lattice, char, _verify=False, _ideal=I)
     primes = [c for c in components if c.certified_prime]
-    # the default-order basis of I built above serves the check too
     holds, colon = _decomposition_holds(I, components)
     if holds and len(primes) == len(components):
         return RadicalCertificate(
@@ -1375,7 +1438,9 @@ def lk_suite(n, k, char=0):
     stages.append(StageResult("squarefree_with_diagonal_lex",
                               ini_diag_lex.is_squarefree()))
 
-    components = minimal_primes(lattice, char)
+    # I's default-order basis, built for the first stage, starts the P_∅
+    # saturation
+    components = minimal_primes(lattice, char, _ideal=I)
     # P_A holds exactly the variables of A: match it with that prime alone,
     # by reduced bases under the order whose basis each component caches
     first = _certificate_orders(ring)[0]

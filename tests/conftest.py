@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import types
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -111,6 +113,27 @@ def count_engine_runs(monkeypatch):
 
         monkeypatch.setattr(groebner, name, counted)
     return calls
+
+
+def count_pairs_installed(monkeypatch):
+    """Patch the pair loop to record each run's pairs: per run, a dict of
+    the size of the known basis it starts from (``known``) and the (i, j)
+    basis indices of every pair it pushes on its heap (``pairs``)."""
+    runs = []
+    original = groebner._buchberger_core
+
+    def counted(*args, **kwargs):
+        runs.append({"known": len(kwargs.get("known", ())), "pairs": []})
+        return original(*args, **kwargs)
+
+    def push(heap, item):
+        runs[-1]["pairs"].append(item[2:4])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", counted)
+    monkeypatch.setattr(groebner, "heapq",
+                        types.SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -307,6 +307,11 @@ GOLDEN_RUNS.update({
                                              "--seed", "2", "--family", "lex"],
     # 1,190 cones, 640 of them holding orders of one kind only, and a witness
     "scan_closure_mixed9_exhaustive": ["scan", "--input", MIXED9, "--exhaustive"],
+    # certify runs that start from bases the verb holds: the P_∅ saturation
+    # from I's default-order basis, lk's I + (z) and I + (x4 - y3) from I's
+    "radical_Lk_6_3_char0": ["radical", "--fixture", "Lk:6:3", "--char", "0"],
+    "radical_Lk_6_3_char32003": ["radical", "--fixture", "Lk:6:3", "--char", str(P)],
+    "lk_6_3_char32003": ["lk", "--n", "6", "--k", "3", "--char", str(P)],
 })
 GOLDEN_RUNS.update({
     f"check_{fx.replace(':', '_')}": ["check", "--fixture", fx]

@@ -36,7 +36,7 @@ from lattice_lab.poly import BlockOrder, Poly, compare, product, sort_key
 from lattice_lab.workflows import (
     _initial_ideals_certify, join_meet_ideal, minimal_primes)
 
-from conftest import closure_lattices, count_engine_runs
+from conftest import closure_lattices, count_engine_runs, count_pairs_installed
 from oracles import (
     buchberger_all_pairs,
     intersect_by_elimination,
@@ -1319,3 +1319,137 @@ def test_initial_ideal_toward_needs_homogeneous_pure_differences(gens):
     initial_ideal(ideal)
     with pytest.raises(PreconditionViolated):
         groebner._initial_ideal_toward(ideal, ring.default_order, goal)
+
+
+# -- runs from a known basis ----------------------------------------------------
+
+def _extra_generators(ring, data):
+    """A monomial, a pure difference of two monomials of one degree, or
+    both, drawn over ``ring``."""
+    def monomial():
+        return ring.monomial({v: 1 for v in data.draw(
+            st.lists(st.sampled_from(ring.variables), min_size=1, max_size=3))})
+    extra = []
+    if data.draw(st.booleans()):
+        extra.append(monomial())
+    if not extra or data.draw(st.booleans()):
+        a, b = monomial(), monomial()
+        if a != b:
+            extra.append(a - b)
+    return extra
+
+
+@given(L=closure_lattices(), char=st.sampled_from((0, P)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_from_a_known_basis_equals_the_run_from_scratch(L, char, data):
+    """A run that starts from the reduced basis of some generators and adds
+    the others, or extra monomials and pure differences, gives the reduced
+    basis of them all, forms no pair inside the known basis, and, through
+    ``Ideal.plus``, starts from the parent's cached basis."""
+    jm = join_meet_ideal(L, char)
+    ring = jm.ring
+    kind = data.draw(st.sampled_from((lex, degrevlex)))
+    order = kind(tuple(data.draw(st.permutations(ring.variables))))
+    cut = data.draw(st.integers(0, len(jm.generators)))
+    extra = list(jm.generators[cut:]) + _extra_generators(ring, data)
+    base = Ideal(ring, jm.generators[:cut])
+    known = base.groebner(order)
+    want = buchberger(jm.generators[:cut] + tuple(extra), order, ring=ring)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_pairs_installed(mp)
+        got = groebner._buchberger_from(known, extra, order, ring)
+        grown = base.plus(extra).groebner(order)
+    assert got == want and grown == want
+    assert [run["known"] for run in runs] == [len(known)] * 2
+    assert all(j >= len(known) for run in runs for _, j in run["pairs"])
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_plus_starts_from_the_parent_basis_only_when_both_are_binomial(char):
+    """``Ideal.plus`` starts from the parent's basis under the same order
+    when it has one; with no such basis, a generic extra or a generic
+    parent basis, the basis is built from every generator, and it is the
+    same basis either way."""
+    jm = join_meet_ideal(lattice_q(), char)
+    R = jm.ring
+    a, b = R.var("a"), R.var("b")
+    cases = [([a], True), ([a - b], True), ([a + b], False), ([a * b - 2 * b], False)]
+    jm.groebner()
+    for extra, seeded in cases:
+        plus = jm.plus(extra)
+        want = buchberger(plus.generators, ring=R)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = count_pairs_installed(mp)
+            assert plus.groebner() == want
+        assert [run["known"] > 0 for run in runs] == [seeded]
+        # no cached basis under lex: no run starts from one
+        lex_order = lex(R.variables)
+        want = buchberger(plus.generators, lex_order, ring=R)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = count_pairs_installed(mp)
+            assert plus.groebner(lex_order) == want
+        assert [run["known"] for run in runs] == [0]
+    generic = Ideal(R, ["a + b", "c*d - e"])
+    generic.groebner()
+    plus = generic.plus([a])
+    assert plus.groebner() == buchberger(plus.generators, ring=R)
+    # a plus of a plus starts from the basis its parent cached
+    twice = jm.plus([a]).plus([b])
+    twice._parent.groebner()
+    want = buchberger(twice.generators, ring=R)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_pairs_installed(mp)
+        assert twice.groebner() == want
+    assert runs[0]["known"] == len(twice._parent.groebner())
+
+
+def _last_variable_order(ring, mono):
+    """degrevlex with the last variable of the monomial ``mono`` last."""
+    last = max(i for i, e in enumerate(mono) if e)
+    v = ring.variables
+    return degrevlex(v[:last] + v[last + 1:] + (v[last],))
+
+
+@pytest.mark.parametrize("char", [0, P])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "N5", "M3", "Lk:5:2", "Lk:6:3"])
+def test_saturate_from_a_cached_basis_matches_the_unseeded_run(spec, char):
+    """When the ideal caches its basis under degrevlex with f's last
+    variable last, the saturation starts from it and 1 - t*f alone, and
+    gives the basis of the run from every generator and of the
+    Bayer–Stillman passes."""
+    jm = join_meet_ideal(build_fixture(spec), char)
+    R = jm.ring
+    v = R.variables
+    for spec_f in (dict.fromkeys(v, 1), {v[0]: 1}, {v[1]: 2, v[-2]: 1}):
+        f = R.monomial(spec_f)
+        (mono,) = f.terms
+        fresh = Ideal(R, jm.generators)
+        want = saturate(fresh, f).generators
+        assert want == saturate_by_passes(fresh, f).generators
+        cached = Ideal(R, jm.generators)
+        known = cached.groebner(_last_variable_order(R, mono))
+        with pytest.MonkeyPatch.context() as mp:
+            runs = count_pairs_installed(mp)
+            assert saturate(cached, f).generators == want
+        assert [run["known"] for run in runs] == [len(known)]
+        assert all(j >= len(known) for _, j in runs[0]["pairs"])
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_saturate_by_a_non_monomial_never_starts_from_a_cached_basis(monkeypatch, char):
+    """With I's default-order basis cached, a non-monomial f still
+    saturates from every generator: its 1 - t*f is not of the binomial
+    kind.  ``radical_member`` of N's witness reads that route."""
+    jm = join_meet_ideal(lattice_n(), char)
+    R = jm.ring
+    witness = R.from_string("a*d*g*l - a*f*g*l")
+    jm.groebner()
+    started = []
+    real = groebner._buchberger_from
+    monkeypatch.setattr(groebner, "_buchberger_from",
+                        lambda *args: started.append(args) or real(*args))
+    assert radical_member(witness, jm)
+    assert not radical_member(R.var("a") - R.var("b"), jm)
+    sat = saturate(jm, R.var("a") + R.var("b"))
+    assert ideal_equal(sat, saturate(Ideal(R, jm.generators), R.var("a") + R.var("b")))
+    assert not started

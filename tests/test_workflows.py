@@ -66,9 +66,11 @@ from lattice_lab.snf import echelon_basis, smith_normal_form
 from lattice_lab.workflows import (
     _colon_witness,
     _component_gens,
+    _all_monomials,
     _FLIP,
     _Cone,
     _cone_tables,
+    _default_basis,
     _degree_three_seeds,
     _holds,
     _initial_ideals_certify,
@@ -89,6 +91,7 @@ from lattice_lab.workflows import (
 from conftest import (
     closure_lattices,
     count_engine_runs,
+    count_pairs_installed,
     distributive_corpus,
     product_lattice,
     radical_fixture_corpus,
@@ -485,7 +488,7 @@ def test_minimal_primes_hermite_bases(monkeypatch, spec, bases):
 
 @pytest.mark.parametrize("name, runs", [
     pytest.param(name, runs, id=name)
-    for name, runs in (("Q", 2), ("R", 6), ("Lk:6:3", 6), ("N", 12))])
+    for name, runs in (("Q", 2), ("R", 6), ("Lk:6:3", 6), ("N", 9))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
@@ -495,12 +498,13 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     whether in(I) holds the meet of the components' initial ideals.
     Monomial ideals never enter the pair loop.  Lk:6:3 is 6 runs (three
     saturations and three component bases): the reversed order, tried
-    first, certifies every Lk, so the default-order component bases that
-    the default pass needs are never built.  On N neither order
-    certifies, so the default pass adds the component bases, and the
-    colon witness of its third variable c decides: the bases under
-    degrevlex with a, b and c last are three runs, and the intersection
-    fold and its generic engine never run."""
+    first, certifies every Lk.  On N neither order certifies, and the
+    default pass reads the component bases that were read off their
+    generators with no run, so the colon witness of its third variable c
+    decides: the bases under degrevlex with a, b and c last are three runs
+    (three saturations, three reversed-order bases and three colon bases
+    make 9), and the intersection fold and its generic engine never
+    run."""
     calls = count_engine_runs(monkeypatch)
     if name == "N":
         with pytest.raises(IntersectionMismatch):
@@ -512,7 +516,7 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
 
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("run, runs", [
-    pytest.param(lambda char: radical_certificate(lattice_n(), char), 16,
+    pytest.param(lambda char: radical_certificate(lattice_n(), char), 13,
                  id="radical-N"),
     pytest.param(lambda char: lk_suite(6, 3, char), 13, id="lk-6-3"),
     pytest.param(lambda char: lk_suite(4, 2, char), 13, id="lk-4-2"),
@@ -522,6 +526,8 @@ def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     """N's non-radicality is decided by its colon witness, whose bases the
     capped search's fallback reads again from the cache, and radical's
     squarefree family on N is one whole basis and three runs settled early.
+    The components' default-order bases, which the check's default pass
+    reads, are read off their generators, with no run: 13 runs on N.
     The lk suite's intersection identity is the meet of the initial ideals
     its earlier stages computed, so it runs no elimination and builds no
     basis of the meet.  The suite matches each
@@ -532,6 +538,70 @@ def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     calls = count_engine_runs(monkeypatch)
     run(char)
     assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
+
+
+def _assert_default_bases_read_off(L, char):
+    """On every admissible set, the default-order basis read off P_A's
+    generators is the one a run from those generators builds."""
+    ring = PolyRing(L.elements, char)
+    I = join_meet_ideal(L, char)
+    for adm in enumerate_admissible_sets(L):
+        gens = _component_gens(L, adm, ring, I)
+        assert _default_basis(Ideal(ring, gens)) == buchberger(gens, ring.default_order,
+                                                                ring=ring), adm
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "N5", "M3", "Lk:5:2", "Lk:6:3"])
+def test_component_default_basis_is_read_off_its_generators(spec, char):
+    _assert_default_bases_read_off(build_fixture(spec), char)
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=60, deadline=None)
+def test_component_default_basis_is_read_off_on_closure_systems(L, char):
+    _assert_default_bases_read_off(L, char)
+
+
+def _caller_ideal(L, char):
+    """L's join-meet ideal with its default-order basis cached, as
+    ``radical_certificate`` and ``lk_suite`` hold it."""
+    I = join_meet_ideal(L, char)
+    I.groebner()
+    return I
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "N5", "M3", "Lk:5:2", "Lk:6:3"])
+def test_minimal_primes_reads_the_callers_ideal(spec, char):
+    """The components are the same, down to their generator text, whether
+    minimal_primes builds I or reads the caller's, whose default basis
+    starts the P_∅ saturation."""
+    L = build_fixture(spec)
+    own = minimal_primes(L, char, _verify=False)
+    given_I = minimal_primes(L, char, _verify=False, _ideal=_caller_ideal(L, char))
+    assert _component_facts(given_I) == _component_facts(own)
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=40, deadline=None)
+def test_minimal_primes_reads_the_callers_ideal_on_closure_systems(L, char):
+    own = minimal_primes(L, char, _verify=False)
+    given_I = minimal_primes(L, char, _verify=False, _ideal=_caller_ideal(L, char))
+    assert _component_facts(given_I) == _component_facts(own)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_lk_runs_from_i_form_no_pair_inside_its_basis(monkeypatch, char):
+    """lk's I + (z), I + (x4 - y3) and P_∅ saturation start from I's
+    default-order basis, which its first stage built, and every pair their
+    runs form has a new element in it; no other run starts from a basis."""
+    size = len(join_meet_ideal(lk(6, 3), char).groebner())
+    runs = count_pairs_installed(monkeypatch)
+    assert lk_suite(6, 3, char).passed
+    seeded = [run for run in runs if run["known"]]
+    assert [run["known"] for run in seeded] == [size] * 3
+    assert all(j >= size for run in seeded for _, j in run["pairs"])
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -1029,6 +1099,21 @@ def test_radical_n_takes_few_candidates_to_normal_forms(monkeypatch, char):
     jm = join_meet_ideal(lattice_n(), char)
     assert str(_witness_search(lattice_n(), jm, 4, 4)) == str(cert.witness)
     assert len(seen) == 707
+
+
+@pytest.mark.parametrize("kind", [degrevlex, lex])
+@pytest.mark.parametrize("variables", [("x",), ("x", "y", "z"), tuple("abcdefghl")])
+def test_all_monomials_match_combinations(variables, kind):
+    """Each degree, built from the one below, holds every monomial once, by
+    increasing key, as combinations with replacement of the variables do."""
+    ring = PolyRing(variables)
+    ctx = groebner._Ctx(ring, kind(tuple(reversed(variables))))
+    units = [(w, 1 << s) for w, s in zip(ctx.weights, ctx.shifts)]
+    monomials = _all_monomials(ctx)
+    for degree in (3, 0, 1, 2, 5, 4):
+        assert monomials(degree) == sorted(
+            (sum(w for w, _ in c), sum(u for _, u in c))
+            for c in itertools.combinations_with_replacement(units, degree))
 
 
 def test_witness_search_power_overflow_raises():

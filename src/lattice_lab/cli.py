@@ -7,9 +7,11 @@ its squarefree verdict, ``primes`` the minimal-prime decomposition,
 scan, ``lk`` the two-rail family suite, and ``fixtures`` lists or dumps the
 bundled lattices.
 
-Each verb loads its input, computes and returns ``(status, report, lines)``;
-``main`` alone times the verb, prints the JSON report or the text lines and
-returns the status.  The argument parser is built once per process.
+Each verb loads its input, computes and returns ``(status, report, lines)``,
+where ``lines`` is the text output or a zero-argument callable that builds
+it; ``main`` alone times the verb, prints the JSON report or the text lines,
+calling ``lines`` only for text output, and returns the status.  The
+argument parser is built once per process.
 
 Exit status: 0 on success; 1 on a failed verification check, an
 inconclusive radicality verdict or a library error (a bad fixture spec such
@@ -117,15 +119,15 @@ def _cmd_check(args):
         "checks": checks,
         "join_irreducibles": list(join_irreducibles(lattice)),
     }
-    lines = [f"elements: {', '.join(lattice.elements)}",
-             f"graded: {lattice.is_graded}"
-             + (f" (height {lattice.top_rank})" if lattice.is_graded else ""),
-             f"distributive: {dist.distributive}"
-             + (f" (witness triple {dist.witness})" if dist.witness else ""),
-             f"modular: {mod.modular}"
-             + (f" (pentagon {mod.witness.elements})" if mod.witness else ""),
-             f"join irreducibles: {', '.join(join_irreducibles(lattice))}"]
-    return 0, report, lines
+    return 0, report, lambda: [
+        f"elements: {', '.join(lattice.elements)}",
+        f"graded: {lattice.is_graded}"
+        + (f" (height {lattice.top_rank})" if lattice.is_graded else ""),
+        f"distributive: {dist.distributive}"
+        + (f" (witness triple {dist.witness})" if dist.witness else ""),
+        f"modular: {mod.modular}"
+        + (f" (pentagon {mod.witness.elements})" if mod.witness else ""),
+        f"join irreducibles: {', '.join(join_irreducibles(lattice))}"]
 
 
 def _cmd_gb(args):
@@ -136,7 +138,7 @@ def _cmd_gb(args):
     basis = [g.to_string(order) for g in gb.basis]
     report = {"lattice": args.fixture or args.input,
               "order": order.describe(ideal.ring), "basis": basis}
-    return 0, report, [f"order: {report['order']}"] + [f"  {b}" for b in basis]
+    return 0, report, lambda: [f"order: {report['order']}"] + [f"  {b}" for b in basis]
 
 
 def _cmd_ini(args):
@@ -149,10 +151,10 @@ def _cmd_ini(args):
     report = {"order": order.describe(ring), "generators": gens,
               "squarefree": ini.is_squarefree(),
               "quotient_dim": krull_dim(ini)}
-    return 0, report, [f"order: {report['order']}",
-                       f"initial ideal: ({', '.join(gens) if gens else '0'})",
-                       f"squarefree: {report['squarefree']}",
-                       f"quotient dimension: {report['quotient_dim']}"]
+    return 0, report, lambda: [f"order: {report['order']}",
+                               f"initial ideal: ({', '.join(gens) if gens else '0'})",
+                               f"squarefree: {report['squarefree']}",
+                               f"quotient dimension: {report['quotient_dim']}"]
 
 
 def _cmd_primes(args):
@@ -169,11 +171,15 @@ def _cmd_primes(args):
         ],
         "checks": [{"name": "intersection_equals_ideal", "pass": True}],
     }
-    lines = [f"{len(components)} minimal primes; intersection verified"]
-    for c, text in zip(components, texts):
-        lines.append(f"  A = {{{', '.join(c.admissible)}}}  dim {c.dim}"
-                     f"  prime {c.certified_prime}")
-        lines.append(f"    ({', '.join(text)})")
+
+    def lines():
+        out = [f"{len(components)} minimal primes; intersection verified"]
+        for c, text in zip(components, texts):
+            out.append(f"  A = {{{', '.join(c.admissible)}}}  dim {c.dim}"
+                       f"  prime {c.certified_prime}")
+            out.append(f"    ({', '.join(text)})")
+        return out
+
     return 0, report, lines
 
 
@@ -190,11 +196,15 @@ def _cmd_radical(args):
             {"admissible": list(c.admissible), "dim": c.dim}
             for c in cert.components
         ]
-    lines = [f"verdict: {cert.verdict}", f"route: {cert.route}"]
-    if cert.witness is not None:
-        lines.append(f"witness: {cert.witness}")
-    if cert.detail:
-        lines.append(cert.detail)
+
+    def lines():
+        out = [f"verdict: {cert.verdict}", f"route: {cert.route}"]
+        if cert.witness is not None:
+            out.append(f"witness: {cert.witness}")
+        if cert.detail:
+            out.append(cert.detail)
+        return out
+
     return (0 if cert.verdict != "inconclusive" else 1), report, lines
 
 
@@ -218,11 +228,15 @@ def _cmd_scan(args):
         "sample_size": rep.sample_size,
         "seed": rep.seed,
     }
-    lines = [f"orders scanned: {rep.total_orders}"
-             + ("" if rep.exhaustive else f" (sampled, seed {rep.seed})"),
-             f"any squarefree: {rep.any_squarefree}"]
-    if rep.any_squarefree:
-        lines.append(f"witness: {rep.witness_kind}:{','.join(rep.witness_priority)}")
+
+    def lines():
+        out = [f"orders scanned: {rep.total_orders}"
+               + ("" if rep.exhaustive else f" (sampled, seed {rep.seed})"),
+               f"any squarefree: {rep.any_squarefree}"]
+        if rep.any_squarefree:
+            out.append(f"witness: {rep.witness_kind}:{','.join(rep.witness_priority)}")
+        return out
+
     return 0, report, lines
 
 
@@ -236,11 +250,15 @@ def _cmd_lk(args):
         "component_dims": rep.component_dims,
         "quotient_dim": rep.quotient_dim,
     }
-    lines = [f"suite for n={rep.n}, k={rep.k}"]
-    for s in rep.stages:
-        lines.append(f"  {'pass' if s.passed else 'FAIL'}  {s.name}"
-                     + (f"  {s.detail}" if s.detail and not s.passed else ""))
-    lines.append(f"overall: {'pass' if rep.passed else 'FAIL'}")
+
+    def lines():
+        out = [f"suite for n={rep.n}, k={rep.k}"]
+        for s in rep.stages:
+            out.append(f"  {'pass' if s.passed else 'FAIL'}  {s.name}"
+                       + (f"  {s.detail}" if s.detail and not s.passed else ""))
+        out.append(f"overall: {'pass' if rep.passed else 'FAIL'}")
+        return out
+
     return (0 if rep.passed else 1), report, lines
 
 
@@ -346,13 +364,19 @@ def main(argv=None):
     except LatticeLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    seconds = None
     if getattr(args, "timings", False):
         seconds = round(time.perf_counter() - started, 3)
         report["timings"] = {"seconds": seconds}
-        lines.append(f"time: {seconds} s")
+    if getattr(args, "json", False):
+        text = json.dumps(report, indent=2)
+    else:
+        lines = lines() if callable(lines) else lines
+        if seconds is not None:
+            lines.append(f"time: {seconds} s")
+        text = "\n".join(lines)
     try:
-        print(json.dumps(report, indent=2) if getattr(args, "json", False)
-              else "\n".join(lines))
+        print(text)
         sys.stdout.flush()  # a closed pipe fails here, inside the try
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit: point it at devnull

@@ -702,9 +702,14 @@ class Ideal:
 
     An ideal made by ``plus`` keeps its parent, whose generators come first
     in its own, and a basis of it starts from the parent's cached basis
-    under the same order when there is one (``_buchberger_from``)."""
+    under the same order when there is one (``_buchberger_from``).
 
-    __slots__ = ("ring", "generators", "_cache", "_parent")
+    ``_packed``, when set, is a cached binomial basis whose elements are the
+    generators themselves (``saturate`` sets it on its answer, and the
+    decomposition on each component): a basis under another order is then
+    built from those elements, repacked, and no generator is read."""
+
+    __slots__ = ("ring", "generators", "_cache", "_parent", "_packed")
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -718,7 +723,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache = {}
-        self._parent = None
+        self._parent = self._packed = None
 
     def groebner(self, order=None):
         """The reduced basis under ``order``, cached by the order's weights
@@ -733,7 +738,8 @@ class Ideal:
                                       self.generators[len(parent.generators):],
                                       order, self.ring)
             if gb is None:
-                gb = buchberger(self.generators, order, ring=self.ring)
+                gb = buchberger(self.generators if self._packed is None
+                                else self._packed, order, ring=self.ring)
             self._cache[weights] = gb
         return gb
 
@@ -759,21 +765,27 @@ class Ideal:
 
 def buchberger(gens, order=None, *, ring=None):
     """Reduced Groebner basis of the given generators; an Ideal answers from
-    its own per-order cache, the one store of its reduced bases."""
+    its own per-order cache, the one store of its reduced bases, and the
+    elements of a binomial ReducedGB are the generators, repacked for the
+    order with no Poly read."""
     if isinstance(gens, Ideal):
         return gens.groebner(order)
-    gens = list(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("cannot infer ring from empty generators")
-        ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("mixed rings in generator list")
-    order = order or ring.default_order
-    ctx = _Ctx(ring, order)
-    gens = [g for g in gens if g]
-    binelems = _binomial_elements(ctx, gens)
+    if isinstance(gens, ReducedGB):
+        ring = gens.ring
+        ctx = _Ctx(ring, order or ring.default_order)
+        binelems = _rekeyed(ctx, gens._binomial, ctx.repacker(gens._ctx))
+    else:
+        gens = list(gens)
+        if ring is None:
+            if not gens:
+                raise ValueError("cannot infer ring from empty generators")
+            ring = gens[0].ring
+        for g in gens:
+            if g.ring != ring:
+                raise RingMismatch("mixed rings in generator list")
+        ctx = _Ctx(ring, order or ring.default_order)
+        gens = [g for g in gens if g]
+        binelems = _binomial_elements(ctx, gens)
     if binelems is not None:
         if all(tp < 0 for _, _, _, tp in binelems):
             # the S-element of two monomials is zero: no pair needs treating,
@@ -786,29 +798,33 @@ def buchberger(gens, order=None, *, ring=None):
 
 def _buchberger_from(known, extra, order, ring):
     """The reduced basis under ``order`` of ``extra`` (Polys of ``ring``)
-    and the ideal whose reduced basis is ``known``, by one binomial-engine
-    run that starts from ``known`` (``_buchberger_core``), or None when
-    ``known`` is None or generic or ``extra`` is not of the binomial kind.
-
-    ``known`` must be a Groebner basis under ``order`` of the ideal it
-    generates in ``ring``, and ``order`` must pack known's monomials in the
-    fields known's own order does.  Two callers meet that: ``Ideal.plus``, with the same order
-    on the same ring, whose elements are used as they are, and
-    ``saturate``, with the block order of K[x, t] for t last, whose fields
-    for x are those of known's degrevlex (``_Ctx``), so that only the keys
-    are computed anew."""
+    and the ideal whose reduced basis under ``order`` is ``known``, by one
+    binomial-engine run that starts from ``known`` (``_buchberger_core``),
+    or None when ``known`` is None or generic or ``extra`` is not of the
+    binomial kind."""
     if known is None or known._binomial is None:
         return None
     ctx = _Ctx(ring, order)
     elements = _binomial_elements(ctx, extra)
     if elements is None:
         return None
-    seed = known._binomial
-    if ctx.weights != known._ctx.weights:
-        key = ctx.key_packed
-        seed = [(key(lp), lp, *((-1, -1) if tp < 0 else (key(tp), tp)))
-                for _, lp, _, tp in seed]
-    return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, elements, known=seed))
+    return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, elements,
+                                                        known=known._binomial))
+
+
+def _rekeyed(ctx, elements, repack=pos):
+    """Binomial elements with each monomial repacked by ``repack`` and keyed
+    by ``ctx``, in their own order and orientation."""
+    key = ctx.key_packed
+    out = []
+    for _, lp, _, tp in elements:
+        lp = repack(lp)
+        if tp < 0:
+            out.append((key(lp), lp, -1, -1))
+        else:
+            tp = repack(tp)
+            out.append((key(lp), lp, key(tp), tp))
+    return out
 
 
 def normal_form(f, basis):
@@ -866,10 +882,10 @@ class _Fibers:
     for each generator both ways round.  Moves keep the degree, so every
     component is finite; any other generator raises PreconditionViolated.
     Components do not depend on the order, so ``component`` walks each once
-    for all its members.
+    for all its members, and ``unpacked`` unpacks each member once.
     """
 
-    __slots__ = ("ctx", "_moves", "_of")
+    __slots__ = ("ctx", "_moves", "_of", "_unpacked")
 
     def __init__(self, ctx, elements):
         if elements is None or any(tp < 0 or ctx.degree(lp) != ctx.degree(tp)
@@ -880,6 +896,7 @@ class _Fibers:
         self._moves = [move for _, a, _, b in elements
                        for move in ((a, b - a), (b, a - b))]
         self._of = {}
+        self._unpacked = {}
 
     def walk(self, m):
         """The monomials of the packed monomial m's component, m first,
@@ -905,6 +922,17 @@ class _Fibers:
             self._of.update(dict.fromkeys(found, found))
         return found
 
+    def unpacked(self, m):
+        """The exponent tuple of each monomial of the packed monomial m's
+        component, keyed by the packed monomial, in ``component``'s order:
+        one dict per component, shared by its members."""
+        found = self._unpacked.get(m)
+        if found is None:
+            unpack = self.ctx.unpack
+            found = {c: unpack(c) for c in self.component(m)}
+            self._unpacked.update(dict.fromkeys(found, found))
+        return found
+
 
 def is_squarefree(m):
     return m.is_squarefree()
@@ -927,19 +955,16 @@ def radical_member(f, ideal):
     return saturate(ideal, f).groebner().contains_one()
 
 
-def _eliminate(ring, gens, keep, known=None):
-    """The step of ``eliminate`` and ``saturate``: gens ∩ K[keep], by the
-    reduced basis under BlockOrder(drop, degrevlex(keep + drop)), with
-    ``drop`` the other variables; the run starts from ``known``, when given,
-    as ``_buchberger_from`` does.  An element is free of drop when its
-    lead is, and drop's fields are the top ones (``_Ctx``), so the kept
-    elements are those with leads below them; packed as they are, they
-    are the reduced basis under degrevlex(keep) on the smaller ring, and
-    only they become Polys."""
+def _eliminate(ring, gens, keep):
+    """The step of ``eliminate``, ``intersect`` and ``saturate``'s Poly
+    route: gens ∩ K[keep], by the reduced basis under BlockOrder(drop,
+    degrevlex(keep + drop)), with ``drop`` the other variables.  An element
+    is free of drop when its lead is, and drop's fields are the top ones
+    (``_Ctx``), so the kept elements are those with leads below them;
+    packed as they are, they are the reduced basis under degrevlex(keep) on
+    the smaller ring, and only they become Polys."""
     drop = tuple(v for v in ring.variables if v not in keep)
-    order = BlockOrder(drop, degrevlex(keep + drop))
-    gb = (buchberger(gens, order, ring=ring) if known is None
-          else _buchberger_from(known, gens, order, ring))
+    gb = buchberger(gens, BlockOrder(drop, degrevlex(keep + drop)), ring=ring)
     ctx = _Ctx(ring.restrict(v for v in ring.variables if v in keep), degrevlex(keep))
     top = 1 << (_FIELD * len(keep))
     kept = [(ctx.key_packed(lead), lead, terms)
@@ -947,13 +972,19 @@ def _eliminate(ring, gens, keep, known=None):
     return Ideal(ctx.ring, ReducedGB(ctx, generic=kept).basis)
 
 
-def _with_t(ring, rows):
+def _extended(ring):
     """K[x, t] for a last variable t that ``ring`` lacks (t, else t0, t1,
-    ...), and each row as one Poly in it, built from its terms: a row
-    [(g, e), ...] of Polys g of ``ring`` and distinct e is the sum of t^e·g,
-    so (1 - t)·g is [(g, 0), (-g, 1)] and 1 - t·f is [(ring.one(), 0), (-f, 1)]."""
+    ...)."""
     names = itertools.chain(["t"], (f"t{i}" for i in itertools.count()))
-    ext = ring.extend([next(v for v in names if v not in ring.index)])
+    return ring.extend([next(v for v in names if v not in ring.index)])
+
+
+def _with_t(ring, rows):
+    """K[x, t] (``_extended``) and each row as one Poly in it, built from
+    its terms: a row [(g, e), ...] of Polys g of ``ring`` and distinct e is
+    the sum of t^e·g, so (1 - t)·g is [(g, 0), (-g, 1)] and 1 - t·f is
+    [(ring.one(), 0), (-f, 1)]."""
+    ext = _extended(ring)
     return ext, [Poly(ext, {(*m, e): c for g, e in row for m, c in g.terms.items()})
                  for row in rows]
 
@@ -1076,26 +1107,33 @@ def _binomial_colons(ideal, index):
 
 def saturate(ideal, f):
     """I : f^∞, the t-free part of the reduced basis of I + (1 - t*f) under
-    an elimination order for t: eliminate's step (``_eliminate``), on
-    generators built once each in K[x, t] (``_with_t``).
+    the elimination order BlockOrder(t, degrevlex(prio + t)).
 
-    The order inside the block is degrevlex with t last, and for a monomial
-    f the last variable of f comes just before t: the t-free part is then
-    the reduced basis under degrevlex with that variable last, the basis a
-    Bayer–Stillman pass by that variable ends with.  A unit changes no
-    saturation, so a monomial f is made monic first, and over a
-    pure-difference I the element 1 - t*f is a pure difference as well: the
-    whole saturation is one binomial-engine run.
+    ``prio`` is the ring's variables, except that for a monomial f the last
+    variable of f comes last: the t-free part is then the reduced basis
+    under degrevlex(prio), the basis a Bayer–Stillman pass by that variable
+    ends with.
 
-    For a monomial f, when I caches a binomial reduced basis G under
-    degrevlex with f's last variable last (the default order when that is
-    the ring's last), the run starts from G and 1 - t*f alone
-    (``_buchberger_from``).  G is a reduced Groebner basis of I·K[x, t]
-    under the block order: its elements are free of t, and on t-free
-    monomials the block order is that degrevlex, so G's leads and its
-    S-elements' reductions are the same in K[x, t].  Only a monomial f
-    looks for a cached basis: for any other f, 1 - t*f is not of the
-    binomial kind.
+    A monomial f over a pure-difference I takes the packed route.  A unit
+    changes no saturation, so f is made monic, and 1 - t*f is a pure
+    difference as well: the whole saturation is one binomial-engine run, on
+    I's generators and 1 - t*f packed straight into the context of K[x, t],
+    whose fields for x are those of degrevlex(prio) on the ring (``_Ctx``
+    ranks t last, in the top field).  So the t-free elements, packed as they
+    are and keyed anew, are the reduced basis under degrevlex(prio); only
+    they become Polys, and the answer keeps them as its cached basis under
+    that order and as its packed generators (``Ideal._packed``).
+
+    When I caches a binomial reduced basis G under degrevlex(prio) (the
+    default order when f's last variable is the ring's last), the run starts
+    from G and 1 - t*f alone (``_buchberger_core``'s ``known``).  G is a
+    reduced Groebner basis of I·K[x, t] under the block order: its elements
+    are free of t, and on t-free monomials the block order is degrevlex(prio),
+    so G's leads and its S-elements' reductions are the same in K[x, t].
+
+    Any other f, and a monomial f over an I of the generic kind, take the
+    Poly route: each generator is built once in K[x, t] (``_with_t``) and
+    eliminate's step (``_eliminate``) runs the engine they call for.
     """
     ring = ideal.ring
     if f.ring != ring:
@@ -1103,19 +1141,44 @@ def saturate(ideal, f):
     if not f:
         raise ZeroDivisor("saturation by zero")
     prio = ring.variables
-    known = None
     if len(f.terms) == 1:
         (mono,) = f.terms
-        f = ring.monomial(mono)
         last = max((i for i, e in enumerate(mono) if e), default=None)
         if last is not None:
             prio = prio[:last] + prio[last + 1:] + (prio[last],)
-        known = ideal._cache.get(degrevlex(prio).weights(ring))
-        if known is not None and known._binomial is None:
-            known = None
-    rows = [] if known is not None else [[(g, 0)] for g in ideal.generators]
-    ext, gens = _with_t(ring, rows + [[(ring.one(), 0), (-f, 1)]])
-    return _eliminate(ext, gens, prio, known)
+        sat = _saturate_packed(ideal, mono, prio)
+        if sat is not None:
+            return sat
+        f = ring.monomial(mono)
+    ext, gens = _with_t(ring, [[(g, 0)] for g in ideal.generators]
+                        + [[(ring.one(), 0), (-f, 1)]])
+    return _eliminate(ext, gens, prio)
+
+
+def _saturate_packed(ideal, mono, prio):
+    """``saturate``'s packed route for the monomial x^mono, or None when I
+    is not of the binomial kind."""
+    ring = ideal.ring
+    ext = _extended(ring)
+    t = ext.variables[-1:]
+    ctx = _Ctx(ext, BlockOrder(t, degrevlex(prio + t)))
+    order = degrevlex(prio)
+    known = ideal._cache.get(order.weights(ring))
+    if known is not None and known._binomial is not None:
+        seed, elements = _rekeyed(ctx, known._binomial), []
+    else:
+        # exponent tuples of the ring are one short: key_pack leaves t at 0
+        seed, elements = (), _binomial_elements(ctx, ideal.generators)
+        if elements is None:
+            return None
+    elements.append((0, 0, *ctx.key_pack((*mono, 1))))  # 1 - t*x^mono
+    top = 1 << (_FIELD * ring.nvars)
+    small = _Ctx(ring, order)
+    gb = ReducedGB(small, binomial=_rekeyed(small, [
+        e for e in _binomial_buchberger(ctx, elements, known=seed) if e[1] < top]))
+    sat = Ideal(ring, gb.basis)
+    sat._packed = sat._cache[small.weights] = gb
+    return sat
 
 
 def ideal_equal(a, b):

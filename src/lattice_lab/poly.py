@@ -189,7 +189,7 @@ class PolyRing:
     primality is decided exactly; anything else raises ValueError.
     """
 
-    __slots__ = ("variables", "char", "index", "nvars")
+    __slots__ = ("variables", "char", "index", "nvars", "default_order")
 
     def __init__(self, variables, char=0):
         self.variables = tuple(variables)
@@ -201,6 +201,7 @@ class PolyRing:
         self.char = char
         self.index = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
+        self.default_order = degrevlex(self.variables)
 
     def __eq__(self, other):
         return (
@@ -234,10 +235,6 @@ class PolyRing:
         return pow(c, -1, self.char)
 
     # -- construction ------------------------------------------------------
-
-    @property
-    def default_order(self):
-        return degrevlex(self.variables)
 
     def zero(self):
         return Poly(self, {})

@@ -22,8 +22,9 @@ I = ∩ P_A.  Two orders are tried, degrevlex with the variables reversed
 first, under which the component bases are built, then the default one.  The
 initial ideals stay MonomialIdeals, which meet by pairwise lcms; whether
 in(I) holds each generator of ∩ in(P_A) is decided by a walk over its fiber
-component, with no basis of I, and I ⊆ P_A is read off normal forms modulo
-P_A's basis under the same order.  One fiber walker, ``groebner._Fibers``,
+component, with no basis of I, and I ⊆ P_A is read off P_A's basis under
+the same order: by variable masks for the generators of I that meet A, and
+by normal forms for those that avoid it.  One fiber walker, ``groebner._Fibers``,
 serves that test and the sampled order scan's fiber cones.  Then the
 colons are walked once, and when every component is certified prime a
 colon witness disproves it: for a variable x with I : x ≠ I : x², an f in
@@ -69,6 +70,7 @@ from .groebner import (
     _Fibers,
     _initial_ideal_toward,
     _overflow,
+    _rekeyed,
     buchberger,
     ideal_equal,
     initial_ideal,
@@ -157,53 +159,63 @@ def certify_prime_component(ideal):
 
 
 def _component_gens(lattice, admissible, ring, ideal=None):
-    """Saturated binomial part + variables of A, as generators in ``ring``.
-    For A = ∅ the part is the join-meet ideal itself, and ``ideal``, when
-    given, is saturated in its stead, so a basis it caches starts the run
-    (``saturate``)."""
+    """P_A as an Ideal of ``ring``: the saturated binomial part S
+    (``saturate``), then the variables of A, made by ``S.plus``, so that it
+    keeps S, and S keeps its packed basis (``Ideal._packed``).  For A = ∅
+    the part is the join-meet ideal itself, and ``ideal``, when given, is
+    saturated in its stead, so a basis it caches starts the run."""
     members = set(admissible)
     survivors = [e for e in lattice.elements if e not in members]
-    gens = []
+    variables = [ring.var(v) for v in admissible]
     if survivors:
         sub = restrict_to_complement(lattice, admissible)
         part = (ideal if ideal is not None and not admissible
                 else Ideal(ring, _basic_binomials(sub, ring)))
         if part.generators:
             sat = saturate(part, ring.monomial(dict.fromkeys(survivors, 1)))
-            gens.extend(sat.generators)
-    gens.extend(ring.var(v) for v in admissible)
-    return tuple(gens)
+            return sat.plus(variables)
+    return Ideal(ring, variables)
 
 
 def _component_ideal(lattice, admissible, ring, ideal=None):
     """The Ideal of P_A (``_component_gens``), caching its default-order
-    basis (``_default_basis``)."""
-    part = Ideal(ring, _component_gens(lattice, admissible, ring, ideal))
-    part._cache[ring.default_order.weights(ring)] = _default_basis(part)
+    basis (``_default_basis``), which also stands for its generators
+    (``Ideal._packed``): a basis of P_A under another order, such as the
+    certificate's first one, is built from those packed elements with no
+    generator read."""
+    part = _component_gens(lattice, admissible, ring, ideal)
+    part._packed = part._cache[ring.default_order.weights(ring)] = _default_basis(part)
     return part
 
 
 def _default_basis(ideal):
     """The reduced basis of a component P_A (``_component_gens``) under the
-    ring's default order, read off its generators with no engine run.
+    ring's default order, read off the packed basis of its saturated part
+    with no engine run and no generator read but A's variables.
 
     P_A's generators are the saturation S of the complement's basic
     binomials by the product of the survivors, then A's variables.  S is
     the reduced basis under degrevlex(prio), prio being the ring's
-    variables with the last survivor moved last (``saturate``).  It lies in
-    K[survivors], as no engine step brings in a variable its input lacks.
-    On K[survivors] degrevlex(prio) and the default order agree: both rank
-    the survivors in ring order, and a variable outside K[survivors] has
-    exponent 0 in both monomials compared.  So S is the reduced basis of
-    its ideal under the default order too.  Adding the variables of A
-    keeps a reduced basis: no element of S involves one, so each new pair
-    has coprime leads, and no lead of S divides a variable outside
-    K[survivors] nor does one divide a term of S.  Each element of S
-    lists its lead first, as ``ReducedGB.basis`` builds it, and that lead
-    is the default order's too, so packing keeps every element oriented."""
+    variables with the last survivor moved last (``saturate``), and P_A's
+    parent keeps it packed.  It lies in K[survivors], as no engine step
+    brings in a variable its input lacks.  On K[survivors] degrevlex(prio)
+    and the default order agree: both rank the survivors in ring order, and
+    a variable outside K[survivors] has exponent 0 in both monomials
+    compared.  So S is the reduced basis of its ideal under the default
+    order too, each element with the same lead, and repacking keeps every
+    element oriented.  Adding the variables of A keeps a reduced basis: no
+    element of S involves one, so each new pair has coprime leads, and no
+    lead of S divides a variable outside K[survivors] nor does one divide a
+    term of S."""
     ctx = _default_ctx(ideal.ring)
-    return ReducedGB(ctx, binomial=sorted(_binomial_elements(ctx, ideal.generators),
-                                          key=lambda e: -e[0]))
+    parent, elements = ideal._parent, []
+    extra = ideal.generators
+    if parent is not None:
+        packed = parent._packed
+        elements = _rekeyed(ctx, packed._binomial, ctx.repacker(packed._ctx))
+        extra = extra[len(parent.generators):]
+    elements += _binomial_elements(ctx, extra)
+    return ReducedGB(ctx, binomial=sorted(elements, key=lambda e: -e[0]))
 
 
 def component_prime(lattice, admissible, char=0):
@@ -329,9 +341,10 @@ def minimal_primes(lattice, char=0, _verify=True, _ideal=None):
     radical (or accepts the error as a non-radicality signal).
     ``_verify=False`` skips the check.
 
-    Each component caches two bases: the one under the certificate's first
-    order, built by an engine run, and the one under the default order,
-    read off its generators (``_default_basis``).  ``_ideal`` is I when the
+    Each component caches two bases: the one under the default order, read
+    off the saturation's packed basis (``_default_basis``), and the one
+    under the certificate's first order, built by an engine run from the
+    default one's packed elements.  ``_ideal`` is I when the
     caller holds it (``radical_certificate``, ``lk_suite``): the bases it
     caches are then read, by the P_∅ saturation (``_component_gens``) and
     by the check.
@@ -388,19 +401,41 @@ def _initial_ideals_certify(ideal, parts):
     As I ⊆ every P, in(I) ⊆ M = ∩ in(P), so in(I) = M once every minimal
     generator of M lies in in(I).  ``_initial_ideal_toward`` decides that
     by fiber walks on the homogeneous join-meet ideal, and runs no engine
-    on I; a basis of I the ideal caches is read whole.  I ⊆ P is decided by
-    normal forms modulo P's basis under the pass's order, one that
-    ``minimal_primes`` cached for each pass.  False means neither order
-    proves it, not that the ideals differ.
+    on I; a basis of I the ideal caches is read whole.  I ⊆ P is decided
+    on P's basis under the pass's order, one that ``minimal_primes`` cached
+    for each pass, by variable masks first (``_contains_generators``): on
+    a component P_A only the generators of I that avoid A are reduced.
+    False means neither order proves it, not that the ideals differ.
     """
     for order in _certificate_orders(ideal.ring):
         meet = reduce(intersect, (initial_ideal(p, order) for p in parts))
         ini = _initial_ideal_toward(ideal, order, meet)
         if ini is not None and ideal_equal(meet, ini):
-            bases = [p.groebner(order) for p in parts]
-            return all(not gb.reduce(g)
-                       for gb in bases for g in ideal.generators)
+            supports = [[_support_mask(m) for m in g.terms] for g in ideal.generators]
+            return all(_contains_generators(p.groebner(order), ideal.generators,
+                                            supports) for p in parts)
     return False
+
+
+def _contains_generators(gb, generators, supports):
+    """True when the ideal of the reduced basis ``gb`` holds every
+    generator; ``supports`` lists the support mask of each term of each
+    generator, by ring index.
+
+    The variables among gb's own monomial elements make a mask: a
+    generator each of whose terms meets it lies in the ideal of those
+    variables, so only the others are reduced.  On P_A those variables are
+    A's (the lattice ideal of Λ_A holds no monomial), and when A is
+    admissible each basic binomial meets A in both terms or in neither, so
+    the others are the generators that avoid A."""
+    mask = 0
+    if gb._binomial is not None:
+        bits = {1 << s: 1 << i for i, s in enumerate(gb._ctx.shifts)}
+        for _, lp, _, tp in gb._binomial:
+            if tp < 0:
+                mask |= bits.get(lp, 0)
+    return all(not gb.reduce(g) for g, terms in zip(generators, supports)
+               if not all(m & mask for m in terms))
 
 
 def _decomposition_holds(ideal, components):
@@ -419,7 +454,7 @@ def _decomposition_holds(ideal, components):
     certificate pass reads a cached default-order basis whole, and so does
     the colon walk's pass for the last variable.  The components from
     ``minimal_primes`` cache their bases under both certificate orders,
-    the default one read off their generators, so neither pass runs the
+    the default one read off their saturation, so neither pass runs the
     engine on a component."""
     parts = [c.ideal for c in components]
     if _initial_ideals_certify(ideal, parts):
@@ -920,19 +955,19 @@ class _Cone:
         when the order keeps (c, m/x) for each variable x dividing m and
         each other monomial c of m/x's component, all in ``every``, and
         (m, c) for at least one other monomial c of m's component, the rules
-        of ``some``; the members are unpacked for ``_rules``."""
+        of ``some``; ``_rules`` reads the members as ``fibers`` keeps them
+        unpacked."""
         ctx = fibers.ctx
-        unpack = ctx.unpack
+        members = fibers.unpacked(m)
+        top = members[m]
         every = []
-        for s, e in zip(ctx.shifts, unpack(m)):
+        for s, e in zip(ctx.shifts, top):
             if e:
                 below = m - (1 << s)
-                low = unpack(below)
-                every += [(unpack(c), low)
-                          for c in fibers.component(below) if c != below]
-        top = unpack(m)
-        return cls(ctx.n, every,
-                   [(top, unpack(c)) for c in fibers.component(m) if c != m])
+                lower = fibers.unpacked(below)
+                low = lower[below]
+                every += [(u, low) for c, u in lower.items() if c != below]
+        return cls(ctx.n, every, [(top, u) for c, u in members.items() if c != m])
 
     def contains(self, kind, reading):
         """True when the ``kind`` order that reads the variables in

@@ -307,7 +307,7 @@ def minimal_primes_all_pairs(lattice, char=0):
     raw = []
     seen = set()
     for adm in enumerate_admissible_sets(lattice):
-        gens = _component_gens(lattice, adm, ring)
+        gens = _component_gens(lattice, adm, ring).generators
         gb = buchberger(gens, ring.default_order, ring=ring) if gens else None
         key = tuple(str(g) for g in gb.basis) if gb else ()
         if key in seen:

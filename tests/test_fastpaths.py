@@ -174,7 +174,8 @@ def test_binomial_reduce_on_component_bases():
     L = lattice_r()
     for char in (0, P):
         ring = join_meet_ideal(L, char).ring
-        comps = [_component_gens(L, a, ring) for a in enumerate_admissible_sets(L)]
+        comps = [_component_gens(L, a, ring).generators
+                 for a in enumerate_admissible_sets(L)]
         rng = random.Random(5)
         for gens in rng.sample(comps, 6):
             if not gens:

@@ -1453,3 +1453,104 @@ def test_saturate_by_a_non_monomial_never_starts_from_a_cached_basis(monkeypatch
     sat = saturate(jm, R.var("a") + R.var("b"))
     assert ideal_equal(sat, saturate(Ideal(R, jm.generators), R.var("a") + R.var("b")))
     assert not started
+
+
+def _saturate_by_polys(ideal, f):
+    """``saturate``'s Poly route for a monomial f: every generator and
+    1 - t*f built in K[x, t] (``_with_t``), then eliminate's step."""
+    ring = ideal.ring
+    (mono,) = f.terms
+    prio = _last_variable_order(ring, mono).priority
+    ext, gens = groebner._with_t(ring, [[(g, 0)] for g in ideal.generators]
+                                 + [[(ring.one(), 0), (-f, 1)]])
+    return groebner._eliminate(ext, gens, prio)
+
+
+def _assert_keyed(gb):
+    """The binomial elements carry the keys of their own context, by
+    decreasing lead, each lead above its tail."""
+    key = gb._ctx.key_packed
+    leads = [lk for lk, _, _, _ in gb._binomial]
+    assert leads == sorted(leads, reverse=True)
+    for lk, lp, tk, tp in gb._binomial:
+        assert lk == key(lp)
+        assert tp < 0 or (tk == key(tp) and tk < lk)
+
+
+_SATURATED_SPECS = ["Q", "R", "N", "N5", "M3"] + [
+    f"Lk:{n}:{k}" for n in range(2, 8) for k in range(1, n)]
+
+
+def _assert_packed_saturation(jm):
+    """On three monomials f, the packed route's answer, from the generators
+    and from a cached basis, is the Poly route's and the passes' reduced
+    basis, and it keeps that basis packed under degrevlex with f's last
+    variable last."""
+    R = jm.ring
+    v = R.variables
+    for spec_f in (dict.fromkeys(v, 1), {v[0]: 1}, {v[1]: 2, v[-2]: 1}):
+        f = R.monomial(spec_f)
+        (mono,) = f.terms
+        order = _last_variable_order(R, mono)
+        want = _saturate_by_polys(jm, f).generators
+        assert want == saturate_by_passes(jm, f).generators
+        cached = Ideal(R, jm.generators)
+        cached.groebner(order)
+        for ideal in (Ideal(R, jm.generators), cached):
+            sat = saturate(ideal, f)
+            assert sat.generators == want
+            assert sat._packed is sat.groebner(order)
+            assert sat._packed == buchberger(want, order, ring=R)
+            _assert_keyed(sat._packed)
+
+
+@pytest.mark.parametrize("char", [0, P])
+@pytest.mark.parametrize("spec", _SATURATED_SPECS)
+def test_packed_saturation_matches_the_poly_route_and_the_passes(spec, char):
+    _assert_packed_saturation(join_meet_ideal(build_fixture(spec), char))
+
+
+@given(closure_lattices(), st.sampled_from([0, P]))
+@settings(max_examples=40, deadline=None)
+def test_packed_saturation_matches_on_closure_systems(L, char):
+    _assert_packed_saturation(join_meet_ideal(L, char))
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_saturate_takes_the_poly_route_only_off_the_binomial_kind(monkeypatch, char):
+    """Only a monomial f over an ideal of the binomial kind is packed
+    straight into K[x, t]; a non-monomial f, or an ideal of the generic
+    kind, builds its generators in K[x, t] as before, and its answer keeps
+    no packed generators."""
+    routes = []
+    real = groebner._with_t
+    monkeypatch.setattr(groebner, "_with_t",
+                        lambda *args: routes.append(args) or real(*args))
+    jm = join_meet_ideal(lattice_n(), char)
+    R = jm.ring
+    a, b = R.var("a"), R.var("b")
+    assert saturate(jm, a * b)._packed is not None
+    assert not routes
+    for ideal, f in ((jm, a + b), (Ideal(R, ["a*b + c*d + e"]), a)):
+        assert saturate(ideal, f)._packed is None
+    assert len(routes) == 2
+
+
+@pytest.mark.parametrize("char", [0, P])
+@pytest.mark.parametrize("spec", ["Q", "R", "N", "Lk:5:2"])
+def test_buchberger_of_a_reduced_basis_repacks_its_elements(monkeypatch, spec, char):
+    """A binomial ReducedGB handed to ``buchberger`` stands for its own
+    elements: its basis under another order is the one built from the
+    generators, and no element becomes a Poly on the way."""
+    jm = join_meet_ideal(build_fixture(spec), char)
+    R = jm.ring
+    rev = tuple(reversed(R.variables))
+    orders = [degrevlex(rev), lex(R.variables), lex(rev), R.default_order]
+    wants = [buchberger(jm.generators, order, ring=R) for order in orders]
+    gb = jm.groebner()
+
+    def refuse(self):
+        raise AssertionError("a basis became Polys")
+
+    monkeypatch.setattr(groebner.ReducedGB, "basis", property(refuse))
+    assert [buchberger(gb, order) for order in orders] == wants

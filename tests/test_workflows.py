@@ -64,8 +64,10 @@ from lattice_lab.lattice import (
 from lattice_lab.poly import MonomialOrder, Poly, compare, product, sort_key
 from lattice_lab.snf import echelon_basis, smith_normal_form
 from lattice_lab.workflows import (
+    _certificate_orders,
     _colon_witness,
     _component_gens,
+    _contains_generators,
     _all_monomials,
     _FLIP,
     _Cone,
@@ -84,6 +86,7 @@ from lattice_lab.workflows import (
     _settling_stop,
     _sliced,
     _squarefree_under,
+    _support_mask,
     _two_term_sides,
     _witness_search,
 )
@@ -542,13 +545,14 @@ def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
 
 def _assert_default_bases_read_off(L, char):
     """On every admissible set, the default-order basis read off P_A's
-    generators is the one a run from those generators builds."""
+    packed saturated part and A's variables is the one a run from P_A's
+    generators builds."""
     ring = PolyRing(L.elements, char)
     I = join_meet_ideal(L, char)
     for adm in enumerate_admissible_sets(L):
-        gens = _component_gens(L, adm, ring, I)
-        assert _default_basis(Ideal(ring, gens)) == buchberger(gens, ring.default_order,
-                                                                ring=ring), adm
+        part = _component_gens(L, adm, ring, I)
+        assert _default_basis(part) == buchberger(part.generators, ring.default_order,
+                                                  ring=ring), adm
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -772,6 +776,93 @@ def test_initial_ideal_certificate_fails_on_non_radical_n(char):
         minimal_primes(lattice_n(), char)
 
 
+def _supports(ideal):
+    """The support mask of each term of each generator, by ring index."""
+    return [[_support_mask(m) for m in g.terms] for g in ideal.generators]
+
+
+def _every_generator_reduced(gb, ideal):
+    return all(not gb.reduce(g) for g in ideal.generators)
+
+
+def _mutants(part):
+    """(generators of P with one dropped, the one dropped), for each."""
+    gens = part.generators
+    return [(gens[:i] + gens[i + 1:], g) for i, g in enumerate(gens)]
+
+
+@given(closure_lattices(), st.sampled_from([0, 32003]))
+@settings(max_examples=60, deadline=None)
+def test_masked_containment_agrees_with_reducing_every_generator(L, char):
+    """Under both certificate orders, the check by variable masks gives the
+    answer of reducing every generator of I by P's basis, on each minimal
+    component and on each component with one generator dropped."""
+    I = join_meet_ideal(L, char)
+    ring = I.ring
+    supports = _supports(I)
+    for comp in minimal_primes(L, char, _verify=False):
+        for order in _certificate_orders(ring):
+            bases = [comp.ideal.groebner(order)] + [
+                buchberger(gens, order, ring=ring) for gens, _ in _mutants(comp.ideal)]
+            for gb in bases:
+                assert (_contains_generators(gb, I.generators, supports)
+                        == _every_generator_reduced(gb, I))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["R", "Lk:6:3", "Lk:7:3"])
+def test_masked_containment_fails_on_mutant_components(spec, char):
+    """A component with one variable generator dropped, or with one
+    generator of its saturated part dropped (each of which avoids A), no
+    longer contains I: the masked check says so, and so does the whole
+    certificate with that component in its place.  The mask is read off
+    the mutant's own basis, so a dropped variable leaves it."""
+    L = build_fixture(spec)
+    I = join_meet_ideal(L, char)
+    ring = I.ring
+    first = _certificate_orders(ring)[0]
+    supports = _supports(I)
+    parts = [c.ideal for c in minimal_primes(L, char, _verify=False)]
+    dropped = {1: 0, 2: 0}  # by the number of terms of the generator dropped
+    for i, part in enumerate(parts):
+        assert _contains_generators(part.groebner(first), I.generators, supports)
+        for gens, g in _mutants(part):
+            dropped[len(g.terms)] += 1
+            mutant = Ideal(ring, gens)
+            assert not _contains_generators(mutant.groebner(first), I.generators,
+                                            supports), str(g)
+            assert not _initial_ideals_certify(
+                join_meet_ideal(L, char), parts[:i] + [mutant] + parts[i + 1:])
+    assert dropped[1] and dropped[2]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec, reduced, every", [
+    ("Lk:7:3", 37, 196), ("Lk:6:3", 27, 147), ("R", 20, 98)])
+def test_containment_reduces_only_the_generators_that_avoid_a(monkeypatch, spec,
+                                                             reduced, every, char):
+    """The first certificate pass decides, and of its components ×
+    generators normal forms (``every``, what reducing each generator took)
+    it takes only those of the generators of I that avoid A: a generator
+    that meets A does so in both terms, so it lies in (x_A)."""
+    L = build_fixture(spec)
+    I = join_meet_ideal(L, char)
+    comps = minimal_primes(L, char, _verify=False)
+    assert len(comps) * len(I.generators) == every
+    avoiding = sum(1 for c in comps for g in I.generators
+                   if not set(c.admissible) & {I.ring.variables[i] for i in g.support()})
+    orders, normal_forms = [], []
+    toward, reduce = workflows._initial_ideal_toward, ReducedGB.reduce
+    monkeypatch.setattr(workflows, "_initial_ideal_toward",
+                        lambda ideal, order, goal: orders.append(order)
+                        or toward(ideal, order, goal))
+    monkeypatch.setattr(ReducedGB, "reduce",
+                        lambda gb, f: normal_forms.append(f) or reduce(gb, f))
+    assert _initial_ideals_certify(I, [c.ideal for c in comps])
+    assert orders == [_certificate_orders(I.ring)[0]]
+    assert len(normal_forms) == avoiding == reduced
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_primes_lk_never_builds_the_default_order_basis(monkeypatch, char):
     """The reversed order, tried first, certifies Lk:6:3, so no pair loop
@@ -816,7 +907,7 @@ def test_admissible_sets_give_distinct_component_bases(make):
     sets never share a reduced basis and need no deduplication."""
     L = make()
     ring = join_meet_ideal(L).ring
-    bases = [buchberger(_component_gens(L, adm, ring), ring=ring).basis
+    bases = [buchberger(_component_gens(L, adm, ring).generators, ring=ring).basis
              for adm in enumerate_admissible_sets(L)]
     assert len(set(bases)) == len(bases)
 
@@ -1540,6 +1631,36 @@ def test_degree_three_seeds_that_hold_are_the_cubic_generators_of_fixtures(spec,
                                                                           char):
     _assert_seeds_hold_the_cubic_non_squarefree_generators(
         build_fixture(spec), char, random.Random(spec), 6)
+
+
+def test_sampled_scans_unpack_each_fiber_member_once(monkeypatch):
+    """A fiber cone reads its members unpacked as ``_Fibers`` keeps them, so
+    a scan unpacks each member of each component it meets once, however
+    many cones read it: 1,792 unpacks on these eight scans, where unpacking
+    on every read of a component took 4,696."""
+    unpacked = []
+    make = groebner._Ctx._unpacker
+
+    def counted(ctx):
+        unpack = make(ctx)
+        return lambda p: unpacked.append((ctx, p)) or unpack(p)
+
+    monkeypatch.setattr(groebner._Ctx, "_unpacker", counted)
+    # default-order contexts are kept per ring: build them afresh, counted,
+    # and drop the counted ones afterwards
+    groebner._default_ctx.cache_clear()
+    scans = 0
+    try:
+        for make_lattice in (lattice_r, lattice_n):
+            for seed in range(4):
+                before = len(unpacked)
+                squarefree_order_scan(make_lattice(), sample=100, seed=seed)
+                mine = unpacked[before:]
+                assert len(set(mine)) == len(mine)
+                scans += 1
+    finally:
+        groebner._default_ctx.cache_clear()
+    assert (scans, len(unpacked)) == (8, 1792)
 
 
 def _keeps(rule, kind, reading):

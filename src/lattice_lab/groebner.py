@@ -532,10 +532,16 @@ def _binomial_shape(g):
     return tuple(g.terms)
 
 
-def _binomial_elements(ctx, polys):
-    """Pure-difference/monomial elements for the fast path, or None."""
+def _binomial_elements(ctx, gens):
+    """Pure-difference/monomial elements of Polys and of binomial
+    ReducedGBs, repacked (``_rekeyed``), for the fast path, or None."""
     out = []
-    for g in polys:
+    for g in gens:
+        if isinstance(g, ReducedGB):
+            if g._binomial is None:
+                return None
+            out += _rekeyed(ctx, g._binomial, ctx.repacker(g._ctx))
+            continue
         shape = _binomial_shape(g)
         if shape is None:
             return None
@@ -698,18 +704,11 @@ class MonomialIdeal:
 
 
 class Ideal:
-    """Polynomial ideal with a per-order cache of reduced Groebner bases.
+    """Polynomial ideal with a per-order cache of reduced Groebner bases; an
+    ideal made by ``plus`` keeps its parent, whose generators come first in
+    its own, and ``groebner`` alone decides where a basis comes from."""
 
-    An ideal made by ``plus`` keeps its parent, whose generators come first
-    in its own, and a basis of it starts from the parent's cached basis
-    under the same order when there is one (``_buchberger_from``).
-
-    ``_packed``, when set, is a cached binomial basis whose elements are the
-    generators themselves (``saturate`` sets it on its answer, and the
-    decomposition on each component): a basis under another order is then
-    built from those elements, repacked, and no generator is read."""
-
-    __slots__ = ("ring", "generators", "_cache", "_parent", "_packed")
+    __slots__ = ("ring", "generators", "_cache", "_parent")
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -723,39 +722,106 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache = {}
-        self._parent = self._packed = None
+        self._parent = None
 
     def groebner(self, order=None):
         """The reduced basis under ``order``, cached by the order's weights
-        on the ring, so that every spelling of one order shares one basis."""
+        on the ring, so that every spelling of one order shares one basis.
+        A basis not cached comes from the first of these that applies:
+
+        1. the cached basis under the order;
+        2. a cached binomial basis each of whose elements keeps its lead
+           under this order, rekeyed with no run;
+        3. for an ideal made by ``plus``, the parent's basis under the order
+           by 1 or 2 and the extra generators: appended with no run when
+           they are variables no element involves, else by one run that
+           starts from that basis (``buchberger``);
+        4. one run from the elements of a cached binomial basis of this
+           ideal, else of its parent and the extras, else of the generators,
+           a cached basis only when it is no larger than the generators.
+
+        Step 2 (Mora–Robbiano 1988): let G be I's reduced basis under <,
+        each g keeping its lead under <'.  Then M = <lead(G)> lies in
+        in<'(I), so the monomials outside in<'(I), a basis of the quotient
+        by I, lie among those outside M, a basis of it too: a basis inside a
+        basis is all of it, so in<'(I) = M, and G, its tails outside M, is
+        the reduced basis under <'.
+        Step 3: the new variables' leads are coprime to G's, so each new
+        pair reduces to zero (Buchberger's first criterion), and no lead
+        divides another or a tail term unless G is {1}, which is excluded."""
         order = order or self.ring.default_order
-        weights = order.weights(self.ring)
-        gb = self._cache.get(weights)
+        gb = self._cache.get(order.weights(self.ring))
         if gb is None:
-            parent = self._parent
-            if parent is not None:
-                gb = _buchberger_from(parent._cache.get(weights),
-                                      self.generators[len(parent.generators):],
-                                      order, self.ring)
+            ctx = _Ctx(self.ring, order)
+            gb = self._read_off(ctx)
             if gb is None:
-                gb = buchberger(self.generators if self._packed is None
-                                else self._packed, order, ring=self.ring)
-            self._cache[weights] = gb
+                gb = self._cache[ctx.weights] = self._built(ctx)
         return gb
 
+    def _read_off(self, ctx):
+        """Steps 1 and 2 of ``groebner``: the basis under ``ctx``'s order
+        with no run, a read-off one cached, or None.  Each cached basis is
+        rekeyed, and its leads compared up to the first that flips."""
+        gb = self._cache.get(ctx.weights)
+        for cached in self._cache.values() if gb is None else ():
+            if cached._binomial is not None:
+                out = _rekeyed(ctx, cached._binomial, ctx.repacker(cached._ctx))
+                if all(tp < 0 or tk < lk for lk, _, tk, tp in out):
+                    gb = self._cache[ctx.weights] = ReducedGB(
+                        ctx, binomial=sorted(out, key=lambda e: -e[0]))
+                    break
+        return gb
+
+    def _built(self, ctx):
+        """Steps 3 and 4 of ``groebner``."""
+        parent, inputs = self._parent, self.generators
+        if parent is not None:
+            extra = inputs[len(parent.generators):]
+            known = parent._read_off(ctx)
+            if known is not None and known._binomial is not None:
+                gb = _plus_variables(known, extra)
+                return gb if gb is not None else buchberger(
+                    [known, *extra], ctx.order, ring=self.ring)
+            seed = _binomial_basis(parent)
+            if seed is not None:
+                inputs = [seed, *extra]
+        seed = _binomial_basis(self)
+        return buchberger(inputs if seed is None else seed, ctx.order, ring=self.ring)
+
     def plus(self, extra):
-        """The ideal of these generators and ``extra`` (Polys or strings).
-        Its basis under an order whose basis this ideal has cached by then
-        starts from that basis, so only pairs with the new generators are
-        formed, when both are of the binomial kind; else it is built from
-        all the generators."""
-        extra = [self.ring.from_string(g) if isinstance(g, str) else g for g in extra]
-        ideal = Ideal(self.ring, self.generators + tuple(extra))
+        """The ideal of these generators and ``extra`` (Polys or strings),
+        whose bases start from this ideal's (``groebner``, step 3)."""
+        ideal = Ideal(self.ring, (*self.generators, *extra))
         ideal._parent = self
         return ideal
 
     def __repr__(self):
         return f"Ideal({[str(g) for g in self.generators]})"
+
+
+def _binomial_basis(ideal):
+    """The oldest binomial basis ``ideal`` caches with no more elements than
+    it has generators, or None: a larger input forms more pairs."""
+    return next((gb for gb in ideal._cache.values() if gb._binomial is not None
+                 and len(gb) <= len(ideal.generators)), None)
+
+
+def _plus_variables(known, extra):
+    """The binomial reduced basis ``known`` with the variables ``extra``
+    (``Ideal.groebner``, step 3), or None unless each of ``extra`` is a
+    variable that no element of ``known`` involves and known is not {1}."""
+    ctx, added, fields = known._ctx, {}, 0
+    for g in extra:
+        mono, *more = g.terms
+        if more or sum(mono) != 1:
+            return None
+        k, p = ctx.key_pack(mono)
+        added[p] = (k, p, -1, -1)
+        fields |= p * ((1 << _FIELD) - 1)  # the variable's whole field
+    if any(lp == 0 or (lp | max(tp, 0)) & fields for _, lp, _, tp in known._binomial):
+        return None
+    return ReducedGB(ctx, binomial=sorted([*known._binomial, *added.values()],
+                                          key=lambda e: -e[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -764,52 +830,38 @@ class Ideal:
 
 
 def buchberger(gens, order=None, *, ring=None):
-    """Reduced Groebner basis of the given generators; an Ideal answers from
-    its own per-order cache, the one store of its reduced bases, and the
-    elements of a binomial ReducedGB are the generators, repacked for the
-    order with no Poly read."""
+    """Reduced Groebner basis of the given generators: an Ideal answers from
+    its own cache (``Ideal.groebner``); else ``gens`` is a ReducedGB or an
+    iterable of Polys and ReducedGBs, a binomial ReducedGB standing for its
+    own elements, repacked with no Poly read.  A first one already under
+    ``order`` is a reduced basis, so the run starts from it
+    (``_buchberger_core``'s ``known``)."""
     if isinstance(gens, Ideal):
         return gens.groebner(order)
-    if isinstance(gens, ReducedGB):
-        ring = gens.ring
-        ctx = _Ctx(ring, order or ring.default_order)
-        binelems = _rekeyed(ctx, gens._binomial, ctx.repacker(gens._ctx))
-    else:
-        gens = list(gens)
-        if ring is None:
-            if not gens:
-                raise ValueError("cannot infer ring from empty generators")
-            ring = gens[0].ring
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatch("mixed rings in generator list")
-        ctx = _Ctx(ring, order or ring.default_order)
-        gens = [g for g in gens if g]
-        binelems = _binomial_elements(ctx, gens)
+    gens = [gens] if isinstance(gens, ReducedGB) else list(gens)
+    if ring is None:
+        if not gens:
+            raise ValueError("cannot infer ring from empty generators")
+        ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatch("mixed rings in generator list")
+    ctx = _Ctx(ring, order or ring.default_order)
+    gens = [g for g in gens if g]
+    binelems = _binomial_elements(ctx, gens)
     if binelems is not None:
         if all(tp < 0 for _, _, _, tp in binelems):
             # the S-element of two monomials is zero: no pair needs treating,
             # and the minimal generators by decreasing lead are the basis
             return ReducedGB(ctx, binomial=_minimal(binelems, ctx.hmask)[::-1])
-        return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, binelems))
-    return ReducedGB(ctx, generic=_generic_buchberger(
-        ctx, [_poly_to_terms(ctx, g) for g in gens]))
-
-
-def _buchberger_from(known, extra, order, ring):
-    """The reduced basis under ``order`` of ``extra`` (Polys of ``ring``)
-    and the ideal whose reduced basis under ``order`` is ``known``, by one
-    binomial-engine run that starts from ``known`` (``_buchberger_core``),
-    or None when ``known`` is None or generic or ``extra`` is not of the
-    binomial kind."""
-    if known is None or known._binomial is None:
-        return None
-    ctx = _Ctx(ring, order)
-    elements = _binomial_elements(ctx, extra)
-    if elements is None:
-        return None
-    return ReducedGB(ctx, binomial=_binomial_buchberger(ctx, elements,
-                                                        known=known._binomial))
+        known = 0
+        if isinstance(gens[0], ReducedGB) and gens[0]._ctx.weights == ctx.weights:
+            known = len(gens[0])
+        return ReducedGB(ctx, binomial=_binomial_buchberger(
+            ctx, binelems[known:], known=binelems[:known]))
+    return ReducedGB(ctx, generic=_generic_buchberger(ctx, [
+        _poly_to_terms(ctx, p) for g in gens
+        for p in (g.basis if isinstance(g, ReducedGB) else (g,))]))
 
 
 def _rekeyed(ctx, elements, repack=pos):
@@ -1114,22 +1166,18 @@ def saturate(ideal, f):
     under degrevlex(prio), the basis a Bayer–Stillman pass by that variable
     ends with.
 
-    A monomial f over a pure-difference I takes the packed route.  A unit
-    changes no saturation, so f is made monic, and 1 - t*f is a pure
-    difference as well: the whole saturation is one binomial-engine run, on
-    I's generators and 1 - t*f packed straight into the context of K[x, t],
-    whose fields for x are those of degrevlex(prio) on the ring (``_Ctx``
-    ranks t last, in the top field).  So the t-free elements, packed as they
-    are and keyed anew, are the reduced basis under degrevlex(prio); only
-    they become Polys, and the answer keeps them as its cached basis under
-    that order and as its packed generators (``Ideal._packed``).
-
-    When I caches a binomial reduced basis G under degrevlex(prio) (the
-    default order when f's last variable is the ring's last), the run starts
-    from G and 1 - t*f alone (``_buchberger_core``'s ``known``).  G is a
-    reduced Groebner basis of I·K[x, t] under the block order: its elements
-    are free of t, and on t-free monomials the block order is degrevlex(prio),
-    so G's leads and its S-elements' reductions are the same in K[x, t].
+    A monomial f over a pure-difference I takes the packed route: made
+    monic (a unit changes no saturation), 1 - t*f is a pure difference, and
+    the saturation is one binomial-engine run on I's generators and 1 - t*f
+    packed straight into K[x, t], whose fields for x are those of
+    degrevlex(prio) (``_Ctx`` ranks t last, in the top field).  So the
+    t-free elements, keyed anew, are the reduced basis under
+    degrevlex(prio); only they become Polys, and the answer caches them.
+    When I has a binomial basis G under degrevlex(prio) with no run
+    (``Ideal.groebner``, steps 1 and 2), the run starts from G and 1 - t*f
+    alone (``_buchberger_core``'s ``known``): G is free of t, and on t-free
+    monomials the block order is degrevlex(prio), so G is a reduced basis
+    of I·K[x, t] under it.
 
     Any other f, and a monomial f over an I of the generic kind, take the
     Poly route: each generator is built once in K[x, t] (``_with_t``) and
@@ -1162,8 +1210,8 @@ def _saturate_packed(ideal, mono, prio):
     ext = _extended(ring)
     t = ext.variables[-1:]
     ctx = _Ctx(ext, BlockOrder(t, degrevlex(prio + t)))
-    order = degrevlex(prio)
-    known = ideal._cache.get(order.weights(ring))
+    small = _Ctx(ring, degrevlex(prio))
+    known = ideal._read_off(small)
     if known is not None and known._binomial is not None:
         seed, elements = _rekeyed(ctx, known._binomial), []
     else:
@@ -1173,11 +1221,10 @@ def _saturate_packed(ideal, mono, prio):
             return None
     elements.append((0, 0, *ctx.key_pack((*mono, 1))))  # 1 - t*x^mono
     top = 1 << (_FIELD * ring.nvars)
-    small = _Ctx(ring, order)
     gb = ReducedGB(small, binomial=_rekeyed(small, [
         e for e in _binomial_buchberger(ctx, elements, known=seed) if e[1] < top]))
     sat = Ideal(ring, gb.basis)
-    sat._packed = sat._cache[small.weights] = gb
+    sat._cache[small.weights] = gb
     return sat
 
 

@@ -70,7 +70,6 @@ from .groebner import (
     _Fibers,
     _initial_ideal_toward,
     _overflow,
-    _rekeyed,
     buchberger,
     ideal_equal,
     initial_ideal,
@@ -160,9 +159,9 @@ def certify_prime_component(ideal):
 
 def _component_gens(lattice, admissible, ring, ideal=None):
     """P_A as an Ideal of ``ring``: the saturated binomial part S
-    (``saturate``), then the variables of A, made by ``S.plus``, so that it
-    keeps S, and S keeps its packed basis (``Ideal._packed``).  For A = ∅
-    the part is the join-meet ideal itself, and ``ideal``, when given, is
+    (``saturate``), then the variables of A, made by ``S.plus``, so that its
+    bases start from the one S caches (``Ideal.groebner``).  For A = ∅ the
+    part is the join-meet ideal itself, and ``ideal``, when given, is
     saturated in its stead, so a basis it caches starts the run."""
     members = set(admissible)
     survivors = [e for e in lattice.elements if e not in members]
@@ -177,53 +176,12 @@ def _component_gens(lattice, admissible, ring, ideal=None):
     return Ideal(ring, variables)
 
 
-def _component_ideal(lattice, admissible, ring, ideal=None):
-    """The Ideal of P_A (``_component_gens``), caching its default-order
-    basis (``_default_basis``), which also stands for its generators
-    (``Ideal._packed``): a basis of P_A under another order, such as the
-    certificate's first one, is built from those packed elements with no
-    generator read."""
-    part = _component_gens(lattice, admissible, ring, ideal)
-    part._packed = part._cache[ring.default_order.weights(ring)] = _default_basis(part)
-    return part
-
-
-def _default_basis(ideal):
-    """The reduced basis of a component P_A (``_component_gens``) under the
-    ring's default order, read off the packed basis of its saturated part
-    with no engine run and no generator read but A's variables.
-
-    P_A's generators are the saturation S of the complement's basic
-    binomials by the product of the survivors, then A's variables.  S is
-    the reduced basis under degrevlex(prio), prio being the ring's
-    variables with the last survivor moved last (``saturate``), and P_A's
-    parent keeps it packed.  It lies in K[survivors], as no engine step
-    brings in a variable its input lacks.  On K[survivors] degrevlex(prio)
-    and the default order agree: both rank the survivors in ring order, and
-    a variable outside K[survivors] has exponent 0 in both monomials
-    compared.  So S is the reduced basis of its ideal under the default
-    order too, each element with the same lead, and repacking keeps every
-    element oriented.  Adding the variables of A keeps a reduced basis: no
-    element of S involves one, so each new pair has coprime leads, and no
-    lead of S divides a variable outside K[survivors] nor does one divide a
-    term of S."""
-    ctx = _default_ctx(ideal.ring)
-    parent, elements = ideal._parent, []
-    extra = ideal.generators
-    if parent is not None:
-        packed = parent._packed
-        elements = _rekeyed(ctx, packed._binomial, ctx.repacker(packed._ctx))
-        extra = extra[len(parent.generators):]
-    elements += _binomial_elements(ctx, extra)
-    return ReducedGB(ctx, binomial=sorted(elements, key=lambda e: -e[0]))
-
-
 def component_prime(lattice, admissible, char=0):
     """The candidate prime P_A: saturated complement ideal plus A's
     variables, for any iterable of A's elements."""
     admissible = tuple(admissible)
     ring = PolyRing(lattice.elements, char)
-    ideal = _component_ideal(lattice, admissible, ring)
+    ideal = _component_gens(lattice, admissible, ring)
     return _prime_component(admissible, ideal, _two_term_sides(ideal))
 
 
@@ -341,13 +299,11 @@ def minimal_primes(lattice, char=0, _verify=True, _ideal=None):
     radical (or accepts the error as a non-radicality signal).
     ``_verify=False`` skips the check.
 
-    Each component caches two bases: the one under the default order, read
-    off the saturation's packed basis (``_default_basis``), and the one
-    under the certificate's first order, built by an engine run from the
-    default one's packed elements.  ``_ideal`` is I when the
-    caller holds it (``radical_certificate``, ``lk_suite``): the bases it
-    caches are then read, by the P_∅ saturation (``_component_gens``) and
-    by the check.
+    Each component's basis under the certificate's first order is asked
+    for here, and ``Ideal.groebner`` starts it from the saturated part's.
+    ``_ideal`` is I when the caller holds it (``radical_certificate``,
+    ``lk_suite``): the bases it caches are then read, by the P_∅
+    saturation (``_component_gens``) and by the check.
     """
     I = join_meet_ideal(lattice, char) if _ideal is None else _ideal
     ring = I.ring
@@ -367,7 +323,7 @@ def minimal_primes(lattice, char=0, _verify=True, _ideal=None):
         below = [rest for m, rest in found if m & mask == m]
         if not all(below) or _lattice_dominated(below, mask, basic):
             continue
-        ideal = _component_ideal(lattice, adm, ring, I)
+        ideal = _component_gens(lattice, adm, ring, I)
         # the component's basis under the certificate's first order, cached
         # in the ideal for the initial-ideal certificate, which reads it
         # for in(P_A) and for the containment I ⊆ P_A; built by name
@@ -453,9 +409,9 @@ def _decomposition_holds(ideal, components):
     bases, so a caller that has computed them pays for none: the default
     certificate pass reads a cached default-order basis whole, and so does
     the colon walk's pass for the last variable.  The components from
-    ``minimal_primes`` cache their bases under both certificate orders,
-    the default one read off their saturation, so neither pass runs the
-    engine on a component."""
+    ``minimal_primes`` cache their bases under the first certificate order,
+    and their default-order ones are read off (``Ideal.groebner``), so
+    neither pass runs the engine on a component."""
     parts = [c.ideal for c in components]
     if _initial_ideals_certify(ideal, parts):
         return True, None
@@ -895,8 +851,8 @@ class _Cone:
     instead.
 
     An order lies in the cone of G when it picks the same leading term in
-    every element of G; G is then its reduced basis too (Mora–Robbiano),
-    so the squarefree verdict carries over.  Its rules are the (lead, tail)
+    every element of G; G is then its reduced basis too (proof at
+    ``groebner.Ideal.groebner``), so the squarefree verdict carries over.  Its rules are the (lead, tail)
     of each binomial, all in ``every``, from which an exhaustive scan counts
     the cone's orders (``_order_tables``).  Under such an order the leading
     term of each generator lies in in(I) = <lead(G)>; ``off_first`` and
@@ -1102,13 +1058,12 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
 
 
 def _order_tables(rules, n, flip):
-    """(bad, count) tables of the reading orders σ of flip ``flip``
+    """The count table of the reading orders σ of flip ``flip``
     (``_FLIP``) that keep every (support, wrong) rule of ``rules``
-    (``_rules``), placing σ front to back.  For a set S of variables placed
-    first (a bitmask) by a placing that keeps every rule, ``bad[S]`` holds
-    the variables whose placing next would break some rule, and
-    ``count[S]`` the number of ways to place the rest without breaking one.
-    Both are dicts over the sets that such placings reach.
+    (``_rules``), placing σ front to back: for a set S of variables placed
+    first (a bitmask) by a placing that keeps every rule, ``count[S]`` is
+    the number of ways to place the rest without breaking one.  It is a
+    dict over the sets that such placings reach.
 
     A rule (D, W) is decided at the first variable of D placed, so placing
     v after S breaks it when D misses S and v is in W ^ (D & flip), and
@@ -1116,9 +1071,13 @@ def _order_tables(rules, n, flip):
     keeps every rule, every set reached has a completion: σ restricted to
     the variables left keeps every rule whose D misses S, and the placing
     that reached S decided the others.
+
+    A placing that reaches S extends by v exactly when S ∪ {v} is a key: a
+    rule v would decide has D ∩ (S ∪ {v}) = {v}, so each placing reaching
+    S ∪ {v} decides it at v, and one did keep it.
     """
     full = (1 << n) - 1
-    bad, count = {}, {full: 1}
+    count = {full: 1}
 
     def completions(placed):
         total = count.get(placed)
@@ -1127,7 +1086,6 @@ def _order_tables(rules, n, flip):
             for support, wrong in rules:
                 if not support & placed:
                     broken |= wrong ^ (support & flip)
-            bad[placed] = broken
             free = full & ~(placed | broken)
             total = 0
             while free:
@@ -1138,19 +1096,19 @@ def _order_tables(rules, n, flip):
         return total
 
     completions(0)
-    return bad, count
+    return count
 
 
 def _cone_tables(lattice, kinds, char):
     """The whole Groebner cones that the ``kinds`` orders of every priority
-    meet, each with the ``_order_tables`` of its rules under each kind that
-    meets it: a dict from kind to its list of (cone, bad, count).
+    meet, each with the ``_order_tables`` count of its rules under each kind
+    that meets it: a dict from kind to its list of (cone, count).
 
     A new cone is tabled under every kind at once, and enters a kind's list
     when it holds some order of that kind.  For each kind, a depth-first
     walk over prefixes of the reading order, in itertools order, starts
-    from the cones already in the kind's list, keeps those that the prefix
-    has not ruled out, and leaves a prefix once their counts of its
+    from the cones already in the kind's list, keeps those whose table
+    holds the prefix's set, and leaves a prefix once their counts of its
     completions add up to all (n - |prefix|)! of them.  A cone found below
     a prefix holds an order that extends it, so it joins the lists of
     every prefix on the path.  So a leaf is an order that no cone found so
@@ -1170,15 +1128,15 @@ def _cone_tables(lattice, kinds, char):
         ctx, elements = _packed_generators(ring, gens, kind, perm)
         cone = _Cone.whole(ctx, _binomial_buchberger(ctx, elements), gens)
         for k in kinds:
-            entry = (cone, *_order_tables(cone.rules, n, _FLIP[k]))
-            if entry[2][0]:
-                tables[k].append(entry)
+            count = _order_tables(cone.rules, n, _FLIP[k])
+            if count[0]:
+                tables[k].append((cone, count))
         # the cone holds the order just read, so its last entry is kind's
         for live in path:
             live.append(tables[kind][-1])
 
     def visit(kind, seq, placed, live):
-        if sum(e[2][placed] for e in live) >= rest[len(seq)]:
+        if sum(count[placed] for _, count in live) >= rest[len(seq)]:
             return
         if len(seq) == n:
             meet(kind, seq)
@@ -1188,7 +1146,7 @@ def _cone_tables(lattice, kinds, char):
             bit = 1 << v
             if not placed & bit:
                 visit(kind, seq + (v,), placed | bit,
-                      [e for e in live if not e[1][placed] & bit])
+                      [e for e in live if placed | bit in e[1]])
         path.pop()
 
     for kind in kinds:
@@ -1201,29 +1159,26 @@ def _first_squarefree(kind, entries, n):
     the squarefree cones among ``entries`` (``_cone_tables``), or None.
 
     Each variable is the least that some squarefree cone still admits, so
-    the walk never turns back.  Under lex the priority is the reading
-    order: v comes right after the prefix, and any set reached has a
-    completion (``_order_tables``).  Under degrevlex the priority is the
-    reading order reversed, so the prefix fixes the end of the reading, and
-    v comes right before that end, after a placing of the variables left,
-    which the tables hold exactly when one exists.  That placing extends by
-    v: a rule that v would break has no variable of D left but v, so every
-    placing of the variables left with v would break it, yet the step
-    before found that set reached."""
+    the walk never turns back, and one key test of the cone's count table
+    (``_order_tables``) decides it.  Under lex the priority is the reading
+    order, and the key is the prefix with v.  Under degrevlex the priority
+    is the reading order reversed: v comes right before the end the prefix
+    fixes, after a placing of the variables left, the key.  That placing
+    extends by v: a rule that v would break has no variable of D left but
+    v, so every placing of the variables left with v would break it, yet
+    the step before found that set reached."""
     live = [e for e in entries if e[0].squarefree]
     if not live:
         return None
-    full = (1 << n) - 1
+    flip = (1 << n) - 1 if kind == "degrevlex" else 0
     perm, placed = (), 0
     while len(perm) < n:
         for v in range(n):
             bit = 1 << v
             if placed & bit:
                 continue
-            if kind == "lex":
-                kept = [e for e in live if not e[1][placed] & bit]
-            else:
-                kept = [e for e in live if full ^ placed ^ bit in e[2]]
+            key = (placed | bit) ^ flip
+            kept = [e for e in live if key in e[1]]
             if kept:
                 break
         perm, placed, live = perm + (v,), placed | bit, kept
@@ -1243,12 +1198,12 @@ def _count_orders(lattice, kinds, char):
     n = len(lattice.elements)
     counts = {}
     for kind, entries in tables.items():
-        orders = sum(e[2][0] for e in entries)
+        orders = sum(count[0] for _, count in entries)
         if orders != math.factorial(n):
             raise AssertionError(
                 f"the {kind} cones hold {orders} orders, not {n}!")
         counts[kind] = {"orders": orders, "squarefree": sum(
-            e[2][0] for e in entries if e[0].squarefree)}
+            count[0] for cone, count in entries if cone.squarefree)}
     firsts = [(perm, i) for i, perm in enumerate(
         _first_squarefree(kind, tables[kind], n) for kind in kinds)
         if perm is not None]

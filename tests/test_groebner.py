@@ -1052,8 +1052,8 @@ def test_minimal_basis_with_unreduced_tails_is_a_groebner_basis(L, char, data):
 _PAIR_WORK = {
     "N": [(60, 19), (70, 21), (43, 16), 153],
     "R": [(90, 24), (133, 31), (70, 21), 240],
-    "Lk:6:3": [(144, 32), (343, 57), (176, 37), 358],
-    "Lk:7:3": [(235, 43), (598, 82), (278, 49), 608],
+    "Lk:6:3": [(144, 32), (343, 57), (176, 37), 354],
+    "Lk:7:3": [(235, 43), (598, 82), (278, 49), 598],
 }
 
 
@@ -1061,7 +1061,11 @@ _PAIR_WORK = {
 def test_pair_installation_forms_the_pinned_s_elements(monkeypatch, spec):
     """The pair loop keeps one pair per minimal lcm of each new element's
     pairs, whatever linear extension of divisibility it walks them in, so
-    the S-elements formed and the bases built stay as pinned."""
+    the S-elements formed and the bases built stay as pinned.  On Lk:6:3
+    and Lk:7:3, two components' saturated parts keep every lead under the
+    reversed order, so their bases under it are read off with no run
+    (``Ideal.groebner``): the decomposition forms 354 S-elements, not 358,
+    and 598, not 608."""
     formed = [0]
     s_element = groebner._bin_s_element
 
@@ -1339,13 +1343,24 @@ def _extra_generators(ring, data):
     return extra
 
 
+def _appends_variables(known, extra):
+    """True when ``Ideal.groebner`` appends ``extra`` to its parent's basis
+    ``known`` with no run: each extra is a variable that no element of
+    ``known`` involves, and known is not {1}."""
+    involved = {v for g in known for m in g.terms for v, e in enumerate(m) if e}
+    return not known.contains_one() and all(
+        len(g.terms) == 1 and sum(next(iter(g.terms))) == 1
+        and next(iter(g.terms)).index(1) not in involved for g in extra)
+
+
 @given(L=closure_lattices(), char=st.sampled_from((0, P)), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_run_from_a_known_basis_equals_the_run_from_scratch(L, char, data):
     """A run that starts from the reduced basis of some generators and adds
     the others, or extra monomials and pure differences, gives the reduced
-    basis of them all, forms no pair inside the known basis, and, through
-    ``Ideal.plus``, starts from the parent's cached basis."""
+    basis of them all and forms no pair inside the known basis.  Through
+    ``Ideal.plus`` the basis starts from the parent's cached one, with no
+    run at all when the extras are variables that no element involves."""
     jm = join_meet_ideal(L, char)
     ring = jm.ring
     kind = data.draw(st.sampled_from((lex, degrevlex)))
@@ -1355,26 +1370,37 @@ def test_run_from_a_known_basis_equals_the_run_from_scratch(L, char, data):
     base = Ideal(ring, jm.generators[:cut])
     known = base.groebner(order)
     want = buchberger(jm.generators[:cut] + tuple(extra), order, ring=ring)
+    # a run needs some element with two terms; monomials alone are minimised
+    binomial = any(len(g.terms) == 2 for g in (*known, *extra))
     with pytest.MonkeyPatch.context() as mp:
         runs = count_pairs_installed(mp)
-        got = groebner._buchberger_from(known, extra, order, ring)
-        grown = base.plus(extra).groebner(order)
-    assert got == want and grown == want
-    assert [run["known"] for run in runs] == [len(known)] * 2
+        assert buchberger([known, *extra], order, ring=ring) == want
+        assert [run["known"] for run in runs] == [len(known)] * binomial
+        runs.clear()
+        assert base.plus(extra).groebner(order) == want
+        appended = _appends_variables(known, extra)
+        assert [run["known"] for run in runs] == [len(known)] * (
+            binomial and not appended)
     assert all(j >= len(known) for run in runs for _, j in run["pairs"])
 
 
 @pytest.mark.parametrize("char", [0, P])
 def test_plus_starts_from_the_parent_basis_only_when_both_are_binomial(char):
     """``Ideal.plus`` starts from the parent's basis under the same order
-    when it has one; with no such basis, a generic extra or a generic
-    parent basis, the basis is built from every generator, and it is the
-    same basis either way."""
+    when it has one: a variable no element involves is appended with no
+    run, other binomial extras take one run from that basis, and a generic
+    extra or a generic parent basis builds from every generator.  Under an
+    order whose leads some element of the parent's basis flips, the run
+    starts from no known basis.  The basis is the same either way."""
     jm = join_meet_ideal(lattice_q(), char)
     R = jm.ring
     a, b = R.var("a"), R.var("b")
     cases = [([a], True), ([a - b], True), ([a + b], False), ([a * b - 2 * b], False)]
     jm.groebner()
+    lex_order = lex(R.variables)
+    # some element of the default basis flips its lead under lex, so no
+    # basis under lex is read off it
+    assert any(g.leading_term() != g.leading_term(lex_order) for g in jm.groebner())
     for extra, seeded in cases:
         plus = jm.plus(extra)
         want = buchberger(plus.generators, ring=R)
@@ -1382,8 +1408,6 @@ def test_plus_starts_from_the_parent_basis_only_when_both_are_binomial(char):
             runs = count_pairs_installed(mp)
             assert plus.groebner() == want
         assert [run["known"] > 0 for run in runs] == [seeded]
-        # no cached basis under lex: no run starts from one
-        lex_order = lex(R.variables)
         want = buchberger(plus.generators, lex_order, ring=R)
         with pytest.MonkeyPatch.context() as mp:
             runs = count_pairs_installed(mp)
@@ -1395,12 +1419,65 @@ def test_plus_starts_from_the_parent_basis_only_when_both_are_binomial(char):
     assert plus.groebner() == buchberger(plus.generators, ring=R)
     # a plus of a plus starts from the basis its parent cached
     twice = jm.plus([a]).plus([b])
-    twice._parent.groebner()
+    parent = twice._parent.groebner()
     want = buchberger(twice.generators, ring=R)
     with pytest.MonkeyPatch.context() as mp:
         runs = count_pairs_installed(mp)
         assert twice.groebner() == want
-    assert runs[0]["known"] == len(twice._parent.groebner())
+    assert [run["known"] for run in runs] == [len(parent)]
+
+
+@pytest.mark.parametrize("char", [0, P])
+def test_plus_appends_uninvolved_variables_with_no_run(char):
+    """A variable that no element of the parent's basis involves is
+    appended to it with no run, in lead order, once however often it is
+    given; a variable some element involves takes a run, and over a parent
+    basis {1} the basis stays {1}."""
+    R = PolyRing(("a", "b", "c", "d", "x", "y"), char)
+    parent = Ideal(R, ["a*d - b*c"])
+    parent.groebner()
+    plus = parent.plus([R.var("x"), R.var("y"), R.var("x")])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_engine_runs(mp)
+        gb = plus.groebner()
+    assert calls == {"_buchberger_core": 0, "_generic_buchberger": 0}
+    assert gb == buchberger(plus.generators, ring=R)
+    assert list(gb)[1:] == [R.var("x"), R.var("y")]
+    involved = parent.plus([R.var("a")])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_engine_runs(mp)
+        gb = involved.groebner()
+    assert calls["_buchberger_core"] == 1
+    assert gb == buchberger(involved.generators, ring=R)
+    unit = Ideal(R, ["a", "a - 1"])
+    assert unit.groebner().contains_one()
+    gb = unit.plus([R.var("x")]).groebner()
+    assert gb.contains_one() and len(gb) == 1
+
+
+@given(L=closure_lattices(), char=st.sampled_from((0, P)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_cached_basis_is_read_off_exactly_when_no_lead_flips(L, char, data):
+    """An Ideal with its basis cached under one order, asked for another,
+    gives the basis a run from its generators builds.  It runs the engine
+    exactly when some element of the cached basis has its lead flip under
+    the new order; else the cached basis is read off, rekeyed."""
+    jm = join_meet_ideal(L, char)
+    ring = jm.ring
+
+    def order():
+        kind = data.draw(st.sampled_from((lex, degrevlex)))
+        return kind(tuple(data.draw(st.permutations(ring.variables))))
+
+    o1, o2 = order(), order()
+    ideal = Ideal(ring, jm.generators)
+    first = ideal.groebner(o1)
+    flips = any(g.leading_term(o1) != g.leading_term(o2) for g in first)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_engine_runs(mp)
+        got = ideal.groebner(o2)
+    assert got == buchberger(jm.generators, o2, ring=ring)
+    assert calls == {"_buchberger_core": int(flips), "_generic_buchberger": 0}
 
 
 def _last_variable_order(ring, mono):
@@ -1444,15 +1521,12 @@ def test_saturate_by_a_non_monomial_never_starts_from_a_cached_basis(monkeypatch
     R = jm.ring
     witness = R.from_string("a*d*g*l - a*f*g*l")
     jm.groebner()
-    started = []
-    real = groebner._buchberger_from
-    monkeypatch.setattr(groebner, "_buchberger_from",
-                        lambda *args: started.append(args) or real(*args))
+    runs = count_pairs_installed(monkeypatch)
     assert radical_member(witness, jm)
     assert not radical_member(R.var("a") - R.var("b"), jm)
     sat = saturate(jm, R.var("a") + R.var("b"))
     assert ideal_equal(sat, saturate(Ideal(R, jm.generators), R.var("a") + R.var("b")))
-    assert not started
+    assert runs and not any(run["known"] for run in runs)
 
 
 def _saturate_by_polys(ideal, f):
@@ -1484,8 +1558,8 @@ _SATURATED_SPECS = ["Q", "R", "N", "N5", "M3"] + [
 def _assert_packed_saturation(jm):
     """On three monomials f, the packed route's answer, from the generators
     and from a cached basis, is the Poly route's and the passes' reduced
-    basis, and it keeps that basis packed under degrevlex with f's last
-    variable last."""
+    basis, and its basis under degrevlex with f's last variable last costs
+    no run: the answer caches it, keyed for that order."""
     R = jm.ring
     v = R.variables
     for spec_f in (dict.fromkeys(v, 1), {v[0]: 1}, {v[1]: 2, v[-2]: 1}):
@@ -1499,9 +1573,12 @@ def _assert_packed_saturation(jm):
         for ideal in (Ideal(R, jm.generators), cached):
             sat = saturate(ideal, f)
             assert sat.generators == want
-            assert sat._packed is sat.groebner(order)
-            assert sat._packed == buchberger(want, order, ring=R)
-            _assert_keyed(sat._packed)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_engine_runs(mp)
+                gb = sat.groebner(order)
+            assert calls == {"_buchberger_core": 0, "_generic_buchberger": 0}
+            assert gb == buchberger(want, order, ring=R)
+            _assert_keyed(gb)
 
 
 @pytest.mark.parametrize("char", [0, P])
@@ -1519,20 +1596,28 @@ def test_packed_saturation_matches_on_closure_systems(L, char):
 @pytest.mark.parametrize("char", [0, P])
 def test_saturate_takes_the_poly_route_only_off_the_binomial_kind(monkeypatch, char):
     """Only a monomial f over an ideal of the binomial kind is packed
-    straight into K[x, t]; a non-monomial f, or an ideal of the generic
-    kind, builds its generators in K[x, t] as before, and its answer keeps
-    no packed generators."""
+    straight into K[x, t], and its answer caches its basis under degrevlex
+    with f's last variable last; a non-monomial f, or an ideal of the
+    generic kind, builds its generators in K[x, t] as before, and its
+    answer caches no basis, so asking for one runs the engine."""
     routes = []
     real = groebner._with_t
     monkeypatch.setattr(groebner, "_with_t",
                         lambda *args: routes.append(args) or real(*args))
+    calls = count_engine_runs(monkeypatch)
     jm = join_meet_ideal(lattice_n(), char)
     R = jm.ring
     a, b = R.var("a"), R.var("b")
-    assert saturate(jm, a * b)._packed is not None
+    sat = saturate(jm, a * b)
+    runs = dict(calls)
+    sat.groebner(_last_variable_order(R, next(iter((a * b).terms))))
+    assert calls == runs
     assert not routes
     for ideal, f in ((jm, a + b), (Ideal(R, ["a*b + c*d + e"]), a)):
-        assert saturate(ideal, f)._packed is None
+        sat = saturate(ideal, f)
+        runs = calls["_buchberger_core"]
+        sat.groebner(degrevlex(R.variables))
+        assert calls["_buchberger_core"] == runs + 1
     assert len(routes) == 2
 
 

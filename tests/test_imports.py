@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and the package
-reads each private name it defines.
+"""Every module of the package uses each name it imports, the package
+reads each private name it defines, and README names only what exists.
 
 Stdlib ``ast`` passes: a name bound by ``import`` or ``from ... import``
 (``__future__`` features aside) must be read somewhere in the module, and a
@@ -10,6 +10,9 @@ here rather than lingering.
 """
 
 import ast
+import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,80 @@ def test_concurrency_import_is_caught():
     assert _concurrency_imports(source) == [
         (2, "multiprocessing"), (2, "multiprocessing.Pool"), (3, "threading"),
         (4, "concurrent.futures"), (5, "concurrent.futures")]
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def _readme_references(text):
+    """The names README's backticked spans give as code: a dotted name, or
+    a bare name with one leading underscore, alone or called (``f(...)``).
+    Fenced code blocks are left out."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    names = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", span)
+        if match:
+            name = match.group(1)
+            if "." in name or (name.startswith("_") and not name.startswith("__")):
+                names.append(name)
+    return names
+
+
+def _package_namespace():
+    """(modules by name, the package's classes by name, every module-level
+    name) of the package's modules, ``__main__`` aside."""
+    modules = {p.stem: importlib.import_module(f"lattice_lab.{p.stem}")
+               for p in MODULES if p.stem != "__main__"}
+    classes = {name: obj for m in modules.values() for name, obj in vars(m).items()
+               if isinstance(obj, type) and obj.__module__.startswith("lattice_lab")}
+    names = {name for m in modules.values() for name in vars(m)}
+    return modules, classes, names
+
+
+def _unresolved(references, namespace):
+    """The references that name the package but resolve in it to nothing:
+    ``module.name`` for the package's own modules (``module.py`` being the
+    file), ``Class.attr`` for its classes, counting dataclass fields and
+    ``__slots__``, and a bare private name at module level.  A dotted name
+    whose head is neither, such as a local variable's attribute or another
+    package's, is not the package's and passes."""
+    modules, classes, names = namespace
+    missing = []
+    for ref in references:
+        head, _, rest = ref.partition(".")
+        if not rest:
+            ok = ref in names
+        elif head in modules:
+            ok = rest == "py" or hasattr(modules[head], rest)
+        elif head in classes:
+            cls = classes[head]
+            fields = ({f.name for f in dataclasses.fields(cls)}
+                      if dataclasses.is_dataclass(cls) else set())
+            ok = hasattr(cls, rest) or rest in fields
+        else:
+            ok = True
+        if not ok:
+            missing.append(ref)
+    return missing
+
+
+def test_readme_names_resolve_in_the_package():
+    """Every module, class attribute and private helper that README.md
+    names in backticks exists, so a rename or a removal cannot leave the
+    prose pointing at nothing."""
+    references = _readme_references(README.read_text(encoding="utf-8"))
+    modules, classes, _ = namespace = _package_namespace()
+    assert len([r for r in references if r.partition(".")[0] in {*modules, *classes}]) >= 20
+    assert _unresolved(references, namespace) == []
+
+
+def test_unresolved_readme_name_is_caught():
+    text = ("`workflows._default_basis` and `Ideal._packed` are gone; "
+            "`Ideal._cache`, `PrimeComponent.admissible`, `groebner.py`, "
+            "`_buchberger_core(..., known=)`, `m.ring` and `random.Random` "
+            "are not.\n```sh\n`_nowhere`\n```\n`_nowhere_either`\n")
+    references = _readme_references(text)
+    assert "_nowhere" not in references
+    assert _unresolved(references, _package_namespace()) == [
+        "workflows._default_basis", "Ideal._packed", "_nowhere_either"]

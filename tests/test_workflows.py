@@ -72,7 +72,6 @@ from lattice_lab.workflows import (
     _FLIP,
     _Cone,
     _cone_tables,
-    _default_basis,
     _degree_three_seeds,
     _holds,
     _initial_ideals_certify,
@@ -491,23 +490,25 @@ def test_minimal_primes_hermite_bases(monkeypatch, spec, bases):
 
 @pytest.mark.parametrize("name, runs", [
     pytest.param(name, runs, id=name)
-    for name, runs in (("Q", 2), ("R", 6), ("Lk:6:3", 6), ("N", 9))])
+    for name, runs in (("Q", 2), ("R", 6), ("Lk:6:3", 4), ("N", 7))])
 @pytest.mark.parametrize("char", [0, 32003])
 def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
     """Each saturation is one run, the elimination of 1 - t*f.  Each
     saturated candidate gets one basis, under the reversed order, which the
     verify step reads (the SNF certificate and the dimension read its
-    generators).  The join-meet ideal adds no run: fiber walks decide
-    whether in(I) holds the meet of the components' initial ideals.
-    Monomial ideals never enter the pair loop.  Lk:6:3 is 6 runs (three
-    saturations and three component bases): the reversed order, tried
-    first, certifies every Lk.  On N neither order certifies, and the
-    default pass reads the component bases that were read off their
-    generators with no run, so the colon witness of its third variable c
-    decides: the bases under degrevlex with a, b and c last are three runs
-    (three saturations, three reversed-order bases and three colon bases
-    make 9), and the intersection fold and its generic engine never
-    run."""
+    generators); it costs no run when every element of the saturated
+    part's cached basis keeps its lead under that order, as on two of the
+    three components of Lk:6:3 and of N (``Ideal.groebner``).  The
+    join-meet ideal adds no run: fiber walks decide whether in(I) holds the
+    meet of the components' initial ideals.  Monomial ideals never enter
+    the pair loop.  Lk:6:3 is 4 runs (three saturations and one component
+    basis): the reversed order, tried first, certifies every Lk.  On N
+    neither order certifies, and the default pass reads the component
+    bases off their reversed-order ones with no run, so the colon witness
+    of its third variable c decides: the bases under degrevlex with a, b
+    and c last are three runs (three saturations, one reversed-order basis
+    and three colon bases make 7), and the intersection fold and its
+    generic engine never run."""
     calls = count_engine_runs(monkeypatch)
     if name == "N":
         with pytest.raises(IntersectionMismatch):
@@ -519,40 +520,50 @@ def test_minimal_primes_engine_runs(monkeypatch, name, runs, char):
 
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("run, runs", [
-    pytest.param(lambda char: radical_certificate(lattice_n(), char), 13,
+    pytest.param(lambda char: radical_certificate(lattice_n(), char), 10,
                  id="radical-N"),
-    pytest.param(lambda char: lk_suite(6, 3, char), 13, id="lk-6-3"),
-    pytest.param(lambda char: lk_suite(4, 2, char), 13, id="lk-4-2"),
-    pytest.param(lambda char: lk_suite(6, 1, char), 10, id="lk-6-1"),
+    pytest.param(lambda char: lk_suite(6, 3, char), 11, id="lk-6-3"),
+    pytest.param(lambda char: lk_suite(4, 2, char), 11, id="lk-4-2"),
+    pytest.param(lambda char: lk_suite(6, 1, char), 9, id="lk-6-1"),
 ])
 def test_certify_verbs_run_no_generic_engine(monkeypatch, run, runs, char):
     """N's non-radicality is decided by its colon witness, whose bases the
     capped search's fallback reads again from the cache, and radical's
     squarefree family on N is one whole basis and three runs settled early.
-    The components' default-order bases, which the check's default pass
-    reads, are read off their generators, with no run: 13 runs on N.
-    The lk suite's intersection identity is the meet of the initial ideals
-    its earlier stages computed, so it runs no elimination and builds no
-    basis of the meet.  The suite matches each
-    component with its expected prime under the order whose basis the
-    component caches, so it builds no component basis under the default
-    order, and fiber walks decide the initial-ideal certificate, so the
-    join-meet ideal gets no run for it.  No generic engine runs."""
+    Of the components' reversed-order bases, two are read off their
+    saturated parts' cached bases with no run, and so are all their
+    default-order bases, which the check's default pass reads.  The colon
+    basis of a, under degrevlex with a last, is read off the default-order
+    basis of I, which radical built: 4 + 3 saturations + 1 component
+    basis + 2 colon bases make 10 runs on N.  The lk suite's intersection
+    identity is the meet of the initial ideals its earlier stages
+    computed, so it runs no elimination and builds no basis of the meet.
+    Its decomposition reads every component basis but one (two on
+    Lk(4, 2) and Lk(6, 3), one on Lk(6, 1)) off the saturated part.  The
+    suite matches each component with its expected prime under the order
+    whose basis the component caches, so it builds no component basis
+    under the default order, and fiber walks decide the initial-ideal
+    certificate, so the join-meet ideal gets no run for it.  No generic
+    engine runs."""
     calls = count_engine_runs(monkeypatch)
     run(char)
     assert calls == {"_buchberger_core": runs, "_generic_buchberger": 0}
 
 
 def _assert_default_bases_read_off(L, char):
-    """On every admissible set, the default-order basis read off P_A's
-    packed saturated part and A's variables is the one a run from P_A's
-    generators builds."""
+    """On every admissible set, P_A's default-order basis is the one a run
+    from its generators builds, and once P_A is made, its saturation run
+    done, the basis costs no run: the saturated part's cached basis keeps
+    every lead under the default order, and A's variables are appended."""
     ring = PolyRing(L.elements, char)
     I = join_meet_ideal(L, char)
     for adm in enumerate_admissible_sets(L):
         part = _component_gens(L, adm, ring, I)
-        assert _default_basis(part) == buchberger(part.generators, ring.default_order,
-                                                  ring=ring), adm
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_engine_runs(mp)
+            gb = part.groebner()
+        assert calls == {"_buchberger_core": 0, "_generic_buchberger": 0}, adm
+        assert gb == buchberger(part.generators, ring.default_order, ring=ring), adm
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -1710,7 +1721,7 @@ def test_one_sweep_decides_each_rule_as_the_rule_alone_does(case):
 def test_degrevlex_flip_counts_orders_as_the_complemented_rules_do(case):
     """The degrevlex flip (``_FLIP``) of ``_order_tables`` reads each rule
     (D, W) as the explicit degrevlex rule (D, D minus W) read with flip 0:
-    the same bad sets and the same counts of the reading orders."""
+    the same sets reached and the same counts of the reading orders."""
     _, n, _, rules, _, _ = case
     explicit = [(support, support ^ wrong) for support, wrong in rules]
     assert _order_tables(rules, n, _FLIP["degrevlex"]) == _order_tables(explicit, n, 0)
@@ -1805,17 +1816,17 @@ def test_exhaustive_scan_orders_are_the_sum_of_cone_counts(name):
     rep = squarefree_order_scan(L, exhaustive=True)
     tables = _cone_tables(L, _BOTH, 0)
     for kind in _BOTH:
-        per_cone = [count[0] for _, _, count in tables[kind]]
+        per_cone = [count[0] for _, count in tables[kind]]
         assert all(per_cone)
         assert rep.counts[kind]["orders"] == sum(per_cone) == math.factorial(n)
         assert rep.counts[kind]["squarefree"] == sum(
-            count[0] for cone, _, count in tables[kind] if cone.squarefree)
+            count[0] for cone, count in tables[kind] if cone.squarefree)
     cones = {id(e[0]): e[0] for entries in tables.values() for e in entries}
     for kind in _BOTH:
         tabled = {id(e[0]) for e in tables[kind]}
         for key, cone in cones.items():
             assert (key in tabled) == (
-                _order_tables(cone.rules, n, _FLIP[kind])[1][0] > 0)
+                _order_tables(cone.rules, n, _FLIP[kind])[0] > 0)
 
 
 @pytest.mark.parametrize("kinds", [_BOTH, _BOTH[::-1]], ids="-".join)

@@ -732,13 +732,12 @@ class Ideal:
         1. the cached basis under the order;
         2. a cached binomial basis each of whose elements keeps its lead
            under this order, rekeyed with no run;
-        3. for an ideal made by ``plus``, the parent's basis under the order
-           by 1 or 2 and the extra generators: appended with no run when
-           they are variables no element involves, else by one run that
-           starts from that basis (``buchberger``);
-        4. one run from the elements of a cached binomial basis of this
-           ideal, else of its parent and the extras, else of the generators,
-           a cached basis only when it is no larger than the generators.
+        3. for an ideal made by ``plus``, the parent's basis by 1 or 2 and
+           the extras, appended with no run when they are variables no
+           element involves, else by one run from that basis;
+        4. one run from a cached binomial basis of this ideal, else of its
+           parent and the extras, no larger than the generators (a larger
+           input forms more pairs), else from the generators.
 
         Step 2 (Mora–Robbiano 1988): let G be I's reduced basis under <,
         each g keeping its lead under <'.  Then M = <lead(G)> lies in
@@ -759,9 +758,8 @@ class Ideal:
         return gb
 
     def _read_off(self, ctx):
-        """Steps 1 and 2 of ``groebner``: the basis under ``ctx``'s order
-        with no run, a read-off one cached, or None.  Each cached basis is
-        rekeyed, and its leads compared up to the first that flips."""
+        """Steps 1 and 2 of ``groebner``, caching a read-off basis, or None;
+        leads are compared up to the first that flips."""
         gb = self._cache.get(ctx.weights)
         for cached in self._cache.values() if gb is None else ():
             if cached._binomial is not None:
@@ -800,16 +798,15 @@ class Ideal:
 
 
 def _binomial_basis(ideal):
-    """The oldest binomial basis ``ideal`` caches with no more elements than
-    it has generators, or None: a larger input forms more pairs."""
+    """The oldest binomial basis ``ideal`` caches no larger than its
+    generators (``Ideal.groebner``, step 4), or None."""
     return next((gb for gb in ideal._cache.values() if gb._binomial is not None
                  and len(gb) <= len(ideal.generators)), None)
 
 
 def _plus_variables(known, extra):
-    """The binomial reduced basis ``known`` with the variables ``extra``
-    (``Ideal.groebner``, step 3), or None unless each of ``extra`` is a
-    variable that no element of ``known`` involves and known is not {1}."""
+    """The binomial reduced basis ``known`` with the variables ``extra``, or
+    None unless no element of it involves them and it is not {1} (step 3)."""
     ctx, added, fields = known._ctx, {}, 0
     for g in extra:
         mono, *more = g.terms

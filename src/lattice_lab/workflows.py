@@ -643,15 +643,27 @@ def _squarefree_under(ideal, order):
     pure-difference ideal I.  Under the default order the whole basis is
     built and cached, as the colon walk and the witness search read it.
     Under any other order the run stops at its first lead m that is not
-    squarefree (``_settling_stop``): m is then a minimal generator of in(I),
-    by the proof at ``squarefree_order_scan``.  A run that ends by itself
-    has built the reduced basis, whose leads are the minimal generators."""
+    squarefree: m is then a minimal generator of in(I), by the proof at
+    ``squarefree_order_scan``.  A yes or no is all it needs, so it does not
+    settle the rest of m's degree as a sampled scan's run does
+    (``_settling_stop``), which would form several times the S-elements.  A
+    run that ends by itself has built the reduced basis, whose leads are
+    the minimal generators."""
     ring = ideal.ring
     if order == ring.default_order:
         return initial_ideal(ideal, order).is_squarefree()
     ctx = _Ctx(ring, order)
+    seen = 0
+
+    def stop(basis, degree):
+        nonlocal seen
+        if any(e[1] & ctx.above_one for e in basis[seen:]):
+            return True
+        seen = len(basis)
+        return False
+
     basis = _binomial_buchberger(ctx, _binomial_elements(ctx, ideal.generators),
-                                 stop=_settling_stop(ctx, []))
+                                 stop=stop)
     return basis is not None and not any(e[1] & ctx.above_one for e in basis)
 
 
@@ -932,19 +944,27 @@ class _Cone:
 
 
 def _settling_stop(ctx, stash):
-    """A stop hook for the pair loop (``_buchberger_core``) on a homogeneous
-    binomial ideal: it ends the run at the first added lead that is not
-    squarefree (one with a bit of ``ctx.above_one``) and leaves that lead's
-    element in ``stash``, for a fiber cone (``_Cone.settled``)."""
-    seen = 0
+    """A stop hook for the pair loop (``_buchberger_core``) on the
+    join-meet ideal: once a lead that is not squarefree (one with a bit of
+    ``ctx.above_one``) is added, of degree d, the remaining pairs of degree
+    d leave the heap, and the run ends before the first pair of the next
+    degree, with every element of degree d whose lead is not squarefree in
+    ``stash``, each for a fiber cone (``_Cone.settled``).
+
+    The elements added since the hook's last call come from the pair that
+    left then, of the degree it was told, as reduction keeps the degree on
+    the homogeneous I; its generators, added before the first call, have
+    squarefree leads.  When the run ends, the leads so far generate in(I)
+    up to degree d and none divides another, so each lead of degree d is a
+    minimal generator of in(I) (proof at ``squarefree_order_scan``)."""
+    seen = last = 0
 
     def stop(basis, degree):
-        nonlocal seen
-        for e in basis[seen:]:
-            if e[1] & ctx.above_one:
-                stash.append(e)
-                return True
-        seen = len(basis)
+        nonlocal seen, last
+        stash.extend(e for e in basis[seen:] if e[1] & ctx.above_one)
+        if stash and degree > last:
+            return True
+        seen, last = len(basis), degree
         return False
 
     return stop
@@ -996,16 +1016,19 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
 
     With ``settle`` (sampled scans), the list starts with the fiber cones
     of the degree-three seeds (``_degree_three_seeds``), tried after every
-    cone found so far, and a run stops at its first lead m that is not
-    squarefree (``_settling_stop``), of degree at least four, leaving the
-    fiber cone (``_Cone.settled``) of the orders under which m is a minimal
-    generator of in(I) (proof at ``squarefree_order_scan``).  Fiber cones
-    read one ``_Fibers`` in the ring's default packing, to which seeds and
-    stopping leads are packed.  A squarefree verdict, and so the witness,
-    comes only from a whole reduced basis.  When nothing settles, the
-    whole-basis count is the number of distinct initial ideals: the engine
-    runs only for an order in no cone found so far, so its reduced basis is
-    new, and so is its initial ideal, which determines the reduced basis.
+    cone found so far.  A run goes on past its first lead that is not
+    squarefree, of some degree d of at least four, until the last pair of
+    degree d has left (``_settling_stop``), and leaves at the front the
+    fiber cone (``_Cone.settled``) of each lead m of degree d that is not
+    squarefree: the orders under which m is a minimal generator of in(I)
+    (proof at ``squarefree_order_scan``), the run's own among them.  Fiber
+    cones read one ``_Fibers`` in the ring's default packing, to which
+    seeds and kept leads are packed.  A squarefree verdict, and so the
+    witness, comes only from a whole reduced basis.  When nothing settles,
+    the whole-basis count is the number of distinct initial ideals: the
+    engine runs only for an order in no cone found so far, so its reduced
+    basis is new, and so is its initial ideal, which determines the reduced
+    basis.
     """
     I = join_meet_ideal(lattice, char)
     ring = I.ring
@@ -1043,12 +1066,14 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     ctx, elements,
                     stop=_settling_stop(ctx, stash) if settle else None)
                 if basis is None:
-                    cone = _Cone.settled(home.repacker(ctx)(stash[0][1]), fibers)
+                    there = home.repacker(ctx)
+                    new = [_Cone.settled(there(e[1]), fibers) for e in stash]
                 else:
-                    cone = _Cone.whole(ctx, basis, gens)
-                    masked = masked or bool(cone.off_first | cone.off_second)
+                    new = [_Cone.whole(ctx, basis, gens)]
+                    masked = masked or bool(new[0].off_first | new[0].off_second)
                     whole += 1
-                cones.insert(0, cone)
+                cones[:0] = new
+                cone = new[0]
             counts[kind]["orders"] += 1
             if cone.squarefree:
                 counts[kind]["squarefree"] += 1
@@ -1257,11 +1282,14 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     are the degree-three seeds x·t, from the generators' terms t alone
     (``_degree_three_seeds``); only an order that no cone found so far and
     no seed holds runs the engine.  Pairs leave the heap by degree on the
-    homogeneous I, so when a lead m of degree d is added the leads so far
-    generate in(I) below d and none divides m: a run stops at its first
-    lead m that is not squarefree, a minimal generator.  The components
-    come from one ``groebner._Fibers`` per scan, the walker that also
-    decides the decomposition certificate (``_initial_ideal_toward``).  A
+    homogeneous I, so once every pair of degree d has left, the leads so
+    far generate in(I) up to degree d and none divides another: each lead
+    of degree d is a minimal generator.  A run goes on past its first lead
+    that is not squarefree, of degree d, until then, and keeps the fiber
+    cone of every lead of degree d that is not squarefree
+    (``_settling_stop``), so one run settles the orders of several.  The
+    components come from one ``groebner._Fibers`` per scan, the walker that
+    also decides the decomposition certificate (``_initial_ideal_toward``).  A
     squarefree verdict and the witness come only from whole reduced bases.
     A sampled scan does not learn each order's whole in(I), so its report's
     ``distinct_initial_ideals`` is None.

@@ -1388,6 +1388,9 @@ _ORACLE_CASES = [
     # witness is the first squarefree order of the scan, of either kind
     pytest.param(_boolean_cube, _BOTH, ("sample", 100, 38),
                  id="B3-stop-on-first"),
+    # a run settles several leads of one degree here, one cone each
+    pytest.param(lambda: lk(5, 2), _BOTH, ("sample", 100, 0), id="Lk52-sample"),
+    pytest.param(lambda: lk(6, 3), _BOTH, ("sample", 100, 0), id="Lk63-sample"),
     pytest.param(lattice_n, _BOTH, ("prefix", 20000), id="N-prefix-20k",
                  marks=pytest.mark.slow),
 ]
@@ -1408,9 +1411,9 @@ def _verdicts(rep):
 
 @pytest.mark.parametrize("make, kinds, perms", _ORACLE_CASES)
 def test_scan_cone_cache_matches_uncached_oracle(make, kinds, perms):
-    """A sampled scan settles non-squarefree orders at their first
-    non-squarefree lead, so it reports no count of distinct initial
-    ideals; full and prefix scans match all three figures."""
+    """A sampled scan settles non-squarefree orders on minimal generators
+    of in(I) that are not squarefree, so it reports no count of distinct
+    initial ideals; full and prefix scans match all three figures."""
     lattice = make()
     n = len(lattice.elements)
     if perms[0] == "prefix":
@@ -1448,15 +1451,18 @@ def test_sampled_scan_matches_uncached_oracle_on_closure_systems(L, char, kinds,
     assert _verdicts(rep) == scan_orders_uncached(L, kinds, ps, char)[:2]
 
 
-def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
-                                                                  lattice_R):
+def test_sampled_scan_runs_settle_the_degree_of_their_first_non_squarefree_lead(
+        monkeypatch, lattice_R):
     """No order of R is squarefree, so every run of a sampled scan ends at
-    its hook: 11 runs for R's 200 sampled orders (seed 5), forming 414
+    its hook: 4 runs for R's 200 sampled orders (seed 5), forming 327
     S-elements where the whole reduced bases form 13,701.  The degree-three
     seeds settle every order whose in(I) has a minimal generator of degree
-    three that is not squarefree before any run, and the fiber cone of a
-    run's lead holds every order under which that lead is a minimal
-    generator of in(I), so few orders need a run of their own."""
+    three that is not squarefree before any run.  A run settles the whole
+    degree d of its first lead that is not squarefree and leaves the fiber
+    cone of every such lead of degree d, each holding every order under
+    which its lead is a minimal generator of in(I), so few orders need a run
+    of their own: runs that stopped at their first such lead were 11 and
+    formed 414 S-elements."""
     calls = {"runs": 0, "stopped": 0, "s_elements": 0}
     core, s_element = groebner._buchberger_core, groebner._bin_s_element
 
@@ -1474,7 +1480,47 @@ def test_sampled_scan_runs_stop_at_the_first_non_squarefree_lead(monkeypatch,
     monkeypatch.setattr(groebner, "_bin_s_element", formed)
     rep = squarefree_order_scan(lattice_R, exhaustive=False, sample=100, seed=5)
     assert not rep.any_squarefree and rep.total_orders == 200
-    assert calls == {"runs": 11, "stopped": 11, "s_elements": 414}
+    assert calls == {"runs": 4, "stopped": 4, "s_elements": 327}
+
+
+def test_default_lk63_scan_engine_runs(monkeypatch):
+    """The default scan of Lk(6,3), 10,000 sampled orders of each kind,
+    runs the engine 4 times: each run leaves the fiber cones of every lead
+    that is not squarefree of its last degree (``_settling_stop``), where
+    stopping at the first such lead took 22 runs."""
+    calls = count_engine_runs(monkeypatch)
+    rep = squarefree_order_scan(build_fixture("Lk:6:3"))
+    assert not rep.exhaustive and rep.total_orders == 20000
+    assert calls == {"_buchberger_core": 4, "_generic_buchberger": 0}
+
+
+@pytest.mark.parametrize("spec, formed", [("N", (4, 21, 3)), ("R", (6, 44, 3)),
+                                          ("Lk:6:3", (6, 83, 54))])
+def test_squarefree_family_runs_stop_at_their_first_non_squarefree_lead(
+        monkeypatch, spec, formed):
+    """``radical``'s squarefree family needs a yes or no from each order,
+    so ``_squarefree_under``'s runs under lex, reversed degrevlex and
+    reversed lex stop at their first lead that is not squarefree, forming
+    these S-elements.  Settling that lead's whole degree, as a sampled
+    scan's run does, formed (13, 44, 13) on N, (30, 83, 32) on R and
+    (65, 205, 61) on Lk(6,3)."""
+    jm = join_meet_ideal(build_fixture(spec))
+    ring = jm.ring
+    rev = tuple(reversed(ring.variables))
+    count = [0]
+    s_element = groebner._bin_s_element
+
+    def counted(*args):
+        count[0] += 1
+        return s_element(*args)
+
+    monkeypatch.setattr(groebner, "_bin_s_element", counted)
+    got = []
+    for order in (lex(ring.variables), degrevlex(rev), lex(rev)):
+        before = count[0]
+        assert not _squarefree_under(jm, order)
+        got.append(count[0] - before)
+    assert tuple(got) == formed
 
 
 @st.composite
@@ -1573,9 +1619,10 @@ def test_standard_monomials_are_the_least_of_their_fiber_components(L, kind, cha
                     v != least)
 
 
-def _stopping_lead(jm, kind, perm):
-    """The lead, as an exponent tuple, at which a sampled scan's run under
-    the order stops, or None when the run ends with a whole reduced basis."""
+def _kept_leads(jm, kind, perm):
+    """The leads, as exponent tuples, that a sampled scan's run under the
+    order keeps for fiber cones (``_settling_stop``), or None when the run
+    ends with a whole reduced basis."""
     ring = jm.ring
     ctx = groebner._Ctx(ring, MonomialOrder(kind, tuple(ring.variables[i] for i in perm)))
     elements = [(*ctx.key_pack(a), *ctx.key_pack(b))
@@ -1584,30 +1631,51 @@ def _stopping_lead(jm, kind, perm):
     if groebner._binomial_buchberger(ctx, elements,
                                      stop=_settling_stop(ctx, stash)) is not None:
         return None
-    return ctx.unpack(stash[0][1])
+    return [ctx.unpack(e[1]) for e in stash]
 
 
-@given(_FIBER_LATTICES, st.randoms(use_true_random=False))
-@settings(max_examples=30, deadline=None)
-def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, rnd):
-    """The fiber cone (``_Cone.settled``) of a settled run's stopping lead
-    m is exact: it holds a drawn order, the run's own among them, exactly
-    when m is a minimal generator of the in(I) of a whole reduced basis
-    under that order."""
-    jm = join_meet_ideal(L)
+def _assert_kept_leads_settle_exactly(L, char, rnd, draws):
+    """Under each drawn order of either kind whose run stops, the kept
+    leads (``_kept_leads``) are exactly the minimal generators of in(I)
+    that are not squarefree, of the least degree such a generator has,
+    with in(I) from a whole reduced basis.  Each kept lead m's fiber cone
+    (``_Cone.settled``) holds the run's own order, and holds a drawn order
+    exactly when m is a minimal generator of that order's in(I)."""
+    jm = join_meet_ideal(L, char)
     ring = jm.ring
     fibers = _fibers(jm)
     drawn = [(kind, *_drawn_order(ring, kind, rnd))
-             for _ in range(12) for kind in ("lex", "degrevlex")]
+             for _ in range(draws) for kind in ("lex", "degrevlex")]
+    gens = {(kind, perm): initial_ideal(jm, order).gens
+            for kind, perm, order in drawn}
     for kind, perm, _ in drawn:
-        m = _stopping_lead(jm, kind, perm)
-        if m is None:
+        kept = _kept_leads(jm, kind, perm)
+        if kept is None:
             continue
-        cone = _Cone.settled(fibers.ctx.pack(m), fibers)
-        assert cone.contains(kind, _reading(kind, perm))
-        for other, operm, order in drawn:
-            assert cone.contains(other, _reading(other, operm)) == (
-                m in initial_ideal(jm, order).gens)
+        high = [m for m in gens[kind, perm] if max(m) > 1]
+        degree = min(map(sum, high))
+        assert sorted(kept) == sorted(m for m in high if sum(m) == degree)
+        for m in kept:
+            cone = _Cone.settled(fibers.ctx.pack(m), fibers)
+            assert cone.contains(kind, _reading(kind, perm))
+            for other, operm, _ in drawn:
+                assert cone.contains(other, _reading(other, operm)) == (
+                    m in gens[other, operm])
+
+
+@given(_FIBER_LATTICES, st.sampled_from([0, 32003]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_negative_cone_holds_its_own_order_and_only_orders_it_settles(L, char,
+                                                                     rnd):
+    _assert_kept_leads_settle_exactly(L, char, rnd, 12)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("spec", ["N", "R", "Lk:5:2", "Lk:6:3"])
+def test_kept_leads_settle_exactly_on_fixtures(spec, char):
+    _assert_kept_leads_settle_exactly(build_fixture(spec), char,
+                                      random.Random(spec), 6)
 
 
 def _assert_seeds_hold_the_cubic_non_squarefree_generators(L, char, rnd, draws):
@@ -1647,8 +1715,11 @@ def test_degree_three_seeds_that_hold_are_the_cubic_generators_of_fixtures(spec,
 def test_sampled_scans_unpack_each_fiber_member_once(monkeypatch):
     """A fiber cone reads its members unpacked as ``_Fibers`` keeps them, so
     a scan unpacks each member of each component it meets once, however
-    many cones read it: 1,792 unpacks on these eight scans, where unpacking
-    on every read of a component took 4,696."""
+    many cones read it: 2,208 unpacks on these eight scans.  Each run
+    leaves the fiber cone of every lead of its last degree that is not
+    squarefree, whose components the scan would not meet otherwise; when a
+    run left one cone they were 1,792, and unpacking on every read of a
+    component took 4,696."""
     unpacked = []
     make = groebner._Ctx._unpacker
 
@@ -1671,7 +1742,7 @@ def test_sampled_scans_unpack_each_fiber_member_once(monkeypatch):
                 scans += 1
     finally:
         groebner._default_ctx.cache_clear()
-    assert (scans, len(unpacked)) == (8, 1792)
+    assert (scans, len(unpacked)) == (8, 2208)
 
 
 def _keeps(rule, kind, reading):

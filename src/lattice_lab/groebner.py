@@ -931,10 +931,10 @@ class _Fibers:
     for each generator both ways round.  Moves keep the degree, so every
     component is finite; any other generator raises PreconditionViolated.
     Components do not depend on the order, so ``component`` walks each once
-    for all its members, and ``unpacked`` unpacks each member once.
+    and keeps it, packed, for all its members.
     """
 
-    __slots__ = ("ctx", "_moves", "_of", "_unpacked")
+    __slots__ = ("ctx", "_moves", "_of")
 
     def __init__(self, ctx, elements):
         if elements is None or any(tp < 0 or ctx.degree(lp) != ctx.degree(tp)
@@ -945,7 +945,6 @@ class _Fibers:
         self._moves = [move for _, a, _, b in elements
                        for move in ((a, b - a), (b, a - b))]
         self._of = {}
-        self._unpacked = {}
 
     def walk(self, m):
         """The monomials of the packed monomial m's component, m first,
@@ -969,17 +968,6 @@ class _Fibers:
         if found is None:
             found = frozenset(self.walk(m))
             self._of.update(dict.fromkeys(found, found))
-        return found
-
-    def unpacked(self, m):
-        """The exponent tuple of each monomial of the packed monomial m's
-        component, keyed by the packed monomial, in ``component``'s order:
-        one dict per component, shared by its members."""
-        found = self._unpacked.get(m)
-        if found is None:
-            unpack = self.ctx.unpack
-            found = {c: unpack(c) for c in self.component(m)}
-            self._unpacked.update(dict.fromkeys(found, found))
         return found
 
 

@@ -86,6 +86,7 @@ from .poly import (
     MAX_EXPONENT,
     MonomialOrder,
     PolyRing,
+    _FIELD_BITS,
     degrevlex,
     lex,
 )
@@ -769,43 +770,40 @@ class ScanReport:
     distinct_initial_ideals: int | None
 
 
-def _rules(pairs):
-    """[(D, W), ...], one rule per (above, below) pair of exponent tuples of
-    one degree, as a homogeneous binomial's are: D is the support of above -
-    below and W = {i : above_i < below_i}.  An order reads the variables in
-    its priority under lex and in its reversed priority under degrevlex, and
-    decides the rule at the first variable of D that it reads.  Lex wants
-    the larger exponent there, so it keeps the rule when that variable is
-    outside W, and degrevlex the smaller, so it keeps it exactly when lex
-    does not: each kind XORs its flip (``_FLIP``) into W inside D."""
-    rules = []
-    for above, below in pairs:
-        support = wrong = 0
-        for i, (a, b) in enumerate(zip(above, below)):
-            if a != b:
-                support |= 1 << i
-                if a < b:
-                    wrong |= 1 << i
-        rules.append((support, wrong))
-    return rules
-
-
 _FLIP = {"lex": 0, "degrevlex": -1}  # the mask each kind XORs into W
 
 
-def _sliced(rules, n):
-    """The (support, wrong) ``rules`` (``_rules``) bit-sliced by variable:
-    (on, off), where ``on[v]`` is the bitmask of the rules, by their place
-    in ``rules``, whose D holds v, and ``off[v]`` that of the rules whose W
-    holds v."""
-    on, off = [0] * n, [0] * n
-    for j, (support, wrong) in enumerate(rules):
+def _sliced(pairs, home):
+    """The rules of (above, below) pairs of monomials of one degree, as a
+    homogeneous binomial's are, packed by ``home``, the ring's default
+    context, whose field v holds variable v, bit-sliced by variable: (on,
+    off), where ``on[v]`` is the bitmask of the rules, by their place in
+    ``pairs``, whose D holds v, and ``off[v]`` that of the rules whose W
+    holds v.
+
+    A pair's rule is (D, W): D is the support of above - below and W = {v :
+    above_v < below_v}.  An order reads the variables in its priority under
+    lex and in its reversed priority under degrevlex, and decides the rule
+    at the first variable of D that it reads.  Lex wants the larger exponent
+    there, so it keeps the rule when that variable is outside W, and
+    degrevlex the smaller, so it keeps it exactly when lex does not: each
+    kind XORs its flip (``_FLIP``) into W inside D.  One guard-bit compare
+    each way gives both sets: the guard bit of field v survives in
+    ((a | guard) - b) & guard exactly when a_v >= b_v, so D holds the fields
+    whose guard bit survives one compare only, and W those where it survives
+    only the compare of below against above."""
+    hm = home.hmask
+    on, off = [0] * home.n, [0] * home.n
+    for j, (a, b) in enumerate(pairs):
         bit = 1 << j
+        ge = ((a | hm) - b) & hm
+        le = ((b | hm) - a) & hm
+        support = ge ^ le
         while support:
             low = support & -support
-            v = low.bit_length() - 1
+            v = low.bit_length() // _FIELD_BITS - 1
             on[v] |= bit
-            if wrong & low:
+            if le & low:
                 off[v] |= bit
             support ^= low
     return on, off
@@ -850,27 +848,26 @@ def _holds(sliced, reading, flip, every, some):
 
 
 class _Cone:
-    """The orders that rank given (above, below) pairs of exponent tuples
-    that way: the Groebner cone of one reduced basis G of a join-meet ideal
-    I (``whole``), or the fiber cone of a monomial m (``settled``).
+    """The orders that rank given (above, below) pairs of monomials that
+    way: the Groebner cone of one reduced basis G of a join-meet ideal I
+    (``whole``), or the fiber cone of a monomial m (``settled``).
 
-    ``rules`` holds the ``_rules`` of the pairs, one set for both kinds,
-    and ``sliced`` the same rules bit-sliced by variable (``_sliced``).  An
-    order lies in the cone when it keeps every rule of the bitmask ``every``
-    and, unless ``some`` is 0, at least one rule of ``some``; a sampled scan
-    tests an order so by one pass of its reading order under the kind's
-    flip (``contains``), and an exhaustive scan counts a cone's orders
-    instead.
+    The pairs come packed by the ring's default context, and ``sliced``
+    holds their rules bit-sliced by variable (``_sliced``), one set for
+    both kinds.  An order lies in the cone when it keeps every rule of the
+    bitmask ``every`` and, unless ``some`` is 0, at least one rule of
+    ``some``; a sampled scan tests an order so by one pass of its reading
+    order under the kind's flip (``contains``), and an exhaustive scan
+    counts a cone's orders from the same rules instead (``_order_tables``).
 
     An order lies in the cone of G when it picks the same leading term in
     every element of G; G is then its reduced basis too (proof at
-    ``groebner.Ideal.groebner``), so the squarefree verdict carries over.  Its rules are the (lead, tail)
-    of each binomial, all in ``every``, from which an exhaustive scan counts
-    the cone's orders (``_order_tables``).  Under such an order the leading
-    term of each generator lies in in(I) = <lead(G)>; ``off_first`` and
-    ``off_second`` mark the generators whose first or second monomial does
-    not, so one bitmask per sampled order rejects most cones before any
-    rule is read.
+    ``groebner.Ideal.groebner``), so the squarefree verdict carries over.
+    Its rules are the (lead, tail) of each binomial, all in ``every``.
+    Under such an order the leading term of each generator lies in in(I) =
+    <lead(G)>; ``off_first`` and ``off_second`` mark the generators whose
+    first or second monomial does not, so one bitmask per sampled order
+    rejects most cones before any rule is read.
 
     The fiber cone of a monomial m that is not squarefree holds exactly the
     orders under which m is a minimal generator of in(I), so none of them
@@ -878,32 +875,34 @@ class _Cone:
     components of ``groebner._Fibers``.  Its masks are empty.
     """
 
-    __slots__ = ("squarefree", "off_first", "off_second", "rules", "sliced",
-                 "every", "some")
+    __slots__ = ("squarefree", "off_first", "off_second", "sliced", "every",
+                 "some")
 
-    def __init__(self, n, every, some=()):
-        """The cone of the orders of n variables that rank each (above,
-        below) pair of ``every`` that way and, when ``some`` has pairs, at
-        least one pair of ``some``; not squarefree, and with empty masks."""
+    def __init__(self, home, every, some=()):
+        """The cone of the orders that rank each (above, below) pair of
+        ``every`` that way and, when ``some`` has pairs, at least one pair of
+        ``some``, each packed by ``home``, the ring's default context; not
+        squarefree, and with empty masks."""
         pairs = list(every)
         self.every = (1 << len(pairs)) - 1
         pairs += some
         self.some = (1 << len(pairs)) - 1 ^ self.every
-        self.rules = _rules(pairs)
-        self.sliced = _sliced(self.rules, n)
+        self.sliced = _sliced(pairs, home)
         self.squarefree = False
         self.off_first = self.off_second = 0
 
     @classmethod
-    def whole(cls, ctx, elements, gens):
+    def whole(cls, home, ctx, elements, gens):
         """The cone of G.  ``elements``: binomial elements of G, packed by
-        ``ctx``, the context of the run that found them; ``gens``: the
-        (first, second) exponent tuples of each generator of I."""
-        unpack = ctx.unpack
-        cone = cls(ctx.n, [(unpack(lp), unpack(tp))
-                           for _, lp, _, tp in elements if tp >= 0])
+        ``ctx``, the context of the run that found them, and repacked to
+        ``home``, the ring's default context; ``gens``: the (first, second)
+        monomials of each generator of I, packed by ``home``."""
+        there = home.repacker(ctx)
+        pairs = [(there(lp), there(tp) if tp >= 0 else -1)
+                 for _, lp, _, tp in elements]
+        cone = cls(home, [pair for pair in pairs if pair[1] >= 0])
         cone.squarefree = not any(e[1] & ctx.above_one for e in elements)
-        leads = {unpack(e[1]) for e in elements}
+        leads = {lead for lead, _ in pairs}
         # I is generated in degree two, so every lead has degree >= 2 and a
         # degree-two monomial lies in <lead(G)> exactly when it is a lead
         for i, (m1, m2) in enumerate(gens):
@@ -915,27 +914,23 @@ class _Cone:
 
     @classmethod
     def settled(cls, m, fibers):
-        """The fiber cone of m, packed by ``fibers.ctx``, from the
-        components of ``fibers`` (``groebner._Fibers``) of I's generators.
-        By the lemma at ``squarefree_order_scan``, m/x lies outside in(I)
-        exactly when it is least in its component, and m inside exactly when
-        it is not least in its own.  So m is a minimal generator exactly
-        when the order keeps (c, m/x) for each variable x dividing m and
-        each other monomial c of m/x's component, all in ``every``, and
+        """The fiber cone of m, packed by ``fibers.ctx``, the ring's default
+        context, from the components of ``fibers`` (``groebner._Fibers``) of
+        I's generators.  By the lemma at ``squarefree_order_scan``, m/x lies
+        outside in(I) exactly when it is least in its component, and m inside
+        exactly when it is not least in its own.  So m is a minimal generator
+        exactly when the order keeps (c, m/x) for each variable x dividing m
+        and each other monomial c of m/x's component, all in ``every``, and
         (m, c) for at least one other monomial c of m's component, the rules
-        of ``some``; ``_rules`` reads the members as ``fibers`` keeps them
-        unpacked."""
+        of ``some``."""
         ctx = fibers.ctx
-        members = fibers.unpacked(m)
-        top = members[m]
         every = []
-        for s, e in zip(ctx.shifts, top):
-            if e:
+        for s in ctx.shifts:
+            if m >> s & (MAX_EXPONENT - 1):
                 below = m - (1 << s)
-                lower = fibers.unpacked(below)
-                low = lower[below]
-                every += [(u, low) for c, u in lower.items() if c != below]
-        return cls(ctx.n, every, [(top, u) for c, u in members.items() if c != m])
+                every += [(c, below) for c in fibers.component(below)
+                          if c != below]
+        return cls(ctx, every, [(m, c) for c in fibers.component(m) if c != m])
 
     def contains(self, kind, reading):
         """True when the ``kind`` order that reads the variables in
@@ -1004,15 +999,17 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     Returns the per-kind counts, the first squarefree (kind, priority) and
     the number of whole-basis cones met.  The ideal scanned is the join-meet
     ideal, whose generators ab - (a∧b)(a∨b) are homogeneous of degree two;
-    the one rule set of ``_rules`` and ``settle`` both rely on that.  Each
-    order is tested against the cones of one list, most recently used
-    first, by one pass of its reading order over each cone's bit-sliced
-    rules under its kind's flip (``_Cone.contains``), after the generator
-    bitmask of ``_Cone``, kept from the generators' rules in one pass too
-    (``_kept``), once some cone has a mask.  The cone that holds it moves to
-    the front.  Only an order outside all of them becomes an order object,
-    and the engine runs in that order's own packing (``_Ctx``); its basis
-    turns once into the rules of a new cone at the front.
+    the rules of ``_sliced`` and ``settle`` both rely on that.  Cones and
+    the generators are packed by the ring's default context, ``home``, and
+    hold no exponent tuples.  Each order is tested against the cones of one
+    list, most recently used first, by one pass of its reading order over
+    each cone's bit-sliced rules under its kind's flip (``_Cone.contains``),
+    after the generator bitmask of ``_Cone``, kept from the generators'
+    rules, sliced once per scan, in one pass too (``_kept``), once some cone
+    has a mask.  The cone that holds it moves to the front.  Only an order
+    outside all of them becomes an order object, and the engine runs in
+    that order's own packing (``_Ctx``); its basis is repacked to ``home``
+    once and sliced into the rules of a new cone at the front.
 
     With ``settle`` (sampled scans), the list starts with the fiber cones
     of the degree-three seeds (``_degree_three_seeds``), tried after every
@@ -1022,8 +1019,8 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     fiber cone (``_Cone.settled``) of each lead m of degree d that is not
     squarefree: the orders under which m is a minimal generator of in(I)
     (proof at ``squarefree_order_scan``), the run's own among them.  Fiber
-    cones read one ``_Fibers`` in the ring's default packing, to which
-    seeds and kept leads are packed.  A squarefree verdict, and so the
+    cones read the packed components of one ``_Fibers`` over ``home``, to
+    which seeds and kept leads are packed.  A squarefree verdict, and so the
     witness, comes only from a whole reduced basis.  When nothing settles,
     the whole-basis count is the number of distinct initial ideals: the
     engine runs only for an order in no cone found so far, so its reduced
@@ -1034,10 +1031,11 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     ring = I.ring
     gens = [tuple(g.terms) for g in I.generators]
     home = _default_ctx(ring)
+    packed = [(home.pack(m1), home.pack(m2)) for m1, m2 in gens]
     fibers = _Fibers(home, _binomial_elements(home, I.generators))
     cones = ([_Cone.settled(home.pack(m), fibers)
               for m in _degree_three_seeds(gens)] if settle else [])
-    gen_rules = _sliced(_rules(gens), ring.nvars)
+    gen_rules = _sliced(packed, home)
     everything = (1 << len(gens)) - 1
     counts = {k: {"orders": 0, "squarefree": 0} for k in kinds}
     witness = None
@@ -1069,7 +1067,7 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
                     there = home.repacker(ctx)
                     new = [_Cone.settled(there(e[1]), fibers) for e in stash]
                 else:
-                    new = [_Cone.whole(ctx, basis, gens)]
+                    new = [_Cone.whole(home, ctx, basis, packed)]
                     masked = masked or bool(new[0].off_first | new[0].off_second)
                     whole += 1
                 cones[:0] = new
@@ -1082,45 +1080,45 @@ def _scan_orders(lattice, kinds, perms, char, settle=False):
     return counts, witness, whole
 
 
-def _order_tables(rules, n, flip):
+def _order_tables(sliced, flip):
     """The count table of the reading orders σ of flip ``flip``
-    (``_FLIP``) that keep every (support, wrong) rule of ``rules``
-    (``_rules``), placing σ front to back: for a set S of variables placed
-    first (a bitmask) by a placing that keeps every rule, ``count[S]`` is
-    the number of ways to place the rest without breaking one.  It is a
-    dict over the sets that such placings reach.
+    (``_FLIP``) that keep every rule of ``sliced`` (``_sliced``), placing σ
+    front to back: for a set S of variables placed first (a bitmask) by a
+    placing that keeps every rule, ``count[S]`` is the number of ways to
+    place the rest without breaking one.  It is a dict over the sets that
+    such placings reach.
 
     A rule (D, W) is decided at the first variable of D placed, so placing
-    v after S breaks it when D misses S and v is in W ^ (D & flip), and
-    count(S) sums count(S ∪ {v}) over the v that break none.  When some σ
-    keeps every rule, every set reached has a completion: σ restricted to
-    the variables left keeps every rule whose D misses S, and the placing
-    that reached S decided the others.
+    v after S breaks it when D misses S and v is in W ^ (D & flip): v is
+    free unless ``on[v] & (off[v] ^ flip)`` meets a rule that no variable
+    of S decides, and the recursion carries that set of rules down.
+    count(S) sums count(S ∪ {v}) over the free v.  When some σ keeps every
+    rule, every set reached has a completion: σ restricted to the variables
+    left keeps every rule whose D misses S, and the placing that reached S
+    decided the others.
 
     A placing that reaches S extends by v exactly when S ∪ {v} is a key: a
     rule v would decide has D ∩ (S ∪ {v}) = {v}, so each placing reaching
     S ∪ {v} decides it at v, and one did keep it.
     """
+    on, off = sliced
+    n = len(on)
+    breaks = [o & (f ^ flip) for o, f in zip(on, off)]
     full = (1 << n) - 1
     count = {full: 1}
 
-    def completions(placed):
+    def completions(placed, left):
         total = count.get(placed)
         if total is None:
-            broken = 0
-            for support, wrong in rules:
-                if not support & placed:
-                    broken |= wrong ^ (support & flip)
-            free = full & ~(placed | broken)
             total = 0
-            while free:
-                v = free & -free
-                total += completions(placed | v)
-                free ^= v
+            for v in range(n):
+                bit = 1 << v
+                if not placed & bit and not breaks[v] & left:
+                    total += completions(placed | bit, left & ~on[v])
             count[placed] = total
         return total
 
-    completions(0)
+    completions(0, -1)
     return count
 
 
@@ -1144,6 +1142,8 @@ def _cone_tables(lattice, kinds, char):
     ring = I.ring
     n = ring.nvars
     gens = [tuple(g.terms) for g in I.generators]
+    home = _default_ctx(ring)
+    packed = [(home.pack(m1), home.pack(m2)) for m1, m2 in gens]
     rest = [math.factorial(n - depth) for depth in range(n + 1)]
     tables = {k: [] for k in kinds}
     path = []
@@ -1151,9 +1151,10 @@ def _cone_tables(lattice, kinds, char):
     def meet(kind, reading):
         perm = reading if kind == "lex" else reading[::-1]
         ctx, elements = _packed_generators(ring, gens, kind, perm)
-        cone = _Cone.whole(ctx, _binomial_buchberger(ctx, elements), gens)
+        cone = _Cone.whole(home, ctx, _binomial_buchberger(ctx, elements),
+                           packed)
         for k in kinds:
-            count = _order_tables(cone.rules, n, _FLIP[k])
+            count = _order_tables(cone.sliced, _FLIP[k])
             if count[0]:
                 tables[k].append((cone, count))
         # the cone holds the order just read, so its last entry is kind's
@@ -1252,13 +1253,14 @@ def squarefree_order_scan(lattice, kinds=("lex", "degrevlex"), exhaustive=None,
     The engine runs once per Groebner cone met, not once per order.  An
     order lies in the cone of a reduced basis G when it picks the same
     leading term in every element of G; G is then its reduced basis too.
-    Each element decides its lead by one rule (``_rules``), read at the
-    first variable of its support that the order reads, which ranks only
-    monomials of one degree, so the scan needs homogeneous input, as every
-    join-meet ideal is.
+    Each element decides its lead by one rule, read at the first variable
+    of its support that the order reads, which ranks only monomials of one
+    degree, so the scan needs homogeneous input, as every join-meet ideal
+    is.  A cone keeps its rules once, bit-sliced by variable from its pairs
+    of packed monomials (``_sliced``), and both kinds of scan read them.
 
     An exhaustive scan visits no order one at a time: a subset recursion
-    counts the orders of each kind in each cone from its rules
+    counts the orders of each kind in each cone from its bit-sliced rules
     (``_order_tables``), under every kind as soon as the cone is found; a
     walk over reading-order prefixes meets every cone and runs the engine
     only at an order no cone found so far holds (``_cone_tables``); the

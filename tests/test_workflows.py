@@ -61,7 +61,7 @@ from lattice_lab.lattice import (
     enumerate_admissible_sets,
     restrict_to_complement,
 )
-from lattice_lab.poly import MonomialOrder, Poly, compare, product, sort_key
+from lattice_lab.poly import MAX_EXPONENT, MonomialOrder, Poly, compare, product, sort_key
 from lattice_lab.snf import echelon_basis, smith_normal_form
 from lattice_lab.workflows import (
     _certificate_orders,
@@ -80,7 +80,6 @@ from lattice_lab.workflows import (
     _monomial_normal_forms,
     _order_tables,
     _prime_component,
-    _rules,
     _scan_orders,
     _settling_stop,
     _sliced,
@@ -1540,18 +1539,31 @@ def _reading(kind, perm):
     return perm if kind == "lex" else perm[::-1]
 
 
+def _default_ctx(n):
+    """The default context of a ring of n variables, whose field v holds
+    variable v."""
+    return groebner._default_ctx(PolyRing([f"x{i}" for i in range(n)]))
+
+
+def _packed(ctx, pairs):
+    """The (above, below) ``pairs`` of exponent tuples, packed by ``ctx``."""
+    return [(ctx.pack(a), ctx.pack(b)) for a, b in pairs]
+
+
 def _cone_of(pairs):
-    """A cone whose only rules are those of the (above, below) ``pairs``,
-    all of which it keeps."""
-    return _Cone(len(pairs[0][0]), pairs)
+    """A cone whose only rules are those of the (above, below) ``pairs`` of
+    exponent tuples, all of which it keeps."""
+    ctx = _default_ctx(len(pairs[0][0]))
+    return _Cone(ctx, _packed(ctx, pairs))
 
 
 @given(_ordered_pairs())
 def test_rules_rank_pairs_of_one_degree_as_compare_does(case):
-    """The scan's one order rule (``_rules``, read by ``_Cone.contains`` in
-    the reading order) must rank a pair of one degree, both ways round, as
-    ``compare`` does under the same order, under both kinds.  Equal tuples
-    have an empty support, and no order keeps either way round."""
+    """The scan's one order rule (``_sliced`` from the packed pair, read by
+    ``_Cone.contains`` in the reading order) must rank a pair of one degree,
+    both ways round, as ``compare`` does under the same order, under both
+    kinds.  Equal tuples have an empty support, and no order keeps either
+    way round."""
     perm, a, b = case
     ring = PolyRing([f"x{i}" for i in range(len(perm))])
     for kind in ("lex", "degrevlex"):
@@ -1561,7 +1573,7 @@ def test_rules_rank_pairs_of_one_degree_as_compare_does(case):
                      for pair in ((a, b), (b, a)))
         assert kept == (sign > 0, sign < 0)
     if a == b:
-        assert _rules([(a, b)]) == [(0, 0)]
+        assert _cone_of([(a, b)]).sliced == ([0] * len(perm), [0] * len(perm))
 
 
 _FIBER_LATTICES = st.one_of(st.sampled_from([lattice_n, lattice_r, diamond_m3])
@@ -1712,14 +1724,10 @@ def test_degree_three_seeds_that_hold_are_the_cubic_generators_of_fixtures(spec,
         build_fixture(spec), char, random.Random(spec), 6)
 
 
-def test_sampled_scans_unpack_each_fiber_member_once(monkeypatch):
-    """A fiber cone reads its members unpacked as ``_Fibers`` keeps them, so
-    a scan unpacks each member of each component it meets once, however
-    many cones read it: 2,208 unpacks on these eight scans.  Each run
-    leaves the fiber cone of every lead of its last degree that is not
-    squarefree, whose components the scan would not meet otherwise; when a
-    run left one cone they were 1,792, and unpacking on every read of a
-    component took 4,696."""
+def test_scans_unpack_no_monomial(monkeypatch):
+    """Cones are built from packed monomials (``_Cone``, ``_sliced``), so
+    neither these eight sampled scans nor N's exhaustive scan unpacks a
+    monomial into an exponent tuple."""
     unpacked = []
     make = groebner._Ctx._unpacker
 
@@ -1735,18 +1743,31 @@ def test_sampled_scans_unpack_each_fiber_member_once(monkeypatch):
     try:
         for make_lattice in (lattice_r, lattice_n):
             for seed in range(4):
-                before = len(unpacked)
                 squarefree_order_scan(make_lattice(), sample=100, seed=seed)
-                mine = unpacked[before:]
-                assert len(set(mine)) == len(mine)
                 scans += 1
+        rep = squarefree_order_scan(lattice_n(), exhaustive=True)
+        scans += 1
     finally:
         groebner._default_ctx.cache_clear()
-    assert (scans, len(unpacked)) == (8, 2208)
+    assert rep.distinct_initial_ideals == 386
+    assert (scans, len(unpacked)) == (9, 0)
+
+
+def _rule(above, below):
+    """Reference for the rule of one (above, below) pair of exponent tuples,
+    read variable by variable: (D, W) as bitmasks over the variables, where
+    D is the support of above - below and W = {v : above_v < below_v}."""
+    support = wrong = 0
+    for v, (a, b) in enumerate(zip(above, below)):
+        if a != b:
+            support |= 1 << v
+            if a < b:
+                wrong |= 1 << v
+    return support, wrong
 
 
 def _keeps(rule, kind, reading):
-    """Reference for one (support, wrong) rule (``_rules``): the ``kind``
+    """Reference for one (support, wrong) rule (``_rule``): the ``kind``
     order that reads the variables in ``reading`` keeps it when the first
     variable of the support it reads is outside W under lex, and inside W
     under degrevlex."""
@@ -1758,27 +1779,52 @@ def _keeps(rule, kind, reading):
 
 
 @st.composite
+def _packed_pairs(draw, max_vars=12):
+    """The default context of a ring of 1 to ``max_vars`` variables and up
+    to 12 (above, below) pairs of exponent tuples over them, with exponents
+    from {0, 1, 2, 3, MAX_EXPONENT - 1}, equal pairs included."""
+    n = draw(st.integers(1, max_vars))
+    monomials = st.tuples(*[st.sampled_from([0, 1, 2, 3, MAX_EXPONENT - 1])] * n)
+    pairs = st.one_of(st.tuples(monomials, monomials),
+                      monomials.map(lambda m: (m, m)))
+    return _default_ctx(n), draw(st.lists(pairs, max_size=12))
+
+
+@given(_packed_pairs())
+def test_sliced_rules_of_packed_pairs_are_the_rules_of_their_tuples(case):
+    """One guard-bit compare each way over packed pairs (``_sliced``) slices
+    the rules that reading the tuples variable by variable gives
+    (``_rule``): rule j is in ``on[v]`` exactly when its D holds v, and in
+    ``off[v]`` exactly when its W does.  An equal pair's rule is empty."""
+    ctx, pairs = case
+    on, off = _sliced(_packed(ctx, pairs), ctx)
+    rules = [_rule(a, b) for a, b in pairs]
+    assert len(on) == len(off) == ctx.n
+    for v in range(ctx.n):
+        assert on[v] == sum(1 << j for j, (d, _) in enumerate(rules) if d >> v & 1)
+        assert off[v] == sum(1 << j for j, (_, w) in enumerate(rules) if w >> v & 1)
+
+
+@st.composite
 def _rule_sweeps(draw):
-    """A kind, a reading order of n variables, (support, wrong) rules over
-    them, empty supports included, and two bitmasks over the rules."""
-    n = draw(st.integers(1, 7))
-    subsets = st.integers(0, (1 << n) - 1)
-    rules = draw(st.lists(st.tuples(subsets, subsets).map(lambda r: (r[0], r[0] & r[1])),
-                          max_size=12))
-    masks = st.integers(0, (1 << len(rules)) - 1)
-    return (draw(st.sampled_from(["lex", "degrevlex"])), n,
-            draw(st.permutations(range(n))), rules, draw(masks), draw(masks))
+    """A kind, packed pairs (``_packed_pairs``), a reading order of their
+    variables and two bitmasks over the pairs' rules."""
+    ctx, pairs = draw(_packed_pairs())
+    masks = st.integers(0, (1 << len(pairs)) - 1)
+    return (draw(st.sampled_from(["lex", "degrevlex"])), ctx, pairs,
+            draw(st.permutations(range(ctx.n))), draw(masks), draw(masks))
 
 
 @given(_rule_sweeps())
 def test_one_sweep_decides_each_rule_as_the_rule_alone_does(case):
     """The bit-sliced pass (``_kept``, ``_holds``) under the kind's flip
-    (``_FLIP``) gives the kept mask, the all-kept answer and the any-kept
-    answer that reading each rule on its own gives."""
-    kind, n, reading, rules, every, some = case
+    (``_FLIP``) over the rules of packed pairs gives the kept mask, the
+    all-kept answer and the any-kept answer that reading each pair's rule
+    on its own gives."""
+    kind, ctx, pairs, reading, every, some = case
     flip = _FLIP[kind]
-    kept = [_keeps(rule, kind, reading) for rule in rules]
-    sliced = _sliced(rules, n)
+    kept = [_keeps(_rule(a, b), kind, reading) for a, b in pairs]
+    sliced = _sliced(_packed(ctx, pairs), ctx)
     assert _kept(sliced, reading, flip) == sum(1 << j for j, k in enumerate(kept) if k)
     in_every = [k for j, k in enumerate(kept) if every >> j & 1]
     in_some = [k for j, k in enumerate(kept) if some >> j & 1]
@@ -1788,14 +1834,17 @@ def test_one_sweep_decides_each_rule_as_the_rule_alone_does(case):
         all(in_every) and (not some or any(in_some)))
 
 
-@given(_rule_sweeps())
+@given(_packed_pairs(max_vars=7))
 def test_degrevlex_flip_counts_orders_as_the_complemented_rules_do(case):
-    """The degrevlex flip (``_FLIP``) of ``_order_tables`` reads each rule
-    (D, W) as the explicit degrevlex rule (D, D minus W) read with flip 0:
-    the same sets reached and the same counts of the reading orders."""
-    _, n, _, rules, _, _ = case
-    explicit = [(support, support ^ wrong) for support, wrong in rules]
-    assert _order_tables(rules, n, _FLIP["degrevlex"]) == _order_tables(explicit, n, 0)
+    """The degrevlex flip (``_FLIP``) of ``_order_tables`` reads each
+    pair's rule (D, W) as the explicit degrevlex rule (D, D minus W) read
+    with flip 0, which is the rule of the pair swapped: the same sets
+    reached and the same counts of the reading orders."""
+    ctx, pairs = case
+    packed = _packed(ctx, pairs)
+    swapped = [(b, a) for a, b in packed]
+    assert _order_tables(_sliced(packed, ctx), _FLIP["degrevlex"]) == (
+        _order_tables(_sliced(swapped, ctx), 0))
 
 
 def test_scan_q_witness_is_the_first_order(lattice_Q):
@@ -1897,7 +1946,7 @@ def test_exhaustive_scan_orders_are_the_sum_of_cone_counts(name):
         tabled = {id(e[0]) for e in tables[kind]}
         for key, cone in cones.items():
             assert (key in tabled) == (
-                _order_tables(cone.rules, n, _FLIP[kind])[0] > 0)
+                _order_tables(cone.sliced, _FLIP[kind])[0] > 0)
 
 
 @pytest.mark.parametrize("kinds", [_BOTH, _BOTH[::-1]], ids="-".join)
